@@ -22,11 +22,11 @@ import numpy as np
 
 from .mesh import Mesh
 from .physics import GasParams, internal_energy, pressure
-from .rhs_low import LowOrderRHS
 
 __all__ = [
     "Bounds",
     "LimiterReport",
+    "antidiffusive_fluxes",
     "generalized_bounds",
     "minimal_bounds",
     "solve_l",
@@ -117,14 +117,13 @@ class LimiterReport:
 
     l_elem: np.ndarray               # per-element blending parameter
     shock_xi: np.ndarray | None      # per-element shock blend, if active
-    l_pairs_min: np.ndarray | None   # per-element min pairwise l (convex mode)
     min_rho: float
     min_rhoe: float
 
 
-def _report(u, l_elem, shock_xi=None, l_pairs_min=None):
+def _report(u, l_elem, shock_xi=None):
     return LimiterReport(
-        l_elem=l_elem, shock_xi=shock_xi, l_pairs_min=l_pairs_min,
+        l_elem=l_elem, shock_xi=shock_xi,
         min_rho=float(u[..., 0].min()),
         min_rhoe=float(internal_energy(u).min()))
 
@@ -145,6 +144,21 @@ def zhang_shu_limit(uLnew, rL, rH, dt, mesh: Mesh, bounds: Bounds,
     return u, _report(u, l_elem, shock_xi=cap)
 
 
+def antidiffusive_fluxes(mesh: Mesh, high_pairs, low_pairs):
+    """F^H_ij - F^L_ij per class on the pair graph.
+
+    ``high_pairs`` and ``low_pairs`` are the per-class results of
+    ``HighOrderRHS.pair_fluxes`` and ``LowOrderRHS.pair_fluxes``; F^L is zero
+    on the pairs outside the low-order subset.
+    """
+    out = []
+    for gc, FH, (FL, _) in zip(mesh.classes, high_pairs, low_pairs):
+        dF = FH.copy()
+        dF[:, gc.pair_low] -= FL
+        out.append(dF)
+    return out
+
+
 class ConvexLimiter:
     """Pairwise limiting of the antidiffusive part of the high-order update.
 
@@ -155,9 +169,11 @@ class ConvexLimiter:
         F^H_ij = -sum_k (Q_k - Q_k^T)_ij [f_kS(u_i,u_j) - (s_ki + s_kj)/2]
         F^L_ij = low-order pair contribution,
 
-    both antisymmetric. Each node's update is a convex combination of
-    substates u^L_i + (dt n_i / m_i) l_ij (F^H_ij - F^L_ij) with n_i the
-    node's pair-plus-interface cardinality, so the symmetrized pairwise
+    both antisymmetric. The limiter evaluates no flux: it receives their
+    differences per pair of each class's graph (:func:`antidiffusive_fluxes`).
+    Each node's update is a convex combination of substates
+    u^L_i + (dt n_i / m_i) l_ij (F^H_ij - F^L_ij) with n_i the node's
+    pair-plus-interface cardinality, so the symmetrized pairwise
 
         l_ij = min(feasible fraction at i, feasible fraction at j)
 
@@ -165,90 +181,42 @@ class ConvexLimiter:
     preserving conservation exactly.
     """
 
-    def __init__(self, mesh: Mesh, gas: GasParams, low: LowOrderRHS):
-        from .physics import ec_fluxes  # local import to keep module load light
-
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.gas = gas
-        self.low = low
-        self._ec_fluxes = ec_fluxes
-        self._class_elems = low._class_elems
-
         Np = mesh.ops.n_nodes
         face_count = np.bincount(mesh.ops.face_vol, minlength=Np)
+        # per-node cardinality |I(i)| + |B(i)|
+        self._card = [np.bincount(gc.pair_i, minlength=Np)
+                      + np.bincount(gc.pair_j, minlength=Np) + face_count
+                      for gc in mesh.classes]
 
-        self._pi = []
-        self._pj = []
-        self._s_entries = []    # (dim, npairs) high-order skew entries
-        self._low_slot = []     # indices of low-order pairs inside the union
-        self._card = []         # per-node cardinality |I(i)| + |B(i)|
-        for gc in mesh.classes:
-            skews = [Q - Q.T for Q in gc.Qx]
-            mask = np.zeros_like(skews[0], dtype=bool)
-            for S in skews:
-                mask |= np.abs(S) > 1e-14
-            mask[gc.pair_i, gc.pair_j] = True
-            iu, ju = np.nonzero(np.triu(mask, k=1))
-            self._pi.append(iu)
-            self._pj.append(ju)
-            self._s_entries.append(np.stack([S[iu, ju] for S in skews]))
-            lookup = {(i, j): p for p, (i, j) in enumerate(zip(iu, ju))}
-            self._low_slot.append(np.array(
-                [lookup[(i, j)] for i, j in zip(gc.pair_i, gc.pair_j)],
-                dtype=int))
-            deg = np.bincount(iu, minlength=Np) + np.bincount(ju, minlength=Np)
-            self._card.append(deg + face_count)
-
-    def __call__(self, uLnew, u, dt, sigmas, bounds: Bounds, cap=None):
+    def __call__(self, uLnew, dF, dt, bounds: Bounds, cap=None):
+        """Limited update from u^L and the per-class pair differences dF."""
         mesh = self.mesh
-        dim = mesh.dim
         du = np.zeros_like(uLnew)
         l_min = np.ones(mesh.n_elements)
-        lowP = self.low.pair_fluxes(u, sigmas)
-
-        for c, elems in enumerate(self._class_elems):
-            if len(elems) == 0 or len(self._pi[c]) == 0:
-                continue
-            pi, pj = self._pi[c], self._pj[c]
-            uc = u[elems]
-            ui, uj = uc[:, pi], uc[:, pj]
-            fS = self._ec_fluxes(ui, uj, self.gas)
-            dF = np.zeros_like(ui)
-            for d in range(dim):
-                fd = fS[d]
-                if sigmas is not None:
-                    sd = sigmas[d][elems]
-                    fd = fd - 0.5 * (sd[:, pi] + sd[:, pj])
-                dF -= self._s_entries[c][d][None, :, None] * fd
-            if lowP[c] is not None:
-                dF[:, self._low_slot[c]] -= lowP[c]
-
+        for elems, gc, card, dFc in zip(mesh.class_elems, mesh.classes,
+                                        self._card, dF):
+            pi, pj = gc.pair_i, gc.pair_j
             uLc = uLnew[elems]
             mass = mesh.mass[elems]
-            bc_ = Bounds(np.asarray(bounds.rho_min)[elems],
-                         np.asarray(bounds.rhoe_min)[elems])
-            card = self._card[c]
+            rho_min = bounds.rho_min[elems]
+            rhoe_min = bounds.rhoe_min[elems]
             fac_i = (dt * card[pi] / mass[:, pi])[..., None]
             fac_j = (dt * card[pj] / mass[:, pj])[..., None]
-            li = solve_l(uLc[:, pi], fac_i * dF,
-                         Bounds(bc_.rho_min[:, pi], bc_.rhoe_min[:, pi]))
-            lj = solve_l(uLc[:, pj], -fac_j * dF,
-                         Bounds(bc_.rho_min[:, pj], bc_.rhoe_min[:, pj]))
+            li = solve_l(uLc[:, pi], fac_i * dFc,
+                         Bounds(rho_min[:, pi], rhoe_min[:, pi]))
+            lj = solve_l(uLc[:, pj], -fac_j * dFc,
+                         Bounds(rho_min[:, pj], rhoe_min[:, pj]))
             l = np.minimum(li, lj)
             if cap is not None:
                 l = np.minimum(l, cap[elems, None])
             l_min[elems] = l.min(axis=1)
-
-            ldF = (dt * l)[..., None] * dF
-            npair = len(pi)
-            scatter = np.zeros((mesh.ops.n_nodes, npair))
-            scatter[pi, np.arange(npair)] = 1.0
-            scatter[pj, np.arange(npair)] -= 1.0
-            du[elems] = (np.einsum("ip,kpv->kiv", scatter, ldF)
+            du[elems] = (gc.scatter @ ((dt * l)[..., None] * dFc)
                          / mass[..., None])
 
         unew = uLnew + du
-        return unew, _report(unew, l_min, shock_xi=cap, l_pairs_min=l_min)
+        return unew, _report(unew, l_min, shock_xi=cap)
 
 
 def shock_indicator(u, ops, gas: GasParams):

@@ -2,7 +2,16 @@
 
 Meshes store node coordinates per element, a per-element geometry class
 (uniform meshes have one class, split-quad triangle meshes two), and flat
-face-node arrays used by the residual evaluations:
+face-node arrays used by the residual evaluations.
+
+Each geometry class carries the one node-pair graph of its elements: the
+pairs i < j on which the skew part of the high-order operators Q_k or of
+the low-order operators QL_k is nonzero. The high-order volume flux, the
+low-order graph viscosity and the convex limiter all work on these pairs,
+and a pair flux F_ij reaches the nodes through the +-1 scatter operator
+(+F_ij to node i, -F_ij to node j). The low-order pairs are a subset.
+
+The face-node arrays are:
 
 * ``fpartner``: for every face node, the flat index (element * Nfp + slot)
   of the coinciding face node of the neighbor, or -1 on the boundary;
@@ -19,6 +28,7 @@ code path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,9 +49,13 @@ class GeoClass:
     wsJ: np.ndarray          # (Nfp,) physical face weights
     normals: np.ndarray      # (Nfp, dim) physical unit outward normals
     ebe: tuple               # (Np,) diag of E^T B_k E per physical direction
-    pair_i: np.ndarray       # low-order skew sparsity, i < j
+    pair_i: np.ndarray       # union sparsity of the skew parts, i < j
     pair_j: np.ndarray
-    pair_n: np.ndarray       # (npairs, dim) n_ij = (QL_k - QL_k^T)_ij / 2
+    pair_s: np.ndarray       # (dim, npairs) high-order (Q_k - Q_k^T)_ij
+    pair_n: np.ndarray       # (npairs, dim) n_ij = (QL_k - QL_k^T)_ij / 2,
+                             # zero on pairs that are only high-order
+    pair_low: np.ndarray     # indices of the low-order pairs
+    scatter: np.ndarray      # (Np, npairs): +1 at row i, -1 at row j
 
 
 def _make_geo_class(ops: RefOps, A: np.ndarray) -> GeoClass:
@@ -69,18 +83,25 @@ def _make_geo_class(ops: RefOps, A: np.ndarray) -> GeoClass:
     wsJ = np.linalg.norm(Bphys, axis=1)
     normals = Bphys / wsJ[:, None]
 
-    # low-order pair list from the physical skew parts
-    skews = [0.5 * (Q - Q.T) for Q in QLx]
-    mask = np.zeros_like(skews[0], dtype=bool)
-    for S in skews:
-        mask |= np.abs(S) > 1e-14
+    # pair graph: union of the high- and low-order skew sparsities
+    high = [Q - Q.T for Q in Qx]
+    low = [0.5 * (Q - Q.T) for Q in QLx]
+    low_mask = np.any([np.abs(S) > 1e-14 for S in low], axis=0)
+    mask = low_mask | np.any([np.abs(S) > 1e-14 for S in high], axis=0)
     iu, ju = np.nonzero(np.triu(mask, k=1))
-    pair_n = np.stack([S[iu, ju] for S in skews], axis=-1)
+    cols = np.arange(len(iu))
+    scatter = np.zeros((ops.n_nodes, len(iu)))
+    scatter[iu, cols] = 1.0
+    scatter[ju, cols] = -1.0
     return GeoClass(
         G=G, J=J, Qx=tuple(Qx), QLx=tuple(QLx),
         mass=J * ops.weights, wsJ=wsJ, normals=normals,
         ebe=tuple(ebe),
-        pair_i=iu, pair_j=ju, pair_n=pair_n,
+        pair_i=iu, pair_j=ju,
+        pair_s=np.stack([S[iu, ju] for S in high]),
+        pair_n=np.stack([S[iu, ju] for S in low], axis=-1),
+        pair_low=np.nonzero(low_mask[iu, ju])[0],
+        scatter=scatter,
     )
 
 
@@ -120,6 +141,12 @@ class Mesh:
     @property
     def dim(self) -> int:
         return self.ops.dim
+
+    @cached_property
+    def class_elems(self) -> list:
+        """Element indices of each geometry class."""
+        return [np.nonzero(self.class_id == c)[0]
+                for c in range(len(self.classes))]
 
     @property
     def total_mass(self):

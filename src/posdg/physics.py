@@ -254,63 +254,6 @@ def davis_wavespeed(uL, uR, n, gas: GasParams):
     return out
 
 
-def wavespeed_cache(u, sigmas, gas: GasParams, es_viscosity: bool = True,
-                    eps0: float = 1e-14):
-    """Per-state ingredients of the pair wavespeed bound, for gather reuse.
-
-    The graph-viscosity rate is max over the two states of the viscous
-    positivity bound (and, when ``es_viscosity``, the acoustic estimate
-    |v.n| + c). Everything except the normal projections depends on the
-    state alone, so residual assembly computes this once per node and
-    gathers slices per pair; :func:`lam_hat_from_cache` finishes the job.
-    Assumes unit normals. Returns ("inviscid", vel, cmax) where the bound
-    collapses to |v.n| + cmax, or ("viscous", vel, c, rho, rhoe, p, tau, q).
-    """
-    u = np.asarray(u, dtype=float)
-    dim = u.shape[-1] - 2
-    rho, mom, _ = _split(u)
-    vel = mom / rho[..., None]
-    rhoe = internal_energy(u)
-    p = (gas.gamma - 1.0) * rhoe
-    c = np.sqrt(gas.gamma * p / rho) if es_viscosity else None
-    if sigmas is None:
-        cb = eps0 + p / np.sqrt(2.0 * rho * rhoe)
-        cmax = np.maximum(cb, c) if es_viscosity else cb
-        return ("inviscid", vel, cmax)
-    tau = np.stack([sigmas[k][..., 1:-1] for k in range(dim)], axis=-2)
-    q = np.stack(
-        [np.sum(vel * sigmas[k][..., 1:-1], axis=-1) - sigmas[k][..., -1]
-         for k in range(dim)], axis=-1)
-    return ("viscous", vel, c, rho, rhoe, p, tau, q)
-
-
-def _beta_side(cache, n, eps0):
-    if cache[0] == "inviscid":
-        _, vel, cmax = cache
-        return np.abs(np.sum(vel * n, axis=-1)) + cmax
-    _, vel, c, rho, rhoe, p, tau, q = cache
-    un = np.sum(vel * n, axis=-1)
-    tau_n = np.einsum("...kj,...k->...j", tau,
-                      np.broadcast_to(n, vel.shape))
-    qn = np.sum(q * n, axis=-1)
-    visc = tau_n - p[..., None] * n
-    root = np.sqrt(rho ** 2 * qn ** 2
-                   + 2.0 * rho * rhoe * np.sum(visc * visc, axis=-1))
-    beta = eps0 + np.abs(un) + (root + rho * np.abs(qn)) / (2.0 * rho * rhoe)
-    return beta if c is None else np.maximum(beta, np.abs(un) + c)
-
-
-def lam_hat_from_cache(cacheL, cacheR, n, eps0: float = 1e-14):
-    """max of the per-side wavespeed bounds for a unit normal ``n``."""
-    return np.maximum(_beta_side(cacheL, n, eps0), _beta_side(cacheR, n, eps0))
-
-
-def gather_cache(cache, idx):
-    """Slice every array of a wavespeed cache along the node axis."""
-    return (cache[0],) + tuple(
-        None if a is None else a[idx] for a in cache[1:])
-
-
 def zhang_beta(u, sigma, n, gas: GasParams, eps0: float = 1e-14):
     """Maximum wavespeed bound for first-order viscous bar states.
 

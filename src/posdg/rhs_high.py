@@ -4,11 +4,19 @@ The volume term contracts the skew part of the physical operators with the
 matrix of pairwise entropy-conservative fluxes,
 
     R_i = - sum_k sum_j (Q_k - Q_k^T)_ij [ f_kS(u_i, u_j) - (s_ki + s_kj)/2 ]
-          - surface terms,
+          - surface terms.
 
-surface terms being either an entropy-stable local Lax-Friedrichs flux
-built on the same two-point flux (default), or, for convex limiting, the
-low-order interface flux shared bitwise with the low-order scheme.
+The summand is antisymmetric in (i, j), so it is evaluated once per pair of
+the geometry class's pair graph (see :mod:`posdg.mesh`) as the pair flux
+
+    F^H_ij = - sum_k (Q_k - Q_k^T)_ij [ f_kS(u_i, u_j) - (s_ki + s_kj)/2 ]
+
+and scattered. The surface terms are either an entropy-stable local
+Lax-Friedrichs flux built on the same two-point flux (``interface="es_lf"``,
+the unlimited scheme), or the low-order interface flux (``"low_match"``,
+both limited modes). In the matched mode one surface pass per stage serves
+both residuals, so r^H - r^L reduces to the scattered pair differences
+F^H_ij - F^L_ij and integrates to zero over every element.
 
 Viscous terms follow the LDG construction: nodal gradients of the entropy
 variables with central interface averages, the symmetric viscous fluxes
@@ -32,7 +40,7 @@ from .physics import (
     entropy_vars,
     viscous_sigma,
 )
-from .rhs_low import LowOrderRHS, interface_flux_low
+from .rhs_low import LowOrderRHS
 
 __all__ = ["HighOrderRHS", "LDGGradient"]
 
@@ -49,11 +57,8 @@ class LDGGradient:
         self.mesh = mesh
         self.gas = gas
         self.bcs = bcs
-        self._class_elems = [np.nonzero(mesh.class_id == c)[0]
-                             for c in range(len(mesh.classes))]
         self._skews = [tuple(0.5 * (Q - Q.T) for Q in gc.Qx)
                        for gc in mesh.classes]
-        self._ET = mesh.ops.E.T
 
     def __call__(self, u, t):
         mesh = self.mesh
@@ -79,12 +84,10 @@ class LDGGradient:
         thetas = []
         for d in range(dim):
             th = np.zeros_like(u)
-            for c, elems in enumerate(self._class_elems):
-                if len(elems) == 0:
-                    continue
-                th[elems] = np.einsum("ij,kjv->kiv", self._skews[c][d], v[elems])
+            for elems, skews in zip(mesh.class_elems, self._skews):
+                th[elems] = skews[d] @ v[elems]
             face = 0.5 * (mesh.fwsJ * mesh.fnormal[..., d])[..., None] * vP
-            th += np.einsum("is,ksv->kiv", self._ET, face)
+            th += mesh.ops.E.T @ face
             th /= mesh.mass[..., None]
             thetas.append(th)
         sigmas = viscous_sigma(v, tuple(thetas), self.gas)
@@ -94,7 +97,7 @@ class LDGGradient:
 class HighOrderRHS:
     def __init__(self, mesh: Mesh, gas: GasParams, bcs: BCSet,
                  interface: str = "es_lf", low: LowOrderRHS | None = None,
-                 lf_dissipation: bool = True, eps0: float = 1e-14):
+                 lf_dissipation: bool = True):
         if interface not in ("es_lf", "low_match"):
             raise ValueError(f"unknown interface mode {interface!r}")
         if interface == "low_match" and low is None:
@@ -103,83 +106,68 @@ class HighOrderRHS:
         self.gas = gas
         self.bcs = bcs
         self.interface = interface
-        self.low = low if low is not None else LowOrderRHS(mesh, gas, bcs, eps0=eps0)
+        self.low = low if low is not None else LowOrderRHS(mesh, gas, bcs)
         self.lf_dissipation = lf_dissipation
         bcs.validate(mesh.ftag)
 
-        self._class_elems = [np.nonzero(mesh.class_id == c)[0]
-                             for c in range(len(mesh.classes))]
-        self._skews2 = [tuple(Q - Q.T for Q in gc.Qx) for gc in mesh.classes]
-        self._ET = mesh.ops.E.T
+    def pair_fluxes(self, u, sigmas=None):
+        """High-order pair fluxes F^H_ij, one (K_c, npairs, nvar) per class.
 
-        # the two-point fluxes are symmetric and the operators skew, so one
-        # evaluation per unordered pair on the union sparsity of the skew
-        # parts suffices; on tensor-product elements that sparsity is the
-        # small fraction of pairs sharing a coordinate line
-        self._pairs = []
-        Np = mesh.ops.n_nodes
-        iu, ju = np.triu_indices(Np, k=1)
-        for S2s in self._skews2:
-            nz = np.zeros(iu.shape, dtype=bool)
-            for S2 in S2s:
-                nz |= S2[iu, ju] != 0.0
-            ii, jj = iu[nz], ju[nz]
-            cols = np.arange(len(ii))
-            gather = []
-            for S2 in S2s:
-                G = np.zeros((Np, len(ii)))
-                G[ii, cols] = S2[ii, jj]
-                G[jj, cols] = -S2[ii, jj]
-                gather.append(G)
-            self._pairs.append((ii, jj, tuple(gather)))
-
-    def __call__(self, u, t, sigmas=None):
-        mesh = self.mesh
+        The two-point fluxes are symmetric and the operators skew, so one
+        evaluation per pair of the class's graph suffices; on tensor-product
+        elements those are the small fraction of pairs sharing a coordinate
+        line.
+        """
         gas = self.gas
-        K, Np, nvar = u.shape
-        dim = mesh.dim
-        R = np.zeros_like(u)
-
-        for c, elems in enumerate(self._class_elems):
-            if len(elems) == 0:
-                continue
-            gc = mesh.classes[c]
-            uc = u[elems]
-            ii, jj, gather = self._pairs[c]
-            prims = ec_prims(uc, gas)
-            F = ec_fluxes_prims(tuple(a[:, ii] for a in prims),
-                                tuple(a[:, jj] for a in prims), gas)
-            acc = np.zeros_like(uc)
-            for d in range(dim):
-                acc += np.einsum("ip,kpv->kiv", gather[d], F[d])
+        out = []
+        for elems, gc in zip(self.mesh.class_elems, self.mesh.classes):
+            pi, pj = gc.pair_i, gc.pair_j
+            prims = ec_prims(u[elems], gas)
+            F = ec_fluxes_prims(tuple(a[:, pi] for a in prims),
+                                tuple(a[:, pj] for a in prims), gas)
+            FH = np.zeros_like(F[0])
+            for d, fd in enumerate(F):
                 if sigmas is not None:
                     sd = sigmas[d][elems]
-                    # (Q - Q^T) o F^sigma 1 with F^sigma_ij = (s_i + s_j)/2;
-                    # the row sum of the skew part is -ebe
-                    acc -= 0.5 * np.einsum("ij,kjv->kiv", self._skews2[c][d],
-                                           sd)
-                    acc += 0.5 * gc.ebe[d][None, :, None] * sd
-            R[elems] -= acc
+                    fd = fd - 0.5 * (sd[:, pi] + sd[:, pj])
+                FH -= gc.pair_s[d][None, :, None] * fd
+            out.append(FH)
+        return out
 
-        # surface contributions, one flat pass over all face slots
-        uf, uP, sigf, sigP, nrm = self.low.face_states(u, t, sigmas)
-        wsj = mesh.fwsJ.reshape(-1)
+    def surface(self, u, t, sigmas):
+        """Surface residual contribution at all face slots (flat)."""
         if self.interface == "low_match":
-            Rs, _ = interface_flux_low(uf, uP, sigf, sigP, nrm, wsj, gas,
-                                       self.low.es_viscosity, self.low.eps0)
-        else:
-            fS = ec_fluxes(uf, uP, gas)
-            flux_n = np.zeros_like(uf)
-            for d in range(dim):
-                fd = fS[d]
-                if sigf is not None:
-                    fd = fd - 0.5 * (sigf[d] + sigP[d])
-                flux_n += nrm[..., d, None] * fd
-            Rs = -wsj[..., None] * flux_n
-            if self.lf_dissipation:
-                lam = davis_wavespeed(uf, uP, nrm, gas)
-                n1 = np.abs(nrm).sum(axis=-1)
-                Rs += (0.5 * wsj * n1 * lam)[..., None] * (uP - uf)
-        nf = mesh.n_face_nodes
-        R += np.einsum("is,ksv->kiv", self._ET, Rs.reshape(K, nf, nvar))
+            return self.low.surface(u, t, sigmas)[0]
+        gas = self.gas
+        uf, uP, sigf, sigP, nrm = self.low.face_states(u, t, sigmas)
+        wsj = self.mesh.fwsJ.reshape(-1)
+        fS = ec_fluxes(uf, uP, gas)
+        flux_n = np.zeros_like(uf)
+        for d, fd in enumerate(fS):
+            if sigf is not None:
+                fd = fd - 0.5 * (sigf[d] + sigP[d])
+            flux_n += nrm[..., d, None] * fd
+        Rs = -wsj[..., None] * flux_n
+        if self.lf_dissipation:
+            lam = davis_wavespeed(uf, uP, nrm, gas)
+            n1 = np.abs(nrm).sum(axis=-1)
+            Rs += (0.5 * wsj * n1 * lam)[..., None] * (uP - uf)
+        return Rs
+
+    def __call__(self, u, t, sigmas=None, pairs=None, surface=None):
+        """R = M du/dt.
+
+        ``pairs`` and ``surface`` take the results of :meth:`pair_fluxes`
+        and :meth:`surface` for this state when the caller has them already;
+        the residual is then their scatter.
+        """
+        mesh = self.mesh
+        K, _, nvar = u.shape
+        if pairs is None:
+            pairs = self.pair_fluxes(u, sigmas)
+        if surface is None:
+            surface = self.surface(u, t, sigmas)
+        R = mesh.ops.E.T @ surface.reshape(K, -1, nvar)
+        for elems, gc, FH in zip(mesh.class_elems, mesh.classes, pairs):
+            R[elems] += gc.scatter @ FH
         return R

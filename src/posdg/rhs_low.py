@@ -4,15 +4,17 @@ The scheme is a graph-viscosity finite-volume method on the sparse
 operators QL_k: central two-point fluxes on the node graph plus a
 pairwise dissipation
 
-    lambda_ij = max(beta_i, beta_j [, lambda_Davis]) * |n_ij|,
+    lambda_ij = max(beta_i, beta_j, lambda_Davis) * |n_ij|,
     n_ij = ((QL_x - QL_x^T)_ij, (QL_y - QL_y^T)_ij) / 2,
 
 with beta the viscous wavespeed bound that keeps the associated bar states
-admissible. Interfaces use the same construction with the boundary weights
-in place of n_ij. The residual returned is R = M du/dt, and the forward
-Euler update u + dt R / m is a convex combination of the current state and
-bar states whenever dt <= min_i m_i / (2 lambda_i), which is the basis of
-the positivity guarantee.
+admissible. The pairs are the low-order subset of the geometry class's
+pair graph (see :mod:`posdg.mesh`). Interfaces use the same construction
+with the boundary weights in place of n_ij. The residual returned is
+R = M du/dt, and the forward Euler update u + dt R / m is a convex
+combination of the current state and bar states whenever
+dt <= min_i m_i / (2 lambda_i), which is the basis of the positivity
+guarantee.
 """
 
 from __future__ import annotations
@@ -31,8 +33,13 @@ from .physics import (
 __all__ = ["LowOrderRHS", "interface_flux_low"]
 
 
-def interface_flux_low(uM, uP, sigM, sigP, normals, wsJ, gas: GasParams,
-                       es_viscosity: bool = True, eps0: float = 1e-14):
+def _lam_hat(uM, uP, sigM, sigP, n, gas: GasParams):
+    """Graph-viscosity rate max(beta_M, beta_P, Davis) for a unit ``n``."""
+    lam = np.maximum(zhang_beta(uM, sigM, n, gas), zhang_beta(uP, sigP, n, gas))
+    return np.maximum(lam, davis_wavespeed(uM, uP, n, gas))
+
+
+def interface_flux_low(uM, uP, sigM, sigP, normals, wsJ, gas: GasParams):
     """Low-order interface contribution per face slot.
 
     Returns (R_slot, lam_slot): the residual contribution to the owning
@@ -50,42 +57,28 @@ def interface_flux_low(uM, uP, sigM, sigP, normals, wsJ, gas: GasParams,
             df = df - sigM[d] - sigP[d]
         central += 0.5 * normals[..., d, None] * df
 
-    lam_hat = np.maximum(zhang_beta(uM, sigM, normals, gas, eps0),
-                         zhang_beta(uP, sigP, normals, gas, eps0))
-    if es_viscosity:
-        lam_hat = np.maximum(lam_hat, davis_wavespeed(uM, uP, normals, gas))
     n1 = np.abs(normals).sum(axis=-1)
-    lam_slot = 0.5 * wsJ * n1 * lam_hat
+    lam_slot = 0.5 * wsJ * n1 * _lam_hat(uM, uP, sigM, sigP, normals, gas)
     R = -wsJ[..., None] * central + lam_slot[..., None] * (uP - uM)
     return R, lam_slot
 
 
 class LowOrderRHS:
-    def __init__(self, mesh: Mesh, gas: GasParams, bcs: BCSet,
-                 es_viscosity: bool = True, eps0: float = 1e-14):
+    def __init__(self, mesh: Mesh, gas: GasParams, bcs: BCSet):
         self.mesh = mesh
         self.gas = gas
         self.bcs = bcs
-        self.es_viscosity = es_viscosity
-        self.eps0 = eps0
         bcs.validate(mesh.ftag)
 
-        # per-class scatter data for the pair loop
-        self._class_elems = [np.nonzero(mesh.class_id == c)[0]
-                             for c in range(len(mesh.classes))]
-        self._pair_scatter = []
-        self._pair_unit = []
-        self._pair_norm = []
+        # per class: the low-order pairs with their n_ij, unit normal, |n_ij|
+        # and scatter columns
+        self._low = []
         for gc in mesh.classes:
-            npair = len(gc.pair_i)
-            S = np.zeros((mesh.ops.n_nodes, npair))
-            S[gc.pair_i, np.arange(npair)] = 1.0
-            S[gc.pair_j, np.arange(npair)] = -1.0
-            self._pair_scatter.append(S)
-            nn = np.linalg.norm(gc.pair_n, axis=1)
-            self._pair_unit.append(gc.pair_n / nn[:, None])
-            self._pair_norm.append(nn)
-        self._ET = mesh.ops.E.T
+            low = gc.pair_low
+            n = gc.pair_n[low]
+            nn = np.linalg.norm(n, axis=1)
+            self._low.append((gc.pair_i[low], gc.pair_j[low], n,
+                              n / nn[:, None], nn, gc.scatter[:, low]))
 
     # -- shared face-data preparation -------------------------------------
 
@@ -115,184 +108,70 @@ class LowOrderRHS:
                     sigP[d][bdry] = sb[d]
         return uf, uP, sigf, sigP, nrm
 
+    def surface(self, u, t, sigmas):
+        """Low-order interface flux at all face slots: (R_slot, lam_slot)."""
+        uf, uP, sigf, sigP, nrm = self.face_states(u, t, sigmas)
+        return interface_flux_low(uf, uP, sigf, sigP, nrm,
+                                  self.mesh.fwsJ.reshape(-1), self.gas)
+
     # -- pairwise contributions ---------------------------------------------
 
-    def _class_pair_P(self, c, elems, u, fms, sigmas):
-        """Contribution P of each node pair (scattered +P to i, -P to j)
-        and the pair wavespeed weight lambda_ij."""
-        gas = self.gas
-        gc = self.mesh.classes[c]
-        uc = u[elems]
-        pi, pj = gc.pair_i, gc.pair_j
-        ui, uj = uc[:, pi], uc[:, pj]
-        unit = self._pair_unit[c]
-
-        central = np.zeros_like(ui)
-        for d in range(self.mesh.dim):
-            fd = fms[d][elems]
-            central += gc.pair_n[None, :, d, None] * (fd[:, pi] + fd[:, pj])
-
-        if sigmas is None:
-            si = sj = None
-        else:
-            si = tuple(s[elems][:, pi] for s in sigmas)
-            sj = tuple(s[elems][:, pj] for s in sigmas)
-        lam_hat = np.maximum(zhang_beta(ui, si, unit, gas, self.eps0),
-                             zhang_beta(uj, sj, unit, gas, self.eps0))
-        if self.es_viscosity:
-            lam_hat = np.maximum(lam_hat, davis_wavespeed(ui, uj, unit, gas))
-        lam = lam_hat * self._pair_norm[c]
-
-        return -central + lam[..., None] * (uj - ui), lam
-
     def pair_fluxes(self, u, sigmas=None):
-        """Per-class pairwise fluxes, for the convex limiter.
+        """Low-order pair fluxes and wavespeeds, one (P, lambda) per class.
 
-        Element k's residual decomposes as R_i = sum_pairs(+-P) + surface;
-        the returned list holds P per class with shape (K_c, npairs, nvar).
+        P_ij (shape (K_c, npairs_low, nvar)) goes +P to node i and -P to
+        node j; lambda_ij (shape (K_c, npairs_low)) is the pair's weight in
+        the CFL bound. The pairs are the class's ``pair_low`` subset.
         """
+        gas = self.gas
         dim = self.mesh.dim
-        f_all = euler_flux(u, self.gas)
+        f = euler_flux(u, gas)
         if sigmas is not None:
-            fms = tuple(f_all[d] - sigmas[d] for d in range(dim))
-        else:
-            fms = f_all
+            f = tuple(f[d] - sigmas[d] for d in range(dim))
         out = []
-        for c, elems in enumerate(self._class_elems):
-            if len(elems) == 0 or len(self.mesh.classes[c].pair_i) == 0:
-                out.append(None)
-                continue
-            out.append(self._class_pair_P(c, elems, u, fms, sigmas)[0])
+        for elems, (pi, pj, n, unit, nn, _) in zip(self.mesh.class_elems,
+                                                    self._low):
+            uc = u[elems]
+            ui, uj = uc[:, pi], uc[:, pj]
+            central = np.zeros_like(ui)
+            for d in range(dim):
+                fd = f[d][elems]
+                central += n[None, :, d, None] * (fd[:, pi] + fd[:, pj])
+            si = sj = None
+            if sigmas is not None:
+                si = tuple(s[elems][:, pi] for s in sigmas)
+                sj = tuple(s[elems][:, pj] for s in sigmas)
+            lam = _lam_hat(ui, uj, si, sj, unit, gas) * nn
+            out.append((-central + lam[..., None] * (uj - ui), lam))
         return out
 
     # -- residual ----------------------------------------------------------
 
-    def __call__(self, u, t, sigmas=None, need_wavespeed=False):
+    def __call__(self, u, t, sigmas=None, need_wavespeed=False,
+                 pairs=None, surface=None):
+        """R = M du/dt, plus the nodal wavespeed sums if need_wavespeed.
+
+        ``pairs`` and ``surface`` take the results of :meth:`pair_fluxes`
+        and :meth:`surface` for this state when the caller has them already;
+        the residual is then their scatter.
+        """
         mesh = self.mesh
-        gas = self.gas
-        K, Np, nvar = u.shape
-        dim = mesh.dim
-        R = np.zeros_like(u)
-        lam_nodes = np.zeros((K, Np)) if need_wavespeed else None
-
-        f_all = euler_flux(u, gas)
-        if sigmas is not None:
-            fms = tuple(f_all[d] - sigmas[d] for d in range(dim))
-        else:
-            fms = f_all
-
-        for c, elems in enumerate(self._class_elems):
-            if len(elems) == 0 or len(self.mesh.classes[c].pair_i) == 0:
-                continue
-            P, lam = self._class_pair_P(c, elems, u, fms, sigmas)
-            R[elems] += np.einsum("ip,kpv->kiv", self._pair_scatter[c], P)
-            if need_wavespeed:
-                lam_nodes[elems] += np.einsum(
-                    "ip,kp->ki", np.abs(self._pair_scatter[c]), lam)
-
-        uf, uP, sigf, sigP, nrm = self.face_states(u, t, sigmas)
-        wsj = mesh.fwsJ.reshape(-1)
-        Rs, lam_s = interface_flux_low(uf, uP, sigf, sigP, nrm, wsj, gas,
-                                       self.es_viscosity, self.eps0)
-        nf = mesh.n_face_nodes
-        R += np.einsum("is,ksv->kiv", self._ET, Rs.reshape(K, nf, nvar))
-        if need_wavespeed:
-            lam_nodes += np.einsum("is,ks->ki", self._ET, lam_s.reshape(K, nf))
-            return R, lam_nodes
-        return R
+        K, _, nvar = u.shape
+        if pairs is None:
+            pairs = self.pair_fluxes(u, sigmas)
+        if surface is None:
+            surface = self.surface(u, t, sigmas)
+        Rs, lam_s = surface
+        E = mesh.ops.E
+        R = E.T @ Rs.reshape(K, -1, nvar)
+        lam = lam_s.reshape(K, -1) @ E
+        for elems, (P, lam_p), (*_, S) in zip(mesh.class_elems, pairs,
+                                               self._low):
+            R[elems] += S @ P
+            lam[elems] += lam_p @ np.abs(S).T
+        return (R, lam) if need_wavespeed else R
 
     def max_dt(self, u, t, sigmas=None):
         """Largest forward-Euler step with the convex bar-state guarantee."""
         _, lam = self(u, t, sigmas, need_wavespeed=True)
         return float((self.mesh.mass / (2.0 * lam)).min())
-
-    # -- bar states (independent functional form, used by tests) -----------
-
-    def bar_state_residual(self, u, t, sigmas=None):
-        """Residual assembled from bar states: R_i = sum 2 lambda (ubar - u_i).
-
-        Returns (R, lam_nodes, min_bar_density, min_bar_internal_energy).
-        Algebraically identical to __call__ but computed through the convex
-        decomposition, so agreement between the two is a strong check of
-        both the decomposition and the scheme.
-        """
-        from .physics import internal_energy
-
-        mesh = self.mesh
-        gas = self.gas
-        K, Np, nvar = u.shape
-        dim = mesh.dim
-        R = np.zeros_like(u)
-        lam_nodes = np.zeros((K, Np))
-        bar_rho, bar_e = np.inf, np.inf
-
-        f_all = euler_flux(u, gas)
-        if sigmas is not None:
-            fms = tuple(f_all[d] - sigmas[d] for d in range(dim))
-        else:
-            fms = f_all
-
-        for c, elems in enumerate(self._class_elems):
-            if len(elems) == 0 or len(self.mesh.classes[c].pair_i) == 0:
-                continue
-            gc = mesh.classes[c]
-            uc = u[elems]
-            pi, pj = gc.pair_i, gc.pair_j
-            ui, uj = uc[:, pi], uc[:, pj]
-            unit = self._pair_unit[c]
-            nn = self._pair_norm[c]
-            if sigmas is None:
-                si = sj = None
-            else:
-                si = tuple(s[elems][:, pi] for s in sigmas)
-                sj = tuple(s[elems][:, pj] for s in sigmas)
-            lam_hat = np.maximum(zhang_beta(ui, si, unit, gas, self.eps0),
-                                 zhang_beta(uj, sj, unit, gas, self.eps0))
-            if self.es_viscosity:
-                lam_hat = np.maximum(lam_hat, davis_wavespeed(ui, uj, unit, gas))
-            lam = lam_hat * nn
-
-            dflux = np.zeros_like(ui)
-            for d in range(dim):
-                fd = fms[d][elems]
-                dflux += unit[None, :, d, None] * (fd[:, pj] - fd[:, pi])
-            ubar = 0.5 * (ui + uj) - dflux / (2.0 * lam_hat[..., None])
-            bar_rho = min(bar_rho, ubar[..., 0].min())
-            bar_e = min(bar_e, internal_energy(ubar).min())
-
-            two_lam = 2.0 * lam[..., None]
-            contrib_i = two_lam * (ubar - ui)
-            contrib_j = two_lam * (ubar - uj)
-            npair = len(pi)
-            Spos = np.zeros((Np, npair))
-            Spos[pi, np.arange(npair)] = 1.0
-            Sneg = np.zeros((Np, npair))
-            Sneg[pj, np.arange(npair)] = 1.0
-            R[elems] += np.einsum("ip,kpv->kiv", Spos, contrib_i)
-            R[elems] += np.einsum("ip,kpv->kiv", Sneg, contrib_j)
-            lam_nodes[elems] += np.einsum("ip,kp->ki", Spos + Sneg, lam)
-
-        uf, uP, sigf, sigP, nrm = self.face_states(u, t, sigmas)
-        wsj = mesh.fwsJ.reshape(-1)
-        fM = euler_flux(uf, gas)
-        fP = euler_flux(uP, gas)
-        dflux = np.zeros_like(uf)
-        for d in range(dim):
-            df = fP[d] - fM[d]
-            if sigf is not None:
-                df = df - sigP[d] + sigf[d]
-            dflux += nrm[..., d, None] * df
-        lam_hat = np.maximum(zhang_beta(uf, sigf, nrm, gas, self.eps0),
-                             zhang_beta(uP, sigP, nrm, gas, self.eps0))
-        if self.es_viscosity:
-            lam_hat = np.maximum(lam_hat, davis_wavespeed(uf, uP, nrm, gas))
-        n1 = np.abs(nrm).sum(axis=-1)
-        ubar_s = 0.5 * (uf + uP) - dflux / (2.0 * n1 * lam_hat)[..., None]
-        bar_rho = min(bar_rho, ubar_s[..., 0].min())
-        bar_e = min(bar_e, internal_energy(ubar_s).min())
-        lam_s = 0.5 * wsj * n1 * lam_hat
-        Rs = 2.0 * lam_s[..., None] * (ubar_s - uf)
-        nf = mesh.n_face_nodes
-        R += np.einsum("is,ksv->kiv", self._ET, Rs.reshape(K, nf, nvar))
-        lam_nodes += np.einsum("is,ks->ki", self._ET, lam_s.reshape(K, nf))
-        return R, lam_nodes, bar_rho, bar_e

@@ -17,6 +17,7 @@ from .bc import BCSet
 from .limiter import (
     ConvexLimiter,
     LimiterReport,
+    antidiffusive_fluxes,
     generalized_bounds,
     minimal_bounds,
     shock_indicator,
@@ -39,15 +40,16 @@ class Stepper:
 
     mode selects the update: "low-only" (sparse scheme), "none" (unlimited
     high-order with entropy-stable interface dissipation), "elementwise"
-    (Zhang-Shu style blend), or "convex" (pairwise FCT limiting, which
-    forces the matched low-order interface flux in the high-order scheme).
-    zeta > 0 selects the relaxed bounds; zeta = 0 the minimal ones.
+    (Zhang-Shu style blend), or "convex" (pairwise FCT limiting). Both
+    limited modes run the high-order scheme with the low-order interface
+    flux, so r^H - r^L integrates to zero over every element and the blend
+    conserves. zeta > 0 selects the relaxed bounds; zeta = 0 the minimal
+    ones.
     """
 
     def __init__(self, mesh: Mesh, gas: GasParams, bcs: BCSet,
                  mode: str = "elementwise", zeta: float = 0.1,
-                 shock_capture: bool = False, es_viscosity: bool = True,
-                 eps0: float = 1e-14):
+                 shock_capture: bool = False):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.mesh = mesh
@@ -55,27 +57,40 @@ class Stepper:
         self.mode = mode
         self.zeta = zeta
         self.shock_capture = shock_capture
-        self.eps0 = eps0
-        self.low = LowOrderRHS(mesh, gas, bcs, es_viscosity=es_viscosity,
-                               eps0=eps0)
+        self.low = LowOrderRHS(mesh, gas, bcs)
         self.grad = LDGGradient(mesh, gas, bcs) if gas.viscous else None
         self.high = None
-        self.convex = None
         if mode != "low-only":
-            interface = "low_match" if mode == "convex" else "es_lf"
+            interface = "es_lf" if mode == "none" else "low_match"
             self.high = HighOrderRHS(mesh, gas, bcs, interface=interface,
-                                     low=self.low, eps0=eps0)
-        if mode == "convex":
-            self.convex = ConvexLimiter(mesh, gas, self.low)
+                                     low=self.low)
+        self.convex = ConvexLimiter(mesh) if mode == "convex" else None
 
     def prepare(self, u, t):
-        """Residuals and wavespeeds of a stage state; dt-independent."""
+        """Residuals and wavespeeds of a stage state; dt-independent.
+
+        One flux pass per stage: the face states, the low-order interface
+        flux and each class's low- and high-order pair fluxes are evaluated
+        once, and RL, lam, RH and the convex limiter's pair differences dF
+        are all formed from them.
+        """
         sig = self.grad(u, t)[2] if self.grad is not None else None
-        RL = lam = None
-        if self.mode != "none":
-            RL, lam = self.low(u, t, sig, need_wavespeed=True)
-        RH = self.high(u, t, sig) if self.high is not None else None
-        return {"sig": sig, "RL": RL, "lam": lam, "RH": RH}
+        prep = {"RL": None, "lam": None, "RH": None, "dF": None}
+        if self.mode == "none":
+            prep["RH"] = self.high(u, t, sig)
+            return prep
+        surface = self.low.surface(u, t, sig)
+        low_pairs = self.low.pair_fluxes(u, sig)
+        prep["RL"], prep["lam"] = self.low(u, t, sig, need_wavespeed=True,
+                                           pairs=low_pairs, surface=surface)
+        if self.high is not None:
+            high_pairs = self.high.pair_fluxes(u, sig)
+            prep["RH"] = self.high(u, t, sig, pairs=high_pairs,
+                                   surface=surface[0])
+            if self.convex is not None:
+                prep["dF"] = antidiffusive_fluxes(self.mesh, high_pairs,
+                                                  low_pairs)
+        return prep
 
     def dt_bound(self, prep):
         """Largest admissibility-preserving Euler step for the prepared state."""
@@ -96,14 +111,14 @@ class Stepper:
             return uL, None
 
         bounds = (generalized_bounds(uL, self.zeta) if self.zeta > 0
-                  else minimal_bounds(uL, self.eps0))
+                  else minimal_bounds(uL))
         cap = None
         if self.shock_capture:
             cap = shock_indicator(u, mesh.ops, self.gas)
         if self.mode == "elementwise":
             return zhang_shu_limit(uL, prep["RL"], prep["RH"], dt, mesh,
                                    bounds, cap=cap)
-        return self.convex(uL, u, dt, prep["sig"], bounds, cap=cap)
+        return self.convex(uL, prep["dF"], dt, bounds, cap=cap)
 
 
 @dataclass
@@ -173,16 +188,14 @@ def ssp_rk3_step(u, t, dt, stepper: Stepper, prep1=None, step=0,
 
 
 def advance(stepper: Stepper, u0, t0, t_final, cfl,
-            callback=None, log_every=200, per_stage_dt=False,
-            max_steps=10 ** 7, collect=True):
+            callback=None, log_every=200, max_steps=10 ** 7, collect=True):
     """March u0 from t0 to t_final; returns (u, list of StepDiagnostics).
 
     callback, when given, is invoked after every step as
     callback(step, t, u, diagnostics_row, limiter_report).
 
     dt is sized once per step from the pre-step state (Eq.-style positivity
-    bound times the user CFL); per_stage_dt additionally enforces the bound
-    on the inner stage states by shrinking dt and redoing the step.
+    bound times the user CFL).
     """
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
@@ -199,21 +212,7 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
         bound = stepper.dt_bound(prep1)
         dt = cfl * bound if bound is not None else cfl * _fallback_dt(stepper, u, t)
         dt = min(dt, t_final - t)
-
-        if per_stage_dt:
-            for _ in range(20):
-                try:
-                    unew, rep = ssp_rk3_step(u, t, dt, stepper, prep1, step)
-                except FloatingPointError:
-                    dt *= 0.5
-                    continue
-                break
-            else:
-                raise RuntimeError(f"step {step}: no admissible dt found")
-        else:
-            unew, rep = ssp_rk3_step(u, t, dt, stepper, prep1, step)
-
-        u = unew
+        u, rep = ssp_rk3_step(u, t, dt, stepper, prep1, step)
         t = t + dt
         step += 1
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from posdg.physics import davis_wavespeed, euler_flux, internal_energy, zhang_beta
+
 
 def bisect_l(uL, P, rho_min, rhoe_min, iters=60):
     """Largest feasible blend fraction by bisection on the state path.
@@ -64,3 +66,95 @@ def bisect_l(uL, P, rho_min, rhoe_min, iters=60):
         l_e = lo
 
     return min(l_rho, l_e, 1.0)
+
+
+def bar_state_residual(low, u, t, sigmas=None):
+    """Low-order residual assembled from bar states: R_i = sum 2 lambda (ubar - u_i).
+
+    ``low`` is a ``LowOrderRHS``; only its mesh, gas and face states are
+    used. Returns (R, lam_nodes, min_bar_density, min_bar_internal_energy).
+    Algebraically identical to the low-order residual but computed through
+    the convex decomposition, with the node pairs taken from the skew parts
+    of ``QL_k`` directly, so agreement between the two is a strong check of
+    both the decomposition and the scheme.
+    """
+    mesh = low.mesh
+    gas = low.gas
+    K, Np, nvar = u.shape
+    dim = mesh.dim
+    R = np.zeros_like(u)
+    lam_nodes = np.zeros((K, Np))
+    bar_rho, bar_e = np.inf, np.inf
+
+    f_all = euler_flux(u, gas)
+    if sigmas is not None:
+        fms = tuple(f_all[d] - sigmas[d] for d in range(dim))
+    else:
+        fms = f_all
+
+    for c, gc in enumerate(mesh.classes):
+        elems = np.nonzero(mesh.class_id == c)[0]
+        if len(elems) == 0:
+            continue
+        skews = [0.5 * (Q - Q.T) for Q in gc.QLx]
+        mask = np.any([np.abs(S) > 1e-14 for S in skews], axis=0)
+        pi, pj = np.nonzero(np.triu(mask, k=1))
+        n = np.stack([S[pi, pj] for S in skews], axis=-1)
+        nn = np.linalg.norm(n, axis=1)
+        unit = n / nn[:, None]
+        uc = u[elems]
+        ui, uj = uc[:, pi], uc[:, pj]
+        if sigmas is None:
+            si = sj = None
+        else:
+            si = tuple(s[elems][:, pi] for s in sigmas)
+            sj = tuple(s[elems][:, pj] for s in sigmas)
+        lam_hat = np.maximum(zhang_beta(ui, si, unit, gas),
+                             zhang_beta(uj, sj, unit, gas))
+        lam_hat = np.maximum(lam_hat, davis_wavespeed(ui, uj, unit, gas))
+        lam = lam_hat * nn
+
+        dflux = np.zeros_like(ui)
+        for d in range(dim):
+            fd = fms[d][elems]
+            dflux += unit[None, :, d, None] * (fd[:, pj] - fd[:, pi])
+        ubar = 0.5 * (ui + uj) - dflux / (2.0 * lam_hat[..., None])
+        bar_rho = min(bar_rho, ubar[..., 0].min())
+        bar_e = min(bar_e, internal_energy(ubar).min())
+
+        two_lam = 2.0 * lam[..., None]
+        contrib_i = two_lam * (ubar - ui)
+        contrib_j = two_lam * (ubar - uj)
+        npair = len(pi)
+        Spos = np.zeros((Np, npair))
+        Spos[pi, np.arange(npair)] = 1.0
+        Sneg = np.zeros((Np, npair))
+        Sneg[pj, np.arange(npair)] = 1.0
+        R[elems] += np.einsum("ip,kpv->kiv", Spos, contrib_i)
+        R[elems] += np.einsum("ip,kpv->kiv", Sneg, contrib_j)
+        lam_nodes[elems] += np.einsum("ip,kp->ki", Spos + Sneg, lam)
+
+    uf, uP, sigf, sigP, nrm = low.face_states(u, t, sigmas)
+    wsj = mesh.fwsJ.reshape(-1)
+    fM = euler_flux(uf, gas)
+    fP = euler_flux(uP, gas)
+    dflux = np.zeros_like(uf)
+    for d in range(dim):
+        df = fP[d] - fM[d]
+        if sigf is not None:
+            df = df - sigP[d] + sigf[d]
+        dflux += nrm[..., d, None] * df
+    lam_hat = np.maximum(zhang_beta(uf, sigf, nrm, gas),
+                         zhang_beta(uP, sigP, nrm, gas))
+    lam_hat = np.maximum(lam_hat, davis_wavespeed(uf, uP, nrm, gas))
+    n1 = np.abs(nrm).sum(axis=-1)
+    ubar_s = 0.5 * (uf + uP) - dflux / (2.0 * n1 * lam_hat)[..., None]
+    bar_rho = min(bar_rho, ubar_s[..., 0].min())
+    bar_e = min(bar_e, internal_energy(ubar_s).min())
+    lam_s = 0.5 * wsj * n1 * lam_hat
+    Rs = 2.0 * lam_s[..., None] * (ubar_s - uf)
+    ET = mesh.ops.E.T
+    nf = mesh.n_face_nodes
+    R += np.einsum("is,ksv->kiv", ET, Rs.reshape(K, nf, nvar))
+    lam_nodes += np.einsum("is,ks->ki", ET, lam_s.reshape(K, nf))
+    return R, lam_nodes, bar_rho, bar_e

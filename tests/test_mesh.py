@@ -163,14 +163,31 @@ def test_tri_two_geometry_classes():
 
 
 def test_low_order_pairs_match_skew():
-    m = make2d("tri", 3, (2, 2))
-    for gc in m.classes:
-        for d in range(2):
-            S = 0.5 * (gc.QLx[d] - gc.QLx[d].T)
-            dense = np.zeros_like(S)
-            dense[gc.pair_i, gc.pair_j] = gc.pair_n[:, d]
-            dense -= dense.T
-            assert np.abs(dense - S).max() < 1e-14
+    # the one pair graph rebuilds both skew parts; its scatter and low-order
+    # subset are consistent with the pair list
+    for elem in ("line", "quad", "tri"):
+        for N in range(1, 5):
+            m = (interval_mesh(0.0, 2.0, 2, N) if elem == "line"
+                 else make2d(elem, N, (2, 2)))
+            for gc in m.classes:
+                pi, pj = gc.pair_i, gc.pair_j
+                assert np.all(pi < pj)
+                for d in range(m.dim):
+                    for Q, entries, scale in ((gc.QLx[d], gc.pair_n[:, d], 0.5),
+                                              (gc.Qx[d], gc.pair_s[d], 1.0)):
+                        S = scale * (Q - Q.T)
+                        dense = np.zeros_like(S)
+                        dense[pi, pj] = entries
+                        dense -= dense.T
+                        assert np.abs(dense - S).max() < 1e-14, (elem, N)
+                low = np.zeros(len(pi), dtype=bool)
+                low[gc.pair_low] = True
+                assert np.all(np.any(gc.pair_n[low] != 0.0, axis=1))
+                assert np.all(gc.pair_n[~low] == 0.0)
+                cols = np.arange(len(pi))
+                assert np.all(gc.scatter[pi, cols] == 1.0)
+                assert np.all(gc.scatter[pj, cols] == -1.0)
+                assert np.all(np.abs(gc.scatter).sum(axis=0) == 2.0)
 
 
 def test_classify_2d():
