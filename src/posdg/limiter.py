@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh
-from .physics import GasParams, internal_energy, pressure
+from .physics import GasParams, _dot, internal_energy, pressure
 
 __all__ = [
     "Bounds",
@@ -78,10 +78,9 @@ def solve_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds) -> np.ndarray:
     l_rho = np.clip(l_rho, 0.0, 1.0)
 
     # rho * (rhoe - rhoe_min) >= 0 is quadratic:  a l^2 + b l + c >= 0
-    a = EP * rhoP - 0.5 * np.sum(mP * mP, axis=-1)
-    b = (EL * rhoP + EP * rhoL - np.sum(mL * mP, axis=-1)
-         - rhoe_min * rhoP)
-    c = EL * rhoL - 0.5 * np.sum(mL * mL, axis=-1) - rhoe_min * rhoL
+    a = EP * rhoP - 0.5 * _dot(mP, mP)
+    b = EL * rhoP + EP * rhoL - _dot(mL, mP) - rhoe_min * rhoP
+    c = EL * rhoL - 0.5 * _dot(mL, mL) - rhoe_min * rhoL
     c = np.maximum(c, 0.0)
 
     scale = np.maximum(np.abs(a) + np.abs(b) + np.abs(c), 1e-300)

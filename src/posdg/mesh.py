@@ -48,7 +48,6 @@ class GeoClass:
     mass: np.ndarray         # (Np,) J * w
     wsJ: np.ndarray          # (Nfp,) physical face weights
     normals: np.ndarray      # (Nfp, dim) physical unit outward normals
-    ebe: tuple               # (Np,) diag of E^T B_k E per physical direction
     pair_i: np.ndarray       # union sparsity of the skew parts, i < j
     pair_j: np.ndarray
     pair_s: np.ndarray       # (dim, npairs) high-order (Q_k - Q_k^T)_ij
@@ -66,16 +65,8 @@ def _make_geo_class(ops: RefOps, A: np.ndarray) -> GeoClass:
         raise ValueError("element map must be orientation preserving")
     G = J * np.linalg.inv(A).T
 
-    Qx, QLx, ebe = [], [], []
-    for m in range(dim):
-        Qm = sum(G[m, k] * ops.Q[k] for k in range(dim))
-        QLm = sum(G[m, k] * ops.QL[k] for k in range(dim))
-        Qx.append(Qm)
-        QLx.append(QLm)
-        Bm = sum(G[m, k] * ops.Bdiag[k] for k in range(dim))
-        # E^T B E is diagonal (each face node owns one volume node), so the
-        # volume-length vector E^T B_m suffices
-        ebe.append(ops.E.T @ Bm)
+    Qx = [sum(G[m, k] * ops.Q[k] for k in range(dim)) for m in range(dim)]
+    QLx = [sum(G[m, k] * ops.QL[k] for k in range(dim)) for m in range(dim)]
 
     # face scaling: reference w^f nhat mapped through G gives wsJ * unit n
     Bphys = np.stack([sum(G[m, k] * ops.Bdiag[k] for k in range(dim))
@@ -96,7 +87,6 @@ def _make_geo_class(ops: RefOps, A: np.ndarray) -> GeoClass:
     return GeoClass(
         G=G, J=J, Qx=tuple(Qx), QLx=tuple(QLx),
         mass=J * ops.weights, wsJ=wsJ, normals=normals,
-        ebe=tuple(ebe),
         pair_i=iu, pair_j=ju,
         pair_s=np.stack([S[iu, ju] for S in high]),
         pair_n=np.stack([S[iu, ju] for S in low], axis=-1),

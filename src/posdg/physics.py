@@ -11,6 +11,11 @@ whose gradient gives the entropy variables
 
 with rho e = E - |m|^2 / (2 rho) the internal energy density. The matching
 flux potential is psi_k = (gamma - 1) rho u_k.
+
+Sums over the components of momentum, velocity or a direction are written
+out term by term (``_dot``), never reduced over the short variable axis:
+these kernels run at every node and pair of every stage, and a reduction
+over an axis of length 1 or 2 costs several times the arithmetic it does.
 """
 
 from __future__ import annotations
@@ -74,10 +79,22 @@ def _split(u):
     return rho, mom, E
 
 
+def _dot(a, b):
+    """a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + ..., in index order.
+
+    Bitwise equal to ``np.sum(a * b, axis=-1)`` for the 1-3 components used
+    here; ``a`` and ``b`` broadcast against each other.
+    """
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., k] * b[..., k]
+    return out
+
+
 def internal_energy(u):
     """rho e = E - |m|^2 / (2 rho)."""
     rho, mom, E = _split(u)
-    return E - 0.5 * np.sum(mom * mom, axis=-1) / rho
+    return E - 0.5 * _dot(mom, mom) / rho
 
 
 def pressure(u, gas: GasParams):
@@ -98,7 +115,7 @@ def primitive_to_conserved(prim, gas: GasParams):
     u = np.empty_like(prim)
     u[..., 0] = rho
     u[..., 1:-1] = rho[..., None] * vel
-    u[..., -1] = p / (gas.gamma - 1.0) + 0.5 * rho * np.sum(vel * vel, axis=-1)
+    u[..., -1] = p / (gas.gamma - 1.0) + 0.5 * rho * _dot(vel, vel)
     return u
 
 
@@ -141,7 +158,7 @@ def entropy_to_conserved(v, gas: GasParams):
     g = gas.gamma
     vel = v[..., 1:-1]
     vlast = v[..., -1]
-    vsq = np.sum(vel * vel, axis=-1)
+    vsq = _dot(vel, vel)
     s = g - v[..., 0] + 0.5 * vsq / vlast
     rhoe = ((g - 1.0) / (-vlast) ** g) ** (1.0 / (g - 1.0)) * np.exp(-s / (g - 1.0))
     u = np.empty_like(v)
@@ -196,7 +213,7 @@ def ec_prims(u, gas: GasParams):
     rho, mom, _ = _split(u)
     vel = mom / rho[..., None]
     beta = rho / (2.0 * pressure(u, gas))
-    vsq = np.sum(vel * vel, axis=-1)
+    vsq = _dot(vel, vel)
     return rho, vel, beta, vsq
 
 
@@ -243,12 +260,13 @@ def ec_fluxes(uL, uR, gas: GasParams):
 
 def davis_wavespeed(uL, uR, n, gas: GasParams):
     """max(|u_L . n| + c_L, |u_R . n| + c_R) for a unit normal ``n``."""
+    n = np.asarray(n)
     out = None
     for u in (uL, uR):
         rho, mom, _ = _split(u)
         p = pressure(u, gas)
         c = np.sqrt(gas.gamma * p / rho)
-        un = np.sum(mom * np.asarray(n), axis=-1) / rho
+        un = _dot(mom, n) / rho
         lam = np.abs(un) + c
         out = lam if out is None else np.maximum(out, lam)
     return out
@@ -269,24 +287,32 @@ def zhang_beta(u, sigma, n, gas: GasParams, eps0: float = 1e-14):
     vel = mom / rho[..., None]
     rhoe = internal_energy(u)
     p = (gas.gamma - 1.0) * rhoe
-    un = np.sum(vel * n, axis=-1)
+    un = _dot(vel, n)
+    # 2 rho^2 e = 2 rho (rho e), with e the specific internal energy
+    den = 2.0 * rho * rhoe
 
     if sigma is None:
-        tau_n = np.zeros(u.shape[:-1] + (dim,))
-        q = np.zeros(u.shape[:-1] + (dim,))
-    else:
-        # tau rows from the momentum components of sigma_k; heat flux from
-        # the energy component: q_k = u . tau_k - sigma_k[energy]
-        tau = np.stack([sigma[k][..., 1:-1] for k in range(dim)], axis=-2)
-        tau_n = np.einsum("...kj,...k->...j", tau, np.broadcast_to(n, u.shape[:-1] + (dim,)))
-        q = np.stack(
-            [np.sum(vel * sigma[k][..., 1:-1], axis=-1) - sigma[k][..., -1]
-             for k in range(dim)], axis=-1)
-    qn = np.sum(q * n, axis=-1)
-    visc = tau_n - p[..., None] * n
-    # denominators use rho^2 e = rho * (rho e) with e the specific energy
-    root = np.sqrt(rho ** 2 * qn ** 2 + 2.0 * rho * rhoe * np.sum(visc * visc, axis=-1))
-    return eps0 + np.abs(un) + (root + rho * np.abs(qn)) / (2.0 * rho * rhoe)
+        # tau = 0 and q = 0: |tau.n - p n|^2 = |p n|^2
+        pn = p[..., None] * n
+        return eps0 + np.abs(un) + np.sqrt(den * _dot(pn, pn)) / den
+
+    # tau_k (row k of the stress) is the momentum part of sigma_k, and the
+    # heat flux q_k = u . tau_k - sigma_k[energy]
+    tau = [s[..., 1:-1] for s in sigma]
+    qn = None
+    for k in range(dim):
+        qk = (_dot(vel, tau[k]) - sigma[k][..., -1]) * n[..., k]
+        qn = qk if qn is None else qn + qk
+    # |tau.n - p n|^2, with (tau.n)_j = sum_k tau_kj n_k
+    visc2 = None
+    for j in range(dim):
+        tn = tau[0][..., j] * n[..., 0]
+        for k in range(1, dim):
+            tn = tn + tau[k][..., j] * n[..., k]
+        vj = tn - p * n[..., j]
+        visc2 = vj * vj if visc2 is None else visc2 + vj * vj
+    root = np.sqrt(rho ** 2 * qn ** 2 + den * visc2)
+    return eps0 + np.abs(un) + (root + rho * np.abs(qn)) / den
 
 
 def viscous_sigma(v, thetas, gas: GasParams):
@@ -346,9 +372,9 @@ def mirror_state(u, n):
     u = np.asarray(u, dtype=float)
     n = np.asarray(n, dtype=float)
     mom = u[..., 1:-1]
-    mn = np.sum(mom * n, axis=-1, keepdims=True)
+    mn = _dot(mom, n)
     out = u.copy()
-    out[..., 1:-1] = mom - 2.0 * mn * n
+    out[..., 1:-1] = mom - 2.0 * mn[..., None] * n
     return out
 
 
@@ -365,7 +391,7 @@ def wall_riemann_state(u, n, gas: GasParams, pfloor: float = 1e-14):
     g = gas.gamma
     rho = u[..., 0]
     p = np.maximum(pressure(u, gas), pfloor)
-    un = np.sum(u[..., 1:-1] * n, axis=-1) / rho
+    un = _dot(u[..., 1:-1], n) / rho
     c = np.sqrt(g * p / rho)
 
     A = 2.0 / ((g + 1.0) * rho)
@@ -381,7 +407,7 @@ def wall_riemann_state(u, n, gas: GasParams, pfloor: float = 1e-14):
     # floor scales with the kinetic energy so the reconstructed internal
     # energy survives the E = rhoe + kin roundoff at near-vacuum states
     mom = out[..., 1:-1]
-    kin = 0.5 * np.sum(mom * mom, axis=-1) / rho
+    kin = 0.5 * _dot(mom, mom) / rho
     rhoe_new = np.maximum(pstar / (g - 1.0), pfloor + 1e-13 * kin)
     out[..., -1] = rhoe_new + kin
     return out

@@ -40,7 +40,7 @@ from .physics import (
     entropy_vars,
     viscous_sigma,
 )
-from .rhs_low import LowOrderRHS
+from .rhs_low import LowOrderRHS, _norm1
 
 __all__ = ["HighOrderRHS", "LDGGradient"]
 
@@ -150,8 +150,7 @@ class HighOrderRHS:
         Rs = -wsj[..., None] * flux_n
         if self.lf_dissipation:
             lam = davis_wavespeed(uf, uP, nrm, gas)
-            n1 = np.abs(nrm).sum(axis=-1)
-            Rs += (0.5 * wsj * n1 * lam)[..., None] * (uP - uf)
+            Rs += (0.5 * wsj * _norm1(nrm) * lam)[..., None] * (uP - uf)
         return Rs
 
     def __call__(self, u, t, sigmas=None, pairs=None, surface=None):

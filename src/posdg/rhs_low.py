@@ -33,6 +33,14 @@ from .physics import (
 __all__ = ["LowOrderRHS", "interface_flux_low"]
 
 
+def _norm1(n):
+    """|n|_1 over the last axis, summed component by component."""
+    out = np.abs(n[..., 0])
+    for d in range(1, n.shape[-1]):
+        out = out + np.abs(n[..., d])
+    return out
+
+
 def _lam_hat(uM, uP, sigM, sigP, n, gas: GasParams):
     """Graph-viscosity rate max(beta_M, beta_P, Davis) for a unit ``n``."""
     lam = np.maximum(zhang_beta(uM, sigM, n, gas), zhang_beta(uP, sigP, n, gas))
@@ -57,7 +65,7 @@ def interface_flux_low(uM, uP, sigM, sigP, normals, wsJ, gas: GasParams):
             df = df - sigM[d] - sigP[d]
         central += 0.5 * normals[..., d, None] * df
 
-    n1 = np.abs(normals).sum(axis=-1)
+    n1 = _norm1(normals)
     lam_slot = 0.5 * wsJ * n1 * _lam_hat(uM, uP, sigM, sigP, normals, gas)
     R = -wsJ[..., None] * central + lam_slot[..., None] * (uP - uM)
     return R, lam_slot

@@ -28,11 +28,14 @@ from .physics import GasParams, entropy, internal_energy, is_admissible
 from .rhs_high import HighOrderRHS, LDGGradient
 from .rhs_low import LowOrderRHS
 
-__all__ = ["Stepper", "advance", "StepDiagnostics"]
+__all__ = ["Stepper", "advance", "StepDiagnostics", "StageBoundError"]
 
 log = logging.getLogger("posdg")
 
 MODES = ("none", "elementwise", "convex", "low-only")
+
+# restarts of one step from a stage's positivity bound before advance gives up
+MAX_RETRIES = 8
 
 
 class Stepper:
@@ -72,10 +75,11 @@ class Stepper:
         One flux pass per stage: the face states, the low-order interface
         flux and each class's low- and high-order pair fluxes are evaluated
         once, and RL, lam, RH and the convex limiter's pair differences dF
-        are all formed from them.
+        are all formed from them. ``sig`` keeps the LDG viscous fluxes (None
+        for inviscid gases).
         """
         sig = self.grad(u, t)[2] if self.grad is not None else None
-        prep = {"RL": None, "lam": None, "RH": None, "dF": None}
+        prep = {"RL": None, "lam": None, "RH": None, "dF": None, "sig": sig}
         if self.mode == "none":
             prep["RH"] = self.high(u, t, sig)
             return prep
@@ -95,8 +99,8 @@ class Stepper:
     def dt_bound(self, prep):
         """Largest admissibility-preserving Euler step for the prepared state."""
         if prep["lam"] is None:
-            # unlimited mode: use the interface/pair wavespeeds of the
-            # low-order scheme as a surrogate stability bound
+            # unlimited mode has no positivity bound; advance sizes dt from
+            # the low-order scheme's as a surrogate
             return None
         return float((self.mesh.mass / (2.0 * prep["lam"])).min())
 
@@ -160,26 +164,56 @@ def _check_state(u, gas, step, stage, t):
             f"rhoe={internal_energy(u[k, i]):.3e})")
 
 
+class StageBoundError(FloatingPointError):
+    """dt exceeds the positivity bound m/(2 lambda) of an RK stage state."""
+
+    def __init__(self, message, bound):
+        super().__init__(message)
+        self.bound = bound
+
+
+def _check_dt(stepper, prep, dt, step, stage, t):
+    bound = stepper.dt_bound(prep)
+    if bound is None or dt <= bound:
+        return
+    ratio = stepper.mesh.mass / (2.0 * prep["lam"])
+    k, i = np.unravel_index(np.argmin(ratio), ratio.shape)
+    raise StageBoundError(
+        f"dt exceeds the admissibility bound at step {step} stage {stage} "
+        f"t={t:.6g} (element {k}, node {i}: bound m/(2 lambda)={bound:.6e}, "
+        f"dt={dt:.6e}, dt/bound={dt / bound:.6g})", bound)
+
+
 def ssp_rk3_step(u, t, dt, stepper: Stepper, prep1=None, step=0,
                  check=True):
     """One SSPRK(3,3) step in Shu-Osher form; returns (u_new, last report).
 
     prep1 may carry the already-prepared first-stage residuals (so advance
-    can size dt from them without recomputation).
+    can size dt from them without recomputation). With ``check``, each stage
+    state must be finite and admissible (else FloatingPointError), and dt
+    must not exceed the stage's positivity bound m/(2 lambda) in the modes
+    that have one (else StageBoundError). The messages name the step, the
+    stage, the step's start time t and the node.
     """
     if prep1 is None:
         prep1 = stepper.prepare(u, t)
+    if check:
+        _check_dt(stepper, prep1, dt, step, 1, t)
     u1, rep = stepper.apply(u, t, dt, prep1)
     if check:
         _check_state(u1, stepper.gas, step, 1, t)
 
     p2 = stepper.prepare(u1, t + dt)
+    if check:
+        _check_dt(stepper, p2, dt, step, 2, t)
     v, _ = stepper.apply(u1, t + dt, dt, p2)
     u2 = 0.75 * u + 0.25 * v
     if check:
         _check_state(u2, stepper.gas, step, 2, t)
 
     p3 = stepper.prepare(u2, t + 0.5 * dt)
+    if check:
+        _check_dt(stepper, p3, dt, step, 3, t)
     w, rep3 = stepper.apply(u2, t + 0.5 * dt, dt, p3)
     unew = u / 3.0 + (2.0 / 3.0) * w
     if check:
@@ -194,8 +228,11 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
     callback, when given, is invoked after every step as
     callback(step, t, u, diagnostics_row, limiter_report).
 
-    dt is sized once per step from the pre-step state (Eq.-style positivity
-    bound times the user CFL).
+    dt is sized once per step from the pre-step state: the positivity
+    bound times the user CFL. Mode "none" has no bound of its own and uses
+    the low-order scheme's, viscous fluxes included. When a later stage
+    state has a smaller bound than dt, the step restarts from the pre-step
+    state with cfl times that bound, up to MAX_RETRIES times.
     """
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
@@ -210,9 +247,19 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
             raise RuntimeError(f"exceeded {max_steps} steps at t={t:.6g}")
         prep1 = stepper.prepare(u, t)
         bound = stepper.dt_bound(prep1)
-        dt = cfl * bound if bound is not None else cfl * _fallback_dt(stepper, u, t)
-        dt = min(dt, t_final - t)
-        u, rep = ssp_rk3_step(u, t, dt, stepper, prep1, step)
+        if bound is None:
+            bound = stepper.low.max_dt(u, t, prep1["sig"])
+        dt = min(cfl * bound, t_final - t)
+        for attempt in range(MAX_RETRIES + 1):
+            try:
+                u, rep = ssp_rk3_step(u, t, dt, stepper, prep1, step)
+                break
+            except StageBoundError as exc:
+                if attempt == MAX_RETRIES:
+                    raise
+                log.info("%s; restarting the step with dt=%.3g", exc,
+                         cfl * exc.bound)
+                dt = cfl * exc.bound
         t = t + dt
         step += 1
 
@@ -228,12 +275,6 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
                          row.min_rho, row.min_rhoe,
                          100 * row.limited_fraction)
     return u, diags
-
-
-def _fallback_dt(stepper, u, t):
-    # "none" mode has no positivity lambda; fall back to the low-order bound
-    _, lam = stepper.low(u, t, None, need_wavespeed=True)
-    return float((stepper.mesh.mass / (2.0 * lam)).min())
 
 
 def _diagnose(mesh, gas, u, t, dt, step, rep: LimiterReport | None):

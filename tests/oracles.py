@@ -158,3 +158,142 @@ def bar_state_residual(low, u, t, sigmas=None):
     R += np.einsum("is,ksv->kiv", ET, Rs.reshape(K, nf, nvar))
     lam_nodes += np.einsum("is,ks->ki", ET, lam_s.reshape(K, nf))
     return R, lam_nodes, bar_rho, bar_e
+
+
+# ---------------------------------------------------------------------------
+# pointwise kernels written with reductions over the short variable axis
+# ---------------------------------------------------------------------------
+# These are the np.sum / np.einsum / np.stack forms of the kernels in
+# posdg.physics and posdg.limiter.solve_l. The solver writes the component
+# sums out explicitly; over an axis of length 1-2 both forms add the same
+# products in the same order, so the two must agree bit for bit.
+
+def internal_energy_ref(u):
+    rho, mom, E = u[..., 0], u[..., 1:-1], u[..., -1]
+    return E - 0.5 * np.sum(mom * mom, axis=-1) / rho
+
+
+def ec_prims_ref(u, gas):
+    u = np.asarray(u, dtype=float)
+    rho, mom = u[..., 0], u[..., 1:-1]
+    vel = mom / rho[..., None]
+    beta = rho / (2.0 * ((gas.gamma - 1.0) * internal_energy_ref(u)))
+    vsq = np.sum(vel * vel, axis=-1)
+    return rho, vel, beta, vsq
+
+
+def davis_wavespeed_ref(uL, uR, n, gas):
+    out = None
+    for u in (uL, uR):
+        rho, mom = u[..., 0], u[..., 1:-1]
+        p = (gas.gamma - 1.0) * internal_energy_ref(u)
+        c = np.sqrt(gas.gamma * p / rho)
+        un = np.sum(mom * np.asarray(n), axis=-1) / rho
+        lam = np.abs(un) + c
+        out = lam if out is None else np.maximum(out, lam)
+    return out
+
+
+def zhang_beta_ref(u, sigma, n, gas, eps0=1e-14):
+    u = np.asarray(u, dtype=float)
+    n = np.asarray(n, dtype=float)
+    dim = u.shape[-1] - 2
+    rho, mom = u[..., 0], u[..., 1:-1]
+    vel = mom / rho[..., None]
+    rhoe = internal_energy_ref(u)
+    p = (gas.gamma - 1.0) * rhoe
+    un = np.sum(vel * n, axis=-1)
+
+    if sigma is None:
+        tau_n = np.zeros(u.shape[:-1] + (dim,))
+        q = np.zeros(u.shape[:-1] + (dim,))
+    else:
+        tau = np.stack([sigma[k][..., 1:-1] for k in range(dim)], axis=-2)
+        tau_n = np.einsum("...kj,...k->...j", tau,
+                          np.broadcast_to(n, u.shape[:-1] + (dim,)))
+        q = np.stack(
+            [np.sum(vel * sigma[k][..., 1:-1], axis=-1) - sigma[k][..., -1]
+             for k in range(dim)], axis=-1)
+    qn = np.sum(q * n, axis=-1)
+    visc = tau_n - p[..., None] * n
+    root = np.sqrt(rho ** 2 * qn ** 2
+                   + 2.0 * rho * rhoe * np.sum(visc * visc, axis=-1))
+    return eps0 + np.abs(un) + (root + rho * np.abs(qn)) / (2.0 * rho * rhoe)
+
+
+def mirror_state_ref(u, n):
+    u = np.asarray(u, dtype=float)
+    n = np.asarray(n, dtype=float)
+    mom = u[..., 1:-1]
+    mn = np.sum(mom * n, axis=-1, keepdims=True)
+    out = u.copy()
+    out[..., 1:-1] = mom - 2.0 * mn * n
+    return out
+
+
+def wall_riemann_state_ref(u, n, gas, pfloor=1e-14):
+    u = np.asarray(u, dtype=float)
+    n = np.asarray(n, dtype=float)
+    g = gas.gamma
+    rho = u[..., 0]
+    p = np.maximum((g - 1.0) * internal_energy_ref(u), pfloor)
+    un = np.sum(u[..., 1:-1] * n, axis=-1) / rho
+    c = np.sqrt(g * p / rho)
+
+    A = 2.0 / ((g + 1.0) * rho)
+    B = (g - 1.0) / (g + 1.0) * p
+    disc = (2.0 * A * p + un ** 2) ** 2 - 4.0 * A * (A * p ** 2 - un ** 2 * B)
+    p_shock = ((2.0 * A * p + un ** 2) + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * A)
+    base = np.maximum(1.0 + (g - 1.0) * un / (2.0 * c), pfloor)
+    p_rare = p * base ** (2.0 * g / (g - 1.0))
+    pstar = np.where(un > 0.0, p_shock, p_rare)
+
+    out = mirror_state_ref(u, n)
+    mom = out[..., 1:-1]
+    kin = 0.5 * np.sum(mom * mom, axis=-1) / rho
+    rhoe_new = np.maximum(pstar / (g - 1.0), pfloor + 1e-13 * kin)
+    out[..., -1] = rhoe_new + kin
+    return out
+
+
+def solve_l_ref(uL, P, rho_min, rhoe_min):
+    rhoL, EL = uL[..., 0], uL[..., -1]
+    mL = uL[..., 1:-1]
+    rhoP, EP = P[..., 0], P[..., -1]
+    mP = P[..., 1:-1]
+    rho_min = np.broadcast_to(rho_min, rhoL.shape)
+    rhoe_min = np.broadcast_to(rhoe_min, rhoL.shape)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l_rho = np.where(rhoL + rhoP >= rho_min, 1.0,
+                         (rho_min - rhoL) / np.where(rhoP == 0.0, 1.0, rhoP))
+    l_rho = np.clip(l_rho, 0.0, 1.0)
+
+    a = EP * rhoP - 0.5 * np.sum(mP * mP, axis=-1)
+    b = (EL * rhoP + EP * rhoL - np.sum(mL * mP, axis=-1)
+         - rhoe_min * rhoP)
+    c = EL * rhoL - 0.5 * np.sum(mL * mL, axis=-1) - rhoe_min * rhoL
+    c = np.maximum(c, 0.0)
+
+    scale = np.maximum(np.abs(a) + np.abs(b) + np.abs(c), 1e-300)
+    linear = np.abs(a) <= 1e-12 * scale
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l_lin = np.where(b < 0.0, -c / np.where(b == 0.0, 1.0, b), np.inf)
+
+        disc = b * b - 4.0 * a * c
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        q = -0.5 * (b + np.copysign(sq, b))
+        r1 = np.where(a != 0.0, q / np.where(a == 0.0, 1.0, a), np.inf)
+        r2 = np.where(q != 0.0, c / np.where(q == 0.0, 1.0, q), np.inf)
+
+    def first_nonneg(r):
+        r = np.where(r >= -1e-12, np.maximum(r, 0.0), np.inf)
+        return np.where(np.isnan(r), np.inf, r)
+
+    l_quad = np.minimum(first_nonneg(r1), first_nonneg(r2))
+    tangent = disc <= 1e-13 * (b * b + np.abs(4.0 * a * c))
+    l_quad = np.where((a > 0.0) & tangent, np.inf, l_quad)
+    l_e = np.where(linear, l_lin, l_quad)
+
+    return np.minimum(l_rho, np.clip(l_e, 0.0, 1.0))

@@ -136,7 +136,6 @@ def test_physical_sbp_and_exactness(elem, N, K):
             assert np.abs(gc.Qx[d] + gc.Qx[d].T - EBE).max() < 1e-12
             assert np.abs(gc.QLx[d] + gc.QLx[d].T - EBE).max() < 1e-12
             assert np.abs(gc.Qx[d] @ np.ones(ops.n_nodes)).max() < 1e-12
-            assert np.abs(np.asarray(gc.ebe[d]) - Bd).max() < 1e-13
 
     # derivative of a physical polynomial, element by element
     rng = np.random.default_rng(0)

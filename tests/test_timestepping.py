@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from posdg import cli
 from posdg.bc import BCSet, dirichlet
 from posdg.mesh import interval_mesh, rect_mesh
 from posdg.physics import (
@@ -12,7 +13,7 @@ from posdg.physics import (
     is_admissible,
     primitive_to_conserved,
 )
-from posdg.timestepping import Stepper, advance, ssp_rk3_step
+from posdg.timestepping import StageBoundError, Stepper, advance, ssp_rk3_step
 
 GAS = GasParams(gamma=1.4)
 
@@ -192,3 +193,56 @@ def test_viscous_run_smoke():
     u, diags = advance(st, u0, 0.0, 0.05, cfl=0.5)
     assert np.all(is_admissible(u))
     assert internal_energy(u).min() > 0
+
+
+def test_stage_dt_check_names_step_stage_node_and_margin():
+    mesh, u0 = _wave_setup(K=12, N=3)
+    st = Stepper(mesh, GAS, BCSet({}), mode="convex")
+    prep = st.prepare(u0, 0.25)
+    bound = st.dt_bound(prep)
+    ratio = mesh.mass / (2.0 * prep["lam"])
+    k, i = np.unravel_index(np.argmin(ratio), ratio.shape)
+    with pytest.raises(FloatingPointError) as err:
+        ssp_rk3_step(u0, 0.25, 3.0 * bound, st, prep, step=7)
+    msg = str(err.value)
+    for field in ("step 7", "stage 1", "t=0.25", f"element {k}, node {i}",
+                  f"bound m/(2 lambda)={bound:.6e}",
+                  f"dt={3.0 * bound:.6e}", "dt/bound=3"):
+        assert field in msg, (field, msg)
+    assert err.value.bound == bound
+
+
+def _mach20_setup():
+    # the first elementwise-limited stage of the Mach 20 viscous shock has
+    # a positivity bound well below the pre-step one
+    cfg = cli.make_config(dict(case="viscous-shock-m20", N=3, K=40,
+                               mode="elementwise"))
+    _, _, st, u0, cfl, _ = cli.setup(cfg)
+    return st, u0, cfl
+
+
+def test_stage_dt_check_sees_later_stages():
+    st, u0, cfl = _mach20_setup()
+    prep = st.prepare(u0, 0.0)
+    with pytest.raises(StageBoundError, match="step 0 stage 2 t=0 "):
+        ssp_rk3_step(u0, 0.0, cfl * st.dt_bound(prep), st, prep)
+
+
+def test_advance_restarts_step_from_stage_bound():
+    st, u0, cfl = _mach20_setup()
+    first = cfl * st.dt_bound(st.prepare(u0, 0.0))
+    u, diags = advance(st, u0, 0.0, 3e-4, cfl)
+    assert diags[0].dt < 0.5 * first
+    assert diags[-1].t == 3e-4
+    assert np.all(is_admissible(u))
+
+
+def test_none_mode_sizes_dt_with_viscous_wavespeed():
+    # strong viscosity, so the viscous bar-state speed exceeds Davis'
+    gas = GasParams(gamma=1.4, mu=5.0)
+    mesh, u0 = _wave_setup(K=8, N=2)
+    st = Stepper(mesh, gas, BCSet({}), mode="none")
+    sig = st.grad(u0, 0.0)[2]
+    _, diags = advance(st, u0, 0.0, 0.05, cfl=0.5)
+    assert diags[0].dt == 0.5 * st.low.max_dt(u0, 0.0, sig)
+    assert diags[0].dt < 0.5 * st.low.max_dt(u0, 0.0, None)
