@@ -14,9 +14,10 @@ maximum relative deviation of the final state,
 
 The configurations are the three benchmark workloads of
 ``perfbench/child.py`` (101 steps each) and the 1D LeBlanc shock tube with
-modes ``none`` and ``low-only``. Unlimited high order cannot survive LeBlanc,
-so a run that aborts is compared at its last completed step, and a different
-step count or abort message counts as a mismatch. The exit status is 0 when
+modes ``none``, ``low-only``, ``convex`` and ``elementwise``; the limiters
+bind hardest on that near-vacuum tube. Unlimited high order cannot survive
+LeBlanc, so a run that aborts is compared at its last completed step, and a
+different step count or abort message counts as a mismatch. The exit status is 0 when
 every deviation is exactly 0, else 1. Takes about a minute.
 """
 
@@ -44,7 +45,7 @@ def configs() -> dict:
 
     out = {name: dict(wl.config, snap_every=0)
            for name, wl in WORKLOADS.items()}
-    for mode in ("none", "low-only"):
+    for mode in ("none", "low-only", "convex", "elementwise"):
         out[f"leblanc-line-{mode}"] = dict(LEBLANC, mode=mode)
     return out
 

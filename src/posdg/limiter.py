@@ -6,12 +6,16 @@ increment P toward the high-order update, the largest feasible fraction
     l in [0, 1]:  rho(u^L + l P) >= rho_min  and  rhoe(u^L + l P) >= rhoe_min
 
 reduces to a linear solve for the density and a quadratic solve for the
-internal energy, since rho * rhoe is quadratic along the segment.  Two
-assembly modes are provided: elementwise blending with a single l per
-element (Zhang-Shu style) and pairwise convex (FCT style) limiting of the
-antidiffusive flux differences, which localizes l to node pairs.  A modal
-shock indicator can cap the blending parameter to force low-order behavior
-near discontinuities independent of positivity.
+internal energy, since rho * rhoe is quadratic along the segment.  That
+solve is only needed where the endpoint uL + P violates a bound: rho is
+linear in u and rhoe is concave, so the bounded set {rho >= rho_min,
+rhoe >= rhoe_min} is convex, and a segment whose two ends lie in it lies in
+it entirely (:func:`feasible_l`).  Two assembly modes are provided:
+elementwise blending with a single l per element (Zhang-Shu style) and
+pairwise convex (FCT style) limiting of the antidiffusive flux differences,
+which localizes l to node pairs.  A modal shock indicator can cap the
+blending parameter to force low-order behavior near discontinuities
+independent of positivity.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "Bounds",
     "LimiterReport",
     "antidiffusive_fluxes",
+    "feasible_l",
     "generalized_bounds",
     "minimal_bounds",
     "solve_l",
@@ -110,6 +115,31 @@ def solve_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds) -> np.ndarray:
     return np.minimum(l_rho, np.clip(l_e, 0.0, 1.0))
 
 
+def feasible_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds) -> np.ndarray:
+    """:func:`solve_l`, with l = 1 wherever the endpoint uL + P is in bounds.
+
+    The bounded set is convex and uL lies in it, so an endpoint that passes
+    the bound checks (rho >= rho_min and internal_energy >= rhoe_min) makes
+    the whole segment feasible; :func:`solve_l` runs only on the others.
+    This also spares those segments the cancellation in solve_l's quadratic
+    when the kinetic energy dwarfs the internal energy.
+    """
+    end = uL + P
+    shape = end.shape[:-1]
+    rho_min = np.broadcast_to(bounds.rho_min, shape)
+    rhoe_min = np.broadcast_to(bounds.rhoe_min, shape)
+    inside = end[..., 0] >= rho_min
+    inside &= internal_energy(end) >= rhoe_min
+    l = np.ones(shape)
+    out = np.flatnonzero(~inside)
+    if out.size:
+        nvar = uL.shape[-1]
+        l.reshape(-1)[out] = solve_l(
+            uL.reshape(-1, nvar)[out], P.reshape(-1, nvar)[out],
+            Bounds(rho_min.reshape(-1)[out], rhoe_min.reshape(-1)[out]))
+    return l
+
+
 @dataclass(frozen=True)
 class LimiterReport:
     """Diagnostics from one limited update."""
@@ -133,10 +163,12 @@ def zhang_shu_limit(uLnew, rL, rH, dt, mesh: Mesh, bounds: Bounds,
 
     l^e is the minimum over the element's nodes of the per-node feasible
     fraction, optionally capped by a per-element array (shock indicator).
-    Returns (limited field, report).
+    The bounded set is convex, so a node whose full high-order update
+    u^L + P already meets the bounds has fraction 1 without a solve
+    (:func:`feasible_l`). Returns (limited field, report).
     """
     P = (dt / mesh.mass[..., None]) * (rH - rL)
-    l_elem = solve_l(uLnew, P, bounds).min(axis=1)
+    l_elem = feasible_l(uLnew, P, bounds).min(axis=1)
     if cap is not None:
         l_elem = np.minimum(l_elem, cap)
     u = uLnew + l_elem[:, None, None] * P
@@ -177,44 +209,54 @@ class ConvexLimiter:
         l_ij = min(feasible fraction at i, feasible fraction at j)
 
     keeps every substate, hence the update, inside the bounds while
-    preserving conservation exactly.
+    preserving conservation exactly. The bounded set is convex (rho is
+    linear, rhoe concave in u), so a substate whose end l_ij = 1 meets the
+    bounds needs no solve; only the others go to :func:`solve_l`
+    (:func:`feasible_l`). Both ends of all pairs of a class are limited in
+    one batched pass.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         Np = mesh.ops.n_nodes
         face_count = np.bincount(mesh.ops.face_vol, minlength=Np)
-        # per-node cardinality |I(i)| + |B(i)|
-        self._card = [np.bincount(gc.pair_i, minlength=Np)
-                      + np.bincount(gc.pair_j, minlength=Np) + face_count
-                      for gc in mesh.classes]
+        # per class: the pair ends (every i, then every j) as flat node
+        # indices into the class's elements, with each end's cardinality
+        # |I(i)| + |B(i)|, its mass and the sign with which dF_ij enters it
+        self._ends = []
+        for elems, gc in zip(mesh.class_elems, mesh.classes):
+            pi, pj = gc.pair_i, gc.pair_j
+            card = (np.bincount(pi, minlength=Np)
+                    + np.bincount(pj, minlength=Np) + face_count)
+            ends = np.concatenate([pi, pj])
+            sign = np.repeat([1.0, -1.0], len(pi))
+            self._ends.append((elems[:, None] * Np + ends, card[ends],
+                               gc.mass[ends], sign))
 
     def __call__(self, uLnew, dF, dt, bounds: Bounds, cap=None):
         """Limited update from u^L and the per-class pair differences dF."""
         mesh = self.mesh
-        du = np.zeros_like(uLnew)
+        nvar = uLnew.shape[-1]
+        unew = uLnew.copy()
         l_min = np.ones(mesh.n_elements)
-        for elems, gc, card, dFc in zip(mesh.class_elems, mesh.classes,
-                                        self._card, dF):
-            pi, pj = gc.pair_i, gc.pair_j
-            uLc = uLnew[elems]
-            mass = mesh.mass[elems]
-            rho_min = bounds.rho_min[elems]
-            rhoe_min = bounds.rhoe_min[elems]
-            fac_i = (dt * card[pi] / mass[:, pi])[..., None]
-            fac_j = (dt * card[pj] / mass[:, pj])[..., None]
-            li = solve_l(uLc[:, pi], fac_i * dFc,
-                         Bounds(rho_min[:, pi], rhoe_min[:, pi]))
-            lj = solve_l(uLc[:, pj], -fac_j * dFc,
-                         Bounds(rho_min[:, pj], rhoe_min[:, pj]))
-            l = np.minimum(li, lj)
+        for elems, gc, (at, card, mass, sign), dFc in zip(
+                mesh.class_elems, mesh.classes, self._ends, dF):
+            npairs = dFc.shape[1]
+            # repeated over the variables, so the products below run over
+            # contiguous (pair, variable) blocks
+            fac = np.repeat(sign * (dt * card / mass), nvar).reshape(-1, nvar)
+            P = np.empty(at.shape + (nvar,))
+            np.multiply(fac[:npairs], dFc, out=P[:, :npairs])
+            np.multiply(fac[npairs:], dFc, out=P[:, npairs:])
+            l2 = feasible_l(uLnew.reshape(-1, nvar).take(at, axis=0), P,
+                            Bounds(bounds.rho_min.take(at),
+                                   bounds.rhoe_min.take(at)))
+            l = np.minimum(l2[:, :npairs], l2[:, npairs:])
             if cap is not None:
                 l = np.minimum(l, cap[elems, None])
             l_min[elems] = l.min(axis=1)
-            du[elems] = (gc.scatter @ ((dt * l)[..., None] * dFc)
-                         / mass[..., None])
-
-        unew = uLnew + du
+            unew[elems] += (gc.scatter @ ((dt * l)[..., None] * dFc)
+                            / gc.mass[:, None])
         return unew, _report(unew, l_min, shock_xi=cap)
 
 

@@ -47,6 +47,12 @@ def _lam_hat(uM, uP, sigM, sigP, n, gas: GasParams):
     return np.maximum(lam, davis_wavespeed(uM, uP, n, gas))
 
 
+def _face_lam(uM, uP, sigM, sigP, normals, wsJ, gas: GasParams):
+    """Interface wavespeed weight lambda_s = wsJ |n|_1 lam_hat / 2 per slot."""
+    n1 = _norm1(normals)
+    return 0.5 * wsJ * n1 * _lam_hat(uM, uP, sigM, sigP, normals, gas)
+
+
 def interface_flux_low(uM, uP, sigM, sigP, normals, wsJ, gas: GasParams):
     """Low-order interface contribution per face slot.
 
@@ -65,8 +71,7 @@ def interface_flux_low(uM, uP, sigM, sigP, normals, wsJ, gas: GasParams):
             df = df - sigM[d] - sigP[d]
         central += 0.5 * normals[..., d, None] * df
 
-    n1 = _norm1(normals)
-    lam_slot = 0.5 * wsJ * n1 * _lam_hat(uM, uP, sigM, sigP, normals, gas)
+    lam_slot = _face_lam(uM, uP, sigM, sigP, normals, wsJ, gas)
     R = -wsJ[..., None] * central + lam_slot[..., None] * (uP - uM)
     return R, lam_slot
 
@@ -137,21 +142,38 @@ class LowOrderRHS:
         if sigmas is not None:
             f = tuple(f[d] - sigmas[d] for d in range(dim))
         out = []
-        for elems, (pi, pj, n, unit, nn, _) in zip(self.mesh.class_elems,
-                                                    self._low):
-            uc = u[elems]
-            ui, uj = uc[:, pi], uc[:, pj]
+        for elems, low in zip(self.mesh.class_elems, self._low):
+            pi, pj, n = low[:3]
+            lam, ui, uj = self._pair_lam(u, sigmas, elems, low)
             central = np.zeros_like(ui)
             for d in range(dim):
                 fd = f[d][elems]
                 central += n[None, :, d, None] * (fd[:, pi] + fd[:, pj])
-            si = sj = None
-            if sigmas is not None:
-                si = tuple(s[elems][:, pi] for s in sigmas)
-                sj = tuple(s[elems][:, pj] for s in sigmas)
-            lam = _lam_hat(ui, uj, si, sj, unit, gas) * nn
             out.append((-central + lam[..., None] * (uj - ui), lam))
         return out
+
+    def _pair_lam(self, u, sigmas, elems, low):
+        """Weights lambda_ij = lam_hat |n_ij| of one class's low-order pairs.
+
+        Returns (lambda, u_i, u_j), so :meth:`pair_fluxes` reuses the gathers.
+        """
+        pi, pj, _, unit, nn, _ = low
+        uc = u[elems]
+        ui, uj = uc[:, pi], uc[:, pj]
+        si = sj = None
+        if sigmas is not None:
+            si = tuple(s[elems][:, pi] for s in sigmas)
+            sj = tuple(s[elems][:, pj] for s in sigmas)
+        return _lam_hat(ui, uj, si, sj, unit, self.gas) * nn, ui, uj
+
+    def _nodal_lam(self, lam_s, lam_pairs):
+        """Nodal wavespeed sums lambda_i from the face and pair weights."""
+        mesh = self.mesh
+        lam = lam_s.reshape(mesh.n_elements, -1) @ mesh.ops.E
+        for elems, lam_p, (*_, S) in zip(mesh.class_elems, lam_pairs,
+                                         self._low):
+            lam[elems] += lam_p @ np.abs(S).T
+        return lam
 
     # -- residual ----------------------------------------------------------
 
@@ -170,16 +192,22 @@ class LowOrderRHS:
         if surface is None:
             surface = self.surface(u, t, sigmas)
         Rs, lam_s = surface
-        E = mesh.ops.E
-        R = E.T @ Rs.reshape(K, -1, nvar)
-        lam = lam_s.reshape(K, -1) @ E
-        for elems, (P, lam_p), (*_, S) in zip(mesh.class_elems, pairs,
-                                               self._low):
+        R = mesh.ops.E.T @ Rs.reshape(K, -1, nvar)
+        for elems, (P, _), (*_, S) in zip(mesh.class_elems, pairs, self._low):
             R[elems] += S @ P
-            lam[elems] += lam_p @ np.abs(S).T
-        return (R, lam) if need_wavespeed else R
+        if not need_wavespeed:
+            return R
+        return R, self._nodal_lam(lam_s, [lam_p for _, lam_p in pairs])
 
     def max_dt(self, u, t, sigmas=None):
-        """Largest forward-Euler step with the convex bar-state guarantee."""
-        _, lam = self(u, t, sigmas, need_wavespeed=True)
+        """Largest forward-Euler step with the convex bar-state guarantee.
+
+        Evaluates only the face and pair wavespeeds, no fluxes.
+        """
+        uf, uP, sigf, sigP, nrm = self.face_states(u, t, sigmas)
+        lam_s = _face_lam(uf, uP, sigf, sigP, nrm,
+                          self.mesh.fwsJ.reshape(-1), self.gas)
+        lam_pairs = [self._pair_lam(u, sigmas, elems, low)[0]
+                     for elems, low in zip(self.mesh.class_elems, self._low)]
+        lam = self._nodal_lam(lam_s, lam_pairs)
         return float((self.mesh.mass / (2.0 * lam)).min())

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from posdg.limiter import Bounds, solve_l
 from posdg.physics import davis_wavespeed, euler_flux, internal_energy, zhang_beta
 
 
@@ -158,6 +159,51 @@ def bar_state_residual(low, u, t, sigmas=None):
     R += np.einsum("is,ksv->kiv", ET, Rs.reshape(K, nf, nvar))
     lam_nodes += np.einsum("is,ks->ki", ET, lam_s.reshape(K, nf))
     return R, lam_nodes, bar_rho, bar_e
+
+
+# ---------------------------------------------------------------------------
+# limiters solving for l on every substate
+# ---------------------------------------------------------------------------
+# The limiters in posdg.limiter skip the solve where the substate's endpoint
+# is already inside the bounds; these call solve_l on every substate, one
+# pair end at a time, as the limiters did before that screen.
+
+def zhang_shu_limit_ref(uLnew, rL, rH, dt, mesh, bounds, cap=None):
+    """Elementwise blend; returns (limited field, l per element)."""
+    P = (dt / mesh.mass[..., None]) * (rH - rL)
+    l_elem = solve_l(uLnew, P, bounds).min(axis=1)
+    if cap is not None:
+        l_elem = np.minimum(l_elem, cap)
+    return uLnew + l_elem[:, None, None] * P, l_elem
+
+
+def convex_limit_ref(mesh, uLnew, dF, dt, bounds, cap=None):
+    """Pairwise convex limiting; returns (limited field, min l per element)."""
+    Np = mesh.ops.n_nodes
+    face_count = np.bincount(mesh.ops.face_vol, minlength=Np)
+    du = np.zeros_like(uLnew)
+    l_min = np.ones(mesh.n_elements)
+    for elems, gc, dFc in zip(mesh.class_elems, mesh.classes, dF):
+        pi, pj = gc.pair_i, gc.pair_j
+        card = (np.bincount(pi, minlength=Np) + np.bincount(pj, minlength=Np)
+                + face_count)
+        uLc = uLnew[elems]
+        mass = mesh.mass[elems]
+        rho_min = bounds.rho_min[elems]
+        rhoe_min = bounds.rhoe_min[elems]
+        fac_i = (dt * card[pi] / mass[:, pi])[..., None]
+        fac_j = (dt * card[pj] / mass[:, pj])[..., None]
+        li = solve_l(uLc[:, pi], fac_i * dFc,
+                     Bounds(rho_min[:, pi], rhoe_min[:, pi]))
+        lj = solve_l(uLc[:, pj], -fac_j * dFc,
+                     Bounds(rho_min[:, pj], rhoe_min[:, pj]))
+        l = np.minimum(li, lj)
+        if cap is not None:
+            l = np.minimum(l, cap[elems, None])
+        l_min[elems] = l.min(axis=1)
+        du[elems] = (gc.scatter @ ((dt * l)[..., None] * dFc)
+                     / mass[..., None])
+    return uLnew + du, l_min
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from oracles import bisect_l
+from oracles import bisect_l, convex_limit_ref, zhang_shu_limit_ref
 
+from posdg import limiter
 from posdg.bc import BCSet
 from posdg.limiter import (
     Bounds,
     ConvexLimiter,
     antidiffusive_fluxes,
+    feasible_l,
     generalized_bounds,
     minimal_bounds,
     shock_indicator,
@@ -111,6 +113,62 @@ def test_solve_l_rejects_nothing_on_feasible_segment():
     P = 1e-3 * np.ones(3)
     b = Bounds(np.array(1e-10), np.array(1e-10))
     assert solve_l(uL, P, b) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# feasible_l: solve_l only where the endpoint leaves the bounds
+# ---------------------------------------------------------------------------
+
+def _count_solves(monkeypatch):
+    calls = []
+
+    def counted(uL, P, bounds):
+        calls.append(uL.shape[:-1])
+        return solve_l(uL, P, bounds)
+
+    monkeypatch.setattr(limiter, "solve_l", counted)
+    return calls
+
+
+def test_feasible_l_skips_solve_when_every_endpoint_is_inside(monkeypatch):
+    rng = np.random.default_rng(3)
+    uL = _random_cases(rng, 500, 2)[0]
+    # uL + P = (1 + s) uL with s in [-0.5, 1] keeps half of rho and rhoe
+    P = rng.uniform(-0.5, 1.0, (500, 1)) * uL
+    calls = _count_solves(monkeypatch)
+    l = feasible_l(uL, P, Bounds(0.4 * uL[:, 0], 0.4 * internal_energy(uL)))
+    assert calls == []
+    assert l.dtype == np.float64 and np.all(l == 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_feasible_l_equals_solve_l_where_endpoint_is_outside(monkeypatch, dim):
+    rng = np.random.default_rng(11 + dim)
+    uL, P, rho_min, rhoe_min = _random_cases(rng, 4000, dim)
+    bounds = Bounds(rho_min, rhoe_min)
+    end = uL + P
+    inside = (end[:, 0] >= rho_min) & (internal_energy(end) >= rhoe_min)
+    assert 0 < inside.sum() < len(inside)
+    calls = _count_solves(monkeypatch)
+    l = feasible_l(uL, P, bounds)
+    assert calls == [((~inside).sum(),)]
+    assert np.array_equal(l[~inside], solve_l(uL, P, bounds)[~inside])
+    assert np.all(l[inside] == 1.0)
+
+
+def test_feasible_l_accepts_endpoint_where_solve_l_cancels():
+    # kinetic energy 1e10 times the internal one, rhoe_L only 2% above its
+    # bound: the energy quadratic of solve_l cancels to roundoff and gives
+    # l = 0, though the endpoint's internal energy is 1.5e10 x the bound
+    uL = np.array([1.0, 1e5, 0.5 + 5e9])
+    P = np.array([1.0, 0.0, 0.5 + 5e9])
+    bounds = Bounds(np.array(0.5), np.array(0.5 / 1.02))
+    assert solve_l(uL, P, bounds) == 0.0
+    l = feasible_l(uL[None], P[None], bounds)
+    assert l.tolist() == [1.0]
+    end = uL + P
+    assert end[0] >= bounds.rho_min
+    assert internal_energy(end) >= bounds.rhoe_min
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +304,19 @@ def test_convex_limit_reduces_to_high_order_when_feasible(elem, viscous):
     assert err < 1e-13 * np.abs(uH).max(), err
 
 
-@pytest.mark.parametrize("elem", ["quad", "tri"])
-def test_convex_limit_conserves_and_bounds(elem):
+def _jump_2d(elem):
+    """Periodic near-vacuum box: the limiter binds on the jump."""
     mesh = rect_mesh(elem, (0.0, 1.0, 0.0, 1.0), 6, 6, 2, periodic=(True, True))
     x, y = mesh.xy[..., 0], mesh.xy[..., 1]
     inside = (np.abs(x - 0.5) < 0.25) & (np.abs(y - 0.5) < 0.25)
     hi = primitive_to_conserved(np.array([1.0, 0.0, 0.0, 1.0]), GAS)
     lo = primitive_to_conserved(np.array([1e-3, 0.0, 0.0, 1e-7]), GAS)
-    u = np.where(inside[..., None], hi, lo)
+    return mesh, np.where(inside[..., None], hi, lo), GAS
 
+
+@pytest.mark.parametrize("elem", ["quad", "tri"])
+def test_convex_limit_conserves_and_bounds(elem):
+    mesh, u, _ = _jump_2d(elem)
     bcs = BCSet({})
     low = LowOrderRHS(mesh, GAS, bcs)
     high = HighOrderRHS(mesh, GAS, bcs, interface="low_match", low=low)
@@ -288,6 +350,60 @@ def test_convex_limit_zero_when_capped():
     out, _ = cl(uLnew, _pair_differences(mesh, low, high, u), dt,
                 minimal_bounds(uLnew), cap=np.zeros(mesh.n_elements))
     assert np.array_equal(out, uLnew)
+
+
+def _limiter_states(kind, elem):
+    """(mesh, low, high, u, cap, cfl) for the limiter parity tests.
+
+    "jump" marches the strong jump of test_convex_limit_conserves_and_bounds
+    at the full positivity step (l < 1 on part of the pairs); "smooth" is a
+    smooth periodic state at a small step (every endpoint inside the
+    bounds); "capped" is the jump under a per-element cap spread over [0, 1].
+    """
+    cfl = 1.0
+    if kind == "smooth":
+        mesh, u, gas = _smooth_2d(elem, N=2, K=4)
+        cfl = 0.01
+    else:
+        mesh, u, gas = _jump_2d(elem)
+    bcs = BCSet({})
+    low = LowOrderRHS(mesh, gas, bcs)
+    high = HighOrderRHS(mesh, gas, bcs, interface="low_match", low=low)
+    cap = None
+    if kind == "capped":
+        cap = np.linspace(0.0, 1.0, mesh.n_elements)
+    return mesh, low, high, u, cap, cfl
+
+
+@pytest.mark.parametrize("elem", ["quad", "tri"])
+@pytest.mark.parametrize("kind", ["jump", "smooth", "capped"])
+@pytest.mark.parametrize("mode", ["convex", "elementwise"])
+def test_limiters_match_unscreened_oracles(monkeypatch, mode, elem, kind):
+    mesh, low, high, w, cap, cfl = _limiter_states(kind, elem)
+    calls = _count_solves(monkeypatch)
+    cl = ConvexLimiter(mesh)
+    limited = False
+    for _ in range(4):
+        RL, lam = low(w, 0.0, need_wavespeed=True)
+        dt = cfl * float((mesh.mass / (2 * lam)).min())
+        uLnew = w + dt * RL / mesh.mass[..., None]
+        bounds = generalized_bounds(uLnew, 0.1)
+        if mode == "convex":
+            dF = _pair_differences(mesh, low, high, w)
+            out, rep = cl(uLnew, dF, dt, bounds, cap=cap)
+            ref, l_ref = convex_limit_ref(mesh, uLnew, dF, dt, bounds, cap=cap)
+        else:
+            RH = high(w, 0.0)
+            out, rep = zhang_shu_limit(uLnew, RL, RH, dt, mesh, bounds, cap=cap)
+            ref, l_ref = zhang_shu_limit_ref(uLnew, RL, RH, dt, mesh, bounds,
+                                             cap=cap)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(rep.l_elem, l_ref)
+        limited |= bool(np.any(rep.l_elem < 1.0))
+        w = out
+    assert limited == (kind != "smooth")
+    # only the limiter's solves are counted; the oracle binds solve_l itself
+    assert (calls == []) == (kind == "smooth")
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from posdg.physics import (
     is_admissible,
     primitive_to_conserved,
 )
+from posdg.rhs_low import LowOrderRHS
 from posdg.timestepping import StageBoundError, Stepper, advance, ssp_rk3_step
 
 GAS = GasParams(gamma=1.4)
@@ -246,3 +247,21 @@ def test_none_mode_sizes_dt_with_viscous_wavespeed():
     _, diags = advance(st, u0, 0.0, 0.05, cfl=0.5)
     assert diags[0].dt == 0.5 * st.low.max_dt(u0, 0.0, sig)
     assert diags[0].dt < 0.5 * st.low.max_dt(u0, 0.0, None)
+
+
+def test_none_mode_sizes_dt_without_low_order_fluxes(monkeypatch):
+    # dt needs only the wavespeeds: no low-order pair flux or residual
+    calls = {"pair_fluxes": 0, "__call__": 0}
+    for name in calls:
+        method = getattr(LowOrderRHS, name)
+
+        def counted(self, *args, _method=method, _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(LowOrderRHS, name, counted)
+    mesh, u0 = _wave_setup()
+    st = Stepper(mesh, GAS, BCSet({}), mode="none")
+    _, diags = advance(st, u0, 0.0, 0.3, cfl=0.9)
+    assert len(diags) > 10
+    assert calls == {"pair_fluxes": 0, "__call__": 0}
