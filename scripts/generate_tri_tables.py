@@ -16,7 +16,8 @@ The search parameterizes the rule by symmetry orbits (centroid, 3-point and
 6-point orbits in barycentric coordinates) with fixed boundary positions and
 solves the moment equations with damped least squares from random restarts.
 
-Writes src/posdg/_tri_tables.py. Run once; the output is committed.
+Writes src/posdg/_tri_tables.py, with the Delaunay subcells of each node set
+for output. Run once; the output is committed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import least_squares
+from scipy.spatial import Delaunay
 
 RNG = np.random.default_rng(20240817)
 
@@ -370,11 +372,23 @@ def main():
         print(f"N={N}: {len(weights)} nodes, structure {st}, exact to degree {deg}, "
               f"w in [{weights.min():.3e}, {weights.max():.3e}]")
 
+    write_tables(target, tables)
+    print(f"wrote {target}")
+
+
+def write_tables(target: Path, tables: dict) -> None:
+    """Write the module; each table holds deg, nodes, weights, face_t, face_w.
+
+    The subcells are the Delaunay triangulation of the volume nodes, which
+    the VTK writer draws each element with.
+    """
     with open(target, "w") as f:
         f.write('"""Quadrature tables for triangle SBP operators (N = 1..4).\n\n'
                 "Generated by scripts/generate_tri_tables.py (run once, output frozen).\n"
                 "Volume nodes contain the per-face (N+1)-point Gauss-Legendre nodes;\n"
                 "volume weights are positive and exact to the degree noted per entry.\n"
+                "Subcells are the Delaunay triangles of the volume nodes, as node\n"
+                "index triples, for output.\n"
                 '"""\n\n')
         f.write("TRI_TABLES = {\n")
         for N, tab in tables.items():
@@ -390,9 +404,12 @@ def main():
             f.write("        ],\n")
             f.write(f"        'face_t': {[float(x) for x in tab['face_t']]!r},\n")
             f.write(f"        'face_w': {[float(x) for x in tab['face_w']]!r},\n")
+            f.write("        'subcells': [\n")
+            for tri in Delaunay(np.asarray(tab["nodes"])).simplices:
+                f.write(f"            {tuple(int(v) for v in tri)!r},\n")
+            f.write("        ],\n")
             f.write("    },\n")
         f.write("}\n")
-    print(f"wrote {target}")
 
 
 if __name__ == "__main__":

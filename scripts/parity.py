@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Final-state parity between the working tree and a git revision.
+"""Final-state and output parity between the working tree and a git revision.
 
 Usage::
 
@@ -17,12 +17,21 @@ The configurations are the three benchmark workloads of
 modes ``none``, ``low-only``, ``convex`` and ``elementwise``; the limiters
 bind hardest on that near-vacuum tube. Unlimited high order cannot survive
 LeBlanc, so a run that aborts is compared at its last completed step, and a
-different step count or abort message counts as a mismatch. The exit status is 0 when
-every deviation is exactly 0, else 1. Takes about a minute.
+different step count or abort message counts as a mismatch.
+
+It then runs ``posdg run`` (``cli.run``) on the three benchmark workloads in
+each tree, with their own ``snap_every``, so that dmr writes its VTK
+snapshots, and compares every output file byte for byte: ``diagnostics.csv``,
+``limiter.csv``, ``final.csv``, ``final.vtk`` and each ``snap_*.vtk``.
+
+The exit status is 0 when every deviation is exactly 0 and every output file
+is identical, else 1. Takes about two minutes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import filecmp
 import io
 import json
 import os
@@ -40,23 +49,28 @@ LEBLANC = dict(case="leblanc", N=3, K=200, cfl=0.1, t_final=0.01)
 
 
 def configs() -> dict:
+    """{"march": configs compared by final state, "run": `posdg run` configs
+    compared by their output files}."""
     sys.path.insert(0, str(REPO / "perfbench"))
     from child import WORKLOADS
 
-    out = {name: dict(wl.config, snap_every=0)
-           for name, wl in WORKLOADS.items()}
+    march = {name: dict(wl.config, snap_every=0)
+             for name, wl in WORKLOADS.items()}
     for mode in ("none", "low-only", "convex", "elementwise"):
-        out[f"leblanc-line-{mode}"] = dict(LEBLANC, mode=mode)
-    return out
+        march[f"leblanc-line-{mode}"] = dict(LEBLANC, mode=mode)
+    runs = {name: dict(wl.config) for name, wl in WORKLOADS.items()}
+    return {"march": march, "run": runs}
 
 
 def collect(config_file: str, out_file: str) -> None:
-    """Run every configuration with the importable posdg; save final states."""
+    """Run every configuration with the importable posdg; save final states,
+    and the outputs of each `posdg run` under ``out_file + ".runs"``."""
     from posdg import cli
     from posdg.timestepping import advance
 
+    cfgs = json.loads(Path(config_file).read_text())
     states, meta = {}, {}
-    for name, raw in json.loads(Path(config_file).read_text()).items():
+    for name, raw in cfgs["march"].items():
         _, _, stepper, u0, cfl, t_final = cli.setup(cli.make_config(raw))
         last = {"u": u0, "steps": 0}
 
@@ -74,6 +88,13 @@ def collect(config_file: str, out_file: str) -> None:
     np.savez(out_file, **states)
     Path(out_file + ".json").write_text(json.dumps(meta))
 
+    for name, raw in cfgs["run"].items():
+        cfg = cli.make_config(dict(raw, outdir=f"{out_file}.runs/{name}"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.run(cfg)
+        if status != 0:
+            raise SystemExit(f"posdg run {name} returned {status}")
+
 
 def run_tree(src: Path, config_file: Path, out_file: Path, cwd: Path):
     env = dict(os.environ, PYTHONPATH=str(src), POSDG_WORKERS="1")
@@ -84,6 +105,14 @@ def run_tree(src: Path, config_file: Path, out_file: Path, cwd: Path):
         states = {k: data[k] for k in data.files}
     meta = json.loads(Path(str(out_file) + ".json").read_text())
     return states, meta
+
+
+def compare_outputs(new: Path, old: Path) -> tuple:
+    """(number of files, names of files missing on one side or differing)."""
+    names = sorted({p.name for p in new.iterdir()}
+                   | {p.name for p in old.iterdir()})
+    _, differ, missing = filecmp.cmpfiles(new, old, names, shallow=False)
+    return len(names), differ + missing
 
 
 def deviation(u, ref) -> float:
@@ -115,6 +144,9 @@ def main(argv=None) -> int:
                                  tmp / "new.npz", tmp)
         old, old_meta = run_tree(tmp / "ref" / "src", config_file,
                                  tmp / "ref.npz", tmp)
+        outputs = {name: compare_outputs(tmp / "new.npz.runs" / name,
+                                         tmp / "ref.npz.runs" / name)
+                   for name in configs()["run"]}
 
     ok = True
     print(f"{'config':28s} {'steps':>6s}  max relative deviation from {ref}")
@@ -128,6 +160,11 @@ def main(argv=None) -> int:
             note = f"  (both aborted: {new_meta[name]['abort']})"
         ok &= dev == 0.0 and not note.startswith("  MISMATCH")
         print(f"{name:28s} {new_meta[name]['steps']:6d}  {dev:.3g}{note}")
+    print(f"\n{'posdg run':28s} {'files':>6s}  output files against {ref}")
+    for name, (n_files, bad) in outputs.items():
+        ok &= not bad
+        verdict = f"DIFFER: {', '.join(bad)}" if bad else "all identical"
+        print(f"{name:28s} {n_files:6d}  {verdict}")
     return 0 if ok else 1
 
 

@@ -62,7 +62,7 @@ class BCSet:
     table: dict = field(default_factory=dict)
 
     def validate(self, tags: np.ndarray):
-        used = set(np.unique(tags[tags > 0]).tolist())
+        used = set(tags[tags > 0].tolist())
         known = set(self.table.keys())
         if not used <= known:
             raise ValueError(f"boundary tags {sorted(used - known)} have no condition")

@@ -39,11 +39,13 @@ import argparse
 import dataclasses
 import logging
 import sys
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._tri_tables import TRI_TABLES
 from .bc import BCSet, wall
 from .cases import CASES, error_norms, get_case, schlieren
 from .mesh import Mesh, rect_mesh
@@ -446,9 +448,10 @@ def _subgrid_cells(mesh: Mesh) -> np.ndarray:
     """Reference-element subcell connectivity over the solution nodes.
 
     Lines split into N segments, quads into N^2 subquads on the tensor
-    grid; the scattered triangle nodes are triangulated once per mesh.
+    grid; triangles use the tabulated Delaunay triangulation of their
+    nodes.
     """
-    N, ops = mesh.N, mesh.ops
+    N = mesh.N
     if mesh.elem == "line":
         idx = np.arange(N)
         return np.stack([idx, idx + 1], axis=1)
@@ -459,8 +462,36 @@ def _subgrid_cells(mesh: Mesh) -> np.ndarray:
         flat = lambda a, b: b * n + a
         return np.stack([flat(i, j), flat(i + 1, j),
                          flat(i + 1, j + 1), flat(i, j + 1)], axis=1)
-    from scipy.spatial import Delaunay
-    return Delaunay(ops.nodes).simplices
+    return np.array(TRI_TABLES[N]["subcells"])
+
+
+# (weak reference to the mesh, its formatted geometry block): every
+# snapshot of a run writes the same mesh, whose nodes and cells are fixed
+_vtk_geometry_cache = (None, "")
+
+
+def _vtk_geometry(mesh: Mesh) -> str:
+    """The POINTS, CELLS and CELL_TYPES sections of ``mesh``, cached for
+    the most recent mesh."""
+    global _vtk_geometry_cache
+    ref, text = _vtk_geometry_cache
+    if ref is not None and ref() is mesh:
+        return text
+    K, Np = mesh.xy.shape[:2]
+    pts = np.zeros((K * Np, 3))
+    pts[:, :mesh.dim] = mesh.xy.reshape(K * Np, mesh.dim)
+    sub = _subgrid_cells(mesh)
+    cells = (sub[None, :, :] + (np.arange(K) * Np)[:, None, None])
+    cells = cells.reshape(-1, sub.shape[1])
+    n_cells, m = cells.shape
+    text = "".join(
+        [f"POINTS {K * Np} double\n"]
+        + [f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pts.tolist()]
+        + [f"CELLS {n_cells} {n_cells * (m + 1)}\n"]
+        + [f"{m} " + " ".join(map(str, c)) + "\n" for c in cells.tolist()]
+        + [f"CELL_TYPES {n_cells}\n", f"{_VTK_TYPE[mesh.elem]}\n" * n_cells])
+    _vtk_geometry_cache = (weakref.ref(mesh), text)
+    return text
 
 
 def write_vtk(path, mesh: Mesh, gas, u, l_elem=None):
@@ -471,14 +502,6 @@ def write_vtk(path, mesh: Mesh, gas, u, l_elem=None):
     (all ones when no limiter ran).
     """
     K, Np = mesh.xy.shape[:2]
-    pts = np.zeros((K * Np, 3))
-    pts[:, :mesh.dim] = mesh.xy.reshape(K * Np, mesh.dim)
-
-    ref = _subgrid_cells(mesh)
-    cells = (ref[None, :, :] + (np.arange(K) * Np)[:, None, None])
-    cells = cells.reshape(-1, ref.shape[1])
-    ctype = _VTK_TYPE[mesh.elem]
-
     prim = conserved_to_primitive(u, gas)
     flatten = lambda a: np.asarray(a, dtype=float).reshape(-1)
     zeros = np.zeros(K * Np)
@@ -500,22 +523,12 @@ def write_vtk(path, mesh: Mesh, gas, u, l_elem=None):
         f.write("posdg fields\n")
         f.write("ASCII\n")
         f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {K * Np} double\n")
-        for p in pts:
-            f.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        n_cells, m = cells.shape
-        f.write(f"CELLS {n_cells} {n_cells * (m + 1)}\n")
-        for c in cells:
-            f.write(f"{m} " + " ".join(str(int(j)) for j in c) + "\n")
-        f.write(f"CELL_TYPES {n_cells}\n")
-        for _ in range(n_cells):
-            f.write(f"{ctype}\n")
+        f.write(_vtk_geometry(mesh))
         f.write(f"POINT_DATA {K * Np}\n")
         for name, arr in data:
             f.write(f"SCALARS {name} double\n")
             f.write("LOOKUP_TABLE default\n")
-            for v in arr:
-                f.write(_fmt(v) + "\n")
+            f.write("".join([f"{v:.17g}\n" for v in arr.tolist()]))
 
 
 # ---------------------------------------------------------------------------

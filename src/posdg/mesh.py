@@ -20,9 +20,9 @@ The face-node arrays are:
 * ``fnormal`` / ``fwsJ``: physical unit outward normal and surface
   quadrature weight (reference face weight times surface Jacobian).
 
-Connectivity is built by hashing physical face-node coordinates, with
-coordinates wrapped for periodic directions, so all element types share one
-code path.
+Connectivity is built by matching integer keys made from the physical
+face-node coordinates, with face centroids wrapped for periodic directions,
+so all element types share one code path.
 """
 
 from __future__ import annotations
@@ -153,38 +153,68 @@ class Mesh:
         return uf_flat[idx]
 
 
+def _group_ids(order: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Integer ids in input order from a sort ``order`` and the flags
+    ``new[k]``: sorted entry k + 1 starts a new group."""
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.concatenate(([0], np.cumsum(new)))
+    return ids
+
+
+def _cluster(values: np.ndarray, tol: float) -> np.ndarray:
+    """Integer ids of ``values``: in sorted order, a value at most ``tol``
+    above its predecessor shares its id."""
+    order = np.argsort(values, kind="stable")
+    return _group_ids(order, np.diff(values[order]) > tol)
+
+
 def _connect(face_xy, face_cent, face_normal, extent, periodic, classify):
     """Match face nodes of conforming neighbor faces.
 
-    A slot pairs with the slot at the same coordinate whose face occupies
-    the same segment (equal centroid) with the opposite normal. The normal
-    disambiguates element-corner nodes, which appear in two face slots of
-    the same element; the centroid disambiguates mesh-vertex nodes, where
-    several faces of surrounding elements meet. All are (K, Nfp, dim);
-    returns (fpartner, ftag) with flat indices into K * Nfp.
+    A slot pairs with the slot at the same offset from the same face
+    centroid whose face has the opposite normal. The centroid
+    disambiguates mesh-vertex nodes, where several faces of surrounding
+    elements meet; the normal keeps a slot from pairing with itself.
+    Periodic directions wrap the centroid only: wrapping the nodes would
+    give the two ends of a face one period long the same key. Each key
+    coordinate is replaced by an integer cluster id (``_cluster``), so the
+    keys match exactly. All are (K, Nfp, dim); returns (fpartner, ftag)
+    with flat indices into K * Nfp.
     """
-    from scipy.spatial import cKDTree
-
     K, Nfp, dim = face_xy.shape
-    pts = face_xy.reshape(-1, dim).copy()
+    n = K * Nfp
     cent = face_cent.reshape(-1, dim).copy()
+    offset = face_xy.reshape(-1, dim) - cent
     nrm = face_normal.reshape(-1, dim)
     span = np.array([hi - lo for lo, hi in extent])
     lo = np.array([e[0] for e in extent])
     for d in range(dim):
         if periodic[d]:
-            # wrap so nodes and centroids at the upper boundary land on the
-            # lower one; only entities exactly on the seam move
-            for arr in (pts, cent):
-                arr[:, d] = lo[d] + np.mod(arr[:, d] - lo[d], span[d])
-                seam = np.abs(arr[:, d] - (lo[d] + span[d])) < 1e-9 * span[d]
-                arr[seam, d] = lo[d]
+            # centroids at the upper boundary land on the lower one; only
+            # centroids exactly on the seam move
+            cent[:, d] = lo[d] + np.mod(cent[:, d] - lo[d], span[d])
+            seam = np.abs(cent[:, d] - (lo[d] + span[d])) < 1e-9 * span[d]
+            cent[seam, d] = lo[d]
 
     tol = 1e-7 * span.max()
-    key_minus = np.hstack([pts, cent, -tol * nrm])
-    key_plus = np.hstack([pts, cent, tol * nrm])
-    dist, idx = cKDTree(key_minus).query(key_plus, k=1, distance_upper_bound=0.5 * tol)
-    fpartner = np.where(np.isfinite(dist), idx, -1).astype(np.int64)
+    plus, minus = [], []
+    for d in range(dim):
+        for arr in (offset, cent):
+            ids = _cluster(arr[:, d], tol)
+            plus.append(ids)
+            minus.append(ids)
+        # unit normals: the relative tolerance applies unscaled
+        ids = _cluster(np.concatenate([nrm[:, d], -nrm[:, d]]), 1e-7)
+        plus.append(ids[:n])
+        minus.append(ids[n:])
+    keys = np.concatenate([np.stack(plus, axis=1), np.stack(minus, axis=1)])
+    order = np.lexsort(keys.T)
+    sk = keys[order]
+    key_id = _group_ids(order, np.any(sk[1:] != sk[:-1], axis=1))
+    # slot i pairs with the slot whose key under the flipped normal is its own
+    owner = np.full(key_id.max() + 1, -1, dtype=np.int64)
+    owner[key_id[n:]] = np.arange(n)
+    fpartner = owner[key_id[:n]]
     matched = fpartner >= 0
     if np.any(matched):
         back = fpartner[fpartner[matched]]

@@ -207,6 +207,60 @@ def convex_limit_ref(mesh, uLnew, dF, dt, bounds, cap=None):
 
 
 # ---------------------------------------------------------------------------
+# face connectivity by nearest-neighbor search
+# ---------------------------------------------------------------------------
+
+def connect_ref(face_xy, face_cent, face_normal, extent, periodic, classify):
+    """Face-node matching with a KD-tree over (node, centroid, +-normal).
+
+    Same arguments and result as ``posdg.mesh._connect``. Nodes and
+    centroids are wrapped onto the lower side of a periodic seam, and each
+    slot's key with +normal is looked up among all keys with -normal.
+    Quad meshes with a periodic direction one element wide fail here:
+    wrapping gives the two ends of a face one period long the same node key.
+    """
+    from scipy.spatial import cKDTree
+
+    K, Nfp, dim = face_xy.shape
+    pts = face_xy.reshape(-1, dim).copy()
+    cent = face_cent.reshape(-1, dim).copy()
+    nrm = face_normal.reshape(-1, dim)
+    span = np.array([hi - lo for lo, hi in extent])
+    lo = np.array([e[0] for e in extent])
+    for d in range(dim):
+        if periodic[d]:
+            for arr in (pts, cent):
+                arr[:, d] = lo[d] + np.mod(arr[:, d] - lo[d], span[d])
+                seam = np.abs(arr[:, d] - (lo[d] + span[d])) < 1e-9 * span[d]
+                arr[seam, d] = lo[d]
+
+    tol = 1e-7 * span.max()
+    key_minus = np.hstack([pts, cent, -tol * nrm])
+    key_plus = np.hstack([pts, cent, tol * nrm])
+    dist, idx = cKDTree(key_minus).query(key_plus, k=1,
+                                         distance_upper_bound=0.5 * tol)
+    fpartner = np.where(np.isfinite(dist), idx, -1).astype(np.int64)
+    matched = fpartner >= 0
+    if np.any(matched):
+        back = fpartner[fpartner[matched]]
+        if not np.all(back == np.nonzero(matched)[0]):
+            raise RuntimeError("face matching is not symmetric; mesh broken")
+
+    ftag = np.zeros(K * Nfp, dtype=np.int64)
+    bdry = fpartner < 0
+    if np.any(bdry):
+        coords = face_xy.reshape(-1, dim)[bdry]
+        if classify is None:
+            ftag[bdry] = 1
+        else:
+            tags = np.asarray(classify(coords), dtype=np.int64)
+            if np.any(tags <= 0):
+                raise ValueError("boundary classifier must return positive tags")
+            ftag[bdry] = tags
+    return fpartner.reshape(K, Nfp), ftag.reshape(K, Nfp)
+
+
+# ---------------------------------------------------------------------------
 # pointwise kernels written with reductions over the short variable axis
 # ---------------------------------------------------------------------------
 # These are the np.sum / np.einsum / np.stack forms of the kernels in

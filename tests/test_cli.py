@@ -6,9 +6,15 @@ rate layout), structural validity of the legacy VTK output, the
 operator report, and byte-level determinism of repeated runs.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import posdg
 from posdg.cases import get_case
 from posdg.cli import (
     ConfigError,
@@ -212,6 +218,35 @@ def test_run_determinism_bit_identical(tmp_path):
         a = (outs[0] / name).read_bytes()
         b = (outs[1] / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+def test_run_imports_no_scipy(tmp_path):
+    # scipy is a test-only dependency: `posdg run`, VTK snapshots included,
+    # must not import it on line, quad or tri meshes
+    configs = {
+        "line": "case = leblanc\nN = 2\nK = 10\nt_final = 0.02\n",
+        "quad": "case = vortex\nN = 2\nK = 1\nelem = quad\nt_final = 0.2\n",
+        "tri": "case = vortex\nN = 2\nK = 1\nelem = tri\nt_final = 0.2\n",
+    }
+    args = []
+    for elem, text in configs.items():
+        path = tmp_path / f"{elem}.cfg"
+        path.write_text(text + f"snap_every = 1\noutdir = {tmp_path / elem}\n")
+        args.append(str(path))
+    script = (
+        "import sys\n"
+        "from posdg.cli import main\n"
+        "for path in sys.argv[1:]:\n"
+        "    assert main(['run', path]) == 0, path\n"
+        "print('SCIPY', sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    src = str(Path(posdg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, POSDG_WORKERS="1")
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "SCIPY []"
+    for elem in configs:
+        assert len(list((tmp_path / elem).glob("snap_*.vtk"))) > 1, elem
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Mesh construction: connectivity, geometry factors, physical operators."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from posdg.mesh import interval_mesh, rect_mesh
+from oracles import connect_ref
+from posdg.cases import CASES, get_case
+from posdg.mesh import _connect, interval_mesh, rect_mesh
+from posdg.timestepping import Stepper, advance
 
 MESHES_2D = [
     ("quad", 2, (4, 3)), ("quad", 3, (3, 5)), ("quad", 4, (2, 2)),
@@ -208,3 +213,103 @@ def test_gather_exterior():
     ue = m.gather_exterior(uf)
     flat = m.fpartner.reshape(-1)
     assert np.allclose(ue, uf[flat])
+
+
+# ---------------------------------------------------------------------------
+# face matching against the KD-tree oracle
+# ---------------------------------------------------------------------------
+
+def _face_arrays(m):
+    """(face nodes, face centroids, normals) as the mesh builders pass them."""
+    cent = np.empty_like(m.fxy)
+    for rows in m.ops.face_index:
+        cent[:, rows] = m.fxy[:, rows].mean(axis=1, keepdims=True)
+    return m.fxy, cent, m.fnormal
+
+
+def _assert_matches_oracle(m, periodic, classify=None):
+    fpartner, ftag = connect_ref(*_face_arrays(m), m.extent, periodic,
+                                 classify)
+    assert np.array_equal(m.fpartner, fpartner)
+    assert np.array_equal(m.ftag, ftag)
+
+
+@pytest.mark.parametrize("elem", ["line", "quad", "tri"])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_connect_matches_kdtree_oracle(elem, N):
+    def classify(p):
+        return np.where(p[:, 0] < 0.5, 2, 3)
+
+    for K in (2, 5, 8):
+        if elem == "line":
+            for periodic in (False, True):
+                m = interval_mesh(0.0, 3.0, K, N, periodic=periodic,
+                                  classify=classify)
+                _assert_matches_oracle(m, (periodic,), classify)
+            continue
+        for periodic in itertools.product((False, True), repeat=2):
+            # a non-square box with non-square elements
+            m = rect_mesh(elem, (0.0, 3.0, -1.0, 0.5), K, K + 1, N,
+                          periodic=periodic, classify=classify)
+            _assert_matches_oracle(m, periodic, classify)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_connect_matches_kdtree_oracle_on_catalog_meshes(name):
+    case = get_case(name)
+    for elem in (("line",) if case.dim == 1 else ("quad", "tri")):
+        m = case.build_mesh(2, 2, elem=elem)
+        _assert_matches_oracle(m, case.periodic, case.classify)
+
+
+def test_connect_tolerates_coordinate_jitter():
+    m = rect_mesh("quad", (0.0, 3.0, -1.0, 0.5), 5, 4, 3,
+                  periodic=(True, False))
+    fxy, cent, nrm = _face_arrays(m)
+    rng = np.random.default_rng(3)
+    jitter = 1e-12 * 3.0     # 1e-12 of the larger span
+    fxy = fxy + jitter * rng.uniform(-1.0, 1.0, fxy.shape)
+    cent = cent + jitter * rng.uniform(-1.0, 1.0, cent.shape)
+    fpartner, ftag = _connect(fxy, cent, nrm, m.extent, (True, False), None)
+    assert np.array_equal(fpartner, m.fpartner)
+    assert np.array_equal(ftag, m.ftag)
+
+
+def test_connect_rejects_asymmetric_match():
+    # a second copy of element 0 offers every face node of element 0 two
+    # partners, so the match cannot be an involution
+    m = rect_mesh("quad", (0.0, 2.0, 0.0, 1.0), 3, 2, 2)
+    fxy, cent, nrm = (np.concatenate([a, a[:1]]) for a in _face_arrays(m))
+    for connect in (_connect, connect_ref):
+        with pytest.raises(RuntimeError, match="not symmetric"):
+            connect(fxy, cent, nrm, m.extent, (False, False), None)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("Kx,Ky", [(1, 3), (3, 1), (1, 1)])
+def test_one_element_wide_periodic_quads_connect(N, Kx, Ky):
+    # wrapping node coordinates used to give both corners of a face one
+    # period long the same key
+    box = (0.0, 2.0, -1.0, 0.5)
+    m = rect_mesh("quad", box, Kx, Ky, N, periodic=(True, True))
+    flat = m.fpartner.reshape(-1)
+    assert np.all(flat >= 0)
+    assert np.all(flat[flat] == np.arange(len(flat)))
+    fxy = m.fxy.reshape(-1, 2)
+    shift = fxy[flat] - fxy
+    for d, period in enumerate((2.0, 1.5)):
+        whole = np.round(shift[:, d] / period)
+        assert np.abs(shift[:, d] - whole * period).max() < 1e-12
+    nrm = m.fnormal.reshape(-1, 2)
+    assert np.abs(nrm[flat] + nrm).max() < 1e-12
+
+
+def test_one_element_wide_periodic_vortex_conserves_convex():
+    case = get_case("vortex")
+    mesh = case.build_mesh(1, 3, elem="quad")
+    u0 = case.ic(mesh.xy)
+    st = Stepper(mesh, case.gas, case.bcs, mode="convex")
+    u, diags = advance(st, u0, 0.0, 0.5, cfl=case.cfl, collect=True)
+    assert len(diags) > 3
+    mass0 = (mesh.mass * u0[..., 0]).sum()
+    assert abs((mesh.mass * u[..., 0]).sum() - mass0) < 1e-12 * mass0

@@ -4,6 +4,7 @@ polynomial exactness, and low-order sparsity/connectivity."""
 import numpy as np
 import pytest
 
+from posdg._tri_tables import TRI_TABLES
 from posdg.sbp import (
     build_ops,
     graph_potentials,
@@ -239,6 +240,30 @@ def test_tri_face_nodes_on_boundary(N):
     on_b = (np.abs(pts[:, 1] + 1) < 1e-12) | (np.abs(pts[:, 0] + 1) < 1e-12) \
         | (np.abs(pts.sum(axis=1)) < 1e-12)
     assert np.all(on_b)
+
+
+@pytest.mark.parametrize("N", range(1, 5))
+def test_tri_subcells_are_a_delaunay_triangulation(N):
+    # the output subcells cover the convex hull of the nodes, use every
+    # node, and leave every node outside or on each subcell's circumcircle;
+    # the face nodes are Gauss points, so the hull is smaller than the
+    # reference triangle
+    from scipy.spatial import ConvexHull
+
+    nodes = build_ops("tri", N).nodes
+    tris = np.array(TRI_TABLES[N]["subcells"])
+    assert set(tris.ravel()) == set(range(len(nodes)))
+    a, b, c = (nodes[tris[:, k]] for k in range(3))
+    ab, ac = b - a, c - a
+    cross = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
+    assert np.all(cross != 0.0)
+    assert abs(0.5 * np.abs(cross).sum() - ConvexHull(nodes).volume) < 1e-12
+    # circumcenter a + x with 2 x . ab = |ab|^2 and 2 x . ac = |ac|^2
+    rhs = np.stack([(ab * ab).sum(axis=1), (ac * ac).sum(axis=1)], axis=1)
+    x = np.linalg.solve(2.0 * np.stack([ab, ac], axis=1), rhs[..., None])[..., 0]
+    center, radius = a + x, np.linalg.norm(x, axis=1)
+    dist = np.linalg.norm(nodes[None, :, :] - center[:, None, :], axis=2)
+    assert np.all(dist >= radius[:, None] - 1e-12)
 
 
 @pytest.mark.parametrize("elem,N", ALL_ELEMS)
