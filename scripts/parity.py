@@ -24,6 +24,11 @@ each tree, with their own ``snap_every``, so that dmr writes its VTK
 snapshots, and compares every output file byte for byte: ``diagnostics.csv``,
 ``limiter.csv``, ``final.csv``, ``final.vtk`` and each ``snap_*.vtk``.
 
+For each march configuration whose deviation is not 0, REF runs once more
+from the initial state nudged up by one ulp (``np.nextafter(u0, inf)``), and
+that run's deviation from REF is printed next to the configuration's: a
+measured yardstick for changes that reorder floating-point operations.
+
 The exit status is 0 when every deviation is exactly 0 and every output file
 is identical, else 1. Takes about two minutes.
 """
@@ -64,7 +69,8 @@ def configs() -> dict:
 
 def collect(config_file: str, out_file: str) -> None:
     """Run every configuration with the importable posdg; save final states,
-    and the outputs of each `posdg run` under ``out_file + ".runs"``."""
+    and the outputs of each `posdg run` under ``out_file + ".runs"``. With
+    ``"nudge"`` set in the file, the marches start one ulp above u0."""
     from posdg import cli
     from posdg.timestepping import advance
 
@@ -72,6 +78,8 @@ def collect(config_file: str, out_file: str) -> None:
     states, meta = {}, {}
     for name, raw in cfgs["march"].items():
         _, _, stepper, u0, cfl, t_final = cli.setup(cli.make_config(raw))
+        if cfgs.get("nudge"):
+            u0 = np.nextafter(u0, np.inf)
         last = {"u": u0, "steps": 0}
 
         def keep(step, t, u, row, rep):
@@ -147,11 +155,26 @@ def main(argv=None) -> int:
         outputs = {name: compare_outputs(tmp / "new.npz.runs" / name,
                                          tmp / "ref.npz.runs" / name)
                    for name in configs()["run"]}
+        devs = {name: deviation(new[name], old[name]) for name in new}
+        moved = {name: cfg for name, cfg in configs()["march"].items()
+                 if devs[name] != 0.0}
+        ulp = {}
+        if moved:
+            nudge_file = tmp / "nudged.json"
+            nudge_file.write_text(json.dumps(
+                {"march": moved, "run": {}, "nudge": True}))
+            nudged, _ = run_tree(tmp / "ref" / "src", nudge_file,
+                                 tmp / "nudged.npz", tmp)
+            ulp = {name: deviation(nudged[name], old[name])
+                   for name in moved}
 
     ok = True
-    print(f"{'config':28s} {'steps':>6s}  max relative deviation from {ref}")
+    print(f"max relative deviation of the final state from {ref}, and of "
+          f"{ref} from u0 + 1 ulp")
+    print(f"{'config':28s} {'steps':>6s}  {'deviation':>9s}  "
+          f"{'1-ulp u0':>9s}")
     for name in new:
-        dev = deviation(new[name], old[name])
+        dev = devs[name]
         note = ""
         if new_meta[name] != old_meta[name]:
             note = (f"  MISMATCH: {new_meta[name]} vs {ref} "
@@ -159,7 +182,9 @@ def main(argv=None) -> int:
         elif new_meta[name]["abort"]:
             note = f"  (both aborted: {new_meta[name]['abort']})"
         ok &= dev == 0.0 and not note.startswith("  MISMATCH")
-        print(f"{name:28s} {new_meta[name]['steps']:6d}  {dev:.3g}{note}")
+        yard = f"{ulp[name]:9.3g}" if name in ulp else f"{'-':>9s}"
+        print(f"{name:28s} {new_meta[name]['steps']:6d}  {dev:9.3g}  "
+              f"{yard}{note}")
     print(f"\n{'posdg run':28s} {'files':>6s}  output files against {ref}")
     for name, (n_files, bad) in outputs.items():
         ok &= not bad

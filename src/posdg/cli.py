@@ -303,6 +303,27 @@ def _csv_line(values) -> str:
     return ",".join(v if isinstance(v, str) else _fmt(v) for v in values)
 
 
+def _csv_rows(columns) -> str:
+    """CSV lines from equal-length columns, as :func:`_csv_line` would.
+
+    A column is a list of ready strings or an array of numbers, formatted
+    with one pass over ``tolist()``.
+    """
+    text = [c if isinstance(c, list) else
+            [f"{v:.17g}" for v in np.asarray(c, dtype=float).tolist()]
+            for c in columns]
+    return "".join([",".join(row) + "\n" for row in zip(*text)])
+
+
+def _limiter_rows(step, u, rep) -> str:
+    """limiter.csv lines of one step: l_e, xi and the minima per element."""
+    K = len(rep.l_elem)
+    xi = rep.shock_xi if rep.shock_xi is not None else np.ones(K)
+    return _csv_rows([[f"{step}"] * K, [f"{k}" for k in range(K)],
+                      rep.l_elem, xi, u[..., 0].min(axis=1),
+                      internal_energy(u).min(axis=1)])
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one configured run; returns a process exit status."""
     case, mesh, stepper, u0, cfl, t_final = setup(cfg)
@@ -319,13 +340,7 @@ def run(cfg: RunConfig) -> int:
         lim.write("step,element,l_e,xi,min_rho,min_rhoe\n")
 
         def write_limiter_rows(step, u, rep):
-            rho_k = u[..., 0].min(axis=1)
-            rhoe_k = internal_energy(u).min(axis=1)
-            xi = rep.shock_xi if rep.shock_xi is not None \
-                else np.ones_like(rep.l_elem)
-            for k in range(mesh.n_elements):
-                lim.write(_csv_line([f"{step}", f"{k}", rep.l_elem[k],
-                                     xi[k], rho_k[k], rhoe_k[k]]) + "\n")
+            lim.write(_limiter_rows(step, u, rep))
             last["recorded"] = step
 
         def callback(step, t, u, row, rep):
@@ -377,11 +392,10 @@ def _write_fields_csv(path, mesh: Mesh, gas, u):
     with open(path, "w", newline="") as f:
         f.write(f"# {SCHEMA} fields\n")
         f.write(",".join(cols) + "\n")
-        for k in range(mesh.n_elements):
-            for i in range(u.shape[1]):
-                vals = ([f"{k}"] + list(mesh.xy[k, i]) + list(u[k, i])
-                        + list(prim[k, i, 1:]))
-                f.write(_csv_line(vals) + "\n")
+        K, Np = u.shape[:2]
+        element = [f"{k}" for k in range(K) for _ in range(Np)]
+        data = np.concatenate([mesh.xy, u, prim[..., 1:]], axis=-1)
+        f.write(_csv_rows([element, *data.reshape(K * Np, -1).T]))
 
 
 # ---------------------------------------------------------------------------

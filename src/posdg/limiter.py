@@ -10,12 +10,17 @@ internal energy, since rho * rhoe is quadratic along the segment.  That
 solve is only needed where the endpoint uL + P violates a bound: rho is
 linear in u and rhoe is concave, so the bounded set {rho >= rho_min,
 rhoe >= rhoe_min} is convex, and a segment whose two ends lie in it lies in
-it entirely (:func:`feasible_l`).  Two assembly modes are provided:
-elementwise blending with a single l per element (Zhang-Shu style) and
-pairwise convex (FCT style) limiting of the antidiffusive flux differences,
-which localizes l to node pairs.  A modal shock indicator can cap the
-blending parameter to force low-order behavior near discontinuities
-independent of positivity.
+it entirely (:func:`feasible_l`).
+
+Both limiters take one input, the antidiffusive pair fluxes
+dF_ij = F^H_ij - F^L_ij of each geometry class (:func:`antidiffusive_fluxes`).
+The two schemes share their interface flux, so r^H - r^L is the scatter of
+dF, and every column of a class's ``scatter`` sums to zero: whatever the
+blend, the update conserves by construction.  Two assembly modes are
+provided: elementwise blending with a single l per element (Zhang-Shu
+style) and pairwise convex (FCT style) limiting, which localizes l to node
+pairs.  A modal shock indicator can cap the blending parameter to force
+low-order behavior near discontinuities independent of positivity.
 """
 
 from __future__ import annotations
@@ -146,70 +151,64 @@ class LimiterReport:
 
     l_elem: np.ndarray               # per-element blending parameter
     shock_xi: np.ndarray | None      # per-element shock blend, if active
-    min_rho: float
-    min_rhoe: float
 
 
-def _report(u, l_elem, shock_xi=None):
-    return LimiterReport(
-        l_elem=l_elem, shock_xi=shock_xi,
-        min_rho=float(u[..., 0].min()),
-        min_rhoe=float(internal_energy(u).min()))
+def zhang_shu_limit(uLnew, dF, dt, mesh: Mesh, bounds: Bounds, cap=None):
+    """Elementwise blend u = u^L + l^e P with P = (dt/m) sum_j dF_ij.
 
-
-def zhang_shu_limit(uLnew, rL, rH, dt, mesh: Mesh, bounds: Bounds,
-                    cap=None):
-    """Elementwise blend u = u^L + l^e (dt/m)(r^H - r^L).
-
-    l^e is the minimum over the element's nodes of the per-node feasible
-    fraction, optionally capped by a per-element array (shock indicator).
-    The bounded set is convex, so a node whose full high-order update
-    u^L + P already meets the bounds has fraction 1 without a solve
-    (:func:`feasible_l`). Returns (limited field, report).
+    P is (dt/m)(r^H - r^L), formed as the scatter of the per-class pair
+    differences dF (:func:`antidiffusive_fluxes`). l^e is the minimum over
+    the element's nodes of the per-node feasible fraction, optionally
+    capped by a per-element array (shock indicator). The bounded set is
+    convex, so a node whose full high-order update u^L + P already meets
+    the bounds has fraction 1 without a solve (:func:`feasible_l`).
+    Returns (limited field, report).
     """
-    P = (dt / mesh.mass[..., None]) * (rH - rL)
+    r = np.empty_like(uLnew)
+    for elems, gc, dFc in zip(mesh.class_elems, mesh.classes, dF):
+        r[elems] = gc.scatter @ dFc
+    P = (dt / mesh.mass[..., None]) * r
     l_elem = feasible_l(uLnew, P, bounds).min(axis=1)
     if cap is not None:
         l_elem = np.minimum(l_elem, cap)
-    u = uLnew + l_elem[:, None, None] * P
-    return u, _report(u, l_elem, shock_xi=cap)
+    return uLnew + l_elem[:, None, None] * P, LimiterReport(l_elem, cap)
 
 
 def antidiffusive_fluxes(mesh: Mesh, high_pairs, low_pairs):
-    """F^H_ij - F^L_ij per class on the pair graph.
+    """F^H_ij - F^L_ij per class on the pair graph, formed in ``high_pairs``.
 
     ``high_pairs`` and ``low_pairs`` are the per-class results of
     ``HighOrderRHS.pair_fluxes`` and ``LowOrderRHS.pair_fluxes``; F^L is zero
-    on the pairs outside the low-order subset.
+    on the pairs outside the low-order subset. The F^H arrays are
+    overwritten (and returned) rather than copied: a copy per stage is one
+    more large temporary that the allocator may hand back to the OS.
     """
-    out = []
     for gc, FH, (FL, _) in zip(mesh.classes, high_pairs, low_pairs):
-        dF = FH.copy()
-        dF[:, gc.pair_low] -= FL
-        out.append(dF)
-    return out
+        FH[:, gc.pair_low] -= FL
+    return high_pairs
 
 
 class ConvexLimiter:
     """Pairwise limiting of the antidiffusive part of the high-order update.
 
-    Requires the high-order scheme to run with the matched low-order
-    interface flux, so the two residuals differ only through the volume
-    pair fluxes
+    The high-order update differs from the low-order one only through the
+    volume pair fluxes
 
         F^H_ij = -sum_k (Q_k - Q_k^T)_ij [f_kS(u_i,u_j) - (s_ki + s_kj)/2]
         F^L_ij = low-order pair contribution,
 
-    both antisymmetric. The limiter evaluates no flux: it receives their
-    differences per pair of each class's graph (:func:`antidiffusive_fluxes`).
+    both antisymmetric; the interface flux is the low-order one in both.
+    The limiter evaluates no flux: it receives their differences per pair
+    of each class's graph (:func:`antidiffusive_fluxes`).
     Each node's update is a convex combination of substates
     u^L_i + (dt n_i / m_i) l_ij (F^H_ij - F^L_ij) with n_i the node's
     pair-plus-interface cardinality, so the symmetrized pairwise
 
         l_ij = min(feasible fraction at i, feasible fraction at j)
 
-    keeps every substate, hence the update, inside the bounds while
-    preserving conservation exactly. The bounded set is convex (rho is
+    keeps every substate, hence the update, inside the bounds. l_ij is
+    symmetric and every column of ``scatter`` sums to zero, so the update
+    conserves by construction. The bounded set is convex (rho is
     linear, rhoe concave in u), so a substate whose end l_ij = 1 meets the
     bounds needs no solve; only the others go to :func:`solve_l`
     (:func:`feasible_l`). Both ends of all pairs of a class are limited in
@@ -257,7 +256,7 @@ class ConvexLimiter:
             l_min[elems] = l.min(axis=1)
             unew[elems] += (gc.scatter @ ((dt * l)[..., None] * dFc)
                             / gc.mass[:, None])
-        return unew, _report(unew, l_min, shock_xi=cap)
+        return unew, LimiterReport(l_min, cap)
 
 
 def shock_indicator(u, ops, gas: GasParams):

@@ -142,9 +142,6 @@ class Mesh:
     def total_mass(self):
         return self.mass.sum()
 
-    def interior_mask(self):
-        return self.fpartner.reshape(-1) >= 0
-
     def gather_exterior(self, uf_flat: np.ndarray) -> np.ndarray:
         """Partner values for interior face nodes (boundary slots get the
         node's own value; callers overwrite those from the BC set)."""

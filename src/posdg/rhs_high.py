@@ -11,12 +11,12 @@ the geometry class's pair graph (see :mod:`posdg.mesh`) as the pair flux
 
     F^H_ij = - sum_k (Q_k - Q_k^T)_ij [ f_kS(u_i, u_j) - (s_ki + s_kj)/2 ]
 
-and scattered. The surface terms are either an entropy-stable local
-Lax-Friedrichs flux built on the same two-point flux (``interface="es_lf"``,
-the unlimited scheme), or the low-order interface flux (``"low_match"``,
-both limited modes). In the matched mode one surface pass per stage serves
-both residuals, so r^H - r^L reduces to the scattered pair differences
-F^H_ij - F^L_ij and integrates to zero over every element.
+and scattered. The surface term is an entropy-stable local Lax-Friedrichs
+flux built on the same two-point flux. :class:`HighOrderRHS` is the
+unlimited scheme (mode ``none``). The limited modes never form its
+residual: their high-order update uses the low-order interface flux, so it
+differs from the low-order one only by the scattered pair differences
+F^H_ij - F^L_ij, and the limiters take those (see :mod:`posdg.limiter`).
 
 Viscous terms follow the LDG construction: nodal gradients of the entropy
 variables with central interface averages, the symmetric viscous fluxes
@@ -96,19 +96,12 @@ class LDGGradient:
 
 class HighOrderRHS:
     def __init__(self, mesh: Mesh, gas: GasParams, bcs: BCSet,
-                 interface: str = "es_lf", low: LowOrderRHS | None = None,
                  lf_dissipation: bool = True):
-        if interface not in ("es_lf", "low_match"):
-            raise ValueError(f"unknown interface mode {interface!r}")
-        if interface == "low_match" and low is None:
-            raise ValueError("matched-interface mode needs the low-order scheme")
         self.mesh = mesh
         self.gas = gas
-        self.bcs = bcs
-        self.interface = interface
-        self.low = low if low is not None else LowOrderRHS(mesh, gas, bcs)
+        # supplies the face states; its interface flux is not used here
+        self.low = LowOrderRHS(mesh, gas, bcs)
         self.lf_dissipation = lf_dissipation
-        bcs.validate(mesh.ftag)
 
     def pair_fluxes(self, u, sigmas=None):
         """High-order pair fluxes F^H_ij, one (K_c, npairs, nvar) per class.
@@ -136,8 +129,6 @@ class HighOrderRHS:
 
     def surface(self, u, t, sigmas):
         """Surface residual contribution at all face slots (flat)."""
-        if self.interface == "low_match":
-            return self.low.surface(u, t, sigmas)[0]
         gas = self.gas
         uf, uP, sigf, sigP, nrm = self.low.face_states(u, t, sigmas)
         wsj = self.mesh.fwsJ.reshape(-1)
@@ -153,20 +144,12 @@ class HighOrderRHS:
             Rs += (0.5 * wsj * _norm1(nrm) * lam)[..., None] * (uP - uf)
         return Rs
 
-    def __call__(self, u, t, sigmas=None, pairs=None, surface=None):
-        """R = M du/dt.
-
-        ``pairs`` and ``surface`` take the results of :meth:`pair_fluxes`
-        and :meth:`surface` for this state when the caller has them already;
-        the residual is then their scatter.
-        """
+    def __call__(self, u, t, sigmas=None):
+        """R = M du/dt."""
         mesh = self.mesh
         K, _, nvar = u.shape
-        if pairs is None:
-            pairs = self.pair_fluxes(u, sigmas)
-        if surface is None:
-            surface = self.surface(u, t, sigmas)
-        R = mesh.ops.E.T @ surface.reshape(K, -1, nvar)
-        for elems, gc, FH in zip(mesh.class_elems, mesh.classes, pairs):
+        R = mesh.ops.E.T @ self.surface(u, t, sigmas).reshape(K, -1, nvar)
+        for elems, gc, FH in zip(mesh.class_elems, mesh.classes,
+                                 self.pair_fluxes(u, sigmas)):
             R[elems] += gc.scatter @ FH
         return R

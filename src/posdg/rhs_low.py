@@ -58,8 +58,8 @@ def interface_flux_low(uM, uP, sigM, sigP, normals, wsJ, gas: GasParams):
 
     Returns (R_slot, lam_slot): the residual contribution to the owning
     volume node and the wavespeed weight lambda_s entering the CFL bound.
-    Shared verbatim by the high-order scheme in matched-interface mode so
-    the two schemes produce bitwise-equal boundary fluxes.
+    The limited modes give the high-order update this interface flux too,
+    so it cancels from r^H - r^L.
     """
     dim = uM.shape[-1] - 2
     fM = euler_flux(uM, gas)
@@ -177,21 +177,17 @@ class LowOrderRHS:
 
     # -- residual ----------------------------------------------------------
 
-    def __call__(self, u, t, sigmas=None, need_wavespeed=False,
-                 pairs=None, surface=None):
+    def __call__(self, u, t, sigmas=None, need_wavespeed=False, pairs=None):
         """R = M du/dt, plus the nodal wavespeed sums if need_wavespeed.
 
-        ``pairs`` and ``surface`` take the results of :meth:`pair_fluxes`
-        and :meth:`surface` for this state when the caller has them already;
-        the residual is then their scatter.
+        ``pairs`` takes the result of :meth:`pair_fluxes` for this state
+        when the caller has it already.
         """
         mesh = self.mesh
         K, _, nvar = u.shape
         if pairs is None:
             pairs = self.pair_fluxes(u, sigmas)
-        if surface is None:
-            surface = self.surface(u, t, sigmas)
-        Rs, lam_s = surface
+        Rs, lam_s = self.surface(u, t, sigmas)
         R = mesh.ops.E.T @ Rs.reshape(K, -1, nvar)
         for elems, (P, _), (*_, S) in zip(mesh.class_elems, pairs, self._low):
             R[elems] += S @ P

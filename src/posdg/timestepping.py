@@ -44,9 +44,11 @@ class Stepper:
     mode selects the update: "low-only" (sparse scheme), "none" (unlimited
     high-order with entropy-stable interface dissipation), "elementwise"
     (Zhang-Shu style blend), or "convex" (pairwise FCT limiting). Both
-    limited modes run the high-order scheme with the low-order interface
-    flux, so r^H - r^L integrates to zero over every element and the blend
-    conserves. zeta > 0 selects the relaxed bounds; zeta = 0 the minimal
+    limited modes give the high-order update the low-order interface flux,
+    so it differs from the low-order update only by the scattered pair
+    differences dF = F^H - F^L, and both limiters blend through dF. Every
+    column of a class's ``scatter`` sums to zero, so the blend conserves by
+    construction. zeta > 0 selects the relaxed bounds; zeta = 0 the minimal
     ones.
     """
 
@@ -62,38 +64,30 @@ class Stepper:
         self.shock_capture = shock_capture
         self.low = LowOrderRHS(mesh, gas, bcs)
         self.grad = LDGGradient(mesh, gas, bcs) if gas.viscous else None
-        self.high = None
-        if mode != "low-only":
-            interface = "es_lf" if mode == "none" else "low_match"
-            self.high = HighOrderRHS(mesh, gas, bcs, interface=interface,
-                                     low=self.low)
+        self.high = (HighOrderRHS(mesh, gas, bcs) if mode != "low-only"
+                     else None)
         self.convex = ConvexLimiter(mesh) if mode == "convex" else None
 
     def prepare(self, u, t):
         """Residuals and wavespeeds of a stage state; dt-independent.
 
-        One flux pass per stage: the face states, the low-order interface
-        flux and each class's low- and high-order pair fluxes are evaluated
-        once, and RL, lam, RH and the convex limiter's pair differences dF
-        are all formed from them. ``sig`` keeps the LDG viscous fluxes (None
-        for inviscid gases).
+        Mode "none" forms only the high-order residual RH. The other modes
+        form the low-order residual RL and its nodal wavespeeds lam, and the
+        limited modes add the per-class pair differences dF = F^H - F^L,
+        with each class's low-order pair fluxes evaluated once for both.
+        ``sig`` keeps the LDG viscous fluxes (None for inviscid gases).
         """
         sig = self.grad(u, t)[2] if self.grad is not None else None
         prep = {"RL": None, "lam": None, "RH": None, "dF": None, "sig": sig}
         if self.mode == "none":
             prep["RH"] = self.high(u, t, sig)
             return prep
-        surface = self.low.surface(u, t, sig)
         low_pairs = self.low.pair_fluxes(u, sig)
         prep["RL"], prep["lam"] = self.low(u, t, sig, need_wavespeed=True,
-                                           pairs=low_pairs, surface=surface)
+                                           pairs=low_pairs)
         if self.high is not None:
-            high_pairs = self.high.pair_fluxes(u, sig)
-            prep["RH"] = self.high(u, t, sig, pairs=high_pairs,
-                                   surface=surface[0])
-            if self.convex is not None:
-                prep["dF"] = antidiffusive_fluxes(self.mesh, high_pairs,
-                                                  low_pairs)
+            prep["dF"] = antidiffusive_fluxes(
+                self.mesh, self.high.pair_fluxes(u, sig), low_pairs)
         return prep
 
     def dt_bound(self, prep):
@@ -120,8 +114,7 @@ class Stepper:
         if self.shock_capture:
             cap = shock_indicator(u, mesh.ops, self.gas)
         if self.mode == "elementwise":
-            return zhang_shu_limit(uL, prep["RL"], prep["RH"], dt, mesh,
-                                   bounds, cap=cap)
+            return zhang_shu_limit(uL, prep["dF"], dt, mesh, bounds, cap=cap)
         return self.convex(uL, prep["dF"], dt, bounds, cap=cap)
 
 

@@ -17,8 +17,12 @@ import pytest
 import posdg
 from posdg.cases import get_case
 from posdg.cli import (
+    SCHEMA,
     ConfigError,
     RunConfig,
+    _csv_line,
+    _limiter_rows,
+    _write_fields_csv,
     convergence,
     load_config,
     main,
@@ -29,7 +33,9 @@ from posdg.cli import (
     setup,
     write_vtk,
 )
+from posdg.limiter import LimiterReport
 from posdg.mesh import rect_mesh
+from posdg.physics import conserved_to_primitive, internal_energy
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +202,33 @@ def test_run_fields_csv_matches_mesh(leblanc_run):
     lines = (outdir / "final.csv").read_text().splitlines()
     assert lines[1] == "element,x,rho,mom_x,energy,u,p"
     assert len(lines) == 2 + 25 * 3  # header lines + K * (N+1) nodes
+
+
+def test_csv_writers_match_per_value_formatting(tmp_path):
+    case = get_case("leblanc")
+    mesh = case.build_mesh(4, 2)
+    u = case.ic(mesh.xy)
+    u[..., 0] *= 1.0 + 1e-15  # values needing all 17 digits
+    u[0, 0, 1] = -0.0
+    prim = conserved_to_primitive(u, case.gas)
+    path = tmp_path / "final.csv"
+    _write_fields_csv(path, mesh, case.gas, u)
+    lines = [f"# {SCHEMA} fields", "element,x,rho,mom_x,energy,u,p"]
+    for k in range(mesh.n_elements):
+        for i in range(u.shape[1]):
+            lines.append(_csv_line([f"{k}"] + list(mesh.xy[k, i])
+                                   + list(u[k, i]) + list(prim[k, i, 1:])))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    rho_k = u[..., 0].min(axis=1)
+    rhoe_k = internal_energy(u).min(axis=1)
+    l_elem = np.linspace(0.0, 1.0, mesh.n_elements) / 3.0
+    for xi in (None, np.full(mesh.n_elements, 0.7)):
+        xi_k = np.ones(mesh.n_elements) if xi is None else xi
+        expected = "".join(
+            _csv_line(["12", f"{k}", l_elem[k], xi_k[k], rho_k[k],
+                       rhoe_k[k]]) + "\n" for k in range(mesh.n_elements))
+        assert _limiter_rows(12, u, LimiterReport(l_elem, xi)) == expected
 
 
 def test_run_reports_validation_failures_via_main(tmp_path, capsys):

@@ -184,13 +184,28 @@ def _leblanc_like_setup(K=16, N=2):
     return mesh, u
 
 
+def _pair_differences(mesh, low, high, u, sig=None):
+    return antidiffusive_fluxes(mesh, high.pair_fluxes(u, sig),
+                                low.pair_fluxes(u, sig))
+
+
+def _scatter(mesh, dF):
+    """r^H - r^L: the per-class pair differences scattered to the nodes."""
+    r = np.empty((mesh.n_elements, mesh.ops.n_nodes, dF[0].shape[-1]))
+    for elems, gc, dFc in zip(mesh.class_elems, mesh.classes, dF):
+        r[elems] = gc.scatter @ dFc
+    return r
+
+
 def test_zhang_shu_identical_residuals():
     mesh, u = _leblanc_like_setup()
     low = LowOrderRHS(mesh, GAS, BCSet({}))
     R = low(u, 0.0)
     dt = 0.5 * low.max_dt(u, 0.0)
     uLnew = u + dt * R / mesh.mass[..., None]
-    out, rep = zhang_shu_limit(uLnew, R, R, dt, mesh,
+    dF = [np.zeros((len(elems), len(gc.pair_i), u.shape[-1]))
+          for elems, gc in zip(mesh.class_elems, mesh.classes)]
+    out, rep = zhang_shu_limit(uLnew, dF, dt, mesh,
                                generalized_bounds(uLnew, 0.1))
     assert np.array_equal(out, uLnew)
     assert np.all(rep.l_elem == 1.0)
@@ -200,22 +215,21 @@ def test_zhang_shu_endpoints():
     mesh, u = _leblanc_like_setup()
     bcs = BCSet({})
     low = LowOrderRHS(mesh, GAS, bcs)
-    high = HighOrderRHS(mesh, GAS, bcs, interface="low_match", low=low)
+    high = HighOrderRHS(mesh, GAS, bcs)
     RL, lam = low(u, 0.0, need_wavespeed=True)
-    RH = high(u, 0.0)
+    dF = _pair_differences(mesh, low, high, u)
     dt = 0.5 * float((mesh.mass / (2 * lam)).min())
     uLnew = u + dt * RL / mesh.mass[..., None]
 
     # l forced to zero: the low-order field must come back bitwise
-    out0, _ = zhang_shu_limit(uLnew, RL, RH, dt, mesh,
+    out0, _ = zhang_shu_limit(uLnew, dF, dt, mesh,
                               generalized_bounds(uLnew, 0.1),
                               cap=np.zeros(mesh.n_elements))
     assert np.array_equal(out0, uLnew)
 
     # l = 1 where feasible reproduces the high-order update
-    out1, rep = zhang_shu_limit(uLnew, RL, RH, dt, mesh,
-                                minimal_bounds(uLnew))
-    uH = uLnew + (dt / mesh.mass[..., None]) * (RH - RL)
+    out1, rep = zhang_shu_limit(uLnew, dF, dt, mesh, minimal_bounds(uLnew))
+    uH = uLnew + (dt / mesh.mass[..., None]) * _scatter(mesh, dF)
     free = rep.l_elem == 1.0
     assert np.any(free)
     assert np.array_equal(out1[free], uH[free])
@@ -225,16 +239,16 @@ def test_zhang_shu_bounds_hold_under_stress():
     mesh, u = _leblanc_like_setup(K=32, N=2)
     bcs = BCSet({})
     low = LowOrderRHS(mesh, GAS, bcs)
-    high = HighOrderRHS(mesh, GAS, bcs, interface="low_match", low=low)
+    high = HighOrderRHS(mesh, GAS, bcs)
     for zeta in (0.1, 0.5, 1.0):
         w = u.copy()
         for _ in range(5):
             RL, lam = low(w, 0.0, need_wavespeed=True)
-            RH = high(w, 0.0)
+            dF = _pair_differences(mesh, low, high, w)
             dt = float((mesh.mass / (2 * lam)).min())
             uLnew = w + dt * RL / mesh.mass[..., None]
             bounds = generalized_bounds(uLnew, zeta)
-            w, rep = zhang_shu_limit(uLnew, RL, RH, dt, mesh, bounds)
+            w, rep = zhang_shu_limit(uLnew, dF, dt, mesh, bounds)
             guard = 1e-14 * (np.abs(w).max() + 1.0)
             assert np.all(w[..., 0] >= bounds.rho_min - guard)
             assert np.all(internal_energy(w) >= bounds.rhoe_min - guard)
@@ -245,18 +259,18 @@ def test_zhang_shu_conserves():
     mesh, u = _leblanc_like_setup(K=32, N=3)
     bcs = BCSet({})
     low = LowOrderRHS(mesh, GAS, bcs)
-    high = HighOrderRHS(mesh, GAS, bcs, interface="low_match", low=low)
+    high = HighOrderRHS(mesh, GAS, bcs)
     RL, lam = low(u, 0.0, need_wavespeed=True)
-    RH = high(u, 0.0)
+    dF = _pair_differences(mesh, low, high, u)
     dt = float((mesh.mass / (2 * lam)).min())
     uLnew = u + dt * RL / mesh.mass[..., None]
-    out, _ = zhang_shu_limit(uLnew, RL, RH, dt, mesh,
+    out, _ = zhang_shu_limit(uLnew, dF, dt, mesh,
                              generalized_bounds(uLnew, 0.1))
     before = (mesh.mass[..., None] * uLnew).sum(axis=(0, 1))
     after = (mesh.mass[..., None] * out).sum(axis=(0, 1))
-    # elementwise blending is not pairwise conservative on its own; the
-    # residual difference integrates to zero over each element, so the
-    # element (and global) means are preserved
+    # elementwise blending is not pairwise conservative on its own; every
+    # column of the scatter sums to zero, so the element (and global) means
+    # are preserved
     assert np.abs(after - before).max() < 1e-12 * np.abs(before).max()
 
 
@@ -277,9 +291,14 @@ def _smooth_2d(elem="quad", N=2, K=4, viscous=False):
     return mesh, primitive_to_conserved(prim, gas), gas
 
 
-def _pair_differences(mesh, low, high, u, sig=None):
-    return antidiffusive_fluxes(mesh, high.pair_fluxes(u, sig),
-                                low.pair_fluxes(u, sig))
+def _matched_residual(mesh, low, high, u, sig=None):
+    """r^H with the low-order interface flux, assembled from its parts."""
+    K, _, nvar = u.shape
+    R = mesh.ops.E.T @ low.surface(u, 0.0, sig)[0].reshape(K, -1, nvar)
+    for elems, gc, FH in zip(mesh.class_elems, mesh.classes,
+                             high.pair_fluxes(u, sig)):
+        R[elems] += gc.scatter @ FH
+    return R
 
 
 @pytest.mark.parametrize("elem", ["quad", "tri"])
@@ -288,10 +307,10 @@ def test_convex_limit_reduces_to_high_order_when_feasible(elem, viscous):
     mesh, u, gas = _smooth_2d(elem, N=2, K=4, viscous=viscous)
     bcs = BCSet({})
     low = LowOrderRHS(mesh, gas, bcs)
-    high = HighOrderRHS(mesh, gas, bcs, interface="low_match", low=low)
+    high = HighOrderRHS(mesh, gas, bcs)
     sig = LDGGradient(mesh, gas, bcs)(u, 0.0)[2] if viscous else None
     RL, lam = low(u, 0.0, sig, need_wavespeed=True)
-    RH = high(u, 0.0, sig)
+    RH = _matched_residual(mesh, low, high, u, sig)
     dt = 0.01 * float((mesh.mass / (2 * lam)).min())
     uLnew = u + dt * RL / mesh.mass[..., None]
     uH = uLnew + dt * (RH - RL) / mesh.mass[..., None]
@@ -319,12 +338,11 @@ def test_convex_limit_conserves_and_bounds(elem):
     mesh, u, _ = _jump_2d(elem)
     bcs = BCSet({})
     low = LowOrderRHS(mesh, GAS, bcs)
-    high = HighOrderRHS(mesh, GAS, bcs, interface="low_match", low=low)
+    high = HighOrderRHS(mesh, GAS, bcs)
     cl = ConvexLimiter(mesh)
     w = u.copy()
     for _ in range(4):
         RL, lam = low(w, 0.0, need_wavespeed=True)
-        RH = high(w, 0.0)
         dt = float((mesh.mass / (2 * lam)).min())
         uLnew = w + dt * RL / mesh.mass[..., None]
         bounds = generalized_bounds(uLnew, 0.1)
@@ -342,7 +360,7 @@ def test_convex_limit_zero_when_capped():
     mesh, u, gas = _smooth_2d("quad", N=2, K=3)
     bcs = BCSet({})
     low = LowOrderRHS(mesh, gas, bcs)
-    high = HighOrderRHS(mesh, gas, bcs, interface="low_match", low=low)
+    high = HighOrderRHS(mesh, gas, bcs)
     RL, lam = low(u, 0.0, need_wavespeed=True)
     dt = float((mesh.mass / (2 * lam)).min())
     uLnew = u + dt * RL / mesh.mass[..., None]
@@ -368,7 +386,7 @@ def _limiter_states(kind, elem):
         mesh, u, gas = _jump_2d(elem)
     bcs = BCSet({})
     low = LowOrderRHS(mesh, gas, bcs)
-    high = HighOrderRHS(mesh, gas, bcs, interface="low_match", low=low)
+    high = HighOrderRHS(mesh, gas, bcs)
     cap = None
     if kind == "capped":
         cap = np.linspace(0.0, 1.0, mesh.n_elements)
@@ -388,15 +406,15 @@ def test_limiters_match_unscreened_oracles(monkeypatch, mode, elem, kind):
         dt = cfl * float((mesh.mass / (2 * lam)).min())
         uLnew = w + dt * RL / mesh.mass[..., None]
         bounds = generalized_bounds(uLnew, 0.1)
+        dF = _pair_differences(mesh, low, high, w)
         if mode == "convex":
-            dF = _pair_differences(mesh, low, high, w)
             out, rep = cl(uLnew, dF, dt, bounds, cap=cap)
             ref, l_ref = convex_limit_ref(mesh, uLnew, dF, dt, bounds, cap=cap)
         else:
-            RH = high(w, 0.0)
-            out, rep = zhang_shu_limit(uLnew, RL, RH, dt, mesh, bounds, cap=cap)
-            ref, l_ref = zhang_shu_limit_ref(uLnew, RL, RH, dt, mesh, bounds,
-                                             cap=cap)
+            out, rep = zhang_shu_limit(uLnew, dF, dt, mesh, bounds, cap=cap)
+            r = _scatter(mesh, dF)
+            ref, l_ref = zhang_shu_limit_ref(uLnew, np.zeros_like(r), r, dt,
+                                             mesh, bounds, cap=cap)
         assert np.array_equal(out, ref)
         assert np.array_equal(rep.l_elem, l_ref)
         limited |= bool(np.any(rep.l_elem < 1.0))

@@ -13,6 +13,7 @@ from posdg.physics import (
     is_admissible,
     primitive_to_conserved,
 )
+from posdg.rhs_high import HighOrderRHS
 from posdg.rhs_low import LowOrderRHS
 from posdg.timestepping import StageBoundError, Stepper, advance, ssp_rk3_step
 
@@ -265,3 +266,23 @@ def test_none_mode_sizes_dt_without_low_order_fluxes(monkeypatch):
     _, diags = advance(st, u0, 0.0, 0.3, cfl=0.9)
     assert len(diags) > 10
     assert calls == {"pair_fluxes": 0, "__call__": 0}
+
+
+@pytest.mark.parametrize("mode,expected",
+                         [("elementwise", 0), ("convex", 0), ("none", 3)])
+def test_high_order_residual_only_in_unlimited_mode(monkeypatch, mode,
+                                                    expected):
+    # the limited modes blend through the pair differences dF and never
+    # form r^H; the unlimited mode forms it once per stage
+    calls = []
+    method = HighOrderRHS.__call__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(HighOrderRHS, "__call__", counted)
+    mesh, u0 = _wave_setup()
+    st = Stepper(mesh, GAS, BCSet({}), mode=mode)
+    _, diags = advance(st, u0, 0.0, 0.3, cfl=0.9)
+    assert len(calls) == expected * len(diags)
