@@ -13,11 +13,14 @@ maximum relative deviation of the final state,
     max over variables v of  max |u_v - u_v^REF| / max |u_v^REF|.
 
 The configurations are the three benchmark workloads of
-``perfbench/child.py`` (101 steps each) and the 1D LeBlanc shock tube with
-modes ``none``, ``low-only``, ``convex`` and ``elementwise``; the limiters
-bind hardest on that near-vacuum tube. Unlimited high order cannot survive
-LeBlanc, so a run that aborts is compared at its last completed step, and a
-different step count or abort message counts as a mismatch.
+``perfbench/child.py`` (101 steps each), the 1D LeBlanc shock tube with
+modes ``none``, ``low-only``, ``convex`` and ``elementwise`` (the limiters
+bind hardest on that near-vacuum tube), and the 1D viscous shock with modes
+``none`` and ``elementwise``: LDG with Dirichlet boundaries, and in mode
+``none`` the viscous dt bound of ``LowOrderRHS.max_dt``. Unlimited high
+order cannot survive LeBlanc, so a run that aborts is compared at its last
+completed step, and a different step count or abort message counts as a
+mismatch.
 
 It then runs ``posdg run`` (``cli.run``) on the three benchmark workloads in
 each tree, with their own ``snap_every``, so that dmr writes its VTK
@@ -51,6 +54,7 @@ import numpy as np
 REPO = Path(__file__).resolve().parents[1]
 
 LEBLANC = dict(case="leblanc", N=3, K=200, cfl=0.1, t_final=0.01)
+VISCOUS_SHOCK = dict(case="viscous-shock", N=3, K=40, t_final=0.05)
 
 
 def configs() -> dict:
@@ -63,6 +67,8 @@ def configs() -> dict:
              for name, wl in WORKLOADS.items()}
     for mode in ("none", "low-only", "convex", "elementwise"):
         march[f"leblanc-line-{mode}"] = dict(LEBLANC, mode=mode)
+    for mode in ("none", "elementwise"):
+        march[f"viscous-shock-line-{mode}"] = dict(VISCOUS_SHOCK, mode=mode)
     runs = {name: dict(wl.config) for name, wl in WORKLOADS.items()}
     return {"march": march, "run": runs}
 
@@ -171,7 +177,7 @@ def main(argv=None) -> int:
     ok = True
     print(f"max relative deviation of the final state from {ref}, and of "
           f"{ref} from u0 + 1 ulp")
-    print(f"{'config':28s} {'steps':>6s}  {'deviation':>9s}  "
+    print(f"{'config':30s} {'steps':>6s}  {'deviation':>9s}  "
           f"{'1-ulp u0':>9s}")
     for name in new:
         dev = devs[name]
@@ -183,13 +189,13 @@ def main(argv=None) -> int:
             note = f"  (both aborted: {new_meta[name]['abort']})"
         ok &= dev == 0.0 and not note.startswith("  MISMATCH")
         yard = f"{ulp[name]:9.3g}" if name in ulp else f"{'-':>9s}"
-        print(f"{name:28s} {new_meta[name]['steps']:6d}  {dev:9.3g}  "
+        print(f"{name:30s} {new_meta[name]['steps']:6d}  {dev:9.3g}  "
               f"{yard}{note}")
-    print(f"\n{'posdg run':28s} {'files':>6s}  output files against {ref}")
+    print(f"\n{'posdg run':30s} {'files':>6s}  output files against {ref}")
     for name, (n_files, bad) in outputs.items():
         ok &= not bad
         verdict = f"DIFFER: {', '.join(bad)}" if bad else "all identical"
-        print(f"{name:28s} {n_files:6d}  {verdict}")
+        print(f"{name:30s} {n_files:6d}  {verdict}")
     return 0 if ok else 1
 
 

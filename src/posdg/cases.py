@@ -448,15 +448,14 @@ def schlieren(rho, mesh: Mesh):
     """
     g2 = np.zeros_like(rho)
     dinf = 0.0
-    for c, gc in enumerate(mesh.classes):
-        sel = mesh.class_id == c
-        if not np.any(sel):
+    for elems, gc in zip(mesh.class_elems, mesh.classes):
+        if len(elems) == 0:
             continue
         for Qm in gc.Qx:
             D = Qm / gc.mass[:, None]
             dinf = max(dinf, np.max(np.sum(np.abs(D), axis=1)))
-            d = rho[sel] @ D.T
-            g2[sel] += d * d
+            d = rho[elems] @ D.T
+            g2[elems] += d * d
     g = np.sqrt(g2)
     gmin, gmax = g.min(), g.max()
     # spread at the roundoff floor of the derivative evaluation counts as

@@ -51,7 +51,7 @@ from .cases import CASES, error_norms, get_case, schlieren
 from .mesh import Mesh, rect_mesh
 from .physics import conserved_to_primitive, internal_energy
 from .sbp import build_ops
-from .timestepping import MODES, Stepper, advance
+from .timestepping import MODES, TOTALS, Stepper, advance
 
 __all__ = [
     "RunConfig",
@@ -280,23 +280,13 @@ def setup(cfg: RunConfig):
         mesh = case.build_mesh(cfg.K, cfg.N, elem=elem)
     case = case.bind(mesh)
 
-    cfl = cfg.cfl
-    if cfl is None:
-        cfl = case.cfl_tri if (elem == "tri" and case.cfl_tri) else case.cfl
+    cfl = case.cfl_for(elem) if cfg.cfl is None else cfg.cfl
     t_final = case.t_final if cfg.t_final is None else cfg.t_final
 
     stepper = Stepper(mesh, case.gas, case.bcs, mode=cfg.mode,
                       zeta=cfg.zeta, shock_capture=cfg.shock_capture)
     u0 = case.ic(mesh.xy)
     return case, mesh, stepper, u0, cfl, t_final
-
-
-def _diag_columns(dim: int) -> list:
-    cols = ["step", "t", "dt", "min_rho", "min_rhoe", "mass", "mom_x"]
-    if dim == 2:
-        cols.append("mom_y")
-    cols += ["energy", "entropy", "limited_fraction"]
-    return cols
 
 
 def _csv_line(values) -> str:
@@ -330,7 +320,8 @@ def run(cfg: RunConfig) -> int:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    cols = _diag_columns(mesh.dim)
+    cols = ["step", "t", "dt", "min_rho", "min_rhoe", *TOTALS[mesh.dim],
+            "entropy", "limited_fraction"]
     last = {"step": None, "rep": None, "recorded": None}
     with open(outdir / "diagnostics.csv", "w", newline="") as diag, \
             open(outdir / "limiter.csv", "w", newline="") as lim:

@@ -22,14 +22,15 @@ Viscous terms follow the LDG construction: nodal gradients of the entropy
 variables with central interface averages, the symmetric viscous fluxes
 sigma = K(v) grad v evaluated matrix-free, and a central flux for the
 divergence. :class:`LDGGradient` produces (v, theta, sigma); the resulting
-sigma feeds both this residual and the low-order one.
+sigma feeds both this residual and the low-order one. Neither class sees
+the boundary conditions: both read the stage's face states, evaluated once
+per stage by :meth:`posdg.rhs_low.LowOrderRHS.face_states`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bc import BCSet
 from .mesh import Mesh
 from .physics import (
     GasParams,
@@ -40,7 +41,7 @@ from .physics import (
     entropy_vars,
     viscous_sigma,
 )
-from .rhs_low import LowOrderRHS, _norm1
+from .rhs_low import _norm1
 
 __all__ = ["HighOrderRHS", "LDGGradient"]
 
@@ -49,40 +50,27 @@ class LDGGradient:
     """Entropy-variable gradients and viscous fluxes.
 
     Theta_k = M^{-1} [ (Q_k - Q_k^T)/2 v + (1/2) E^T B_k v_ext ], the weak
-    gradient with central interface averages; exterior v from the boundary
-    conditions. Returns (v, thetas, sigmas) at all volume nodes.
+    gradient with central interface averages. The exterior v is
+    entropy_vars(uP) of the stage's exterior face states, so the boundary
+    conditions are evaluated once per stage, in
+    :meth:`posdg.rhs_low.LowOrderRHS.face_states`. Returns (v, thetas,
+    sigmas) at all volume nodes.
     """
 
-    def __init__(self, mesh: Mesh, gas: GasParams, bcs: BCSet):
+    def __init__(self, mesh: Mesh, gas: GasParams):
         self.mesh = mesh
         self.gas = gas
-        self.bcs = bcs
         self._skews = [tuple(0.5 * (Q - Q.T) for Q in gc.Qx)
                        for gc in mesh.classes]
 
-    def __call__(self, u, t):
+    def __call__(self, u, uP):
         mesh = self.mesh
-        K, Np, nvar = u.shape
-        dim = mesh.dim
         v = entropy_vars(u, self.gas)
-
-        fvol = mesh.ops.face_vol
-        nf = mesh.n_face_nodes
-        tags = mesh.ftag.reshape(-1)
-        vf = v[:, fvol, :].reshape(K * nf, nvar)
-        vP = mesh.gather_exterior(vf)
-        bdry = tags > 0
-        if np.any(bdry):
-            uf = u[:, fvol, :].reshape(K * nf, nvar)
-            nrm = mesh.fnormal.reshape(K * nf, dim)
-            xyf = mesh.fxy.reshape(K * nf, dim)
-            uPb = self.bcs.exterior_state(uf[bdry], xyf[bdry], nrm[bdry],
-                                          tags[bdry], t, self.gas)
-            vP[bdry] = entropy_vars(uPb, self.gas)
-        vP = vP.reshape(K, nf, nvar)
+        vP = entropy_vars(uP, self.gas).reshape(u.shape[0],
+                                                mesh.n_face_nodes, -1)
 
         thetas = []
-        for d in range(dim):
+        for d in range(mesh.dim):
             th = np.zeros_like(u)
             for elems, skews in zip(mesh.class_elems, self._skews):
                 th[elems] = skews[d] @ v[elems]
@@ -95,12 +83,10 @@ class LDGGradient:
 
 
 class HighOrderRHS:
-    def __init__(self, mesh: Mesh, gas: GasParams, bcs: BCSet,
+    def __init__(self, mesh: Mesh, gas: GasParams,
                  lf_dissipation: bool = True):
         self.mesh = mesh
         self.gas = gas
-        # supplies the face states; its interface flux is not used here
-        self.low = LowOrderRHS(mesh, gas, bcs)
         self.lf_dissipation = lf_dissipation
 
     def pair_fluxes(self, u, sigmas=None):
@@ -127,11 +113,17 @@ class HighOrderRHS:
             out.append(FH)
         return out
 
-    def surface(self, u, t, sigmas):
-        """Surface residual contribution at all face slots (flat)."""
+    def __call__(self, u, faces, sigmas):
+        """R = M du/dt.
+
+        ``faces`` is (uf, uP, sigf, sigP, nrm), as for
+        :meth:`posdg.rhs_low.LowOrderRHS.__call__`; ``sigmas`` the viscous
+        fluxes at the volume nodes (None for an inviscid gas).
+        """
+        mesh = self.mesh
         gas = self.gas
-        uf, uP, sigf, sigP, nrm = self.low.face_states(u, t, sigmas)
-        wsj = self.mesh.fwsJ.reshape(-1)
+        uf, uP, sigf, sigP, nrm = faces
+        wsj = mesh.fwsJ.reshape(-1)
         fS = ec_fluxes(uf, uP, gas)
         flux_n = np.zeros_like(uf)
         for d, fd in enumerate(fS):
@@ -142,13 +134,8 @@ class HighOrderRHS:
         if self.lf_dissipation:
             lam = davis_wavespeed(uf, uP, nrm, gas)
             Rs += (0.5 * wsj * _norm1(nrm) * lam)[..., None] * (uP - uf)
-        return Rs
-
-    def __call__(self, u, t, sigmas=None):
-        """R = M du/dt."""
-        mesh = self.mesh
         K, _, nvar = u.shape
-        R = mesh.ops.E.T @ self.surface(u, t, sigmas).reshape(K, -1, nvar)
+        R = mesh.ops.E.T @ Rs.reshape(K, -1, nvar)
         for elems, gc, FH in zip(mesh.class_elems, mesh.classes,
                                  self.pair_fluxes(u, sigmas)):
             R[elems] += gc.scatter @ FH

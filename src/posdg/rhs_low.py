@@ -10,7 +10,10 @@ pairwise dissipation
 with beta the viscous wavespeed bound that keeps the associated bar states
 admissible. The pairs are the low-order subset of the geometry class's
 pair graph (see :mod:`posdg.mesh`). Interfaces use the same construction
-with the boundary weights in place of n_ij. The residual returned is
+with the boundary weights in place of n_ij. The face states are gathered,
+and the boundary conditions evaluated, once per stage by
+:meth:`LowOrderRHS.face_states`; the LDG gradient, both interface fluxes
+and the wavespeed bound all read that one set. The residual returned is
 R = M du/dt, and the forward Euler update u + dt R / m is a convex
 combination of the current state and bar states whenever
 dt <= min_i m_i / (2 lambda_i), which is the basis of the positivity
@@ -82,6 +85,8 @@ class LowOrderRHS:
         self.gas = gas
         self.bcs = bcs
         bcs.validate(mesh.ftag)
+        self._tags = mesh.ftag.reshape(-1)
+        self._bdry = self._tags > 0
 
         # per class: the low-order pairs with their n_ij, unit normal, |n_ij|
         # and scatter columns
@@ -95,37 +100,43 @@ class LowOrderRHS:
 
     # -- shared face-data preparation -------------------------------------
 
-    def face_states(self, u, t, sigmas):
-        """Trace, exterior, and boundary data at all face slots (flat)."""
-        mesh = self.mesh
-        fvol = mesh.ops.face_vol
-        K = mesh.n_elements
-        nf = mesh.n_face_nodes
-        uf = u[:, fvol, :].reshape(K * nf, -1)
-        tags = mesh.ftag.reshape(-1)
-        nrm = mesh.fnormal.reshape(K * nf, -1)
-        uP = mesh.gather_exterior(uf)
-        bdry = tags > 0
-        if np.any(bdry):
-            xyf = mesh.fxy.reshape(K * nf, -1)
-            uP[bdry] = self.bcs.exterior_state(
-                uf[bdry], xyf[bdry], nrm[bdry], tags[bdry], t, self.gas)
-        if sigmas is None:
-            sigf = sigP = None
-        else:
-            sigf = tuple(s[:, fvol, :].reshape(K * nf, -1) for s in sigmas)
-            sigP = tuple(mesh.gather_exterior(s) for s in sigf)
-            if np.any(bdry):
-                sb = self.bcs.exterior_sigma(tuple(s[bdry] for s in sigf), tags[bdry])
-                for d in range(len(sigP)):
-                    sigP[d][bdry] = sb[d]
-        return uf, uP, sigf, sigP, nrm
+    def face_states(self, u, t):
+        """Traces, exterior states and normals at all face slots (flat).
 
-    def surface(self, u, t, sigmas):
-        """Low-order interface flux at all face slots: (R_slot, lam_slot)."""
-        uf, uP, sigf, sigP, nrm = self.face_states(u, t, sigmas)
-        return interface_flux_low(uf, uP, sigf, sigP, nrm,
-                                  self.mesh.fwsJ.reshape(-1), self.gas)
+        Returns (uf, uP, nrm). This is the only place the boundary
+        conditions are evaluated: one call per stage serves the LDG
+        gradient, both interface fluxes and the wavespeed bound.
+        """
+        mesh = self.mesh
+        n = mesh.n_elements * mesh.n_face_nodes
+        uf = u[:, mesh.ops.face_vol, :].reshape(n, -1)
+        nrm = mesh.fnormal.reshape(n, -1)
+        uP = mesh.gather_exterior(uf)
+        bdry = self._bdry
+        if np.any(bdry):
+            uP[bdry] = self.bcs.exterior_state(
+                uf[bdry], mesh.fxy.reshape(n, -1)[bdry], nrm[bdry],
+                self._tags[bdry], t, self.gas)
+        return uf, uP, nrm
+
+    def face_sigmas(self, sigmas):
+        """Traces and exterior values of the viscous fluxes: (sigf, sigP).
+
+        Both are None for an inviscid gas (``sigmas`` None).
+        """
+        if sigmas is None:
+            return None, None
+        mesh = self.mesh
+        n = mesh.n_elements * mesh.n_face_nodes
+        sigf = tuple(s[:, mesh.ops.face_vol, :].reshape(n, -1) for s in sigmas)
+        sigP = tuple(mesh.gather_exterior(s) for s in sigf)
+        bdry = self._bdry
+        if np.any(bdry):
+            sb = self.bcs.exterior_sigma(tuple(s[bdry] for s in sigf),
+                                         self._tags[bdry])
+            for d in range(len(sigP)):
+                sigP[d][bdry] = sb[d]
+        return sigf, sigP
 
     # -- pairwise contributions ---------------------------------------------
 
@@ -177,32 +188,27 @@ class LowOrderRHS:
 
     # -- residual ----------------------------------------------------------
 
-    def __call__(self, u, t, sigmas=None, need_wavespeed=False, pairs=None):
-        """R = M du/dt, plus the nodal wavespeed sums if need_wavespeed.
+    def __call__(self, u, faces, pairs):
+        """R = M du/dt and the nodal wavespeed sums lambda_i.
 
-        ``pairs`` takes the result of :meth:`pair_fluxes` for this state
-        when the caller has it already.
+        ``faces`` is (uf, uP, sigf, sigP, nrm), from :meth:`face_states` and
+        :meth:`face_sigmas`; ``pairs`` is :meth:`pair_fluxes` of ``u``.
         """
         mesh = self.mesh
         K, _, nvar = u.shape
-        if pairs is None:
-            pairs = self.pair_fluxes(u, sigmas)
-        Rs, lam_s = self.surface(u, t, sigmas)
+        Rs, lam_s = interface_flux_low(*faces, mesh.fwsJ.reshape(-1), self.gas)
         R = mesh.ops.E.T @ Rs.reshape(K, -1, nvar)
         for elems, (P, _), (*_, S) in zip(mesh.class_elems, pairs, self._low):
             R[elems] += S @ P
-        if not need_wavespeed:
-            return R
         return R, self._nodal_lam(lam_s, [lam_p for _, lam_p in pairs])
 
-    def max_dt(self, u, t, sigmas=None):
+    def max_dt(self, u, faces, sigmas):
         """Largest forward-Euler step with the convex bar-state guarantee.
 
-        Evaluates only the face and pair wavespeeds, no fluxes.
+        Evaluates only the face and pair wavespeeds, no fluxes; ``faces`` as
+        for :meth:`__call__`.
         """
-        uf, uP, sigf, sigP, nrm = self.face_states(u, t, sigmas)
-        lam_s = _face_lam(uf, uP, sigf, sigP, nrm,
-                          self.mesh.fwsJ.reshape(-1), self.gas)
+        lam_s = _face_lam(*faces, self.mesh.fwsJ.reshape(-1), self.gas)
         lam_pairs = [self._pair_lam(u, sigmas, elems, low)[0]
                      for elems, low in zip(self.mesh.class_elems, self._low)]
         lam = self._nodal_lam(lam_s, lam_pairs)

@@ -298,13 +298,12 @@ class RefOps:
         return len(self.face_index)
 
 
-def _face_arrays_from_E(E, Bdiag_list, face_index, nodes):
+def _face_arrays_from_E(E, Bdiag_list):
     face_vol = np.argmax(E, axis=1)
     B = np.stack(Bdiag_list)                       # (dim, Nfp)
     nrm = np.linalg.norm(B, axis=0)
-    face_weights = nrm.copy()
     face_normals = (B / np.where(nrm > 0, nrm, 1.0)).T
-    return face_vol, face_weights, face_normals
+    return face_vol, nrm, face_normals
 
 
 def _modal_projection(V, w):
@@ -325,7 +324,7 @@ def build_line_ops(N: int) -> RefOps:
     E[1, -1] = 1.0
     Bd = np.array([-1.0, 1.0])
     face_index = np.array([[0], [1]])
-    face_vol, fw, fn = _face_arrays_from_E(E, [Bd], face_index, x)
+    face_vol, fw, fn = _face_arrays_from_E(E, [Bd])
     V, _ = line_vandermonde(N, x)
     return RefOps(
         elem="line", degree=N, dim=1,
@@ -375,7 +374,7 @@ def build_quad_ops(N: int) -> RefOps:
             E[row, iv] = 1.0
             Br[row] = w[m] * nhat[0]
             Bs[row] = w[m] * nhat[1]
-    face_vol, fw, fn = _face_arrays_from_E(E, [Br, Bs], face_index, None)
+    face_vol, fw, fn = _face_arrays_from_E(E, [Br, Bs])
 
     V1, _ = line_vandermonde(N, x)
     ii = np.tile(np.arange(n), n)
@@ -471,7 +470,7 @@ def build_tri_ops(N: int) -> RefOps:
         S = np.where(adj, psi[None, :] - psi[:, None], 0.0)
         QLs_out.append(S + 0.5 * EBE)
 
-    face_vol, fw, fn = _face_arrays_from_E(E, [Br, Bs], face_index, nodes)
+    face_vol, fw, fn = _face_arrays_from_E(E, [Br, Bs])
     deg = np.concatenate([[i + j for j in range(N + 1 - i)] for i in range(N + 1)])
     return RefOps(
         elem="tri", degree=N, dim=2,

@@ -37,6 +37,11 @@ MODES = ("none", "elementwise", "convex", "low-only")
 # restarts of one step from a stage's positivity bound before advance gives up
 MAX_RETRIES = 8
 
+# names of the conserved-variable integrals per dimension, as written to
+# diagnostics.csv
+TOTALS = {1: ("mass", "mom_x", "energy"),
+          2: ("mass", "mom_x", "mom_y", "energy")}
+
 
 class Stepper:
     """Limited forward-Euler stage operator plus the positivity CFL bound.
@@ -63,28 +68,35 @@ class Stepper:
         self.zeta = zeta
         self.shock_capture = shock_capture
         self.low = LowOrderRHS(mesh, gas, bcs)
-        self.grad = LDGGradient(mesh, gas, bcs) if gas.viscous else None
-        self.high = (HighOrderRHS(mesh, gas, bcs) if mode != "low-only"
-                     else None)
+        self.grad = LDGGradient(mesh, gas) if gas.viscous else None
+        self.high = HighOrderRHS(mesh, gas) if mode != "low-only" else None
         self.convex = ConvexLimiter(mesh) if mode == "convex" else None
 
     def prepare(self, u, t):
         """Residuals and wavespeeds of a stage state; dt-independent.
 
-        Mode "none" forms only the high-order residual RH. The other modes
-        form the low-order residual RL and its nodal wavespeeds lam, and the
-        limited modes add the per-class pair differences dF = F^H - F^L,
-        with each class's low-order pair fluxes evaluated once for both.
-        ``sig`` keeps the LDG viscous fluxes (None for inviscid gases).
+        The face states ``faces`` = (uf, uP, sigf, sigP, nrm) are gathered
+        and the boundary conditions evaluated once per stage: the LDG
+        gradient and the interface flux of whichever residual is formed
+        read them. Mode "none" forms only the high-order residual RH and
+        keeps ``faces`` in ``prep``, because advance sizes its dt from them
+        with the low-order wavespeeds. The other modes form the low-order
+        residual RL and its nodal wavespeeds lam, and the limited modes add
+        the per-class pair differences dF = F^H - F^L, with each class's
+        low-order pair fluxes evaluated once for both. ``sig`` keeps the
+        LDG viscous fluxes (None for inviscid gases).
         """
-        sig = self.grad(u, t)[2] if self.grad is not None else None
-        prep = {"RL": None, "lam": None, "RH": None, "dF": None, "sig": sig}
+        uf, uP, nrm = self.low.face_states(u, t)
+        sig = self.grad(u, uP)[2] if self.grad is not None else None
+        faces = (uf, uP, *self.low.face_sigmas(sig), nrm)
+        prep = {"RL": None, "lam": None, "RH": None, "dF": None, "sig": sig,
+                "faces": None}
         if self.mode == "none":
-            prep["RH"] = self.high(u, t, sig)
+            prep["RH"] = self.high(u, faces, sig)
+            prep["faces"] = faces
             return prep
         low_pairs = self.low.pair_fluxes(u, sig)
-        prep["RL"], prep["lam"] = self.low(u, t, sig, need_wavespeed=True,
-                                           pairs=low_pairs)
+        prep["RL"], prep["lam"] = self.low(u, faces, low_pairs)
         if self.high is not None:
             prep["dF"] = antidiffusive_fluxes(
                 self.mesh, self.high.pair_fluxes(u, sig), low_pairs)
@@ -136,9 +148,7 @@ class StepDiagnostics:
                "min_rho": self.min_rho, "min_rhoe": self.min_rhoe,
                "entropy": self.entropy,
                "limited_fraction": self.limited_fraction}
-        names = (["mass", "mom_x", "mom_y", "energy"]
-                 if len(self.totals) == 4 else ["mass", "mom_x", "energy"])
-        out.update(zip(names, self.totals))
+        out.update(zip(TOTALS[len(self.totals) - 2], self.totals))
         return out
 
 
@@ -241,7 +251,7 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
         prep1 = stepper.prepare(u, t)
         bound = stepper.dt_bound(prep1)
         if bound is None:
-            bound = stepper.low.max_dt(u, t, prep1["sig"])
+            bound = stepper.low.max_dt(u, prep1["faces"], prep1["sig"])
         dt = min(cfl * bound, t_final - t)
         for attempt in range(MAX_RETRIES + 1):
             try:

@@ -69,18 +69,18 @@ def bisect_l(uL, P, rho_min, rhoe_min, iters=60):
     return min(l_rho, l_e, 1.0)
 
 
-def bar_state_residual(low, u, t, sigmas=None):
+def bar_state_residual(scheme, u, t, sigmas=None):
     """Low-order residual assembled from bar states: R_i = sum 2 lambda (ubar - u_i).
 
-    ``low`` is a ``LowOrderRHS``; only its mesh, gas and face states are
-    used. Returns (R, lam_nodes, min_bar_density, min_bar_internal_energy).
+    ``scheme`` is a ``schemes.Scheme``; only its mesh, gas and face states
+    are used. Returns (R, lam_nodes, min_bar_density, min_bar_internal_energy).
     Algebraically identical to the low-order residual but computed through
     the convex decomposition, with the node pairs taken from the skew parts
     of ``QL_k`` directly, so agreement between the two is a strong check of
     both the decomposition and the scheme.
     """
-    mesh = low.mesh
-    gas = low.gas
+    mesh = scheme.mesh
+    gas = scheme.low.gas
     K, Np, nvar = u.shape
     dim = mesh.dim
     R = np.zeros_like(u)
@@ -135,7 +135,7 @@ def bar_state_residual(low, u, t, sigmas=None):
         R[elems] += np.einsum("ip,kpv->kiv", Sneg, contrib_j)
         lam_nodes[elems] += np.einsum("ip,kp->ki", Spos + Sneg, lam)
 
-    uf, uP, sigf, sigP, nrm = low.face_states(u, t, sigmas)
+    uf, uP, sigf, sigP, nrm = scheme.faces(u, t, sigmas)
     wsj = mesh.fwsJ.reshape(-1)
     fM = euler_flux(uf, gas)
     fP = euler_flux(uP, gas)

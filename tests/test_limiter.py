@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from oracles import bisect_l, convex_limit_ref, zhang_shu_limit_ref
+from schemes import Scheme
 
 from posdg import limiter
 from posdg.bc import BCSet
@@ -19,8 +20,7 @@ from posdg.limiter import (
 )
 from posdg.mesh import interval_mesh, rect_mesh
 from posdg.physics import GasParams, internal_energy, primitive_to_conserved
-from posdg.rhs_high import HighOrderRHS, LDGGradient
-from posdg.rhs_low import LowOrderRHS
+from posdg.rhs_low import interface_flux_low
 from posdg.sbp import build_ops
 
 GAS = GasParams(gamma=1.4)
@@ -184,9 +184,9 @@ def _leblanc_like_setup(K=16, N=2):
     return mesh, u
 
 
-def _pair_differences(mesh, low, high, u, sig=None):
-    return antidiffusive_fluxes(mesh, high.pair_fluxes(u, sig),
-                                low.pair_fluxes(u, sig))
+def _pair_differences(sch, u, sig=None):
+    return antidiffusive_fluxes(sch.mesh, sch.high.pair_fluxes(u, sig),
+                                sch.low.pair_fluxes(u, sig))
 
 
 def _scatter(mesh, dF):
@@ -199,9 +199,9 @@ def _scatter(mesh, dF):
 
 def test_zhang_shu_identical_residuals():
     mesh, u = _leblanc_like_setup()
-    low = LowOrderRHS(mesh, GAS, BCSet({}))
-    R = low(u, 0.0)
-    dt = 0.5 * low.max_dt(u, 0.0)
+    sch = Scheme(mesh, GAS, BCSet({}))
+    R = sch.low_residual(u, 0.0)[0]
+    dt = 0.5 * sch.max_dt(u, 0.0)
     uLnew = u + dt * R / mesh.mass[..., None]
     dF = [np.zeros((len(elems), len(gc.pair_i), u.shape[-1]))
           for elems, gc in zip(mesh.class_elems, mesh.classes)]
@@ -213,11 +213,9 @@ def test_zhang_shu_identical_residuals():
 
 def test_zhang_shu_endpoints():
     mesh, u = _leblanc_like_setup()
-    bcs = BCSet({})
-    low = LowOrderRHS(mesh, GAS, bcs)
-    high = HighOrderRHS(mesh, GAS, bcs)
-    RL, lam = low(u, 0.0, need_wavespeed=True)
-    dF = _pair_differences(mesh, low, high, u)
+    sch = Scheme(mesh, GAS, BCSet({}))
+    RL, lam = sch.low_residual(u, 0.0)
+    dF = _pair_differences(sch, u)
     dt = 0.5 * float((mesh.mass / (2 * lam)).min())
     uLnew = u + dt * RL / mesh.mass[..., None]
 
@@ -237,14 +235,12 @@ def test_zhang_shu_endpoints():
 
 def test_zhang_shu_bounds_hold_under_stress():
     mesh, u = _leblanc_like_setup(K=32, N=2)
-    bcs = BCSet({})
-    low = LowOrderRHS(mesh, GAS, bcs)
-    high = HighOrderRHS(mesh, GAS, bcs)
+    sch = Scheme(mesh, GAS, BCSet({}))
     for zeta in (0.1, 0.5, 1.0):
         w = u.copy()
         for _ in range(5):
-            RL, lam = low(w, 0.0, need_wavespeed=True)
-            dF = _pair_differences(mesh, low, high, w)
+            RL, lam = sch.low_residual(w, 0.0)
+            dF = _pair_differences(sch, w)
             dt = float((mesh.mass / (2 * lam)).min())
             uLnew = w + dt * RL / mesh.mass[..., None]
             bounds = generalized_bounds(uLnew, zeta)
@@ -257,11 +253,9 @@ def test_zhang_shu_bounds_hold_under_stress():
 
 def test_zhang_shu_conserves():
     mesh, u = _leblanc_like_setup(K=32, N=3)
-    bcs = BCSet({})
-    low = LowOrderRHS(mesh, GAS, bcs)
-    high = HighOrderRHS(mesh, GAS, bcs)
-    RL, lam = low(u, 0.0, need_wavespeed=True)
-    dF = _pair_differences(mesh, low, high, u)
+    sch = Scheme(mesh, GAS, BCSet({}))
+    RL, lam = sch.low_residual(u, 0.0)
+    dF = _pair_differences(sch, u)
     dt = float((mesh.mass / (2 * lam)).min())
     uLnew = u + dt * RL / mesh.mass[..., None]
     out, _ = zhang_shu_limit(uLnew, dF, dt, mesh,
@@ -291,12 +285,15 @@ def _smooth_2d(elem="quad", N=2, K=4, viscous=False):
     return mesh, primitive_to_conserved(prim, gas), gas
 
 
-def _matched_residual(mesh, low, high, u, sig=None):
+def _matched_residual(sch, u, sig=None):
     """r^H with the low-order interface flux, assembled from its parts."""
+    mesh = sch.mesh
     K, _, nvar = u.shape
-    R = mesh.ops.E.T @ low.surface(u, 0.0, sig)[0].reshape(K, -1, nvar)
+    Rs, _ = interface_flux_low(*sch.faces(u, 0.0, sig), mesh.fwsJ.reshape(-1),
+                               sch.low.gas)
+    R = mesh.ops.E.T @ Rs.reshape(K, -1, nvar)
     for elems, gc, FH in zip(mesh.class_elems, mesh.classes,
-                             high.pair_fluxes(u, sig)):
+                             sch.high.pair_fluxes(u, sig)):
         R[elems] += gc.scatter @ FH
     return R
 
@@ -305,18 +302,16 @@ def _matched_residual(mesh, low, high, u, sig=None):
 @pytest.mark.parametrize("viscous", [False, True])
 def test_convex_limit_reduces_to_high_order_when_feasible(elem, viscous):
     mesh, u, gas = _smooth_2d(elem, N=2, K=4, viscous=viscous)
-    bcs = BCSet({})
-    low = LowOrderRHS(mesh, gas, bcs)
-    high = HighOrderRHS(mesh, gas, bcs)
-    sig = LDGGradient(mesh, gas, bcs)(u, 0.0)[2] if viscous else None
-    RL, lam = low(u, 0.0, sig, need_wavespeed=True)
-    RH = _matched_residual(mesh, low, high, u, sig)
+    sch = Scheme(mesh, gas, BCSet({}))
+    sig = sch.gradient(u, 0.0)[2] if viscous else None
+    RL, lam = sch.low_residual(u, 0.0, sig)
+    RH = _matched_residual(sch, u, sig)
     dt = 0.01 * float((mesh.mass / (2 * lam)).min())
     uLnew = u + dt * RL / mesh.mass[..., None]
     uH = uLnew + dt * (RH - RL) / mesh.mass[..., None]
 
     cl = ConvexLimiter(mesh)
-    out, rep = cl(uLnew, _pair_differences(mesh, low, high, u, sig), dt,
+    out, rep = cl(uLnew, _pair_differences(sch, u, sig), dt,
                   minimal_bounds(uLnew))
     assert np.all(rep.l_elem == 1.0)
     err = np.abs(out - uH).max()
@@ -336,17 +331,15 @@ def _jump_2d(elem):
 @pytest.mark.parametrize("elem", ["quad", "tri"])
 def test_convex_limit_conserves_and_bounds(elem):
     mesh, u, _ = _jump_2d(elem)
-    bcs = BCSet({})
-    low = LowOrderRHS(mesh, GAS, bcs)
-    high = HighOrderRHS(mesh, GAS, bcs)
+    sch = Scheme(mesh, GAS, BCSet({}))
     cl = ConvexLimiter(mesh)
     w = u.copy()
     for _ in range(4):
-        RL, lam = low(w, 0.0, need_wavespeed=True)
+        RL, lam = sch.low_residual(w, 0.0)
         dt = float((mesh.mass / (2 * lam)).min())
         uLnew = w + dt * RL / mesh.mass[..., None]
         bounds = generalized_bounds(uLnew, 0.1)
-        w, rep = cl(uLnew, _pair_differences(mesh, low, high, w), dt, bounds)
+        w, rep = cl(uLnew, _pair_differences(sch, w), dt, bounds)
         guard = 1e-14 * (np.abs(w).max() + 1.0)
         assert np.all(w[..., 0] >= bounds.rho_min - guard)
         assert np.all(internal_energy(w) >= bounds.rhoe_min - guard)
@@ -358,20 +351,18 @@ def test_convex_limit_conserves_and_bounds(elem):
 
 def test_convex_limit_zero_when_capped():
     mesh, u, gas = _smooth_2d("quad", N=2, K=3)
-    bcs = BCSet({})
-    low = LowOrderRHS(mesh, gas, bcs)
-    high = HighOrderRHS(mesh, gas, bcs)
-    RL, lam = low(u, 0.0, need_wavespeed=True)
+    sch = Scheme(mesh, gas, BCSet({}))
+    RL, lam = sch.low_residual(u, 0.0)
     dt = float((mesh.mass / (2 * lam)).min())
     uLnew = u + dt * RL / mesh.mass[..., None]
     cl = ConvexLimiter(mesh)
-    out, _ = cl(uLnew, _pair_differences(mesh, low, high, u), dt,
+    out, _ = cl(uLnew, _pair_differences(sch, u), dt,
                 minimal_bounds(uLnew), cap=np.zeros(mesh.n_elements))
     assert np.array_equal(out, uLnew)
 
 
 def _limiter_states(kind, elem):
-    """(mesh, low, high, u, cap, cfl) for the limiter parity tests.
+    """(mesh, sch, u, cap, cfl) for the limiter parity tests.
 
     "jump" marches the strong jump of test_convex_limit_conserves_and_bounds
     at the full positivity step (l < 1 on part of the pairs); "smooth" is a
@@ -384,29 +375,27 @@ def _limiter_states(kind, elem):
         cfl = 0.01
     else:
         mesh, u, gas = _jump_2d(elem)
-    bcs = BCSet({})
-    low = LowOrderRHS(mesh, gas, bcs)
-    high = HighOrderRHS(mesh, gas, bcs)
+    sch = Scheme(mesh, gas, BCSet({}))
     cap = None
     if kind == "capped":
         cap = np.linspace(0.0, 1.0, mesh.n_elements)
-    return mesh, low, high, u, cap, cfl
+    return mesh, sch, u, cap, cfl
 
 
 @pytest.mark.parametrize("elem", ["quad", "tri"])
 @pytest.mark.parametrize("kind", ["jump", "smooth", "capped"])
 @pytest.mark.parametrize("mode", ["convex", "elementwise"])
 def test_limiters_match_unscreened_oracles(monkeypatch, mode, elem, kind):
-    mesh, low, high, w, cap, cfl = _limiter_states(kind, elem)
+    mesh, sch, w, cap, cfl = _limiter_states(kind, elem)
     calls = _count_solves(monkeypatch)
     cl = ConvexLimiter(mesh)
     limited = False
     for _ in range(4):
-        RL, lam = low(w, 0.0, need_wavespeed=True)
+        RL, lam = sch.low_residual(w, 0.0)
         dt = cfl * float((mesh.mass / (2 * lam)).min())
         uLnew = w + dt * RL / mesh.mass[..., None]
         bounds = generalized_bounds(uLnew, 0.1)
-        dF = _pair_differences(mesh, low, high, w)
+        dF = _pair_differences(sch, w)
         if mode == "convex":
             out, rep = cl(uLnew, dF, dt, bounds, cap=cap)
             ref, l_ref = convex_limit_ref(mesh, uLnew, dF, dt, bounds, cap=cap)

@@ -4,6 +4,7 @@ consistency orders, viscous gradients, bar-state decomposition."""
 import numpy as np
 import pytest
 from oracles import bar_state_residual
+from schemes import Scheme
 
 from posdg.bc import BCSet, dirichlet, outflow, wall
 from posdg.limiter import antidiffusive_fluxes
@@ -16,8 +17,6 @@ from posdg.physics import (
     is_admissible,
     primitive_to_conserved,
 )
-from posdg.rhs_high import HighOrderRHS, LDGGradient
-from posdg.rhs_low import LowOrderRHS
 
 GAS = GasParams(gamma=1.4)
 GAS_V = GasParams(gamma=1.4, mu=0.01, Re=1.0, Pr=0.75)
@@ -58,12 +57,12 @@ def test_free_stream(elem, N, viscous):
     prim = np.array([1.3] + [0.4, -0.2][: mesh.dim] + [2.0])
     u = np.broadcast_to(primitive_to_conserved(prim, gas),
                         mesh.xy.shape[:-1] + (mesh.dim + 2,)).copy()
+    sch = Scheme(mesh, gas, bcs)
     sig = None
     if viscous:
-        _, _, sig = LDGGradient(mesh, gas, bcs)(u, 0.0)
+        _, _, sig = sch.gradient(u, 0.0)
         assert max(np.abs(s).max() for s in sig) < 1e-12
-    for rhs in (HighOrderRHS(mesh, gas, bcs), LowOrderRHS(mesh, gas, bcs)):
-        R = rhs(u, 0.0, sig)
+    for R in (sch.high_residual(u, 0.0, sig), sch.low_residual(u, 0.0, sig)[0]):
         assert np.abs(R).max() < 1e-11
 
 
@@ -80,8 +79,9 @@ def test_free_stream_with_walls(elem, N):
     bcs = BCSet({1: wall()})
     u = np.broadcast_to(primitive_to_conserved(prim, GAS),
                         mesh.xy.shape[:-1] + (mesh.dim + 2,)).copy()
-    for rhs in (HighOrderRHS(mesh, GAS, bcs), LowOrderRHS(mesh, GAS, bcs)):
-        assert np.abs(rhs(u, 0.0)).max() < 1e-11
+    sch = Scheme(mesh, GAS, bcs)
+    for R in (sch.high_residual(u, 0.0), sch.low_residual(u, 0.0)[0]):
+        assert np.abs(R).max() < 1e-11
 
 
 @pytest.mark.parametrize("elem,N", ELEMS)
@@ -91,10 +91,10 @@ def test_conservation_periodic(elem, N, viscous):
     mesh = periodic_mesh(elem, N, K=3)
     bcs = BCSet({})
     u = smooth_state(mesh, gas)
-    sig = LDGGradient(mesh, gas, bcs)(u, 0.0)[2] if viscous else None
+    sch = Scheme(mesh, gas, bcs)
+    sig = sch.gradient(u, 0.0)[2] if viscous else None
     scale = np.abs(u).max() * mesh.total_mass
-    for rhs in (HighOrderRHS(mesh, gas, bcs), LowOrderRHS(mesh, gas, bcs)):
-        R = rhs(u, 0.0, sig)
+    for R in (sch.high_residual(u, 0.0, sig), sch.low_residual(u, 0.0, sig)[0]):
         drift = np.abs(R.reshape(-1, mesh.dim + 2).sum(axis=0)).max()
         assert drift < 1e-12 * scale
 
@@ -110,8 +110,8 @@ def test_entropy_conservation_ec_flux(elem, N):
     bcs = BCSet({})
     u = smooth_state(mesh)
     v = entropy_vars(u, GAS)
-    rhs = HighOrderRHS(mesh, GAS, bcs, lf_dissipation=False)
-    rate = float(np.sum(v * rhs(u, 0.0)))
+    sch = Scheme(mesh, GAS, bcs, lf_dissipation=False)
+    rate = float(np.sum(v * sch.high_residual(u, 0.0)))
     scale = float(np.sum(np.abs(v * u) * mesh.mass[..., None]))
     assert abs(rate) < 1e-11 * scale
 
@@ -124,10 +124,11 @@ def test_entropy_dissipation(elem, N, viscous):
     bcs = BCSet({})
     u = smooth_state(mesh, gas)
     v = entropy_vars(u, gas)
-    sig = LDGGradient(mesh, gas, bcs)(u, 0.0)[2] if viscous else None
+    sch = Scheme(mesh, gas, bcs)
+    sig = sch.gradient(u, 0.0)[2] if viscous else None
     scale = float(np.sum(np.abs(v * u) * mesh.mass[..., None]))
-    for rhs in (HighOrderRHS(mesh, gas, bcs), LowOrderRHS(mesh, gas, bcs)):
-        rate = float(np.sum(v * rhs(u, 0.0, sig)))
+    for R in (sch.high_residual(u, 0.0, sig), sch.low_residual(u, 0.0, sig)[0]):
+        rate = float(np.sum(v * R))
         assert rate < 1e-11 * scale
 
 
@@ -135,7 +136,7 @@ def test_ldg_dissipation_quadratic_form():
     mesh = periodic_mesh("quad", 3, K=3)
     bcs = BCSet({})
     u = smooth_state(mesh, GAS_V)
-    _, thetas, sigmas = LDGGradient(mesh, GAS_V, bcs)(u, 0.0)
+    _, thetas, sigmas = Scheme(mesh, GAS_V, bcs).gradient(u, 0.0)
     diss = sum(float(np.sum(mesh.mass[..., None] * thetas[k] * sigmas[k]))
                for k in range(mesh.dim))
     assert diss > 0
@@ -145,7 +146,7 @@ def test_ldg_dissipation_quadratic_form():
 # consistency orders
 # ---------------------------------------------------------------------------
 
-def _divergence_error(mesh, rhs_cls, gas=GAS, element_mean=False, **kw):
+def _divergence_error(mesh, order, gas=GAS, element_mean=False):
     # advecting density wave: rho smooth, velocity and pressure constant
     x = mesh.xy[..., 0]
     rho = 2.0 + 0.5 * np.sin(x)
@@ -162,8 +163,9 @@ def _divergence_error(mesh, rhs_cls, gas=GAS, element_mean=False, **kw):
     exact[..., 0] = -uvel * drho
     exact[..., 1] = -uvel ** 2 * drho
     exact[..., -1] = -0.5 * uvel ** 3 * drho
-    rhs = rhs_cls(mesh, gas, BCSet({}), **kw)
-    R = rhs(u, 0.0)
+    sch = Scheme(mesh, gas, BCSet({}))
+    R = (sch.high_residual(u, 0.0) if order == "high"
+         else sch.low_residual(u, 0.0)[0])
     if element_mean:
         diff = (R - exact * mesh.mass[..., None]).sum(axis=1)
         vol = mesh.mass.sum(axis=1)
@@ -177,7 +179,7 @@ def test_high_order_consistency_rate(elem, N):
     errs = []
     for K in (3, 6):
         mesh = periodic_mesh(elem, N, K=K)
-        errs.append(_divergence_error(mesh, HighOrderRHS))
+        errs.append(_divergence_error(mesh, "high"))
     rate = np.log2(errs[0] / errs[1])
     assert rate > N - 0.4, f"observed rate {rate}"
 
@@ -190,7 +192,7 @@ def test_low_order_consistency_rate(elem):
     errs = []
     for K in (4, 8):
         mesh = periodic_mesh(elem, 2, K=K)
-        errs.append(_divergence_error(mesh, LowOrderRHS, element_mean=True))
+        errs.append(_divergence_error(mesh, "low", element_mean=True))
     rate = np.log2(errs[0] / errs[1])
     assert rate > 1.5, f"observed rate {rate}"
 
@@ -218,8 +220,7 @@ def test_gradient_exact_for_polynomial_entropy_vars(elem, N):
         yb = xb[:, 1] if mesh.dim == 2 else np.zeros(len(xb))
         return entropy_to_conserved(vfield(xb[:, 0], yb), GAS)
 
-    ldg = LDGGradient(mesh, GAS, BCSet({1: dirichlet(g)}))
-    _, thetas, _ = ldg(u, 0.0)
+    _, thetas, _ = Scheme(mesh, GAS, BCSet({1: dirichlet(g)})).gradient(u, 0.0)
     assert np.abs(thetas[0] - ax).max() < 1e-10
     if mesh.dim == 2:
         assert np.abs(thetas[1] - ay).max() < 1e-10
@@ -245,10 +246,10 @@ def test_matched_interface_equals_low_order_on_piecewise_constants(elem, N):
     prim[:, -1] = rng.uniform(0.5, 2.0, K)
     u = np.repeat(primitive_to_conserved(prim, GAS)[:, None, :],
                   mesh.ops.n_nodes, axis=1)
-    low = LowOrderRHS(mesh, GAS, bcs)
-    high = HighOrderRHS(mesh, GAS, bcs)
-    RL = low(u, 0.0)
-    dF = antidiffusive_fluxes(mesh, high.pair_fluxes(u), low.pair_fluxes(u))
+    sch = Scheme(mesh, GAS, bcs)
+    RL = sch.low_residual(u, 0.0)[0]
+    dF = antidiffusive_fluxes(mesh, sch.high.pair_fluxes(u),
+                              sch.low.pair_fluxes(u))
     for gc, dFc in zip(mesh.classes, dF):
         r = gc.scatter @ dFc
         assert np.abs(r).max() < 1e-12 * max(1.0, np.abs(RL).max())
@@ -261,16 +262,16 @@ def test_bar_state_decomposition(elem, N, viscous):
     mesh = periodic_mesh(elem, N, K=3)
     bcs = BCSet({})
     u = smooth_state(mesh, gas)
-    sig = LDGGradient(mesh, gas, bcs)(u, 0.0)[2] if viscous else None
-    low = LowOrderRHS(mesh, gas, bcs)
-    R, lam = low(u, 0.0, sig, need_wavespeed=True)
-    Rb, lam_b, rho_min, e_min = bar_state_residual(low, u, 0.0, sig)
+    sch = Scheme(mesh, gas, bcs)
+    sig = sch.gradient(u, 0.0)[2] if viscous else None
+    R, lam = sch.low_residual(u, 0.0, sig)
+    Rb, lam_b, rho_min, e_min = bar_state_residual(sch, u, 0.0, sig)
     scale = max(np.abs(R).max(), 1.0)
     assert np.abs(R - Rb).max() < 1e-11 * scale
     assert np.abs(lam - lam_b).max() < 1e-11 * lam.max()
     assert rho_min > 0 and e_min > 0
     # forward Euler at the positivity step size is a convex combination
-    dt = low.max_dt(u, 0.0, sig)
+    dt = sch.max_dt(u, 0.0, sig)
     coef = 2.0 * dt * lam / mesh.mass
     assert coef.max() <= 1.0 + 1e-12
     unew = u + dt * R / mesh.mass[..., None]
@@ -287,9 +288,9 @@ def test_bar_state_decomposition_with_boundaries():
     def g(xb, t):
         return np.where(xb[:, :1] < 0.5, uL, uR)
 
-    low = LowOrderRHS(mesh, GAS, BCSet({1: dirichlet(g)}))
-    R, lam = low(u, 0.0, need_wavespeed=True)
-    Rb, lam_b, rho_min, e_min = bar_state_residual(low, u, 0.0)
+    sch = Scheme(mesh, GAS, BCSet({1: dirichlet(g)}))
+    R, lam = sch.low_residual(u, 0.0)
+    Rb, lam_b, rho_min, e_min = bar_state_residual(sch, u, 0.0)
     assert np.abs(R - Rb).max() < 1e-11 * np.abs(R).max()
     assert rho_min > 0 and e_min > 0
 
@@ -297,7 +298,7 @@ def test_bar_state_decomposition_with_boundaries():
 def test_low_order_positivity_fuzz():
     rng = np.random.default_rng(7)
     mesh = periodic_mesh("quad", 2, K=3)
-    low = LowOrderRHS(mesh, GAS, BCSet({}))
+    sch = Scheme(mesh, GAS, BCSet({}))
     shape = mesh.xy.shape[:-1]
     for _ in range(20):
         prim = np.empty(shape + (4,))
@@ -305,7 +306,7 @@ def test_low_order_positivity_fuzz():
         prim[..., 1:3] = rng.uniform(-5, 5, shape + (2,))
         prim[..., 3] = rng.uniform(1e-3, 10, shape)
         u = primitive_to_conserved(prim, GAS)
-        R, lam = low(u, 0.0, need_wavespeed=True)
+        R, lam = sch.low_residual(u, 0.0)
         dt = float((mesh.mass / (2 * lam)).min())
         unew = u + dt * R / mesh.mass[..., None]
         assert np.all(is_admissible(unew)), "low-order update left the admissible set"
@@ -316,5 +317,6 @@ def test_outflow_copy_is_transparent_for_uniform_flow():
     bcs = BCSet({1: outflow()})
     u = np.broadcast_to(primitive_to_conserved(np.array([1.0, 2.0, 1.0]), GAS),
                         mesh.xy.shape[:-1] + (3,)).copy()
-    for rhs in (HighOrderRHS(mesh, GAS, bcs), LowOrderRHS(mesh, GAS, bcs)):
-        assert np.abs(rhs(u, 0.0)).max() < 1e-11
+    sch = Scheme(mesh, GAS, bcs)
+    for R in (sch.high_residual(u, 0.0), sch.low_residual(u, 0.0)[0]):
+        assert np.abs(R).max() < 1e-11

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from schemes import Scheme
 
 from posdg import cli
 from posdg.bc import BCSet, dirichlet
@@ -244,10 +245,11 @@ def test_none_mode_sizes_dt_with_viscous_wavespeed():
     gas = GasParams(gamma=1.4, mu=5.0)
     mesh, u0 = _wave_setup(K=8, N=2)
     st = Stepper(mesh, gas, BCSet({}), mode="none")
-    sig = st.grad(u0, 0.0)[2]
+    sch = Scheme(mesh, gas, BCSet({}))
+    sig = sch.gradient(u0, 0.0)[2]
     _, diags = advance(st, u0, 0.0, 0.05, cfl=0.5)
-    assert diags[0].dt == 0.5 * st.low.max_dt(u0, 0.0, sig)
-    assert diags[0].dt < 0.5 * st.low.max_dt(u0, 0.0, None)
+    assert diags[0].dt == 0.5 * sch.max_dt(u0, 0.0, sig)
+    assert diags[0].dt < 0.5 * sch.max_dt(u0, 0.0, None)
 
 
 def test_none_mode_sizes_dt_without_low_order_fluxes(monkeypatch):
@@ -286,3 +288,24 @@ def test_high_order_residual_only_in_unlimited_mode(monkeypatch, mode,
     st = Stepper(mesh, GAS, BCSet({}), mode=mode)
     _, diags = advance(st, u0, 0.0, 0.3, cfl=0.9)
     assert len(calls) == expected * len(diags)
+
+
+@pytest.mark.parametrize("case", ["sine-shock", "viscous-shock"])
+@pytest.mark.parametrize("mode", ["none", "elementwise", "convex", "low-only"])
+def test_boundary_conditions_evaluated_once_per_stage(monkeypatch, case, mode):
+    # one face pass per stage feeds the LDG gradient, the interface flux and
+    # mode none's dt bound alike
+    calls = []
+    method = BCSet.exterior_state
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(BCSet, "exterior_state", counted)
+    cfg = cli.make_config(dict(case=case, N=3, K=20, mode=mode,
+                               t_final=0.01))
+    _, _, st, u0, cfl, t_final = cli.setup(cfg)
+    _, diags = advance(st, u0, 0.0, t_final, cfl)
+    assert len(diags) > 1
+    assert len(calls) == 3 * len(diags)
