@@ -15,9 +15,11 @@ maximum relative deviation of the final state,
 The configurations are the three benchmark workloads of
 ``perfbench/child.py`` (101 steps each), the 1D LeBlanc shock tube with
 modes ``none``, ``low-only``, ``convex`` and ``elementwise`` (the limiters
-bind hardest on that near-vacuum tube), and the 1D viscous shock with modes
+bind hardest on that near-vacuum tube), the 1D viscous shock with modes
 ``none`` and ``elementwise``: LDG with Dirichlet boundaries, and in mode
-``none`` the viscous dt bound of ``LowOrderRHS.max_dt``. Unlimited high
+``none`` the viscous dt bound of ``LowOrderRHS.max_dt``, and the Mach 20
+viscous shock in mode ``elementwise``, whose first limited stage states
+restart 15 of its 17 steps from their own positivity bound. Unlimited high
 order cannot survive LeBlanc, so a run that aborts is compared at its last
 completed step, and a different step count or abort message counts as a
 mismatch.
@@ -55,6 +57,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 LEBLANC = dict(case="leblanc", N=3, K=200, cfl=0.1, t_final=0.01)
 VISCOUS_SHOCK = dict(case="viscous-shock", N=3, K=40, t_final=0.05)
+VISCOUS_SHOCK_M20 = dict(case="viscous-shock-m20", N=3, K=40, t_final=0.003,
+                         mode="elementwise")
 
 
 def configs() -> dict:
@@ -69,6 +73,7 @@ def configs() -> dict:
         march[f"leblanc-line-{mode}"] = dict(LEBLANC, mode=mode)
     for mode in ("none", "elementwise"):
         march[f"viscous-shock-line-{mode}"] = dict(VISCOUS_SHOCK, mode=mode)
+    march["mach20-shock-line-elementwise"] = VISCOUS_SHOCK_M20
     runs = {name: dict(wl.config) for name, wl in WORKLOADS.items()}
     return {"march": march, "run": runs}
 

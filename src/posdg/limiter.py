@@ -21,6 +21,11 @@ provided: elementwise blending with a single l per element (Zhang-Shu
 style) and pairwise convex (FCT style) limiting, which localizes l to node
 pairs.  A modal shock indicator can cap the blending parameter to force
 low-order behavior near discontinuities independent of positivity.
+
+The pair-end gathers, the increments P, the endpoint screen of
+:func:`feasible_l` and the limited fluxes are formed in a
+:class:`~posdg.workspace.Workspace` (the Stepper's, or a fresh one), so the
+limiters allocate no pair-sized array beyond the substates they solve for.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import numpy as np
 
 from .mesh import Mesh
 from .physics import GasParams, _dot, internal_energy, pressure
+from .workspace import Workspace
 
 __all__ = [
     "Bounds",
@@ -120,25 +126,42 @@ def solve_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds) -> np.ndarray:
     return np.minimum(l_rho, np.clip(l_e, 0.0, 1.0))
 
 
-def feasible_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds) -> np.ndarray:
+def feasible_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds,
+               ws=None) -> np.ndarray:
     """:func:`solve_l`, with l = 1 wherever the endpoint uL + P is in bounds.
 
     The bounded set is convex and uL lies in it, so an endpoint that passes
     the bound checks (rho >= rho_min and internal_energy >= rhoe_min) makes
     the whole segment feasible; :func:`solve_l` runs only on the others.
     This also spares those segments the cancellation in solve_l's quadratic
-    when the kinetic energy dwarfs the internal energy.
+    when the kinetic energy dwarfs the internal energy. The screen forms
+    the endpoint one component at a time, in buffers of the workspace
+    ``ws`` (a fresh one by default); l is taken from the caller's frame.
     """
-    end = uL + P
-    shape = end.shape[:-1]
+    ws = Workspace() if ws is None else ws
+    shape = P.shape[:-1]
+    nvar = P.shape[-1]
     rho_min = np.broadcast_to(bounds.rho_min, shape)
     rhoe_min = np.broadcast_to(bounds.rhoe_min, shape)
-    inside = end[..., 0] >= rho_min
-    inside &= internal_energy(end) >= rhoe_min
-    l = np.ones(shape)
-    out = np.flatnonzero(~inside)
+    l = ws.take(shape)
+    with ws.frame():
+        # internal_energy(uL + P) = E - 0.5 * (m . m) / rho, term by term
+        rho = np.add(uL[..., 0], P[..., 0], out=ws.take(shape))
+        inside = np.greater_equal(rho, rho_min, out=ws.take(shape, bool))
+        m = np.add(uL[..., 1], P[..., 1], out=ws.take(shape))
+        kin = np.multiply(m, m, out=ws.take(shape))
+        for c in range(2, nvar - 1):
+            np.add(uL[..., c], P[..., c], out=m)
+            np.multiply(m, m, out=m)
+            kin += m
+        np.multiply(0.5, kin, out=kin)
+        kin /= rho
+        np.add(uL[..., -1], P[..., -1], out=m)
+        np.subtract(m, kin, out=m)
+        inside &= np.greater_equal(m, rhoe_min, out=ws.take(shape, bool))
+        l.fill(1.0)
+        out = np.flatnonzero(np.logical_not(inside, out=inside))
     if out.size:
-        nvar = uL.shape[-1]
         l.reshape(-1)[out] = solve_l(
             uL.reshape(-1, nvar)[out], P.reshape(-1, nvar)[out],
             Bounds(rho_min.reshape(-1)[out], rhoe_min.reshape(-1)[out]))
@@ -153,7 +176,8 @@ class LimiterReport:
     shock_xi: np.ndarray | None      # per-element shock blend, if active
 
 
-def zhang_shu_limit(uLnew, dF, dt, mesh: Mesh, bounds: Bounds, cap=None):
+def zhang_shu_limit(uLnew, dF, dt, mesh: Mesh, bounds: Bounds, cap=None,
+                    ws=None):
     """Elementwise blend u = u^L + l^e P with P = (dt/m) sum_j dF_ij.
 
     P is (dt/m)(r^H - r^L), formed as the scatter of the per-class pair
@@ -161,14 +185,17 @@ def zhang_shu_limit(uLnew, dF, dt, mesh: Mesh, bounds: Bounds, cap=None):
     the element's nodes of the per-node feasible fraction, optionally
     capped by a per-element array (shock indicator). The bounded set is
     convex, so a node whose full high-order update u^L + P already meets
-    the bounds has fraction 1 without a solve (:func:`feasible_l`).
+    the bounds has fraction 1 without a solve (:func:`feasible_l`), whose
+    screen runs in the workspace ``ws`` (a fresh one by default).
     Returns (limited field, report).
     """
+    ws = Workspace() if ws is None else ws
     r = np.empty_like(uLnew)
     for elems, gc, dFc in zip(mesh.class_elems, mesh.classes, dF):
         r[elems] = gc.scatter @ dFc
     P = (dt / mesh.mass[..., None]) * r
-    l_elem = feasible_l(uLnew, P, bounds).min(axis=1)
+    with ws.frame():
+        l_elem = feasible_l(uLnew, P, bounds, ws).min(axis=1)
     if cap is not None:
         l_elem = np.minimum(l_elem, cap)
     return uLnew + l_elem[:, None, None] * P, LimiterReport(l_elem, cap)
@@ -180,8 +207,9 @@ def antidiffusive_fluxes(mesh: Mesh, high_pairs, low_pairs):
     ``high_pairs`` and ``low_pairs`` are the per-class results of
     ``HighOrderRHS.pair_fluxes`` and ``LowOrderRHS.pair_fluxes``; F^L is zero
     on the pairs outside the low-order subset. The F^H arrays are
-    overwritten (and returned) rather than copied: a copy per stage is one
-    more large temporary that the allocator may hand back to the OS.
+    overwritten (and returned) rather than copied: with a workspace they
+    are its kept arrays (:meth:`posdg.rhs_high.HighOrderRHS.pair_fluxes`),
+    so dF occupies the same memory at every stage.
     """
     for gc, FH, (FL, _) in zip(mesh.classes, high_pairs, low_pairs):
         FH[:, gc.pair_low] -= FL
@@ -232,10 +260,17 @@ class ConvexLimiter:
             self._ends.append((elems[:, None] * Np + ends, card[ends],
                                gc.mass[ends], sign))
 
-    def __call__(self, uLnew, dF, dt, bounds: Bounds, cap=None):
-        """Limited update from u^L and the per-class pair differences dF."""
+    def __call__(self, uLnew, dF, dt, bounds: Bounds, cap=None, ws=None):
+        """Limited update from u^L and the per-class pair differences dF.
+
+        The pair-end gathers, the increments P and the limited fluxes
+        l_ij dF_ij are formed in the workspace ``ws`` (a fresh one by
+        default), one frame per class.
+        """
+        ws = Workspace() if ws is None else ws
         mesh = self.mesh
         nvar = uLnew.shape[-1]
+        flat = uLnew.reshape(-1, nvar)
         unew = uLnew.copy()
         l_min = np.ones(mesh.n_elements)
         for elems, gc, (at, card, mass, sign), dFc in zip(
@@ -244,18 +279,28 @@ class ConvexLimiter:
             # repeated over the variables, so the products below run over
             # contiguous (pair, variable) blocks
             fac = np.repeat(sign * (dt * card / mass), nvar).reshape(-1, nvar)
-            P = np.empty(at.shape + (nvar,))
-            np.multiply(fac[:npairs], dFc, out=P[:, :npairs])
-            np.multiply(fac[npairs:], dFc, out=P[:, npairs:])
-            l2 = feasible_l(uLnew.reshape(-1, nvar).take(at, axis=0), P,
-                            Bounds(bounds.rho_min.take(at),
-                                   bounds.rhoe_min.take(at)))
-            l = np.minimum(l2[:, :npairs], l2[:, npairs:])
-            if cap is not None:
-                l = np.minimum(l, cap[elems, None])
-            l_min[elems] = l.min(axis=1)
-            unew[elems] += (gc.scatter @ ((dt * l)[..., None] * dFc)
-                            / gc.mass[:, None])
+            with ws.frame():
+                P = ws.take(at.shape + (nvar,))
+                np.multiply(fac[:npairs], dFc, out=P[:, :npairs])
+                np.multiply(fac[npairs:], dFc, out=P[:, npairs:])
+                uL = np.take(flat, at, axis=0, out=ws.take(P.shape),
+                             mode="clip")
+                lo = Bounds(*(np.take(b, at, out=ws.take(at.shape),
+                                      mode="clip")
+                              for b in (bounds.rho_min, bounds.rhoe_min)))
+                l2 = feasible_l(uL, P, lo, ws)
+                l = np.minimum(l2[:, :npairs], l2[:, npairs:],
+                               out=ws.take(dFc.shape[:-1]))
+                if cap is not None:
+                    np.minimum(l, cap[elems, None], out=l)
+                l_min[elems] = l.min(axis=1)
+                # l_ij dt dF_ij, one variable at a time: a per-pair factor
+                # broadcast over the short variable axis runs far slower
+                l *= dt
+                ldF = ws.take(dFc.shape)
+                for v in range(nvar):
+                    np.multiply(l, dFc[..., v], out=ldF[..., v])
+                unew[elems] += gc.scatter @ ldF / gc.mass[:, None]
         return unew, LimiterReport(l_min, cap)
 
 

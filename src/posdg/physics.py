@@ -16,6 +16,9 @@ Sums over the components of momentum, velocity or a direction are written
 out term by term (``_dot``), never reduced over the short variable axis:
 these kernels run at every node and pair of every stage, and a reduction
 over an axis of length 1 or 2 costs several times the arithmetic it does.
+The two-point flux kernels (``log_mean``, ``ec_fluxes_prims``) take an
+optional :class:`~posdg.workspace.Workspace` and then write every
+intermediate into its buffers; without one they return fresh arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .workspace import Workspace
 
 __all__ = [
     "GasParams",
@@ -168,20 +173,41 @@ def entropy_to_conserved(v, gas: GasParams):
     return u
 
 
-def log_mean(a, b):
-    """Logarithmic mean (a - b) / log(a / b), series expansion near a = b."""
+def log_mean(a, b, ws=None):
+    """Logarithmic mean (a - b) / log(a / b), series expansion near a = b.
+
+    The series (a + b) / (2 (1 + zeta/3 + zeta^2/5 + zeta^3/7)), with
+    zeta = ((a - b)/(a + b))^2, is formed everywhere. Where zeta is not
+    below 1e-4 it is overwritten by the exact quotient, evaluated on those
+    entries only: on the pair states of a stage they are 5-10%, so the
+    logarithm runs on few entries. The result and the temporaries come
+    from the workspace ``ws`` (a fresh one by default).
+    """
+    ws = Workspace() if ws is None else ws
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    da = a - b
-    sa = a + b
-    zeta = (da / sa) ** 2
-    near = zeta < 1e-4
-    # series: L = sa / (2 (1 + zeta/3 + zeta^2/5 + zeta^3/7))
-    F = 1.0 + zeta * (1.0 / 3.0 + zeta * (1.0 / 5.0 + zeta / 7.0))
-    # dummy values in the series branch keep the log/division warning-free
-    log_ratio = np.log(np.where(near, 2.0, a) / np.where(near, 1.0, b))
-    exact = da / np.where(near, 1.0, log_ratio)
-    return np.where(near, sa / (2.0 * F), exact)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    out = ws.take(shape)
+    with ws.frame():
+        da = np.subtract(a, b, out=ws.take(shape))
+        sa = np.add(a, b, out=ws.take(shape))
+        zeta = np.divide(da, sa, out=ws.take(shape))
+        np.square(zeta, out=zeta)
+        np.divide(zeta, 7.0, out=out)
+        out += 1.0 / 5.0
+        out *= zeta
+        out += 1.0 / 3.0
+        out *= zeta
+        out += 1.0
+        out *= 2.0
+        np.divide(sa, out, out=out)
+        far = np.less(zeta, 1e-4, out=ws.take(shape, bool))
+        far = np.flatnonzero(np.logical_not(far, out=far))
+        if far.size:
+            ratio = (np.broadcast_to(a, shape).flat[far]
+                     / np.broadcast_to(b, shape).flat[far])
+            out.reshape(-1)[far] = da.reshape(-1)[far] / np.log(ratio)
+    return out
 
 
 def euler_flux(u, gas: GasParams):
@@ -217,35 +243,53 @@ def ec_prims(u, gas: GasParams):
     return rho, vel, beta, vsq
 
 
-def ec_fluxes_prims(primsL, primsR, gas: GasParams):
-    """Two-point fluxes from precomputed ``ec_prims`` tuples."""
+def ec_fluxes_prims(primsL, primsR, gas: GasParams, ws=None):
+    """Two-point fluxes from precomputed ``ec_prims`` tuples.
+
+    The flux arrays are taken from the caller's frame of the workspace
+    ``ws`` (a fresh one by default), the temporaries from a frame of their
+    own, so a caller that reuses its workspace allocates only the
+    near-equal entries of :func:`log_mean` here.
+    """
+    ws = Workspace() if ws is None else ws
     rhoL, velL, betaL, vsqL = primsL
     rhoR, velR, betaR, vsqR = primsR
     g = gas.gamma
     dim = velL.shape[-1]
+    shape = np.broadcast_shapes(rhoL.shape, rhoR.shape)
+    out = tuple(ws.take(shape + (dim + 2,)) for _ in range(dim))
+    with ws.frame():
+        take = ws.take
+        rho_ln = log_mean(rhoL, rhoR, ws)
+        # h = 1 / (2 (gamma - 1) beta_ln) - |v|^2_avg / 2
+        h = log_mean(betaL, betaR, ws)
+        vel_a = np.add(velL, velR, out=take(shape + (dim,)))
+        np.multiply(0.5, vel_a, out=vel_a)
+        # p_a = rho_avg / (2 beta_avg)
+        p_a = np.add(rhoL, rhoR, out=take(shape))
+        np.multiply(0.5, p_a, out=p_a)
+        t = np.add(betaL, betaR, out=take(shape))
+        np.divide(p_a, t, out=p_a)
+        np.multiply(g - 1.0, h, out=h)
+        np.divide(0.5, h, out=h)
+        np.add(vsqL, vsqR, out=t)
+        np.multiply(0.5, t, out=t)
+        np.multiply(0.5, t, out=t)
+        np.subtract(h, t, out=h)
 
-    rho_ln = log_mean(rhoL, rhoR)
-    beta_ln = log_mean(betaL, betaR)
-    vel_a = 0.5 * (velL + velR)
-    p_a = 0.5 * (rhoL + rhoR) / (2.0 * 0.5 * (betaL + betaR))
-    vsq_a = 0.5 * (vsqL + vsqR)
-    h_term = 0.5 / ((g - 1.0) * beta_ln) - 0.5 * vsq_a
-
-    bshape = np.broadcast_shapes(rhoL.shape, rhoR.shape) + (dim + 2,)
-    out = []
-    for k in range(dim):
-        f = np.empty(bshape)
-        f0 = rho_ln * vel_a[..., k]
-        f[..., 0] = f0
-        for j in range(dim):
-            f[..., 1 + j] = vel_a[..., j] * f0
-        f[..., 1 + k] += p_a
-        fE = h_term * f0
-        for j in range(dim):
-            fE = fE + vel_a[..., j] * f[..., 1 + j]
-        f[..., -1] = fE
-        out.append(f)
-    return tuple(out)
+        f0 = take(shape)
+        for k, f in enumerate(out):
+            np.multiply(rho_ln, vel_a[..., k], out=f0)
+            f[..., 0] = f0
+            for j in range(dim):
+                np.multiply(vel_a[..., j], f0, out=f[..., 1 + j])
+            f[..., 1 + k] += p_a
+            fE = f[..., -1]
+            np.multiply(h, f0, out=fE)
+            for j in range(dim):
+                np.multiply(vel_a[..., j], f[..., 1 + j], out=t)
+                fE += t
+    return out
 
 
 def ec_fluxes(uL, uR, gas: GasParams):

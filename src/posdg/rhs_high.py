@@ -17,6 +17,9 @@ unlimited scheme (mode ``none``). The limited modes never form its
 residual: their high-order update uses the low-order interface flux, so it
 differs from the low-order one only by the scattered pair differences
 F^H_ij - F^L_ij, and the limiters take those (see :mod:`posdg.limiter`).
+The pair-end gathers and the flux temporaries are taken from a
+:class:`~posdg.workspace.Workspace`, and F^H is written into its kept
+arrays, so a Stepper's stages allocate no pair-sized memory.
 
 Viscous terms follow the LDG construction: nodal gradients of the entropy
 variables with central interface averages, the symmetric viscous fluxes
@@ -42,6 +45,7 @@ from .physics import (
     viscous_sigma,
 )
 from .rhs_low import _norm1
+from .workspace import Workspace
 
 __all__ = ["HighOrderRHS", "LDGGradient"]
 
@@ -88,37 +92,56 @@ class HighOrderRHS:
         self.mesh = mesh
         self.gas = gas
         self.lf_dissipation = lf_dissipation
+        # per class and direction: the pair weights of (Q_k - Q_k^T)_ij,
+        # repeated over the variables so the products in pair_fluxes run
+        # over contiguous (pair, variable) blocks
+        nvar = mesh.dim + 2
+        self._s = [tuple(np.repeat(s, nvar).reshape(-1, nvar)
+                         for s in gc.pair_s) for gc in mesh.classes]
 
-    def pair_fluxes(self, u, sigmas=None):
+    def pair_fluxes(self, u, sigmas=None, ws=None):
         """High-order pair fluxes F^H_ij, one (K_c, npairs, nvar) per class.
 
         The two-point fluxes are symmetric and the operators skew, so one
         evaluation per pair of the class's graph suffices; on tensor-product
         elements those are the small fraction of pairs sharing a coordinate
-        line.
+        line. The gathers and the flux temporaries come from the workspace
+        ``ws`` (a fresh one by default), one frame per class; each F^H is
+        the workspace's kept array of its class, overwritten at every call.
         """
+        ws = Workspace() if ws is None else ws
         gas = self.gas
         out = []
-        for elems, gc in zip(self.mesh.class_elems, self.mesh.classes):
+        for c, (elems, gc, s_rep) in enumerate(
+                zip(self.mesh.class_elems, self.mesh.classes, self._s)):
             pi, pj = gc.pair_i, gc.pair_j
-            prims = ec_prims(u[elems], gas)
-            F = ec_fluxes_prims(tuple(a[:, pi] for a in prims),
-                                tuple(a[:, pj] for a in prims), gas)
-            FH = np.zeros_like(F[0])
-            for d, fd in enumerate(F):
-                if sigmas is not None:
-                    sd = sigmas[d][elems]
-                    fd = fd - 0.5 * (sd[:, pi] + sd[:, pj])
-                FH -= gc.pair_s[d][None, :, None] * fd
+            FH = ws.keep(("FH", c), (len(elems), len(pi), u.shape[-1]))
+            FH.fill(0.0)
+            with ws.frame():
+                prims = ec_prims(u[elems], gas)
+                F = ec_fluxes_prims(tuple(ws.gather(a, pi) for a in prims),
+                                    tuple(ws.gather(a, pj) for a in prims),
+                                    gas, ws=ws)
+                for d, fd in enumerate(F):
+                    if sigmas is not None:
+                        with ws.frame():
+                            sd = sigmas[d][elems]
+                            vis = ws.gather(sd, pi)
+                            vis += ws.gather(sd, pj)
+                            vis *= 0.5
+                            fd -= vis
+                    np.multiply(s_rep[d], fd, out=fd)
+                    FH -= fd
             out.append(FH)
         return out
 
-    def __call__(self, u, faces, sigmas):
+    def __call__(self, u, faces, sigmas, ws=None):
         """R = M du/dt.
 
         ``faces`` is (uf, uP, sigf, sigP, nrm), as for
         :meth:`posdg.rhs_low.LowOrderRHS.__call__`; ``sigmas`` the viscous
-        fluxes at the volume nodes (None for an inviscid gas).
+        fluxes at the volume nodes (None for an inviscid gas); ``ws`` the
+        workspace of :meth:`pair_fluxes`.
         """
         mesh = self.mesh
         gas = self.gas
@@ -137,6 +160,6 @@ class HighOrderRHS:
         K, _, nvar = u.shape
         R = mesh.ops.E.T @ Rs.reshape(K, -1, nvar)
         for elems, gc, FH in zip(mesh.class_elems, mesh.classes,
-                                 self.pair_fluxes(u, sigmas)):
+                                 self.pair_fluxes(u, sigmas, ws)):
             R[elems] += gc.scatter @ FH
         return R

@@ -17,10 +17,14 @@ and the wavespeed bound all read that one set. The residual returned is
 R = M du/dt, and the forward Euler update u + dt R / m is a convex
 combination of the current state and bar states whenever
 dt <= min_i m_i / (2 lambda_i), which is the basis of the positivity
-guarantee.
+guarantee. The pair fluxes and wavespeeds are written into the kept arrays
+of a :class:`~posdg.workspace.Workspace`, and the pair-end gathers are
+taken from it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +36,7 @@ from .physics import (
     euler_flux,
     zhang_beta,
 )
+from .workspace import Workspace
 
 __all__ = ["LowOrderRHS", "interface_flux_low"]
 
@@ -79,6 +84,19 @@ def interface_flux_low(uM, uP, sigM, sigP, normals, wsJ, gas: GasParams):
     return R, lam_slot
 
 
+class _LowPairs(NamedTuple):
+    """The low-order pairs of one geometry class."""
+
+    i: np.ndarray          # pair ends
+    j: np.ndarray
+    unit: np.ndarray       # n_ij / |n_ij|
+    nn: np.ndarray         # |n_ij|
+    S: np.ndarray          # scatter columns
+    # each component of n_ij repeated over the variables, so the products
+    # in pair_fluxes run over contiguous (pair, variable) blocks
+    n_rep: tuple
+
+
 class LowOrderRHS:
     def __init__(self, mesh: Mesh, gas: GasParams, bcs: BCSet):
         self.mesh = mesh
@@ -88,15 +106,17 @@ class LowOrderRHS:
         self._tags = mesh.ftag.reshape(-1)
         self._bdry = self._tags > 0
 
-        # per class: the low-order pairs with their n_ij, unit normal, |n_ij|
-        # and scatter columns
+        nvar = mesh.dim + 2
         self._low = []
         for gc in mesh.classes:
             low = gc.pair_low
             n = gc.pair_n[low]
             nn = np.linalg.norm(n, axis=1)
-            self._low.append((gc.pair_i[low], gc.pair_j[low], n,
-                              n / nn[:, None], nn, gc.scatter[:, low]))
+            n_rep = tuple(np.repeat(n[:, d], nvar).reshape(-1, nvar)
+                          for d in range(mesh.dim))
+            self._low.append(_LowPairs(gc.pair_i[low], gc.pair_j[low],
+                                       n / nn[:, None], nn,
+                                       gc.scatter[:, low], n_rep))
 
     # -- shared face-data preparation -------------------------------------
 
@@ -140,50 +160,73 @@ class LowOrderRHS:
 
     # -- pairwise contributions ---------------------------------------------
 
-    def pair_fluxes(self, u, sigmas=None):
+    def pair_fluxes(self, u, sigmas=None, ws=None):
         """Low-order pair fluxes and wavespeeds, one (P, lambda) per class.
 
         P_ij (shape (K_c, npairs_low, nvar)) goes +P to node i and -P to
         node j; lambda_ij (shape (K_c, npairs_low)) is the pair's weight in
-        the CFL bound. The pairs are the class's ``pair_low`` subset.
+        the CFL bound. The pairs are the class's ``pair_low`` subset. The
+        gathers come from the workspace ``ws`` (a fresh one by default), one
+        frame per class, and P and lambda are its kept arrays of the class.
         """
+        ws = Workspace() if ws is None else ws
         gas = self.gas
         dim = self.mesh.dim
+        nvar = u.shape[-1]
         f = euler_flux(u, gas)
         if sigmas is not None:
             f = tuple(f[d] - sigmas[d] for d in range(dim))
         out = []
-        for elems, low in zip(self.mesh.class_elems, self._low):
-            pi, pj, n = low[:3]
-            lam, ui, uj = self._pair_lam(u, sigmas, elems, low)
-            central = np.zeros_like(ui)
-            for d in range(dim):
-                fd = f[d][elems]
-                central += n[None, :, d, None] * (fd[:, pi] + fd[:, pj])
-            out.append((-central + lam[..., None] * (uj - ui), lam))
+        for c, (elems, low) in enumerate(zip(self.mesh.class_elems,
+                                             self._low)):
+            pi, pj = low.i, low.j
+            shape = (len(elems), len(pi))
+            P = ws.keep(("FL", c), shape + (nvar,))
+            lam = ws.keep(("lamL", c), shape)
+            with ws.frame():
+                _, ui, uj = self._pair_lam(u, sigmas, elems, low, ws, lam)
+                # -sum_d n_d (f_d,i + f_d,j) + lambda (u_j - u_i)
+                P.fill(0.0)
+                fij, fj = ws.take(P.shape), ws.take(P.shape)
+                for d in range(dim):
+                    fd = f[d][elems]
+                    np.take(fd, pi, axis=1, out=fij, mode="clip")
+                    fij += np.take(fd, pj, axis=1, out=fj, mode="clip")
+                    fij *= low.n_rep[d]
+                    P += fij
+                np.negative(P, out=P)
+                diff = np.subtract(uj, ui, out=fij)
+                for v in range(nvar):
+                    diff[..., v] *= lam
+                P += diff
+            out.append((P, lam))
         return out
 
-    def _pair_lam(self, u, sigmas, elems, low):
+    def _pair_lam(self, u, sigmas, elems, low, ws=None, out=None):
         """Weights lambda_ij = lam_hat |n_ij| of one class's low-order pairs.
 
-        Returns (lambda, u_i, u_j), so :meth:`pair_fluxes` reuses the gathers.
+        Returns (lambda, u_i, u_j), so :meth:`pair_fluxes` reuses the
+        gathers, which come from the caller's frame of ``ws``; lambda is
+        written to ``out`` when given.
         """
-        pi, pj, _, unit, nn, _ = low
+        ws = Workspace() if ws is None else ws
         uc = u[elems]
-        ui, uj = uc[:, pi], uc[:, pj]
+        ui, uj = ws.gather(uc, low.i), ws.gather(uc, low.j)
         si = sj = None
         if sigmas is not None:
-            si = tuple(s[elems][:, pi] for s in sigmas)
-            sj = tuple(s[elems][:, pj] for s in sigmas)
-        return _lam_hat(ui, uj, si, sj, unit, self.gas) * nn, ui, uj
+            sc = [s[elems] for s in sigmas]
+            si = tuple(ws.gather(s, low.i) for s in sc)
+            sj = tuple(ws.gather(s, low.j) for s in sc)
+        lam = np.multiply(_lam_hat(ui, uj, si, sj, low.unit, self.gas),
+                          low.nn, out=out)
+        return lam, ui, uj
 
     def _nodal_lam(self, lam_s, lam_pairs):
         """Nodal wavespeed sums lambda_i from the face and pair weights."""
         mesh = self.mesh
         lam = lam_s.reshape(mesh.n_elements, -1) @ mesh.ops.E
-        for elems, lam_p, (*_, S) in zip(mesh.class_elems, lam_pairs,
-                                         self._low):
-            lam[elems] += lam_p @ np.abs(S).T
+        for elems, lam_p, low in zip(mesh.class_elems, lam_pairs, self._low):
+            lam[elems] += lam_p @ np.abs(low.S).T
         return lam
 
     # -- residual ----------------------------------------------------------
@@ -198,8 +241,8 @@ class LowOrderRHS:
         K, _, nvar = u.shape
         Rs, lam_s = interface_flux_low(*faces, mesh.fwsJ.reshape(-1), self.gas)
         R = mesh.ops.E.T @ Rs.reshape(K, -1, nvar)
-        for elems, (P, _), (*_, S) in zip(mesh.class_elems, pairs, self._low):
-            R[elems] += S @ P
+        for elems, (P, _), low in zip(mesh.class_elems, pairs, self._low):
+            R[elems] += low.S @ P
         return R, self._nodal_lam(lam_s, [lam_p for _, lam_p in pairs])
 
     def max_dt(self, u, faces, sigmas):

@@ -27,6 +27,7 @@ from .mesh import Mesh
 from .physics import GasParams, entropy, internal_energy, is_admissible
 from .rhs_high import HighOrderRHS, LDGGradient
 from .rhs_low import LowOrderRHS
+from .workspace import Workspace
 
 __all__ = ["Stepper", "advance", "StepDiagnostics", "StageBoundError"]
 
@@ -55,6 +56,11 @@ class Stepper:
     column of a class's ``scatter`` sums to zero, so the blend conserves by
     construction. zeta > 0 selects the relaxed bounds; zeta = 0 the minimal
     ones.
+
+    The Stepper owns one :class:`~posdg.workspace.Workspace`: the low- and
+    high-order pair fluxes, and with them dF, are its kept arrays, and the
+    pair-flux and limiter kernels take their temporaries from it, so the
+    stages of a run reuse the same memory.
     """
 
     def __init__(self, mesh: Mesh, gas: GasParams, bcs: BCSet,
@@ -71,6 +77,7 @@ class Stepper:
         self.grad = LDGGradient(mesh, gas) if gas.viscous else None
         self.high = HighOrderRHS(mesh, gas) if mode != "low-only" else None
         self.convex = ConvexLimiter(mesh) if mode == "convex" else None
+        self.ws = Workspace()
 
     def prepare(self, u, t):
         """Residuals and wavespeeds of a stage state; dt-independent.
@@ -85,6 +92,9 @@ class Stepper:
         the per-class pair differences dF = F^H - F^L, with each class's
         low-order pair fluxes evaluated once for both. ``sig`` keeps the
         LDG viscous fluxes (None for inviscid gases).
+
+        A ``prep`` is valid until the next ``prepare`` on the same Stepper:
+        dF lives in the Stepper's workspace, and every call overwrites it.
         """
         uf, uP, nrm = self.low.face_states(u, t)
         sig = self.grad(u, uP)[2] if self.grad is not None else None
@@ -92,14 +102,15 @@ class Stepper:
         prep = {"RL": None, "lam": None, "RH": None, "dF": None, "sig": sig,
                 "faces": None}
         if self.mode == "none":
-            prep["RH"] = self.high(u, faces, sig)
+            prep["RH"] = self.high(u, faces, sig, self.ws)
             prep["faces"] = faces
             return prep
-        low_pairs = self.low.pair_fluxes(u, sig)
+        low_pairs = self.low.pair_fluxes(u, sig, self.ws)
         prep["RL"], prep["lam"] = self.low(u, faces, low_pairs)
         if self.high is not None:
             prep["dF"] = antidiffusive_fluxes(
-                self.mesh, self.high.pair_fluxes(u, sig), low_pairs)
+                self.mesh, self.high.pair_fluxes(u, sig, self.ws),
+                low_pairs)
         return prep
 
     def dt_bound(self, prep):
@@ -126,8 +137,9 @@ class Stepper:
         if self.shock_capture:
             cap = shock_indicator(u, mesh.ops, self.gas)
         if self.mode == "elementwise":
-            return zhang_shu_limit(uL, prep["dF"], dt, mesh, bounds, cap=cap)
-        return self.convex(uL, prep["dF"], dt, bounds, cap=cap)
+            return zhang_shu_limit(uL, prep["dF"], dt, mesh, bounds, cap=cap,
+                                   ws=self.ws)
+        return self.convex(uL, prep["dF"], dt, bounds, cap=cap, ws=self.ws)
 
 
 @dataclass
@@ -235,7 +247,9 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
     bound times the user CFL. Mode "none" has no bound of its own and uses
     the low-order scheme's, viscous fluxes included. When a later stage
     state has a smaller bound than dt, the step restarts from the pre-step
-    state with cfl times that bound, up to MAX_RETRIES times.
+    state with cfl times that bound, up to MAX_RETRIES times. A restart
+    prepares the pre-step state again, because the later stages have
+    overwritten the first stage's ``prep`` (see :meth:`Stepper.prepare`).
     """
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
@@ -263,6 +277,7 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
                 log.info("%s; restarting the step with dt=%.3g", exc,
                          cfl * exc.bound)
                 dt = cfl * exc.bound
+                prep1 = stepper.prepare(u, t)
         t = t + dt
         step += 1
 

@@ -1,0 +1,83 @@
+"""Scratch buffers reused from one Runge-Kutta stage to the next.
+
+Every stage of a run does the same fixed-shape work: the low- and
+high-order pair fluxes of each geometry class, then the limiter of each
+class. Left to the allocator, the large temporaries of that work go back
+to the OS when they are freed and are faulted in again at the next stage,
+hundreds to thousands of minor page faults per step. A :class:`Workspace`
+hands them out instead as views of one byte block that lives as long as
+its owner (a ``Stepper``).
+
+Temporaries are taken in *frames*: ``with ws.frame():`` remembers the top
+of the block and gives everything taken inside back on exit, so frames nest
+like a stack and every outermost frame starts at offset 0. The pair-flux
+phase and the limiter phase, and the geometry classes within each, thus
+share the same bytes. A take that does not fit is served by a fresh array;
+when the outermost frame closes, the block is replaced by one of exactly
+the largest extent seen. After the first stage it therefore neither grows
+nor moves. Outputs that must outlive their frame (a class's pair fluxes)
+are :meth:`Workspace.keep` arrays: one per key, allocated once.
+
+A kernel called without a workspace makes a fresh one, so it behaves as a
+plain function that returns new arrays.
+"""
+
+from __future__ import annotations
+
+import math
+from contextlib import contextmanager
+
+import numpy as np
+
+__all__ = ["Workspace"]
+
+ALIGN = 64   # bytes; every buffer starts at a multiple of this in the block
+
+
+class Workspace:
+    """Named, fixed-shape buffers of one owner, reused across stages."""
+
+    def __init__(self):
+        self._block = np.empty(0, dtype=np.uint8)
+        self._top = 0        # first free byte of the block
+        self._high = 0       # largest extent taken so far
+        self._kept = {}
+
+    @property
+    def nbytes(self) -> int:
+        """Size of the shared block, in bytes (kept arrays not included)."""
+        return self._block.nbytes
+
+    def take(self, shape, dtype=float) -> np.ndarray:
+        """An uninitialised array of the current frame."""
+        dtype = np.dtype(dtype)
+        start = self._top
+        end = start + math.prod(shape) * dtype.itemsize
+        self._top = -(-end // ALIGN) * ALIGN
+        self._high = max(self._high, self._top)
+        if end > self._block.size:
+            return np.empty(shape, dtype)
+        return self._block[start:end].view(dtype).reshape(shape)
+
+    def gather(self, a, idx) -> np.ndarray:
+        """``a[:, idx]`` into an array of the current frame."""
+        out = self.take(a.shape[:1] + idx.shape + a.shape[2:], a.dtype)
+        return np.take(a, idx, axis=1, out=out, mode="clip")
+
+    @contextmanager
+    def frame(self):
+        """Give back everything taken inside the block on exit."""
+        top = self._top
+        try:
+            yield self
+        finally:
+            self._top = top
+            if top == 0 and self._high > self._block.size:
+                self._block = np.empty(self._high, dtype=np.uint8)
+
+    def keep(self, key, shape, dtype=float) -> np.ndarray:
+        """The persistent array of ``key``; the same one at every call."""
+        out = self._kept.get(key)
+        if out is None or out.shape != tuple(shape) or out.dtype != dtype:
+            out = self._kept[key] = np.empty(shape, dtype)
+        return out

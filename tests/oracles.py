@@ -282,6 +282,46 @@ def ec_prims_ref(u, gas):
     return rho, vel, beta, vsq
 
 
+def log_mean_ref(a, b):
+    """Logarithmic mean with both branches formed everywhere and selected by
+    ``np.where``: the series where ((a - b)/(a + b))^2 < 1e-4."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    da = a - b
+    sa = a + b
+    zeta = (da / sa) ** 2
+    near = zeta < 1e-4
+    F = 1.0 + zeta * (1.0 / 3.0 + zeta * (1.0 / 5.0 + zeta / 7.0))
+    log_ratio = np.log(np.where(near, 2.0, a) / np.where(near, 1.0, b))
+    exact = da / np.where(near, 1.0, log_ratio)
+    return np.where(near, sa / (2.0 * F), exact)
+
+
+def ec_fluxes_prims_ref(primsL, primsR, gas):
+    """Two-point EC fluxes from ``ec_prims`` tuples, one fresh array per
+    intermediate; the energy flux h f0 + sum_j v_j f_j is one ``np.sum``."""
+    rhoL, velL, betaL, vsqL = primsL
+    rhoR, velR, betaR, vsqR = primsR
+    g = gas.gamma
+    dim = velL.shape[-1]
+    rho_ln = log_mean_ref(rhoL, rhoR)
+    beta_ln = log_mean_ref(betaL, betaR)
+    vel_a = 0.5 * (velL + velR)
+    p_a = 0.5 * (rhoL + rhoR) / (2.0 * 0.5 * (betaL + betaR))
+    vsq_a = 0.5 * (vsqL + vsqR)
+    h_term = 0.5 / ((g - 1.0) * beta_ln) - 0.5 * vsq_a
+    out = []
+    for k in range(dim):
+        f0 = rho_ln * vel_a[..., k]
+        mom = vel_a * f0[..., None]
+        mom[..., k] += p_a
+        fE = np.sum(np.concatenate([(h_term * f0)[..., None], vel_a * mom],
+                                   axis=-1), axis=-1)
+        out.append(np.concatenate([f0[..., None], mom, fE[..., None]],
+                                  axis=-1))
+    return tuple(out)
+
+
 def davis_wavespeed_ref(uL, uR, n, gas):
     out = None
     for u in (uL, uR):

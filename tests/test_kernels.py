@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from oracles import (
     davis_wavespeed_ref,
+    ec_fluxes_prims_ref,
     ec_prims_ref,
     internal_energy_ref,
+    log_mean_ref,
     mirror_state_ref,
     solve_l_ref,
     wall_riemann_state_ref,
@@ -24,8 +26,10 @@ from posdg.limiter import Bounds, solve_l
 from posdg.physics import (
     GasParams,
     davis_wavespeed,
+    ec_fluxes_prims,
     ec_prims,
     internal_energy,
+    log_mean,
     mirror_state,
     primitive_to_conserved,
     wall_riemann_state,
@@ -91,6 +95,10 @@ def test_state_kernels_match_oracles(case):
     assert _equal(zhang_beta(u, sigma, n, GAS, eps0=0.0),
                   zhang_beta_ref(u, sigma, n, GAS, eps0=0.0))
     assert _equal(mirror_state(u, n), mirror_state_ref(u, n))
+    prims, prims2 = ec_prims(u, GAS), ec_prims(u2, GAS)
+    for a, b in zip(ec_fluxes_prims(prims, prims2, GAS),
+                    ec_fluxes_prims_ref(prims, prims2, GAS)):
+        assert _equal(a, b)
     assert _equal(wall_riemann_state(u, n, GAS),
                   wall_riemann_state_ref(u, n, GAS))
 
@@ -116,3 +124,26 @@ def test_solve_l_matches_oracle(case, regime):
     l = solve_l(uL, P, Bounds(rho_min, rhoe_min))
     assert _equal(l, solve_l_ref(uL, P, rho_min, rhoe_min))
     assert np.any(l < 1.0) if regime == "active" else np.all(l == 1.0)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_log_mean_matches_oracle_on_both_branches(seed):
+    # a = b, zeta = ((a - b)/(a + b))^2 a few ulps and a few percent either
+    # side of the 1e-4 switch, and far-apart pairs, over ten decades
+    rng = np.random.default_rng(seed)
+    b = 10.0 ** rng.uniform(-6, 4, 400)
+    r = np.concatenate([
+        np.zeros(40),
+        0.01 * (1.0 + rng.integers(-8, 9, 120) * 2.0 ** -52),
+        0.01 * (1.0 + rng.uniform(-0.05, 0.05, 80)),
+        10.0 ** rng.uniform(-9, -2, 80),
+        rng.uniform(0.02, 0.999, 80)])
+    r *= rng.choice([-1.0, 1.0], r.size)
+    a = b * (1.0 + r) / (1.0 - r)
+    zeta = ((a - b) / (a + b)) ** 2
+    assert np.any(zeta < 1e-4) and np.any((zeta >= 1e-4) & (zeta < 1.1e-4))
+    assert _equal(log_mean(a, b), log_mean_ref(a, b))
+    assert _equal(log_mean(a.reshape(20, 20), b[:20]),
+                  log_mean_ref(a.reshape(20, 20), b[:20]))
+    assert _equal(log_mean(a[0], b[0]), log_mean_ref(a[0], b[0]))

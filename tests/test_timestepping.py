@@ -240,6 +240,37 @@ def test_advance_restarts_step_from_stage_bound():
     assert np.all(is_admissible(u))
 
 
+def test_restarted_step_equals_a_fresh_step():
+    # the stages of an abandoned attempt overwrite the first stage's dF in
+    # the Stepper's workspace; a restart must not blend with it
+    st, u0, cfl = _mach20_setup()
+    first = {}
+
+    def keep(step, t, u, row, rep):
+        first.setdefault("u", u)
+        first.setdefault("dt", row.dt)
+
+    advance(st, u0, 0.0, 3e-4, cfl, callback=keep)
+    assert first["dt"] < 0.5 * cfl * st.dt_bound(st.prepare(u0, 0.0))
+    fresh = _mach20_setup()[0]
+    ref, _ = ssp_rk3_step(u0, 0.0, first["dt"], fresh, fresh.prepare(u0, 0.0))
+    assert np.array_equal(first["u"], ref)
+
+
+def test_stages_reuse_the_stepper_workspace():
+    cfg = cli.make_config(dict(case="vortex", elem="tri", N=3, K=2,
+                               mode="convex", t_final=0.05))
+    _, _, st, u0, cfl, t_final = cli.setup(cfg)
+    addresses = [[dF.ctypes.data for dF in st.prepare(u, 0.0)["dF"]]
+                 for u in (u0, 1.01 * u0)]
+    assert addresses[0] == addresses[1]
+    sizes = []
+    _, diags = advance(st, u0, 0.0, t_final, cfl,
+                       callback=lambda *args: sizes.append(st.ws.nbytes))
+    assert len(diags) > 3
+    assert sizes[0] > 0 and set(sizes) == {sizes[0]}
+
+
 def test_none_mode_sizes_dt_with_viscous_wavespeed():
     # strong viscosity, so the viscous bar-state speed exceeds Davis'
     gas = GasParams(gamma=1.4, mu=5.0)
