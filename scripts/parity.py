@@ -19,7 +19,12 @@ bind hardest on that near-vacuum tube), the 1D viscous shock with modes
 ``none`` and ``elementwise``: LDG with Dirichlet boundaries, and in mode
 ``none`` the viscous dt bound of ``LowOrderRHS.max_dt``, and the Mach 20
 viscous shock in mode ``elementwise``, whose first limited stage states
-restart 15 of its 17 steps from their own positivity bound. Unlimited high
+restart 15 of its 17 steps from their own positivity bound. Two tri
+configurations cover the wavespeed ends that tri elements do not share
+between pairs and face slots, with viscous wavespeeds and boundary ghost
+states: Daru-Tenaud in mode ``convex`` (no-slip and wall boundaries) and
+the 2D viscous shock in mode ``none`` (Dirichlet boundaries, and the dt
+bound of ``LowOrderRHS.max_dt``). Unlimited high
 order cannot survive LeBlanc, so a run that aborts is compared at its last
 completed step, and a different step count or abort message counts as a
 mismatch.
@@ -59,6 +64,10 @@ LEBLANC = dict(case="leblanc", N=3, K=200, cfl=0.1, t_final=0.01)
 VISCOUS_SHOCK = dict(case="viscous-shock", N=3, K=40, t_final=0.05)
 VISCOUS_SHOCK_M20 = dict(case="viscous-shock-m20", N=3, K=40, t_final=0.003,
                          mode="elementwise")
+DARU_TRI = dict(case="daru", elem="tri", N=3, K=4, t_final=0.01,
+                mode="convex")
+VISCOUS_SHOCK_2D_TRI = dict(case="viscous-shock-2d", elem="tri", N=3, K=4,
+                            t_final=0.02, mode="none")
 
 
 def configs() -> dict:
@@ -74,6 +83,8 @@ def configs() -> dict:
     for mode in ("none", "elementwise"):
         march[f"viscous-shock-line-{mode}"] = dict(VISCOUS_SHOCK, mode=mode)
     march["mach20-shock-line-elementwise"] = VISCOUS_SHOCK_M20
+    march["daru-tri-convex"] = DARU_TRI
+    march["viscous-shock-2d-tri-none"] = VISCOUS_SHOCK_2D_TRI
     runs = {name: dict(wl.config) for name, wl in WORKLOADS.items()}
     return {"march": march, "run": runs}
 

@@ -142,12 +142,16 @@ class Mesh:
     def total_mass(self):
         return self.mass.sum()
 
+    @cached_property
+    def exterior_index(self) -> np.ndarray:
+        """Flat partner slot of every face slot; a boundary slot's own."""
+        part = self.fpartner.reshape(-1)
+        return np.where(part >= 0, part, np.arange(len(part)))
+
     def gather_exterior(self, uf_flat: np.ndarray) -> np.ndarray:
         """Partner values for interior face nodes (boundary slots get the
         node's own value; callers overwrite those from the BC set)."""
-        part = self.fpartner.reshape(-1)
-        idx = np.where(part >= 0, part, np.arange(len(part)))
-        return uf_flat[idx]
+        return uf_flat[self.exterior_index]
 
 
 def _group_ids(order: np.ndarray, new: np.ndarray) -> np.ndarray:

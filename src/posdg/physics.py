@@ -302,61 +302,142 @@ def ec_fluxes(uL, uR, gas: GasParams):
     return ec_fluxes_prims(ec_prims(uL, gas), ec_prims(uR, gas), gas)
 
 
-def davis_wavespeed(uL, uR, n, gas: GasParams):
-    """max(|u_L . n| + c_L, |u_R . n| + c_R) for a unit normal ``n``."""
-    n = np.asarray(n)
-    out = None
-    for u in (uL, uR):
-        rho, mom, _ = _split(u)
-        p = pressure(u, gas)
-        c = np.sqrt(gas.gamma * p / rho)
-        un = _dot(mom, n) / rho
-        lam = np.abs(un) + c
-        out = lam if out is None else np.maximum(out, lam)
+def _dot_into(a, b, out, tmp):
+    """``_dot(a, b)`` written into ``out``, with ``tmp`` as scratch."""
+    np.multiply(a[..., 0], b[..., 0], out=out)
+    for k in range(1, a.shape[-1]):
+        out += np.multiply(a[..., k], b[..., k], out=tmp)
     return out
 
 
-def zhang_beta(u, sigma, n, gas: GasParams, eps0: float = 1e-14):
+def _internal_energy_into(rho, mom, E, out, tmp):
+    """``internal_energy`` of the split state, written into ``out``."""
+    _dot_into(mom, mom, out, tmp)
+    np.multiply(0.5, out, out=out)
+    np.divide(out, rho, out=out)
+    return np.subtract(E, out, out=out)
+
+
+def davis_wavespeed(uL, uR, n, gas: GasParams, ws=None):
+    """max(|u_L . n| + c_L, |u_R . n| + c_R) for a unit normal ``n``.
+
+    With ``uR`` None, the one-sided speed |u_L . n| + c_L. The result is
+    taken from the caller's frame of the workspace ``ws`` (a fresh one by
+    default), the temporaries from a frame of their own.
+    """
+    ws = Workspace() if ws is None else ws
+    n = np.asarray(n)
+    ends = (uL,) if uR is None else (uL, uR)
+    shape = np.broadcast_shapes(n.shape[:-1], *(u.shape[:-1] for u in ends))
+    out = ws.take(shape)
+    with ws.frame():
+        tmp = ws.take(shape)
+        for k, u in enumerate(ends):
+            rho, mom, E = _split(u)
+            # c = sqrt(gamma p / rho), with p = (gamma - 1) rho e
+            c = ws.take(rho.shape)
+            _internal_energy_into(rho, mom, E, c, ws.take(rho.shape))
+            np.multiply(gas.gamma - 1.0, c, out=c)
+            np.multiply(gas.gamma, c, out=c)
+            np.divide(c, rho, out=c)
+            np.sqrt(c, out=c)
+            lam = out if k == 0 else ws.take(shape)
+            _dot_into(mom, n, lam, tmp)
+            np.divide(lam, rho, out=lam)
+            np.abs(lam, out=lam)
+            lam += c
+            if k:
+                np.maximum(out, lam, out=out)
+    return out
+
+
+def zhang_beta(u, sigma, n, gas: GasParams, eps0: float = 1e-14, ws=None):
     """Maximum wavespeed bound for first-order viscous bar states.
 
     ``sigma`` is the tuple of viscous fluxes per direction (may be None for
     inviscid states), ``n`` a direction vector (not necessarily unit). The
     bound guarantees positivity of intermediate states of the viscous
     Riemann problem.
+
+    It is even in ``n`` bit for bit: n enters only through products n_k x,
+    whose sums change sign exactly with n, and these reach the result only
+    through |.| or a square. For an inviscid state (``sigma`` None) and a
+    unit ``n`` it is eps0 + |u.n| + sqrt((gamma - 1) / (2 gamma)) c, below
+    the Davis speed |u.n| + c whenever c exceeds about 3.5 eps0, so the
+    low-order scheme does not evaluate it for inviscid gases (see
+    :mod:`posdg.rhs_low`). The result is taken from the caller's frame of
+    the workspace ``ws`` (a fresh one by default), the temporaries from a
+    frame of their own.
     """
+    ws = Workspace() if ws is None else ws
     u = np.asarray(u, dtype=float)
     n = np.asarray(n, dtype=float)
     dim = u.shape[-1] - 2
-    rho, mom, _ = _split(u)
-    vel = mom / rho[..., None]
-    rhoe = internal_energy(u)
-    p = (gas.gamma - 1.0) * rhoe
-    un = _dot(vel, n)
-    # 2 rho^2 e = 2 rho (rho e), with e the specific internal energy
-    den = 2.0 * rho * rhoe
+    rho, mom, E = _split(u)
+    ushape = rho.shape
+    shape = np.broadcast_shapes(ushape, n.shape[:-1])
+    out = ws.take(shape)
+    with ws.frame():
+        take = ws.take
+        a, b = take(shape), take(shape)
+        t = take(ushape)
+        vel = np.divide(mom, rho[..., None], out=take(mom.shape))
+        rhoe = _internal_energy_into(rho, mom, E, take(ushape), t)
+        p = np.multiply(gas.gamma - 1.0, rhoe, out=take(ushape))
+        # eps0 + |u.n|
+        np.abs(_dot_into(vel, n, out, a), out=out)
+        np.add(eps0, out, out=out)
+        # 2 rho^2 e = 2 rho (rho e), with e the specific internal energy
+        den = np.multiply(2.0, rho, out=take(ushape))
+        den *= rhoe
 
-    if sigma is None:
-        # tau = 0 and q = 0: |tau.n - p n|^2 = |p n|^2
-        pn = p[..., None] * n
-        return eps0 + np.abs(un) + np.sqrt(den * _dot(pn, pn)) / den
+        if sigma is None:
+            # tau = 0 and q = 0: |tau.n - p n|^2 = |p n|^2
+            for k in range(dim):
+                pn = np.multiply(p, n[..., k], out=b)
+                np.multiply(pn, pn, out=a if k == 0 else pn)
+                if k:
+                    a += pn
+            np.multiply(den, a, out=a)
+            np.sqrt(a, out=a)
+            np.divide(a, den, out=a)
+            out += a
+            return out
 
-    # tau_k (row k of the stress) is the momentum part of sigma_k, and the
-    # heat flux q_k = u . tau_k - sigma_k[energy]
-    tau = [s[..., 1:-1] for s in sigma]
-    qn = None
-    for k in range(dim):
-        qk = (_dot(vel, tau[k]) - sigma[k][..., -1]) * n[..., k]
-        qn = qk if qn is None else qn + qk
-    # |tau.n - p n|^2, with (tau.n)_j = sum_k tau_kj n_k
-    visc2 = None
-    for j in range(dim):
-        tn = tau[0][..., j] * n[..., 0]
-        for k in range(1, dim):
-            tn = tn + tau[k][..., j] * n[..., k]
-        vj = tn - p * n[..., j]
-        visc2 = vj * vj if visc2 is None else visc2 + vj * vj
-    root = np.sqrt(rho ** 2 * qn ** 2 + den * visc2)
-    return eps0 + np.abs(un) + (root + rho * np.abs(qn)) / den
+        # tau_k (row k of the stress) is the momentum part of sigma_k, and
+        # the heat flux q_k = u . tau_k - sigma_k[energy]
+        tau = [s[..., 1:-1] for s in sigma]
+        qn, q = take(shape), take(shape)
+        for k in range(dim):
+            qk = _dot_into(vel, tau[k], take(ushape), t)
+            np.subtract(qk, sigma[k][..., -1], out=qk)
+            np.multiply(qk, n[..., k], out=qn if k == 0 else q)
+            if k:
+                qn += q
+        # |tau.n - p n|^2, with (tau.n)_j = sum_k tau_kj n_k
+        visc2 = b
+        for j in range(dim):
+            vj = np.multiply(tau[0][..., j], n[..., 0], out=a)
+            for k in range(1, dim):
+                vj += np.multiply(tau[k][..., j], n[..., k], out=q)
+            vj -= np.multiply(p, n[..., j], out=q)
+            if j == 0:
+                np.multiply(vj, vj, out=visc2)
+            else:
+                visc2 += np.multiply(vj, vj, out=q)
+        # root = sqrt(rho^2 qn^2 + den visc2)
+        root = np.square(qn, out=a)
+        root *= np.square(rho, out=t)
+        visc2 *= den
+        root += visc2
+        np.sqrt(root, out=root)
+        # (root + rho |qn|) / den
+        np.abs(qn, out=qn)
+        qn *= rho
+        root += qn
+        root /= den
+        out += root
+    return out
 
 
 def viscous_sigma(v, thetas, gas: GasParams):

@@ -8,18 +8,50 @@ pairwise dissipation
     n_ij = ((QL_x - QL_x^T)_ij, (QL_y - QL_y^T)_ij) / 2,
 
 with beta the viscous wavespeed bound that keeps the associated bar states
-admissible. The pairs are the low-order subset of the geometry class's
-pair graph (see :mod:`posdg.mesh`). Interfaces use the same construction
-with the boundary weights in place of n_ij. The face states are gathered,
-and the boundary conditions evaluated, once per stage by
-:meth:`LowOrderRHS.face_states`; the LDG gradient, both interface fluxes
-and the wavespeed bound all read that one set. The residual returned is
-R = M du/dt, and the forward Euler update u + dt R / m is a convex
-combination of the current state and bar states whenever
-dt <= min_i m_i / (2 lambda_i), which is the basis of the positivity
-guarantee. The pair fluxes and wavespeeds are written into the kept arrays
-of a :class:`~posdg.workspace.Workspace`, and the pair-end gathers are
+admissible (:func:`posdg.physics.zhang_beta`). The pairs are the
+low-order subset of the geometry class's pair graph (see
+:mod:`posdg.mesh`). Interfaces use the same construction with the boundary
+weights in place of n_ij. The face states are gathered, and the boundary
+conditions evaluated, once per stage by :meth:`LowOrderRHS.face_states`;
+the LDG gradient, both interface fluxes and the wavespeeds all read that
+one set. The residual returned is R = M du/dt, and the forward Euler
+update u + dt R / m is a convex combination of the current state and bar
+states whenever dt <= min_i m_i / (2 lambda_i), which is the basis of the
+positivity guarantee. The pair fluxes and wavespeeds are written into the
+kept arrays of a :class:`~posdg.workspace.Workspace`, and the gathers are
 taken from it.
+
+Wavespeeds per end. The rate of a pair or face slot with unit direction n
+splits into one term per end,
+
+    max(beta_i, beta_j, lambda_Davis) = max(w_i, w_j),
+    w(u, sigma, n) = max(beta(u, sigma, n), |u.n| + c),
+
+and w is even in n bit for bit: n enters beta and the Davis term only
+through products n_k x, whose sums change sign exactly when n does, and
+these reach w only through |.| or a square. An end is therefore a node
+with a direction up to sign. :meth:`LowOrderRHS.wavespeeds` evaluates w
+once per stage on the distinct ends of each geometry class: both ends of
+every low-order pair, and the volume node of every face slot with the
+slot's normal. The normals of partner slots are exact negations, so the
+exterior end of an interior slot is its partner's own end, and only the
+boundary ghost states get ends of their own. Pairs and slots then take the
+max of two gathered w. On quad N=3, the 48 ends of the 24 low-order pairs
+are 32 distinct ends, and these cover all 16 face slots too.
+
+For an inviscid gas w is the Davis term alone, and beta is not evaluated.
+With sigma = 0, |n| = 1, p = (gamma - 1) rho e and c^2 = gamma p / rho,
+
+    beta - eps0 = |u.n| + p / sqrt(2 rho (rho e))
+                = |u.n| + sqrt((gamma - 1) / (2 gamma)) c.
+
+The factor is below 1/sqrt(2) for every gamma > 1, so on every admissible
+state (rho > 0, rho e > 0, hence c > 0) the Davis term exceeds beta - eps0
+by more than 0.29 c: it is a strictly larger rate than the bar-state bound
+needs, and the positivity guarantee holds with it alone. The eps0 = 1e-14
+of :func:`~posdg.physics.zhang_beta` only pads that bound, so Davis alone
+equals max(beta, Davis) bit for bit unless c is below about 3.5 eps0 or
+the margin is below the rounding of |u.n| (Mach numbers of about 1e14).
 """
 
 from __future__ import annotations
@@ -49,25 +81,14 @@ def _norm1(n):
     return out
 
 
-def _lam_hat(uM, uP, sigM, sigP, n, gas: GasParams):
-    """Graph-viscosity rate max(beta_M, beta_P, Davis) for a unit ``n``."""
-    lam = np.maximum(zhang_beta(uM, sigM, n, gas), zhang_beta(uP, sigP, n, gas))
-    return np.maximum(lam, davis_wavespeed(uM, uP, n, gas))
-
-
-def _face_lam(uM, uP, sigM, sigP, normals, wsJ, gas: GasParams):
-    """Interface wavespeed weight lambda_s = wsJ |n|_1 lam_hat / 2 per slot."""
-    n1 = _norm1(normals)
-    return 0.5 * wsJ * n1 * _lam_hat(uM, uP, sigM, sigP, normals, gas)
-
-
-def interface_flux_low(uM, uP, sigM, sigP, normals, wsJ, gas: GasParams):
+def interface_flux_low(uM, uP, sigM, sigP, normals, wsJ, lam_slot,
+                       gas: GasParams):
     """Low-order interface contribution per face slot.
 
-    Returns (R_slot, lam_slot): the residual contribution to the owning
-    volume node and the wavespeed weight lambda_s entering the CFL bound.
-    The limited modes give the high-order update this interface flux too,
-    so it cancels from r^H - r^L.
+    Returns the residual contribution to the owning volume node.
+    ``lam_slot`` is the slot's wavespeed weight lambda_s
+    (:meth:`LowOrderRHS.slot_lam`). The limited modes give the high-order
+    update this interface flux too, so it cancels from r^H - r^L.
     """
     dim = uM.shape[-1] - 2
     fM = euler_flux(uM, gas)
@@ -78,10 +99,21 @@ def interface_flux_low(uM, uP, sigM, sigP, normals, wsJ, gas: GasParams):
         if sigM is not None:
             df = df - sigM[d] - sigP[d]
         central += 0.5 * normals[..., d, None] * df
+    return -wsJ[..., None] * central + lam_slot[..., None] * (uP - uM)
 
-    lam_slot = _face_lam(uM, uP, sigM, sigP, normals, wsJ, gas)
-    R = -wsJ[..., None] * central + lam_slot[..., None] * (uP - uM)
-    return R, lam_slot
+
+def _distinct_ends(nodes, dirs):
+    """The distinct (node, +-direction) ends among ``nodes`` and ``dirs``.
+
+    Returns (node, direction) per distinct end and the end of each input.
+    Directions equal up to sign, bit for bit, make one end; its direction
+    is the one whose first nonzero component is positive.
+    """
+    first = dirs[np.arange(len(dirs)), np.argmax(dirs != 0.0, axis=1)]
+    canon = np.where(first[:, None] < 0.0, -dirs, dirs) + 0.0   # no -0.0
+    table, end = np.unique(np.column_stack([nodes, canon]), axis=0,
+                           return_inverse=True)
+    return table[:, 0].astype(np.int64), table[:, 1:], end.reshape(-1)
 
 
 class _LowPairs(NamedTuple):
@@ -89,12 +121,16 @@ class _LowPairs(NamedTuple):
 
     i: np.ndarray          # pair ends
     j: np.ndarray
-    unit: np.ndarray       # n_ij / |n_ij|
     nn: np.ndarray         # |n_ij|
     S: np.ndarray          # scatter columns
+    absST: np.ndarray      # |S|^T, for the nodal wavespeed sums
     # each component of n_ij repeated over the variables, so the products
     # in pair_fluxes run over contiguous (pair, variable) blocks
     n_rep: tuple
+    ei: np.ndarray         # end of node i and of node j in the class table
+    ej: np.ndarray
+    w_block: slice         # the class's (K_c, ends) block of the flat w
+    w_shape: tuple
 
 
 class LowOrderRHS:
@@ -107,16 +143,46 @@ class LowOrderRHS:
         self._bdry = self._tags > 0
 
         nvar = mesh.dim + 2
+        Np, Nfp = mesh.ops.n_nodes, mesh.n_face_nodes
+        n = mesh.n_elements * Nfp
+        nrm = mesh.fnormal.reshape(n, -1)
+        # the flat end table: each class's (K_c, ends) block, then the
+        # boundary ghost states
         self._low = []
-        for gc in mesh.classes:
+        end_src, end_dir = [], []
+        slot_end = np.empty(n, dtype=np.int64)
+        top = 0
+        for gc, elems in zip(mesh.classes, mesh.class_elems):
             low = gc.pair_low
-            n = gc.pair_n[low]
-            nn = np.linalg.norm(n, axis=1)
-            n_rep = tuple(np.repeat(n[:, d], nvar).reshape(-1, nvar)
+            pi, pj = gc.pair_i[low], gc.pair_j[low]
+            nij = gc.pair_n[low]
+            nn = np.linalg.norm(nij, axis=1)
+            unit = nij / nn[:, None]
+            node, dirs, end = _distinct_ends(
+                np.concatenate([pi, pj, mesh.ops.face_vol]),
+                np.concatenate([unit, unit, gc.normals]))
+            npl, ne, Kc = len(pi), len(node), len(elems)
+            base = top + ne * np.arange(Kc)[:, None]
+            slot_end[(Nfp * elems[:, None] + np.arange(Nfp)).reshape(-1)] = (
+                base + end[2 * npl:]).reshape(-1)
+            end_src.append((Np * elems[:, None] + node).reshape(-1))
+            end_dir.append(np.tile(dirs, (Kc, 1)))
+            S = gc.scatter[:, low]
+            n_rep = tuple(np.repeat(nij[:, d], nvar).reshape(-1, nvar)
                           for d in range(mesh.dim))
-            self._low.append(_LowPairs(gc.pair_i[low], gc.pair_j[low],
-                                       n / nn[:, None], nn,
-                                       gc.scatter[:, low], n_rep))
+            self._low.append(_LowPairs(
+                pi, pj, nn, S, np.abs(S).T, n_rep, end[:npl],
+                end[npl:2 * npl], slice(top, top + Kc * ne), (Kc, ne)))
+            top += Kc * ne
+        self._n_ends = top
+        self._end_src = np.concatenate(end_src)
+        self._bdry_slots = np.nonzero(self._bdry)[0]
+        self._end_dir = np.concatenate(end_dir + [nrm[self._bdry_slots]])
+        self._slot_end = slot_end
+        ghost = top + np.cumsum(self._bdry) - 1
+        self._ext_end = np.where(self._bdry, ghost,
+                                 slot_end[mesh.exterior_index])
+        self._slot_scale = 0.5 * mesh.fwsJ.reshape(-1) * _norm1(nrm)
 
     # -- shared face-data preparation -------------------------------------
 
@@ -125,7 +191,7 @@ class LowOrderRHS:
 
         Returns (uf, uP, nrm). This is the only place the boundary
         conditions are evaluated: one call per stage serves the LDG
-        gradient, both interface fluxes and the wavespeed bound.
+        gradient, both interface fluxes and the wavespeeds.
         """
         mesh = self.mesh
         n = mesh.n_elements * mesh.n_face_nodes
@@ -158,16 +224,66 @@ class LowOrderRHS:
                 sigP[d][bdry] = sb[d]
         return sigf, sigP
 
+    # -- wavespeeds ----------------------------------------------------------
+
+    def wavespeeds(self, u, faces, sigmas=None, ws=None):
+        """The per-end wavespeeds w of one stage, flat (see module doc).
+
+        One entry per distinct end of each class's elements, then one per
+        boundary ghost state: w = |u.n| + c for an inviscid gas (``sigmas``
+        None), else max(beta, |u.n| + c). ``faces`` as for
+        :meth:`__call__`; the end states are gathered into a frame of
+        ``ws`` (a fresh workspace by default), and w is its kept array,
+        valid until the next call with the same workspace.
+        :meth:`pair_fluxes`, :meth:`__call__` and :meth:`max_dt` read it.
+        """
+        ws = Workspace() if ws is None else ws
+        _, uP, _, sigP, _ = faces
+        nvar = u.shape[-1]
+        top, ghosts = self._n_ends, self._bdry_slots
+        shape = (len(self._end_dir), nvar)
+
+        def gather(vol, face):
+            out = ws.take(shape)
+            np.take(vol.reshape(-1, nvar), self._end_src, axis=0,
+                    out=out[:top], mode="clip")
+            np.take(face, ghosts, axis=0, out=out[top:], mode="clip")
+            return out
+
+        w = ws.keep("w", shape[:1])
+        with ws.frame():
+            ue = gather(u, uP)
+            w[:] = davis_wavespeed(ue, None, self._end_dir, self.gas, ws)
+            if sigmas is not None:
+                se = tuple(gather(s, sp) for s, sp in zip(sigmas, sigP))
+                np.maximum(zhang_beta(ue, se, self._end_dir, self.gas, ws=ws),
+                           w, out=w)
+        return w
+
+    def slot_lam(self, w):
+        """Face slot weights lambda_s = wsJ |n|_1 max(w_M, w_P) / 2."""
+        return self._slot_scale * np.maximum(w[self._slot_end],
+                                             w[self._ext_end])
+
+    def _pair_weights(self, w, low, ws, out=None):
+        """Pair weights lambda_ij = max(w_i, w_j) |n_ij| of one class."""
+        wc = w[low.w_block].reshape(low.w_shape)
+        lam = np.take(wc, low.ei, axis=1, out=out, mode="clip")
+        np.maximum(lam, ws.gather(wc, low.ej), out=lam)
+        lam *= low.nn
+        return lam
+
     # -- pairwise contributions ---------------------------------------------
 
-    def pair_fluxes(self, u, sigmas=None, ws=None):
+    def pair_fluxes(self, u, w, sigmas=None, ws=None):
         """Low-order pair fluxes and wavespeeds, one (P, lambda) per class.
 
         P_ij (shape (K_c, npairs_low, nvar)) goes +P to node i and -P to
         node j; lambda_ij (shape (K_c, npairs_low)) is the pair's weight in
-        the CFL bound. The pairs are the class's ``pair_low`` subset. The
-        gathers come from the workspace ``ws`` (a fresh one by default), one
-        frame per class, and P and lambda are its kept arrays of the class.
+        the CFL bound, from the wavespeeds ``w`` of :meth:`wavespeeds`. The
+        pairs are the class's ``pair_low`` subset. The gathers come from
+        the workspace ``ws`` (a fresh one by default), one frame per class,
+        and P and lambda are its kept arrays of the class.
         """
         ws = Workspace() if ws is None else ws
         gas = self.gas
@@ -184,7 +300,7 @@ class LowOrderRHS:
             P = ws.keep(("FL", c), shape + (nvar,))
             lam = ws.keep(("lamL", c), shape)
             with ws.frame():
-                _, ui, uj = self._pair_lam(u, sigmas, elems, low, ws, lam)
+                self._pair_weights(w, low, ws, out=lam)
                 # -sum_d n_d (f_d,i + f_d,j) + lambda (u_j - u_i)
                 P.fill(0.0)
                 fij, fj = ws.take(P.shape), ws.take(P.shape)
@@ -195,64 +311,48 @@ class LowOrderRHS:
                     fij *= low.n_rep[d]
                     P += fij
                 np.negative(P, out=P)
-                diff = np.subtract(uj, ui, out=fij)
+                uc = u[elems]
+                diff = np.subtract(ws.gather(uc, pj), ws.gather(uc, pi),
+                                   out=fij)
                 for v in range(nvar):
                     diff[..., v] *= lam
                 P += diff
             out.append((P, lam))
         return out
 
-    def _pair_lam(self, u, sigmas, elems, low, ws=None, out=None):
-        """Weights lambda_ij = lam_hat |n_ij| of one class's low-order pairs.
-
-        Returns (lambda, u_i, u_j), so :meth:`pair_fluxes` reuses the
-        gathers, which come from the caller's frame of ``ws``; lambda is
-        written to ``out`` when given.
-        """
-        ws = Workspace() if ws is None else ws
-        uc = u[elems]
-        ui, uj = ws.gather(uc, low.i), ws.gather(uc, low.j)
-        si = sj = None
-        if sigmas is not None:
-            sc = [s[elems] for s in sigmas]
-            si = tuple(ws.gather(s, low.i) for s in sc)
-            sj = tuple(ws.gather(s, low.j) for s in sc)
-        lam = np.multiply(_lam_hat(ui, uj, si, sj, low.unit, self.gas),
-                          low.nn, out=out)
-        return lam, ui, uj
-
     def _nodal_lam(self, lam_s, lam_pairs):
         """Nodal wavespeed sums lambda_i from the face and pair weights."""
         mesh = self.mesh
         lam = lam_s.reshape(mesh.n_elements, -1) @ mesh.ops.E
         for elems, lam_p, low in zip(mesh.class_elems, lam_pairs, self._low):
-            lam[elems] += lam_p @ np.abs(low.S).T
+            lam[elems] += lam_p @ low.absST
         return lam
 
     # -- residual ----------------------------------------------------------
 
-    def __call__(self, u, faces, pairs):
+    def __call__(self, u, faces, w, pairs):
         """R = M du/dt and the nodal wavespeed sums lambda_i.
 
         ``faces`` is (uf, uP, sigf, sigP, nrm), from :meth:`face_states` and
-        :meth:`face_sigmas`; ``pairs`` is :meth:`pair_fluxes` of ``u``.
+        :meth:`face_sigmas`; ``w`` is :meth:`wavespeeds` and ``pairs``
+        :meth:`pair_fluxes` of ``u``.
         """
         mesh = self.mesh
         K, _, nvar = u.shape
-        Rs, lam_s = interface_flux_low(*faces, mesh.fwsJ.reshape(-1), self.gas)
+        lam_s = self.slot_lam(w)
+        Rs = interface_flux_low(*faces, mesh.fwsJ.reshape(-1), lam_s,
+                                self.gas)
         R = mesh.ops.E.T @ Rs.reshape(K, -1, nvar)
         for elems, (P, _), low in zip(mesh.class_elems, pairs, self._low):
             R[elems] += low.S @ P
         return R, self._nodal_lam(lam_s, [lam_p for _, lam_p in pairs])
 
-    def max_dt(self, u, faces, sigmas):
+    def max_dt(self, w):
         """Largest forward-Euler step with the convex bar-state guarantee.
 
-        Evaluates only the face and pair wavespeeds, no fluxes; ``faces`` as
-        for :meth:`__call__`.
+        Reads only the wavespeeds ``w`` of :meth:`wavespeeds`, no fluxes.
         """
-        lam_s = _face_lam(*faces, self.mesh.fwsJ.reshape(-1), self.gas)
-        lam_pairs = [self._pair_lam(u, sigmas, elems, low)[0]
-                     for elems, low in zip(self.mesh.class_elems, self._low)]
-        lam = self._nodal_lam(lam_s, lam_pairs)
+        ws = Workspace()
+        lam_pairs = [self._pair_weights(w, low, ws) for low in self._low]
+        lam = self._nodal_lam(self.slot_lam(w), lam_pairs)
         return float((self.mesh.mass / (2.0 * lam)).min())

@@ -78,6 +78,7 @@ class Stepper:
         self.high = HighOrderRHS(mesh, gas) if mode != "low-only" else None
         self.convex = ConvexLimiter(mesh) if mode == "convex" else None
         self.ws = Workspace()
+        self._minv = 1.0 / mesh.mass[..., None]
 
     def prepare(self, u, t):
         """Residuals and wavespeeds of a stage state; dt-independent.
@@ -87,8 +88,10 @@ class Stepper:
         gradient and the interface flux of whichever residual is formed
         read them. Mode "none" forms only the high-order residual RH and
         keeps ``faces`` in ``prep``, because advance sizes its dt from them
-        with the low-order wavespeeds. The other modes form the low-order
-        residual RL and its nodal wavespeeds lam, and the limited modes add
+        with the low-order wavespeeds. The other modes evaluate the per-end
+        wavespeeds once (:meth:`LowOrderRHS.wavespeeds`), and from them and
+        the pair fluxes form the low-order residual RL and its nodal
+        wavespeeds lam; the limited modes add
         the per-class pair differences dF = F^H - F^L, with each class's
         low-order pair fluxes evaluated once for both. ``sig`` keeps the
         LDG viscous fluxes (None for inviscid gases).
@@ -105,8 +108,9 @@ class Stepper:
             prep["RH"] = self.high(u, faces, sig, self.ws)
             prep["faces"] = faces
             return prep
-        low_pairs = self.low.pair_fluxes(u, sig, self.ws)
-        prep["RL"], prep["lam"] = self.low(u, faces, low_pairs)
+        w = self.low.wavespeeds(u, faces, sig, self.ws)
+        low_pairs = self.low.pair_fluxes(u, w, sig, self.ws)
+        prep["RL"], prep["lam"] = self.low(u, faces, w, low_pairs)
         if self.high is not None:
             prep["dF"] = antidiffusive_fluxes(
                 self.mesh, self.high.pair_fluxes(u, sig, self.ws),
@@ -124,7 +128,7 @@ class Stepper:
     def apply(self, u, t, dt, prep):
         """One limited forward-Euler update. Returns (u_new, report)."""
         mesh = self.mesh
-        minv = 1.0 / mesh.mass[..., None]
+        minv = self._minv
         if self.mode == "none":
             return u + dt * prep["RH"] * minv, None
         uL = u + dt * prep["RL"] * minv
@@ -265,7 +269,9 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
         prep1 = stepper.prepare(u, t)
         bound = stepper.dt_bound(prep1)
         if bound is None:
-            bound = stepper.low.max_dt(u, prep1["faces"], prep1["sig"])
+            low = stepper.low
+            bound = low.max_dt(low.wavespeeds(u, prep1["faces"], prep1["sig"],
+                                              stepper.ws))
         dt = min(cfl * bound, t_final - t)
         for attempt in range(MAX_RETRIES + 1):
             try:

@@ -69,6 +69,13 @@ def bisect_l(uL, P, rho_min, rhoe_min, iters=60):
     return min(l_rho, l_e, 1.0)
 
 
+def lam_hat_ref(uM, uP, sigM, sigP, n, gas):
+    """Graph-viscosity rate max(beta_M, beta_P, Davis) for a unit ``n``,
+    evaluated pairwise at both ends, as the low-order scheme once did."""
+    lam = np.maximum(zhang_beta(uM, sigM, n, gas), zhang_beta(uP, sigP, n, gas))
+    return np.maximum(lam, davis_wavespeed(uM, uP, n, gas))
+
+
 def bar_state_residual(scheme, u, t, sigmas=None):
     """Low-order residual assembled from bar states: R_i = sum 2 lambda (ubar - u_i).
 
@@ -110,9 +117,7 @@ def bar_state_residual(scheme, u, t, sigmas=None):
         else:
             si = tuple(s[elems][:, pi] for s in sigmas)
             sj = tuple(s[elems][:, pj] for s in sigmas)
-        lam_hat = np.maximum(zhang_beta(ui, si, unit, gas),
-                             zhang_beta(uj, sj, unit, gas))
-        lam_hat = np.maximum(lam_hat, davis_wavespeed(ui, uj, unit, gas))
+        lam_hat = lam_hat_ref(ui, uj, si, sj, unit, gas)
         lam = lam_hat * nn
 
         dflux = np.zeros_like(ui)
@@ -145,9 +150,7 @@ def bar_state_residual(scheme, u, t, sigmas=None):
         if sigf is not None:
             df = df - sigP[d] + sigf[d]
         dflux += nrm[..., d, None] * df
-    lam_hat = np.maximum(zhang_beta(uf, sigf, nrm, gas),
-                         zhang_beta(uP, sigP, nrm, gas))
-    lam_hat = np.maximum(lam_hat, davis_wavespeed(uf, uP, nrm, gas))
+    lam_hat = lam_hat_ref(uf, uP, sigf, sigP, nrm, gas)
     n1 = np.abs(nrm).sum(axis=-1)
     ubar_s = 0.5 * (uf + uP) - dflux / (2.0 * n1 * lam_hat)[..., None]
     bar_rho = min(bar_rho, ubar_s[..., 0].min())

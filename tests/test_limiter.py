@@ -186,7 +186,7 @@ def _leblanc_like_setup(K=16, N=2):
 
 def _pair_differences(sch, u, sig=None):
     return antidiffusive_fluxes(sch.mesh, sch.high.pair_fluxes(u, sig),
-                                sch.low.pair_fluxes(u, sig))
+                                sch.low_pairs(u, 0.0, sig))
 
 
 def _scatter(mesh, dF):
@@ -289,8 +289,9 @@ def _matched_residual(sch, u, sig=None):
     """r^H with the low-order interface flux, assembled from its parts."""
     mesh = sch.mesh
     K, _, nvar = u.shape
-    Rs, _ = interface_flux_low(*sch.faces(u, 0.0, sig), mesh.fwsJ.reshape(-1),
-                               sch.low.gas)
+    Rs = interface_flux_low(*sch.faces(u, 0.0, sig), mesh.fwsJ.reshape(-1),
+                            sch.low.slot_lam(sch.wavespeeds(u, 0.0, sig)),
+                            sch.low.gas)
     R = mesh.ops.E.T @ Rs.reshape(K, -1, nvar)
     for elems, gc, FH in zip(mesh.class_elems, mesh.classes,
                              sch.high.pair_fluxes(u, sig)):

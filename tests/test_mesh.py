@@ -206,6 +206,28 @@ def test_classify_2d():
     assert np.all(tags[~bott & bdry] == 1)
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("elem,N", [(elem, N) for elem in ("quad", "tri")
+                                    for N in (1, 2, 3, 4)]
+                         + [("line", 1), ("line", 3)])
+def test_partner_slots_have_negated_normals_and_equal_weights(elem, N,
+                                                              periodic):
+    # exact, bit for bit: the low-order wavespeeds reuse a slot's own end
+    # for its partner's exterior state
+    if elem == "line":
+        mesh = interval_mesh(0.0, 1.3, 5, N, periodic=periodic)
+    else:
+        mesh = make2d(elem, N, (3, 2), periodic=(periodic, periodic),
+                      box=(0.0, 2.0, -1.0, 0.6))
+    flat = mesh.fpartner.reshape(-1)
+    ok = flat >= 0
+    assert ok.sum() > 0
+    nrm = mesh.fnormal.reshape(len(flat), -1)
+    wsj = mesh.fwsJ.reshape(-1)
+    assert np.array_equal(nrm[flat[ok]], -nrm[ok])
+    assert np.array_equal(wsj[flat[ok]], wsj[ok])
+
+
 def test_gather_exterior():
     m = make2d("quad", 2, (3, 2), periodic=(True, True))
     rng = np.random.default_rng(1)

@@ -219,6 +219,48 @@ def test_zhang_beta_dominates_normal_speed():
     assert np.all(beta >= un)
 
 
+@pytest.mark.parametrize("gamma", [1.01, 1.4, 5.0 / 3.0, 3.0])
+def test_davis_bounds_inviscid_zhang_beta(gamma):
+    # with sigma = 0, beta - eps0 = |u.n| + sqrt((gamma-1)/(2 gamma)) c, so
+    # the low-order scheme's max(beta, Davis) is Davis bit for bit and the
+    # inviscid wavespeeds skip beta; states from near vacuum to Mach 1e6
+    gas = GasParams(gamma=gamma)
+    rng = np.random.default_rng(int(100 * gamma))
+    m = 20000
+    rho = 10.0 ** rng.uniform(-8, 8, m)
+    e = 10.0 ** rng.uniform(-10, 8, m)             # rho e / rho
+    c = np.sqrt(gamma * (gamma - 1.0) * e)
+    mach = np.where(rng.random(m) < 0.1, 0.0, 10.0 ** rng.uniform(-6, 6, m))
+    theta = rng.uniform(0.0, 2.0 * np.pi, m)
+    vel = (mach * c)[:, None] * np.stack([np.cos(theta), np.sin(theta)], -1)
+    prim = np.column_stack([rho, vel, (gamma - 1.0) * rho * e])
+    u = primitive_to_conserved(prim, gas)
+    assert np.all(is_admissible(u))
+    phi = rng.uniform(0.0, 2.0 * np.pi, m)
+    n = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    davis = davis_wavespeed(u, None, n, gas)
+    assert np.array_equal(davis, davis_wavespeed(u, u, n, gas))
+    assert np.array_equal(np.maximum(zhang_beta(u, None, n, gas), davis),
+                          davis)
+
+
+def test_zhang_beta_is_even_in_n():
+    # the low-order scheme shares one wavespeed per (node, +-direction)
+    gas = GasParams(gamma=1.4, mu=0.1, Pr=0.75)
+    rng = np.random.default_rng(5)
+    u = random_states(rng, 500, 2)
+    v = entropy_vars(u, gas)
+    th = tuple(rng.normal(size=(500, 4)) for _ in range(2))
+    sig = viscous_sigma(v, th, gas)
+    n = rng.normal(size=(500, 2))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    n[:50, 0] = 0.0
+    for s in (None, sig):
+        assert np.array_equal(zhang_beta(u, s, n, gas), zhang_beta(u, s, -n, gas))
+    assert np.array_equal(davis_wavespeed(u, None, n, gas),
+                          davis_wavespeed(u, None, -n, gas))
+
+
 def test_zhang_beta_viscous_increases():
     gas = GasParams(gamma=1.4, mu=0.1, Pr=0.75)
     u = make_state(1.0, 0.5, -0.2, 2.0)

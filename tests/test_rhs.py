@@ -3,14 +3,15 @@ consistency orders, viscous gradients, bar-state decomposition."""
 
 import numpy as np
 import pytest
-from oracles import bar_state_residual
+from oracles import bar_state_residual, lam_hat_ref
 from schemes import Scheme
 
-from posdg.bc import BCSet, dirichlet, outflow, wall
+from posdg.bc import BCSet, dirichlet, noslip, outflow, wall
 from posdg.limiter import antidiffusive_fluxes
 from posdg.mesh import interval_mesh, rect_mesh
 from posdg.physics import (
     GasParams,
+    davis_wavespeed,
     entropy_to_conserved,
     entropy_vars,
     internal_energy,
@@ -249,7 +250,7 @@ def test_matched_interface_equals_low_order_on_piecewise_constants(elem, N):
     sch = Scheme(mesh, GAS, bcs)
     RL = sch.low_residual(u, 0.0)[0]
     dF = antidiffusive_fluxes(mesh, sch.high.pair_fluxes(u),
-                              sch.low.pair_fluxes(u))
+                              sch.low_pairs(u))
     for gc, dFc in zip(mesh.classes, dF):
         r = gc.scatter @ dFc
         assert np.abs(r).max() < 1e-12 * max(1.0, np.abs(RL).max())
@@ -293,6 +294,94 @@ def test_bar_state_decomposition_with_boundaries():
     Rb, lam_b, rho_min, e_min = bar_state_residual(sch, u, 0.0)
     assert np.abs(R - Rb).max() < 1e-11 * np.abs(R).max()
     assert rho_min > 0 and e_min > 0
+
+
+# ---------------------------------------------------------------------------
+# per-end wavespeeds against the pairwise form
+# ---------------------------------------------------------------------------
+
+def _walled_scheme(elem, N, gas):
+    """A non-periodic mesh with wall, no-slip and Dirichlet boundaries, and
+    a random admissible state on it."""
+    rng = np.random.default_rng(N)
+    if elem == "line":
+        mesh = interval_mesh(0.0, 2.0, 6, N,
+                             classify=lambda x: np.where(x[:, 0] < 1.0, 1, 3))
+    else:
+        def classify(xy):
+            return np.where(np.abs(xy[:, 0]) < 1e-12, 3,
+                            np.where(xy[:, 1] < -1.0 + 1e-12, 2, 1))
+
+        mesh = rect_mesh(elem, (0.0, 2.0, -1.0, 1.0), 3, 2, N,
+                         classify=classify)
+    u_out = primitive_to_conserved(
+        np.array([1.2] + [0.3, -0.1][:mesh.dim] + [0.9]), gas)
+
+    def g(xb, t):
+        return np.broadcast_to(u_out, (len(xb), len(u_out)))
+
+    bcs = BCSet({1: wall(), 2: noslip(), 3: dirichlet(g)})
+    shape = mesh.xy.shape[:-1]
+    prim = np.empty(shape + (mesh.dim + 2,))
+    prim[..., 0] = rng.uniform(0.2, 3.0, shape)
+    prim[..., 1:-1] = rng.uniform(-2.0, 2.0, shape + (mesh.dim,))
+    prim[..., -1] = rng.uniform(0.2, 3.0, shape)
+    return Scheme(mesh, gas, bcs), primitive_to_conserved(prim, gas)
+
+
+@pytest.mark.parametrize("elem,N", [("line", 3), ("quad", 2), ("quad", 3),
+                                    ("tri", 2), ("tri", 3)])
+@pytest.mark.parametrize("viscous", [False, True])
+def test_wavespeeds_match_pairwise_form(elem, N, viscous):
+    # max(w_i, w_j) over the shared per-end table equals max(beta_i, beta_j,
+    # Davis) evaluated at both ends of every pair and slot, bit for bit;
+    # strong viscosity, so beta exceeds Davis at some ends
+    gas = GasParams(gamma=1.4, mu=5.0) if viscous else GAS
+    sch, u = _walled_scheme(elem, N, gas)
+    mesh = sch.mesh
+    tags = {1, 3} if elem == "line" else {1, 2, 3}
+    assert set(mesh.ftag[mesh.ftag > 0].tolist()) == tags
+    sig = sch.gradient(u, 0.0)[2] if viscous else None
+    faces = sch.faces(u, 0.0, sig)
+    w = sch.low.wavespeeds(u, faces, sig)
+    pairs = sch.low.pair_fluxes(u, w, sig)
+
+    uf, uP, sigf, sigP, nrm = faces
+    lam_hat = lam_hat_ref(uf, uP, sigf, sigP, nrm, gas)
+    n1 = np.abs(nrm[:, 0])
+    for d in range(1, mesh.dim):
+        n1 = n1 + np.abs(nrm[:, d])
+    lam_s = 0.5 * mesh.fwsJ.reshape(-1) * n1 * lam_hat
+    assert np.array_equal(sch.low.slot_lam(w), lam_s)
+    lam_nodes = lam_s.reshape(mesh.n_elements, -1) @ mesh.ops.E
+    beta_binds = np.any(lam_hat > davis_wavespeed(uf, uP, nrm, gas))
+    for elems, gc, (_, lam_p) in zip(mesh.class_elems, mesh.classes, pairs):
+        low = gc.pair_low
+        pi, pj = gc.pair_i[low], gc.pair_j[low]
+        nn = np.linalg.norm(gc.pair_n[low], axis=1)
+        unit = gc.pair_n[low] / nn[:, None]
+        ui, uj = u[elems][:, pi], u[elems][:, pj]
+        si = sj = None
+        if viscous:
+            si = tuple(s[elems][:, pi] for s in sig)
+            sj = tuple(s[elems][:, pj] for s in sig)
+        lam_hat = lam_hat_ref(ui, uj, si, sj, unit, gas)
+        assert np.array_equal(lam_p, lam_hat * nn)
+        lam_nodes[elems] += lam_hat * nn @ np.abs(gc.scatter[:, low]).T
+        beta_binds |= np.any(lam_hat > davis_wavespeed(ui, uj, unit, gas))
+    assert beta_binds == viscous
+    assert np.array_equal(sch.low(u, faces, w, pairs)[1], lam_nodes)
+    assert sch.low.max_dt(w) == float((mesh.mass / (2.0 * lam_nodes)).min())
+
+
+def test_quad_pair_ends_cover_the_face_slots():
+    # on quad N=3 the 48 ends of the 24 low-order pairs are 32 distinct
+    # (node, +-direction) ends, and the 16 face slots add none
+    mesh = periodic_mesh("quad", 3, K=2)
+    sch = Scheme(mesh, GAS, BCSet({}))
+    gc = mesh.classes[0]
+    assert 2 * len(gc.pair_low) == 48 and mesh.n_face_nodes == 16
+    assert len(sch.wavespeeds(smooth_state(mesh))) == 32 * mesh.n_elements
 
 
 def test_low_order_positivity_fuzz():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from schemes import Scheme
 
-from posdg import cli
+from posdg import cli, rhs_low
 from posdg.bc import BCSet, dirichlet
 from posdg.mesh import interval_mesh, rect_mesh
 from posdg.physics import (
@@ -340,3 +340,27 @@ def test_boundary_conditions_evaluated_once_per_stage(monkeypatch, case, mode):
     _, diags = advance(st, u0, 0.0, t_final, cfl)
     assert len(diags) > 1
     assert len(calls) == 3 * len(diags)
+
+
+@pytest.mark.parametrize("case", ["sine-shock", "viscous-shock"])
+@pytest.mark.parametrize("mode", ["none", "elementwise", "convex", "low-only"])
+def test_zhang_beta_only_for_viscous_gases(monkeypatch, case, mode):
+    # inviscid wavespeeds are Davis' alone; viscous ones evaluate beta once
+    # per wavespeed table: every stage, or once per step for mode none's dt
+    calls = []
+    method = rhs_low.zhang_beta
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(rhs_low, "zhang_beta", counted)
+    cfg = cli.make_config(dict(case=case, N=3, K=20, mode=mode,
+                               t_final=0.01))
+    _, _, st, u0, cfl, t_final = cli.setup(cfg)
+    _, diags = advance(st, u0, 0.0, t_final, cfl)
+    assert len(diags) > 1
+    if not st.gas.viscous:
+        assert calls == []
+    else:
+        assert len(calls) == (1 if mode == "none" else 3) * len(diags)
