@@ -34,6 +34,12 @@ each tree, with their own ``snap_every``, so that dmr writes its VTK
 snapshots, and compares every output file byte for byte: ``diagnostics.csv``,
 ``limiter.csv``, ``final.csv``, ``final.vtk`` and each ``snap_*.vtk``.
 
+When a numeric CSV output (``diagnostics.csv``, ``limiter.csv``,
+``final.csv``) differs, the largest relative difference of each of its
+columns is printed below the file list, max |x - x^REF| / max |x^REF| over
+the column's rows, so a change that only reorders floating-point sums can
+show that its outputs move at the ulp level.
+
 For each march configuration whose deviation is not 0, REF runs once more
 from the initial state nudged up by one ulp (``np.nextafter(u0, inf)``), and
 that run's deviation from REF is printed next to the configuration's: a
@@ -145,6 +151,32 @@ def compare_outputs(new: Path, old: Path) -> tuple:
     return len(names), differ + missing
 
 
+CSV_OUTPUTS = ("diagnostics.csv", "limiter.csv", "final.csv")
+
+
+def read_csv(path: Path):
+    """(column names, rows as float arrays) of a posdg CSV file; comment
+    lines (``#``) are skipped."""
+    lines = [ln for ln in path.read_text().splitlines()
+             if ln and not ln.startswith("#")]
+    return (lines[0].split(","),
+            np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]]))
+
+
+def column_differences(new: Path, old: Path) -> str:
+    """The largest relative difference per column of two CSV files, as
+    "name value" pairs, or why they cannot be compared."""
+    (cols, a), (cols_ref, b) = read_csv(new), read_csv(old)
+    if cols != cols_ref or a.shape != b.shape:
+        return (f"columns or row counts differ ({len(cols)} x {len(a)} "
+                f"against {len(cols_ref)} x {len(b)})")
+    if not len(a):
+        return "no rows"
+    scale = np.maximum(np.abs(b).max(axis=0), 1e-300)
+    rel = np.abs(a - b).max(axis=0) / scale
+    return ", ".join(f"{c} {r:.3g}" for c, r in zip(cols, rel))
+
+
 def deviation(u, ref) -> float:
     if u.shape != ref.shape:
         return float("inf")
@@ -174,9 +206,14 @@ def main(argv=None) -> int:
                                  tmp / "new.npz", tmp)
         old, old_meta = run_tree(tmp / "ref" / "src", config_file,
                                  tmp / "ref.npz", tmp)
-        outputs = {name: compare_outputs(tmp / "new.npz.runs" / name,
-                                         tmp / "ref.npz.runs" / name)
-                   for name in configs()["run"]}
+        outputs = {}
+        for name in configs()["run"]:
+            dirs = (tmp / "new.npz.runs" / name, tmp / "ref.npz.runs" / name)
+            n_files, bad = compare_outputs(*dirs)
+            columns = {f: column_differences(dirs[0] / f, dirs[1] / f)
+                       for f in CSV_OUTPUTS
+                       if f in bad and all((d / f).exists() for d in dirs)}
+            outputs[name] = (n_files, bad, columns)
         devs = {name: deviation(new[name], old[name]) for name in new}
         moved = {name: cfg for name, cfg in configs()["march"].items()
                  if devs[name] != 0.0}
@@ -208,10 +245,12 @@ def main(argv=None) -> int:
         print(f"{name:30s} {new_meta[name]['steps']:6d}  {dev:9.3g}  "
               f"{yard}{note}")
     print(f"\n{'posdg run':30s} {'files':>6s}  output files against {ref}")
-    for name, (n_files, bad) in outputs.items():
+    for name, (n_files, bad, columns) in outputs.items():
         ok &= not bad
         verdict = f"DIFFER: {', '.join(bad)}" if bad else "all identical"
         print(f"{name:30s} {n_files:6d}  {verdict}")
+        for fname, text in columns.items():
+            print(f"    {fname}: {text}")
     return 0 if ok else 1
 
 

@@ -13,19 +13,20 @@ rhoe >= rhoe_min} is convex, and a segment whose two ends lie in it lies in
 it entirely (:func:`feasible_l`).
 
 Both limiters take one input, the antidiffusive pair fluxes
-dF_ij = F^H_ij - F^L_ij of each geometry class (:func:`antidiffusive_fluxes`).
-The two schemes share their interface flux, so r^H - r^L is the scatter of
-dF, and every column of a class's ``scatter`` sums to zero: whatever the
-blend, the update conserves by construction.  Two assembly modes are
+dF_ij = F^H_ij - F^L_ij on the mesh's pair graph, one (nvar, npairs, K)
+array (:func:`antidiffusive_fluxes`). The two schemes share their interface
+flux, so r^H - r^L is the scatter of dF, and every column of the mesh's
+``scatter`` sums to zero: whatever the blend, the update conserves by
+construction.  Two assembly modes are
 provided: elementwise blending with a single l per element (Zhang-Shu
 style) and pairwise convex (FCT style) limiting, which localizes l to node
 pairs.  A modal shock indicator can cap the blending parameter to force
 low-order behavior near discontinuities independent of positivity.
 
-The pair-end gathers, the increments P, the endpoint screen of
-:func:`feasible_l` and the limited fluxes are formed in a
-:class:`~posdg.workspace.Workspace` (the Stepper's, or a fresh one), so the
-limiters allocate no pair-sized array beyond the substates they solve for.
+The pair-end gathers, the endpoints of the screen, the limited fluxes and
+their scatter are formed in a :class:`~posdg.workspace.Workspace` (the
+Stepper's, or a fresh one), so the limiters allocate no pair-sized array
+beyond the substates they solve for.
 """
 
 from __future__ import annotations
@@ -126,6 +127,27 @@ def solve_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds) -> np.ndarray:
     return np.minimum(l_rho, np.clip(l_e, 0.0, 1.0))
 
 
+def _outside(end, rho_min, rhoe_min, ws):
+    """Flat indices of the endpoints ``end`` outside the bounds.
+
+    ``end`` is component first, (nvar, ...). The checks are those of the
+    bound checks, rho >= rho_min and internal_energy >= rhoe_min, with
+    internal_energy = E - 0.5 (m . m) / rho formed term by term.
+    """
+    shape = end.shape[1:]
+    with ws.frame():
+        inside = np.greater_equal(end[0], rho_min, out=ws.take(shape, bool))
+        kin = np.multiply(end[1], end[1], out=ws.take(shape))
+        m = ws.take(shape)
+        for c in range(2, len(end) - 1):
+            kin += np.multiply(end[c], end[c], out=m)
+        np.multiply(0.5, kin, out=kin)
+        kin /= end[0]
+        np.subtract(end[-1], kin, out=m)
+        inside &= np.greater_equal(m, rhoe_min, out=ws.take(shape, bool))
+        return np.flatnonzero(np.logical_not(inside, out=inside))
+
+
 def feasible_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds,
                ws=None) -> np.ndarray:
     """:func:`solve_l`, with l = 1 wherever the endpoint uL + P is in bounds.
@@ -135,8 +157,8 @@ def feasible_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds,
     the whole segment feasible; :func:`solve_l` runs only on the others.
     This also spares those segments the cancellation in solve_l's quadratic
     when the kinetic energy dwarfs the internal energy. The screen forms
-    the endpoint one component at a time, in buffers of the workspace
-    ``ws`` (a fresh one by default); l is taken from the caller's frame.
+    the endpoint in a buffer of the workspace ``ws`` (a fresh one by
+    default); l is taken from the caller's frame.
     """
     ws = Workspace() if ws is None else ws
     shape = P.shape[:-1]
@@ -145,22 +167,9 @@ def feasible_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds,
     rhoe_min = np.broadcast_to(bounds.rhoe_min, shape)
     l = ws.take(shape)
     with ws.frame():
-        # internal_energy(uL + P) = E - 0.5 * (m . m) / rho, term by term
-        rho = np.add(uL[..., 0], P[..., 0], out=ws.take(shape))
-        inside = np.greater_equal(rho, rho_min, out=ws.take(shape, bool))
-        m = np.add(uL[..., 1], P[..., 1], out=ws.take(shape))
-        kin = np.multiply(m, m, out=ws.take(shape))
-        for c in range(2, nvar - 1):
-            np.add(uL[..., c], P[..., c], out=m)
-            np.multiply(m, m, out=m)
-            kin += m
-        np.multiply(0.5, kin, out=kin)
-        kin /= rho
-        np.add(uL[..., -1], P[..., -1], out=m)
-        np.subtract(m, kin, out=m)
-        inside &= np.greater_equal(m, rhoe_min, out=ws.take(shape, bool))
-        l.fill(1.0)
-        out = np.flatnonzero(np.logical_not(inside, out=inside))
+        end = np.add(uL, P, out=ws.take(P.shape))
+        out = _outside(np.moveaxis(end, -1, 0), rho_min, rhoe_min, ws)
+    l.fill(1.0)
     if out.size:
         l.reshape(-1)[out] = solve_l(
             uL.reshape(-1, nvar)[out], P.reshape(-1, nvar)[out],
@@ -180,39 +189,38 @@ def zhang_shu_limit(uLnew, dF, dt, mesh: Mesh, bounds: Bounds, cap=None,
                     ws=None):
     """Elementwise blend u = u^L + l^e P with P = (dt/m) sum_j dF_ij.
 
-    P is (dt/m)(r^H - r^L), formed as the scatter of the per-class pair
-    differences dF (:func:`antidiffusive_fluxes`). l^e is the minimum over
-    the element's nodes of the per-node feasible fraction, optionally
-    capped by a per-element array (shock indicator). The bounded set is
-    convex, so a node whose full high-order update u^L + P already meets
-    the bounds has fraction 1 without a solve (:func:`feasible_l`), whose
-    screen runs in the workspace ``ws`` (a fresh one by default).
-    Returns (limited field, report).
+    P is (dt/m)(r^H - r^L), formed as the scatter of the pair differences
+    dF (:func:`antidiffusive_fluxes`), one matrix product over the mesh.
+    l^e is the minimum over the element's nodes of the per-node feasible
+    fraction, optionally capped by a per-element array (shock indicator).
+    The bounded set is convex, so a node whose full high-order update
+    u^L + P already meets the bounds has fraction 1 without a solve
+    (:func:`feasible_l`). The scatter and the screen run in the workspace
+    ``ws`` (a fresh one by default). Returns (limited field, report).
     """
     ws = Workspace() if ws is None else ws
-    r = np.empty_like(uLnew)
-    for elems, gc, dFc in zip(mesh.class_elems, mesh.classes, dF):
-        r[elems] = gc.scatter @ dFc
-    P = (dt / mesh.mass[..., None]) * r
+    K, Np, nvar = uLnew.shape
     with ws.frame():
+        PT = np.matmul(mesh.scatter, dF, out=ws.take((nvar, Np, K)))
+        PT *= dt / mesh.mass.T
+        P = PT.T
         l_elem = feasible_l(uLnew, P, bounds, ws).min(axis=1)
-    if cap is not None:
-        l_elem = np.minimum(l_elem, cap)
-    return uLnew + l_elem[:, None, None] * P, LimiterReport(l_elem, cap)
+        if cap is not None:
+            l_elem = np.minimum(l_elem, cap)
+        return uLnew + l_elem[:, None, None] * P, LimiterReport(l_elem, cap)
 
 
 def antidiffusive_fluxes(mesh: Mesh, high_pairs, low_pairs):
-    """F^H_ij - F^L_ij per class on the pair graph, formed in ``high_pairs``.
+    """F^H_ij - F^L_ij on the pair graph, formed in ``high_pairs``.
 
-    ``high_pairs`` and ``low_pairs`` are the per-class results of
+    ``high_pairs`` and ``low_pairs`` are the results of
     ``HighOrderRHS.pair_fluxes`` and ``LowOrderRHS.pair_fluxes``; F^L is zero
-    on the pairs outside the low-order subset. The F^H arrays are
-    overwritten (and returned) rather than copied: with a workspace they
-    are its kept arrays (:meth:`posdg.rhs_high.HighOrderRHS.pair_fluxes`),
-    so dF occupies the same memory at every stage.
+    on the pairs outside the low-order subset. The F^H array is
+    overwritten (and returned) rather than copied: with a workspace it is
+    its kept array (:meth:`posdg.rhs_high.HighOrderRHS.pair_fluxes`), so
+    dF occupies the same memory at every stage.
     """
-    for gc, FH, (FL, _) in zip(mesh.classes, high_pairs, low_pairs):
-        FH[:, gc.pair_low] -= FL
+    high_pairs[:, mesh.pair_low] -= low_pairs[0]
     return high_pairs
 
 
@@ -226,8 +234,8 @@ class ConvexLimiter:
         F^L_ij = low-order pair contribution,
 
     both antisymmetric; the interface flux is the low-order one in both.
-    The limiter evaluates no flux: it receives their differences per pair
-    of each class's graph (:func:`antidiffusive_fluxes`).
+    The limiter evaluates no flux: it receives their differences on the
+    mesh's pair graph (:func:`antidiffusive_fluxes`).
     Each node's update is a convex combination of substates
     u^L_i + (dt n_i / m_i) l_ij (F^H_ij - F^L_ij) with n_i the node's
     pair-plus-interface cardinality, so the symmetrized pairwise
@@ -238,69 +246,90 @@ class ConvexLimiter:
     symmetric and every column of ``scatter`` sums to zero, so the update
     conserves by construction. The bounded set is convex (rho is
     linear, rhoe concave in u), so a substate whose end l_ij = 1 meets the
-    bounds needs no solve; only the others go to :func:`solve_l`
-    (:func:`feasible_l`). Both ends of all pairs of a class are limited in
-    one batched pass.
+    bounds needs no solve; only the others go to :func:`solve_l`.
+
+    All pairs of the mesh are limited at once, in the (variable, pair,
+    element) layout of dF. The endpoints u^L + P of one end (i or j) of
+    every pair are formed in place, one buffer per component, and screened
+    (the test of :func:`feasible_l`); only the substates that fail are
+    gathered again, and both ends' go to one :func:`solve_l` call.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         Np = mesh.ops.n_nodes
-        face_count = np.bincount(mesh.ops.face_vol, minlength=Np)
-        # per class: the pair ends (every i, then every j) as flat node
-        # indices into the class's elements, with each end's cardinality
-        # |I(i)| + |B(i)|, its mass and the sign with which dF_ij enters it
-        self._ends = []
-        for elems, gc in zip(mesh.class_elems, mesh.classes):
-            pi, pj = gc.pair_i, gc.pair_j
-            card = (np.bincount(pi, minlength=Np)
-                    + np.bincount(pj, minlength=Np) + face_count)
-            ends = np.concatenate([pi, pj])
-            sign = np.repeat([1.0, -1.0], len(pi))
-            self._ends.append((elems[:, None] * Np + ends, card[ends],
-                               gc.mass[ends], sign))
+        pi, pj = mesh.pair_i, mesh.pair_j
+        card = (np.bincount(pi, minlength=Np) + np.bincount(pj, minlength=Np)
+                + np.bincount(mesh.ops.face_vol, minlength=Np))
+        self._massT = np.ascontiguousarray(mesh.mass.T)
+        # per end of the pairs: its nodes, their cardinality |I(i)| + |B(i)|,
+        # and whether dF_ij enters it with sign -1
+        self._ends = [(e, card[e][:, None], neg)
+                      for e, neg in ((pi, False), (pj, True))]
 
     def __call__(self, uLnew, dF, dt, bounds: Bounds, cap=None, ws=None):
-        """Limited update from u^L and the per-class pair differences dF.
+        """Limited update from u^L and the pair differences dF.
 
-        The pair-end gathers, the increments P and the limited fluxes
-        l_ij dF_ij are formed in the workspace ``ws`` (a fresh one by
-        default), one frame per class.
+        The transposed states and bounds, the endpoints, the limited fluxes
+        l_ij dF_ij and their scatter are formed in the workspace ``ws`` (a
+        fresh one by default).
         """
         ws = Workspace() if ws is None else ws
-        mesh = self.mesh
-        nvar = uLnew.shape[-1]
-        flat = uLnew.reshape(-1, nvar)
-        unew = uLnew.copy()
-        l_min = np.ones(mesh.n_elements)
-        for elems, gc, (at, card, mass, sign), dFc in zip(
-                mesh.class_elems, mesh.classes, self._ends, dF):
-            npairs = dFc.shape[1]
-            # repeated over the variables, so the products below run over
-            # contiguous (pair, variable) blocks
-            fac = np.repeat(sign * (dt * card / mass), nvar).reshape(-1, nvar)
-            with ws.frame():
-                P = ws.take(at.shape + (nvar,))
-                np.multiply(fac[:npairs], dFc, out=P[:, :npairs])
-                np.multiply(fac[npairs:], dFc, out=P[:, npairs:])
-                uL = np.take(flat, at, axis=0, out=ws.take(P.shape),
-                             mode="clip")
-                lo = Bounds(*(np.take(b, at, out=ws.take(at.shape),
-                                      mode="clip")
-                              for b in (bounds.rho_min, bounds.rhoe_min)))
-                l2 = feasible_l(uL, P, lo, ws)
-                l = np.minimum(l2[:, :npairs], l2[:, npairs:],
-                               out=ws.take(dFc.shape[:-1]))
-                if cap is not None:
-                    np.minimum(l, cap[elems, None], out=l)
-                l_min[elems] = l.min(axis=1)
-                # l_ij dt dF_ij, one variable at a time: a per-pair factor
-                # broadcast over the short variable axis runs far slower
-                l *= dt
-                ldF = ws.take(dFc.shape)
-                for v in range(nvar):
-                    np.multiply(l, dFc[..., v], out=ldF[..., v])
-                unew[elems] += gc.scatter @ ldF / gc.mass[:, None]
+        K, Np, nvar = uLnew.shape
+        shape = dF.shape[1:]
+        with ws.frame():
+            uLT = ws.take((nvar, Np, K))
+            np.copyto(uLT, uLnew.T)
+            lims = []
+            for b in (bounds.rho_min, bounds.rhoe_min):
+                lims.append(ws.take((Np, K)))
+                np.copyto(lims[-1], np.broadcast_to(b, (K, Np)).T)
+            # the substates that fail the screen, per end: their flat
+            # (pair, element) index, u^L, P and bounds
+            idx, uLs, Ps, rho_mins, rhoe_mins = [], [], [], [], []
+            for e, card, neg in self._ends:
+                with ws.frame():
+                    # P = fac dF with fac = +-dt |I(i)| / m_i
+                    fac = np.take(self._massT, e, axis=0, out=ws.take(shape),
+                                  mode="clip")
+                    np.divide(dt * card, fac, out=fac)
+                    if neg:
+                        np.negative(fac, out=fac)
+                    # the endpoints u^L + P, formed in place
+                    end = np.take(uLT, e, axis=1, out=ws.take(dF.shape),
+                                  mode="clip")
+                    tmp = ws.take(shape)
+                    for c in range(nvar):
+                        end[c] += np.multiply(fac, dF[c], out=tmp)
+                    lo = [np.take(b, e, axis=0, out=ws.take(shape),
+                                  mode="clip") for b in lims]
+                    out = _outside(end, *lo, ws)
+                    p, k = np.divmod(out, K)
+                    idx.append(out)
+                    uLs.append(uLT[:, e[p], k].T)
+                    Ps.append((fac.reshape(-1)[out]
+                               * dF.reshape(nvar, -1)[:, out]).T)
+                    rho_mins.append(lo[0].reshape(-1)[out])
+                    rhoe_mins.append(lo[1].reshape(-1)[out])
+            l = ws.take((2,) + shape)
+            l.fill(1.0)
+            n0 = idx[0].size
+            if n0 + idx[1].size:
+                lsub = solve_l(np.concatenate(uLs), np.concatenate(Ps),
+                               Bounds(np.concatenate(rho_mins),
+                                      np.concatenate(rhoe_mins)))
+                l[0].reshape(-1)[idx[0]] = lsub[:n0]
+                l[1].reshape(-1)[idx[1]] = lsub[n0:]
+            l = np.minimum(l[0], l[1], out=l[0])
+            if cap is not None:
+                np.minimum(l, cap, out=l)
+            l_min = l.min(axis=0)
+            # l_ij dt dF_ij, then its scatter over the node masses
+            l *= dt
+            ldF = np.multiply(l, dF, out=ws.take(dF.shape))
+            du = np.matmul(self.mesh.scatter, ldF, out=ws.take(uLT.shape))
+            du /= self._massT
+            unew = uLnew + du.T
         return unew, LimiterReport(l_min, cap)
 
 

@@ -4,12 +4,16 @@ Meshes store node coordinates per element, a per-element geometry class
 (uniform meshes have one class, split-quad triangle meshes two), and flat
 face-node arrays used by the residual evaluations.
 
-Each geometry class carries the one node-pair graph of its elements: the
-pairs i < j on which the skew part of the high-order operators Q_k or of
-the low-order operators QL_k is nonzero. The high-order volume flux, the
-low-order graph viscosity and the convex limiter all work on these pairs,
-and a pair flux F_ij reaches the nodes through the +-1 scatter operator
-(+F_ij to node i, -F_ij to node j). The low-order pairs are a subset.
+The mesh has one node-pair graph: the pairs i < j on which the skew part
+of the high-order operators Q_k or of the low-order operators QL_k is
+nonzero. Each geometry class builds it from its own operators, and the
+mesh checks at construction that every class gives the same pairs and the
+same low-order subset; only the pair weights differ between classes, so
+the mesh stacks them per element, shape (dim, npairs, K). The high-order
+volume flux, the low-order graph viscosity and the convex limiter all work
+on these pairs, on arrays laid out (variable, pair, element) over the
+whole mesh, and a pair flux F_ij reaches the nodes through the +-1 scatter
+operator (+F_ij to node i, -F_ij to node j) in one matrix product.
 
 The face-node arrays are:
 
@@ -112,13 +116,34 @@ class Mesh:
     fxy: np.ndarray = field(init=False)       # (K, Nfp, dim)
     fnormal: np.ndarray = field(init=False)   # (K, Nfp, dim)
     fwsJ: np.ndarray = field(init=False)      # (K, Nfp)
+    # the node-pair graph, shared by every class
+    pair_i: np.ndarray = field(init=False)
+    pair_j: np.ndarray = field(init=False)
+    pair_low: np.ndarray = field(init=False)
+    scatter: np.ndarray = field(init=False)   # (Np, npairs)
+    pair_s: np.ndarray = field(init=False)    # (dim, npairs, K)
+    pair_n: np.ndarray = field(init=False)    # (dim, npairs, K)
 
     def __post_init__(self):
-        K = self.n_elements
-        self.mass = np.stack([self.classes[c].mass for c in self.class_id])
+        classes, cid = self.classes, self.class_id
+        self.mass = np.stack([classes[c].mass for c in cid])
         self.fxy = self.xy[:, self.ops.face_vol, :]
-        self.fnormal = np.stack([self.classes[c].normals for c in self.class_id])
-        self.fwsJ = np.stack([self.classes[c].wsJ for c in self.class_id])
+        self.fnormal = np.stack([classes[c].normals for c in cid])
+        self.fwsJ = np.stack([classes[c].wsJ for c in cid])
+
+        first = classes[0]
+        for c, gc in enumerate(classes[1:], start=1):
+            if not all(np.array_equal(getattr(first, a), getattr(gc, a))
+                       for a in ("pair_i", "pair_j", "pair_low")):
+                raise ValueError(f"geometry classes 0 and {c} have different "
+                                 f"node-pair graphs")
+        self.pair_i, self.pair_j = first.pair_i, first.pair_j
+        self.pair_low, self.scatter = first.pair_low, first.scatter
+        # per element, its class's weights: (dim, npairs, K)
+        self.pair_s = np.ascontiguousarray(
+            np.stack([gc.pair_s for gc in classes], axis=-1)[..., cid])
+        self.pair_n = np.ascontiguousarray(
+            np.stack([gc.pair_n.T for gc in classes], axis=-1)[..., cid])
 
     @property
     def n_elements(self) -> int:

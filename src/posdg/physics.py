@@ -19,6 +19,11 @@ over an axis of length 1 or 2 costs several times the arithmetic it does.
 The two-point flux kernels (``log_mean``, ``ec_fluxes_prims``) take an
 optional :class:`~posdg.workspace.Workspace` and then write every
 intermediate into its buffers; without one they return fresh arrays.
+``ec_prims`` and ``ec_fluxes_prims`` are the exception to the variable-last
+rule: they serve the pair kernels, whose arrays are laid out (variable,
+pair, element), and take and return their states component first, so each
+component is one contiguous block. ``ec_fluxes`` keeps the variable-last
+interface.
 """
 
 from __future__ import annotations
@@ -228,24 +233,35 @@ def euler_flux(u, gas: GasParams):
     return tuple(out)
 
 
+def _dot0(a, b):
+    """``_dot`` over the first axis: a[0] * b[0] + a[1] * b[1] + ..."""
+    out = a[0] * b[0]
+    for k in range(1, len(a)):
+        out = out + a[k] * b[k]
+    return out
+
+
 def ec_prims(u, gas: GasParams):
     """(rho, vel, beta, vsq) entering the two-point flux, per state.
 
-    Exposed separately so pairwise flux evaluations over many pairs drawn
-    from few distinct states (the flux-differencing volume term) can
-    compute these once per state and gather.
+    Component first: ``u`` is (nvar, ...) and ``vel`` (dim, ...). Exposed
+    separately so pairwise flux evaluations over many pairs drawn from few
+    distinct states (the flux-differencing volume term) can compute these
+    once per state and gather.
     """
     u = np.asarray(u, dtype=float)
-    rho, mom, _ = _split(u)
-    vel = mom / rho[..., None]
-    beta = rho / (2.0 * pressure(u, gas))
-    vsq = _dot(vel, vel)
-    return rho, vel, beta, vsq
+    rho, mom, E = u[0], u[1:-1], u[-1]
+    vel = mom / rho
+    # rho / (2 pressure(u)), the components written out
+    p = (gas.gamma - 1.0) * (E - 0.5 * _dot0(mom, mom) / rho)
+    beta = rho / (2.0 * p)
+    return rho, vel, beta, _dot0(vel, vel)
 
 
 def ec_fluxes_prims(primsL, primsR, gas: GasParams, ws=None):
     """Two-point fluxes from precomputed ``ec_prims`` tuples.
 
+    Component first, as ``ec_prims``: one (nvar, ...) flux per direction.
     The flux arrays are taken from the caller's frame of the workspace
     ``ws`` (a fresh one by default), the temporaries from a frame of their
     own, so a caller that reuses its workspace allocates only the
@@ -255,15 +271,15 @@ def ec_fluxes_prims(primsL, primsR, gas: GasParams, ws=None):
     rhoL, velL, betaL, vsqL = primsL
     rhoR, velR, betaR, vsqR = primsR
     g = gas.gamma
-    dim = velL.shape[-1]
+    dim = len(velL)
     shape = np.broadcast_shapes(rhoL.shape, rhoR.shape)
-    out = tuple(ws.take(shape + (dim + 2,)) for _ in range(dim))
+    out = tuple(ws.take((dim + 2,) + shape) for _ in range(dim))
     with ws.frame():
         take = ws.take
         rho_ln = log_mean(rhoL, rhoR, ws)
         # h = 1 / (2 (gamma - 1) beta_ln) - |v|^2_avg / 2
         h = log_mean(betaL, betaR, ws)
-        vel_a = np.add(velL, velR, out=take(shape + (dim,)))
+        vel_a = np.add(velL, velR, out=take((dim,) + shape))
         np.multiply(0.5, vel_a, out=vel_a)
         # p_a = rho_avg / (2 beta_avg)
         p_a = np.add(rhoL, rhoR, out=take(shape))
@@ -277,17 +293,15 @@ def ec_fluxes_prims(primsL, primsR, gas: GasParams, ws=None):
         np.multiply(0.5, t, out=t)
         np.subtract(h, t, out=h)
 
-        f0 = take(shape)
+        # f[c, ...] stays an array view when the states are scalars
         for k, f in enumerate(out):
-            np.multiply(rho_ln, vel_a[..., k], out=f0)
-            f[..., 0] = f0
+            f0 = np.multiply(rho_ln, vel_a[k], out=f[0, ...])
             for j in range(dim):
-                np.multiply(vel_a[..., j], f0, out=f[..., 1 + j])
-            f[..., 1 + k] += p_a
-            fE = f[..., -1]
-            np.multiply(h, f0, out=fE)
+                np.multiply(vel_a[j], f0, out=f[1 + j, ...])
+            f[1 + k] += p_a
+            fE = np.multiply(h, f0, out=f[-1, ...])
             for j in range(dim):
-                np.multiply(vel_a[..., j], f[..., 1 + j], out=t)
+                np.multiply(vel_a[j], f[1 + j], out=t)
                 fE += t
     return out
 
@@ -297,9 +311,12 @@ def ec_fluxes(uL, uR, gas: GasParams):
 
     Built from arithmetic means of velocity and density, the logarithmic
     mean of density and of beta = rho / (2p). Returns one flux array per
-    direction; inputs broadcast against each other.
+    direction, with the variable index last; inputs broadcast against each
+    other.
     """
-    return ec_fluxes_prims(ec_prims(uL, gas), ec_prims(uR, gas), gas)
+    uL, uR = (np.moveaxis(np.asarray(a, dtype=float), -1, 0) for a in (uL, uR))
+    return tuple(np.moveaxis(f, 0, -1) for f in
+                 ec_fluxes_prims(ec_prims(uL, gas), ec_prims(uR, gas), gas))
 
 
 def _dot_into(a, b, out, tmp):

@@ -7,19 +7,22 @@ matrix of pairwise entropy-conservative fluxes,
           - surface terms.
 
 The summand is antisymmetric in (i, j), so it is evaluated once per pair of
-the geometry class's pair graph (see :mod:`posdg.mesh`) as the pair flux
+the mesh's pair graph (see :mod:`posdg.mesh`) as the pair flux
 
     F^H_ij = - sum_k (Q_k - Q_k^T)_ij [ f_kS(u_i, u_j) - (s_ki + s_kj)/2 ]
 
-and scattered. The surface term is an entropy-stable local Lax-Friedrichs
-flux built on the same two-point flux. :class:`HighOrderRHS` is the
+and scattered. F^H is one (nvar, npairs, K) array over the whole mesh,
+computed from the node states transposed to (nvar, Np, K), with the pair
+weights (Q_k - Q_k^T)_ij of each element's geometry class; its scatter is
+one matrix product. The surface term is an entropy-stable local
+Lax-Friedrichs flux built on the same two-point flux. :class:`HighOrderRHS` is the
 unlimited scheme (mode ``none``). The limited modes never form its
 residual: their high-order update uses the low-order interface flux, so it
 differs from the low-order one only by the scattered pair differences
 F^H_ij - F^L_ij, and the limiters take those (see :mod:`posdg.limiter`).
 The pair-end gathers and the flux temporaries are taken from a
 :class:`~posdg.workspace.Workspace`, and F^H is written into its kept
-arrays, so a Stepper's stages allocate no pair-sized memory.
+array, so a Stepper's stages allocate no pair-sized memory.
 
 Viscous terms follow the LDG construction: nodal gradients of the entropy
 variables with central interface averages, the symmetric viscous fluxes
@@ -92,59 +95,52 @@ class HighOrderRHS:
         self.mesh = mesh
         self.gas = gas
         self.lf_dissipation = lf_dissipation
-        # per class and direction: the pair weights of (Q_k - Q_k^T)_ij,
-        # repeated over the variables so the products in pair_fluxes run
-        # over contiguous (pair, variable) blocks
-        nvar = mesh.dim + 2
-        self._s = [tuple(np.repeat(s, nvar).reshape(-1, nvar)
-                         for s in gc.pair_s) for gc in mesh.classes]
 
-    def pair_fluxes(self, u, sigmas=None, ws=None):
-        """High-order pair fluxes F^H_ij, one (K_c, npairs, nvar) per class.
+    def pair_fluxes(self, uT, sigmas=None, ws=None):
+        """High-order pair fluxes F^H_ij, one (nvar, npairs, K) array.
 
-        The two-point fluxes are symmetric and the operators skew, so one
-        evaluation per pair of the class's graph suffices; on tensor-product
+        ``uT`` are the node states and ``sigmas`` the viscous fluxes per
+        direction (None for an inviscid gas), component first: (nvar, Np,
+        K). The two-point fluxes are symmetric and the operators skew, so
+        one evaluation per pair of the graph suffices; on tensor-product
         elements those are the small fraction of pairs sharing a coordinate
-        line. The gathers and the flux temporaries come from the workspace
-        ``ws`` (a fresh one by default), one frame per class; each F^H is
-        the workspace's kept array of its class, overwritten at every call.
+        line. The gathers and the flux temporaries come from a frame of the
+        workspace ``ws`` (a fresh one by default); F^H is its kept array,
+        overwritten at every call.
         """
         ws = Workspace() if ws is None else ws
-        gas = self.gas
-        out = []
-        for c, (elems, gc, s_rep) in enumerate(
-                zip(self.mesh.class_elems, self.mesh.classes, self._s)):
-            pi, pj = gc.pair_i, gc.pair_j
-            FH = ws.keep(("FH", c), (len(elems), len(pi), u.shape[-1]))
-            FH.fill(0.0)
-            with ws.frame():
-                prims = ec_prims(u[elems], gas)
-                F = ec_fluxes_prims(tuple(ws.gather(a, pi) for a in prims),
-                                    tuple(ws.gather(a, pj) for a in prims),
-                                    gas, ws=ws)
-                for d, fd in enumerate(F):
-                    if sigmas is not None:
-                        with ws.frame():
-                            sd = sigmas[d][elems]
-                            vis = ws.gather(sd, pi)
-                            vis += ws.gather(sd, pj)
-                            vis *= 0.5
-                            fd -= vis
-                    np.multiply(s_rep[d], fd, out=fd)
-                    FH -= fd
-            out.append(FH)
-        return out
+        mesh = self.mesh
+        pi, pj = mesh.pair_i, mesh.pair_j
+        FH = ws.keep("FH", (uT.shape[0], len(pi), uT.shape[-1]))
+        FH.fill(0.0)
+        with ws.frame():
+            prims = ec_prims(uT, self.gas)
+            F = ec_fluxes_prims(tuple(ws.gather(a, pi) for a in prims),
+                                tuple(ws.gather(a, pj) for a in prims),
+                                self.gas, ws=ws)
+            for d, fd in enumerate(F):
+                if sigmas is not None:
+                    with ws.frame():
+                        vis = ws.gather(sigmas[d], pi)
+                        vis += ws.gather(sigmas[d], pj)
+                        vis *= 0.5
+                        fd -= vis
+                fd *= mesh.pair_s[d]
+                FH -= fd
+        return FH
 
-    def __call__(self, u, faces, sigmas, ws=None):
-        """R = M du/dt.
+    def __call__(self, uT, faces, sigmas, ws=None):
+        """R = M du/dt, shape (K, Np, nvar).
 
+        ``uT`` and ``sigmas`` as for :meth:`pair_fluxes`: the node states
+        and the viscous fluxes (None for an inviscid gas), component first;
         ``faces`` is (uf, uP, sigf, sigP, nrm), as for
-        :meth:`posdg.rhs_low.LowOrderRHS.__call__`; ``sigmas`` the viscous
-        fluxes at the volume nodes (None for an inviscid gas); ``ws`` the
-        workspace of :meth:`pair_fluxes`.
+        :meth:`posdg.rhs_low.LowOrderRHS.__call__`; ``ws`` the workspace of
+        :meth:`pair_fluxes`, which also holds the scatter.
         """
         mesh = self.mesh
         gas = self.gas
+        ws = Workspace() if ws is None else ws
         uf, uP, sigf, sigP, nrm = faces
         wsj = mesh.fwsJ.reshape(-1)
         fS = ec_fluxes(uf, uP, gas)
@@ -157,9 +153,9 @@ class HighOrderRHS:
         if self.lf_dissipation:
             lam = davis_wavespeed(uf, uP, nrm, gas)
             Rs += (0.5 * wsj * _norm1(nrm) * lam)[..., None] * (uP - uf)
-        K, _, nvar = u.shape
+        nvar, _, K = uT.shape
         R = mesh.ops.E.T @ Rs.reshape(K, -1, nvar)
-        for elems, gc, FH in zip(mesh.class_elems, mesh.classes,
-                                 self.pair_fluxes(u, sigmas, ws)):
-            R[elems] += gc.scatter @ FH
+        FH = self.pair_fluxes(uT, sigmas, ws)
+        with ws.frame():
+            R += np.matmul(mesh.scatter, FH, out=ws.take(uT.shape)).T
         return R

@@ -9,17 +9,20 @@ pairwise dissipation
 
 with beta the viscous wavespeed bound that keeps the associated bar states
 admissible (:func:`posdg.physics.zhang_beta`). The pairs are the
-low-order subset of the geometry class's pair graph (see
-:mod:`posdg.mesh`). Interfaces use the same construction with the boundary
-weights in place of n_ij. The face states are gathered, and the boundary
-conditions evaluated, once per stage by :meth:`LowOrderRHS.face_states`;
-the LDG gradient, both interface fluxes and the wavespeeds all read that
-one set. The residual returned is R = M du/dt, and the forward Euler
-update u + dt R / m is a convex combination of the current state and bar
-states whenever dt <= min_i m_i / (2 lambda_i), which is the basis of the
-positivity guarantee. The pair fluxes and wavespeeds are written into the
-kept arrays of a :class:`~posdg.workspace.Workspace`, and the gathers are
-taken from it.
+low-order subset of the mesh's pair graph (see :mod:`posdg.mesh`), and
+the pair fluxes and weights are (nvar, npairs_low, K) and (npairs_low, K)
+arrays over the whole mesh, with n_ij taken per element from its geometry
+class; each of their scatters is one matrix product. Interfaces use the
+same construction with the boundary weights in place of n_ij. The face
+states are gathered, and the boundary conditions evaluated, once per stage
+by :meth:`LowOrderRHS.face_states`; the LDG gradient, both interface
+fluxes and the wavespeeds all read that one set. The residual returned is
+R = M du/dt, and the forward Euler update u + dt R / m is a convex
+combination of the current state and bar states whenever
+dt <= min_i m_i / (2 lambda_i), which is the basis of the positivity
+guarantee. The pair fluxes and wavespeeds are written into the
+kept arrays of a :class:`~posdg.workspace.Workspace`, and the gathers and
+scatters are taken from it.
 
 Wavespeeds per end. The rate of a pair or face slot with unit direction n
 splits into one term per end,
@@ -31,13 +34,16 @@ and w is even in n bit for bit: n enters beta and the Davis term only
 through products n_k x, whose sums change sign exactly when n does, and
 these reach w only through |.| or a square. An end is therefore a node
 with a direction up to sign. :meth:`LowOrderRHS.wavespeeds` evaluates w
-once per stage on the distinct ends of each geometry class: both ends of
-every low-order pair, and the volume node of every face slot with the
-slot's normal. The normals of partner slots are exact negations, so the
-exterior end of an interior slot is its partner's own end, and only the
-boundary ghost states get ends of their own. Pairs and slots then take the
-max of two gathered w. On quad N=3, the 48 ends of the 24 low-order pairs
-are 32 distinct ends, and these cover all 16 face slots too.
+once per stage on the distinct ends of the elements: both ends of every
+low-order pair, and the volume node of every face slot with the slot's
+normal. An end is distinct if it is distinct in some geometry class, and
+the table holds every end of every element, (end, element) in that
+order, so the pair weights are row takes. The normals of partner slots
+are exact negations, so the exterior end of an interior slot is its
+partner's own end, and only the boundary ghost states get ends of their
+own. Pairs and slots then take the max of two gathered w. On quad N=3,
+the 48 ends of the 24 low-order pairs are 32 distinct ends, and these
+cover all 16 face slots too.
 
 For an inviscid gas w is the Davis term alone, and beta is not evaluated.
 With sigma = 0, |n| = 1, p = (gamma - 1) rho e and c^2 = gamma p / rho,
@@ -55,8 +61,6 @@ the margin is below the rounding of |u.n| (Mach numbers of about 1e14).
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -116,23 +120,6 @@ def _distinct_ends(nodes, dirs):
     return table[:, 0].astype(np.int64), table[:, 1:], end.reshape(-1)
 
 
-class _LowPairs(NamedTuple):
-    """The low-order pairs of one geometry class."""
-
-    i: np.ndarray          # pair ends
-    j: np.ndarray
-    nn: np.ndarray         # |n_ij|
-    S: np.ndarray          # scatter columns
-    absST: np.ndarray      # |S|^T, for the nodal wavespeed sums
-    # each component of n_ij repeated over the variables, so the products
-    # in pair_fluxes run over contiguous (pair, variable) blocks
-    n_rep: tuple
-    ei: np.ndarray         # end of node i and of node j in the class table
-    ej: np.ndarray
-    w_block: slice         # the class's (K_c, ends) block of the flat w
-    w_shape: tuple
-
-
 class LowOrderRHS:
     def __init__(self, mesh: Mesh, gas: GasParams, bcs: BCSet):
         self.mesh = mesh
@@ -142,46 +129,48 @@ class LowOrderRHS:
         self._tags = mesh.ftag.reshape(-1)
         self._bdry = self._tags > 0
 
-        nvar = mesh.dim + 2
-        Np, Nfp = mesh.ops.n_nodes, mesh.n_face_nodes
-        n = mesh.n_elements * Nfp
+        Np, Nfp, K = mesh.ops.n_nodes, mesh.n_face_nodes, mesh.n_elements
+        n = K * Nfp
         nrm = mesh.fnormal.reshape(n, -1)
-        # the flat end table: each class's (K_c, ends) block, then the
-        # boundary ghost states
-        self._low = []
-        end_src, end_dir = [], []
-        slot_end = np.empty(n, dtype=np.int64)
-        top = 0
-        for gc, elems in zip(mesh.classes, mesh.class_elems):
-            low = gc.pair_low
-            pi, pj = gc.pair_i[low], gc.pair_j[low]
+        low = mesh.pair_low
+        self._pi, self._pj = mesh.pair_i[low], mesh.pair_j[low]
+        npl = len(self._pi)
+        self._n = np.ascontiguousarray(mesh.pair_n[:, low])   # (dim, npl, K)
+        self._S = mesh.scatter[:, low]                         # (Np, npl)
+        self._absS = np.abs(self._S)     # for the nodal wavespeed sums
+
+        # the distinct ends of each class; a mesh end is one end of every
+        # class, so its direction is taken per element from its class
+        nodes = np.concatenate([self._pi, self._pj, mesh.ops.face_vol])
+        dirs, ends, nn = [], [], []
+        for gc in mesh.classes:
             nij = gc.pair_n[low]
-            nn = np.linalg.norm(nij, axis=1)
-            unit = nij / nn[:, None]
-            node, dirs, end = _distinct_ends(
-                np.concatenate([pi, pj, mesh.ops.face_vol]),
-                np.concatenate([unit, unit, gc.normals]))
-            npl, ne, Kc = len(pi), len(node), len(elems)
-            base = top + ne * np.arange(Kc)[:, None]
-            slot_end[(Nfp * elems[:, None] + np.arange(Nfp)).reshape(-1)] = (
-                base + end[2 * npl:]).reshape(-1)
-            end_src.append((Np * elems[:, None] + node).reshape(-1))
-            end_dir.append(np.tile(dirs, (Kc, 1)))
-            S = gc.scatter[:, low]
-            n_rep = tuple(np.repeat(nij[:, d], nvar).reshape(-1, nvar)
-                          for d in range(mesh.dim))
-            self._low.append(_LowPairs(
-                pi, pj, nn, S, np.abs(S).T, n_rep, end[:npl],
-                end[npl:2 * npl], slice(top, top + Kc * ne), (Kc, ne)))
-            top += Kc * ne
-        self._n_ends = top
-        self._end_src = np.concatenate(end_src)
+            nn.append(np.linalg.norm(nij, axis=1))
+            unit = nij / nn[-1][:, None]
+            _, d, e = _distinct_ends(nodes,
+                                     np.concatenate([unit, unit, gc.normals]))
+            dirs.append(d)
+            ends.append(e)
+        _, first, end = np.unique(np.stack(ends), axis=1, return_index=True,
+                                  return_inverse=True)
+        end = end.reshape(-1)
+        self._ne = ne = len(first)
+        self._nn = np.stack(nn, axis=-1)[:, mesh.class_id]
+        self._ei, self._ej = end[:npl], end[npl:2 * npl]
+        # the flat end table: (end, element) blocks, then the boundary
+        # ghost states
+        self._n_ends = top = ne * K
+        self._end_src = (nodes[first][:, None] + Np * np.arange(K)).reshape(-1)
+        end_dir = np.stack([d[e[first]] for d, e in zip(dirs, ends)])
         self._bdry_slots = np.nonzero(self._bdry)[0]
-        self._end_dir = np.concatenate(end_dir + [nrm[self._bdry_slots]])
-        self._slot_end = slot_end
+        self._end_dir = np.concatenate([
+            end_dir[mesh.class_id].transpose(1, 0, 2).reshape(top, -1),
+            nrm[self._bdry_slots]])
+        self._slot_end = (K * end[2 * npl:]
+                          + np.arange(K)[:, None]).reshape(-1)
         ghost = top + np.cumsum(self._bdry) - 1
         self._ext_end = np.where(self._bdry, ghost,
-                                 slot_end[mesh.exterior_index])
+                                 self._slot_end[mesh.exterior_index])
         self._slot_scale = 0.5 * mesh.fwsJ.reshape(-1) * _norm1(nrm)
 
     # -- shared face-data preparation -------------------------------------
@@ -229,12 +218,12 @@ class LowOrderRHS:
     def wavespeeds(self, u, faces, sigmas=None, ws=None):
         """The per-end wavespeeds w of one stage, flat (see module doc).
 
-        One entry per distinct end of each class's elements, then one per
-        boundary ghost state: w = |u.n| + c for an inviscid gas (``sigmas``
-        None), else max(beta, |u.n| + c). ``faces`` as for
-        :meth:`__call__`; the end states are gathered into a frame of
-        ``ws`` (a fresh workspace by default), and w is its kept array,
-        valid until the next call with the same workspace.
+        One entry per distinct end and element, (end, element) in that
+        order, then one per boundary ghost state: w = |u.n| + c for an
+        inviscid gas (``sigmas`` None), else max(beta, |u.n| + c).
+        ``faces`` as for :meth:`__call__`; the end states are gathered into
+        a frame of ``ws`` (a fresh workspace by default), and w is its kept
+        array, valid until the next call with the same workspace.
         :meth:`pair_fluxes`, :meth:`__call__` and :meth:`max_dt` read it.
         """
         ws = Workspace() if ws is None else ws
@@ -265,94 +254,93 @@ class LowOrderRHS:
         return self._slot_scale * np.maximum(w[self._slot_end],
                                              w[self._ext_end])
 
-    def _pair_weights(self, w, low, ws, out=None):
-        """Pair weights lambda_ij = max(w_i, w_j) |n_ij| of one class."""
-        wc = w[low.w_block].reshape(low.w_shape)
-        lam = np.take(wc, low.ei, axis=1, out=out, mode="clip")
-        np.maximum(lam, ws.gather(wc, low.ej), out=lam)
-        lam *= low.nn
+    def _pair_weights(self, w, ws, out=None):
+        """Pair weights lambda_ij = max(w_i, w_j) |n_ij|, (npairs_low, K)."""
+        wT = w[:self._n_ends].reshape(self._ne, -1)
+        lam = np.take(wT, self._ei, axis=0, out=out, mode="clip")
+        np.maximum(lam, ws.gather(wT, self._ej), out=lam)
+        lam *= self._nn
         return lam
 
     # -- pairwise contributions ---------------------------------------------
 
-    def pair_fluxes(self, u, w, sigmas=None, ws=None):
-        """Low-order pair fluxes and wavespeeds, one (P, lambda) per class.
+    def pair_fluxes(self, uT, w, sigmas=None, ws=None):
+        """Low-order pair fluxes and wavespeeds (P, lambda) of the mesh.
 
-        P_ij (shape (K_c, npairs_low, nvar)) goes +P to node i and -P to
-        node j; lambda_ij (shape (K_c, npairs_low)) is the pair's weight in
+        ``uT`` are the node states and ``sigmas`` the viscous fluxes per
+        direction (None for an inviscid gas), component first: (nvar, Np,
+        K). P_ij (shape (nvar, npairs_low, K)) goes +P to node i and -P to
+        node j; lambda_ij (shape (npairs_low, K)) is the pair's weight in
         the CFL bound, from the wavespeeds ``w`` of :meth:`wavespeeds`. The
-        pairs are the class's ``pair_low`` subset. The gathers come from
-        the workspace ``ws`` (a fresh one by default), one frame per class,
-        and P and lambda are its kept arrays of the class.
+        pairs are the graph's ``pair_low`` subset. The gathers come from a
+        frame of the workspace ``ws`` (a fresh one by default), and P and
+        lambda are its kept arrays.
         """
         ws = Workspace() if ws is None else ws
-        gas = self.gas
-        dim = self.mesh.dim
-        nvar = u.shape[-1]
-        f = euler_flux(u, gas)
+        nvar, _, K = uT.shape
+        # uT.T is (K, Np, nvar) with the components outermost in memory, and
+        # euler_flux's results keep their input's memory order, so each
+        # flux's .T is a contiguous (nvar, Np, K) array
+        f = tuple(fd.T for fd in euler_flux(uT.T, self.gas))
         if sigmas is not None:
-            f = tuple(f[d] - sigmas[d] for d in range(dim))
-        out = []
-        for c, (elems, low) in enumerate(zip(self.mesh.class_elems,
-                                             self._low)):
-            pi, pj = low.i, low.j
-            shape = (len(elems), len(pi))
-            P = ws.keep(("FL", c), shape + (nvar,))
-            lam = ws.keep(("lamL", c), shape)
-            with ws.frame():
-                self._pair_weights(w, low, ws, out=lam)
-                # -sum_d n_d (f_d,i + f_d,j) + lambda (u_j - u_i)
-                P.fill(0.0)
-                fij, fj = ws.take(P.shape), ws.take(P.shape)
-                for d in range(dim):
-                    fd = f[d][elems]
-                    np.take(fd, pi, axis=1, out=fij, mode="clip")
-                    fij += np.take(fd, pj, axis=1, out=fj, mode="clip")
-                    fij *= low.n_rep[d]
-                    P += fij
-                np.negative(P, out=P)
-                uc = u[elems]
-                diff = np.subtract(ws.gather(uc, pj), ws.gather(uc, pi),
-                                   out=fij)
-                for v in range(nvar):
-                    diff[..., v] *= lam
-                P += diff
-            out.append((P, lam))
-        return out
+            f = tuple(fd - sd for fd, sd in zip(f, sigmas))
+        P = ws.keep("FL", (nvar, len(self._pi), K))
+        lam = ws.keep("lamL", P.shape[1:])
+        with ws.frame():
+            self._pair_weights(w, ws, out=lam)
+            # -sum_d n_d (f_d,i + f_d,j) + lambda (u_j - u_i)
+            P.fill(0.0)
+            fij, fj = ws.take(P.shape), ws.take(P.shape)
+            for d, fd in enumerate(f):
+                np.take(fd, self._pi, axis=1, out=fij, mode="clip")
+                fij += np.take(fd, self._pj, axis=1, out=fj, mode="clip")
+                fij *= self._n[d]
+                P += fij
+            np.negative(P, out=P)
+            diff = np.subtract(ws.gather(uT, self._pj),
+                               ws.gather(uT, self._pi), out=fij)
+            diff *= lam
+            P += diff
+        return P, lam
 
     def _nodal_lam(self, lam_s, lam_pairs):
         """Nodal wavespeed sums lambda_i from the face and pair weights."""
         mesh = self.mesh
         lam = lam_s.reshape(mesh.n_elements, -1) @ mesh.ops.E
-        for elems, lam_p, low in zip(mesh.class_elems, lam_pairs, self._low):
-            lam[elems] += lam_p @ low.absST
+        lam += (self._absS @ lam_pairs).T
         return lam
 
     # -- residual ----------------------------------------------------------
 
-    def __call__(self, u, faces, w, pairs):
+    def __call__(self, u, faces, w, pairs, ws=None):
         """R = M du/dt and the nodal wavespeed sums lambda_i.
 
         ``faces`` is (uf, uP, sigf, sigP, nrm), from :meth:`face_states` and
         :meth:`face_sigmas`; ``w`` is :meth:`wavespeeds` and ``pairs``
-        :meth:`pair_fluxes` of ``u``.
+        :meth:`pair_fluxes` of ``u``. The scatter of the pair fluxes is
+        formed in the workspace ``ws`` (a fresh one by default).
         """
+        ws = Workspace() if ws is None else ws
         mesh = self.mesh
-        K, _, nvar = u.shape
+        K, Np, nvar = u.shape
         lam_s = self.slot_lam(w)
         Rs = interface_flux_low(*faces, mesh.fwsJ.reshape(-1), lam_s,
                                 self.gas)
         R = mesh.ops.E.T @ Rs.reshape(K, -1, nvar)
-        for elems, (P, _), low in zip(mesh.class_elems, pairs, self._low):
-            R[elems] += low.S @ P
-        return R, self._nodal_lam(lam_s, [lam_p for _, lam_p in pairs])
+        P, lam_p = pairs
+        with ws.frame():
+            R += np.matmul(self._S, P, out=ws.take((nvar, Np, K))).T
+        return R, self._nodal_lam(lam_s, lam_p)
 
-    def max_dt(self, w):
+    def max_dt(self, w, ws=None):
         """Largest forward-Euler step with the convex bar-state guarantee.
 
-        Reads only the wavespeeds ``w`` of :meth:`wavespeeds`, no fluxes.
+        Reads only the wavespeeds ``w`` of :meth:`wavespeeds`, no fluxes;
+        the pair weights are formed in the workspace ``ws`` (a fresh one by
+        default).
         """
-        ws = Workspace()
-        lam_pairs = [self._pair_weights(w, low, ws) for low in self._low]
-        lam = self._nodal_lam(self.slot_lam(w), lam_pairs)
+        ws = Workspace() if ws is None else ws
+        with ws.frame():
+            lam_p = self._pair_weights(w, ws, out=ws.take(self._nn.shape))
+            lam = self._nodal_lam(self.slot_lam(w), lam_p)
         return float((self.mesh.mass / (2.0 * lam)).min())

@@ -53,14 +53,14 @@ class Stepper:
     limited modes give the high-order update the low-order interface flux,
     so it differs from the low-order update only by the scattered pair
     differences dF = F^H - F^L, and both limiters blend through dF. Every
-    column of a class's ``scatter`` sums to zero, so the blend conserves by
+    column of the mesh's ``scatter`` sums to zero, so the blend conserves by
     construction. zeta > 0 selects the relaxed bounds; zeta = 0 the minimal
     ones.
 
-    The Stepper owns one :class:`~posdg.workspace.Workspace`: the low- and
-    high-order pair fluxes, and with them dF, are its kept arrays, and the
-    pair-flux and limiter kernels take their temporaries from it, so the
-    stages of a run reuse the same memory.
+    The Stepper owns one :class:`~posdg.workspace.Workspace`: the
+    transposed node states, the low- and high-order pair fluxes, and with
+    them dF, are its kept arrays, and the pair-flux and limiter kernels take
+    their temporaries from it, so the stages of a run reuse the same memory.
     """
 
     def __init__(self, mesh: Mesh, gas: GasParams, bcs: BCSet,
@@ -91,9 +91,11 @@ class Stepper:
         with the low-order wavespeeds. The other modes evaluate the per-end
         wavespeeds once (:meth:`LowOrderRHS.wavespeeds`), and from them and
         the pair fluxes form the low-order residual RL and its nodal
-        wavespeeds lam; the limited modes add
-        the per-class pair differences dF = F^H - F^L, with each class's
-        low-order pair fluxes evaluated once for both. ``sig`` keeps the
+        wavespeeds lam; the limited modes add the pair differences
+        dF = F^H - F^L, one (nvar, npairs, K) array over the mesh's pair
+        graph, with the low-order pair fluxes evaluated once for both. The
+        pair kernels read the node states, and the viscous fluxes, transposed
+        once per stage to (nvar, Np, K) in the workspace. ``sig`` keeps the
         LDG viscous fluxes (None for inviscid gases).
 
         A ``prep`` is valid until the next ``prepare`` on the same Stepper:
@@ -104,17 +106,20 @@ class Stepper:
         faces = (uf, uP, *self.low.face_sigmas(sig), nrm)
         prep = {"RL": None, "lam": None, "RH": None, "dF": None, "sig": sig,
                 "faces": None}
+        ws = self.ws
+        uT = ws.transposed("uT", u)
+        sigT = None if sig is None else tuple(
+            ws.transposed(("sigT", d), s) for d, s in enumerate(sig))
         if self.mode == "none":
-            prep["RH"] = self.high(u, faces, sig, self.ws)
+            prep["RH"] = self.high(uT, faces, sigT, ws)
             prep["faces"] = faces
             return prep
-        w = self.low.wavespeeds(u, faces, sig, self.ws)
-        low_pairs = self.low.pair_fluxes(u, w, sig, self.ws)
-        prep["RL"], prep["lam"] = self.low(u, faces, w, low_pairs)
+        w = self.low.wavespeeds(u, faces, sig, ws)
+        low_pairs = self.low.pair_fluxes(uT, w, sigT, ws)
+        prep["RL"], prep["lam"] = self.low(u, faces, w, low_pairs, ws)
         if self.high is not None:
             prep["dF"] = antidiffusive_fluxes(
-                self.mesh, self.high.pair_fluxes(u, sig, self.ws),
-                low_pairs)
+                self.mesh, self.high.pair_fluxes(uT, sigT, ws), low_pairs)
         return prep
 
     def dt_bound(self, prep):
@@ -271,7 +276,7 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
         if bound is None:
             low = stepper.low
             bound = low.max_dt(low.wavespeeds(u, prep1["faces"], prep1["sig"],
-                                              stepper.ws))
+                                              stepper.ws), stepper.ws)
         dt = min(cfl * bound, t_final - t)
         for attempt in range(MAX_RETRIES + 1):
             try:

@@ -1,22 +1,28 @@
 """Scratch buffers reused from one Runge-Kutta stage to the next.
 
 Every stage of a run does the same fixed-shape work: the low- and
-high-order pair fluxes of each geometry class, then the limiter of each
-class. Left to the allocator, the large temporaries of that work go back
-to the OS when they are freed and are faulted in again at the next stage,
+high-order pair fluxes over the mesh's one pair graph, then the limiter.
+Left to the allocator, the large temporaries of that work go back to the
+OS when they are freed and are faulted in again at the next stage,
 hundreds to thousands of minor page faults per step. A :class:`Workspace`
 hands them out instead as views of one byte block that lives as long as
 its owner (a ``Stepper``).
 
+The pair kernels work on arrays laid out (variable, pair, element), so
+every per-component operation runs on a contiguous (npairs, K) block. They
+read the node states transposed to (variable, node, element), once per
+stage (:meth:`Workspace.transposed`), and gather the pair ends as row
+takes (:meth:`Workspace.gather`).
+
 Temporaries are taken in *frames*: ``with ws.frame():`` remembers the top
 of the block and gives everything taken inside back on exit, so frames nest
 like a stack and every outermost frame starts at offset 0. The pair-flux
-phase and the limiter phase, and the geometry classes within each, thus
-share the same bytes. A take that does not fit is served by a fresh array;
-when the outermost frame closes, the block is replaced by one of exactly
-the largest extent seen. After the first stage it therefore neither grows
-nor moves. Outputs that must outlive their frame (a class's pair fluxes)
-are :meth:`Workspace.keep` arrays: one per key, allocated once.
+phase and the limiter phase thus share the same bytes. A take that does
+not fit is served by a fresh array; when the outermost frame closes, the
+block is replaced by one of exactly the largest extent seen. After the
+first stage it therefore neither grows nor moves. Outputs that must
+outlive their frame (the pair fluxes, the transposed states) are
+:meth:`Workspace.keep` arrays: one per key, allocated once.
 
 A kernel called without a workspace makes a fresh one, so it behaves as a
 plain function that returns new arrays.
@@ -60,9 +66,10 @@ class Workspace:
         return self._block[start:end].view(dtype).reshape(shape)
 
     def gather(self, a, idx) -> np.ndarray:
-        """``a[:, idx]`` into an array of the current frame."""
-        out = self.take(a.shape[:1] + idx.shape + a.shape[2:], a.dtype)
-        return np.take(a, idx, axis=1, out=out, mode="clip")
+        """``a[..., idx, :]``, rows of the last two axes, into an array of
+        the current frame."""
+        out = self.take(a.shape[:-2] + idx.shape + a.shape[-1:], a.dtype)
+        return np.take(a, idx, axis=-2, out=out, mode="clip")
 
     @contextmanager
     def frame(self):
@@ -74,6 +81,13 @@ class Workspace:
             self._top = top
             if top == 0 and self._high > self._block.size:
                 self._block = np.empty(self._high, dtype=np.uint8)
+
+    def transposed(self, key, a) -> np.ndarray:
+        """``a`` with its axes reversed, copied into the kept array of
+        ``key``: (K, Np, nvar) node states become (nvar, Np, K)."""
+        out = self.keep(key, a.shape[::-1], a.dtype)
+        np.copyto(out, a.T)
+        return out
 
     def keep(self, key, shape, dtype=float) -> np.ndarray:
         """The persistent array of ``key``; the same one at every call."""

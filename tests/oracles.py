@@ -181,12 +181,18 @@ def zhang_shu_limit_ref(uLnew, rL, rH, dt, mesh, bounds, cap=None):
 
 
 def convex_limit_ref(mesh, uLnew, dF, dt, bounds, cap=None):
-    """Pairwise convex limiting; returns (limited field, min l per element)."""
+    """Pairwise convex limiting; returns (limited field, min l per element).
+
+    ``dF`` is the solver's (nvar, npairs, K) array; the oracle limits each
+    geometry class on its own, with (K_c, npairs, nvar) arrays and one
+    scatter per element.
+    """
     Np = mesh.ops.n_nodes
     face_count = np.bincount(mesh.ops.face_vol, minlength=Np)
     du = np.zeros_like(uLnew)
     l_min = np.ones(mesh.n_elements)
-    for elems, gc, dFc in zip(mesh.class_elems, mesh.classes, dF):
+    for elems, gc in zip(mesh.class_elems, mesh.classes):
+        dFc = dF[:, :, elems].T
         pi, pj = gc.pair_i, gc.pair_j
         card = (np.bincount(pi, minlength=Np) + np.bincount(pj, minlength=Np)
                 + face_count)

@@ -86,7 +86,11 @@ def test_state_kernels_match_oracles(case):
     rng, u, n, sigma = _setup(case)
     u2 = _states(rng, u.shape[:-1], case["dim"])
     assert _equal(internal_energy(u), internal_energy_ref(u))
-    for a, b in zip(ec_prims(u, GAS), ec_prims_ref(u, GAS)):
+    # ec_prims and ec_fluxes_prims take and return their arrays component
+    # first; the oracles keep the variable index last
+    rho, vel, beta, vsq = ec_prims(np.moveaxis(u, -1, 0), GAS)
+    for a, b in zip((rho, np.moveaxis(vel, 0, -1), beta, vsq),
+                    ec_prims_ref(u, GAS)):
         assert _equal(a, b)
     assert _equal(davis_wavespeed(u, u2, n, GAS),
                   davis_wavespeed_ref(u, u2, n, GAS))
@@ -95,10 +99,11 @@ def test_state_kernels_match_oracles(case):
     assert _equal(zhang_beta(u, sigma, n, GAS, eps0=0.0),
                   zhang_beta_ref(u, sigma, n, GAS, eps0=0.0))
     assert _equal(mirror_state(u, n), mirror_state_ref(u, n))
-    prims, prims2 = ec_prims(u, GAS), ec_prims(u2, GAS)
-    for a, b in zip(ec_fluxes_prims(prims, prims2, GAS),
-                    ec_fluxes_prims_ref(prims, prims2, GAS)):
-        assert _equal(a, b)
+    prims = [ec_prims_ref(x, GAS) for x in (u, u2)]
+    first = [(r, np.moveaxis(v, -1, 0), b, q) for r, v, b, q in prims]
+    for a, b in zip(ec_fluxes_prims(*first, GAS),
+                    ec_fluxes_prims_ref(*prims, GAS)):
+        assert _equal(np.moveaxis(a, 0, -1), b)
     assert _equal(wall_riemann_state(u, n, GAS),
                   wall_riemann_state_ref(u, n, GAS))
 

@@ -1,5 +1,6 @@
 """Mesh construction: connectivity, geometry factors, physical operators."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from oracles import connect_ref
 from posdg.cases import CASES, get_case
-from posdg.mesh import _connect, interval_mesh, rect_mesh
+from posdg.mesh import Mesh, _connect, interval_mesh, rect_mesh
 from posdg.timestepping import Stepper, advance
 
 MESHES_2D = [
@@ -192,6 +193,40 @@ def test_low_order_pairs_match_skew():
                 assert np.all(gc.scatter[pi, cols] == 1.0)
                 assert np.all(gc.scatter[pj, cols] == -1.0)
                 assert np.all(np.abs(gc.scatter).sum(axis=0) == 2.0)
+
+
+def _meshes_of_every_class_count():
+    for elem in ("line", "quad", "tri"):
+        for N in range(1, 5):
+            yield elem, N, (interval_mesh(0.0, 2.0, 2, N) if elem == "line"
+                            else make2d(elem, N, (2, 2)))
+
+
+def test_mesh_pair_graph_equals_every_class_graph():
+    # one graph for the whole mesh; the weights are each element's class's
+    for elem, N, m in _meshes_of_every_class_count():
+        for gc in m.classes:
+            for name in ("pair_i", "pair_j", "pair_low", "scatter"):
+                assert np.array_equal(getattr(m, name), getattr(gc, name)), \
+                    (elem, N, name)
+        npairs = len(m.pair_i)
+        assert m.pair_s.shape == m.pair_n.shape == (m.dim, npairs,
+                                                    m.n_elements)
+        for k, c in enumerate(m.class_id):
+            gc = m.classes[c]
+            assert np.array_equal(m.pair_s[:, :, k], gc.pair_s)
+            assert np.array_equal(m.pair_n[:, :, k], gc.pair_n.T)
+
+
+def test_mesh_rejects_classes_with_different_pair_graphs():
+    m = make2d("tri", 2, (2, 2))
+    gc0, gc1 = m.classes
+    for other in (dataclasses.replace(gc1, pair_low=gc1.pair_low[1:]),
+                  dataclasses.replace(gc1, pair_j=gc1.pair_j[::-1])):
+        with pytest.raises(ValueError, match="classes 0 and 1"):
+            Mesh(elem=m.elem, N=m.N, ops=m.ops, xy=m.xy, class_id=m.class_id,
+                 classes=[gc0, other], fpartner=m.fpartner, ftag=m.ftag,
+                 extent=m.extent)
 
 
 def test_classify_2d():

@@ -3,8 +3,13 @@ consistency orders, viscous gradients, bar-state decomposition."""
 
 import numpy as np
 import pytest
-from oracles import bar_state_residual, lam_hat_ref
-from schemes import Scheme
+from oracles import (
+    bar_state_residual,
+    ec_fluxes_prims_ref,
+    ec_prims_ref,
+    lam_hat_ref,
+)
+from schemes import Scheme, components
 
 from posdg.bc import BCSet, dirichlet, noslip, outflow, wall
 from posdg.limiter import antidiffusive_fluxes
@@ -14,10 +19,12 @@ from posdg.physics import (
     davis_wavespeed,
     entropy_to_conserved,
     entropy_vars,
+    euler_flux,
     internal_energy,
     is_admissible,
     primitive_to_conserved,
 )
+from posdg.timestepping import Stepper
 
 GAS = GasParams(gamma=1.4)
 GAS_V = GasParams(gamma=1.4, mu=0.01, Re=1.0, Pr=0.75)
@@ -249,11 +256,9 @@ def test_matched_interface_equals_low_order_on_piecewise_constants(elem, N):
                   mesh.ops.n_nodes, axis=1)
     sch = Scheme(mesh, GAS, bcs)
     RL = sch.low_residual(u, 0.0)[0]
-    dF = antidiffusive_fluxes(mesh, sch.high.pair_fluxes(u),
-                              sch.low_pairs(u))
-    for gc, dFc in zip(mesh.classes, dF):
-        r = gc.scatter @ dFc
-        assert np.abs(r).max() < 1e-12 * max(1.0, np.abs(RL).max())
+    dF = antidiffusive_fluxes(mesh, sch.high_pairs(u), sch.low_pairs(u))
+    r = mesh.scatter @ dF
+    assert np.abs(r).max() < 1e-12 * max(1.0, np.abs(RL).max())
 
 
 @pytest.mark.parametrize("elem,N", ELEMS)
@@ -344,7 +349,7 @@ def test_wavespeeds_match_pairwise_form(elem, N, viscous):
     sig = sch.gradient(u, 0.0)[2] if viscous else None
     faces = sch.faces(u, 0.0, sig)
     w = sch.low.wavespeeds(u, faces, sig)
-    pairs = sch.low.pair_fluxes(u, w, sig)
+    pairs = sch.low.pair_fluxes(components(u), w, components(sig))
 
     uf, uP, sigf, sigP, nrm = faces
     lam_hat = lam_hat_ref(uf, uP, sigf, sigP, nrm, gas)
@@ -355,7 +360,8 @@ def test_wavespeeds_match_pairwise_form(elem, N, viscous):
     assert np.array_equal(sch.low.slot_lam(w), lam_s)
     lam_nodes = lam_s.reshape(mesh.n_elements, -1) @ mesh.ops.E
     beta_binds = np.any(lam_hat > davis_wavespeed(uf, uP, nrm, gas))
-    for elems, gc, (_, lam_p) in zip(mesh.class_elems, mesh.classes, pairs):
+    for elems, gc in zip(mesh.class_elems, mesh.classes):
+        lam_p = pairs[1][:, elems].T
         low = gc.pair_low
         pi, pj = gc.pair_i[low], gc.pair_j[low]
         nn = np.linalg.norm(gc.pair_n[low], axis=1)
@@ -372,6 +378,72 @@ def test_wavespeeds_match_pairwise_form(elem, N, viscous):
     assert beta_binds == viscous
     assert np.array_equal(sch.low(u, faces, w, pairs)[1], lam_nodes)
     assert sch.low.max_dt(w) == float((mesh.mass / (2.0 * lam_nodes)).min())
+
+
+# ---------------------------------------------------------------------------
+# the mesh-wide (variable, pair, element) layout of the pair arrays
+# ---------------------------------------------------------------------------
+
+def _class_pair_arrays_ref(gc, elems, u, sig, gas):
+    """F^H, F^L and lambda_ij of one geometry class from the oracles, in the
+    per-class layout (K_c, npairs, nvar) and with the class's own weights."""
+    pi, pj, low = gc.pair_i, gc.pair_j, gc.pair_low
+    uc = u[elems]
+    sc = None if sig is None else tuple(s[elems] for s in sig)
+    prims = ec_prims_ref(uc, gas)
+    F = ec_fluxes_prims_ref(tuple(a[:, pi] for a in prims),
+                            tuple(a[:, pj] for a in prims), gas)
+    FH = np.zeros((len(elems), len(pi), uc.shape[-1]))
+    for d, fd in enumerate(F):
+        if sc is not None:
+            fd = fd - 0.5 * (sc[d][:, pi] + sc[d][:, pj])
+        FH -= gc.pair_s[d][:, None] * fd
+
+    li, lj = pi[low], pj[low]
+    nij = gc.pair_n[low]
+    nn = np.linalg.norm(nij, axis=1)
+    si = sj = None
+    if sc is not None:
+        si, sj = (tuple(s[:, idx] for s in sc) for idx in (li, lj))
+    unit = nij / nn[:, None]
+    lam = lam_hat_ref(uc[:, li], uc[:, lj], si, sj, unit, gas) * nn
+    f = euler_flux(uc, gas)
+    if sc is not None:
+        f = tuple(fd - sd for fd, sd in zip(f, sc))
+    central = sum((f[d][:, li] + f[d][:, lj]) * nij[:, d, None]
+                  for d in range(len(f)))
+    FL = -central + (uc[:, lj] - uc[:, li]) * lam[..., None]
+    return FH, FL, lam
+
+
+@pytest.mark.parametrize("elem", ["quad", "tri"])
+@pytest.mark.parametrize("viscous", [False, True])
+def test_pair_arrays_equal_per_class_oracles(elem, viscous):
+    # the (nvar, npairs, K) arrays, read back per class, hold the per-class
+    # arithmetic bit for bit: same flux, weights and wavespeeds, new layout
+    gas = GAS_V if viscous else GAS
+    mesh = periodic_mesh(elem, 3, K=3)
+    u = smooth_state(mesh, gas)
+    sch = Scheme(mesh, gas, BCSet({}))
+    sig = sch.gradient(u, 0.0)[2] if viscous else None
+    FH = sch.high_pairs(u, sig)
+    FL, lam = sch.low_pairs(u, 0.0, sig)
+    nvar = u.shape[-1]
+    assert FH.shape == (nvar, len(mesh.pair_i), mesh.n_elements)
+    assert FL.shape == (nvar, len(mesh.pair_low), mesh.n_elements)
+    assert lam.shape == FL.shape[1:]
+    dF = antidiffusive_fluxes(mesh, FH.copy(), (FL, lam))
+    prep = Stepper(mesh, gas, BCSet({}), mode="convex").prepare(u, 0.0)
+    assert np.array_equal(prep["dF"], dF)
+    for elems, gc in zip(mesh.class_elems, mesh.classes):
+        FH_ref, FL_ref, lam_ref = _class_pair_arrays_ref(gc, elems, u, sig,
+                                                         gas)
+        dF_ref = FH_ref.copy()
+        dF_ref[:, gc.pair_low] -= FL_ref
+        assert np.array_equal(FH[:, :, elems].T, FH_ref)
+        assert np.array_equal(FL[:, :, elems].T, FL_ref)
+        assert np.array_equal(lam[:, elems].T, lam_ref)
+        assert np.array_equal(dF[:, :, elems].T, dF_ref)
 
 
 def test_quad_pair_ends_cover_the_face_slots():
