@@ -44,6 +44,9 @@ For each march configuration whose deviation is not 0, REF runs once more
 from the initial state nudged up by one ulp (``np.nextafter(u0, inf)``), and
 that run's deviation from REF is printed next to the configuration's: a
 measured yardstick for changes that reorder floating-point operations.
+For the configurations whose case has an exact solution, the relative L1
+error of each tree's final state (``cases.error_norms``) is printed too, so
+a change shows what it does to accuracy as well as to parity.
 
 The exit status is 0 when every deviation is exactly 0 and every output file
 is identical, else 1. Takes about two minutes.
@@ -100,18 +103,20 @@ def collect(config_file: str, out_file: str) -> None:
     and the outputs of each `posdg run` under ``out_file + ".runs"``. With
     ``"nudge"`` set in the file, the marches start one ulp above u0."""
     from posdg import cli
+    from posdg.cases import error_norms
     from posdg.timestepping import advance
 
     cfgs = json.loads(Path(config_file).read_text())
-    states, meta = {}, {}
+    states, meta, l1 = {}, {}, {}
     for name, raw in cfgs["march"].items():
-        _, _, stepper, u0, cfl, t_final = cli.setup(cli.make_config(raw))
+        case, mesh, stepper, u0, cfl, t_final = cli.setup(
+            cli.make_config(raw))
         if cfgs.get("nudge"):
             u0 = np.nextafter(u0, np.inf)
-        last = {"u": u0, "steps": 0}
+        last = {"u": u0, "steps": 0, "t": 0.0}
 
         def keep(step, t, u, row, rep):
-            last.update(u=u, steps=step)
+            last.update(u=u, steps=step, t=t)
 
         abort = ""
         try:
@@ -121,8 +126,10 @@ def collect(config_file: str, out_file: str) -> None:
             abort = str(exc)
         states[name] = last["u"]
         meta[name] = {"steps": last["steps"], "abort": abort}
+        if case.exact is not None:
+            l1[name] = error_norms(last["u"], mesh, case, t=last["t"], p=1)
     np.savez(out_file, **states)
-    Path(out_file + ".json").write_text(json.dumps(meta))
+    Path(out_file + ".json").write_text(json.dumps({"meta": meta, "l1": l1}))
 
     for name, raw in cfgs["run"].items():
         cfg = cli.make_config(dict(raw, outdir=f"{out_file}.runs/{name}"))
@@ -139,8 +146,8 @@ def run_tree(src: Path, config_file: Path, out_file: Path, cwd: Path):
                    env=env, cwd=cwd, check=True)
     with np.load(out_file) as data:
         states = {k: data[k] for k in data.files}
-    meta = json.loads(Path(str(out_file) + ".json").read_text())
-    return states, meta
+    run = json.loads(Path(str(out_file) + ".json").read_text())
+    return states, run["meta"], run["l1"]
 
 
 def compare_outputs(new: Path, old: Path) -> tuple:
@@ -202,10 +209,10 @@ def main(argv=None) -> int:
             tf.extractall(tmp / "ref", filter="data")
         config_file = tmp / "configs.json"
         config_file.write_text(json.dumps(configs()))
-        new, new_meta = run_tree(REPO / "src", config_file,
-                                 tmp / "new.npz", tmp)
-        old, old_meta = run_tree(tmp / "ref" / "src", config_file,
-                                 tmp / "ref.npz", tmp)
+        new, new_meta, new_l1 = run_tree(REPO / "src", config_file,
+                                         tmp / "new.npz", tmp)
+        old, old_meta, old_l1 = run_tree(tmp / "ref" / "src", config_file,
+                                         tmp / "ref.npz", tmp)
         outputs = {}
         for name in configs()["run"]:
             dirs = (tmp / "new.npz.runs" / name, tmp / "ref.npz.runs" / name)
@@ -222,16 +229,17 @@ def main(argv=None) -> int:
             nudge_file = tmp / "nudged.json"
             nudge_file.write_text(json.dumps(
                 {"march": moved, "run": {}, "nudge": True}))
-            nudged, _ = run_tree(tmp / "ref" / "src", nudge_file,
-                                 tmp / "nudged.npz", tmp)
+            nudged = run_tree(tmp / "ref" / "src", nudge_file,
+                              tmp / "nudged.npz", tmp)[0]
             ulp = {name: deviation(nudged[name], old[name])
                    for name in moved}
 
     ok = True
     print(f"max relative deviation of the final state from {ref}, and of "
-          f"{ref} from u0 + 1 ulp")
+          f"{ref} from u0 + 1 ulp; relative L1 error of both final states "
+          f"where the case has an exact solution")
     print(f"{'config':30s} {'steps':>6s}  {'deviation':>9s}  "
-          f"{'1-ulp u0':>9s}")
+          f"{'1-ulp u0':>9s}  {'L1':>12s}  {'L1 ' + ref:>12s}")
     for name in new:
         dev = devs[name]
         note = ""
@@ -242,8 +250,10 @@ def main(argv=None) -> int:
             note = f"  (both aborted: {new_meta[name]['abort']})"
         ok &= dev == 0.0 and not note.startswith("  MISMATCH")
         yard = f"{ulp[name]:9.3g}" if name in ulp else f"{'-':>9s}"
+        errs = "  ".join(f"{e[name]:12.6e}" if name in e else f"{'-':>12s}"
+                         for e in (new_l1, old_l1))
         print(f"{name:30s} {new_meta[name]['steps']:6d}  {dev:9.3g}  "
-              f"{yard}{note}")
+              f"{yard}  {errs}{note}")
     print(f"\n{'posdg run':30s} {'files':>6s}  output files against {ref}")
     for name, (n_files, bad, columns) in outputs.items():
         ok &= not bad

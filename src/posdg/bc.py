@@ -70,31 +70,33 @@ class BCSet:
     def exterior_state(self, uM, xy, normals, tags, t, gas: GasParams):
         """Exterior conserved states for boundary slots.
 
-        All arrays are flat over face nodes; interior slots (tag 0) are
-        returned untouched as copies of ``uM``.
+        The states are component first, ``uM`` (nvar, n) and ``normals``
+        (dim, n), flat over face nodes; ``xy`` holds the (n, dim) node
+        coordinates for Dirichlet data, whose functions return states with
+        the variable index last. Interior slots (tag 0) are returned
+        untouched as copies of ``uM``.
         """
         uP = uM.copy()
         for tag, bc in self.table.items():
             sel = tags == tag
-            if not np.any(sel):
-                continue
+            if not np.any(sel) or bc.kind == "outflow":
+                continue  # outflow: the copy is already in place
             if bc.kind == "dirichlet":
-                uP[sel] = bc.fun(xy[sel], t)
+                ext = bc.fun(xy[sel], t).T
+            elif bc.kind == "wall" and bc.mode == "riemann":
+                ext = wall_riemann_state(uM[:, sel], normals[:, sel], gas)
             elif bc.kind == "wall":
-                if bc.mode == "riemann":
-                    uP[sel] = wall_riemann_state(uM[sel], normals[sel], gas)
-                else:
-                    uP[sel] = mirror_state(uM[sel], normals[sel])
+                ext = mirror_state(uM[:, sel], normals[:, sel])
             elif bc.kind == "noslip":
-                uP[sel] = noslip_state(uM[sel])
-            elif bc.kind == "outflow":
-                pass  # copy already in place
+                ext = noslip_state(uM[:, sel])
             else:
                 raise ValueError(f"unknown boundary kind {bc.kind!r}")
+            uP[:, sel] = ext
         return uP
 
     def exterior_sigma(self, sigM, tags):
-        """Exterior viscous fluxes: copies, energy negated on (no-slip) walls."""
+        """Exterior viscous fluxes, component first like ``sigM``: copies,
+        energy negated on (no-slip) walls."""
         out = []
         adiabatic = np.zeros(tags.shape, dtype=bool)
         for tag, bc in self.table.items():
@@ -102,6 +104,6 @@ class BCSet:
                 adiabatic |= tags == tag
         for s in sigM:
             sP = s.copy()
-            sP[adiabatic, -1] = -sP[adiabatic, -1]
+            sP[-1, adiabatic] = -sP[-1, adiabatic]
             out.append(sP)
         return tuple(out)

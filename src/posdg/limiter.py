@@ -14,10 +14,11 @@ it entirely (:func:`feasible_l`).
 
 Both limiters take one input, the antidiffusive pair fluxes
 dF_ij = F^H_ij - F^L_ij on the mesh's pair graph, one (nvar, npairs, K)
-array (:func:`antidiffusive_fluxes`). The two schemes share their interface
-flux, so r^H - r^L is the scatter of dF, and every column of the mesh's
-``scatter`` sums to zero: whatever the blend, the update conserves by
-construction.  Two assembly modes are
+array (:func:`antidiffusive_fluxes`); u^L and the updates are (nvar, Np,
+K), the bounds (Np, K). The two schemes share their interface flux, so
+r^H - r^L is the scatter of dF, and every column of the mesh's ``scatter``
+sums to zero: whatever the blend, the update conserves by construction.
+Two assembly modes are
 provided: elementwise blending with a single l per element (Zhang-Shu
 style) and pairwise convex (FCT style) limiting, which localizes l to node
 pairs.  A modal shock indicator can cap the blending parameter to force
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh
-from .physics import GasParams, _dot, internal_energy, pressure
+from .physics import GasParams, _dot, internal_energy_cf, pressure_cf
 from .workspace import Workspace
 
 __all__ = [
@@ -65,26 +66,25 @@ def generalized_bounds(uL: np.ndarray, zeta: float) -> Bounds:
     """Relaxed bounds rho_min = zeta rho(u^L), rhoe_min = zeta rhoe(u^L)."""
     if not 0.0 < zeta <= 1.0:
         raise ValueError("zeta must lie in (0, 1]")
-    return Bounds(zeta * uL[..., 0], zeta * internal_energy(uL))
+    return Bounds(zeta * uL[0], zeta * internal_energy_cf(uL))
 
 
 def minimal_bounds(uL: np.ndarray, eps0: float = 1e-14) -> Bounds:
     """Bare positivity: both bounds equal the small constant eps0."""
-    full = np.full(uL.shape[:-1], eps0)
+    full = np.full(uL.shape[1:], eps0)
     return Bounds(full, full)
 
 
 def solve_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds) -> np.ndarray:
     """Largest l in [0,1] keeping uL + l P inside the bounded admissible set.
 
-    Vectorized over leading axes. uL must satisfy the bounds itself; the
-    constant coefficient of the energy quadratic is clamped at zero to guard
-    the roundoff case where it computes marginally negative.
+    ``uL`` and ``P`` are (nvar, ...), vectorized over the trailing axes.
+    uL must satisfy the bounds itself; the constant coefficient of the
+    energy quadratic is clamped at zero to guard the roundoff case where it
+    computes marginally negative.
     """
-    rhoL, EL = uL[..., 0], uL[..., -1]
-    mL = uL[..., 1:-1]
-    rhoP, EP = P[..., 0], P[..., -1]
-    mP = P[..., 1:-1]
+    rhoL, mL, EL = uL[0], uL[1:-1], uL[-1]
+    rhoP, mP, EP = P[0], P[1:-1], P[-1]
     rho_min = np.broadcast_to(bounds.rho_min, rhoL.shape)
     rhoe_min = np.broadcast_to(bounds.rhoe_min, rhoL.shape)
 
@@ -128,23 +128,13 @@ def solve_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds) -> np.ndarray:
 
 
 def _outside(end, rho_min, rhoe_min, ws):
-    """Flat indices of the endpoints ``end`` outside the bounds.
-
-    ``end`` is component first, (nvar, ...). The checks are those of the
-    bound checks, rho >= rho_min and internal_energy >= rhoe_min, with
-    internal_energy = E - 0.5 (m . m) / rho formed term by term.
-    """
+    """Flat indices of the endpoints ``end`` (nvar, ...) outside the
+    bounds: the bound checks rho >= rho_min and rhoe >= rhoe_min."""
     shape = end.shape[1:]
     with ws.frame():
         inside = np.greater_equal(end[0], rho_min, out=ws.take(shape, bool))
-        kin = np.multiply(end[1], end[1], out=ws.take(shape))
-        m = ws.take(shape)
-        for c in range(2, len(end) - 1):
-            kin += np.multiply(end[c], end[c], out=m)
-        np.multiply(0.5, kin, out=kin)
-        kin /= end[0]
-        np.subtract(end[-1], kin, out=m)
-        inside &= np.greater_equal(m, rhoe_min, out=ws.take(shape, bool))
+        rhoe = internal_energy_cf(end, ws.take(shape), ws.take(shape))
+        inside &= np.greater_equal(rhoe, rhoe_min, out=ws.take(shape, bool))
         return np.flatnonzero(np.logical_not(inside, out=inside))
 
 
@@ -161,18 +151,17 @@ def feasible_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds,
     default); l is taken from the caller's frame.
     """
     ws = Workspace() if ws is None else ws
-    shape = P.shape[:-1]
-    nvar = P.shape[-1]
+    nvar, shape = len(P), P.shape[1:]
     rho_min = np.broadcast_to(bounds.rho_min, shape)
     rhoe_min = np.broadcast_to(bounds.rhoe_min, shape)
     l = ws.take(shape)
     with ws.frame():
         end = np.add(uL, P, out=ws.take(P.shape))
-        out = _outside(np.moveaxis(end, -1, 0), rho_min, rhoe_min, ws)
+        out = _outside(end, rho_min, rhoe_min, ws)
     l.fill(1.0)
     if out.size:
         l.reshape(-1)[out] = solve_l(
-            uL.reshape(-1, nvar)[out], P.reshape(-1, nvar)[out],
+            uL.reshape(nvar, -1)[:, out], P.reshape(nvar, -1)[:, out],
             Bounds(rho_min.reshape(-1)[out], rhoe_min.reshape(-1)[out]))
     return l
 
@@ -199,15 +188,15 @@ def zhang_shu_limit(uLnew, dF, dt, mesh: Mesh, bounds: Bounds, cap=None,
     ``ws`` (a fresh one by default). Returns (limited field, report).
     """
     ws = Workspace() if ws is None else ws
-    K, Np, nvar = uLnew.shape
     with ws.frame():
-        PT = np.matmul(mesh.scatter, dF, out=ws.take((nvar, Np, K)))
-        PT *= dt / mesh.mass.T
-        P = PT.T
-        l_elem = feasible_l(uLnew, P, bounds, ws).min(axis=1)
+        P = np.matmul(mesh.scatter, dF, out=ws.take(uLnew.shape))
+        P *= dt / mesh.mass.T
+        l_elem = feasible_l(uLnew, P, bounds, ws).min(axis=0)
         if cap is not None:
             l_elem = np.minimum(l_elem, cap)
-        return uLnew + l_elem[:, None, None] * P, LimiterReport(l_elem, cap)
+        unew = np.multiply(l_elem, P)
+        unew += uLnew
+        return unew, LimiterReport(l_elem, cap)
 
 
 def antidiffusive_fluxes(mesh: Mesh, high_pairs, low_pairs):
@@ -262,41 +251,32 @@ class ConvexLimiter:
         card = (np.bincount(pi, minlength=Np) + np.bincount(pj, minlength=Np)
                 + np.bincount(mesh.ops.face_vol, minlength=Np))
         self._massT = np.ascontiguousarray(mesh.mass.T)
-        # per end of the pairs: its nodes, their cardinality |I(i)| + |B(i)|,
-        # and whether dF_ij enters it with sign -1
-        self._ends = [(e, card[e][:, None], neg)
-                      for e, neg in ((pi, False), (pj, True))]
+        # per end of the pairs: its nodes, their cardinality |I(i)| + |B(i)|
+        # signed as dF_ij enters the end, and their masses (npairs, K)
+        self._ends = [(e, sign * card[e][:, None].astype(float),
+                       self._massT[e]) for e, sign in ((pi, 1), (pj, -1))]
 
     def __call__(self, uLnew, dF, dt, bounds: Bounds, cap=None, ws=None):
         """Limited update from u^L and the pair differences dF.
 
-        The transposed states and bounds, the endpoints, the limited fluxes
-        l_ij dF_ij and their scatter are formed in the workspace ``ws`` (a
-        fresh one by default).
+        The endpoints, the limited fluxes l_ij dF_ij and their scatter are
+        formed in the workspace ``ws`` (a fresh one by default).
         """
         ws = Workspace() if ws is None else ws
-        K, Np, nvar = uLnew.shape
+        nvar, Np, K = uLnew.shape
         shape = dF.shape[1:]
+        lims = [np.broadcast_to(b, (Np, K))
+                for b in (bounds.rho_min, bounds.rhoe_min)]
         with ws.frame():
-            uLT = ws.take((nvar, Np, K))
-            np.copyto(uLT, uLnew.T)
-            lims = []
-            for b in (bounds.rho_min, bounds.rhoe_min):
-                lims.append(ws.take((Np, K)))
-                np.copyto(lims[-1], np.broadcast_to(b, (K, Np)).T)
             # the substates that fail the screen, per end: their flat
-            # (pair, element) index, u^L, P and bounds
-            idx, uLs, Ps, rho_mins, rhoe_mins = [], [], [], [], []
-            for e, card, neg in self._ends:
+            # (pair, element) index, node, element and P
+            idx, nodes, elems, Ps = [], [], [], []
+            for e, card, m_end in self._ends:
                 with ws.frame():
                     # P = fac dF with fac = +-dt |I(i)| / m_i
-                    fac = np.take(self._massT, e, axis=0, out=ws.take(shape),
-                                  mode="clip")
-                    np.divide(dt * card, fac, out=fac)
-                    if neg:
-                        np.negative(fac, out=fac)
+                    fac = np.divide(dt * card, m_end, out=ws.take(shape))
                     # the endpoints u^L + P, formed in place
-                    end = np.take(uLT, e, axis=1, out=ws.take(dF.shape),
+                    end = np.take(uLnew, e, axis=1, out=ws.take(dF.shape),
                                   mode="clip")
                     tmp = ws.take(shape)
                     for c in range(nvar):
@@ -306,18 +286,17 @@ class ConvexLimiter:
                     out = _outside(end, *lo, ws)
                     p, k = np.divmod(out, K)
                     idx.append(out)
-                    uLs.append(uLT[:, e[p], k].T)
-                    Ps.append((fac.reshape(-1)[out]
-                               * dF.reshape(nvar, -1)[:, out]).T)
-                    rho_mins.append(lo[0].reshape(-1)[out])
-                    rhoe_mins.append(lo[1].reshape(-1)[out])
+                    nodes.append(e[p])
+                    elems.append(k)
+                    Ps.append(fac.reshape(-1)[out]
+                              * dF.reshape(nvar, -1)[:, out])
             l = ws.take((2,) + shape)
             l.fill(1.0)
             n0 = idx[0].size
             if n0 + idx[1].size:
-                lsub = solve_l(np.concatenate(uLs), np.concatenate(Ps),
-                               Bounds(np.concatenate(rho_mins),
-                                      np.concatenate(rhoe_mins)))
+                i, k = np.concatenate(nodes), np.concatenate(elems)
+                lsub = solve_l(uLnew[:, i, k], np.concatenate(Ps, axis=1),
+                               Bounds(*(b[i, k] for b in lims)))
                 l[0].reshape(-1)[idx[0]] = lsub[:n0]
                 l[1].reshape(-1)[idx[1]] = lsub[n0:]
             l = np.minimum(l[0], l[1], out=l[0])
@@ -327,27 +306,29 @@ class ConvexLimiter:
             # l_ij dt dF_ij, then its scatter over the node masses
             l *= dt
             ldF = np.multiply(l, dF, out=ws.take(dF.shape))
-            du = np.matmul(self.mesh.scatter, ldF, out=ws.take(uLT.shape))
+            du = np.matmul(self.mesh.scatter, ldF, out=ws.take(uLnew.shape))
             du /= self._massT
-            unew = uLnew + du.T
+            unew = uLnew + du
         return unew, LimiterReport(l_min, cap)
 
 
 def shock_indicator(u, ops, gas: GasParams):
     """Per-element blending value xi in [0,1] from modal energy of rho p.
 
+    ``u`` is (nvar, Np, K); returns (K,).
+
     The top-mode energy fraction feeds a logistic ramp; xi = 1 means no
     forced low-order blending, xi = 0.5 is the strongest response.
     """
-    q = u[..., 0] * pressure(u, gas)
-    modal = q @ ops.modal_proj.T
+    q = u[0] * pressure_cf(u, gas)
+    modal = ops.modal_proj @ q
     deg = ops.mode_degree
     N = ops.degree
     m2 = modal * modal
-    tot = m2.sum(axis=1)
-    top = m2[:, deg == N].sum(axis=1)
-    low_tot = m2[:, deg <= N - 1].sum(axis=1)
-    sub = m2[:, deg == N - 1].sum(axis=1)
+    tot = m2.sum(axis=0)
+    top = m2[deg == N].sum(axis=0)
+    low_tot = m2[deg <= N - 1].sum(axis=0)
+    sub = m2[deg == N - 1].sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         E = np.maximum(np.where(tot > 0, top / tot, 0.0),
                        np.where(low_tot > 0, sub / low_tot, 0.0))

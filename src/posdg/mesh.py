@@ -15,7 +15,7 @@ on these pairs, on arrays laid out (variable, pair, element) over the
 whole mesh, and a pair flux F_ij reaches the nodes through the +-1 scatter
 operator (+F_ij to node i, -F_ij to node j) in one matrix product.
 
-The face-node arrays are:
+The face-node arrays, indexed (element, slot), are:
 
 * ``fpartner``: for every face node, the flat index (element * Nfp + slot)
   of the coinciding face node of the neighbor, or -1 on the boundary;
@@ -168,15 +168,24 @@ class Mesh:
         return self.mass.sum()
 
     @cached_property
-    def exterior_index(self) -> np.ndarray:
-        """Flat partner slot of every face slot; a boundary slot's own."""
-        part = self.fpartner.reshape(-1)
-        return np.where(part >= 0, part, np.arange(len(part)))
+    def slot_exterior(self) -> np.ndarray:
+        """The partner slot of every slot, a boundary slot's own, in the
+        solver's slot-major order: slot s of element k at s * K + k, so
+        that E^T lifts an (..., Nfp, K) face array as it stands."""
+        K, Nfp = self.fpartner.shape
+        own = np.arange(K * Nfp).reshape(K, Nfp)
+        k, s = np.divmod(np.where(self.fpartner >= 0, self.fpartner, own), Nfp)
+        return (s * K + k).T.reshape(-1)
 
-    def gather_exterior(self, uf_flat: np.ndarray) -> np.ndarray:
-        """Partner values for interior face nodes (boundary slots get the
-        node's own value; callers overwrite those from the BC set)."""
-        return uf_flat[self.exterior_index]
+    @cached_property
+    def slot_normal(self) -> np.ndarray:
+        """Unit outward normals, slot-major (dim, Nfp * K)."""
+        return np.ascontiguousarray(self.fnormal.T).reshape(self.dim, -1)
+
+    @cached_property
+    def slot_wsJ(self) -> np.ndarray:
+        """Surface quadrature weights, slot-major (Nfp * K,)."""
+        return np.ascontiguousarray(self.fwsJ.T).reshape(-1)
 
 
 def _group_ids(order: np.ndarray, new: np.ndarray) -> np.ndarray:

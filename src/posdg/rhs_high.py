@@ -9,17 +9,20 @@ matrix of pairwise entropy-conservative fluxes,
 The summand is antisymmetric in (i, j), so it is evaluated once per pair of
 the mesh's pair graph (see :mod:`posdg.mesh`) as the pair flux
 
-    F^H_ij = - sum_k (Q_k - Q_k^T)_ij [ f_kS(u_i, u_j) - (s_ki + s_kj)/2 ]
+    F^H_ij = sum_k n_k [ f_kS(u_i, u_j) - (s_ki + s_kj)/2 ],
+    n_k = -(Q_k - Q_k^T)_ij,
 
-and scattered. F^H is one (nvar, npairs, K) array over the whole mesh,
-computed from the node states transposed to (nvar, Np, K), with the pair
-weights (Q_k - Q_k^T)_ij of each element's geometry class; its scatter is
-one matrix product. The surface term is an entropy-stable local
-Lax-Friedrichs flux built on the same two-point flux. :class:`HighOrderRHS` is the
-unlimited scheme (mode ``none``). The limited modes never form its
-residual: their high-order update uses the low-order interface flux, so it
-differs from the low-order one only by the scattered pair differences
-F^H_ij - F^L_ij, and the limiters take those (see :mod:`posdg.limiter`).
+and scattered: one two-point flux per pair, along n
+(:func:`~posdg.physics.ec_fluxes_prims`). F^H is one (nvar, npairs, K)
+array over the whole mesh, from the node states (nvar, Np, K) and the
+pair weights of each element's geometry class; its scatter is one matrix
+product. The surface term is an entropy-stable local Lax-Friedrichs flux
+built on the same two-point flux along each slot's normal, lifted by one
+product. :class:`HighOrderRHS` is the unlimited scheme (mode ``none``).
+The limited modes never form its residual: their high-order update uses
+the low-order interface flux, so it differs from the low-order one only by
+the scattered pair differences F^H_ij - F^L_ij, and the limiters take
+those (see :mod:`posdg.limiter`).
 The pair-end gathers and the flux temporaries are taken from a
 :class:`~posdg.workspace.Workspace`, and F^H is written into its kept
 array, so a Stepper's stages allocate no pair-sized memory.
@@ -44,10 +47,9 @@ from .physics import (
     ec_fluxes,
     ec_fluxes_prims,
     ec_prims,
-    entropy_vars,
+    entropy_vars_cf,
     viscous_sigma,
 )
-from .rhs_low import _norm1
 from .workspace import Workspace
 
 __all__ = ["HighOrderRHS", "LDGGradient"]
@@ -56,37 +58,53 @@ __all__ = ["HighOrderRHS", "LDGGradient"]
 class LDGGradient:
     """Entropy-variable gradients and viscous fluxes.
 
-    Theta_k = M^{-1} [ (Q_k - Q_k^T)/2 v + (1/2) E^T B_k v_ext ], the weak
-    gradient with central interface averages. The exterior v is
-    entropy_vars(uP) of the stage's exterior face states, so the boundary
-    conditions are evaluated once per stage, in
+    Theta_m = M^{-1} [ (Q_m - Q_m^T)/2 v + (1/2) E^T B_m v_ext ], the weak
+    gradient with central interface averages. The physical operator of an
+    element is Q_m = sum_k G_mk Q^r_k with G its class's cofactor matrix,
+    so the volume term is one product (Q^r_k - Q^r_k^T)/2 v per reference
+    direction over the whole mesh, scaled by the per-element factors
+    G_mk. The exterior v is entropy_vars(uP) of the stage's exterior face
+    states, so the boundary conditions are evaluated once per stage, in
     :meth:`posdg.rhs_low.LowOrderRHS.face_states`. Returns (v, thetas,
-    sigmas) at all volume nodes.
+    sigmas) at all volume nodes, (nvar, Np, K) each.
     """
 
     def __init__(self, mesh: Mesh, gas: GasParams):
         self.mesh = mesh
         self.gas = gas
-        self._skews = [tuple(0.5 * (Q - Q.T) for Q in gc.Qx)
-                       for gc in mesh.classes]
+        dim = mesh.dim
+        self._skews = [0.5 * (Q - Q.T) for Q in mesh.ops.Q]
+        G = np.stack([gc.G for gc in mesh.classes])[mesh.class_id]
+        # per physical direction, the reference directions with a nonzero
+        # factor in some element, and the factors per element
+        self._metric = [[(k, np.ascontiguousarray(G[:, m, k]))
+                         for k in range(dim) if np.any(G[:, m, k])]
+                        for m in range(dim)]
+        self._lift = (0.5 * mesh.slot_wsJ * mesh.slot_normal).reshape(
+            dim, mesh.n_face_nodes, -1)
+        self._massT = np.ascontiguousarray(mesh.mass.T)
 
-    def __call__(self, u, uP):
-        mesh = self.mesh
-        v = entropy_vars(u, self.gas)
-        vP = entropy_vars(uP, self.gas).reshape(u.shape[0],
-                                                mesh.n_face_nodes, -1)
-
-        thetas = []
-        for d in range(mesh.dim):
-            th = np.zeros_like(u)
-            for elems, skews in zip(mesh.class_elems, self._skews):
-                th[elems] = skews[d] @ v[elems]
-            face = 0.5 * (mesh.fwsJ * mesh.fnormal[..., d])[..., None] * vP
-            th += mesh.ops.E.T @ face
-            th /= mesh.mass[..., None]
-            thetas.append(th)
-        sigmas = viscous_sigma(v, tuple(thetas), self.gas)
-        return v, tuple(thetas), sigmas
+    def __call__(self, u, uP, ws=None):
+        """(v, thetas, sigmas), kept arrays of the workspace ``ws`` (a fresh
+        one by default), valid until its next call; the volume and lift
+        products are formed in a frame of it."""
+        ws = Workspace() if ws is None else ws
+        ET = self.mesh.ops.E.T
+        v = entropy_vars_cf(u, self.gas, out=ws.keep("v", u.shape))
+        thetas, sigmas = (tuple(ws.keep((key, m), u.shape)
+                                for m in range(len(self._lift)))
+                          for key in ("theta", "sigma"))
+        with ws.frame():
+            vP = entropy_vars_cf(uP, self.gas, out=ws.take(uP.shape)).reshape(
+                len(u), *self._lift.shape[1:])
+            Sv = [np.matmul(S, v, out=ws.take(u.shape)) for S in self._skews]
+            t, gSv = ws.take(vP.shape), ws.take(u.shape)
+            for th, lift, metric in zip(thetas, self._lift, self._metric):
+                np.matmul(ET, np.multiply(lift, vP, out=t), out=th)
+                for k, g in metric:
+                    th += np.multiply(g, Sv[k], out=gSv)
+                th /= self._massT
+        return v, thetas, viscous_sigma(v, thetas, self.gas, out=sigmas)
 
 
 class HighOrderRHS:
@@ -95,67 +113,64 @@ class HighOrderRHS:
         self.mesh = mesh
         self.gas = gas
         self.lf_dissipation = lf_dissipation
+        self._n = np.negative(mesh.pair_s)    # n_k = -(Q_k - Q_k^T)_ij
+        # the slot weights wsJ |n|_1 / 2 of the Lax-Friedrichs dissipation
+        self._lf = 0.5 * mesh.slot_wsJ * np.abs(mesh.slot_normal).sum(axis=0)
 
-    def pair_fluxes(self, uT, sigmas=None, ws=None):
+    def pair_fluxes(self, u, sigmas=None, ws=None):
         """High-order pair fluxes F^H_ij, one (nvar, npairs, K) array.
 
-        ``uT`` are the node states and ``sigmas`` the viscous fluxes per
-        direction (None for an inviscid gas), component first: (nvar, Np,
-        K). The two-point fluxes are symmetric and the operators skew, so
-        one evaluation per pair of the graph suffices; on tensor-product
-        elements those are the small fraction of pairs sharing a coordinate
-        line. The gathers and the flux temporaries come from a frame of the
-        workspace ``ws`` (a fresh one by default); F^H is its kept array,
-        overwritten at every call.
+        ``u`` are the node states and ``sigmas`` the viscous fluxes per
+        direction (None for an inviscid gas), (nvar, Np, K). The two-point
+        fluxes are symmetric and the operators skew, so one evaluation per
+        pair of the graph, along the pair's direction n, suffices; on
+        tensor-product elements those are the small fraction of pairs
+        sharing a coordinate line. The gathers and the flux temporaries
+        come from a frame of the workspace ``ws`` (a fresh one by default);
+        F^H is its kept array, overwritten at every call.
         """
         ws = Workspace() if ws is None else ws
-        mesh = self.mesh
-        pi, pj = mesh.pair_i, mesh.pair_j
-        FH = ws.keep("FH", (uT.shape[0], len(pi), uT.shape[-1]))
-        FH.fill(0.0)
+        pi, pj = self.mesh.pair_i, self.mesh.pair_j
+        FH = ws.keep("FH", (len(u), len(pi), u.shape[-1]))
         with ws.frame():
-            prims = ec_prims(uT, self.gas)
-            F = ec_fluxes_prims(tuple(ws.gather(a, pi) for a in prims),
-                                tuple(ws.gather(a, pj) for a in prims),
-                                self.gas, ws=ws)
-            for d, fd in enumerate(F):
-                if sigmas is not None:
-                    with ws.frame():
-                        vis = ws.gather(sigmas[d], pi)
-                        vis += ws.gather(sigmas[d], pj)
-                        vis *= 0.5
-                        fd -= vis
-                fd *= mesh.pair_s[d]
-                FH -= fd
+            prims = ec_prims(u, self.gas)
+            ec_fluxes_prims(tuple(ws.gather(a, pi) for a in prims),
+                            tuple(ws.gather(a, pj) for a in prims),
+                            self._n, self.gas, ws=ws, out=FH)
+            if sigmas is not None:
+                # minus sum_k n_k (s_ki + s_kj) / 2
+                vis, t = ws.take(FH.shape), ws.take(FH.shape)
+                for s, n in zip(sigmas, self._n):
+                    np.take(s, pi, axis=1, out=vis, mode="clip")
+                    vis += np.take(s, pj, axis=1, out=t, mode="clip")
+                    vis *= 0.5
+                    vis *= n
+                    FH -= vis
         return FH
 
-    def __call__(self, uT, faces, sigmas, ws=None):
-        """R = M du/dt, shape (K, Np, nvar).
+    def __call__(self, u, faces, sigmas, ws=None):
+        """R = M du/dt, shape (nvar, Np, K).
 
-        ``uT`` and ``sigmas`` as for :meth:`pair_fluxes`: the node states
-        and the viscous fluxes (None for an inviscid gas), component first;
-        ``faces`` is (uf, uP, sigf, sigP, nrm), as for
+        ``u`` and ``sigmas`` as for :meth:`pair_fluxes`: the node states
+        and the viscous fluxes (None for an inviscid gas); ``faces`` is
+        (uf, uP, sigf, sigP, nrm), as for
         :meth:`posdg.rhs_low.LowOrderRHS.__call__`; ``ws`` the workspace of
         :meth:`pair_fluxes`, which also holds the scatter.
         """
-        mesh = self.mesh
-        gas = self.gas
+        mesh, gas = self.mesh, self.gas
         ws = Workspace() if ws is None else ws
         uf, uP, sigf, sigP, nrm = faces
-        wsj = mesh.fwsJ.reshape(-1)
-        fS = ec_fluxes(uf, uP, gas)
-        flux_n = np.zeros_like(uf)
-        for d, fd in enumerate(fS):
-            if sigf is not None:
-                fd = fd - 0.5 * (sigf[d] + sigP[d])
-            flux_n += nrm[..., d, None] * fd
-        Rs = -wsj[..., None] * flux_n
+        wsj = mesh.slot_wsJ
+        Rs = ec_fluxes(uf, uP, nrm, gas)
+        if sigf is not None:
+            for n, sm, sp in zip(nrm, sigf, sigP):
+                Rs -= n * (0.5 * (sm + sp))
+        Rs *= -wsj
         if self.lf_dissipation:
             lam = davis_wavespeed(uf, uP, nrm, gas)
-            Rs += (0.5 * wsj * _norm1(nrm) * lam)[..., None] * (uP - uf)
-        nvar, _, K = uT.shape
-        R = mesh.ops.E.T @ Rs.reshape(K, -1, nvar)
-        FH = self.pair_fluxes(uT, sigmas, ws)
+            Rs += (self._lf * lam) * (uP - uf)
+        R = np.matmul(mesh.ops.E.T, Rs.reshape(len(u), mesh.n_face_nodes, -1))
+        FH = self.pair_fluxes(u, sigmas, ws)
         with ws.frame():
-            R += np.matmul(mesh.scatter, FH, out=ws.take(uT.shape)).T
+            R += np.matmul(mesh.scatter, FH, out=ws.take(u.shape))
         return R

@@ -13,7 +13,10 @@ low-order subset of the mesh's pair graph (see :mod:`posdg.mesh`), and
 the pair fluxes and weights are (nvar, npairs_low, K) and (npairs_low, K)
 arrays over the whole mesh, with n_ij taken per element from its geometry
 class; each of their scatters is one matrix product. Interfaces use the
-same construction with the boundary weights in place of n_ij. The face
+same construction with the boundary weights in place of n_ij, and the
+normal flux sum_k n_k f_k of each slot. Every array is component first:
+node states (nvar, Np, K), face states (nvar, Nfp * K) in the mesh's
+slot-major order, whose lift E^T is one matrix product too. The face
 states are gathered, and the boundary conditions evaluated, once per stage
 by :meth:`LowOrderRHS.face_states`; the LDG gradient, both interface
 fluxes and the wavespeeds all read that one set. The residual returned is
@@ -70,6 +73,7 @@ from .physics import (
     GasParams,
     davis_wavespeed,
     euler_flux,
+    normal_flux,
     zhang_beta,
 )
 from .workspace import Workspace
@@ -77,33 +81,24 @@ from .workspace import Workspace
 __all__ = ["LowOrderRHS", "interface_flux_low"]
 
 
-def _norm1(n):
-    """|n|_1 over the last axis, summed component by component."""
-    out = np.abs(n[..., 0])
-    for d in range(1, n.shape[-1]):
-        out = out + np.abs(n[..., d])
-    return out
-
-
 def interface_flux_low(uM, uP, sigM, sigP, normals, wsJ, lam_slot,
                        gas: GasParams):
     """Low-order interface contribution per face slot.
 
-    Returns the residual contribution to the owning volume node.
-    ``lam_slot`` is the slot's wavespeed weight lambda_s
-    (:meth:`LowOrderRHS.slot_lam`). The limited modes give the high-order
-    update this interface flux too, so it cancels from r^H - r^L.
+    Returns the residual contribution to the owning volume node, from the
+    normal fluxes of both traces. ``lam_slot`` is the slot's wavespeed
+    weight lambda_s (:meth:`LowOrderRHS.slot_lam`). The limited modes give
+    the high-order update this interface flux too, so it cancels from
+    r^H - r^L.
     """
-    dim = uM.shape[-1] - 2
-    fM = euler_flux(uM, gas)
-    fP = euler_flux(uP, gas)
-    central = np.zeros_like(uM)
-    for d in range(dim):
-        df = fM[d] + fP[d]
-        if sigM is not None:
-            df = df - sigM[d] - sigP[d]
-        central += 0.5 * normals[..., d, None] * df
-    return -wsJ[..., None] * central + lam_slot[..., None] * (uP - uM)
+    F = normal_flux(uM, normals, gas)
+    F += normal_flux(uP, normals, gas)
+    if sigM is not None:
+        for d, (sm, sp) in enumerate(zip(sigM, sigP)):
+            F -= normals[d] * (sm + sp)
+    F *= -0.5 * wsJ
+    F += lam_slot * (uP - uM)
+    return F
 
 
 def _distinct_ends(nodes, dirs):
@@ -126,12 +121,15 @@ class LowOrderRHS:
         self.gas = gas
         self.bcs = bcs
         bcs.validate(mesh.ftag)
-        self._tags = mesh.ftag.reshape(-1)
-        self._bdry = self._tags > 0
+        K = mesh.n_elements
+        # the boundary slots, slot-major, with their tags and coordinates
+        tags = mesh.ftag.T.reshape(-1)
+        bdry = tags > 0
+        self._bdry_slots = np.nonzero(bdry)[0]
+        self._bdry_tags = tags[bdry]
+        self._bdry_xy = mesh.fxy.transpose(1, 0, 2).reshape(
+            -1, mesh.dim)[bdry]
 
-        Np, Nfp, K = mesh.ops.n_nodes, mesh.n_face_nodes, mesh.n_elements
-        n = K * Nfp
-        nrm = mesh.fnormal.reshape(n, -1)
         low = mesh.pair_low
         self._pi, self._pj = mesh.pair_i[low], mesh.pair_j[low]
         npl = len(self._pi)
@@ -158,59 +156,68 @@ class LowOrderRHS:
         self._nn = np.stack(nn, axis=-1)[:, mesh.class_id]
         self._ei, self._ej = end[:npl], end[npl:2 * npl]
         # the flat end table: (end, element) blocks, then the boundary
-        # ghost states
+        # ghost states; its sources are flat (node, element) indices
         self._n_ends = top = ne * K
-        self._end_src = (nodes[first][:, None] + Np * np.arange(K)).reshape(-1)
+        self._end_src = (K * nodes[first][:, None] + np.arange(K)).reshape(-1)
         end_dir = np.stack([d[e[first]] for d, e in zip(dirs, ends)])
-        self._bdry_slots = np.nonzero(self._bdry)[0]
-        self._end_dir = np.concatenate([
-            end_dir[mesh.class_id].transpose(1, 0, 2).reshape(top, -1),
-            nrm[self._bdry_slots]])
-        self._slot_end = (K * end[2 * npl:]
-                          + np.arange(K)[:, None]).reshape(-1)
-        ghost = top + np.cumsum(self._bdry) - 1
-        self._ext_end = np.where(self._bdry, ghost,
-                                 self._slot_end[mesh.exterior_index])
-        self._slot_scale = 0.5 * mesh.fwsJ.reshape(-1) * _norm1(nrm)
+        self._end_dir = np.concatenate([end_dir[mesh.class_id].T.reshape(
+            mesh.dim, top), mesh.slot_normal[:, bdry]], axis=1)
+        self._slot_end = (K * end[2 * npl:, None] + np.arange(K)).reshape(-1)
+        ghost = top + np.cumsum(bdry) - 1
+        self._ext_end = np.where(bdry, ghost,
+                                 self._slot_end[mesh.slot_exterior])
+        self._slot_scale = (0.5 * mesh.slot_wsJ
+                            * np.abs(mesh.slot_normal).sum(axis=0))
 
     # -- shared face-data preparation -------------------------------------
 
-    def face_states(self, u, t):
-        """Traces, exterior states and normals at all face slots (flat).
-
-        Returns (uf, uP, nrm). This is the only place the boundary
-        conditions are evaluated: one call per stage serves the LDG
-        gradient, both interface fluxes and the wavespeeds.
-        """
+    def _traces(self, a, key, ws):
+        """Traces of the node values ``a`` (n, Np, K) and their partner
+        values (a boundary slot's own, for the BCs to overwrite), slot-major
+        (n, Nfp * K): kept arrays of ``ws`` under ``key``."""
         mesh = self.mesh
-        n = mesh.n_elements * mesh.n_face_nodes
-        uf = u[:, mesh.ops.face_vol, :].reshape(n, -1)
-        nrm = mesh.fnormal.reshape(n, -1)
-        uP = mesh.gather_exterior(uf)
-        bdry = self._bdry
-        if np.any(bdry):
-            uP[bdry] = self.bcs.exterior_state(
-                uf[bdry], mesh.fxy.reshape(n, -1)[bdry], nrm[bdry],
-                self._tags[bdry], t, self.gas)
+        f = ws.keep((key, "M"), (len(a), mesh.n_face_nodes, a.shape[-1]))
+        f = np.take(a, mesh.ops.face_vol, axis=1, out=f, mode="clip")
+        f = f.reshape(len(a), -1)
+        return f, np.take(f, mesh.slot_exterior, axis=1, mode="clip",
+                          out=ws.keep((key, "P"), f.shape))
+
+    def face_states(self, u, t, ws=None):
+        """Traces, exterior states and normals at all face slots.
+
+        Returns (uf, uP, nrm), component first and slot-major: (nvar,
+        Nfp * K) and (dim, Nfp * K); uf and uP are kept arrays of the
+        workspace ``ws`` (a fresh one by default). This is the only place
+        the boundary conditions are evaluated: one call per stage serves
+        the LDG gradient, both interface fluxes and the wavespeeds.
+        """
+        ws = Workspace() if ws is None else ws
+        uf, uP = self._traces(u, "u", ws)
+        nrm = self.mesh.slot_normal
+        b = self._bdry_slots
+        if b.size:
+            uP[:, b] = self.bcs.exterior_state(
+                uf[:, b], self._bdry_xy, nrm[:, b], self._bdry_tags, t,
+                self.gas)
         return uf, uP, nrm
 
-    def face_sigmas(self, sigmas):
-        """Traces and exterior values of the viscous fluxes: (sigf, sigP).
+    def face_sigmas(self, sigmas, ws=None):
+        """Traces and exterior values of the viscous fluxes: (sigf, sigP),
+        laid out and kept as the face states.
 
         Both are None for an inviscid gas (``sigmas`` None).
         """
         if sigmas is None:
             return None, None
-        mesh = self.mesh
-        n = mesh.n_elements * mesh.n_face_nodes
-        sigf = tuple(s[:, mesh.ops.face_vol, :].reshape(n, -1) for s in sigmas)
-        sigP = tuple(mesh.gather_exterior(s) for s in sigf)
-        bdry = self._bdry
-        if np.any(bdry):
-            sb = self.bcs.exterior_sigma(tuple(s[bdry] for s in sigf),
-                                         self._tags[bdry])
+        ws = Workspace() if ws is None else ws
+        sigf, sigP = zip(*(self._traces(s, ("sigma", d), ws)
+                           for d, s in enumerate(sigmas)))
+        b = self._bdry_slots
+        if b.size:
+            sb = self.bcs.exterior_sigma(tuple(s[:, b] for s in sigf),
+                                         self._bdry_tags)
             for d in range(len(sigP)):
-                sigP[d][bdry] = sb[d]
+                sigP[d][:, b] = sb[d]
         return sigf, sigP
 
     # -- wavespeeds ----------------------------------------------------------
@@ -228,18 +235,18 @@ class LowOrderRHS:
         """
         ws = Workspace() if ws is None else ws
         _, uP, _, sigP, _ = faces
-        nvar = u.shape[-1]
         top, ghosts = self._n_ends, self._bdry_slots
-        shape = (len(self._end_dir), nvar)
+        shape = (len(u), self._end_dir.shape[1])
 
         def gather(vol, face):
             out = ws.take(shape)
-            np.take(vol.reshape(-1, nvar), self._end_src, axis=0,
-                    out=out[:top], mode="clip")
-            np.take(face, ghosts, axis=0, out=out[top:], mode="clip")
+            for c in range(len(vol)):
+                np.take(vol[c].reshape(-1), self._end_src, out=out[c, :top],
+                        mode="clip")
+                np.take(face[c], ghosts, out=out[c, top:], mode="clip")
             return out
 
-        w = ws.keep("w", shape[:1])
+        w = ws.keep("w", shape[1:])
         with ws.frame():
             ue = gather(u, uP)
             w[:] = davis_wavespeed(ue, None, self._end_dir, self.gas, ws)
@@ -264,29 +271,27 @@ class LowOrderRHS:
 
     # -- pairwise contributions ---------------------------------------------
 
-    def pair_fluxes(self, uT, w, sigmas=None, ws=None):
+    def pair_fluxes(self, u, w, sigmas=None, ws=None):
         """Low-order pair fluxes and wavespeeds (P, lambda) of the mesh.
 
-        ``uT`` are the node states and ``sigmas`` the viscous fluxes per
-        direction (None for an inviscid gas), component first: (nvar, Np,
-        K). P_ij (shape (nvar, npairs_low, K)) goes +P to node i and -P to
-        node j; lambda_ij (shape (npairs_low, K)) is the pair's weight in
-        the CFL bound, from the wavespeeds ``w`` of :meth:`wavespeeds`. The
-        pairs are the graph's ``pair_low`` subset. The gathers come from a
-        frame of the workspace ``ws`` (a fresh one by default), and P and
-        lambda are its kept arrays.
+        ``u`` are the node states and ``sigmas`` the viscous fluxes per
+        direction (None for an inviscid gas), (nvar, Np, K). P_ij (shape
+        (nvar, npairs_low, K)) goes +P to node i and -P to node j;
+        lambda_ij (shape (npairs_low, K)) is the pair's weight in the CFL
+        bound, from the wavespeeds ``w`` of :meth:`wavespeeds`. The pairs
+        are the graph's ``pair_low`` subset. The gathers come from a frame
+        of the workspace ``ws`` (a fresh one by default), and P and lambda
+        are its kept arrays.
         """
         ws = Workspace() if ws is None else ws
-        nvar, _, K = uT.shape
-        # uT.T is (K, Np, nvar) with the components outermost in memory, and
-        # euler_flux's results keep their input's memory order, so each
-        # flux's .T is a contiguous (nvar, Np, K) array
-        f = tuple(fd.T for fd in euler_flux(uT.T, self.gas))
-        if sigmas is not None:
-            f = tuple(fd - sd for fd, sd in zip(f, sigmas))
+        nvar, _, K = u.shape
         P = ws.keep("FL", (nvar, len(self._pi), K))
         lam = ws.keep("lamL", P.shape[1:])
         with ws.frame():
+            f = euler_flux(u, self.gas,
+                           out=[ws.take(u.shape) for _ in self._n])
+            for fd, sd in zip(f, sigmas or ()):
+                fd -= sd
             self._pair_weights(w, ws, out=lam)
             # -sum_d n_d (f_d,i + f_d,j) + lambda (u_j - u_i)
             P.fill(0.0)
@@ -297,39 +302,40 @@ class LowOrderRHS:
                 fij *= self._n[d]
                 P += fij
             np.negative(P, out=P)
-            diff = np.subtract(ws.gather(uT, self._pj),
-                               ws.gather(uT, self._pi), out=fij)
+            diff = np.subtract(ws.gather(u, self._pj),
+                               ws.gather(u, self._pi), out=fij)
             diff *= lam
             P += diff
         return P, lam
 
     def _nodal_lam(self, lam_s, lam_pairs):
-        """Nodal wavespeed sums lambda_i from the face and pair weights."""
-        mesh = self.mesh
-        lam = lam_s.reshape(mesh.n_elements, -1) @ mesh.ops.E
-        lam += (self._absS @ lam_pairs).T
+        """Nodal wavespeed sums lambda_i, (Np, K), from the face and pair
+        weights."""
+        lam = self.mesh.ops.E.T @ lam_s.reshape(self.mesh.n_face_nodes, -1)
+        lam += self._absS @ lam_pairs
         return lam
 
     # -- residual ----------------------------------------------------------
 
     def __call__(self, u, faces, w, pairs, ws=None):
-        """R = M du/dt and the nodal wavespeed sums lambda_i.
+        """R = M du/dt, (nvar, Np, K), and the nodal wavespeed sums lambda_i.
 
         ``faces`` is (uf, uP, sigf, sigP, nrm), from :meth:`face_states` and
         :meth:`face_sigmas`; ``w`` is :meth:`wavespeeds` and ``pairs``
-        :meth:`pair_fluxes` of ``u``. The scatter of the pair fluxes is
-        formed in the workspace ``ws`` (a fresh one by default).
+        :meth:`pair_fluxes` of ``u``. R is a kept array of the workspace
+        ``ws`` (a fresh one by default), which also holds the lift of the
+        interface flux.
         """
         ws = Workspace() if ws is None else ws
         mesh = self.mesh
-        K, Np, nvar = u.shape
         lam_s = self.slot_lam(w)
-        Rs = interface_flux_low(*faces, mesh.fwsJ.reshape(-1), lam_s,
-                                self.gas)
-        R = mesh.ops.E.T @ Rs.reshape(K, -1, nvar)
+        Rs = interface_flux_low(*faces, mesh.slot_wsJ, lam_s, self.gas)
         P, lam_p = pairs
+        R = np.matmul(self._S, P, out=ws.keep("RL", u.shape))
         with ws.frame():
-            R += np.matmul(self._S, P, out=ws.take((nvar, Np, K))).T
+            R += np.matmul(mesh.ops.E.T,
+                           Rs.reshape(len(Rs), mesh.n_face_nodes, -1),
+                           out=ws.take(R.shape))
         return R, self._nodal_lam(lam_s, lam_p)
 
     def max_dt(self, w, ws=None):
@@ -343,4 +349,4 @@ class LowOrderRHS:
         with ws.frame():
             lam_p = self._pair_weights(w, ws, out=ws.take(self._nn.shape))
             lam = self._nodal_lam(self.slot_lam(w), lam_p)
-        return float((self.mesh.mass / (2.0 * lam)).min())
+        return float((self.mesh.mass.T / (2.0 * lam)).min())

@@ -3,7 +3,9 @@
 Each Runge-Kutta stage is one forward-Euler update of the blended scheme;
 the three-stage convex combination (Shu-Osher form) therefore inherits the
 admissibility guarantee of the stages whenever dt satisfies the positivity
-bound dt <= cfl * min_i m_i / (2 lambda_i) with cfl <= 1.
+bound dt <= cfl * min_i m_i / (2 lambda_i) with cfl <= 1. The stages hold
+the state component first, (nvar, Np, K); :func:`advance` takes, returns
+and hands its callback states with the variable index last.
 """
 
 from __future__ import annotations
@@ -57,10 +59,10 @@ class Stepper:
     construction. zeta > 0 selects the relaxed bounds; zeta = 0 the minimal
     ones.
 
-    The Stepper owns one :class:`~posdg.workspace.Workspace`: the
-    transposed node states, the low- and high-order pair fluxes, and with
-    them dF, are its kept arrays, and the pair-flux and limiter kernels take
-    their temporaries from it, so the stages of a run reuse the same memory.
+    The Stepper owns one :class:`~posdg.workspace.Workspace`: the low- and
+    high-order pair fluxes, and with them dF, are its kept arrays, and the
+    pair-flux and limiter kernels take their temporaries from it, so the
+    stages of a run reuse the same memory.
     """
 
     def __init__(self, mesh: Mesh, gas: GasParams, bcs: BCSet,
@@ -78,7 +80,7 @@ class Stepper:
         self.high = HighOrderRHS(mesh, gas) if mode != "low-only" else None
         self.convex = ConvexLimiter(mesh) if mode == "convex" else None
         self.ws = Workspace()
-        self._minv = 1.0 / mesh.mass[..., None]
+        self._minv = 1.0 / mesh.mass.T
 
     def prepare(self, u, t):
         """Residuals and wavespeeds of a stage state; dt-independent.
@@ -93,33 +95,30 @@ class Stepper:
         the pair fluxes form the low-order residual RL and its nodal
         wavespeeds lam; the limited modes add the pair differences
         dF = F^H - F^L, one (nvar, npairs, K) array over the mesh's pair
-        graph, with the low-order pair fluxes evaluated once for both. The
-        pair kernels read the node states, and the viscous fluxes, transposed
-        once per stage to (nvar, Np, K) in the workspace. ``sig`` keeps the
-        LDG viscous fluxes (None for inviscid gases).
+        graph, with the low-order pair fluxes evaluated once for both.
+        ``u``, the LDG viscous fluxes ``sig`` (None for inviscid gases) and
+        the residuals are (nvar, Np, K), the layout every kernel reads.
 
         A ``prep`` is valid until the next ``prepare`` on the same Stepper:
-        dF lives in the Stepper's workspace, and every call overwrites it.
+        its arrays but lam and RH live in the Stepper's workspace, and every
+        call overwrites them.
         """
-        uf, uP, nrm = self.low.face_states(u, t)
-        sig = self.grad(u, uP)[2] if self.grad is not None else None
-        faces = (uf, uP, *self.low.face_sigmas(sig), nrm)
+        ws = self.ws
+        uf, uP, nrm = self.low.face_states(u, t, ws)
+        sig = None if self.grad is None else self.grad(u, uP, ws)[2]
+        faces = (uf, uP, *self.low.face_sigmas(sig, ws), nrm)
         prep = {"RL": None, "lam": None, "RH": None, "dF": None, "sig": sig,
                 "faces": None}
-        ws = self.ws
-        uT = ws.transposed("uT", u)
-        sigT = None if sig is None else tuple(
-            ws.transposed(("sigT", d), s) for d, s in enumerate(sig))
         if self.mode == "none":
-            prep["RH"] = self.high(uT, faces, sigT, ws)
+            prep["RH"] = self.high(u, faces, sig, ws)
             prep["faces"] = faces
             return prep
         w = self.low.wavespeeds(u, faces, sig, ws)
-        low_pairs = self.low.pair_fluxes(uT, w, sigT, ws)
+        low_pairs = self.low.pair_fluxes(u, w, sig, ws)
         prep["RL"], prep["lam"] = self.low(u, faces, w, low_pairs, ws)
         if self.high is not None:
             prep["dF"] = antidiffusive_fluxes(
-                self.mesh, self.high.pair_fluxes(uT, sigT, ws), low_pairs)
+                self.mesh, self.high.pair_fluxes(u, sig, ws), low_pairs)
         return prep
 
     def dt_bound(self, prep):
@@ -128,16 +127,16 @@ class Stepper:
             # unlimited mode has no positivity bound; advance sizes dt from
             # the low-order scheme's as a surrogate
             return None
-        return float((self.mesh.mass / (2.0 * prep["lam"])).min())
+        return float((self.mesh.mass.T / (2.0 * prep["lam"])).min())
 
     def apply(self, u, t, dt, prep):
         """One limited forward-Euler update. Returns (u_new, report)."""
         mesh = self.mesh
-        minv = self._minv
-        if self.mode == "none":
-            return u + dt * prep["RH"] * minv, None
-        uL = u + dt * prep["RL"] * minv
-        if self.mode == "low-only":
+        # u + dt R / m, in one new array
+        uL = np.multiply(dt, prep["RH" if self.mode == "none" else "RL"])
+        uL *= self._minv
+        uL += u
+        if self.mode in ("none", "low-only"):
             return uL, None
 
         bounds = (generalized_bounds(uL, self.zeta) if self.zeta > 0
@@ -174,6 +173,8 @@ class StepDiagnostics:
 
 
 def _check_state(u, gas, step, stage, t):
+    # the messages index the state as it leaves advance, (K, Np, nvar)
+    u = u.T
     if not np.isfinite(u).all():
         k, i, _ = np.unravel_index(np.argmin(np.isfinite(u)), u.shape)
         raise FloatingPointError(
@@ -200,7 +201,7 @@ def _check_dt(stepper, prep, dt, step, stage, t):
     bound = stepper.dt_bound(prep)
     if bound is None or dt <= bound:
         return
-    ratio = stepper.mesh.mass / (2.0 * prep["lam"])
+    ratio = stepper.mesh.mass / (2.0 * prep["lam"].T)
     k, i = np.unravel_index(np.argmin(ratio), ratio.shape)
     raise StageBoundError(
         f"dt exceeds the admissibility bound at step {step} stage {stage} "
@@ -212,8 +213,9 @@ def ssp_rk3_step(u, t, dt, stepper: Stepper, prep1=None, step=0,
                  check=True):
     """One SSPRK(3,3) step in Shu-Osher form; returns (u_new, last report).
 
-    prep1 may carry the already-prepared first-stage residuals (so advance
-    can size dt from them without recomputation). With ``check``, each stage
+    ``u`` is (nvar, Np, K), as :meth:`Stepper.prepare` takes it. prep1
+    may carry the already-prepared first-stage residuals (so advance can
+    size dt from them without recomputation). With ``check``, each stage
     state must be finite and admissible (else FloatingPointError), and dt
     must not exceed the stage's positivity bound m/(2 lambda) in the modes
     that have one (else StageBoundError). The messages name the step, the
@@ -231,7 +233,8 @@ def ssp_rk3_step(u, t, dt, stepper: Stepper, prep1=None, step=0,
     if check:
         _check_dt(stepper, p2, dt, step, 2, t)
     v, _ = stepper.apply(u1, t + dt, dt, p2)
-    u2 = 0.75 * u + 0.25 * v
+    u2 = np.multiply(0.25, v, out=v)
+    u2 += 0.75 * u
     if check:
         _check_state(u2, stepper.gas, step, 2, t)
 
@@ -239,7 +242,8 @@ def ssp_rk3_step(u, t, dt, stepper: Stepper, prep1=None, step=0,
     if check:
         _check_dt(stepper, p3, dt, step, 3, t)
     w, rep3 = stepper.apply(u2, t + 0.5 * dt, dt, p3)
-    unew = u / 3.0 + (2.0 / 3.0) * w
+    unew = np.multiply(2.0 / 3.0, w, out=w)
+    unew += u / 3.0
     if check:
         _check_state(unew, stepper.gas, step, 3, t)
     return unew, (rep3 if rep3 is not None else rep)
@@ -252,6 +256,9 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
     callback, when given, is invoked after every step as
     callback(step, t, u, diagnostics_row, limiter_report).
 
+    ``u0``, the returned u and the callback's u are (K, Np, nvar), the
+    latter two views of the (nvar, Np, K) state of the step.
+
     dt is sized once per step from the pre-step state: the positivity
     bound times the user CFL. Mode "none" has no bound of its own and uses
     the low-order scheme's, viscous fluxes included. When a later stage
@@ -263,7 +270,7 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
     mesh, gas = stepper.mesh, stepper.gas
-    u = np.array(u0, dtype=float)
+    u = np.array(np.asarray(u0, dtype=float).T, order="C")
     t = float(t0)
     diags = []
     step = 0
@@ -297,16 +304,18 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
             if collect:
                 diags.append(row)
             if callback is not None:
-                callback(step, t, u, row, rep)
+                callback(step, t, u.T, row, rep)
             if step % log_every == 0:
                 log.info("step %d  t=%.6g  dt=%.3g  min rho=%.3e  "
                          "min rhoe=%.3e  limited=%.1f%%", step, t, dt,
                          row.min_rho, row.min_rhoe,
                          100 * row.limited_fraction)
-    return u, diags
+    return u.T, diags
 
 
 def _diagnose(mesh, gas, u, t, dt, step, rep: LimiterReport | None):
+    # the integrals are summed over the state as it leaves advance
+    u = np.ascontiguousarray(u.T)
     totals = (mesh.mass[..., None] * u).sum(axis=(0, 1))
     eta = float((mesh.mass * entropy(u, gas)).sum())
     frac = 0.0

@@ -8,11 +8,10 @@ hundreds to thousands of minor page faults per step. A :class:`Workspace`
 hands them out instead as views of one byte block that lives as long as
 its owner (a ``Stepper``).
 
-The pair kernels work on arrays laid out (variable, pair, element), so
-every per-component operation runs on a contiguous (npairs, K) block. They
-read the node states transposed to (variable, node, element), once per
-stage (:meth:`Workspace.transposed`), and gather the pair ends as row
-takes (:meth:`Workspace.gather`).
+The solver holds its states component first, (variable, node, element),
+and its pair arrays as (variable, pair, element), so every per-component
+operation runs on a contiguous block. The pair kernels gather the pair
+ends as row takes (:meth:`Workspace.gather`).
 
 Temporaries are taken in *frames*: ``with ws.frame():`` remembers the top
 of the block and gives everything taken inside back on exit, so frames nest
@@ -21,7 +20,7 @@ phase and the limiter phase thus share the same bytes. A take that does
 not fit is served by a fresh array; when the outermost frame closes, the
 block is replaced by one of exactly the largest extent seen. After the
 first stage it therefore neither grows nor moves. Outputs that must
-outlive their frame (the pair fluxes, the transposed states) are
+outlive their frame (the pair fluxes, the wavespeeds) are
 :meth:`Workspace.keep` arrays: one per key, allocated once.
 
 A kernel called without a workspace makes a fresh one, so it behaves as a
@@ -81,13 +80,6 @@ class Workspace:
             self._top = top
             if top == 0 and self._high > self._block.size:
                 self._block = np.empty(self._high, dtype=np.uint8)
-
-    def transposed(self, key, a) -> np.ndarray:
-        """``a`` with its axes reversed, copied into the kept array of
-        ``key``: (K, Np, nvar) node states become (nvar, Np, K)."""
-        out = self.keep(key, a.shape[::-1], a.dtype)
-        np.copyto(out, a.T)
-        return out
 
     def keep(self, key, shape, dtype=float) -> np.ndarray:
         """The persistent array of ``key``; the same one at every call."""

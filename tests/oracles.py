@@ -3,7 +3,12 @@
 import numpy as np
 
 from posdg.limiter import Bounds, solve_l
-from posdg.physics import davis_wavespeed, euler_flux, internal_energy, zhang_beta
+from posdg.physics import (
+    davis_wavespeed,
+    euler_flux,
+    internal_energy_cf,
+    zhang_beta,
+)
 
 
 def bisect_l(uL, P, rho_min, rhoe_min, iters=60):
@@ -71,7 +76,8 @@ def bisect_l(uL, P, rho_min, rhoe_min, iters=60):
 
 def lam_hat_ref(uM, uP, sigM, sigP, n, gas):
     """Graph-viscosity rate max(beta_M, beta_P, Davis) for a unit ``n``,
-    evaluated pairwise at both ends, as the low-order scheme once did."""
+    evaluated pairwise at both ends, as the low-order scheme once did.
+    Component first, as the kernels it calls."""
     lam = np.maximum(zhang_beta(uM, sigM, n, gas), zhang_beta(uP, sigP, n, gas))
     return np.maximum(lam, davis_wavespeed(uM, uP, n, gas))
 
@@ -80,7 +86,10 @@ def bar_state_residual(scheme, u, t, sigmas=None):
     """Low-order residual assembled from bar states: R_i = sum 2 lambda (ubar - u_i).
 
     ``scheme`` is a ``schemes.Scheme``; only its mesh, gas and face states
-    are used. Returns (R, lam_nodes, min_bar_density, min_bar_internal_energy).
+    are used, and ``u`` and ``sigmas`` are variable-last, as the scheme
+    takes them. Returns (R, lam_nodes, min_bar_density,
+    min_bar_internal_energy), R and lam_nodes variable-last too. The
+    arithmetic runs component first, on (nvar, npairs, K_c) arrays.
     Algebraically identical to the low-order residual but computed through
     the convex decomposition, with the node pairs taken from the skew parts
     of ``QL_k`` directly, so agreement between the two is a strong check of
@@ -88,15 +97,16 @@ def bar_state_residual(scheme, u, t, sigmas=None):
     """
     mesh = scheme.mesh
     gas = scheme.low.gas
-    K, Np, nvar = u.shape
+    uc_all = np.ascontiguousarray(u.T)
+    nvar, Np, K = uc_all.shape
     dim = mesh.dim
-    R = np.zeros_like(u)
-    lam_nodes = np.zeros((K, Np))
+    R = np.zeros_like(uc_all)
+    lam_nodes = np.zeros((Np, K))
     bar_rho, bar_e = np.inf, np.inf
 
-    f_all = euler_flux(u, gas)
+    f_all = euler_flux(uc_all, gas)
     if sigmas is not None:
-        fms = tuple(f_all[d] - sigmas[d] for d in range(dim))
+        fms = tuple(f_all[d] - sigmas[d].T for d in range(dim))
     else:
         fms = f_all
 
@@ -107,28 +117,28 @@ def bar_state_residual(scheme, u, t, sigmas=None):
         skews = [0.5 * (Q - Q.T) for Q in gc.QLx]
         mask = np.any([np.abs(S) > 1e-14 for S in skews], axis=0)
         pi, pj = np.nonzero(np.triu(mask, k=1))
-        n = np.stack([S[pi, pj] for S in skews], axis=-1)
-        nn = np.linalg.norm(n, axis=1)
-        unit = n / nn[:, None]
-        uc = u[elems]
+        n = np.stack([S[pi, pj] for S in skews])
+        nn = np.linalg.norm(n, axis=0)
+        unit = (n / nn)[..., None]
+        uc = uc_all[:, :, elems]
         ui, uj = uc[:, pi], uc[:, pj]
         if sigmas is None:
             si = sj = None
         else:
-            si = tuple(s[elems][:, pi] for s in sigmas)
-            sj = tuple(s[elems][:, pj] for s in sigmas)
+            si = tuple(s.T[:, pi][..., elems] for s in sigmas)
+            sj = tuple(s.T[:, pj][..., elems] for s in sigmas)
         lam_hat = lam_hat_ref(ui, uj, si, sj, unit, gas)
-        lam = lam_hat * nn
+        lam = lam_hat * nn[:, None]
 
         dflux = np.zeros_like(ui)
         for d in range(dim):
-            fd = fms[d][elems]
-            dflux += unit[None, :, d, None] * (fd[:, pj] - fd[:, pi])
-        ubar = 0.5 * (ui + uj) - dflux / (2.0 * lam_hat[..., None])
-        bar_rho = min(bar_rho, ubar[..., 0].min())
-        bar_e = min(bar_e, internal_energy(ubar).min())
+            fd = fms[d][:, :, elems]
+            dflux += unit[d] * (fd[:, pj] - fd[:, pi])
+        ubar = 0.5 * (ui + uj) - dflux / (2.0 * lam_hat)
+        bar_rho = min(bar_rho, ubar[0].min())
+        bar_e = min(bar_e, internal_energy_cf(ubar).min())
 
-        two_lam = 2.0 * lam[..., None]
+        two_lam = 2.0 * lam
         contrib_i = two_lam * (ubar - ui)
         contrib_j = two_lam * (ubar - uj)
         npair = len(pi)
@@ -136,12 +146,12 @@ def bar_state_residual(scheme, u, t, sigmas=None):
         Spos[pi, np.arange(npair)] = 1.0
         Sneg = np.zeros((Np, npair))
         Sneg[pj, np.arange(npair)] = 1.0
-        R[elems] += np.einsum("ip,kpv->kiv", Spos, contrib_i)
-        R[elems] += np.einsum("ip,kpv->kiv", Sneg, contrib_j)
-        lam_nodes[elems] += np.einsum("ip,kp->ki", Spos + Sneg, lam)
+        R[:, :, elems] += np.einsum("ip,vpk->vik", Spos, contrib_i)
+        R[:, :, elems] += np.einsum("ip,vpk->vik", Sneg, contrib_j)
+        lam_nodes[:, elems] += np.einsum("ip,pk->ik", Spos + Sneg, lam)
 
     uf, uP, sigf, sigP, nrm = scheme.faces(u, t, sigmas)
-    wsj = mesh.fwsJ.reshape(-1)
+    wsj = mesh.slot_wsJ
     fM = euler_flux(uf, gas)
     fP = euler_flux(uP, gas)
     dflux = np.zeros_like(uf)
@@ -149,19 +159,19 @@ def bar_state_residual(scheme, u, t, sigmas=None):
         df = fP[d] - fM[d]
         if sigf is not None:
             df = df - sigP[d] + sigf[d]
-        dflux += nrm[..., d, None] * df
+        dflux += nrm[d] * df
     lam_hat = lam_hat_ref(uf, uP, sigf, sigP, nrm, gas)
-    n1 = np.abs(nrm).sum(axis=-1)
-    ubar_s = 0.5 * (uf + uP) - dflux / (2.0 * n1 * lam_hat)[..., None]
-    bar_rho = min(bar_rho, ubar_s[..., 0].min())
-    bar_e = min(bar_e, internal_energy(ubar_s).min())
+    n1 = np.abs(nrm).sum(axis=0)
+    ubar_s = 0.5 * (uf + uP) - dflux / (2.0 * n1 * lam_hat)
+    bar_rho = min(bar_rho, ubar_s[0].min())
+    bar_e = min(bar_e, internal_energy_cf(ubar_s).min())
     lam_s = 0.5 * wsj * n1 * lam_hat
-    Rs = 2.0 * lam_s[..., None] * (ubar_s - uf)
+    Rs = 2.0 * lam_s * (ubar_s - uf)
     ET = mesh.ops.E.T
     nf = mesh.n_face_nodes
-    R += np.einsum("is,ksv->kiv", ET, Rs.reshape(K, nf, nvar))
-    lam_nodes += np.einsum("is,ks->ki", ET, lam_s.reshape(K, nf))
-    return R, lam_nodes, bar_rho, bar_e
+    R += np.einsum("is,vsk->vik", ET, Rs.reshape(nvar, nf, K))
+    lam_nodes += np.einsum("is,sk->ik", ET, lam_s.reshape(nf, K))
+    return R.T, lam_nodes.T, bar_rho, bar_e
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +179,18 @@ def bar_state_residual(scheme, u, t, sigmas=None):
 # ---------------------------------------------------------------------------
 # The limiters in posdg.limiter skip the solve where the substate's endpoint
 # is already inside the bounds; these call solve_l on every substate, one
-# pair end at a time, as the limiters did before that screen.
+# pair end at a time, as the limiters did before that screen. Their states
+# and bounds are variable-last, (K, Np, nvar) and (K, Np); solve_l takes
+# its substates component first.
+
+def _solve_l(uL, P, bounds):
+    return solve_l(np.moveaxis(uL, -1, 0), np.moveaxis(P, -1, 0), bounds)
+
 
 def zhang_shu_limit_ref(uLnew, rL, rH, dt, mesh, bounds, cap=None):
     """Elementwise blend; returns (limited field, l per element)."""
     P = (dt / mesh.mass[..., None]) * (rH - rL)
-    l_elem = solve_l(uLnew, P, bounds).min(axis=1)
+    l_elem = _solve_l(uLnew, P, bounds).min(axis=1)
     if cap is not None:
         l_elem = np.minimum(l_elem, cap)
     return uLnew + l_elem[:, None, None] * P, l_elem
@@ -202,10 +218,10 @@ def convex_limit_ref(mesh, uLnew, dF, dt, bounds, cap=None):
         rhoe_min = bounds.rhoe_min[elems]
         fac_i = (dt * card[pi] / mass[:, pi])[..., None]
         fac_j = (dt * card[pj] / mass[:, pj])[..., None]
-        li = solve_l(uLc[:, pi], fac_i * dFc,
-                     Bounds(rho_min[:, pi], rhoe_min[:, pi]))
-        lj = solve_l(uLc[:, pj], -fac_j * dFc,
-                     Bounds(rho_min[:, pj], rhoe_min[:, pj]))
+        li = _solve_l(uLc[:, pi], fac_i * dFc,
+                      Bounds(rho_min[:, pi], rhoe_min[:, pi]))
+        lj = _solve_l(uLc[:, pj], -fac_j * dFc,
+                      Bounds(rho_min[:, pj], rhoe_min[:, pj]))
         l = np.minimum(li, lj)
         if cap is not None:
             l = np.minimum(l, cap[elems, None])
@@ -273,21 +289,31 @@ def connect_ref(face_xy, face_cent, face_normal, extent, periodic, classify):
 # pointwise kernels written with reductions over the short variable axis
 # ---------------------------------------------------------------------------
 # These are the np.sum / np.einsum / np.stack forms of the kernels in
-# posdg.physics and posdg.limiter.solve_l. The solver writes the component
-# sums out explicitly; over an axis of length 1-2 both forms add the same
-# products in the same order, so the two must agree bit for bit.
+# posdg.physics and posdg.limiter.solve_l, on the same component-first
+# arrays: states (nvar, ...), directions and velocities (dim, ...). The
+# solver writes the component sums out explicitly; over an axis of length
+# 1-2 both forms add the same products in the same order, so the two must
+# agree bit for bit.
+
+def _along(n, u):
+    """A direction (dim, ...) with unit axes inserted after its first, so it
+    broadcasts against the components of ``u`` (nvar, ...) as the kernels'
+    n[k] broadcast against u[k]."""
+    n = np.asarray(n, dtype=float)
+    return n.reshape(n.shape[:1] + (1,) * (np.ndim(u) - n.ndim) + n.shape[1:])
+
 
 def internal_energy_ref(u):
-    rho, mom, E = u[..., 0], u[..., 1:-1], u[..., -1]
-    return E - 0.5 * np.sum(mom * mom, axis=-1) / rho
+    rho, mom, E = u[0], u[1:-1], u[-1]
+    return E - 0.5 * np.sum(mom * mom, axis=0) / rho
 
 
 def ec_prims_ref(u, gas):
     u = np.asarray(u, dtype=float)
-    rho, mom = u[..., 0], u[..., 1:-1]
-    vel = mom / rho[..., None]
+    rho, mom = u[0], u[1:-1]
+    vel = mom / rho
     beta = rho / (2.0 * ((gas.gamma - 1.0) * internal_energy_ref(u)))
-    vsq = np.sum(vel * vel, axis=-1)
+    vsq = np.sum(vel * vel, axis=0)
     return rho, vel, beta, vsq
 
 
@@ -306,38 +332,53 @@ def log_mean_ref(a, b):
     return np.where(near, sa / (2.0 * F), exact)
 
 
-def ec_fluxes_prims_ref(primsL, primsR, gas):
-    """Two-point EC fluxes from ``ec_prims`` tuples, one fresh array per
-    intermediate; the energy flux h f0 + sum_j v_j f_j is one ``np.sum``."""
+def ec_fluxes_prims_ref(primsL, primsR, n, gas):
+    """The two-point EC flux along ``n`` from ``ec_prims`` tuples, one fresh
+    array per intermediate: the mean velocity's normal component and the
+    energy flux h F_rho + sum_j v_j F_mj are ``np.sum`` reductions."""
     rhoL, velL, betaL, vsqL = primsL
     rhoR, velR, betaR, vsqR = primsR
     g = gas.gamma
-    dim = velL.shape[-1]
     rho_ln = log_mean_ref(rhoL, rhoR)
     beta_ln = log_mean_ref(betaL, betaR)
     vel_a = 0.5 * (velL + velR)
     p_a = 0.5 * (rhoL + rhoR) / (2.0 * 0.5 * (betaL + betaR))
     vsq_a = 0.5 * (vsqL + vsqR)
     h_term = 0.5 / ((g - 1.0) * beta_ln) - 0.5 * vsq_a
-    out = []
-    for k in range(dim):
-        f0 = rho_ln * vel_a[..., k]
-        mom = vel_a * f0[..., None]
-        mom[..., k] += p_a
-        fE = np.sum(np.concatenate([(h_term * f0)[..., None], vel_a * mom],
-                                   axis=-1), axis=-1)
-        out.append(np.concatenate([f0[..., None], mom, fE[..., None]],
-                                  axis=-1))
-    return tuple(out)
+    n = _along(n, vel_a)
+    f0 = rho_ln * np.sum(vel_a * n, axis=0)
+    mom = vel_a * f0 + p_a * n
+    fE = np.sum(np.concatenate([(h_term * f0)[None], vel_a * mom]), axis=0)
+    return np.concatenate([f0[None], mom, fE[None]])
+
+
+def ec_flux_k_ref(primsL, primsR, k, gas):
+    """The two-point EC flux of direction k alone, f_kS, written per
+    direction as the solver once evaluated it: the mean velocity component
+    v_k in place of the normal one, and the pressure added to one
+    momentum component."""
+    rhoL, velL, betaL, vsqL = primsL
+    rhoR, velR, betaR, vsqR = primsR
+    g = gas.gamma
+    rho_ln = log_mean_ref(rhoL, rhoR)
+    beta_ln = log_mean_ref(betaL, betaR)
+    vel_a = 0.5 * (velL + velR)
+    p_a = 0.5 * (rhoL + rhoR) / (betaL + betaR)
+    h_term = 0.5 / ((g - 1.0) * beta_ln) - 0.5 * (0.5 * (vsqL + vsqR))
+    f0 = rho_ln * vel_a[k]
+    mom = vel_a * f0
+    mom[k] += p_a
+    fE = np.sum(np.concatenate([(h_term * f0)[None], vel_a * mom]), axis=0)
+    return np.concatenate([f0[None], mom, fE[None]])
 
 
 def davis_wavespeed_ref(uL, uR, n, gas):
     out = None
     for u in (uL, uR):
-        rho, mom = u[..., 0], u[..., 1:-1]
+        rho, mom = u[0], u[1:-1]
         p = (gas.gamma - 1.0) * internal_energy_ref(u)
         c = np.sqrt(gas.gamma * p / rho)
-        un = np.sum(mom * np.asarray(n), axis=-1) / rho
+        un = np.sum(mom * _along(n, u), axis=0) / rho
         lam = np.abs(un) + c
         out = lam if out is None else np.maximum(out, lam)
     return out
@@ -345,48 +386,49 @@ def davis_wavespeed_ref(uL, uR, n, gas):
 
 def zhang_beta_ref(u, sigma, n, gas, eps0=1e-14):
     u = np.asarray(u, dtype=float)
-    n = np.asarray(n, dtype=float)
-    dim = u.shape[-1] - 2
-    rho, mom = u[..., 0], u[..., 1:-1]
-    vel = mom / rho[..., None]
+    n = _along(n, u)
+    dim = len(u) - 2
+    rho, mom = u[0], u[1:-1]
+    vel = mom / rho
     rhoe = internal_energy_ref(u)
     p = (gas.gamma - 1.0) * rhoe
-    un = np.sum(vel * n, axis=-1)
+    un = np.sum(vel * n, axis=0)
 
+    shape = np.broadcast_shapes(rho.shape, n.shape[1:])
     if sigma is None:
-        tau_n = np.zeros(u.shape[:-1] + (dim,))
-        q = np.zeros(u.shape[:-1] + (dim,))
+        tau_n = np.zeros((dim,) + shape)
+        q = np.zeros((dim,) + shape)
     else:
-        tau = np.stack([sigma[k][..., 1:-1] for k in range(dim)], axis=-2)
-        tau_n = np.einsum("...kj,...k->...j", tau,
-                          np.broadcast_to(n, u.shape[:-1] + (dim,)))
+        tau = np.stack([sigma[k][1:-1] for k in range(dim)])
+        tau_n = np.einsum("kj...,k...->j...", tau,
+                          np.broadcast_to(n, (dim,) + shape))
         q = np.stack(
-            [np.sum(vel * sigma[k][..., 1:-1], axis=-1) - sigma[k][..., -1]
-             for k in range(dim)], axis=-1)
-    qn = np.sum(q * n, axis=-1)
-    visc = tau_n - p[..., None] * n
+            [np.sum(vel * sigma[k][1:-1], axis=0) - sigma[k][-1]
+             for k in range(dim)])
+    qn = np.sum(q * n, axis=0)
+    visc = tau_n - p * n
     root = np.sqrt(rho ** 2 * qn ** 2
-                   + 2.0 * rho * rhoe * np.sum(visc * visc, axis=-1))
+                   + 2.0 * rho * rhoe * np.sum(visc * visc, axis=0))
     return eps0 + np.abs(un) + (root + rho * np.abs(qn)) / (2.0 * rho * rhoe)
 
 
 def mirror_state_ref(u, n):
     u = np.asarray(u, dtype=float)
-    n = np.asarray(n, dtype=float)
-    mom = u[..., 1:-1]
-    mn = np.sum(mom * n, axis=-1, keepdims=True)
+    n = _along(n, u)
+    mom = u[1:-1]
+    mn = np.sum(mom * n, axis=0, keepdims=True)
     out = u.copy()
-    out[..., 1:-1] = mom - 2.0 * mn * n
+    out[1:-1] = mom - 2.0 * mn * n
     return out
 
 
 def wall_riemann_state_ref(u, n, gas, pfloor=1e-14):
     u = np.asarray(u, dtype=float)
-    n = np.asarray(n, dtype=float)
+    n = _along(n, u)
     g = gas.gamma
-    rho = u[..., 0]
+    rho = u[0]
     p = np.maximum((g - 1.0) * internal_energy_ref(u), pfloor)
-    un = np.sum(u[..., 1:-1] * n, axis=-1) / rho
+    un = np.sum(u[1:-1] * n, axis=0) / rho
     c = np.sqrt(g * p / rho)
 
     A = 2.0 / ((g + 1.0) * rho)
@@ -398,18 +440,18 @@ def wall_riemann_state_ref(u, n, gas, pfloor=1e-14):
     pstar = np.where(un > 0.0, p_shock, p_rare)
 
     out = mirror_state_ref(u, n)
-    mom = out[..., 1:-1]
-    kin = 0.5 * np.sum(mom * mom, axis=-1) / rho
+    mom = out[1:-1]
+    kin = 0.5 * np.sum(mom * mom, axis=0) / rho
     rhoe_new = np.maximum(pstar / (g - 1.0), pfloor + 1e-13 * kin)
-    out[..., -1] = rhoe_new + kin
+    out[-1] = rhoe_new + kin
     return out
 
 
 def solve_l_ref(uL, P, rho_min, rhoe_min):
-    rhoL, EL = uL[..., 0], uL[..., -1]
-    mL = uL[..., 1:-1]
-    rhoP, EP = P[..., 0], P[..., -1]
-    mP = P[..., 1:-1]
+    rhoL, EL = uL[0], uL[-1]
+    mL = uL[1:-1]
+    rhoP, EP = P[0], P[-1]
+    mP = P[1:-1]
     rho_min = np.broadcast_to(rho_min, rhoL.shape)
     rhoe_min = np.broadcast_to(rhoe_min, rhoL.shape)
 
@@ -418,10 +460,10 @@ def solve_l_ref(uL, P, rho_min, rhoe_min):
                          (rho_min - rhoL) / np.where(rhoP == 0.0, 1.0, rhoP))
     l_rho = np.clip(l_rho, 0.0, 1.0)
 
-    a = EP * rhoP - 0.5 * np.sum(mP * mP, axis=-1)
-    b = (EL * rhoP + EP * rhoL - np.sum(mL * mP, axis=-1)
+    a = EP * rhoP - 0.5 * np.sum(mP * mP, axis=0)
+    b = (EL * rhoP + EP * rhoL - np.sum(mL * mP, axis=0)
          - rhoe_min * rhoP)
-    c = EL * rhoL - 0.5 * np.sum(mL * mL, axis=-1) - rhoe_min * rhoL
+    c = EL * rhoL - 0.5 * np.sum(mL * mL, axis=0) - rhoe_min * rhoL
     c = np.maximum(c, 0.0)
 
     scale = np.maximum(np.abs(a) + np.abs(b) + np.abs(c), 1e-300)

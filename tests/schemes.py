@@ -2,8 +2,15 @@
 them: one face pass (``LowOrderRHS.face_states`` and ``.face_sigmas``) feeds
 the LDG gradient, both residuals and the wavespeeds, and one wavespeed
 evaluation (``LowOrderRHS.wavespeeds``) feeds the low-order pair fluxes, the
-low-order residual and the dt bound. The pair kernels take the node states
-component first, (nvar, Np, K): ``components`` gives that view."""
+low-order residual and the dt bound.
+
+The solver holds node values component first, (nvar, Np, K), and face
+values as (nvar, Nfp * K); the tests build their states with the variable
+index last, (K, Np, nvar), as ``advance`` takes them. ``Scheme`` is that
+edge: its methods take variable-last node states and viscous fluxes, pass
+them to the solver through ``components``, and give node results (residuals,
+nodal wavespeeds, gradients) back variable-last. Face tuples, the
+wavespeed table and the pair arrays are returned in the solver's layout."""
 
 import numpy as np
 
@@ -12,8 +19,16 @@ from posdg.rhs_low import LowOrderRHS
 
 
 def components(a):
-    """(K, Np, nvar) node values as the pair kernels read them, (nvar, Np, K);
-    a tuple of them (the viscous fluxes) or None maps through."""
+    """(K, Np, nvar) node values as the solver holds them, a contiguous
+    (nvar, Np, K) array; a tuple of them (the viscous fluxes) or None maps
+    through."""
+    if a is None or isinstance(a, np.ndarray):
+        return None if a is None else np.ascontiguousarray(a.T)
+    return tuple(np.ascontiguousarray(x.T) for x in a)
+
+
+def variables_last(a):
+    """The inverse of ``components``, as views."""
     if a is None or isinstance(a, np.ndarray):
         return None if a is None else a.T
     return tuple(x.T for x in a)
@@ -30,16 +45,19 @@ class Scheme:
 
     def faces(self, u, t=0.0, sigmas=None):
         """(uf, uP, sigf, sigP, nrm), as ``Stepper.prepare`` keeps them."""
-        uf, uP, nrm = self.low.face_states(u, t)
-        return (uf, uP, *self.low.face_sigmas(sigmas), nrm)
+        uf, uP, nrm = self.low.face_states(components(u), t)
+        return (uf, uP, *self.low.face_sigmas(components(sigmas)), nrm)
 
     def gradient(self, u, t=0.0):
-        """(v, thetas, sigmas) of the LDG gradient."""
-        return self.ldg(u, self.low.face_states(u, t)[1])
+        """(v, thetas, sigmas) of the LDG gradient, variable-last."""
+        uc = components(u)
+        v, thetas, sigmas = self.ldg(uc, self.low.face_states(uc, t)[1])
+        return v.T, variables_last(thetas), variables_last(sigmas)
 
     def wavespeeds(self, u, t=0.0, sigmas=None):
         """The per-end wavespeeds w that the low-order kernels read."""
-        return self.low.wavespeeds(u, self.faces(u, t, sigmas), sigmas)
+        return self.low.wavespeeds(components(u), self.faces(u, t, sigmas),
+                                   components(sigmas))
 
     def low_pairs(self, u, t=0.0, sigmas=None):
         """(P, lambda): the low-order pair fluxes and weights."""
@@ -53,14 +71,15 @@ class Scheme:
 
     def low_residual(self, u, t=0.0, sigmas=None):
         """(R, lam): the low-order residual and its nodal wavespeeds."""
+        uc, sc = components(u), components(sigmas)
         faces = self.faces(u, t, sigmas)
-        w = self.low.wavespeeds(u, faces, sigmas)
-        return self.low(u, faces, w, self.low.pair_fluxes(
-            components(u), w, components(sigmas)))
+        w = self.low.wavespeeds(uc, faces, sc)
+        R, lam = self.low(uc, faces, w, self.low.pair_fluxes(uc, w, sc))
+        return R.T, lam.T
 
     def high_residual(self, u, t=0.0, sigmas=None):
         return self.high(components(u), self.faces(u, t, sigmas),
-                         components(sigmas))
+                         components(sigmas)).T
 
     def max_dt(self, u, t=0.0, sigmas=None):
         return self.low.max_dt(self.wavespeeds(u, t, sigmas))

@@ -253,7 +253,7 @@ def test_viscous_shock_is_steady_in_comoving_frame(M0, mu):
     sigma[:, 1] = (4.0 / 3.0) * mu_eff * du
     sigma[:, 2] = (4.0 / 3.0) * mu_eff * vel * du + kap * de
 
-    F = euler_flux(U, gas)[0] - u_inf * U - sigma
+    F = euler_flux(U.T, gas)[0].T - u_inf * U - sigma
     spread = np.max(np.abs(F - F[0]), axis=0)
     assert np.max(spread) <= 1e-11 * max(1.0, np.max(np.abs(F)))
 
@@ -262,7 +262,7 @@ def test_viscous_shock_is_steady_in_comoving_frame(M0, mu):
     theta = np.zeros_like(v)
     theta[:, 1] = (du * e - vel * de) / e ** 2
     theta[:, 2] = de / e ** 2
-    sig2 = viscous_sigma(v, (theta,), gas)[0]
+    sig2 = viscous_sigma(v.T, (theta.T,), gas)[0].T
     assert np.max(np.abs(sig2 - sigma)) <= 1e-12 * max(1.0, np.max(np.abs(sigma)))
 
 

@@ -3,16 +3,19 @@
 The solver writes every sum over the short momentum axis out component by
 component. Over an axis of length 1 or 2 that adds the same products in the
 same order as ``np.sum`` / ``np.einsum``, so the results must be equal, not
-merely close. States are random admissible states in 1D and 2D; the
-direction ``n`` takes every broadcast shape the solver uses.
+merely close. States are random admissible states in 1D and 2D, component
+first as the solver holds them: (nvar, ...), and the direction ``n`` is
+(dim, ...) in every broadcast shape the solver uses.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     davis_wavespeed_ref,
+    ec_flux_k_ref,
     ec_fluxes_prims_ref,
     ec_prims_ref,
     internal_energy_ref,
@@ -28,10 +31,13 @@ from posdg.physics import (
     davis_wavespeed,
     ec_fluxes_prims,
     ec_prims,
+    euler_flux,
     internal_energy,
+    internal_energy_cf,
     log_mean,
     mirror_state,
-    primitive_to_conserved,
+    normal_flux,
+    primitive_to_conserved_cf,
     wall_riemann_state,
     zhang_beta,
 )
@@ -53,12 +59,12 @@ cases = st.fixed_dictionaries({
 
 
 def _states(rng, lead, dim):
-    """Admissible states spanning near-vacuum to fast flow."""
-    prim = np.empty(lead + (dim + 2,))
-    prim[..., 0] = 10.0 ** rng.uniform(-6, 2, lead)
-    prim[..., 1:-1] = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=lead + (dim,))
-    prim[..., -1] = 10.0 ** rng.uniform(-8, 2, lead)
-    return primitive_to_conserved(prim, GAS)
+    """Admissible states spanning near-vacuum to fast flow, (nvar,) + lead."""
+    prim = np.empty((dim + 2,) + lead)
+    prim[0] = 10.0 ** rng.uniform(-6, 2, lead)
+    prim[1:-1] = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=(dim,) + lead)
+    prim[-1] = 10.0 ** rng.uniform(-8, 2, lead)
+    return primitive_to_conserved_cf(prim, GAS)
 
 
 def _setup(case):
@@ -66,12 +72,12 @@ def _setup(case):
     dim = case["dim"]
     lead, nlead = case["shape"]
     u = _states(rng, lead, dim)
-    n = rng.normal(size=nlead + (dim,))
+    n = rng.normal(size=(dim,) + nlead)
     if case["unit"]:
-        n /= np.linalg.norm(n, axis=-1, keepdims=True)
+        n /= np.linalg.norm(n, axis=0, keepdims=True)
     sigma = None
     if case["viscous"]:
-        sigma = tuple(rng.normal(size=lead + (dim + 2,)) for _ in range(dim))
+        sigma = tuple(rng.normal(size=(dim + 2,) + lead) for _ in range(dim))
     return rng, u, n, sigma
 
 
@@ -84,13 +90,9 @@ def _equal(a, b):
 @settings(max_examples=120, deadline=None)
 def test_state_kernels_match_oracles(case):
     rng, u, n, sigma = _setup(case)
-    u2 = _states(rng, u.shape[:-1], case["dim"])
-    assert _equal(internal_energy(u), internal_energy_ref(u))
-    # ec_prims and ec_fluxes_prims take and return their arrays component
-    # first; the oracles keep the variable index last
-    rho, vel, beta, vsq = ec_prims(np.moveaxis(u, -1, 0), GAS)
-    for a, b in zip((rho, np.moveaxis(vel, 0, -1), beta, vsq),
-                    ec_prims_ref(u, GAS)):
+    u2 = _states(rng, u.shape[1:], case["dim"])
+    assert _equal(internal_energy_cf(u), internal_energy_ref(u))
+    for a, b in zip(ec_prims(u, GAS), ec_prims_ref(u, GAS)):
         assert _equal(a, b)
     assert _equal(davis_wavespeed(u, u2, n, GAS),
                   davis_wavespeed_ref(u, u2, n, GAS))
@@ -100,10 +102,8 @@ def test_state_kernels_match_oracles(case):
                   zhang_beta_ref(u, sigma, n, GAS, eps0=0.0))
     assert _equal(mirror_state(u, n), mirror_state_ref(u, n))
     prims = [ec_prims_ref(x, GAS) for x in (u, u2)]
-    first = [(r, np.moveaxis(v, -1, 0), b, q) for r, v, b, q in prims]
-    for a, b in zip(ec_fluxes_prims(*first, GAS),
-                    ec_fluxes_prims_ref(*prims, GAS)):
-        assert _equal(np.moveaxis(a, 0, -1), b)
+    assert _equal(ec_fluxes_prims(*prims, n, GAS),
+                  ec_fluxes_prims_ref(*prims, n, GAS))
     assert _equal(wall_riemann_state(u, n, GAS),
                   wall_riemann_state_ref(u, n, GAS))
 
@@ -112,19 +112,19 @@ def test_state_kernels_match_oracles(case):
 @settings(max_examples=120, deadline=None)
 def test_solve_l_matches_oracle(case, regime):
     rng, uL, _, _ = _setup(case)
-    lead = uL.shape[:-1]
-    rhoe = internal_energy(uL)
+    nvar, lead = len(uL), uL.shape[1:]
+    rhoe = internal_energy_cf(uL)
     if regime == "active":
         # large increments against bounds just below the state; the first
         # state is driven through zero, so at least one bound binds
         P = rng.normal(size=uL.shape) * np.abs(uL) * 10.0 ** rng.uniform(-1, 1)
-        P.reshape(-1, uL.shape[-1])[0] = -2.0 * uL.reshape(-1, uL.shape[-1])[0]
-        rho_min = uL[..., 0] * rng.uniform(0.1, 0.99, lead)
+        P.reshape(nvar, -1)[:, 0] = -2.0 * uL.reshape(nvar, -1)[:, 0]
+        rho_min = uL[0] * rng.uniform(0.1, 0.99, lead)
         rhoe_min = rhoe * rng.uniform(0.1, 0.99, lead)
     else:
         # uL + l P = (1 + l s) uL keeps at least half of rho and rhoe
-        P = rng.uniform(-0.5, 0.5, lead)[..., None] * uL
-        rho_min = 0.1 * uL[..., 0]
+        P = rng.uniform(-0.5, 0.5, lead) * uL
+        rho_min = 0.1 * uL[0]
         rhoe_min = 0.1 * rhoe
     l = solve_l(uL, P, Bounds(rho_min, rhoe_min))
     assert _equal(l, solve_l_ref(uL, P, rho_min, rhoe_min))
@@ -152,3 +152,43 @@ def test_log_mean_matches_oracle_on_both_branches(seed):
     assert _equal(log_mean(a.reshape(20, 20), b[:20]),
                   log_mean_ref(a.reshape(20, 20), b[:20]))
     assert _equal(log_mean(a[0], b[0]), log_mean_ref(a[0], b[0]))
+
+
+@given(cases)
+@settings(max_examples=60, deadline=None)
+def test_directional_ec_flux_along_a_unit_vector_is_f_k(case):
+    rng, u, _, _ = _setup(case)
+    u2 = _states(rng, u.shape[1:], case["dim"])
+    prims = [ec_prims(x, GAS) for x in (u, u2)]
+    for k, e in enumerate(np.eye(case["dim"])):
+        assert _equal(ec_fluxes_prims(*prims, e, GAS),
+                      ec_flux_k_ref(*prims, k, GAS))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_directional_ec_flux_is_the_sum_over_directions(dim):
+    # along any n the directional flux is sum_k n_k f_k up to the rounding
+    # of that sum, relative to each variable's largest flux; on states of
+    # moderate Mach number, as the near-vacuum states of the other tests
+    # cancel in the energy flux
+    rng = np.random.default_rng(dim)
+    prims = []
+    for _ in range(2):
+        prim = np.empty((dim + 2, 400))
+        prim[0] = rng.uniform(0.1, 10.0, 400)
+        prim[1:-1] = rng.normal(size=(dim, 400))
+        prim[-1] = rng.uniform(0.1, 10.0, 400)
+        prims.append(ec_prims(primitive_to_conserved_cf(prim, GAS), GAS))
+    n = rng.normal(size=(dim, 400))
+    total = sum(n[k] * ec_flux_k_ref(*prims, k, GAS) for k in range(dim))
+    err = np.abs(ec_fluxes_prims(*prims, n, GAS) - total)
+    assert np.all(err.max(axis=1) <= 1e-14 * np.abs(total).max(axis=1))
+
+
+@given(cases)
+@settings(max_examples=60, deadline=None)
+def test_normal_flux_along_a_unit_vector_is_euler_flux(case):
+    _, u, _, _ = _setup(case)
+    for e, f in zip(np.eye(case["dim"]), euler_flux(u, GAS)):
+        assert _equal(normal_flux(u, e, GAS), f)
+

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from oracles import bisect_l, convex_limit_ref, zhang_shu_limit_ref
-from schemes import Scheme
+from schemes import Scheme, components
 
 from posdg import limiter
 from posdg.bc import BCSet
@@ -24,6 +24,33 @@ from posdg.rhs_low import interface_flux_low
 from posdg.sbp import build_ops
 
 GAS = GasParams(gamma=1.4)
+
+
+# The limiters take component-first states (nvar, Np, K), bounds (Np, K)
+# and substates (nvar, ...); these tests build their states variable-last,
+# as advance takes them, and pass them through these adapters.
+
+def _transposed(b):
+    """Bounds with their (element, node) axes swapped, either way."""
+    return Bounds(np.asarray(b.rho_min).T, np.asarray(b.rhoe_min).T)
+
+
+def _bounds(uLnew, zeta=None):
+    """generalized_bounds (with zeta) or minimal_bounds, variable-last."""
+    uc = components(uLnew)
+    return _transposed(generalized_bounds(uc, zeta) if zeta
+                       else minimal_bounds(uc))
+
+
+def _zhang_shu(uLnew, dF, dt, mesh, bounds, cap=None):
+    out, rep = zhang_shu_limit(components(uLnew), dF, dt, mesh,
+                               _transposed(bounds), cap=cap)
+    return out.T, rep
+
+
+def _convex(cl, uLnew, dF, dt, bounds, cap=None):
+    out, rep = cl(components(uLnew), dF, dt, _transposed(bounds), cap=cap)
+    return out.T, rep
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +109,7 @@ def test_solve_l_matches_bisection_oracle(dim):
     rng = np.random.default_rng(42 + dim)
     n = 5000
     uL, P, rho_min, rhoe_min = _random_cases(rng, n, dim)
-    l_vec = solve_l(uL, P, Bounds(rho_min, rhoe_min))
+    l_vec = solve_l(uL.T, P.T, Bounds(rho_min, rhoe_min))
     worst = 0.0
     for i in range(n):
         l_ref = bisect_l(uL[i], P[i], rho_min[i], rhoe_min[i])
@@ -94,7 +121,7 @@ def test_solve_l_matches_bisection_oracle(dim):
 def test_solve_l_state_satisfies_bounds(dim):
     rng = np.random.default_rng(7 + dim)
     uL, P, rho_min, rhoe_min = _random_cases(rng, 2000, dim)
-    l = solve_l(uL, P, Bounds(rho_min, rhoe_min))
+    l = solve_l(uL.T, P.T, Bounds(rho_min, rhoe_min))
     u = uL + l[:, None] * P
     guard = 1e-14 * (np.abs(u).max(axis=1) + 1.0)
     assert np.all(u[:, 0] >= rho_min - guard)
@@ -123,7 +150,7 @@ def _count_solves(monkeypatch):
     calls = []
 
     def counted(uL, P, bounds):
-        calls.append(uL.shape[:-1])
+        calls.append(uL.shape[1:])
         return solve_l(uL, P, bounds)
 
     monkeypatch.setattr(limiter, "solve_l", counted)
@@ -136,7 +163,8 @@ def test_feasible_l_skips_solve_when_every_endpoint_is_inside(monkeypatch):
     # uL + P = (1 + s) uL with s in [-0.5, 1] keeps half of rho and rhoe
     P = rng.uniform(-0.5, 1.0, (500, 1)) * uL
     calls = _count_solves(monkeypatch)
-    l = feasible_l(uL, P, Bounds(0.4 * uL[:, 0], 0.4 * internal_energy(uL)))
+    l = feasible_l(uL.T, P.T,
+                   Bounds(0.4 * uL[:, 0], 0.4 * internal_energy(uL)))
     assert calls == []
     assert l.dtype == np.float64 and np.all(l == 1.0)
 
@@ -150,9 +178,9 @@ def test_feasible_l_equals_solve_l_where_endpoint_is_outside(monkeypatch, dim):
     inside = (end[:, 0] >= rho_min) & (internal_energy(end) >= rhoe_min)
     assert 0 < inside.sum() < len(inside)
     calls = _count_solves(monkeypatch)
-    l = feasible_l(uL, P, bounds)
+    l = feasible_l(uL.T, P.T, bounds)
     assert calls == [((~inside).sum(),)]
-    assert np.array_equal(l[~inside], solve_l(uL, P, bounds)[~inside])
+    assert np.array_equal(l[~inside], solve_l(uL.T, P.T, bounds)[~inside])
     assert np.all(l[inside] == 1.0)
 
 
@@ -164,7 +192,7 @@ def test_feasible_l_accepts_endpoint_where_solve_l_cancels():
     P = np.array([1.0, 0.0, 0.5 + 5e9])
     bounds = Bounds(np.array(0.5), np.array(0.5 / 1.02))
     assert solve_l(uL, P, bounds) == 0.0
-    l = feasible_l(uL[None], P[None], bounds)
+    l = feasible_l(uL[:, None], P[:, None], bounds)
     assert l.tolist() == [1.0]
     end = uL + P
     assert end[0] >= bounds.rho_min
@@ -201,8 +229,8 @@ def test_zhang_shu_identical_residuals():
     dt = 0.5 * sch.max_dt(u, 0.0)
     uLnew = u + dt * R / mesh.mass[..., None]
     dF = np.zeros((u.shape[-1], len(mesh.pair_i), mesh.n_elements))
-    out, rep = zhang_shu_limit(uLnew, dF, dt, mesh,
-                               generalized_bounds(uLnew, 0.1))
+    out, rep = _zhang_shu(uLnew, dF, dt, mesh,
+                               _bounds(uLnew, 0.1))
     assert np.array_equal(out, uLnew)
     assert np.all(rep.l_elem == 1.0)
 
@@ -216,13 +244,13 @@ def test_zhang_shu_endpoints():
     uLnew = u + dt * RL / mesh.mass[..., None]
 
     # l forced to zero: the low-order field must come back bitwise
-    out0, _ = zhang_shu_limit(uLnew, dF, dt, mesh,
-                              generalized_bounds(uLnew, 0.1),
+    out0, _ = _zhang_shu(uLnew, dF, dt, mesh,
+                              _bounds(uLnew, 0.1),
                               cap=np.zeros(mesh.n_elements))
     assert np.array_equal(out0, uLnew)
 
     # l = 1 where feasible reproduces the high-order update
-    out1, rep = zhang_shu_limit(uLnew, dF, dt, mesh, minimal_bounds(uLnew))
+    out1, rep = _zhang_shu(uLnew, dF, dt, mesh, _bounds(uLnew))
     uH = uLnew + (dt / mesh.mass[..., None]) * _scatter(mesh, dF)
     free = rep.l_elem == 1.0
     assert np.any(free)
@@ -239,8 +267,8 @@ def test_zhang_shu_bounds_hold_under_stress():
             dF = _pair_differences(sch, w)
             dt = float((mesh.mass / (2 * lam)).min())
             uLnew = w + dt * RL / mesh.mass[..., None]
-            bounds = generalized_bounds(uLnew, zeta)
-            w, rep = zhang_shu_limit(uLnew, dF, dt, mesh, bounds)
+            bounds = _bounds(uLnew, zeta)
+            w, rep = _zhang_shu(uLnew, dF, dt, mesh, bounds)
             guard = 1e-14 * (np.abs(w).max() + 1.0)
             assert np.all(w[..., 0] >= bounds.rho_min - guard)
             assert np.all(internal_energy(w) >= bounds.rhoe_min - guard)
@@ -254,8 +282,8 @@ def test_zhang_shu_conserves():
     dF = _pair_differences(sch, u)
     dt = float((mesh.mass / (2 * lam)).min())
     uLnew = u + dt * RL / mesh.mass[..., None]
-    out, _ = zhang_shu_limit(uLnew, dF, dt, mesh,
-                             generalized_bounds(uLnew, 0.1))
+    out, _ = _zhang_shu(uLnew, dF, dt, mesh,
+                             _bounds(uLnew, 0.1))
     before = (mesh.mass[..., None] * uLnew).sum(axis=(0, 1))
     after = (mesh.mass[..., None] * out).sum(axis=(0, 1))
     # elementwise blending is not pairwise conservative on its own; every
@@ -284,13 +312,12 @@ def _smooth_2d(elem="quad", N=2, K=4, viscous=False):
 def _matched_residual(sch, u, sig=None):
     """r^H with the low-order interface flux, assembled from its parts."""
     mesh = sch.mesh
-    K, _, nvar = u.shape
-    Rs = interface_flux_low(*sch.faces(u, 0.0, sig), mesh.fwsJ.reshape(-1),
+    Rs = interface_flux_low(*sch.faces(u, 0.0, sig), mesh.slot_wsJ,
                             sch.low.slot_lam(sch.wavespeeds(u, 0.0, sig)),
                             sch.low.gas)
-    R = mesh.ops.E.T @ Rs.reshape(K, -1, nvar)
-    R += (mesh.scatter @ sch.high_pairs(u, sig)).T
-    return R
+    R = mesh.ops.E.T @ Rs.reshape(len(Rs), mesh.n_face_nodes, -1)
+    R += mesh.scatter @ sch.high_pairs(u, sig)
+    return R.T
 
 
 @pytest.mark.parametrize("elem", ["quad", "tri"])
@@ -306,8 +333,8 @@ def test_convex_limit_reduces_to_high_order_when_feasible(elem, viscous):
     uH = uLnew + dt * (RH - RL) / mesh.mass[..., None]
 
     cl = ConvexLimiter(mesh)
-    out, rep = cl(uLnew, _pair_differences(sch, u, sig), dt,
-                  minimal_bounds(uLnew))
+    out, rep = _convex(cl, uLnew, _pair_differences(sch, u, sig), dt,
+                  _bounds(uLnew))
     assert np.all(rep.l_elem == 1.0)
     err = np.abs(out - uH).max()
     assert err < 1e-13 * np.abs(uH).max(), err
@@ -333,8 +360,8 @@ def test_convex_limit_conserves_and_bounds(elem):
         RL, lam = sch.low_residual(w, 0.0)
         dt = float((mesh.mass / (2 * lam)).min())
         uLnew = w + dt * RL / mesh.mass[..., None]
-        bounds = generalized_bounds(uLnew, 0.1)
-        w, rep = cl(uLnew, _pair_differences(sch, w), dt, bounds)
+        bounds = _bounds(uLnew, 0.1)
+        w, rep = _convex(cl, uLnew, _pair_differences(sch, w), dt, bounds)
         guard = 1e-14 * (np.abs(w).max() + 1.0)
         assert np.all(w[..., 0] >= bounds.rho_min - guard)
         assert np.all(internal_energy(w) >= bounds.rhoe_min - guard)
@@ -351,8 +378,8 @@ def test_convex_limit_zero_when_capped():
     dt = float((mesh.mass / (2 * lam)).min())
     uLnew = u + dt * RL / mesh.mass[..., None]
     cl = ConvexLimiter(mesh)
-    out, _ = cl(uLnew, _pair_differences(sch, u), dt,
-                minimal_bounds(uLnew), cap=np.zeros(mesh.n_elements))
+    out, _ = _convex(cl, uLnew, _pair_differences(sch, u), dt,
+                _bounds(uLnew), cap=np.zeros(mesh.n_elements))
     assert np.array_equal(out, uLnew)
 
 
@@ -389,13 +416,13 @@ def test_limiters_match_unscreened_oracles(monkeypatch, mode, elem, kind):
         RL, lam = sch.low_residual(w, 0.0)
         dt = cfl * float((mesh.mass / (2 * lam)).min())
         uLnew = w + dt * RL / mesh.mass[..., None]
-        bounds = generalized_bounds(uLnew, 0.1)
+        bounds = _bounds(uLnew, 0.1)
         dF = _pair_differences(sch, w)
         if mode == "convex":
-            out, rep = cl(uLnew, dF, dt, bounds, cap=cap)
+            out, rep = _convex(cl, uLnew, dF, dt, bounds, cap=cap)
             ref, l_ref = convex_limit_ref(mesh, uLnew, dF, dt, bounds, cap=cap)
         else:
-            out, rep = zhang_shu_limit(uLnew, dF, dt, mesh, bounds, cap=cap)
+            out, rep = _zhang_shu(uLnew, dF, dt, mesh, bounds, cap=cap)
             r = _scatter(mesh, dF)
             ref, l_ref = zhang_shu_limit_ref(uLnew, np.zeros_like(r), r, dt,
                                              mesh, bounds, cap=cap)
@@ -423,7 +450,7 @@ def test_shock_indicator_constant_element():
     ops = build_ops("quad", 3)
     u = np.broadcast_to(primitive_to_conserved(np.array([1.0, 0.2, 0.1, 1.0]), GAS),
                         (5, ops.n_nodes, 4)).copy()
-    xi = shock_indicator(u, ops, GAS)
+    xi = shock_indicator(components(u), ops, GAS)
     assert np.all(xi == 1.0)
 
 
@@ -437,12 +464,12 @@ def test_shock_indicator_smooth_vs_rough(elem):
     prim_smooth[..., 1:-1] = 0.0
     prim_smooth[..., -1] = 1.0
     u = primitive_to_conserved(prim_smooth, GAS)
-    assert shock_indicator(u, ops, GAS)[0] == 1.0
+    assert shock_indicator(components(u), ops, GAS)[0] == 1.0
 
     prim_rough = prim_smooth.copy()
     prim_rough[..., 0] = np.where(x > 0, 2.0, 1.0)
     u = primitive_to_conserved(prim_rough, GAS)
-    assert shock_indicator(u, ops, GAS)[0] == 0.5
+    assert shock_indicator(components(u), ops, GAS)[0] == 0.5
 
 
 def test_shock_indicator_logistic_midpoint():
@@ -466,7 +493,7 @@ def test_shock_indicator_logistic_midpoint():
     prim[..., 0] = q
     prim[..., -1] = 1.0
     u = primitive_to_conserved(prim, GAS)
-    xi = shock_indicator(u, ops, GAS)[0]
+    xi = shock_indicator(components(u), ops, GAS)[0]
     # alpha at E = T is 1/2 but the sub-mode ratio can only raise E;
     # accept the clip window
     assert 0.5 <= xi <= 0.75

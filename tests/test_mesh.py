@@ -266,10 +266,17 @@ def test_partner_slots_have_negated_normals_and_equal_weights(elem, N,
 def test_gather_exterior():
     m = make2d("quad", 2, (3, 2), periodic=(True, True))
     rng = np.random.default_rng(1)
-    uf = rng.normal(size=(m.n_elements * m.n_face_nodes, 4))
-    ue = m.gather_exterior(uf)
+    # face values are component first and slot-major, (nvar, Nfp * K);
+    # fpartner indexes the element-major order element * Nfp + slot
+    K, Nfp = m.n_elements, m.n_face_nodes
+    uf = rng.normal(size=(4, Nfp * K))
+    ue = uf[:, m.slot_exterior]
+
+    def element_major(a):
+        return a.reshape(4, Nfp, K).transpose(0, 2, 1).reshape(4, -1)
+
     flat = m.fpartner.reshape(-1)
-    assert np.allclose(ue, uf[flat])
+    assert np.allclose(element_major(ue), element_major(uf)[:, flat])
 
 
 # ---------------------------------------------------------------------------

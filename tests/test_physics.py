@@ -12,7 +12,6 @@ from posdg.physics import (
     davis_wavespeed,
     ec_fluxes,
     entropy,
-    entropy_potential,
     entropy_to_conserved,
     entropy_vars,
     euler_flux,
@@ -32,6 +31,14 @@ GAS = GasParams(gamma=1.4)
 
 pos = st.floats(min_value=1e-3, max_value=1e3)
 vel = st.floats(min_value=-50.0, max_value=50.0)
+
+
+def _ec_fluxes(uL, uR):
+    """The two-point flux along each coordinate axis, one array per axis,
+    of variable-last states; the kernel takes them component first."""
+    uL, uR = (np.moveaxis(np.asarray(a, dtype=float), -1, 0) for a in (uL, uR))
+    return tuple(np.moveaxis(ec_fluxes(uL, uR, e, GAS), 0, -1)
+                 for e in np.eye(len(uL) - 2))
 
 
 def make_state(rho, uvel, vvel, p, dim=2):
@@ -145,8 +152,8 @@ def random_states(rng, n, dim):
 def test_ec_flux_consistency(dim):
     rng = np.random.default_rng(7)
     u = random_states(rng, 200, dim)
-    fs = ec_fluxes(u, u, GAS)
-    fe = euler_flux(u, GAS)
+    fs = _ec_fluxes(u, u)
+    fe = tuple(f.T for f in euler_flux(u.T, GAS))
     for k in range(dim):
         assert np.abs(fs[k] - fe[k]).max() < 1e-11 * max(np.abs(fe[k]).max(), 1)
 
@@ -156,8 +163,8 @@ def test_ec_flux_symmetry(dim):
     rng = np.random.default_rng(8)
     uL = random_states(rng, 200, dim)
     uR = random_states(rng, 200, dim)
-    fab = ec_fluxes(uL, uR, GAS)
-    fba = ec_fluxes(uR, uL, GAS)
+    fab = _ec_fluxes(uL, uR)
+    fba = _ec_fluxes(uR, uL)
     for k in range(dim):
         scale = np.abs(fab[k]).max()
         assert np.abs(fab[k] - fba[k]).max() < 1e-12 * scale
@@ -170,8 +177,8 @@ def test_ec_flux_tadmor_identity(dim):
     uL = random_states(rng, 5000, dim)
     uR = random_states(rng, 5000, dim)
     vL, vR = entropy_vars(uL, GAS), entropy_vars(uR, GAS)
-    psiL, psiR = entropy_potential(uL, GAS), entropy_potential(uR, GAS)
-    fs = ec_fluxes(uL, uR, GAS)
+    psiL, psiR = ((GAS.gamma - 1.0) * a[:, 1:-1] for a in (uL, uR))
+    fs = _ec_fluxes(uL, uR)
     for k in range(dim):
         lhs = np.sum((vL - vR) * fs[k], axis=-1)
         rhs = psiL[:, k] - psiR[:, k]
@@ -182,9 +189,9 @@ def test_ec_flux_tadmor_identity(dim):
 def test_ec_flux_broadcasts():
     rng = np.random.default_rng(10)
     u = random_states(rng, 6, 2).reshape(2, 3, 4)
-    f_pair = ec_fluxes(u[:, :, None, :], u[:, None, :, :], GAS)
+    f_pair = _ec_fluxes(u[:, :, None, :], u[:, None, :, :])
     assert f_pair[0].shape == (2, 3, 3, 4)
-    f_alt = ec_fluxes(u[0, 1], u[0, 2], GAS)
+    f_alt = _ec_fluxes(u[0, 1], u[0, 2])
     assert np.allclose(f_pair[0][0, 1, 2], f_alt[0])
 
 
@@ -214,7 +221,7 @@ def test_zhang_beta_dominates_normal_speed():
     u = random_states(rng, 500, 2)
     n = rng.normal(size=(500, 2))
     n /= np.linalg.norm(n, axis=1, keepdims=True)
-    beta = zhang_beta(u, None, n, GAS)
+    beta = zhang_beta(u.T, None, n.T, GAS)
     un = np.abs(np.sum(u[:, 1:3] * n, axis=1) / u[:, 0])
     assert np.all(beta >= un)
 
@@ -238,6 +245,7 @@ def test_davis_bounds_inviscid_zhang_beta(gamma):
     assert np.all(is_admissible(u))
     phi = rng.uniform(0.0, 2.0 * np.pi, m)
     n = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    u, n = u.T, n.T        # the kernels take both component first
     davis = davis_wavespeed(u, None, n, gas)
     assert np.array_equal(davis, davis_wavespeed(u, u, n, gas))
     assert np.array_equal(np.maximum(zhang_beta(u, None, n, gas), davis),
@@ -251,10 +259,12 @@ def test_zhang_beta_is_even_in_n():
     u = random_states(rng, 500, 2)
     v = entropy_vars(u, gas)
     th = tuple(rng.normal(size=(500, 4)) for _ in range(2))
-    sig = viscous_sigma(v, th, gas)
     n = rng.normal(size=(500, 2))
     n /= np.linalg.norm(n, axis=1, keepdims=True)
     n[:50, 0] = 0.0
+    # the kernels take states, gradients and directions component first
+    u, v, th, n = u.T, v.T, tuple(t.T for t in th), n.T
+    sig = viscous_sigma(v, th, gas)
     for s in (None, sig):
         assert np.array_equal(zhang_beta(u, s, n, gas), zhang_beta(u, s, -n, gas))
     assert np.array_equal(davis_wavespeed(u, None, n, gas),

@@ -348,35 +348,38 @@ def test_wavespeeds_match_pairwise_form(elem, N, viscous):
     assert set(mesh.ftag[mesh.ftag > 0].tolist()) == tags
     sig = sch.gradient(u, 0.0)[2] if viscous else None
     faces = sch.faces(u, 0.0, sig)
-    w = sch.low.wavespeeds(u, faces, sig)
-    pairs = sch.low.pair_fluxes(components(u), w, components(sig))
+    w = sch.wavespeeds(u, 0.0, sig)
+    pairs = sch.low_pairs(u, 0.0, sig)
 
+    # the face arrays are component first and slot-major, (nvar, Nfp * K)
     uf, uP, sigf, sigP, nrm = faces
     lam_hat = lam_hat_ref(uf, uP, sigf, sigP, nrm, gas)
-    n1 = np.abs(nrm[:, 0])
+    n1 = np.abs(nrm[0])
     for d in range(1, mesh.dim):
-        n1 = n1 + np.abs(nrm[:, d])
-    lam_s = 0.5 * mesh.fwsJ.reshape(-1) * n1 * lam_hat
+        n1 = n1 + np.abs(nrm[d])
+    lam_s = 0.5 * mesh.slot_wsJ * n1 * lam_hat
     assert np.array_equal(sch.low.slot_lam(w), lam_s)
-    lam_nodes = lam_s.reshape(mesh.n_elements, -1) @ mesh.ops.E
+    lam_nodes = (mesh.ops.E.T @ lam_s.reshape(mesh.n_face_nodes, -1)).T
     beta_binds = np.any(lam_hat > davis_wavespeed(uf, uP, nrm, gas))
     for elems, gc in zip(mesh.class_elems, mesh.classes):
         lam_p = pairs[1][:, elems].T
         low = gc.pair_low
         pi, pj = gc.pair_i[low], gc.pair_j[low]
         nn = np.linalg.norm(gc.pair_n[low], axis=1)
-        unit = gc.pair_n[low] / nn[:, None]
-        ui, uj = u[elems][:, pi], u[elems][:, pj]
+        unit = (gc.pair_n[low] / nn[:, None]).T
+        # the kernels take (nvar, K_c, npairs) states
+        ui, uj = (np.moveaxis(u[elems][:, idx], -1, 0) for idx in (pi, pj))
         si = sj = None
         if viscous:
-            si = tuple(s[elems][:, pi] for s in sig)
-            sj = tuple(s[elems][:, pj] for s in sig)
+            si, sj = (tuple(np.moveaxis(s[elems][:, idx], -1, 0) for s in sig)
+                      for idx in (pi, pj))
         lam_hat = lam_hat_ref(ui, uj, si, sj, unit, gas)
         assert np.array_equal(lam_p, lam_hat * nn)
         lam_nodes[elems] += lam_hat * nn @ np.abs(gc.scatter[:, low]).T
         beta_binds |= np.any(lam_hat > davis_wavespeed(ui, uj, unit, gas))
     assert beta_binds == viscous
-    assert np.array_equal(sch.low(u, faces, w, pairs)[1], lam_nodes)
+    assert np.array_equal(sch.low(components(u), faces, w, pairs)[1].T,
+                          lam_nodes)
     assert sch.low.max_dt(w) == float((mesh.mass / (2.0 * lam_nodes)).min())
 
 
@@ -385,35 +388,36 @@ def test_wavespeeds_match_pairwise_form(elem, N, viscous):
 # ---------------------------------------------------------------------------
 
 def _class_pair_arrays_ref(gc, elems, u, sig, gas):
-    """F^H, F^L and lambda_ij of one geometry class from the oracles, in the
-    per-class layout (K_c, npairs, nvar) and with the class's own weights."""
+    """F^H, F^L and lambda_ij of one geometry class from the oracles, with
+    the class's own weights. The arithmetic runs on the class's (nvar,
+    npairs, K_c) arrays; the results are returned in the per-class layout
+    (K_c, npairs, nvar)."""
     pi, pj, low = gc.pair_i, gc.pair_j, gc.pair_low
-    uc = u[elems]
-    sc = None if sig is None else tuple(s[elems] for s in sig)
+    uc = components(u)[:, :, elems]
+    sc = None if sig is None else tuple(s[:, :, elems]
+                                        for s in components(sig))
     prims = ec_prims_ref(uc, gas)
-    F = ec_fluxes_prims_ref(tuple(a[:, pi] for a in prims),
-                            tuple(a[:, pj] for a in prims), gas)
-    FH = np.zeros((len(elems), len(pi), uc.shape[-1]))
-    for d, fd in enumerate(F):
-        if sc is not None:
-            fd = fd - 0.5 * (sc[d][:, pi] + sc[d][:, pj])
-        FH -= gc.pair_s[d][:, None] * fd
+    # the two-point flux along n_k = -(Q_k - Q_k^T)_ij
+    n = -gc.pair_s[..., None]
+    FH = ec_fluxes_prims_ref(tuple(a[..., pi, :] for a in prims),
+                             tuple(a[..., pj, :] for a in prims), n, gas)
+    for d in range(len(n) if sc is not None else 0):
+        FH -= 0.5 * (sc[d][:, pi] + sc[d][:, pj]) * n[d]
 
     li, lj = pi[low], pj[low]
-    nij = gc.pair_n[low]
-    nn = np.linalg.norm(nij, axis=1)
+    nij = gc.pair_n[low].T[..., None]
+    nn = np.linalg.norm(nij, axis=0)
     si = sj = None
     if sc is not None:
         si, sj = (tuple(s[:, idx] for s in sc) for idx in (li, lj))
-    unit = nij / nn[:, None]
-    lam = lam_hat_ref(uc[:, li], uc[:, lj], si, sj, unit, gas) * nn
+    lam = lam_hat_ref(uc[:, li], uc[:, lj], si, sj, nij / nn, gas) * nn
     f = euler_flux(uc, gas)
     if sc is not None:
         f = tuple(fd - sd for fd, sd in zip(f, sc))
-    central = sum((f[d][:, li] + f[d][:, lj]) * nij[:, d, None]
+    central = sum((f[d][:, li] + f[d][:, lj]) * nij[d]
                   for d in range(len(f)))
-    FL = -central + (uc[:, lj] - uc[:, li]) * lam[..., None]
-    return FH, FL, lam
+    FL = -central + (uc[:, lj] - uc[:, li]) * lam
+    return FH.T, FL.T, lam.T
 
 
 @pytest.mark.parametrize("elem", ["quad", "tri"])
@@ -433,7 +437,8 @@ def test_pair_arrays_equal_per_class_oracles(elem, viscous):
     assert FL.shape == (nvar, len(mesh.pair_low), mesh.n_elements)
     assert lam.shape == FL.shape[1:]
     dF = antidiffusive_fluxes(mesh, FH.copy(), (FL, lam))
-    prep = Stepper(mesh, gas, BCSet({}), mode="convex").prepare(u, 0.0)
+    prep = Stepper(mesh, gas, BCSet({}), mode="convex").prepare(
+        components(u), 0.0)
     assert np.array_equal(prep["dF"], dF)
     for elems, gc in zip(mesh.class_elems, mesh.classes):
         FH_ref, FL_ref, lam_ref = _class_pair_arrays_ref(gc, elems, u, sig,
