@@ -3,9 +3,9 @@
 Subcommands:
 
 * ``run <config>``: march a case to its final time. Writes a per-step
-  diagnostics CSV, the final field as CSV and legacy VTK, and a limiter
-  activity CSV (per-element blending parameters, recorded at the snapshot
-  cadence and at the final step).
+  diagnostics CSV, the final field as CSV and as binary (big-endian)
+  legacy VTK, and a limiter activity CSV (per-element blending
+  parameters, recorded at the snapshot cadence and at the final step).
 * ``convergence <config> --K 50,100,200``: L1/L2 error table over a mesh
   sequence, with observed rates where the sequence doubles.
 * ``ops-check --elem tri --N 3``: reference-operator identity report,
@@ -470,37 +470,37 @@ def _subgrid_cells(mesh: Mesh) -> np.ndarray:
     return np.array(TRI_TABLES[N]["subcells"])
 
 
-# (weak reference to the mesh, its formatted geometry block): every
-# snapshot of a run writes the same mesh, whose nodes and cells are fixed
-_vtk_geometry_cache = (None, "")
+# (weak reference to the mesh, its encoded geometry block): every snapshot
+# of a run writes the same mesh, whose nodes and cells are fixed
+_vtk_geometry_cache = (None, b"")
 
 
-def _vtk_geometry(mesh: Mesh) -> str:
+def _vtk_geometry(mesh: Mesh) -> bytes:
     """The POINTS, CELLS and CELL_TYPES sections of ``mesh``, cached for
     the most recent mesh."""
     global _vtk_geometry_cache
-    ref, text = _vtk_geometry_cache
+    ref, blob = _vtk_geometry_cache
     if ref is not None and ref() is mesh:
-        return text
+        return blob
     K, Np = mesh.xy.shape[:2]
     pts = np.zeros((K * Np, 3))
     pts[:, :mesh.dim] = mesh.xy.reshape(K * Np, mesh.dim)
-    sub = _subgrid_cells(mesh)
-    cells = (sub[None, :, :] + (np.arange(K) * Np)[:, None, None])
-    cells = cells.reshape(-1, sub.shape[1])
-    n_cells, m = cells.shape
-    text = "".join(
-        [f"POINTS {K * Np} double\n"]
-        + [f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pts.tolist()]
-        + [f"CELLS {n_cells} {n_cells * (m + 1)}\n"]
-        + [f"{m} " + " ".join(map(str, c)) + "\n" for c in cells.tolist()]
-        + [f"CELL_TYPES {n_cells}\n", f"{_VTK_TYPE[mesh.elem]}\n" * n_cells])
-    _vtk_geometry_cache = (weakref.ref(mesh), text)
-    return text
+    sub = _subgrid_cells(mesh)[None] + (np.arange(K) * Np)[:, None, None]
+    n_cells, m = K * sub.shape[1], sub.shape[2]
+    cells = np.insert(sub.reshape(n_cells, m), 0, m, axis=1)
+    blob = b"".join([
+        f"POINTS {K * Np} double\n".encode(), pts.astype(">f8").tobytes(),
+        f"\nCELLS {n_cells} {cells.size}\n".encode(),
+        cells.astype(">i4").tobytes(), f"\nCELL_TYPES {n_cells}\n".encode(),
+        np.full(n_cells, _VTK_TYPE[mesh.elem]).astype(">i4").tobytes(), b"\n"])
+    _vtk_geometry_cache = (weakref.ref(mesh), blob)
+    return blob
 
 
 def write_vtk(path, mesh: Mesh, gas, u, l_elem=None):
-    """Legacy ASCII VTK unstructured grid of the nodal subgrid.
+    """Binary (big-endian) legacy VTK unstructured grid of the nodal
+    subgrid: ASCII header lines, each followed by its raw ``double`` or
+    ``int`` array and a newline, so every value round-trips exactly.
 
     Point data: rho, u, v, p, the Schlieren transform of rho, and the
     per-element limiter parameter l_e broadcast to the element's nodes
@@ -508,32 +508,24 @@ def write_vtk(path, mesh: Mesh, gas, u, l_elem=None):
     """
     K, Np = mesh.xy.shape[:2]
     prim = conserved_to_primitive(u, gas)
-    flatten = lambda a: np.asarray(a, dtype=float).reshape(-1)
-    zeros = np.zeros(K * Np)
-    if l_elem is None:
-        l_pts = np.ones(K * Np)
-    else:
-        l_pts = np.repeat(np.asarray(l_elem, dtype=float), Np)
+    l_e = np.ones(K) if l_elem is None else np.asarray(l_elem, dtype=float)
     data = [
-        ("rho", flatten(u[..., 0])),
-        ("u", flatten(prim[..., 1])),
-        ("v", flatten(prim[..., 2]) if mesh.dim == 2 else zeros),
-        ("p", flatten(prim[..., -1])),
-        ("schlieren", flatten(schlieren(u[..., 0], mesh))),
-        ("l_e", l_pts),
+        ("rho", u[..., 0]),
+        ("u", prim[..., 1]),
+        ("v", prim[..., 2] if mesh.dim == 2 else np.zeros(K * Np)),
+        ("p", prim[..., -1]),
+        ("schlieren", schlieren(u[..., 0], mesh)),
+        ("l_e", np.repeat(l_e, Np)),
     ]
 
-    with open(path, "w", newline="") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write("posdg fields\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(_vtk_geometry(mesh))
-        f.write(f"POINT_DATA {K * Np}\n")
-        for name, arr in data:
-            f.write(f"SCALARS {name} double\n")
-            f.write("LOOKUP_TABLE default\n")
-            f.write("".join([f"{v:.17g}\n" for v in arr.tolist()]))
+    parts = [b"# vtk DataFile Version 3.0\nposdg fields\nBINARY\n"
+             b"DATASET UNSTRUCTURED_GRID\n", _vtk_geometry(mesh),
+             f"POINT_DATA {K * Np}\n".encode()]
+    for name, arr in data:
+        parts += [f"SCALARS {name} double\nLOOKUP_TABLE default\n".encode(),
+                  arr.astype(">f8").tobytes(), b"\n"]
+    with open(path, "wb") as f:
+        f.write(b"".join(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ plain function that returns new arrays.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -55,14 +54,15 @@ class Workspace:
 
     def take(self, shape, dtype=float) -> np.ndarray:
         """An uninitialised array of the current frame."""
-        dtype = np.dtype(dtype)
         start = self._top
-        end = start + math.prod(shape) * dtype.itemsize
-        self._top = -(-end // ALIGN) * ALIGN
-        self._high = max(self._high, self._top)
+        end = start + math.prod(shape) * (
+            8 if dtype is float else np.dtype(dtype).itemsize)
+        top = self._top = -(-end // ALIGN) * ALIGN
+        if top > self._high:
+            self._high = top
         if end > self._block.size:
             return np.empty(shape, dtype)
-        return self._block[start:end].view(dtype).reshape(shape)
+        return np.ndarray(shape, dtype, self._block, start)
 
     def gather(self, a, idx) -> np.ndarray:
         """``a[..., idx, :]``, rows of the last two axes, into an array of
@@ -70,16 +70,9 @@ class Workspace:
         out = self.take(a.shape[:-2] + idx.shape + a.shape[-1:], a.dtype)
         return np.take(a, idx, axis=-2, out=out, mode="clip")
 
-    @contextmanager
-    def frame(self):
+    def frame(self) -> _Frame:
         """Give back everything taken inside the block on exit."""
-        top = self._top
-        try:
-            yield self
-        finally:
-            self._top = top
-            if top == 0 and self._high > self._block.size:
-                self._block = np.empty(self._high, dtype=np.uint8)
+        return _Frame(self)
 
     def keep(self, key, shape, dtype=float) -> np.ndarray:
         """The persistent array of ``key``; the same one at every call."""
@@ -87,3 +80,23 @@ class Workspace:
         if out is None or out.shape != tuple(shape) or out.dtype != dtype:
             out = self._kept[key] = np.empty(shape, dtype)
         return out
+
+
+class _Frame:
+    """The frame of :meth:`Workspace.frame`: the top of the block at
+    entry, restored at exit."""
+
+    __slots__ = ("ws", "top")
+
+    def __init__(self, ws: Workspace):
+        self.ws = ws
+
+    def __enter__(self) -> Workspace:
+        self.top = self.ws._top
+        return self.ws
+
+    def __exit__(self, *exc) -> None:
+        ws = self.ws
+        ws._top = self.top
+        if self.top == 0 and ws._high > ws._block.size:
+            ws._block = np.empty(ws._high, dtype=np.uint8)

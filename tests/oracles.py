@@ -2,8 +2,11 @@
 
 import numpy as np
 
+from posdg.cases import schlieren
+from posdg.cli import _VTK_TYPE, _subgrid_cells
 from posdg.limiter import Bounds, solve_l
 from posdg.physics import (
+    conserved_to_primitive,
     davis_wavespeed,
     euler_flux,
     internal_energy_cf,
@@ -488,3 +491,55 @@ def solve_l_ref(uL, P, rho_min, rhoe_min):
     l_e = np.where(linear, l_lin, l_quad)
 
     return np.minimum(l_rho, np.clip(l_e, 0.0, 1.0))
+
+
+def write_vtk_ascii_ref(path, mesh, gas, u, l_elem=None):
+    """Legacy ASCII VTK unstructured grid of the nodal subgrid, every value
+    written with 17 significant digits: the layout and values that
+    ``cli.write_vtk`` encodes in binary.
+
+    Point data: rho, u, v, p, the Schlieren transform of rho, and the
+    per-element limiter parameter l_e broadcast to the element's nodes
+    (all ones when no limiter ran).
+    """
+    K, Np = mesh.xy.shape[:2]
+    pts = np.zeros((K * Np, 3))
+    pts[:, :mesh.dim] = mesh.xy.reshape(K * Np, mesh.dim)
+    sub = _subgrid_cells(mesh)
+    cells = (sub[None, :, :] + (np.arange(K) * Np)[:, None, None])
+    cells = cells.reshape(-1, sub.shape[1])
+    n_cells, m = cells.shape
+    geometry = "".join(
+        [f"POINTS {K * Np} double\n"]
+        + [f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pts.tolist()]
+        + [f"CELLS {n_cells} {n_cells * (m + 1)}\n"]
+        + [f"{m} " + " ".join(map(str, c)) + "\n" for c in cells.tolist()]
+        + [f"CELL_TYPES {n_cells}\n", f"{_VTK_TYPE[mesh.elem]}\n" * n_cells])
+
+    prim = conserved_to_primitive(u, gas)
+    flatten = lambda a: np.asarray(a, dtype=float).reshape(-1)
+    zeros = np.zeros(K * Np)
+    if l_elem is None:
+        l_pts = np.ones(K * Np)
+    else:
+        l_pts = np.repeat(np.asarray(l_elem, dtype=float), Np)
+    data = [
+        ("rho", flatten(u[..., 0])),
+        ("u", flatten(prim[..., 1])),
+        ("v", flatten(prim[..., 2]) if mesh.dim == 2 else zeros),
+        ("p", flatten(prim[..., -1])),
+        ("schlieren", flatten(schlieren(u[..., 0], mesh))),
+        ("l_e", l_pts),
+    ]
+
+    with open(path, "w", newline="") as f:
+        f.write("# vtk DataFile Version 3.0\n")
+        f.write("posdg fields\n")
+        f.write("ASCII\n")
+        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(geometry)
+        f.write(f"POINT_DATA {K * Np}\n")
+        for name, arr in data:
+            f.write(f"SCALARS {name} double\n")
+            f.write("LOOKUP_TABLE default\n")
+            f.write("".join([f"{v:.17g}\n" for v in arr.tolist()]))

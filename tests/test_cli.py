@@ -37,6 +37,8 @@ from posdg.limiter import LimiterReport
 from posdg.mesh import rect_mesh
 from posdg.physics import conserved_to_primitive, internal_energy
 
+from oracles import write_vtk_ascii_ref
+
 
 # ---------------------------------------------------------------------------
 # config parsing and validation
@@ -314,32 +316,85 @@ def test_convergence_requires_exact_solution(tmp_path, capsys):
 # VTK writer
 # ---------------------------------------------------------------------------
 
-def _parse_vtk(path):
+def _decode_vtk(path):
+    """(points, connectivity, cell types, {name: point array}) of a binary
+    legacy VTK file, decoded strictly: the header reads BINARY, every data
+    block has its exact byte count and is followed by a newline, and every
+    byte of the file belongs to a section."""
+    data = path.read_bytes()
+    pos = 0
+
+    def line():
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        text = data[pos:end].decode("ascii")
+        pos = end + 1
+        return text
+
+    def block(count, dtype):
+        nonlocal pos
+        nbytes = count * np.dtype(dtype).itemsize
+        assert pos + nbytes < len(data), "section cut short"
+        assert data[pos + nbytes:pos + nbytes + 1] == b"\n"
+        out = np.frombuffer(data, dtype, count, pos)
+        pos += nbytes + 1
+        return out
+
+    assert line() == "# vtk DataFile Version 3.0"
+    line()                                              # title
+    assert line() == "BINARY"
+    assert line() == "DATASET UNSTRUCTURED_GRID"
+    key, n_pts, kind = line().split()
+    assert (key, kind) == ("POINTS", "double")
+    n_pts = int(n_pts)
+    points = block(3 * n_pts, ">f8").reshape(n_pts, 3)
+    key, n_cells, size = line().split()
+    assert key == "CELLS"
+    conn = block(int(size), ">i4")
+    assert line() == f"CELL_TYPES {n_cells}"
+    types = block(int(n_cells), ">i4")
+    assert line() == f"POINT_DATA {n_pts}"
+    arrays = {}
+    while pos < len(data):
+        key, name, kind = line().split()
+        assert (key, kind) == ("SCALARS", "double")
+        assert line() == "LOOKUP_TABLE default"
+        arrays[name] = block(n_pts, ">f8")
+    assert pos == len(data)
+    return points, conn, types, arrays
+
+
+def _decode_vtk_ascii(path):
+    """The sections of an ASCII legacy VTK file, as :func:`_decode_vtk`."""
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("# vtk DataFile")
     assert lines[2] == "ASCII"
-    assert lines[3] == "DATASET UNSTRUCTURED_GRID"
-    i = 4
-    n_pts = int(lines[i].split()[1])
-    pts = [lines[i + 1 + j].split() for j in range(n_pts)]
-    assert all(len(p) == 3 for p in pts)
-    i += 1 + n_pts
-    n_cells, size = (int(v) for v in lines[i].split()[1:])
-    cells = [list(map(int, lines[i + 1 + j].split())) for j in range(n_cells)]
-    assert sum(len(c) for c in cells) == size
-    i += 1 + n_cells
-    assert int(lines[i].split()[1]) == n_cells
-    types = [int(lines[i + 1 + j]) for j in range(n_cells)]
-    i += 1 + n_cells
-    assert int(lines[i].split()[1]) == n_pts
-    i += 1
+    n_pts = int(lines[4].split()[1])
+    i = 5 + n_pts
+    points = np.array([[float(v) for v in ln.split()]
+                       for ln in lines[5:i]])
+    n_cells = int(lines[i].split()[1])
+    conn = np.array([int(v) for ln in lines[i + 1:i + 1 + n_cells]
+                     for v in ln.split()])
+    i += 2 + n_cells
+    types = np.array([int(v) for v in lines[i:i + n_cells]])
+    i += n_cells + 1
     arrays = {}
     while i < len(lines):
-        name = lines[i].split()[1]
-        vals = [float(v) for v in lines[i + 2:i + 2 + n_pts]]
-        arrays[name] = vals
+        arrays[lines[i].split()[1]] = np.array(
+            [float(v) for v in lines[i + 2:i + 2 + n_pts]])
         i += 2 + n_pts
-    return n_pts, cells, types, arrays
+    return points, conn, types, arrays
+
+
+def _parse_vtk(path):
+    points, conn, types, arrays = _decode_vtk(path)
+    cells, i = [], 0
+    while i < len(conn):
+        cells.append(conn[i:i + 1 + conn[i]].tolist())
+        i += 1 + conn[i]
+    assert len(cells) == len(types)
+    return (len(points), cells, types.tolist(),
+            {name: arr.tolist() for name, arr in arrays.items()})
 
 
 @pytest.mark.parametrize("elem,vtk_type,nodes_per_cell",
@@ -418,3 +473,31 @@ def test_main_cases_list(capsys):
 def test_main_ops_check_rejects_degree_out_of_range(capsys):
     assert main(["ops-check", "--elem", "tri", "--N", "5"]) == 2
     assert "1..4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("with_l", [False, True])
+@pytest.mark.parametrize("elem", ["line", "quad", "tri"])
+def test_write_vtk_matches_ascii_oracle(tmp_path, elem, with_l):
+    # the binary file decodes to exactly the values the 17-digit ASCII
+    # writer prints, geometry included
+    rng = np.random.default_rng(3)
+    if elem == "line":
+        case = get_case("leblanc")
+        mesh = case.build_mesh(5, 3)
+    else:
+        case = get_case("vortex")
+        (ax, bx), (ay, by) = case.domain
+        mesh = rect_mesh(elem, (ax, bx, ay, by), 3, 2, 3,
+                         periodic=case.periodic)
+    noise = 1.0 + 1e-3 * rng.random(mesh.xy.shape[:2])
+    u = case.ic(mesh.xy) * noise[..., None]
+    l_elem = rng.random(mesh.n_elements) if with_l else None
+    write_vtk(tmp_path / "b.vtk", mesh, case.gas, u, l_elem=l_elem)
+    write_vtk_ascii_ref(tmp_path / "a.vtk", mesh, case.gas, u, l_elem=l_elem)
+    new = _decode_vtk(tmp_path / "b.vtk")
+    ref = _decode_vtk_ascii(tmp_path / "a.vtk")
+    for a, b in zip(new[:3], ref[:3]):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert list(new[3]) == list(ref[3])
+    for name in ref[3]:
+        assert np.array_equal(new[3][name], ref[3][name]), name
