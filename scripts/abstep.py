@@ -21,8 +21,13 @@ The host runs the same code at different speeds in blocks of a fraction
 of a second to minutes. Two steps timed back to back run in the same
 block, so the ratio of each pair cancels the block's speed, which runs in
 separate processes do not. The script prints, per workload, the median of
-the per-step ratios (tree / REF) with their quartiles, the median step time
-of each tree, and whether the two final states are bitwise equal.
+the per-step ratios (tree / REF) pooled over all marches, with their
+quartiles; the median ratio of each march on its own and the min-max
+spread of those across the marches; the median step time of each tree; and
+whether the two final states are bitwise equal. What stays with one march
+(the memory placement of its steppers, other tenants of the host) moves a
+march's median as a whole, so the spread of the march medians, not the
+quartiles of the pooled steps, is the resolution of the pooled median.
 
 BLAS threads are capped at one (``POSDG_WORKERS=1``) unless the caller's
 environment sets them, and the garbage collector is off while steps run.
@@ -117,7 +122,7 @@ class March:
 
 
 def compare(new_pkg, old_pkg, raw: dict, repeats: int) -> dict:
-    ratios, t_new, t_old, equal = [], [], [], True
+    ratios, t_new, t_old, marches, equal = [], [], [], [], True
     for r in range(repeats):
         # fresh steppers per repeat, built in alternating order, so that no
         # tree keeps one memory placement for the whole comparison
@@ -125,6 +130,7 @@ def compare(new_pkg, old_pkg, raw: dict, repeats: int) -> dict:
             old, new = March(old_pkg, raw), March(new_pkg, raw)
         else:
             new, old = March(new_pkg, raw), March(old_pkg, raw)
+        start = len(ratios)
         gc.collect()
         gc.disable()
         try:
@@ -140,9 +146,11 @@ def compare(new_pkg, old_pkg, raw: dict, repeats: int) -> dict:
                 t_old.append(b)
         finally:
             gc.enable()
+        marches.append(statistics.median(ratios[start:]))
         equal &= new.step == old.step and np.array_equal(new.u, old.u)
     q1, med, q3 = statistics.quantiles(ratios, n=4)
     return {"steps": new.step, "ratio": med, "q1": q1, "q3": q3,
+            "marches": marches,
             "ms_new": 1e3 * statistics.median(t_new),
             "ms_old": 1e3 * statistics.median(t_old), "equal": equal}
 
@@ -163,16 +171,20 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="posdg-abstep-") as tmp:
         ref = import_ref(args.ref, Path(tmp))
         print(f"per-step time ratio, working tree / {args.ref}: median "
-              f"[quartiles] of paired steps; median step time of each")
+              f"[quartiles] of all paired steps, min-max of the marches' "
+              f"own medians; median step time of each")
         print(f"{'workload':24s} {'steps':>5s}  {'ratio':>6s}  "
-              f"{'quartiles':>13s}  {'ms tree':>8s}  {'ms ref':>8s}  "
-              f"final states")
+              f"{'quartiles':>13s}  {'march min-max':>13s}  "
+              f"{'ms tree':>8s}  {'ms ref':>8s}  final states")
         for name in args.workload or known:
             res = compare(posdg, ref, known[name], args.repeats)
             print(f"{name:24s} {res['steps']:5d}  {res['ratio']:6.3f}  "
                   f"[{res['q1']:.3f}, {res['q3']:.3f}]  "
+                  f"[{min(res['marches']):.3f}, {max(res['marches']):.3f}]  "
                   f"{res['ms_new']:8.2f}  {res['ms_old']:8.2f}  "
                   f"{'equal' if res['equal'] else 'DIFFER'}")
+            print(f"{'':24s} march medians: "
+                  + " ".join(f"{m:.3f}" for m in res["marches"]))
     return 0
 
 

@@ -85,8 +85,7 @@ def solve_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds) -> np.ndarray:
     """
     rhoL, mL, EL = uL[0], uL[1:-1], uL[-1]
     rhoP, mP, EP = P[0], P[1:-1], P[-1]
-    rho_min = np.broadcast_to(bounds.rho_min, rhoL.shape)
-    rhoe_min = np.broadcast_to(bounds.rhoe_min, rhoL.shape)
+    rho_min, rhoe_min = _shaped(bounds, rhoL.shape)
 
     # density constraint is linear in l
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -127,14 +126,28 @@ def solve_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds) -> np.ndarray:
     return np.minimum(l_rho, np.clip(l_e, 0.0, 1.0))
 
 
+def _shaped(bounds: Bounds, shape):
+    """(rho_min, rhoe_min) broadcast to ``shape``; as given where they
+    already have it."""
+    return tuple(b if np.shape(b) == shape else np.broadcast_to(b, shape)
+                 for b in (bounds.rho_min, bounds.rhoe_min))
+
+
 def _outside(end, rho_min, rhoe_min, ws):
-    """Flat indices of the endpoints ``end`` (nvar, ...) outside the
-    bounds: the bound checks rho >= rho_min and rhoe >= rhoe_min."""
+    """Flat indices of the states ``end`` (nvar, ...) outside the bounds.
+
+    The tests are rho >= rho_min and rho (E - rhoe_min) >= |m|^2 / 2, the
+    internal-energy bound rhoe >= rhoe_min multiplied through by rho, which
+    needs no division; see :func:`feasible_l` for why the two agree.
+    """
     shape = end.shape[1:]
     with ws.frame():
         inside = np.greater_equal(end[0], rho_min, out=ws.take(shape, bool))
-        rhoe = internal_energy_cf(end, ws.take(shape), ws.take(shape))
-        inside &= np.greater_equal(rhoe, rhoe_min, out=ws.take(shape, bool))
+        margin = np.subtract(end[-1], rhoe_min, out=ws.take(shape))
+        margin *= end[0]
+        kin = _dot(end[1:-1], end[1:-1], ws.take(shape), ws.take(shape))
+        kin *= 0.5
+        inside &= np.greater_equal(margin, kin, out=ws.take(shape, bool))
         return np.flatnonzero(np.logical_not(inside, out=inside))
 
 
@@ -143,17 +156,24 @@ def feasible_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds,
     """:func:`solve_l`, with l = 1 wherever the endpoint uL + P is in bounds.
 
     The bounded set is convex and uL lies in it, so an endpoint that passes
-    the bound checks (rho >= rho_min and internal_energy >= rhoe_min) makes
-    the whole segment feasible; :func:`solve_l` runs only on the others.
-    This also spares those segments the cancellation in solve_l's quadratic
-    when the kinetic energy dwarfs the internal energy. The screen forms
-    the endpoint in a buffer of the workspace ``ws`` (a fresh one by
-    default); l is taken from the caller's frame.
+    the bound checks makes the whole segment feasible; :func:`solve_l` runs
+    only on the others. This also spares those segments the cancellation
+    in solve_l's quadratic when the kinetic energy dwarfs the internal
+    energy.
+
+    The checks are rho >= rho_min and rho (E - rhoe_min) >= |m|^2 / 2
+    (:func:`_outside`), the second being rho (rhoe - rhoe_min) >= 0 since
+    rhoe = E - |m|^2 / (2 rho). Where rho >= rho_min > 0 it holds exactly
+    when rhoe >= rhoe_min, and a state with rho < rho_min is outside
+    either way, so with rho_min > 0, as every bound has, the test without
+    division is the quotient test. In floating point the two can part only
+    where rhoe - rhoe_min is within the rounding of E and |m|^2 / (2 rho).
+    The screen forms the endpoint in a buffer of the workspace ``ws`` (a
+    fresh one by default); l is taken from the caller's frame.
     """
     ws = Workspace() if ws is None else ws
     nvar, shape = len(P), P.shape[1:]
-    rho_min = np.broadcast_to(bounds.rho_min, shape)
-    rhoe_min = np.broadcast_to(bounds.rhoe_min, shape)
+    rho_min, rhoe_min = _shaped(bounds, shape)
     l = ws.take(shape)
     with ws.frame():
         end = np.add(uL, P, out=ws.take(P.shape))
@@ -226,8 +246,8 @@ class ConvexLimiter:
     The limiter evaluates no flux: it receives their differences on the
     mesh's pair graph (:func:`antidiffusive_fluxes`).
     Each node's update is a convex combination of substates
-    u^L_i + (dt n_i / m_i) l_ij (F^H_ij - F^L_ij) with n_i the node's
-    pair-plus-interface cardinality, so the symmetrized pairwise
+    u^L_i + a_i l_ij (F^H_ij - F^L_ij), a_i = dt |I(i)| / m_i with |I(i)|
+    the node's pair-plus-interface cardinality, so the symmetrized pairwise
 
         l_ij = min(feasible fraction at i, feasible fraction at j)
 
@@ -238,10 +258,15 @@ class ConvexLimiter:
     bounds needs no solve; only the others go to :func:`solve_l`.
 
     All pairs of the mesh are limited at once, in the (variable, pair,
-    element) layout of dF. The endpoints u^L + P of one end (i or j) of
-    every pair are formed in place, one buffer per component, and screened
-    (the test of :func:`feasible_l`); only the substates that fail are
-    gathered again, and both ends' go to one :func:`solve_l` call.
+    element) layout of dF. The screen runs on pre-scaled substates: rho
+    and rho e are positively homogeneous of degree one (rho e(c u) =
+    c rho e(u) for c > 0), so with a_i > 0 the end u^L_i + a_i dF_ij lies
+    in the bounds exactly when u^L_i / a_i + dF_ij lies in the bounds
+    divided by a_i. u^L and both bounds are scaled once per node; a
+    substate is then one add, + dF at end i and - dF at end j, screened by
+    the test of :func:`feasible_l`. Only the substates that fail are
+    gathered again, with P = +-a_i dF_ij as in the unscaled form, and both
+    ends' go to one :func:`solve_l` call. The scaling needs dt > 0.
     """
 
     def __init__(self, mesh: Mesh):
@@ -251,62 +276,65 @@ class ConvexLimiter:
         card = (np.bincount(pi, minlength=Np) + np.bincount(pj, minlength=Np)
                 + np.bincount(mesh.ops.face_vol, minlength=Np))
         self._massT = np.ascontiguousarray(mesh.mass.T)
-        # per end of the pairs: its nodes, their cardinality |I(i)| + |B(i)|
-        # signed as dF_ij enters the end, and their masses (npairs, K)
-        self._ends = [(e, sign * card[e][:, None].astype(float),
-                       self._massT[e]) for e, sign in ((pi, 1), (pj, -1))]
+        # the cardinality |I(i)| + |B(i)| per node, (Np, 1)
+        self._card = card[:, None].astype(float)
 
     def __call__(self, uLnew, dF, dt, bounds: Bounds, cap=None, ws=None):
         """Limited update from u^L and the pair differences dF.
 
-        The endpoints, the limited fluxes l_ij dF_ij and their scatter are
-        formed in the workspace ``ws`` (a fresh one by default).
+        The scaled states, the limited fluxes l_ij dF_ij and their scatter
+        are formed in the workspace ``ws`` (a fresh one by default).
         """
+        if not dt > 0.0:
+            raise ValueError(f"the convex limiter needs dt > 0, got {dt}")
         ws = Workspace() if ws is None else ws
         nvar, Np, K = uLnew.shape
         shape = dF.shape[1:]
-        lims = [np.broadcast_to(b, (Np, K))
-                for b in (bounds.rho_min, bounds.rhoe_min)]
+        mesh = self.mesh
+        lims = _shaped(bounds, (Np, K))
         with ws.frame():
+            # a_i = dt |I(i)| / m_i; u^L and the bounds over a_i
+            a = np.divide(dt * self._card, self._massT, out=ws.take((Np, K)))
+            scaled = np.divide(uLnew, a, out=ws.take(uLnew.shape))
+            lims_s = [np.divide(b, a, out=ws.take((Np, K))) for b in lims]
             # the substates that fail the screen, per end: their flat
             # (pair, element) index, node, element and P
             idx, nodes, elems, Ps = [], [], [], []
-            for e, card, m_end in self._ends:
+            for e, add in ((mesh.pair_i, np.add), (mesh.pair_j, np.subtract)):
                 with ws.frame():
-                    # P = fac dF with fac = +-dt |I(i)| / m_i
-                    fac = np.divide(dt * card, m_end, out=ws.take(shape))
-                    # the endpoints u^L + P, formed in place
-                    end = np.take(uLnew, e, axis=1, out=ws.take(dF.shape),
-                                  mode="clip")
-                    tmp = ws.take(shape)
-                    for c in range(nvar):
-                        end[c] += np.multiply(fac, dF[c], out=tmp)
-                    lo = [np.take(b, e, axis=0, out=ws.take(shape),
-                                  mode="clip") for b in lims]
-                    out = _outside(end, *lo, ws)
-                    p, k = np.divmod(out, K)
-                    idx.append(out)
-                    nodes.append(e[p])
-                    elems.append(k)
-                    Ps.append(fac.reshape(-1)[out]
-                              * dF.reshape(nvar, -1)[:, out])
-            l = ws.take((2,) + shape)
+                    # u^L_i / a_i +- dF_ij
+                    end = ws.gather(scaled, e)
+                    add(end, dF, out=end)
+                    out = _outside(end, *(ws.gather(b, e) for b in lims_s),
+                                   ws)
+                p, k = np.divmod(out, K)
+                i = e[p]
+                # P = a_i dF_ij at end i, -a_j dF_ij at end j
+                P = np.multiply(a[i, k], dF.reshape(nvar, -1)[:, out])
+                if add is np.subtract:
+                    np.negative(P, out=P)
+                idx.append(out)
+                nodes.append(i)
+                elems.append(k)
+                Ps.append(P)
+            # l_ij = min(l at i, l at j), 1 where both ends pass
+            l = ws.take(shape)
             l.fill(1.0)
             n0 = idx[0].size
             if n0 + idx[1].size:
                 i, k = np.concatenate(nodes), np.concatenate(elems)
                 lsub = solve_l(uLnew[:, i, k], np.concatenate(Ps, axis=1),
                                Bounds(*(b[i, k] for b in lims)))
-                l[0].reshape(-1)[idx[0]] = lsub[:n0]
-                l[1].reshape(-1)[idx[1]] = lsub[n0:]
-            l = np.minimum(l[0], l[1], out=l[0])
+                flat = l.reshape(-1)
+                flat[idx[0]] = lsub[:n0]
+                flat[idx[1]] = np.minimum(flat[idx[1]], lsub[n0:])
             if cap is not None:
                 np.minimum(l, cap, out=l)
             l_min = l.min(axis=0)
             # l_ij dt dF_ij, then its scatter over the node masses
             l *= dt
             ldF = np.multiply(l, dF, out=ws.take(dF.shape))
-            du = np.matmul(self.mesh.scatter, ldF, out=ws.take(uLnew.shape))
+            du = np.matmul(mesh.scatter, ldF, out=ws.take(uLnew.shape))
             du /= self._massT
             unew = uLnew + du
         return unew, LimiterReport(l_min, cap)

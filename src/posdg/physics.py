@@ -25,7 +25,15 @@ these kernels run at every node and pair of every stage, and a reduction
 over an axis of length 1 or 2 costs several times the arithmetic it does.
 The flux kernels are directional: :func:`normal_flux` and
 :func:`ec_fluxes_prims` evaluate the one flux sum_k n_k f_k along the
-direction of a slot or pair. The workspace kernels (``log_mean``, ``ec_fluxes_prims``, ``davis_wavespeed``,
+direction of a slot or pair. The two-point flux reads its states through
+the node table of :func:`ec_prims`, one (dim + 3, ...) array with the rows
+
+    [rho, beta, v_1 .. v_dim, |v|^2],   beta = rho / (2 p),
+
+so a pair end is one gather of it, and the two arguments of the
+logarithmic means, rho and beta, are its first two rows: one
+:func:`log_mean` over that (2, ...) block forms both. The workspace
+kernels (``log_mean``, ``ec_fluxes_prims``, ``davis_wavespeed``,
 ``zhang_beta``) take an optional :class:`~posdg.workspace.Workspace` and
 then write every intermediate into its buffers; without one they return
 fresh arrays.
@@ -199,39 +207,34 @@ conserved_to_primitive = _variable_last(conserved_to_primitive_cf, state=True)
 
 
 def log_mean(a, b, ws=None):
-    """Logarithmic mean (a - b) / log(a / b), series expansion near a = b.
+    """Logarithmic mean (a - b) / log(a / b) of positive a and b.
 
-    The series (a + b) / (2 (1 + zeta/3 + zeta^2/5 + zeta^3/7)), with
-    zeta = ((a - b)/(a + b))^2, is formed everywhere, its polynomial with
-    doubled coefficients (scaling by 2 is exact). Where zeta is not below
-    1e-4 it is overwritten by the exact quotient, evaluated on those
-    entries only: on the pair states of a stage they are 5-10%, so the
-    logarithm runs on few entries. The result and the temporaries come
-    from the workspace ``ws`` (a fresh one by default).
+    One formula everywhere,
+
+        L = |a - b| / log1p(|a - b| / min(a, b)),   L = a where a = b,
+
+    in which a and b enter only through |a - b| and min(a, b), so
+    log_mean(a, b) equals log_mean(b, a) bit for bit. The quotient handed
+    to log1p is formed from the exact difference (Sterbenz) wherever a and
+    b lie within a factor of two, so no series and no switch between forms
+    is needed near a = b: against a long-double reference over ratios from
+    1 + 2^-52 to 1e10 the largest relative error is about 3e-16. The
+    result is taken from the caller's frame of the workspace ``ws`` (a
+    fresh one by default), the temporaries from a frame of their own.
     """
     ws = Workspace() if ws is None else ws
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     shape = np.broadcast_shapes(a.shape, b.shape)
-    out = ws.take(shape)
+    # min(a, b) is the result where a = b; the quotient overwrites the rest
+    out = np.minimum(a, b, out=ws.take(shape))
     with ws.frame():
-        da = np.subtract(a, b, out=ws.take(shape))
-        sa = np.add(a, b, out=ws.take(shape))
-        zeta = np.divide(da, sa, out=ws.take(shape))
-        np.square(zeta, out=zeta)
-        np.divide(zeta, 3.5, out=out)
-        out += 2.0 / 5.0
-        out *= zeta
-        out += 2.0 / 3.0
-        out *= zeta
-        out += 2.0
-        np.divide(sa, out, out=out)
-        far = np.flatnonzero(np.greater_equal(zeta, 1e-4,
-                                              out=ws.take(shape, bool)))
-        if far.size:
-            ratio = (np.broadcast_to(a, shape).flat[far]
-                     / np.broadcast_to(b, shape).flat[far])
-            out.reshape(-1)[far] = da.reshape(-1)[far] / np.log(ratio)
+        d = np.subtract(a, b, out=ws.take(shape))
+        np.abs(d, out=d)
+        x = np.divide(d, out, out=ws.take(shape))
+        np.log1p(x, out=x)
+        np.divide(d, x, out=out,
+                  where=np.greater(x, 0.0, out=ws.take(shape, bool)))
     return out
 
 
@@ -269,21 +272,28 @@ def euler_flux(u, gas: GasParams, out=None):
 
 
 def ec_prims(u, gas: GasParams):
-    """(rho, vel, beta, vsq) entering the two-point flux, per state.
+    """The node table of the two-point flux, one (dim + 3, ...) array.
 
-    ``vel`` is (dim, ...). Exposed separately so pairwise flux evaluations
-    over many pairs drawn from few distinct states (the flux-differencing
-    volume term) can compute these once per state and gather.
+    Its rows are [rho, beta, v, |v|^2] with beta = rho / (2p) and the
+    velocity v taking dim rows (see the module doc). Exposed separately so
+    pairwise flux evaluations over many pairs drawn from few distinct
+    states (the flux-differencing volume term) can form it once per state
+    and gather it with one take per pair end.
     """
     u = np.asarray(u, dtype=float)
     rho, mom, _ = _split(u)
-    vel = mom / rho
-    beta = rho / (2.0 * pressure_cf(u, gas))
-    return rho, vel, beta, _dot(vel, vel)
+    dim = len(mom)
+    tab = np.empty((dim + 3,) + rho.shape)
+    tab[0] = rho
+    tab[1] = rho / (2.0 * pressure_cf(u, gas))
+    vel = np.divide(mom, rho, out=tab[2:-1])
+    _dot(vel, vel, tab[-1, ...])
+    return tab
 
 
 def ec_fluxes_prims(primsL, primsR, n, gas: GasParams, ws=None, out=None):
-    """The two-point flux along ``n``, sum_k n_k f_kS, from ``ec_prims``.
+    """The two-point flux along ``n``, sum_k n_k f_kS, from two
+    :func:`ec_prims` tables.
 
     f_kS is the entropy-conservative, kinetic-energy-preserving flux, built
     from arithmetic means of velocity and density, the logarithmic mean of
@@ -293,41 +303,41 @@ def ec_fluxes_prims(primsL, primsR, n, gas: GasParams, ws=None, out=None):
         F_rho = rho_ln (v_a . n),  F_m = v_a F_rho + p_a n,
         F_E = h F_rho + v_a . F_m,
 
-    and with n a unit vector e_k it equals f_kS bit for bit. ``n`` is
-    (dim, ...) and broadcasts against the states. The flux is written into
-    ``out`` (nvar, ...), by default taken from the caller's frame of the
-    workspace ``ws`` (a fresh one by default); the temporaries come from a
-    frame of their own, so a caller that reuses its workspace allocates
-    only the near-equal entries of :func:`log_mean` here.
+    and with n a unit vector e_k it equals f_kS bit for bit. Both
+    logarithmic means are one :func:`log_mean` over rows [rho, beta] of the
+    tables, and the arithmetic means come from one sum L + R of the
+    tables. ``n`` is (dim, ...) and broadcasts against the states. The
+    flux is written into ``out`` (nvar, ...), by default taken from the
+    caller's frame of the workspace ``ws`` (a fresh one by default); the
+    temporaries come from a frame of their own.
     """
     ws = Workspace() if ws is None else ws
-    rhoL, velL, betaL, vsqL = primsL
-    rhoR, velR, betaR, vsqR = primsR
     g = gas.gamma
-    dim = len(velL)
-    shape = np.broadcast_shapes(rhoL.shape, rhoR.shape, np.shape(n)[1:])
+    dim = len(primsL) - 3
+    shape = np.broadcast_shapes(primsL.shape[1:], primsR.shape[1:],
+                                np.shape(n)[1:])
     if out is None:
         out = ws.take((dim + 2,) + shape)
     with ws.frame():
         take = ws.take
-        rho_ln = log_mean(rhoL, rhoR, ws)
-        # h = 1 / (2 (gamma - 1) beta_ln) - |v|^2_avg / 2
-        h = log_mean(betaL, betaR, ws)
-        vel_a = np.add(velL, velR, out=take((dim,) + shape))
-        np.multiply(0.5, vel_a, out=vel_a)
+        ln = log_mean(primsL[:2], primsR[:2], ws)
+        rho_ln, h = ln[0, ...], ln[1, ...]
+        # the end sums L + R; in place, v_a, p_a and |v|^2_avg / 2
+        s = np.add(primsL, primsR,
+                   out=take(np.broadcast_shapes(primsL.shape, primsR.shape)))
+        vel_a = np.multiply(0.5, s[2:-1], out=s[2:-1])
         # p_a = rho_avg / (2 beta_avg)
-        p_a = np.add(rhoL, rhoR, out=take(shape))
-        np.multiply(0.5, p_a, out=p_a)
-        t = np.add(betaL, betaR, out=take(shape))
-        np.divide(p_a, t, out=p_a)
+        p_a = np.multiply(0.5, s[0, ...], out=s[0, ...])
+        np.divide(p_a, s[1, ...], out=p_a)
+        # h = 1 / (2 (gamma - 1) beta_ln) - |v|^2_avg / 2
         np.multiply(g - 1.0, h, out=h)
         np.divide(0.5, h, out=h)
-        np.add(vsqL, vsqR, out=t)
-        np.multiply(0.5, t, out=t)
-        np.multiply(0.5, t, out=t)
-        np.subtract(h, t, out=h)
+        vsq = np.multiply(0.25, s[-1, ...], out=s[-1, ...])
+        np.subtract(h, vsq, out=h)
 
-        # out[c, ...] stays an array view when the states are scalars
+        # out[c, ...] stays an array view when the states are scalars; the
+        # row of the beta sums, used up, holds the products
+        t = s[1, ...] if s.shape[1:] == shape else take(shape)
         f0 = _dot(vel_a, n, out[0, ...], t)
         f0 *= rho_ln
         for j in range(dim):
@@ -458,34 +468,58 @@ def viscous_sigma(v, thetas, gas: GasParams, out=None):
     """Viscous fluxes sigma_k = K_k(v) theta from entropy variables and
     their gradients, evaluated matrix-free.
 
-    ``thetas`` is a tuple of (nvar, ...) gradient arrays, one per direction;
-    the fluxes are written into the arrays ``out`` when given. Stokes
-    hypothesis (bulk viscosity zero) and Fourier heat conduction with
-    kappa = gamma mu_eff / Pr in terms of specific internal energy:
-    sigma_k = (0, tau_k, u . tau_k + kappa de/dx_k), with the stress
-    tau_kj = mu (du_j/dx_k + du_k/dx_j) off the diagonal and
+    ``thetas`` holds one (nvar, ...) gradient per direction, as a sequence
+    or as one (dim, nvar, ...) array; the fluxes are written into ``out``,
+    one (dim, nvar, ...) array, when given, and returned as a tuple of its
+    directions. Stokes hypothesis (bulk viscosity zero) and Fourier heat
+    conduction with kappa = gamma mu_eff / Pr in terms of specific
+    internal energy: sigma_k = (0, tau_k, u . tau_k + kappa de/dx_k), with
+    the stress tau_kj = mu (du_j/dx_k + du_k/dx_j) off the diagonal and
     mu (4/3 du_k/dx_k - 2/3 sum_{m != k} du_m/dx_m) on it.
+
+    The velocity gradients du_j/dx_k, the stress and the heat flux are
+    each formed for every (k, j) at once, broadcast over the two direction
+    axes. Its temporaries are node-sized (tens of KB on the benchmark
+    meshes), which the heap serves without page faults, and fresh arrays
+    measure faster here than workspace buffers.
     """
     v = np.asarray(v, dtype=float)
+    th = np.asarray(thetas, dtype=float)
     dim = len(v) - 2
     mu = gas.mu_eff
     kap = gas.gamma * mu / gas.Pr
+    shape = v.shape[1:]
+    out = np.empty((dim,) + v.shape) if out is None else out
+    tau = out[:, 1:-1]              # tau[k, j], row j of sigma_k's momentum
     vlast = v[-1]
     vl2 = vlast * vlast
-    vel = -v[1:-1] / vlast
-    # grad[k][j] = du_j/dx_k
-    grad = [[(v[1 + j] * th[-1] - vlast * th[1 + j]) / vl2
-             for j in range(dim)] for th in thetas]
-    out = [np.empty_like(v) for _ in thetas] if out is None else out
-    for k, s in enumerate(out):
-        s[0] = 0.0
-        rest = [grad[m][m] for m in range(dim) if m != k]
-        rest = sum(rest[1:], rest[0]) if rest else 0.0
-        s[1 + k] = mu * ((4.0 / 3.0) * grad[k][k] - (2.0 / 3.0) * rest)
-        for j in range(k + 1, dim):
-            s[1 + j] = out[j][1 + k] = mu * (grad[k][j] + grad[j][k])
-    for s, th in zip(out, thetas):
-        s[-1] = _dot(vel, s[1:-1]) + kap * (th[-1] / vl2)
+    vel = np.negative(v[1:-1])
+    vel /= vlast
+    # grad[k, j] = du_j/dx_k = (v_j theta_k,E - v_E theta_k,j) / v_E^2
+    grad = v[1:-1] * th[:, -1:]
+    t = vlast * th[:, 1:-1]
+    grad -= t
+    grad /= vl2
+    np.add(grad, grad.swapaxes(0, 1), out=tau)
+    tau *= mu
+    # the diagonal du_k/dx_k, a strided view of the flat (k, j) axes; the
+    # sum over m != k is the one other direction in two dimensions
+    diag = grad.reshape((dim * dim,) + shape)[::dim + 1]
+    d = (4.0 / 3.0) * diag
+    if dim == 2:
+        d -= np.multiply(2.0 / 3.0, diag[::-1], out=t[0])
+    for k in range(dim):
+        np.multiply(mu, d[k], out=tau[k, k, ...])
+    out[:, 0] = 0.0
+    # u . tau_k + kappa theta_k,E / v_E^2, the sum in index order
+    ut = np.multiply(vel, tau, out=t)
+    e = out[:, -1]
+    e[...] = ut[:, 0]
+    for j in range(1, dim):
+        e += ut[:, j]
+    q = th[:, -1] / vl2
+    q *= kap
+    e += q
     return tuple(out)
 
 

@@ -66,7 +66,10 @@ class LDGGradient:
     G_mk. The exterior v is entropy_vars(uP) of the stage's exterior face
     states, so the boundary conditions are evaluated once per stage, in
     :meth:`posdg.rhs_low.LowOrderRHS.face_states`. Returns (v, thetas,
-    sigmas) at all volume nodes, (nvar, Np, K) each.
+    sigmas) at all volume nodes: v (nvar, Np, K), thetas and sigmas one
+    (nvar, Np, K) array per direction, the rows of one (dim, nvar, Np, K)
+    array each, so that :func:`~posdg.physics.viscous_sigma` broadcasts
+    over the direction axis.
     """
 
     def __init__(self, mesh: Mesh, gas: GasParams):
@@ -91,8 +94,7 @@ class LDGGradient:
         ws = Workspace() if ws is None else ws
         ET = self.mesh.ops.E.T
         v = entropy_vars_cf(u, self.gas, out=ws.keep("v", u.shape))
-        thetas, sigmas = (tuple(ws.keep((key, m), u.shape)
-                                for m in range(len(self._lift)))
+        thetas, sigmas = (ws.keep(key, (len(self._lift),) + u.shape)
                           for key in ("theta", "sigma"))
         with ws.frame():
             vP = entropy_vars_cf(uP, self.gas, out=ws.take(uP.shape)).reshape(
@@ -104,7 +106,7 @@ class LDGGradient:
                 for k, g in metric:
                     th += np.multiply(g, Sv[k], out=gSv)
                 th /= self._massT
-        return v, thetas, viscous_sigma(v, thetas, self.gas, out=sigmas)
+        return v, tuple(thetas), viscous_sigma(v, thetas, self.gas, out=sigmas)
 
 
 class HighOrderRHS:
@@ -133,10 +135,9 @@ class HighOrderRHS:
         pi, pj = self.mesh.pair_i, self.mesh.pair_j
         FH = ws.keep("FH", (len(u), len(pi), u.shape[-1]))
         with ws.frame():
-            prims = ec_prims(u, self.gas)
-            ec_fluxes_prims(tuple(ws.gather(a, pi) for a in prims),
-                            tuple(ws.gather(a, pj) for a in prims),
-                            self._n, self.gas, ws=ws, out=FH)
+            tab = ec_prims(u, self.gas)
+            ec_fluxes_prims(ws.gather(tab, pi), ws.gather(tab, pj), self._n,
+                            self.gas, ws=ws, out=FH)
             if sigmas is not None:
                 # minus sum_k n_k (s_ki + s_kj) / 2
                 vis, t = ws.take(FH.shape), ws.take(FH.shape)

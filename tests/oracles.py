@@ -312,35 +312,37 @@ def internal_energy_ref(u):
 
 
 def ec_prims_ref(u, gas):
+    """The node table [rho, beta, v, |v|^2], stacked from its rows."""
     u = np.asarray(u, dtype=float)
     rho, mom = u[0], u[1:-1]
     vel = mom / rho
     beta = rho / (2.0 * ((gas.gamma - 1.0) * internal_energy_ref(u)))
     vsq = np.sum(vel * vel, axis=0)
-    return rho, vel, beta, vsq
+    return np.concatenate([rho[None], beta[None], vel, vsq[None]])
+
+
+def _table_rows(tab):
+    """(rho, vel, beta, vsq) of an ``ec_prims`` table."""
+    return tab[0], tab[2:-1], tab[1], tab[-1]
 
 
 def log_mean_ref(a, b):
-    """Logarithmic mean with both branches formed everywhere and selected by
-    ``np.where``: the series where ((a - b)/(a + b))^2 < 1e-4."""
+    """Logarithmic mean |a - b| / log1p(|a - b| / min(a, b)), formed
+    everywhere, with a selected by ``np.where`` where a = b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    da = a - b
-    sa = a + b
-    zeta = (da / sa) ** 2
-    near = zeta < 1e-4
-    F = 1.0 + zeta * (1.0 / 3.0 + zeta * (1.0 / 5.0 + zeta / 7.0))
-    log_ratio = np.log(np.where(near, 2.0, a) / np.where(near, 1.0, b))
-    exact = da / np.where(near, 1.0, log_ratio)
-    return np.where(near, sa / (2.0 * F), exact)
+    gap = np.abs(a - b)
+    with np.errstate(invalid="ignore"):
+        quotient = gap / np.log1p(gap / np.minimum(a, b))
+    return np.where(a == b, a, quotient)
 
 
 def ec_fluxes_prims_ref(primsL, primsR, n, gas):
-    """The two-point EC flux along ``n`` from ``ec_prims`` tuples, one fresh
+    """The two-point EC flux along ``n`` from ``ec_prims`` tables, one fresh
     array per intermediate: the mean velocity's normal component and the
     energy flux h F_rho + sum_j v_j F_mj are ``np.sum`` reductions."""
-    rhoL, velL, betaL, vsqL = primsL
-    rhoR, velR, betaR, vsqR = primsR
+    rhoL, velL, betaL, vsqL = _table_rows(primsL)
+    rhoR, velR, betaR, vsqR = _table_rows(primsR)
     g = gas.gamma
     rho_ln = log_mean_ref(rhoL, rhoR)
     beta_ln = log_mean_ref(betaL, betaR)
@@ -360,8 +362,8 @@ def ec_flux_k_ref(primsL, primsR, k, gas):
     direction as the solver once evaluated it: the mean velocity component
     v_k in place of the normal one, and the pressure added to one
     momentum component."""
-    rhoL, velL, betaL, vsqL = primsL
-    rhoR, velR, betaR, vsqR = primsR
+    rhoL, velL, betaL, vsqL = _table_rows(primsL)
+    rhoR, velR, betaR, vsqR = _table_rows(primsR)
     g = gas.gamma
     rho_ln = log_mean_ref(rhoL, rhoR)
     beta_ln = log_mean_ref(betaL, betaR)

@@ -25,7 +25,7 @@ from oracles import (
     wall_riemann_state_ref,
     zhang_beta_ref,
 )
-from posdg.limiter import Bounds, solve_l
+from posdg.limiter import Bounds, _outside, solve_l
 from posdg.physics import (
     GasParams,
     davis_wavespeed,
@@ -41,6 +41,7 @@ from posdg.physics import (
     wall_riemann_state,
     zhang_beta,
 )
+from posdg.workspace import Workspace
 
 GAS = GasParams(gamma=1.4)
 
@@ -92,8 +93,7 @@ def test_state_kernels_match_oracles(case):
     rng, u, n, sigma = _setup(case)
     u2 = _states(rng, u.shape[1:], case["dim"])
     assert _equal(internal_energy_cf(u), internal_energy_ref(u))
-    for a, b in zip(ec_prims(u, GAS), ec_prims_ref(u, GAS)):
-        assert _equal(a, b)
+    assert _equal(ec_prims(u, GAS), ec_prims_ref(u, GAS))
     assert _equal(davis_wavespeed(u, u2, n, GAS),
                   davis_wavespeed_ref(u, u2, n, GAS))
     assert _equal(zhang_beta(u, sigma, n, GAS),
@@ -108,10 +108,8 @@ def test_state_kernels_match_oracles(case):
                   wall_riemann_state_ref(u, n, GAS))
 
 
-@given(cases, st.sampled_from(["active", "inactive"]))
-@settings(max_examples=120, deadline=None)
-def test_solve_l_matches_oracle(case, regime):
-    rng, uL, _, _ = _setup(case)
+def _segments(rng, uL, regime):
+    """(P, rho_min, rhoe_min) for the segments uL + l P of ``regime``."""
     nvar, lead = len(uL), uL.shape[1:]
     rhoe = internal_energy_cf(uL)
     if regime == "active":
@@ -119,16 +117,51 @@ def test_solve_l_matches_oracle(case, regime):
         # state is driven through zero, so at least one bound binds
         P = rng.normal(size=uL.shape) * np.abs(uL) * 10.0 ** rng.uniform(-1, 1)
         P.reshape(nvar, -1)[:, 0] = -2.0 * uL.reshape(nvar, -1)[:, 0]
-        rho_min = uL[0] * rng.uniform(0.1, 0.99, lead)
-        rhoe_min = rhoe * rng.uniform(0.1, 0.99, lead)
-    else:
-        # uL + l P = (1 + l s) uL keeps at least half of rho and rhoe
-        P = rng.uniform(-0.5, 0.5, lead) * uL
-        rho_min = 0.1 * uL[0]
-        rhoe_min = 0.1 * rhoe
+        return (P, uL[0] * rng.uniform(0.1, 0.99, lead),
+                rhoe * rng.uniform(0.1, 0.99, lead))
+    # uL + l P = (1 + l s) uL keeps at least half of rho and rhoe
+    return rng.uniform(-0.5, 0.5, lead) * uL, 0.1 * uL[0], 0.1 * rhoe
+
+
+@given(cases, st.sampled_from(["active", "inactive"]))
+@settings(max_examples=120, deadline=None)
+def test_solve_l_matches_oracle(case, regime):
+    rng, uL, _, _ = _setup(case)
+    P, rho_min, rhoe_min = _segments(rng, uL, regime)
     l = solve_l(uL, P, Bounds(rho_min, rhoe_min))
     assert _equal(l, solve_l_ref(uL, P, rho_min, rhoe_min))
     assert np.any(l < 1.0) if regime == "active" else np.all(l == 1.0)
+
+
+@pytest.mark.parametrize("regime", ["active", "inactive"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_screen_matches_the_quotient_test_near_the_bounds(dim, regime):
+    # the endpoints uL + P of test_solve_l_matches_oracle's segments, with
+    # rho_min and rhoe_min a few ulps either side of the endpoint's own rho
+    # and rhoe where those are positive; the screen tests rho (E - rhoe_min)
+    # >= |m|^2 / 2 in place of rhoe >= rhoe_min, so the two may part only
+    # where rhoe - rhoe_min is within the rounding of rhoe itself
+    rng = np.random.default_rng(10 * dim + (regime == "active"))
+    n = 4000
+    uL = _states(rng, (n,), dim)
+    P, rho_min, rhoe_min = _segments(rng, uL, regime)
+    end = uL + P
+    rhoe = internal_energy_cf(end)
+    ulps = 2.0 ** -52 * rng.integers(-4, 5, (2, n))
+    near = rng.random((2, n)) < 0.5
+    rho_min = np.where(near[0] & (end[0] > 0), end[0] * (1 + ulps[0]),
+                       rho_min)
+    rhoe_min = np.where(near[1] & (rhoe > 0), rhoe * (1 + ulps[1]), rhoe_min)
+    outside = np.zeros(n, bool)
+    outside[_outside(end, rho_min, rhoe_min, Workspace())] = True
+    quotient = (end[0] >= rho_min) & (rhoe >= rhoe_min)
+    kin = 0.5 * np.sum(end[1:-1] ** 2, axis=0) / np.abs(end[0])
+    tie = (np.abs(rhoe - rhoe_min)
+           <= 1e-14 * (np.abs(end[-1]) + kin + np.abs(rhoe_min)))
+    assert np.any(near[1] & (rhoe > 0) & (ulps[1] == 0))
+    assert np.array_equal(outside[~tie], ~quotient[~tie])
+    # rho is screened exactly as the quotient test screens it
+    assert np.all(outside[end[0] < rho_min])
 
 
 @given(st.integers(0, 2 ** 32 - 1))

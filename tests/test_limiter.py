@@ -442,6 +442,64 @@ def test_limiters_match_unscreened_oracles(monkeypatch, mode, elem, kind):
     assert (calls == []) == (kind == "smooth")
 
 
+def _substates(mesh, uLnew, dF, dt):
+    """The substates of both pair ends, u^L_i + a_i dF_ij and
+    u^L_j - a_j dF_ij with a_i = dt |I(i)| / m_i, formed unscaled as the
+    oracle forms them: (end nodes, (K, npairs, nvar) substates) per end."""
+    Np = mesh.ops.n_nodes
+    pi, pj = mesh.pair_i, mesh.pair_j
+    card = (np.bincount(pi, minlength=Np) + np.bincount(pj, minlength=Np)
+            + np.bincount(mesh.ops.face_vol, minlength=Np))
+    a = dt * card / mesh.mass
+    return [(e, uLnew[:, e] + sign * a[:, e, None] * dF.T)
+            for e, sign in ((pi, 1.0), (pj, -1.0))]
+
+
+@pytest.mark.parametrize("elem", ["quad", "tri"])
+def test_convex_limit_matches_oracle_with_substates_at_the_bounds(
+        monkeypatch, elem):
+    # at about half the nodes the bounds sit a few ulps either side of the
+    # node's least substate rho and rho e (where that lies between 0.1 u^L
+    # and u^L), elsewhere at 0.1 u^L: the limiter screens u^L_i / a_i +-
+    # dF_ij against the bounds over a_i, the oracle solves every substate
+    mesh, sch, w, _, _ = _limiter_states("jump", elem)
+    rng = np.random.default_rng(5)
+    RL, lam = sch.low_residual(w, 0.0)
+    dt = float((mesh.mass / (2 * lam)).min())
+    uLnew = w + dt * RL / mesh.mass[..., None]
+    dF = _pair_differences(sch, w)
+    own = np.stack([uLnew[..., 0], internal_energy(uLnew)])
+    ends = _substates(mesh, uLnew, dF, dt)
+    lo = np.full(own.shape, np.inf)
+    for e, sub in ends:
+        for p, node in enumerate(e):
+            for c, x in enumerate((sub[:, p, 0], internal_energy(sub[:, p]))):
+                lo[c, :, node] = np.minimum(lo[c, :, node], x)
+    ulps = 2.0 ** -52 * rng.integers(-4, 5, lo.shape)
+    near = (rng.random(lo.shape) < 0.5) & (lo > 0.1 * own) & (lo <= own)
+    assert np.any(near[0]) and np.any(near[1])
+    b = np.where(near, np.minimum(lo * (1.0 + ulps), own), 0.1 * own)
+    bounds = Bounds(b[0], b[1])
+    calls = _count_solves(monkeypatch)
+    out, rep = _convex(ConvexLimiter(mesh), uLnew, dF, dt, bounds)
+    ref, l_ref = convex_limit_ref(mesh, uLnew, dF, dt, bounds)
+    scale = np.abs(ref).max(axis=(0, 1))
+    assert np.all(np.abs(out - ref).max(axis=(0, 1)) <= 1e-14 * scale)
+    assert np.any(l_ref < 1.0)
+    assert np.abs(rep.l_elem - l_ref).max() <= 1e-14
+    # the screen sends to solve_l the substates the quotient test puts
+    # outside, but for those within the rounding of rho e of the bound
+    outside = ties = 0
+    for e, sub in ends:
+        rhoe, lim = internal_energy(sub), b[1][:, e]
+        outside += np.count_nonzero((sub[..., 0] < b[0][:, e]) | (rhoe < lim))
+        kin = 0.5 * np.sum(sub[..., 1:-1] ** 2, axis=-1) / sub[..., 0]
+        ties += np.count_nonzero(np.abs(rhoe - lim)
+                                 <= 1e-14 * (np.abs(sub[..., -1]) + kin))
+    assert outside > 0 and len(calls) == 1
+    assert abs(calls[0][0] - outside) <= ties
+
+
 # ---------------------------------------------------------------------------
 # shock indicator
 # ---------------------------------------------------------------------------

@@ -127,13 +127,40 @@ def test_log_mean_between(a, b):
 
 
 def test_log_mean_series_matches_exact():
-    # straddle the series switch and compare against extended precision
+    # near-equal and far-apart arguments against extended precision
     a = 1.0
     for delta in [1e-9, 1e-6, 1e-4, 1e-2, 0.5]:
         b = a + delta
         exact = float((np.longdouble(a) - np.longdouble(b))
                       / (np.log(np.longdouble(a)) - np.log(np.longdouble(b))))
         assert abs(float(log_mean(a, b)) - exact) < 1e-14
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+def test_log_mean_is_accurate_to_an_ulp_and_symmetric():
+    # the reference is the same formula in long double (64-bit mantissa):
+    # ratios a / b from 1 + 2^-52 to 1e10, the smallest a few ulps apart,
+    # magnitudes over ten decades, a = b, and either argument the larger
+    rng = np.random.default_rng(2201)
+    n = 6000
+    ratio = np.concatenate([
+        np.ones(200),
+        1.0 + rng.integers(1, 9, 1800) * 2.0 ** -52,
+        1.0 + 10.0 ** rng.uniform(np.log10(2.0 ** -52), 10.0, n - 2000)])
+    b = 10.0 ** rng.uniform(-5.0, 5.0, n)
+    a = b * ratio
+    swap = rng.random(n) < 0.5
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    A, B = a.astype(np.longdouble), b.astype(np.longdouble)
+    gap = np.abs(A - B)
+    with np.errstate(invalid="ignore"):
+        ref = np.where(A == B, A, gap / np.log1p(gap / np.minimum(A, B)))
+    lm = log_mean(a, b)
+    err = np.abs((lm.astype(np.longdouble) - ref) / ref).astype(float)
+    assert err.max() <= 1e-15, err.max()
+    assert np.array_equal(lm, log_mean(b, a))
+    assert np.array_equal(lm[a == b], a[a == b])
 
 
 # ---------------------------------------------------------------------------

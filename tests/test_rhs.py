@@ -399,8 +399,7 @@ def _class_pair_arrays_ref(gc, elems, u, sig, gas):
     prims = ec_prims_ref(uc, gas)
     # the two-point flux along n_k = -(Q_k - Q_k^T)_ij
     n = -gc.pair_s[..., None]
-    FH = ec_fluxes_prims_ref(tuple(a[..., pi, :] for a in prims),
-                             tuple(a[..., pj, :] for a in prims), n, gas)
+    FH = ec_fluxes_prims_ref(prims[:, pi], prims[:, pj], n, gas)
     for d in range(len(n) if sc is not None else 0):
         FH -= 0.5 * (sc[d][:, pi] + sc[d][:, pj]) * n[d]
 
