@@ -5,12 +5,13 @@ increment P toward the high-order update, the largest feasible fraction
 
     l in [0, 1]:  rho(u^L + l P) >= rho_min  and  rhoe(u^L + l P) >= rhoe_min
 
-reduces to a linear solve for the density and a quadratic solve for the
-internal energy, since rho * rhoe is quadratic along the segment.  That
-solve is only needed where the endpoint uL + P violates a bound: rho is
-linear in u and rhoe is concave, so the bounded set {rho >= rho_min,
-rhoe >= rhoe_min} is convex, and a segment whose two ends lie in it lies in
-it entirely (:func:`feasible_l`).
+reduces to a linear solve for the density and, for the internal energy,
+the root where the quadratic rho (rhoe - rhoe_min) along the segment
+first turns negative (:func:`solve_l`).  That solve is only needed where
+the endpoint uL + P violates a bound: rho is linear in u and rhoe is
+concave, so the bounded set {rho >= rho_min, rhoe >= rhoe_min} is convex,
+and a segment whose two ends lie in it lies in it entirely
+(:func:`feasible_l`).
 
 Both limiters take one input, the antidiffusive pair fluxes
 dF_ij = F^H_ij - F^L_ij on the mesh's pair graph, one (nvar, npairs, K)
@@ -78,10 +79,16 @@ def minimal_bounds(uL: np.ndarray, eps0: float = 1e-14) -> Bounds:
 def solve_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds) -> np.ndarray:
     """Largest l in [0,1] keeping uL + l P inside the bounded admissible set.
 
-    ``uL`` and ``P`` are (nvar, ...), vectorized over the trailing axes.
-    uL must satisfy the bounds itself; the constant coefficient of the
-    energy quadratic is clamped at zero to guard the roundoff case where it
-    computes marginally negative.
+    ``uL`` and ``P`` are (nvar, ...), vectorized over the trailing axes;
+    uL must satisfy the bounds itself. The density bound is linear in l.
+    The energy bound, multiplied through by rho, is g(l) = a l^2 + b l + c
+    >= 0, with c clamped at zero against rounding, and its l is the root
+    where g crosses from >= 0 to < 0. With q = -(b + sign(b) sqrt(b^2 -
+    4ac)) / 2 the roots are c/q and q/a (no nearly equal terms subtract):
+    the crossing is c/q where q > 0, q/a where q <= 0 and a < 0 (the roots
+    straddle l = 0), and absent otherwise (a >= 0 and b >= 0). No upward
+    parabola misses the axis, as g = -|m|^2 / 2 <= 0 where rho vanishes,
+    so the discriminant is clamped at zero only against rounding.
     """
     rhoL, mL, EL = uL[0], uL[1:-1], uL[-1]
     rhoP, mP, EP = P[0], P[1:-1], P[-1]
@@ -99,29 +106,10 @@ def solve_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds) -> np.ndarray:
     c = EL * rhoL - 0.5 * _dot(mL, mL) - rhoe_min * rhoL
     c = np.maximum(c, 0.0)
 
-    scale = np.maximum(np.abs(a) + np.abs(b) + np.abs(c), 1e-300)
-    linear = np.abs(a) <= 1e-12 * scale
-
+    disc = np.maximum(b * b - 4.0 * a * c, 0.0)
+    q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
     with np.errstate(divide="ignore", invalid="ignore"):
-        l_lin = np.where(b < 0.0, -c / np.where(b == 0.0, 1.0, b), np.inf)
-
-        disc = b * b - 4.0 * a * c
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        q = -0.5 * (b + np.copysign(sq, b))
-        r1 = np.where(a != 0.0, q / np.where(a == 0.0, 1.0, a), np.inf)
-        r2 = np.where(q != 0.0, c / np.where(q == 0.0, 1.0, q), np.inf)
-
-    def first_nonneg(r):
-        r = np.where(r >= -1e-12, np.maximum(r, 0.0), np.inf)
-        return np.where(np.isnan(r), np.inf, r)
-
-    l_quad = np.minimum(first_nonneg(r1), first_nonneg(r2))
-    # an upward parabola with no real crossing never blocks; a roundoff-level
-    # discriminant is a tangency, where the dip below the bound is within
-    # arithmetic noise and the (well-conditioned) density constraint governs
-    tangent = disc <= 1e-13 * (b * b + np.abs(4.0 * a * c))
-    l_quad = np.where((a > 0.0) & tangent, np.inf, l_quad)
-    l_e = np.where(linear, l_lin, l_quad)
+        l_e = np.where(q > 0.0, c / q, np.where(a < 0.0, q / a, np.inf))
 
     return np.minimum(l_rho, np.clip(l_e, 0.0, 1.0))
 
@@ -157,9 +145,9 @@ def feasible_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds,
 
     The bounded set is convex and uL lies in it, so an endpoint that passes
     the bound checks makes the whole segment feasible; :func:`solve_l` runs
-    only on the others. This also spares those segments the cancellation
-    in solve_l's quadratic when the kinetic energy dwarfs the internal
-    energy.
+    only on the others. On the feasible segments the two agree up to the
+    rounding of the quadratic's coefficients, so the screen saves work and
+    changes no l beyond that.
 
     The checks are rho >= rho_min and rho (E - rhoe_min) >= |m|^2 / 2
     (:func:`_outside`), the second being rho (rhoe - rhoe_min) >= 0 since

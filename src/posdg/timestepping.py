@@ -39,6 +39,10 @@ MODES = ("none", "elementwise", "convex", "low-only")
 
 # restarts of one step from a stage's positivity bound before advance gives up
 MAX_RETRIES = 8
+# advance logs a progress line every LOG_EVERY steps and gives up after
+# MAX_STEPS
+LOG_EVERY = 200
+MAX_STEPS = 10 ** 7
 
 # names of the conserved-variable integrals per dimension, as written to
 # diagnostics.csv
@@ -172,7 +176,7 @@ class StepDiagnostics:
         return out
 
 
-def _check_state(u, gas, step, stage, t):
+def _check_state(u, step, stage, t):
     # the messages index the state as it leaves advance, (K, Np, nvar)
     u = u.T
     if not np.isfinite(u).all():
@@ -225,9 +229,9 @@ def ssp_rk3_step(u, t, dt, stepper: Stepper, prep1=None, step=0,
         prep1 = stepper.prepare(u, t)
     if check:
         _check_dt(stepper, prep1, dt, step, 1, t)
-    u1, rep = stepper.apply(u, t, dt, prep1)
+    u1, _ = stepper.apply(u, t, dt, prep1)
     if check:
-        _check_state(u1, stepper.gas, step, 1, t)
+        _check_state(u1, step, 1, t)
 
     p2 = stepper.prepare(u1, t + dt)
     if check:
@@ -236,21 +240,21 @@ def ssp_rk3_step(u, t, dt, stepper: Stepper, prep1=None, step=0,
     u2 = np.multiply(0.25, v, out=v)
     u2 += 0.75 * u
     if check:
-        _check_state(u2, stepper.gas, step, 2, t)
+        _check_state(u2, step, 2, t)
 
     p3 = stepper.prepare(u2, t + 0.5 * dt)
     if check:
         _check_dt(stepper, p3, dt, step, 3, t)
-    w, rep3 = stepper.apply(u2, t + 0.5 * dt, dt, p3)
+    w, rep = stepper.apply(u2, t + 0.5 * dt, dt, p3)
     unew = np.multiply(2.0 / 3.0, w, out=w)
     unew += u / 3.0
     if check:
-        _check_state(unew, stepper.gas, step, 3, t)
-    return unew, (rep3 if rep3 is not None else rep)
+        _check_state(unew, step, 3, t)
+    return unew, rep
 
 
 def advance(stepper: Stepper, u0, t0, t_final, cfl,
-            callback=None, log_every=200, max_steps=10 ** 7, collect=True):
+            callback=None, collect=True):
     """March u0 from t0 to t_final; returns (u, list of StepDiagnostics).
 
     callback, when given, is invoked after every step as
@@ -276,8 +280,8 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
     step = 0
 
     while t < t_final - 1e-14 * max(1.0, abs(t_final)):
-        if step >= max_steps:
-            raise RuntimeError(f"exceeded {max_steps} steps at t={t:.6g}")
+        if step >= MAX_STEPS:
+            raise RuntimeError(f"exceeded {MAX_STEPS} steps at t={t:.6g}")
         prep1 = stepper.prepare(u, t)
         bound = stepper.dt_bound(prep1)
         if bound is None:
@@ -299,13 +303,13 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
         t = t + dt
         step += 1
 
-        if collect or callback is not None or step % log_every == 0:
+        if collect or callback is not None or step % LOG_EVERY == 0:
             row = _diagnose(mesh, gas, u, t, dt, step, rep)
             if collect:
                 diags.append(row)
             if callback is not None:
                 callback(step, t, u.T, row, rep)
-            if step % log_every == 0:
+            if step % LOG_EVERY == 0:
                 log.info("step %d  t=%.6g  dt=%.3g  min rho=%.3e  "
                          "min rhoe=%.3e  limited=%.1f%%", step, t, dt,
                          row.min_rho, row.min_rhoe,

@@ -453,6 +453,13 @@ def wall_riemann_state_ref(u, n, gas, pfloor=1e-14):
 
 
 def solve_l_ref(uL, P, rho_min, rhoe_min):
+    """Largest l in [0, 1] with rho and rho (rhoe - rhoe_min) >= 0 on uL + l P.
+
+    The energy part is the root where g(l) = a l^2 + b l + c (c clamped at
+    zero) crosses from >= 0 to < 0, from the stable pair of roots c/q and
+    q/a, q = -(b + sign(b) sqrt(disc)) / 2, chosen case by case: q > 0
+    gives c/q; a < 0 gives q/a; anything else never crosses.
+    """
     rhoL, EL = uL[0], uL[-1]
     mL = uL[1:-1]
     rhoP, EP = P[0], P[-1]
@@ -468,29 +475,14 @@ def solve_l_ref(uL, P, rho_min, rhoe_min):
     a = EP * rhoP - 0.5 * np.sum(mP * mP, axis=0)
     b = (EL * rhoP + EP * rhoL - np.sum(mL * mP, axis=0)
          - rhoe_min * rhoP)
-    c = EL * rhoL - 0.5 * np.sum(mL * mL, axis=0) - rhoe_min * rhoL
-    c = np.maximum(c, 0.0)
+    c = np.maximum(EL * rhoL - 0.5 * np.sum(mL * mL, axis=0)
+                   - rhoe_min * rhoL, 0.0)
 
-    scale = np.maximum(np.abs(a) + np.abs(b) + np.abs(c), 1e-300)
-    linear = np.abs(a) <= 1e-12 * scale
-
+    disc = b * b - 4.0 * a * c
+    root = np.sqrt(np.maximum(disc, 0.0))
+    q = -0.5 * (b + np.where(np.signbit(b), -root, root))
     with np.errstate(divide="ignore", invalid="ignore"):
-        l_lin = np.where(b < 0.0, -c / np.where(b == 0.0, 1.0, b), np.inf)
-
-        disc = b * b - 4.0 * a * c
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        q = -0.5 * (b + np.copysign(sq, b))
-        r1 = np.where(a != 0.0, q / np.where(a == 0.0, 1.0, a), np.inf)
-        r2 = np.where(q != 0.0, c / np.where(q == 0.0, 1.0, q), np.inf)
-
-    def first_nonneg(r):
-        r = np.where(r >= -1e-12, np.maximum(r, 0.0), np.inf)
-        return np.where(np.isnan(r), np.inf, r)
-
-    l_quad = np.minimum(first_nonneg(r1), first_nonneg(r2))
-    tangent = disc <= 1e-13 * (b * b + np.abs(4.0 * a * c))
-    l_quad = np.where((a > 0.0) & tangent, np.inf, l_quad)
-    l_e = np.where(linear, l_lin, l_quad)
+        l_e = np.select([q > 0.0, a < 0.0], [c / q, q / a], np.inf)
 
     return np.minimum(l_rho, np.clip(l_e, 0.0, 1.0))
 

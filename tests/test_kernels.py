@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bisect_l,
     davis_wavespeed_ref,
     ec_flux_k_ref,
     ec_fluxes_prims_ref,
@@ -133,6 +134,33 @@ def test_solve_l_matches_oracle(case, regime):
     assert np.any(l < 1.0) if regime == "active" else np.all(l == 1.0)
 
 
+def test_solve_l_takes_the_crossing_under_dominant_kinetic_energy():
+    # the active segments above, 2D, 400 seeds x 200 states, of which about
+    # 46k have an endpoint outside the bounds. Where the kinetic energy of
+    # uL is 1e9 x its internal energy or more, b > 0 and c > 0 put the
+    # energy quadratic's other root at a roundoff-sized negative l, which
+    # is not the crossing: l agrees with the bisection oracle there. No l
+    # leaves a state with rho <= 0 or rhoe <= 0.
+    draws = []
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        uL = _states(rng, (200,), 2)
+        P, rho_min, rhoe_min = _segments(rng, uL, "active")
+        out = _outside(uL + P, rho_min, rhoe_min, Workspace())
+        draws.append((uL[:, out], P[:, out], rho_min[out], rhoe_min[out]))
+    uL, P, rho_min, rhoe_min = (np.concatenate(x, axis=-1)
+                                for x in zip(*draws))
+    assert uL.shape[1] > 40000
+    l = solve_l(uL, P, Bounds(rho_min, rhoe_min))
+    u = uL + l * P
+    assert np.all(u[0] > 0.0) and np.all(internal_energy_cf(u) > 0.0)
+    kin = 0.5 * np.sum(uL[1:-1] ** 2, axis=0) / uL[0]
+    fast = np.flatnonzero(kin >= 1e9 * internal_energy_cf(uL))
+    assert len(fast) > 1000
+    ref = [bisect_l(uL[:, i], P[:, i], rho_min[i], rhoe_min[i]) for i in fast]
+    assert np.max(np.abs(l[fast] - ref)) <= 1e-6
+
+
 @pytest.mark.parametrize("regime", ["active", "inactive"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_screen_matches_the_quotient_test_near_the_bounds(dim, regime):
@@ -166,9 +194,11 @@ def test_screen_matches_the_quotient_test_near_the_bounds(dim, regime):
 
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_log_mean_matches_oracle_on_both_branches(seed):
+def test_log_mean_matches_oracle_near_and_far_from_equal(seed):
     # a = b, zeta = ((a - b)/(a + b))^2 a few ulps and a few percent either
-    # side of the 1e-4 switch, and far-apart pairs, over ten decades
+    # side of 1e-4, where a series form of the log mean would hand over to
+    # the quotient (log_mean has one formula throughout), and far-apart
+    # pairs, over ten decades
     rng = np.random.default_rng(seed)
     b = 10.0 ** rng.uniform(-6, 4, 400)
     r = np.concatenate([

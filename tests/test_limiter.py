@@ -1,5 +1,7 @@
 """Blending-parameter solves, elementwise and convex limiting, shock blend."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from oracles import bisect_l, convex_limit_ref, zhang_shu_limit_ref
@@ -134,6 +136,27 @@ def test_solve_l_state_satisfies_bounds(dim):
     assert np.all(rho * E - kin >= rhoe_min * rho - pguard)
 
 
+def test_solve_l_upward_energy_parabola_always_crosses():
+    # g = rho (rhoe - rhoe_min) = rho E - |m|^2/2 - rhoe_min rho is
+    # -|m|^2/2 <= 0 where rho vanishes, so an upward g (a > 0) always has
+    # real roots, one on each side of that point, and none may be skipped.
+    # Exact tangency: rho, m and E - 1/4 all vanish at l = 1/2, where
+    # g = l^2 - l + 1/4 touches zero; the density bound binds first
+    uL = np.array([1.0, 1.0, 1.0])
+    P = np.array([-2.0, -2.0, -1.5])
+    l = solve_l(uL, P, Bounds(np.array(0.1), np.array(0.25)))
+    assert abs(l - 0.45) < 1e-15
+    # kinetic energy 2e13 x the internal one: the rounded discriminant is
+    # negative, yet the endpoint breaks the energy bound in exact arithmetic
+    uL = np.array([1.0, 467430.1991101304, 109245495520.07307])
+    P = np.array([-0.959528339690173, -448512.52287319076,
+                  -104824148935.00334])
+    rho_min, rhoe_min = 1.4929464867105006e-09, 0.0030923674207173324
+    rho, m, E = (Fraction(x) + Fraction(y) for x, y in zip(uL, P))
+    assert rho * E - m * m / 2 - Fraction(rhoe_min) * rho < 0
+    assert solve_l(uL, P, Bounds(np.array(rho_min), np.array(rhoe_min))) < 1.0
+
+
 def test_solve_l_rejects_nothing_on_feasible_segment():
     # increments that keep the full segment admissible must give l = 1
     uL = primitive_to_conserved(np.array([2.0, 0.5, 3.0]), GAS)
@@ -184,14 +207,15 @@ def test_feasible_l_equals_solve_l_where_endpoint_is_outside(monkeypatch, dim):
     assert np.all(l[inside] == 1.0)
 
 
-def test_feasible_l_accepts_endpoint_where_solve_l_cancels():
+def test_solve_l_and_feasible_l_accept_fast_flow_endpoint():
     # kinetic energy 1e10 times the internal one, rhoe_L only 2% above its
-    # bound: the energy quadratic of solve_l cancels to roundoff and gives
-    # l = 0, though the endpoint's internal energy is 1.5e10 x the bound
+    # bound: b > 0 and c > 0, so the other root of the energy quadratic is
+    # a roundoff-sized negative l; the endpoint's internal energy is 1.5e10
+    # x the bound, and solve_l takes the crossing past it, l = 1
     uL = np.array([1.0, 1e5, 0.5 + 5e9])
     P = np.array([1.0, 0.0, 0.5 + 5e9])
     bounds = Bounds(np.array(0.5), np.array(0.5 / 1.02))
-    assert solve_l(uL, P, bounds) == 0.0
+    assert solve_l(uL, P, bounds) == 1.0
     l = feasible_l(uL[:, None], P[:, None], bounds)
     assert l.tolist() == [1.0]
     end = uL + P

@@ -126,8 +126,9 @@ def test_log_mean_between(a, b):
     assert abs(float(log_mean(a, a)) - a) < 1e-13 * a
 
 
-def test_log_mean_series_matches_exact():
-    # near-equal and far-apart arguments against extended precision
+def test_log_mean_matches_exact_near_and_far_from_equal():
+    # near-equal and far-apart arguments against extended precision, on the
+    # one formula log_mean uses at every separation
     a = 1.0
     for delta in [1e-9, 1e-6, 1e-4, 1e-2, 0.5]:
         b = a + delta
