@@ -98,13 +98,7 @@ class March:
         stepper, ts = self.stepper, self.ts
         start = time.perf_counter()
         prep1 = stepper.prepare(self.u, self.t)
-        bound = stepper.dt_bound(prep1)
-        if bound is None:
-            low = stepper.low
-            bound = low.max_dt(low.wavespeeds(self.u, prep1["faces"],
-                                              prep1["sig"], stepper.ws),
-                               stepper.ws)
-        dt = min(self.cfl * bound, self.t_final - self.t)
+        dt = min(self.cfl * stepper.dt_bound(prep1), self.t_final - self.t)
         for attempt in range(ts.MAX_RETRIES + 1):
             try:
                 self.u, _ = ts.ssp_rk3_step(self.u, self.t, dt, stepper,

@@ -17,14 +17,14 @@ The configurations are the three benchmark workloads of
 modes ``none``, ``low-only``, ``convex`` and ``elementwise`` (the limiters
 bind hardest on that near-vacuum tube), the 1D viscous shock with modes
 ``none`` and ``elementwise``: LDG with Dirichlet boundaries, and in mode
-``none`` the viscous dt bound of ``LowOrderRHS.max_dt``, and the Mach 20
+``none`` the viscous dt bound of ``Stepper.dt_bound``, and the Mach 20
 viscous shock in mode ``elementwise``, whose first limited stage states
 restart 15 of its 17 steps from their own positivity bound. Two tri
 configurations cover the wavespeed ends that tri elements do not share
 between pairs and face slots, with viscous wavespeeds and boundary ghost
 states: Daru-Tenaud in mode ``convex`` (no-slip and wall boundaries) and
 the 2D viscous shock in mode ``none`` (Dirichlet boundaries, and the dt
-bound of ``LowOrderRHS.max_dt``). Unlimited high
+bound of ``Stepper.dt_bound``). Unlimited high
 order cannot survive LeBlanc, so a run that aborts is compared at its last
 completed step, and a different step count or abort message counts as a
 mismatch.

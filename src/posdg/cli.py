@@ -51,7 +51,7 @@ from .cases import CASES, error_norms, get_case, schlieren
 from .mesh import Mesh, rect_mesh
 from .physics import conserved_to_primitive, internal_energy
 from .sbp import build_ops
-from .timestepping import MODES, TOTALS, Stepper, advance
+from .timestepping import MODES, StepDiagnostics, Stepper, advance
 
 __all__ = [
     "RunConfig",
@@ -242,8 +242,8 @@ def _validate(cfg: RunConfig, skip=frozenset()) -> list:
     if cfg.mode not in MODES:
         problems.append(f"mode: must be one of {', '.join(MODES)}, "
                         f"got {cfg.mode!r}")
-    if cfg.zeta < 0.0:
-        problems.append(f"zeta: must be >= 0, got {cfg.zeta}")
+    if not 0.0 <= cfg.zeta <= 1.0:
+        problems.append(f"zeta: must lie in [0, 1], got {cfg.zeta}")
     if cfg.cfl is not None and not 0.0 < cfg.cfl <= 1.0:
         problems.append(f"cfl: must lie in (0, 1], got {cfg.cfl}")
     if cfg.t_final is not None and cfg.t_final <= 0.0:
@@ -320,13 +320,11 @@ def run(cfg: RunConfig) -> int:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    cols = ["step", "t", "dt", "min_rho", "min_rhoe", *TOTALS[mesh.dim],
-            "entropy", "limited_fraction"]
     last = {"step": None, "rep": None, "recorded": None}
     with open(outdir / "diagnostics.csv", "w", newline="") as diag, \
             open(outdir / "limiter.csv", "w", newline="") as lim:
         diag.write(f"# {SCHEMA} diagnostics case={cfg.case} mode={cfg.mode}\n")
-        diag.write(",".join(cols) + "\n")
+        diag.write(",".join(StepDiagnostics.columns(mesh.dim)) + "\n")
         lim.write(f"# {SCHEMA} limiter case={cfg.case} mode={cfg.mode}\n")
         lim.write("step,element,l_e,xi,min_rho,min_rhoe\n")
 
@@ -335,9 +333,7 @@ def run(cfg: RunConfig) -> int:
             last["recorded"] = step
 
         def callback(step, t, u, row, rep):
-            d = row.as_row()
-            diag.write(_csv_line([f"{d['step']}"]
-                                 + [d[c] for c in cols[1:]]) + "\n")
+            diag.write(_csv_line(row.values()) + "\n")
             last.update(step=step, rep=rep)
             if cfg.snap_every and step % cfg.snap_every == 0:
                 if rep is not None:

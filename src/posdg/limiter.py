@@ -207,17 +207,17 @@ def zhang_shu_limit(uLnew, dF, dt, mesh: Mesh, bounds: Bounds, cap=None,
         return unew, LimiterReport(l_elem, cap)
 
 
-def antidiffusive_fluxes(mesh: Mesh, high_pairs, low_pairs):
+def antidiffusive_fluxes(mesh: Mesh, high_pairs, FL):
     """F^H_ij - F^L_ij on the pair graph, formed in ``high_pairs``.
 
-    ``high_pairs`` and ``low_pairs`` are the results of
-    ``HighOrderRHS.pair_fluxes`` and ``LowOrderRHS.pair_fluxes``; F^L is zero
-    on the pairs outside the low-order subset. The F^H array is
-    overwritten (and returned) rather than copied: with a workspace it is
-    its kept array (:meth:`posdg.rhs_high.HighOrderRHS.pair_fluxes`), so
-    dF occupies the same memory at every stage.
+    ``high_pairs`` and ``FL`` are the results of ``HighOrderRHS.pair_fluxes``
+    and ``LowOrderRHS.pair_fluxes``; F^L is zero on the pairs outside the
+    low-order subset. The F^H array is overwritten (and returned) rather
+    than copied: with a workspace it is its kept array
+    (:meth:`posdg.rhs_high.HighOrderRHS.pair_fluxes`), so dF occupies the
+    same memory at every stage.
     """
-    high_pairs[:, mesh.pair_low] -= low_pairs[0]
+    high_pairs[:, mesh.pair_low] -= FL
     return high_pairs
 
 
@@ -334,7 +334,9 @@ def shock_indicator(u, ops, gas: GasParams):
     ``u`` is (nvar, Np, K); returns (K,).
 
     The top-mode energy fraction feeds a logistic ramp; xi = 1 means no
-    forced low-order blending, xi = 0.5 is the strongest response.
+    forced low-order blending, xi = 0.5 is the strongest response. From
+    N = 2 on, the degree-(N-1) share of the modes up to N - 1 feeds it too
+    (at N = 1 that share is 1 on every element).
     """
     q = u[0] * pressure_cf(u, gas)
     modal = ops.modal_proj @ q
@@ -343,11 +345,12 @@ def shock_indicator(u, ops, gas: GasParams):
     m2 = modal * modal
     tot = m2.sum(axis=0)
     top = m2[deg == N].sum(axis=0)
-    low_tot = m2[deg <= N - 1].sum(axis=0)
-    sub = m2[deg == N - 1].sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        E = np.maximum(np.where(tot > 0, top / tot, 0.0),
-                       np.where(low_tot > 0, sub / low_tot, 0.0))
+        E = np.where(tot > 0, top / tot, 0.0)
+        if N >= 2:
+            low_tot = m2[deg <= N - 1].sum(axis=0)
+            sub = m2[deg == N - 1].sum(axis=0)
+            E = np.maximum(E, np.where(low_tot > 0, sub / low_tot, 0.0))
 
     T = 0.5 * 10.0 ** (-1.8 * (N + 1) ** 0.25)
     s = np.log(9999.0)

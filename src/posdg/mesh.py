@@ -187,6 +187,12 @@ class Mesh:
         """Surface quadrature weights, slot-major (Nfp * K,)."""
         return np.ascontiguousarray(self.fwsJ.T).reshape(-1)
 
+    @cached_property
+    def slot_dissipation(self) -> np.ndarray:
+        """Interface dissipation weights wsJ |n|_1 / 2, slot-major (Nfp *
+        K,): times a slot's wavespeed, its rate lambda_s in both schemes."""
+        return 0.5 * self.slot_wsJ * np.abs(self.slot_normal).sum(axis=0)
+
 
 def _group_ids(order: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Integer ids in input order from a sort ``order`` and the flags

@@ -116,8 +116,6 @@ class HighOrderRHS:
         self.gas = gas
         self.lf_dissipation = lf_dissipation
         self._n = np.negative(mesh.pair_s)    # n_k = -(Q_k - Q_k^T)_ij
-        # the slot weights wsJ |n|_1 / 2 of the Lax-Friedrichs dissipation
-        self._lf = 0.5 * mesh.slot_wsJ * np.abs(mesh.slot_normal).sum(axis=0)
 
     def pair_fluxes(self, u, sigmas=None, ws=None):
         """High-order pair fluxes F^H_ij, one (nvar, npairs, K) array.
@@ -169,7 +167,7 @@ class HighOrderRHS:
         Rs *= -wsj
         if self.lf_dissipation:
             lam = davis_wavespeed(uf, uP, nrm, gas)
-            Rs += (self._lf * lam) * (uP - uf)
+            Rs += (mesh.slot_dissipation * lam) * (uP - uf)
         R = np.matmul(mesh.ops.E.T, Rs.reshape(len(u), mesh.n_face_nodes, -1))
         FH = self.pair_fluxes(u, sigmas, ws)
         with ws.frame():

@@ -23,9 +23,11 @@ fluxes and the wavespeeds all read that one set. The residual returned is
 R = M du/dt, and the forward Euler update u + dt R / m is a convex
 combination of the current state and bar states whenever
 dt <= min_i m_i / (2 lambda_i), which is the basis of the positivity
-guarantee. The pair fluxes and wavespeeds are written into the
-kept arrays of a :class:`~posdg.workspace.Workspace`, and the gathers and
-scatters are taken from it.
+guarantee. The weights lambda_ij and lambda_s and their nodal sums
+lambda_i come from the wavespeeds alone (:meth:`LowOrderRHS.rates`),
+before any flux is formed. The pair fluxes and wavespeeds are written into
+the kept arrays of a :class:`~posdg.workspace.Workspace`, and the gathers
+and scatters are taken from it.
 
 Wavespeeds per end. The rate of a pair or face slot with unit direction n
 splits into one term per end,
@@ -87,7 +89,7 @@ def interface_flux_low(uM, uP, sigM, sigP, normals, wsJ, lam_slot,
 
     Returns the residual contribution to the owning volume node, from the
     normal fluxes of both traces. ``lam_slot`` is the slot's wavespeed
-    weight lambda_s (:meth:`LowOrderRHS.slot_lam`). The limited modes give
+    weight lambda_s (:meth:`LowOrderRHS.rates`). The limited modes give
     the high-order update this interface flux too, so it cancels from
     r^H - r^L.
     """
@@ -166,8 +168,6 @@ class LowOrderRHS:
         ghost = top + np.cumsum(bdry) - 1
         self._ext_end = np.where(bdry, ghost,
                                  self._slot_end[mesh.slot_exterior])
-        self._slot_scale = (0.5 * mesh.slot_wsJ
-                            * np.abs(mesh.slot_normal).sum(axis=0))
 
     # -- shared face-data preparation -------------------------------------
 
@@ -231,7 +231,7 @@ class LowOrderRHS:
         ``faces`` as for :meth:`__call__`; the end states are gathered into
         a frame of ``ws`` (a fresh workspace by default), and w is its kept
         array, valid until the next call with the same workspace.
-        :meth:`pair_fluxes`, :meth:`__call__` and :meth:`max_dt` read it.
+        :meth:`rates` reads it.
         """
         ws = Workspace() if ws is None else ws
         _, uP, _, sigP, _ = faces
@@ -256,43 +256,49 @@ class LowOrderRHS:
                            w, out=w)
         return w
 
-    def slot_lam(self, w):
-        """Face slot weights lambda_s = wsJ |n|_1 max(w_M, w_P) / 2."""
-        return self._slot_scale * np.maximum(w[self._slot_end],
-                                             w[self._ext_end])
+    def rates(self, w, ws=None):
+        """The low-order rates of one stage, from its wavespeeds ``w``
+        (:meth:`wavespeeds`) alone: (lam_p, lam_s, lam).
 
-    def _pair_weights(self, w, ws, out=None):
-        """Pair weights lambda_ij = max(w_i, w_j) |n_ij|, (npairs_low, K)."""
+        lam_p are the pair weights lambda_ij = max(w_i, w_j) |n_ij|,
+        (npairs_low, K), a kept array of the workspace ``ws`` (a fresh one
+        by default); lam_s the face slot weights lambda_s = wsJ |n|_1
+        max(w_M, w_P) / 2, (Nfp * K,); lam the nodal sums lambda_i of both,
+        (Np, K), in the positivity bound dt <= m_i / (2 lambda_i).
+        """
+        ws = Workspace() if ws is None else ws
+        lam_s = self.mesh.slot_dissipation * np.maximum(w[self._slot_end],
+                                                        w[self._ext_end])
+        lam_p = ws.keep("lamL", self._nn.shape)
         wT = w[:self._n_ends].reshape(self._ne, -1)
-        lam = np.take(wT, self._ei, axis=0, out=out, mode="clip")
-        np.maximum(lam, ws.gather(wT, self._ej), out=lam)
-        lam *= self._nn
-        return lam
+        with ws.frame():
+            np.take(wT, self._ei, axis=0, out=lam_p, mode="clip")
+            np.maximum(lam_p, ws.gather(wT, self._ej), out=lam_p)
+        lam_p *= self._nn
+        lam = self.mesh.ops.E.T @ lam_s.reshape(self.mesh.n_face_nodes, -1)
+        lam += self._absS @ lam_p
+        return lam_p, lam_s, lam
 
     # -- pairwise contributions ---------------------------------------------
 
-    def pair_fluxes(self, u, w, sigmas=None, ws=None):
-        """Low-order pair fluxes and wavespeeds (P, lambda) of the mesh.
+    def pair_fluxes(self, u, lam_p, sigmas=None, ws=None):
+        """Low-order pair fluxes P of the mesh, (nvar, npairs_low, K).
 
         ``u`` are the node states and ``sigmas`` the viscous fluxes per
-        direction (None for an inviscid gas), (nvar, Np, K). P_ij (shape
-        (nvar, npairs_low, K)) goes +P to node i and -P to node j;
-        lambda_ij (shape (npairs_low, K)) is the pair's weight in the CFL
-        bound, from the wavespeeds ``w`` of :meth:`wavespeeds`. The pairs
-        are the graph's ``pair_low`` subset. The gathers come from a frame
-        of the workspace ``ws`` (a fresh one by default), and P and lambda
-        are its kept arrays.
+        direction (None for an inviscid gas), (nvar, Np, K); ``lam_p`` the
+        pair weights of :meth:`rates`. P_ij goes +P to node i and -P to
+        node j. The pairs are the graph's ``pair_low`` subset. The gathers
+        come from a frame of the workspace ``ws`` (a fresh one by default),
+        and P is its kept array.
         """
         ws = Workspace() if ws is None else ws
         nvar, _, K = u.shape
         P = ws.keep("FL", (nvar, len(self._pi), K))
-        lam = ws.keep("lamL", P.shape[1:])
         with ws.frame():
             f = euler_flux(u, self.gas,
                            out=[ws.take(u.shape) for _ in self._n])
             for fd, sd in zip(f, sigmas or ()):
                 fd -= sd
-            self._pair_weights(w, ws, out=lam)
             # -sum_d n_d (f_d,i + f_d,j) + lambda (u_j - u_i)
             P.fill(0.0)
             fij, fj = ws.take(P.shape), ws.take(P.shape)
@@ -304,49 +310,27 @@ class LowOrderRHS:
             np.negative(P, out=P)
             diff = np.subtract(ws.gather(u, self._pj),
                                ws.gather(u, self._pi), out=fij)
-            diff *= lam
+            diff *= lam_p
             P += diff
-        return P, lam
-
-    def _nodal_lam(self, lam_s, lam_pairs):
-        """Nodal wavespeed sums lambda_i, (Np, K), from the face and pair
-        weights."""
-        lam = self.mesh.ops.E.T @ lam_s.reshape(self.mesh.n_face_nodes, -1)
-        lam += self._absS @ lam_pairs
-        return lam
+        return P
 
     # -- residual ----------------------------------------------------------
 
-    def __call__(self, u, faces, w, pairs, ws=None):
-        """R = M du/dt, (nvar, Np, K), and the nodal wavespeed sums lambda_i.
+    def __call__(self, u, faces, lam_s, P, ws=None):
+        """R = M du/dt, (nvar, Np, K).
 
         ``faces`` is (uf, uP, sigf, sigP, nrm), from :meth:`face_states` and
-        :meth:`face_sigmas`; ``w`` is :meth:`wavespeeds` and ``pairs``
-        :meth:`pair_fluxes` of ``u``. R is a kept array of the workspace
-        ``ws`` (a fresh one by default), which also holds the lift of the
-        interface flux.
+        :meth:`face_sigmas`; ``lam_s`` the slot weights of :meth:`rates`
+        and ``P`` :meth:`pair_fluxes` of ``u``. R is a kept array of the
+        workspace ``ws`` (a fresh one by default), which also holds the
+        lift of the interface flux.
         """
         ws = Workspace() if ws is None else ws
         mesh = self.mesh
-        lam_s = self.slot_lam(w)
         Rs = interface_flux_low(*faces, mesh.slot_wsJ, lam_s, self.gas)
-        P, lam_p = pairs
-        R = np.matmul(self._S, P, out=ws.keep("RL", u.shape))
+        R = np.matmul(self._S, P, out=ws.keep("R", u.shape))
         with ws.frame():
             R += np.matmul(mesh.ops.E.T,
                            Rs.reshape(len(Rs), mesh.n_face_nodes, -1),
                            out=ws.take(R.shape))
-        return R, self._nodal_lam(lam_s, lam_p)
-
-    def max_dt(self, w, ws=None):
-        """Largest forward-Euler step with the convex bar-state guarantee.
-
-        Reads only the wavespeeds ``w`` of :meth:`wavespeeds`, no fluxes;
-        the pair weights are formed in the workspace ``ws`` (a fresh one by
-        default).
-        """
-        ws = Workspace() if ws is None else ws
-        with ws.frame():
-            lam_p = self._pair_weights(w, ws, out=ws.take(self._nn.shape))
-            lam = self._nodal_lam(self.slot_lam(w), lam_p)
-        return float((self.mesh.mass.T / (2.0 * lam)).min())
+        return R

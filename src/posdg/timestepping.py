@@ -74,6 +74,8 @@ class Stepper:
                  shock_capture: bool = False):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if not 0.0 <= zeta <= 1.0:
+            raise ValueError(f"zeta must lie in [0, 1], got {zeta!r}")
         self.mesh = mesh
         self.gas = gas
         self.mode = mode
@@ -87,57 +89,62 @@ class Stepper:
         self._minv = 1.0 / mesh.mass.T
 
     def prepare(self, u, t):
-        """Residuals and wavespeeds of a stage state; dt-independent.
+        """Residual and rates of a stage state; dt-independent.
 
         The face states ``faces`` = (uf, uP, sigf, sigP, nrm) are gathered
         and the boundary conditions evaluated once per stage: the LDG
-        gradient and the interface flux of whichever residual is formed
-        read them. Mode "none" forms only the high-order residual RH and
-        keeps ``faces`` in ``prep``, because advance sizes its dt from them
-        with the low-order wavespeeds. The other modes evaluate the per-end
-        wavespeeds once (:meth:`LowOrderRHS.wavespeeds`), and from them and
-        the pair fluxes form the low-order residual RL and its nodal
-        wavespeeds lam; the limited modes add the pair differences
-        dF = F^H - F^L, one (nvar, npairs, K) array over the mesh's pair
-        graph, with the low-order pair fluxes evaluated once for both.
-        ``u``, the LDG viscous fluxes ``sig`` (None for inviscid gases) and
-        the residuals are (nvar, Np, K), the layout every kernel reads.
+        gradient and the interface flux of the residual read them. ``prep``
+        holds the residual ``R`` that :meth:`apply` steps with, the nodal
+        rates ``lam`` (:meth:`LowOrderRHS.rates`), the limited modes' pair
+        differences ``dF`` = F^H - F^L (one (nvar, npairs, K) array over
+        the mesh's pair graph, its F^L shared with R), and the stage's
+        ``u``, ``faces`` and LDG viscous fluxes ``sig`` (None for inviscid
+        gases). Mode "none" forms only the high-order R; its ``lam`` is
+        None, and :meth:`dt_bound` forms it from ``u``, ``faces`` and
+        ``sig``. ``u``, ``sig`` and R are (nvar, Np, K).
 
         A ``prep`` is valid until the next ``prepare`` on the same Stepper:
-        its arrays but lam and RH live in the Stepper's workspace, and every
-        call overwrites them.
+        its arrays but ``u``, ``lam`` and mode "none"'s ``R`` live in the
+        Stepper's workspace, and every call overwrites them.
         """
         ws = self.ws
         uf, uP, nrm = self.low.face_states(u, t, ws)
         sig = None if self.grad is None else self.grad(u, uP, ws)[2]
         faces = (uf, uP, *self.low.face_sigmas(sig, ws), nrm)
-        prep = {"RL": None, "lam": None, "RH": None, "dF": None, "sig": sig,
-                "faces": None}
+        prep = {"R": None, "lam": None, "dF": None, "u": u, "faces": faces,
+                "sig": sig}
         if self.mode == "none":
-            prep["RH"] = self.high(u, faces, sig, ws)
-            prep["faces"] = faces
+            prep["R"] = self.high(u, faces, sig, ws)
             return prep
         w = self.low.wavespeeds(u, faces, sig, ws)
-        low_pairs = self.low.pair_fluxes(u, w, sig, ws)
-        prep["RL"], prep["lam"] = self.low(u, faces, w, low_pairs, ws)
+        lam_p, lam_s, prep["lam"] = self.low.rates(w, ws)
+        FL = self.low.pair_fluxes(u, lam_p, sig, ws)
+        prep["R"] = self.low(u, faces, lam_s, FL, ws)
         if self.high is not None:
             prep["dF"] = antidiffusive_fluxes(
-                self.mesh, self.high.pair_fluxes(u, sig, ws), low_pairs)
+                self.mesh, self.high.pair_fluxes(u, sig, ws), FL)
         return prep
 
+    def _node_bounds(self, prep):
+        """m_i / (2 lambda_i) per node, (Np, K); mode "none" has no rates
+        of its own and takes the low-order ones of its stage state."""
+        lam = prep["lam"]
+        if lam is None:
+            w = self.low.wavespeeds(prep["u"], prep["faces"], prep["sig"],
+                                    self.ws)
+            lam = self.low.rates(w, self.ws)[2]
+        return self.mesh.mass.T / (2.0 * lam)
+
     def dt_bound(self, prep):
-        """Largest admissibility-preserving Euler step for the prepared state."""
-        if prep["lam"] is None:
-            # unlimited mode has no positivity bound; advance sizes dt from
-            # the low-order scheme's as a surrogate
-            return None
-        return float((self.mesh.mass.T / (2.0 * prep["lam"])).min())
+        """Largest admissibility-preserving Euler step for the prepared
+        state; the low-order scheme's as a surrogate in mode "none"."""
+        return float(self._node_bounds(prep).min())
 
     def apply(self, u, t, dt, prep):
         """One limited forward-Euler update. Returns (u_new, report)."""
         mesh = self.mesh
         # u + dt R / m, in one new array
-        uL = np.multiply(dt, prep["RH" if self.mode == "none" else "RL"])
+        uL = np.multiply(dt, prep["R"])
         uL *= self._minv
         uL += u
         if self.mode in ("none", "low-only"):
@@ -167,13 +174,16 @@ class StepDiagnostics:
     entropy: float
     limited_fraction: float     # share of elements with l^e < 1
 
-    def as_row(self):
-        out = {"step": self.step, "t": self.t, "dt": self.dt,
-               "min_rho": self.min_rho, "min_rhoe": self.min_rhoe,
-               "entropy": self.entropy,
-               "limited_fraction": self.limited_fraction}
-        out.update(zip(TOTALS[len(self.totals) - 2], self.totals))
-        return out
+    @staticmethod
+    def columns(dim):
+        """The names of :meth:`values`, in their order: the columns of
+        diagnostics.csv."""
+        return ("step", "t", "dt", "min_rho", "min_rhoe", *TOTALS[dim],
+                "entropy", "limited_fraction")
+
+    def values(self):
+        return (self.step, self.t, self.dt, self.min_rho, self.min_rhoe,
+                *self.totals, self.entropy, self.limited_fraction)
 
 
 def _check_state(u, step, stage, t):
@@ -202,15 +212,25 @@ class StageBoundError(FloatingPointError):
 
 
 def _check_dt(stepper, prep, dt, step, stage, t):
-    bound = stepper.dt_bound(prep)
-    if bound is None or dt <= bound:
+    if stepper.mode == "none":
+        # the surrogate bound sizes mode none's dt but does not check it
         return
-    ratio = stepper.mesh.mass / (2.0 * prep["lam"].T)
-    k, i = np.unravel_index(np.argmin(ratio), ratio.shape)
+    bounds = stepper._node_bounds(prep).T    # (K, Np), as the message reads
+    k, i = np.unravel_index(np.argmin(bounds), bounds.shape)
+    bound = float(bounds[k, i])
+    if dt <= bound:
+        return
     raise StageBoundError(
         f"dt exceeds the admissibility bound at step {step} stage {stage} "
         f"t={t:.6g} (element {k}, node {i}: bound m/(2 lambda)={bound:.6e}, "
         f"dt={dt:.6e}, dt/bound={dt / bound:.6g})", bound)
+
+
+# (c, a, b) of the SSPRK(3,3) stages in Shu-Osher form: stage s is
+# a E(u_{s-1}) + b(u), E the Euler update at t + c dt; stage 1 is E(u)
+SHU_OSHER = ((0.0, None, None),
+             (1.0, 0.25, lambda u: 0.75 * u),
+             (0.5, 2.0 / 3.0, lambda u: u / 3.0))
 
 
 def ssp_rk3_step(u, t, dt, stepper: Stepper, prep1=None, step=0,
@@ -225,32 +245,20 @@ def ssp_rk3_step(u, t, dt, stepper: Stepper, prep1=None, step=0,
     that have one (else StageBoundError). The messages name the step, the
     stage, the step's start time t and the node.
     """
-    if prep1 is None:
-        prep1 = stepper.prepare(u, t)
-    if check:
-        _check_dt(stepper, prep1, dt, step, 1, t)
-    u1, _ = stepper.apply(u, t, dt, prep1)
-    if check:
-        _check_state(u1, step, 1, t)
-
-    p2 = stepper.prepare(u1, t + dt)
-    if check:
-        _check_dt(stepper, p2, dt, step, 2, t)
-    v, _ = stepper.apply(u1, t + dt, dt, p2)
-    u2 = np.multiply(0.25, v, out=v)
-    u2 += 0.75 * u
-    if check:
-        _check_state(u2, step, 2, t)
-
-    p3 = stepper.prepare(u2, t + 0.5 * dt)
-    if check:
-        _check_dt(stepper, p3, dt, step, 3, t)
-    w, rep = stepper.apply(u2, t + 0.5 * dt, dt, p3)
-    unew = np.multiply(2.0 / 3.0, w, out=w)
-    unew += u / 3.0
-    if check:
-        _check_state(unew, step, 3, t)
-    return unew, rep
+    v = u
+    for stage, (c, a, b) in enumerate(SHU_OSHER, start=1):
+        ts = t + c * dt
+        prep = (prep1 if stage == 1 and prep1 is not None
+                else stepper.prepare(v, ts))
+        if check:
+            _check_dt(stepper, prep, dt, step, stage, t)
+        v, rep = stepper.apply(v, ts, dt, prep)
+        if a is not None:
+            v *= a
+            v += b(u)
+        if check:
+            _check_state(v, step, stage, t)
+    return v, rep
 
 
 def advance(stepper: Stepper, u0, t0, t_final, cfl,
@@ -283,12 +291,7 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
         if step >= MAX_STEPS:
             raise RuntimeError(f"exceeded {MAX_STEPS} steps at t={t:.6g}")
         prep1 = stepper.prepare(u, t)
-        bound = stepper.dt_bound(prep1)
-        if bound is None:
-            low = stepper.low
-            bound = low.max_dt(low.wavespeeds(u, prep1["faces"], prep1["sig"],
-                                              stepper.ws), stepper.ws)
-        dt = min(cfl * bound, t_final - t)
+        dt = min(cfl * stepper.dt_bound(prep1), t_final - t)
         for attempt in range(MAX_RETRIES + 1):
             try:
                 u, rep = ssp_rk3_step(u, t, dt, stepper, prep1, step)

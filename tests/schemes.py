@@ -1,7 +1,8 @@
 """The residual operators of one state, called as ``Stepper.prepare`` calls
 them: one face pass (``LowOrderRHS.face_states`` and ``.face_sigmas``) feeds
 the LDG gradient, both residuals and the wavespeeds, and one wavespeed
-evaluation (``LowOrderRHS.wavespeeds``) feeds the low-order pair fluxes, the
+evaluation (``LowOrderRHS.wavespeeds``) feeds the rates
+(``LowOrderRHS.rates``), which feed the low-order pair fluxes, the
 low-order residual and the dt bound.
 
 The solver holds node values component first, (nvar, Np, K), and face
@@ -9,8 +10,9 @@ values as (nvar, Nfp * K); the tests build their states with the variable
 index last, (K, Np, nvar), as ``advance`` takes them. ``Scheme`` is that
 edge: its methods take variable-last node states and viscous fluxes, pass
 them to the solver through ``components``, and give node results (residuals,
-nodal wavespeeds, gradients) back variable-last. Face tuples, the
-wavespeed table and the pair arrays are returned in the solver's layout."""
+nodal rates, gradients) back variable-last. Face tuples, the wavespeed
+table, the slot weights and the pair arrays are returned in the solver's
+layout."""
 
 import numpy as np
 
@@ -59,22 +61,26 @@ class Scheme:
         return self.low.wavespeeds(components(u), self.faces(u, t, sigmas),
                                    components(sigmas))
 
+    def rates(self, u, t=0.0, sigmas=None):
+        """(lam_p, lam_s, lam) of ``LowOrderRHS.rates``."""
+        return self.low.rates(self.wavespeeds(u, t, sigmas))
+
     def low_pairs(self, u, t=0.0, sigmas=None):
         """(P, lambda): the low-order pair fluxes and weights."""
-        return self.low.pair_fluxes(components(u),
-                                    self.wavespeeds(u, t, sigmas),
-                                    components(sigmas))
+        lam_p = self.rates(u, t, sigmas)[0]
+        return (self.low.pair_fluxes(components(u), lam_p,
+                                     components(sigmas)), lam_p)
 
     def high_pairs(self, u, sigmas=None):
         """F^H: the high-order pair fluxes."""
         return self.high.pair_fluxes(components(u), components(sigmas))
 
     def low_residual(self, u, t=0.0, sigmas=None):
-        """(R, lam): the low-order residual and its nodal wavespeeds."""
+        """(R, lam): the low-order residual and its nodal rates."""
         uc, sc = components(u), components(sigmas)
         faces = self.faces(u, t, sigmas)
-        w = self.low.wavespeeds(uc, faces, sc)
-        R, lam = self.low(uc, faces, w, self.low.pair_fluxes(uc, w, sc))
+        lam_p, lam_s, lam = self.low.rates(self.low.wavespeeds(uc, faces, sc))
+        R = self.low(uc, faces, lam_s, self.low.pair_fluxes(uc, lam_p, sc))
         return R.T, lam.T
 
     def high_residual(self, u, t=0.0, sigmas=None):
@@ -82,4 +88,6 @@ class Scheme:
                          components(sigmas)).T
 
     def max_dt(self, u, t=0.0, sigmas=None):
-        return self.low.max_dt(self.wavespeeds(u, t, sigmas))
+        """The positivity bound min_i m_i / (2 lambda_i)."""
+        lam = self.rates(u, t, sigmas)[2]
+        return float((self.mesh.mass.T / (2.0 * lam)).min())

@@ -71,13 +71,15 @@ def test_make_config_applies_defaults_and_types():
 
 
 def test_make_config_reports_all_problems_at_once():
-    with pytest.raises(ConfigError) as exc:
-        make_config({"case": "nosuch", "N": "0", "K": "-1",
-                     "mode": "wild", "zeta": "-1", "cfl": "2",
-                     "frobnicate": "1"})
-    text = str(exc.value)
-    for field in ("case", "N", "K", "mode", "zeta", "cfl", "frobnicate"):
-        assert field in text
+    for zeta in ("-1", "1.5"):
+        with pytest.raises(ConfigError) as exc:
+            make_config({"case": "nosuch", "N": "0", "K": "-1",
+                         "mode": "wild", "zeta": zeta, "cfl": "2",
+                         "frobnicate": "1"})
+        text = str(exc.value)
+        for field in ("case", "N", "K", "mode", "zeta: must lie in [0, 1]",
+                      "cfl", "frobnicate"):
+            assert field in text
 
 
 def test_make_config_requires_case_and_n():

@@ -238,7 +238,7 @@ def _leblanc_like_setup(K=16, N=2):
 
 def _pair_differences(sch, u, sig=None):
     return antidiffusive_fluxes(sch.mesh, sch.high_pairs(u, sig),
-                                sch.low_pairs(u, 0.0, sig))
+                                sch.low_pairs(u, 0.0, sig)[0])
 
 
 def _scatter(mesh, dF):
@@ -337,7 +337,7 @@ def _matched_residual(sch, u, sig=None):
     """r^H with the low-order interface flux, assembled from its parts."""
     mesh = sch.mesh
     Rs = interface_flux_low(*sch.faces(u, 0.0, sig), mesh.slot_wsJ,
-                            sch.low.slot_lam(sch.wavespeeds(u, 0.0, sig)),
+                            sch.rates(u, 0.0, sig)[1],
                             sch.low.gas)
     R = mesh.ops.E.T @ Rs.reshape(len(Rs), mesh.n_face_nodes, -1)
     R += mesh.scatter @ sch.high_pairs(u, sig)
@@ -528,10 +528,14 @@ def test_convex_limit_matches_oracle_with_substates_at_the_bounds(
 # shock indicator
 # ---------------------------------------------------------------------------
 
-def test_shock_indicator_constant_element():
-    ops = build_ops("quad", 3)
-    u = np.broadcast_to(primitive_to_conserved(np.array([1.0, 0.2, 0.1, 1.0]), GAS),
-                        (5, ops.n_nodes, 4)).copy()
+@pytest.mark.parametrize("elem", ["line", "quad"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_shock_indicator_constant_element(elem, N):
+    # a constant state has no energy above the constant mode at any N
+    ops = build_ops(elem, N)
+    prim = np.array([1.0, 0.2, 0.1, 1.0][:ops.dim + 1] + [1.0])
+    u = np.broadcast_to(primitive_to_conserved(prim, GAS),
+                        (5, ops.n_nodes, ops.dim + 2)).copy()
     xi = shock_indicator(components(u), ops, GAS)
     assert np.all(xi == 1.0)
 

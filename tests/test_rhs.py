@@ -256,7 +256,7 @@ def test_matched_interface_equals_low_order_on_piecewise_constants(elem, N):
                   mesh.ops.n_nodes, axis=1)
     sch = Scheme(mesh, GAS, bcs)
     RL = sch.low_residual(u, 0.0)[0]
-    dF = antidiffusive_fluxes(mesh, sch.high_pairs(u), sch.low_pairs(u))
+    dF = antidiffusive_fluxes(mesh, sch.high_pairs(u), sch.low_pairs(u)[0])
     r = mesh.scatter @ dF
     assert np.abs(r).max() < 1e-12 * max(1.0, np.abs(RL).max())
 
@@ -358,7 +358,8 @@ def test_wavespeeds_match_pairwise_form(elem, N, viscous):
     for d in range(1, mesh.dim):
         n1 = n1 + np.abs(nrm[d])
     lam_s = 0.5 * mesh.slot_wsJ * n1 * lam_hat
-    assert np.array_equal(sch.low.slot_lam(w), lam_s)
+    rates = sch.low.rates(w)
+    assert np.array_equal(rates[1], lam_s)
     lam_nodes = (mesh.ops.E.T @ lam_s.reshape(mesh.n_face_nodes, -1)).T
     beta_binds = np.any(lam_hat > davis_wavespeed(uf, uP, nrm, gas))
     for elems, gc in zip(mesh.class_elems, mesh.classes):
@@ -378,9 +379,11 @@ def test_wavespeeds_match_pairwise_form(elem, N, viscous):
         lam_nodes[elems] += lam_hat * nn @ np.abs(gc.scatter[:, low]).T
         beta_binds |= np.any(lam_hat > davis_wavespeed(ui, uj, unit, gas))
     assert beta_binds == viscous
-    assert np.array_equal(sch.low(components(u), faces, w, pairs)[1].T,
-                          lam_nodes)
-    assert sch.low.max_dt(w) == float((mesh.mass / (2.0 * lam_nodes)).min())
+    assert np.array_equal(rates[2].T, lam_nodes)
+    # mode none's dt bound is the low-order one of the same state
+    st = Stepper(mesh, gas, sch.low.bcs, mode="none")
+    assert (st.dt_bound(st.prepare(components(u), 0.0))
+            == float((mesh.mass / (2.0 * lam_nodes)).min()))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +438,7 @@ def test_pair_arrays_equal_per_class_oracles(elem, viscous):
     assert FH.shape == (nvar, len(mesh.pair_i), mesh.n_elements)
     assert FL.shape == (nvar, len(mesh.pair_low), mesh.n_elements)
     assert lam.shape == FL.shape[1:]
-    dF = antidiffusive_fluxes(mesh, FH.copy(), (FL, lam))
+    dF = antidiffusive_fluxes(mesh, FH.copy(), FL)
     prep = Stepper(mesh, gas, BCSet({}), mode="convex").prepare(
         components(u), 0.0)
     assert np.array_equal(prep["dF"], dF)

@@ -16,7 +16,13 @@ from posdg.physics import (
 )
 from posdg.rhs_high import HighOrderRHS
 from posdg.rhs_low import LowOrderRHS
-from posdg.timestepping import StageBoundError, Stepper, advance, ssp_rk3_step
+from posdg.timestepping import (
+    StageBoundError,
+    Stepper,
+    _check_dt,
+    advance,
+    ssp_rk3_step,
+)
 
 GAS = GasParams(gamma=1.4)
 
@@ -203,11 +209,20 @@ def test_stepper_rejects_unknown_mode():
         Stepper(mesh, GAS, BCSet({}), mode="中order")
 
 
+@pytest.mark.parametrize("zeta", [-0.1, 1.5, float("nan")])
+def test_stepper_rejects_zeta_outside_unit_interval(zeta):
+    mesh, _ = _wave_setup(K=4, N=2)
+    with pytest.raises(ValueError, match=r"zeta must lie in \[0, 1\]"):
+        Stepper(mesh, GAS, BCSet({}), mode="elementwise", zeta=zeta)
+    for ok in (0.0, 1.0):
+        assert Stepper(mesh, GAS, BCSet({}), zeta=ok).zeta == ok
+
+
 def test_diagnostics_rows():
     mesh, u0 = _wave_setup(K=6, N=2)
     st = Stepper(mesh, GAS, BCSet({}), mode="elementwise")
     _, diags = advance(st, u0, 0.0, 0.05, cfl=0.8)
-    row = diags[0].as_row()
+    row = dict(zip(diags[0].columns(mesh.dim), diags[0].values()))
     for key in ("step", "t", "dt", "min_rho", "min_rhoe", "entropy",
                 "limited_fraction", "mass", "mom_x", "energy"):
         assert key in row
@@ -309,6 +324,22 @@ def test_none_mode_sizes_dt_with_viscous_wavespeed():
     _, diags = advance(st, u0, 0.0, 0.05, cfl=0.5)
     assert diags[0].dt == 0.5 * sch.max_dt(u0, 0.0, sig)
     assert diags[0].dt < 0.5 * sch.max_dt(u0, 0.0, None)
+
+
+def test_none_mode_stage_bound_is_not_checked():
+    # mode none sizes dt from the low-order surrogate bound but does not
+    # check its stages against it; a mode with a bound of its own does
+    mesh, u0 = _wave_setup()
+    u0 = components(u0)
+    for mode in ("none", "low-only"):
+        st = Stepper(mesh, GAS, BCSet({}), mode=mode)
+        prep = st.prepare(u0, 0.0)
+        dt = 10.0 * st.dt_bound(prep)
+        if mode == "none":
+            assert _check_dt(st, prep, dt, 0, 1, 0.0) is None
+        else:
+            with pytest.raises(StageBoundError):
+                _check_dt(st, prep, dt, 0, 1, 0.0)
 
 
 def test_none_mode_sizes_dt_without_low_order_fluxes(monkeypatch):
