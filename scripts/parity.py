@@ -16,18 +16,17 @@ The configurations are the three benchmark workloads of
 ``perfbench/child.py`` (101 steps each), the 1D LeBlanc shock tube with
 modes ``none``, ``low-only``, ``convex`` and ``elementwise`` (the limiters
 bind hardest on that near-vacuum tube), the 1D viscous shock with modes
-``none`` and ``elementwise``: LDG with Dirichlet boundaries, and in mode
-``none`` the viscous dt bound of ``Stepper.dt_bound``, and the Mach 20
-viscous shock in mode ``elementwise``, whose first limited stage states
+``none`` and ``elementwise``: LDG with Dirichlet boundaries, and the Mach
+20 viscous shock in mode ``elementwise``, whose first limited stage states
 restart 15 of its 17 steps from their own positivity bound. Two tri
 configurations cover the wavespeed ends that tri elements do not share
 between pairs and face slots, with viscous wavespeeds and boundary ghost
 states: Daru-Tenaud in mode ``convex`` (no-slip and wall boundaries) and
-the 2D viscous shock in mode ``none`` (Dirichlet boundaries, and the dt
-bound of ``Stepper.dt_bound``). Unlimited high
-order cannot survive LeBlanc, so a run that aborts is compared at its last
-completed step, and a different step count or abort message counts as a
-mismatch.
+the 2D viscous shock in mode ``none`` (Dirichlet boundaries). Mode
+``none`` is the blend with every l = 1: on smooth flow it marches the
+states of a limited mode that limits nowhere, and it cannot survive
+LeBlanc, so a run that aborts is compared at its last completed step, and
+a different step count or abort message counts as a mismatch.
 
 It then runs ``posdg run`` (``cli.run``) on the three benchmark workloads in
 each tree, with their own ``snap_every``, so that dmr writes its VTK

@@ -51,7 +51,8 @@ from .cases import CASES, error_norms, get_case, schlieren
 from .mesh import Mesh, rect_mesh
 from .physics import conserved_to_primitive, internal_energy
 from .sbp import build_ops
-from .timestepping import MODES, StepDiagnostics, Stepper, advance
+from .timestepping import (LIMITED_MODES, MODES, StepDiagnostics, Stepper,
+                           advance)
 
 __all__ = [
     "RunConfig",
@@ -244,6 +245,9 @@ def _validate(cfg: RunConfig, skip=frozenset()) -> list:
                         f"got {cfg.mode!r}")
     if not 0.0 <= cfg.zeta <= 1.0:
         problems.append(f"zeta: must lie in [0, 1], got {cfg.zeta}")
+    if cfg.shock_capture and cfg.mode not in LIMITED_MODES:
+        problems.append(f"shock_capture: needs a limited mode, one of "
+                        f"{', '.join(LIMITED_MODES)}, got {cfg.mode!r}")
     if cfg.cfl is not None and not 0.0 < cfg.cfl <= 1.0:
         problems.append(f"cfl: must lie in (0, 1], got {cfg.cfl}")
     if cfg.t_final is not None and cfg.t_final <= 0.0:

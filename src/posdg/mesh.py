@@ -190,7 +190,8 @@ class Mesh:
     @cached_property
     def slot_dissipation(self) -> np.ndarray:
         """Interface dissipation weights wsJ |n|_1 / 2, slot-major (Nfp *
-        K,): times a slot's wavespeed, its rate lambda_s in both schemes."""
+        K,): times a slot's wavespeed, its rate lambda_s in the interface
+        flux."""
         return 0.5 * self.slot_wsJ * np.abs(self.slot_normal).sum(axis=0)
 
 

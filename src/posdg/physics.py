@@ -354,35 +354,27 @@ def ec_fluxes(uL, uR, n, gas: GasParams):
     return ec_fluxes_prims(ec_prims(uL, gas), ec_prims(uR, gas), n, gas)
 
 
-def davis_wavespeed(uL, uR, n, gas: GasParams, ws=None):
-    """max(|u_L . n| + c_L, |u_R . n| + c_R) for a unit normal ``n``.
+def davis_wavespeed(u, n, gas: GasParams, ws=None):
+    """The one-sided speed |u . n| + c for a unit normal ``n``.
 
-    With ``uR`` None, the one-sided speed |u_L . n| + c_L. The result is
-    taken from the caller's frame of the workspace ``ws`` (a fresh one by
-    default), the temporaries from a frame of their own.
+    The result is taken from the caller's frame of the workspace ``ws`` (a
+    fresh one by default), the temporaries from a frame of their own.
     """
     ws = Workspace() if ws is None else ws
     n = np.asarray(n)
-    ends = (uL,) if uR is None else (uL, uR)
-    shape = np.broadcast_shapes(n.shape[1:], *(u.shape[1:] for u in ends))
-    out = ws.take(shape)
+    rho, mom, _ = _split(u)
+    out = ws.take(np.broadcast_shapes(n.shape[1:], rho.shape))
     with ws.frame():
-        tmp = ws.take(shape)
-        for k, u in enumerate(ends):
-            rho, mom, _ = _split(u)
-            # c = sqrt(gamma p / rho), with p = (gamma - 1) rho e
-            c = internal_energy_cf(u, ws.take(rho.shape), ws.take(rho.shape))
-            np.multiply(gas.gamma - 1.0, c, out=c)
-            np.multiply(gas.gamma, c, out=c)
-            np.divide(c, rho, out=c)
-            np.sqrt(c, out=c)
-            lam = out if k == 0 else ws.take(shape)
-            _dot(mom, n, lam, tmp)
-            np.divide(lam, rho, out=lam)
-            np.abs(lam, out=lam)
-            lam += c
-            if k:
-                np.maximum(out, lam, out=out)
+        # c = sqrt(gamma p / rho), with p = (gamma - 1) rho e
+        c = internal_energy_cf(u, ws.take(rho.shape), ws.take(rho.shape))
+        np.multiply(gas.gamma - 1.0, c, out=c)
+        np.multiply(gas.gamma, c, out=c)
+        np.divide(c, rho, out=c)
+        np.sqrt(c, out=c)
+        _dot(mom, n, out, ws.take(out.shape))
+        np.divide(out, rho, out=out)
+        np.abs(out, out=out)
+        out += c
     return out
 
 

@@ -1,4 +1,4 @@
-"""High-order entropy-stable flux-differencing residual.
+"""High-order entropy-stable flux-differencing volume term.
 
 The volume term contracts the skew part of the physical operators with the
 matrix of pairwise entropy-conservative fluxes,
@@ -16,13 +16,13 @@ and scattered: one two-point flux per pair, along n
 (:func:`~posdg.physics.ec_fluxes_prims`). F^H is one (nvar, npairs, K)
 array over the whole mesh, from the node states (nvar, Np, K) and the
 pair weights of each element's geometry class; its scatter is one matrix
-product. The surface term is an entropy-stable local Lax-Friedrichs flux
-built on the same two-point flux along each slot's normal, lifted by one
-product. :class:`HighOrderRHS` is the unlimited scheme (mode ``none``).
-The limited modes never form its residual: their high-order update uses
-the low-order interface flux, so it differs from the low-order one only by
-the scattered pair differences F^H_ij - F^L_ij, and the limiters take
-those (see :mod:`posdg.limiter`).
+product. The surface terms are the low-order interface flux: central
+normal fluxes plus a Lax-Friedrichs-type jump at a rate of at least the
+local wavespeed, which is entropy stable. So the high-order update differs
+from the low-order one only by the scattered pair differences
+F^H_ij - F^L_ij, and no high-order residual is formed: the limiters blend
+those differences, and mode ``none`` adds them in full (see
+:mod:`posdg.limiter` and :class:`posdg.timestepping.Stepper`).
 The pair-end gathers and the flux temporaries are taken from a
 :class:`~posdg.workspace.Workspace`, and F^H is written into its kept
 array, so a Stepper's stages allocate no pair-sized memory.
@@ -31,7 +31,7 @@ Viscous terms follow the LDG construction: nodal gradients of the entropy
 variables with central interface averages, the symmetric viscous fluxes
 sigma = K(v) grad v evaluated matrix-free, and a central flux for the
 divergence. :class:`LDGGradient` produces (v, theta, sigma); the resulting
-sigma feeds both this residual and the low-order one. Neither class sees
+sigma feeds both pair fluxes and the interface flux. Neither class sees
 the boundary conditions: both read the stage's face states, evaluated once
 per stage by :meth:`posdg.rhs_low.LowOrderRHS.face_states`.
 """
@@ -43,8 +43,6 @@ import numpy as np
 from .mesh import Mesh
 from .physics import (
     GasParams,
-    davis_wavespeed,
-    ec_fluxes,
     ec_fluxes_prims,
     ec_prims,
     entropy_vars_cf,
@@ -110,11 +108,11 @@ class LDGGradient:
 
 
 class HighOrderRHS:
-    def __init__(self, mesh: Mesh, gas: GasParams,
-                 lf_dissipation: bool = True):
+    """The high-order volume pair fluxes F^H of a mesh."""
+
+    def __init__(self, mesh: Mesh, gas: GasParams):
         self.mesh = mesh
         self.gas = gas
-        self.lf_dissipation = lf_dissipation
         self._n = np.negative(mesh.pair_s)    # n_k = -(Q_k - Q_k^T)_ij
 
     def pair_fluxes(self, u, sigmas=None, ws=None):
@@ -146,30 +144,3 @@ class HighOrderRHS:
                     vis *= n
                     FH -= vis
         return FH
-
-    def __call__(self, u, faces, sigmas, ws=None):
-        """R = M du/dt, shape (nvar, Np, K).
-
-        ``u`` and ``sigmas`` as for :meth:`pair_fluxes`: the node states
-        and the viscous fluxes (None for an inviscid gas); ``faces`` is
-        (uf, uP, sigf, sigP, nrm), as for
-        :meth:`posdg.rhs_low.LowOrderRHS.__call__`; ``ws`` the workspace of
-        :meth:`pair_fluxes`, which also holds the scatter.
-        """
-        mesh, gas = self.mesh, self.gas
-        ws = Workspace() if ws is None else ws
-        uf, uP, sigf, sigP, nrm = faces
-        wsj = mesh.slot_wsJ
-        Rs = ec_fluxes(uf, uP, nrm, gas)
-        if sigf is not None:
-            for n, sm, sp in zip(nrm, sigf, sigP):
-                Rs -= n * (0.5 * (sm + sp))
-        Rs *= -wsj
-        if self.lf_dissipation:
-            lam = davis_wavespeed(uf, uP, nrm, gas)
-            Rs += (mesh.slot_dissipation * lam) * (uP - uf)
-        R = np.matmul(mesh.ops.E.T, Rs.reshape(len(u), mesh.n_face_nodes, -1))
-        FH = self.pair_fluxes(u, sigmas, ws)
-        with ws.frame():
-            R += np.matmul(mesh.scatter, FH, out=ws.take(u.shape))
-        return R

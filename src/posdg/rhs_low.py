@@ -249,7 +249,7 @@ class LowOrderRHS:
         w = ws.keep("w", shape[1:])
         with ws.frame():
             ue = gather(u, uP)
-            w[:] = davis_wavespeed(ue, None, self._end_dir, self.gas, ws)
+            w[:] = davis_wavespeed(ue, self._end_dir, self.gas, ws)
             if sigmas is not None:
                 se = tuple(gather(s, sp) for s, sp in zip(sigmas, sigP))
                 np.maximum(zhang_beta(ue, se, self._end_dir, self.gas, ws=ws),

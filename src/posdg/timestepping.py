@@ -36,6 +36,8 @@ __all__ = ["Stepper", "advance", "StepDiagnostics", "StageBoundError"]
 log = logging.getLogger("posdg")
 
 MODES = ("none", "elementwise", "convex", "low-only")
+# the modes whose l a shock indicator can cap
+LIMITED_MODES = ("elementwise", "convex")
 
 # restarts of one step from a stage's positivity bound before advance gives up
 MAX_RETRIES = 8
@@ -54,14 +56,14 @@ class Stepper:
     """Limited forward-Euler stage operator plus the positivity CFL bound.
 
     mode selects the update: "low-only" (sparse scheme), "none" (unlimited
-    high-order with entropy-stable interface dissipation), "elementwise"
-    (Zhang-Shu style blend), or "convex" (pairwise FCT limiting). Both
-    limited modes give the high-order update the low-order interface flux,
-    so it differs from the low-order update only by the scattered pair
-    differences dF = F^H - F^L, and both limiters blend through dF. Every
-    column of the mesh's ``scatter`` sums to zero, so the blend conserves by
+    high order), "elementwise" (Zhang-Shu style blend), or "convex"
+    (pairwise FCT limiting). The high-order update takes the low-order
+    interface flux, so it differs from the low-order update u^L only by the
+    scattered pair differences dF = F^H - F^L: both limiters blend through
+    dF, and mode "none" is the blend with every l = 1. Every column of the
+    mesh's ``scatter`` sums to zero, so the blend conserves by
     construction. zeta > 0 selects the relaxed bounds; zeta = 0 the minimal
-    ones.
+    ones. shock_capture caps l, so it needs a limited mode.
 
     The Stepper owns one :class:`~posdg.workspace.Workspace`: the low- and
     high-order pair fluxes, and with them dF, are its kept arrays, and the
@@ -76,6 +78,8 @@ class Stepper:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if not 0.0 <= zeta <= 1.0:
             raise ValueError(f"zeta must lie in [0, 1], got {zeta!r}")
+        if shock_capture and mode not in LIMITED_MODES:
+            raise ValueError(f"shock_capture needs a mode in {LIMITED_MODES}")
         self.mesh = mesh
         self.gas = gas
         self.mode = mode
@@ -93,51 +97,36 @@ class Stepper:
 
         The face states ``faces`` = (uf, uP, sigf, sigP, nrm) are gathered
         and the boundary conditions evaluated once per stage: the LDG
-        gradient and the interface flux of the residual read them. ``prep``
-        holds the residual ``R`` that :meth:`apply` steps with, the nodal
-        rates ``lam`` (:meth:`LowOrderRHS.rates`), the limited modes' pair
-        differences ``dF`` = F^H - F^L (one (nvar, npairs, K) array over
-        the mesh's pair graph, its F^L shared with R), and the stage's
-        ``u``, ``faces`` and LDG viscous fluxes ``sig`` (None for inviscid
-        gases). Mode "none" forms only the high-order R; its ``lam`` is
-        None, and :meth:`dt_bound` forms it from ``u``, ``faces`` and
-        ``sig``. ``u``, ``sig`` and R are (nvar, Np, K).
+        gradient, the wavespeeds and the interface flux read them. ``prep``
+        holds the low-order residual ``R``, the nodal rates ``lam``
+        (:meth:`LowOrderRHS.rates`) and, in every mode but "low-only", the
+        pair differences ``dF`` = F^H - F^L (one (nvar, npairs, K) array
+        over the mesh's pair graph, its F^L shared with R). ``u`` and R
+        are (nvar, Np, K).
 
         A ``prep`` is valid until the next ``prepare`` on the same Stepper:
-        its arrays but ``u``, ``lam`` and mode "none"'s ``R`` live in the
-        Stepper's workspace, and every call overwrites them.
+        its arrays but ``lam`` live in the Stepper's workspace, and every
+        call overwrites them.
         """
         ws = self.ws
         uf, uP, nrm = self.low.face_states(u, t, ws)
         sig = None if self.grad is None else self.grad(u, uP, ws)[2]
         faces = (uf, uP, *self.low.face_sigmas(sig, ws), nrm)
-        prep = {"R": None, "lam": None, "dF": None, "u": u, "faces": faces,
-                "sig": sig}
-        if self.mode == "none":
-            prep["R"] = self.high(u, faces, sig, ws)
-            return prep
         w = self.low.wavespeeds(u, faces, sig, ws)
-        lam_p, lam_s, prep["lam"] = self.low.rates(w, ws)
+        lam_p, lam_s, lam = self.low.rates(w, ws)
         FL = self.low.pair_fluxes(u, lam_p, sig, ws)
-        prep["R"] = self.low(u, faces, lam_s, FL, ws)
-        if self.high is not None:
-            prep["dF"] = antidiffusive_fluxes(
-                self.mesh, self.high.pair_fluxes(u, sig, ws), FL)
-        return prep
+        R = self.low(u, faces, lam_s, FL, ws)
+        dF = None if self.high is None else antidiffusive_fluxes(
+            self.mesh, self.high.pair_fluxes(u, sig, ws), FL)
+        return {"R": R, "lam": lam, "dF": dF}
 
     def _node_bounds(self, prep):
-        """m_i / (2 lambda_i) per node, (Np, K); mode "none" has no rates
-        of its own and takes the low-order ones of its stage state."""
-        lam = prep["lam"]
-        if lam is None:
-            w = self.low.wavespeeds(prep["u"], prep["faces"], prep["sig"],
-                                    self.ws)
-            lam = self.low.rates(w, self.ws)[2]
-        return self.mesh.mass.T / (2.0 * lam)
+        """m_i / (2 lambda_i) per node, (Np, K)."""
+        return self.mesh.mass.T / (2.0 * prep["lam"])
 
     def dt_bound(self, prep):
         """Largest admissibility-preserving Euler step for the prepared
-        state; the low-order scheme's as a surrogate in mode "none"."""
+        state: the bound of its low-order update."""
         return float(self._node_bounds(prep).min())
 
     def apply(self, u, t, dt, prep):
@@ -147,7 +136,14 @@ class Stepper:
         uL = np.multiply(dt, prep["R"])
         uL *= self._minv
         uL += u
-        if self.mode in ("none", "low-only"):
+        if self.mode == "low-only":
+            return uL, None
+        if self.mode == "none":
+            # every l = 1, P formed as zhang_shu_limit forms it: where
+            # nothing limits, modes none and elementwise agree bit for bit
+            P = np.matmul(mesh.scatter, prep["dF"])
+            P *= dt / mesh.mass.T
+            uL += P
             return uL, None
 
         bounds = (generalized_bounds(uL, self.zeta) if self.zeta > 0
@@ -212,9 +208,6 @@ class StageBoundError(FloatingPointError):
 
 
 def _check_dt(stepper, prep, dt, step, stage, t):
-    if stepper.mode == "none":
-        # the surrogate bound sizes mode none's dt but does not check it
-        return
     bounds = stepper._node_bounds(prep).T    # (K, Np), as the message reads
     k, i = np.unravel_index(np.argmin(bounds), bounds.shape)
     bound = float(bounds[k, i])
@@ -241,9 +234,9 @@ def ssp_rk3_step(u, t, dt, stepper: Stepper, prep1=None, step=0,
     may carry the already-prepared first-stage residuals (so advance can
     size dt from them without recomputation). With ``check``, each stage
     state must be finite and admissible (else FloatingPointError), and dt
-    must not exceed the stage's positivity bound m/(2 lambda) in the modes
-    that have one (else StageBoundError). The messages name the step, the
-    stage, the step's start time t and the node.
+    must not exceed the stage's positivity bound m/(2 lambda) (else
+    StageBoundError). The messages name the step, the stage, the step's
+    start time t and the node.
     """
     v = u
     for stage, (c, a, b) in enumerate(SHU_OSHER, start=1):
@@ -272,12 +265,11 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
     latter two views of the (nvar, Np, K) state of the step.
 
     dt is sized once per step from the pre-step state: the positivity
-    bound times the user CFL. Mode "none" has no bound of its own and uses
-    the low-order scheme's, viscous fluxes included. When a later stage
-    state has a smaller bound than dt, the step restarts from the pre-step
-    state with cfl times that bound, up to MAX_RETRIES times. A restart
-    prepares the pre-step state again, because the later stages have
-    overwritten the first stage's ``prep`` (see :meth:`Stepper.prepare`).
+    bound times the user CFL. When a later stage state has a smaller bound
+    than dt, the step restarts from the pre-step state with cfl times that
+    bound, up to MAX_RETRIES times. A restart prepares the pre-step state
+    again, because the later stages have overwritten the first stage's
+    ``prep`` (see :meth:`Stepper.prepare`).
     """
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")

@@ -82,7 +82,8 @@ def lam_hat_ref(uM, uP, sigM, sigP, n, gas):
     evaluated pairwise at both ends, as the low-order scheme once did.
     Component first, as the kernels it calls."""
     lam = np.maximum(zhang_beta(uM, sigM, n, gas), zhang_beta(uP, sigP, n, gas))
-    return np.maximum(lam, davis_wavespeed(uM, uP, n, gas))
+    lam = np.maximum(lam, davis_wavespeed(uM, n, gas))
+    return np.maximum(lam, davis_wavespeed(uP, n, gas))
 
 
 def bar_state_residual(scheme, u, t, sigmas=None):
@@ -377,16 +378,12 @@ def ec_flux_k_ref(primsL, primsR, k, gas):
     return np.concatenate([f0[None], mom, fE[None]])
 
 
-def davis_wavespeed_ref(uL, uR, n, gas):
-    out = None
-    for u in (uL, uR):
-        rho, mom = u[0], u[1:-1]
-        p = (gas.gamma - 1.0) * internal_energy_ref(u)
-        c = np.sqrt(gas.gamma * p / rho)
-        un = np.sum(mom * _along(n, u), axis=0) / rho
-        lam = np.abs(un) + c
-        out = lam if out is None else np.maximum(out, lam)
-    return out
+def davis_wavespeed_ref(u, n, gas):
+    rho, mom = u[0], u[1:-1]
+    p = (gas.gamma - 1.0) * internal_energy_ref(u)
+    c = np.sqrt(gas.gamma * p / rho)
+    un = np.sum(mom * _along(n, u), axis=0) / rho
+    return np.abs(un) + c
 
 
 def zhang_beta_ref(u, sigma, n, gas, eps0=1e-14):

@@ -3,7 +3,9 @@ them: one face pass (``LowOrderRHS.face_states`` and ``.face_sigmas``) feeds
 the LDG gradient, both residuals and the wavespeeds, and one wavespeed
 evaluation (``LowOrderRHS.wavespeeds``) feeds the rates
 (``LowOrderRHS.rates``), which feed the low-order pair fluxes, the
-low-order residual and the dt bound.
+low-order residual and the dt bound. The high-order residual is the
+low-order one plus the scatter of the pair differences F^H - F^L: the
+update of mode ``none``, and the end of every limiter's blend.
 
 The solver holds node values component first, (nvar, Np, K), and face
 values as (nvar, Nfp * K); the tests build their states with the variable
@@ -16,6 +18,7 @@ layout."""
 
 import numpy as np
 
+from posdg.limiter import antidiffusive_fluxes
 from posdg.rhs_high import HighOrderRHS, LDGGradient
 from posdg.rhs_low import LowOrderRHS
 
@@ -39,10 +42,10 @@ def variables_last(a):
 class Scheme:
     """Low- and high-order residuals, LDG gradient and dt bound of a mesh."""
 
-    def __init__(self, mesh, gas, bcs, lf_dissipation=True):
+    def __init__(self, mesh, gas, bcs):
         self.mesh = mesh
         self.low = LowOrderRHS(mesh, gas, bcs)
-        self.high = HighOrderRHS(mesh, gas, lf_dissipation)
+        self.high = HighOrderRHS(mesh, gas)
         self.ldg = LDGGradient(mesh, gas)
 
     def faces(self, u, t=0.0, sigmas=None):
@@ -75,17 +78,25 @@ class Scheme:
         """F^H: the high-order pair fluxes."""
         return self.high.pair_fluxes(components(u), components(sigmas))
 
-    def low_residual(self, u, t=0.0, sigmas=None):
-        """(R, lam): the low-order residual and its nodal rates."""
+    def _low(self, u, t, sigmas):
+        """(F^L, R^L, lam), as ``Stepper.prepare`` forms them."""
         uc, sc = components(u), components(sigmas)
         faces = self.faces(u, t, sigmas)
         lam_p, lam_s, lam = self.low.rates(self.low.wavespeeds(uc, faces, sc))
-        R = self.low(uc, faces, lam_s, self.low.pair_fluxes(uc, lam_p, sc))
+        FL = self.low.pair_fluxes(uc, lam_p, sc)
+        return FL, self.low(uc, faces, lam_s, FL), lam
+
+    def low_residual(self, u, t=0.0, sigmas=None):
+        """(R, lam): the low-order residual and its nodal rates."""
+        _, R, lam = self._low(u, t, sigmas)
         return R.T, lam.T
 
     def high_residual(self, u, t=0.0, sigmas=None):
-        return self.high(components(u), self.faces(u, t, sigmas),
-                         components(sigmas)).T
+        """R^L + scatter(F^H - F^L)."""
+        FL, R, _ = self._low(u, t, sigmas)
+        FH = self.high.pair_fluxes(components(u), components(sigmas))
+        return (R + self.mesh.scatter @ antidiffusive_fluxes(self.mesh, FH,
+                                                             FL)).T
 
     def max_dt(self, u, t=0.0, sigmas=None):
         """The positivity bound min_i m_i / (2 lambda_i)."""

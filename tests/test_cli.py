@@ -82,6 +82,16 @@ def test_make_config_reports_all_problems_at_once():
             assert field in text
 
 
+def test_make_config_rejects_shock_capture_without_a_limiter():
+    base = {"case": "leblanc", "N": "2", "K": "50", "shock_capture": "yes"}
+    for mode in ("none", "low-only"):
+        with pytest.raises(ConfigError, match="shock_capture: needs a "
+                                              "limited mode"):
+            make_config(dict(base, mode=mode))
+    for mode in ("elementwise", "convex"):
+        assert make_config(dict(base, mode=mode)).shock_capture
+
+
 def test_make_config_requires_case_and_n():
     with pytest.raises(ConfigError) as exc:
         make_config({"K": "10"})

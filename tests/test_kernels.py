@@ -95,8 +95,9 @@ def test_state_kernels_match_oracles(case):
     u2 = _states(rng, u.shape[1:], case["dim"])
     assert _equal(internal_energy_cf(u), internal_energy_ref(u))
     assert _equal(ec_prims(u, GAS), ec_prims_ref(u, GAS))
-    assert _equal(davis_wavespeed(u, u2, n, GAS),
-                  davis_wavespeed_ref(u, u2, n, GAS))
+    for s in (u, u2):
+        assert _equal(davis_wavespeed(s, n, GAS),
+                      davis_wavespeed_ref(s, n, GAS))
     assert _equal(zhang_beta(u, sigma, n, GAS),
                   zhang_beta_ref(u, sigma, n, GAS))
     assert _equal(zhang_beta(u, sigma, n, GAS, eps0=0.0),

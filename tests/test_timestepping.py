@@ -15,8 +15,8 @@ from posdg.physics import (
     primitive_to_conserved,
 )
 from posdg.rhs_high import HighOrderRHS
-from posdg.rhs_low import LowOrderRHS
 from posdg.timestepping import (
+    MODES,
     StageBoundError,
     Stepper,
     _check_dt,
@@ -218,6 +218,18 @@ def test_stepper_rejects_zeta_outside_unit_interval(zeta):
         assert Stepper(mesh, GAS, BCSet({}), zeta=ok).zeta == ok
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_shock_capture_needs_a_limited_mode(mode):
+    # the shock indicator caps l, so modes without one reject it
+    mesh, _ = _wave_setup(K=4, N=2)
+    if mode in ("none", "low-only"):
+        with pytest.raises(ValueError, match="shock_capture needs a mode in"):
+            Stepper(mesh, GAS, BCSet({}), mode=mode, shock_capture=True)
+    else:
+        assert Stepper(mesh, GAS, BCSet({}), mode=mode,
+                       shock_capture=True).shock_capture
+
+
 def test_diagnostics_rows():
     mesh, u0 = _wave_setup(K=6, N=2)
     st = Stepper(mesh, GAS, BCSet({}), mode="elementwise")
@@ -326,65 +338,39 @@ def test_none_mode_sizes_dt_with_viscous_wavespeed():
     assert diags[0].dt < 0.5 * sch.max_dt(u0, 0.0, None)
 
 
-def test_none_mode_stage_bound_is_not_checked():
-    # mode none sizes dt from the low-order surrogate bound but does not
-    # check its stages against it; a mode with a bound of its own does
+@pytest.mark.parametrize("mode", MODES)
+def test_every_mode_checks_its_stage_bound(mode):
     mesh, u0 = _wave_setup()
-    u0 = components(u0)
-    for mode in ("none", "low-only"):
-        st = Stepper(mesh, GAS, BCSet({}), mode=mode)
-        prep = st.prepare(u0, 0.0)
-        dt = 10.0 * st.dt_bound(prep)
-        if mode == "none":
-            assert _check_dt(st, prep, dt, 0, 1, 0.0) is None
-        else:
-            with pytest.raises(StageBoundError):
-                _check_dt(st, prep, dt, 0, 1, 0.0)
+    st = Stepper(mesh, GAS, BCSet({}), mode=mode)
+    prep = st.prepare(components(u0), 0.0)
+    with pytest.raises(StageBoundError):
+        _check_dt(st, prep, 10.0 * st.dt_bound(prep), 0, 1, 0.0)
 
 
-def test_none_mode_sizes_dt_without_low_order_fluxes(monkeypatch):
-    # dt needs only the wavespeeds: no low-order pair flux or residual
-    calls = {"pair_fluxes": 0, "__call__": 0}
-    for name in calls:
-        method = getattr(LowOrderRHS, name)
-
-        def counted(self, *args, _method=method, _name=name, **kwargs):
-            calls[_name] += 1
-            return _method(self, *args, **kwargs)
-
-        monkeypatch.setattr(LowOrderRHS, name, counted)
-    mesh, u0 = _wave_setup()
-    st = Stepper(mesh, GAS, BCSet({}), mode="none")
-    _, diags = advance(st, u0, 0.0, 0.3, cfl=0.9)
-    assert len(diags) > 10
-    assert calls == {"pair_fluxes": 0, "__call__": 0}
-
-
-@pytest.mark.parametrize("mode,expected",
-                         [("elementwise", 0), ("convex", 0), ("none", 3)])
-def test_high_order_residual_only_in_unlimited_mode(monkeypatch, mode,
-                                                    expected):
-    # the limited modes blend through the pair differences dF and never
-    # form r^H; the unlimited mode forms it once per stage
+@pytest.mark.parametrize("mode", MODES)
+def test_high_order_pair_fluxes_once_per_stage_but_in_low_only(monkeypatch,
+                                                               mode):
+    # every mode but low-only steps toward u^L + P, P the scatter of
+    # dF = F^H - F^L: one F^H per stage
     calls = []
-    method = HighOrderRHS.__call__
+    method = HighOrderRHS.pair_fluxes
 
     def counted(self, *args, **kwargs):
         calls.append(1)
         return method(self, *args, **kwargs)
 
-    monkeypatch.setattr(HighOrderRHS, "__call__", counted)
+    monkeypatch.setattr(HighOrderRHS, "pair_fluxes", counted)
     mesh, u0 = _wave_setup()
     st = Stepper(mesh, GAS, BCSet({}), mode=mode)
     _, diags = advance(st, u0, 0.0, 0.3, cfl=0.9)
-    assert len(calls) == expected * len(diags)
+    assert len(calls) == (0 if mode == "low-only" else 3) * len(diags)
 
 
 @pytest.mark.parametrize("case", ["sine-shock", "viscous-shock"])
 @pytest.mark.parametrize("mode", ["none", "elementwise", "convex", "low-only"])
 def test_boundary_conditions_evaluated_once_per_stage(monkeypatch, case, mode):
-    # one face pass per stage feeds the LDG gradient, the interface flux and
-    # mode none's dt bound alike
+    # one face pass per stage feeds the LDG gradient, the wavespeeds and the
+    # interface flux alike
     calls = []
     method = BCSet.exterior_state
 
@@ -405,7 +391,7 @@ def test_boundary_conditions_evaluated_once_per_stage(monkeypatch, case, mode):
 @pytest.mark.parametrize("mode", ["none", "elementwise", "convex", "low-only"])
 def test_zhang_beta_only_for_viscous_gases(monkeypatch, case, mode):
     # inviscid wavespeeds are Davis' alone; viscous ones evaluate beta once
-    # per wavespeed table: every stage, or once per step for mode none's dt
+    # per wavespeed table, one per stage
     calls = []
     method = rhs_low.zhang_beta
 
@@ -422,4 +408,4 @@ def test_zhang_beta_only_for_viscous_gases(monkeypatch, case, mode):
     if not st.gas.viscous:
         assert calls == []
     else:
-        assert len(calls) == (1 if mode == "none" else 3) * len(diags)
+        assert len(calls) == 3 * len(diags)
