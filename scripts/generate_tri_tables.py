@@ -1,28 +1,35 @@
 #!/usr/bin/env python3
 """Offline generator for the triangle SBP quadrature tables.
 
-Searches, for each polynomial degree N in 1..4, a volume quadrature on the
-reference triangle with vertices (-1,-1), (1,-1), (-1,1) such that
+Usage::
+
+    python3 scripts/generate_tri_tables.py [N ...]
+
+Searches, for each polynomial degree N in 1..4 (or only the degrees
+given), a volume quadrature on the reference triangle with vertices
+(-1,-1), (1,-1), (-1,1) such that
 
 * the node set contains, on each face, the (N+1)-point Gauss-Legendre rule
   mapped to that face (these become the surface quadrature, exact for face
   polynomials of degree 2N+1 >= 2N),
 * all weights are positive and the volume rule is exact for total degree
-  2N-1 (or better),
-* nodal summation-by-parts operators with a diagonal norm and a 0/1 face
-  extraction matrix exist (verified here end to end before freezing).
+  2N-1 (or better).
 
 The search parameterizes the rule by symmetry orbits (centroid, 3-point and
 6-point orbits in barycentric coordinates) with fixed boundary positions and
 solves the moment equations with damped least squares from random restarts.
+A rule is accepted only if the solver's own operator builder,
+``posdg.sbp.tri_ops``, builds its high- and low-order operators from it, and
+every residual of ``posdg.sbp.check_ops`` is within its tolerance
+(:func:`accept`).
 
 Writes src/posdg/_tri_tables.py, with the Delaunay subcells of each node set
-for output. Run once; the output is committed.
+for output. The degrees not searched keep their committed entries. Run once;
+the output is committed. Needs scipy.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 from fractions import Fraction
 from math import comb, factorial
@@ -32,17 +39,18 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.spatial import Delaunay
 
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+
+from posdg._tri_tables import TRI_TABLES  # noqa: E402
+from posdg.sbp import check_ops, tri_ops  # noqa: E402
+
 RNG = np.random.default_rng(20240817)
 
 V1 = np.array([-1.0, -1.0])
 V2 = np.array([1.0, -1.0])
 V3 = np.array([-1.0, 1.0])
 VERTS = np.array([V1, V2, V3])
-
-# faces listed counterclockwise: (start vertex, end vertex, outward unit normal)
-FACES = [(0, 1, np.array([0.0, -1.0])),
-         (1, 2, np.array([1.0, 1.0]) / np.sqrt(2.0)),
-         (2, 0, np.array([-1.0, 0.0]))]
 
 
 def exact_moment(a: int, b: int) -> float:
@@ -76,13 +84,9 @@ def orbit_s111(a: float, b: float) -> np.ndarray:
     return bary_to_rs(lam)
 
 
-def face_nodes(n_face: int):
-    """All boundary nodes as symmetry orbits from the 1D Gauss-Legendre rule.
-
-    Returns (orbits, face_points) where orbits is a list of node arrays (one
-    weight unknown per orbit) and face_points[f] is the ordered (n_face, 2)
-    node array of face f.
-    """
+def face_nodes(n_face: int) -> list:
+    """All boundary nodes as symmetry orbits from the 1D Gauss-Legendre rule,
+    one weight unknown per orbit."""
     t, _ = np.polynomial.legendre.leggauss(n_face)
     t = np.sort(t)
     orbits = []
@@ -91,14 +95,7 @@ def face_nodes(n_face: int):
         orbits.append(orbit_s111((1 - tv) / 2, (1 + tv) / 2))
     if np.any(np.abs(t) < 1e-14):
         orbits.append(orbit_s21(0.5))
-
-    pts = []
-    for i0, i1, _ in FACES:
-        lam = np.zeros((n_face, 3))
-        lam[:, i0] = (1 - t) / 2
-        lam[:, i1] = (1 + t) / 2
-        pts.append(bary_to_rs(lam))
-    return orbits, pts
+    return orbits
 
 
 def monomial_exponents(deg: int):
@@ -136,7 +133,7 @@ def solve_rule(n: int, deg: int, spec: OrbitSpec, tries: int = 300):
     """
     from scipy.optimize import minimize, nnls
 
-    bnd_orbits, _ = face_nodes(n + 1)
+    bnd_orbits = face_nodes(n + 1)
     exps = monomial_exponents(deg)
     moments = np.array([exact_moment(a, b) for a, b in exps])
     nw = len(bnd_orbits) + spec.n_orb
@@ -209,133 +206,40 @@ def solve_rule(n: int, deg: int, spec: OrbitSpec, tries: int = 300):
     return None
 
 
-# ---------------------------------------------------------------------------
-# verification: orthonormal triangle basis and operator construction
-# ---------------------------------------------------------------------------
-
-def jacobi_p(x, alpha, beta, n):
-    """Orthonormal Jacobi polynomial on [-1,1] (Hesthaven-Warburton recurrence)."""
-    x = np.asarray(x, dtype=float)
-    gamma0 = (2 ** (alpha + beta + 1) / (alpha + beta + 1)
-              * factorial(alpha) * factorial(beta) / factorial(alpha + beta))
-    pl = [np.ones_like(x) / np.sqrt(gamma0)]
-    if n == 0:
-        return pl[0]
-    gamma1 = (alpha + 1) * (beta + 1) / (alpha + beta + 3) * gamma0
-    pl.append(((alpha + beta + 2) * x / 2 + (alpha - beta) / 2) / np.sqrt(gamma1))
-    aold = 2 / (2 + alpha + beta) * np.sqrt((alpha + 1) * (beta + 1) / (alpha + beta + 3))
-    for i in range(1, n):
-        h1 = 2 * i + alpha + beta
-        anew = (2 / (h1 + 2)
-                * np.sqrt((i + 1) * (i + 1 + alpha + beta) * (i + 1 + alpha)
-                          * (i + 1 + beta) / (h1 + 1) / (h1 + 3)))
-        bnew = -(alpha ** 2 - beta ** 2) / h1 / (h1 + 2)
-        pl.append((-aold * pl[i - 1] + (x - bnew) * pl[i]) / anew)
-        aold = anew
-    return pl[n]
-
-
-def grad_jacobi_p(x, alpha, beta, n):
-    if n == 0:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    return np.sqrt(n * (n + alpha + beta + 1)) * jacobi_p(x, alpha + 1, beta + 1, n - 1)
-
-
-def rs_to_ab(r, s):
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    a = np.full_like(r, -1.0)
-    ok = np.abs(1 - s) > 1e-12
-    a[ok] = 2 * (1 + r[ok]) / (1 - s[ok]) - 1
-    return a, s
-
-
-def simplex_basis(r, s, i, j):
-    a, b = rs_to_ab(r, s)
-    return np.sqrt(2.0) * jacobi_p(a, 0, 0, i) * jacobi_p(b, 2 * i + 1, 0, j) * (1 - b) ** i
-
-
-def grad_simplex_basis(r, s, i, j):
-    a, b = rs_to_ab(r, s)
-    fa, gb = jacobi_p(a, 0, 0, i), jacobi_p(b, 2 * i + 1, 0, j)
-    dfa, dgb = grad_jacobi_p(a, 0, 0, i), grad_jacobi_p(b, 2 * i + 1, 0, j)
-    dr = dfa * gb
-    if i > 0:
-        dr = dr * (0.5 * (1 - b)) ** (i - 1)
-    ds = dfa * (gb * (0.5 * (1 + a)))
-    if i > 0:
-        ds = ds * (0.5 * (1 - b)) ** (i - 1)
-    tmp = dgb * (0.5 * (1 - b)) ** i
-    if i > 0:
-        tmp = tmp - 0.5 * i * gb * (0.5 * (1 - b)) ** (i - 1)
-    ds = ds + fa * tmp
-    return 2 ** (i + 0.5) * dr, 2 ** (i + 0.5) * ds
-
-
-def vandermonde(N, r, s):
-    cols, dr_cols, ds_cols = [], [], []
-    for i in range(N + 1):
-        for j in range(N + 1 - i):
-            cols.append(simplex_basis(r, s, i, j))
-            dr, ds = grad_simplex_basis(r, s, i, j)
-            dr_cols.append(dr)
-            ds_cols.append(ds)
-    return np.column_stack(cols), np.column_stack(dr_cols), np.column_stack(ds_cols)
-
-
-def build_and_check_ops(N, nodes, weights):
-    """Construct Q_r, Q_s by the skew-part solve and verify all identities."""
-    r, s = nodes[:, 0], nodes[:, 1]
-    npts = len(r)
-    V, Vr, Vs = vandermonde(N, r, s)
-    M = np.diag(weights)
-
-    _, face_pts = face_nodes(N + 1)
+def table_entry(N: int, deg: int, nodes: np.ndarray, weights: np.ndarray):
+    """A rule in the ``TRI_TABLES`` form, with its face rule and subcells."""
     tq, wq = np.polynomial.legendre.leggauss(N + 1)
     order = np.argsort(tq)
-    wq = wq[order]
+    return {
+        "exactness_degree": deg,
+        "volume_nodes": nodes,
+        "volume_weights": weights,
+        "face_t": tq[order],
+        "face_w": wq[order],
+        "subcells": Delaunay(np.asarray(nodes)).simplices,
+    }
 
-    nfp = N + 1
-    E = np.zeros((3 * nfp, npts))
-    Bs = {0: np.zeros(3 * nfp), 1: np.zeros(3 * nfp)}
-    for f, (i0, i1, nhat) in enumerate(FACES):
-        L = np.linalg.norm(VERTS[i1] - VERTS[i0])
-        for m in range(nfp):
-            p = face_pts[f][m]
-            d = np.linalg.norm(nodes - p, axis=1)
-            iv = int(np.argmin(d))
-            assert d[iv] < 1e-9, f"face node not in volume set (N={N})"
-            E[f * nfp + m, iv] = 1.0
-            Bs[0][f * nfp + m] = wq[m] * (L / 2) * nhat[0]
-            Bs[1][f * nfp + m] = wq[m] * (L / 2) * nhat[1]
 
-    ops = {}
-    for k, Vk in enumerate((Vr, Vs)):
-        EBE = E.T @ np.diag(Bs[k]) @ E
-        R = M @ Vk - 0.5 * EBE @ V
-        # solve S V = R for skew S via its upper-triangular entries
-        iu, ju = np.triu_indices(npts, k=1)
-        nb = V.shape[1]
-        A = np.zeros((npts * nb, len(iu)))
-        for col, (i, j) in enumerate(zip(iu, ju)):
-            A[i * nb:(i + 1) * nb, col] = V[j]
-            A[j * nb:(j + 1) * nb, col] = -V[i]
-        svec, *_ = np.linalg.lstsq(A, R.reshape(-1), rcond=None)
-        S = np.zeros((npts, npts))
-        S[iu, ju] = svec
-        S -= S.T
-        Q = S + 0.5 * EBE
-        err_acc = np.max(np.abs(Q @ V - M @ Vk))
-        err_sbp = np.max(np.abs(Q + Q.T - EBE))
-        err_cons = np.max(np.abs(Q @ np.ones(npts)))
-        ops[k] = Q
-        if max(err_acc, err_sbp, err_cons) > 1e-12:
-            return None
-    return ops
+def accept(N: int, table: dict) -> bool:
+    """Whether the solver builds operators from the rule that pass every
+    identity check: ``tri_ops`` raises no ``RuntimeError`` (a face node
+    missing, a disconnected node graph) and each ``check_ops`` residual is
+    within its tolerance."""
+    try:
+        ops = tri_ops(N, table)
+    except RuntimeError:
+        return False
+    return all(val <= tol for _, val, tol in check_ops(ops))
+
+
+def merged(found: dict) -> dict:
+    """The committed tables with the entries of ``found`` in place of theirs;
+    the degrees not searched keep their committed entries."""
+    return {**TRI_TABLES, **found}
 
 
 def main():
-    target = Path(__file__).resolve().parent.parent / "src" / "posdg" / "_tri_tables.py"
+    target = REPO / "src" / "posdg" / "_tri_tables.py"
     specs = {
         1: (2, ["c", "3"]),
         2: (4, ["c3", "33", "c33"]),
@@ -354,9 +258,9 @@ def main():
                 res = solve_rule(N, deg, OrbitSpec(st))
                 if res is None:
                     continue
-                nodes, weights = res
-                if build_and_check_ops(N, nodes, weights) is not None:
-                    found = (deg, st, nodes, weights)
+                entry = table_entry(N, deg, *res)
+                if accept(N, entry):
+                    found = (st, entry)
                     break
                 print(f"N={N}: rule found but operator check failed", flush=True)
             if found:
@@ -364,23 +268,21 @@ def main():
         if not found:
             print(f"N={N}: NO RULE FOUND", file=sys.stderr)
             sys.exit(1)
-        deg, st, nodes, weights = found
-        tq, wq = np.polynomial.legendre.leggauss(N + 1)
-        order = np.argsort(tq)
-        tables[N] = dict(deg=deg, structure=st, nodes=nodes, weights=weights,
-                         face_t=tq[order], face_w=wq[order])
-        print(f"N={N}: {len(weights)} nodes, structure {st}, exact to degree {deg}, "
+        st, tables[N] = found
+        weights = tables[N]["volume_weights"]
+        print(f"N={N}: {len(weights)} nodes, structure {st}, exact to degree "
+              f"{tables[N]['exactness_degree']}, "
               f"w in [{weights.min():.3e}, {weights.max():.3e}]")
 
-    write_tables(target, tables)
+    write_tables(target, merged(tables))
     print(f"wrote {target}")
 
 
 def write_tables(target: Path, tables: dict) -> None:
-    """Write the module; each table holds deg, nodes, weights, face_t, face_w.
+    """Write the module from tables in the ``TRI_TABLES`` form.
 
     The subcells are the Delaunay triangulation of the volume nodes, which
-    the VTK writer draws each element with.
+    the VTK writer draws each element with (:func:`table_entry`).
     """
     with open(target, "w") as f:
         f.write('"""Quadrature tables for triangle SBP operators (N = 1..4).\n\n'
@@ -393,19 +295,19 @@ def write_tables(target: Path, tables: dict) -> None:
         f.write("TRI_TABLES = {\n")
         for N, tab in tables.items():
             f.write(f"    {N}: {{\n")
-            f.write(f"        'exactness_degree': {tab['deg']},\n")
+            f.write(f"        'exactness_degree': {tab['exactness_degree']},\n")
             f.write("        'volume_nodes': [\n")
-            for p in tab["nodes"]:
+            for p in tab["volume_nodes"]:
                 f.write(f"            ({float(p[0])!r}, {float(p[1])!r}),\n")
             f.write("        ],\n")
             f.write("        'volume_weights': [\n")
-            for w in tab["weights"]:
+            for w in tab["volume_weights"]:
                 f.write(f"            {float(w)!r},\n")
             f.write("        ],\n")
             f.write(f"        'face_t': {[float(x) for x in tab['face_t']]!r},\n")
             f.write(f"        'face_w': {[float(x) for x in tab['face_w']]!r},\n")
             f.write("        'subcells': [\n")
-            for tri in Delaunay(np.asarray(tab["nodes"])).simplices:
+            for tri in tab["subcells"]:
                 f.write(f"            {tuple(int(v) for v in tri)!r},\n")
             f.write("        ],\n")
             f.write("    },\n")

@@ -8,9 +8,9 @@ Subcommands:
   parameters, recorded at the snapshot cadence and at the final step).
 * ``convergence <config> --K 50,100,200``: L1/L2 error table over a mesh
   sequence, with observed rates where the sequence doubles.
-* ``ops-check --elem tri --N 3``: reference-operator identity report,
-  optionally dumping the matrices as plain text for cross-implementation
-  comparison.
+* ``ops-check --elem tri --N 3``: reference-operator identity report
+  (the residuals of ``posdg.sbp.check_ops``), optionally dumping the
+  matrices as plain text for cross-implementation comparison.
 * ``cases list``: available benchmark names.
 
 Config files are flat ``key = value`` text with ``#`` comments; validation
@@ -50,7 +50,7 @@ from .bc import BCSet, wall
 from .cases import CASES, error_norms, get_case, schlieren
 from .mesh import Mesh, rect_mesh
 from .physics import conserved_to_primitive, internal_energy
-from .sbp import build_ops
+from .sbp import build_ops, check_ops
 from .timestepping import (LIMITED_MODES, MODES, StepDiagnostics, Stepper,
                            advance)
 
@@ -72,8 +72,9 @@ log = logging.getLogger("posdg")
 
 SCHEMA = "posdg-csv v1"
 ELEMS_2D = ("quad", "tri")
-# largest shipped operator degree per element family
-MAX_N = {"line": 5, "quad": 5, "tri": 4}
+# largest shipped operator degree per element family; tri is the largest
+# tabulated rule
+MAX_N = {"line": 5, "quad": 5, "tri": max(TRI_TABLES)}
 
 
 def _fmt(x) -> str:
@@ -534,29 +535,11 @@ def write_vtk(path, mesh: Mesh, gas, u, l_elem=None):
 
 
 def ops_check(elem: str, N: int, dump=None) -> int:
-    """Print the reference-operator identity residuals; 0 when all pass."""
+    """Print the reference-operator residuals of :func:`posdg.sbp.check_ops`;
+    0 when all pass. ``dump`` names a directory for the matrices."""
     ops = build_ops(elem, N)
-    ones = np.ones(ops.n_nodes)
-    checks = []
-    for k in range(ops.dim):
-        EBE = ops.E.T @ (ops.Bdiag[k][:, None] * ops.E)
-        checks += [
-            (f"SBP identity Q[{k}]",
-             np.abs(ops.Q[k] + ops.Q[k].T - EBE).max(), 1e-12),
-            (f"SBP identity QL[{k}]",
-             np.abs(ops.QL[k] + ops.QL[k].T - EBE).max(), 1e-12),
-            (f"conservation Q[{k}]@1", np.abs(ops.Q[k] @ ones).max(), 1e-13),
-            (f"conservation QL[{k}]@1", np.abs(ops.QL[k] @ ones).max(),
-             1e-13),
-        ]
-        checks.append((f"derivative exactness D[{k}], degree {N}",
-                       _exactness(ops, elem, N, k), 1e-10))
-    ok01 = set(np.unique(ops.E)) <= {0.0, 1.0} \
-        and bool(np.all(ops.E.sum(axis=1) == 1.0))
-    checks.append(("extraction rows one-hot", 0.0 if ok01 else 1.0, 0.5))
-
     status = 0
-    for name, val, tol in checks:
+    for name, val, tol in check_ops(ops):
         verdict = "ok" if val <= tol else "FAIL"
         if verdict == "FAIL":
             status = 1
@@ -565,32 +548,6 @@ def ops_check(elem: str, N: int, dump=None) -> int:
         _dump_ops(ops, Path(dump))
         print(f"operator matrices written to {dump}")
     return status
-
-
-def _exactness(ops, elem, N, k) -> float:
-    r = ops.nodes
-    if ops.dim == 1:
-        monos = [(a,) for a in range(N + 1)]
-    elif elem == "tri":
-        monos = [(a, b) for a in range(N + 1) for b in range(N + 1 - a)]
-    else:
-        monos = [(a, b) for a in range(N + 1) for b in range(N + 1)]
-    worst = 0.0
-    for m in monos:
-        u = np.ones(ops.n_nodes)
-        du = np.zeros(ops.n_nodes)
-        for d, a in enumerate(m):
-            u = u * r[:, d] ** a
-        a = m[k]
-        if a:
-            du = a * r[:, k] ** (a - 1)
-            for d, b in enumerate(m):
-                if d != k:
-                    du = du * r[:, d] ** b
-        scale = max(np.abs(u).max(), 1.0)
-        err = np.abs((ops.Q[k] @ u) / ops.weights - du).max() / scale
-        worst = max(worst, err)
-    return worst
 
 
 def _dump_ops(ops, outdir: Path):
@@ -663,7 +620,9 @@ def main(argv=None) -> int:
     conv.add_argument("--K", dest="K_list", required=True,
                       help="comma-separated element counts, e.g. 50,100,200")
     ops = sub.add_parser("ops-check",
-                         help="reference-operator identity report")
+                         help="reference-operator identity report: SBP "
+                              "identity and conservation of Q and QL, "
+                              "derivative exactness, one-hot extraction")
     ops.add_argument("--elem", required=True, choices=("line", "quad", "tri"))
     ops.add_argument("--N", type=int, required=True)
     ops.add_argument("--dump", default=None,

@@ -198,7 +198,7 @@ def zhang_shu_limit(uLnew, dF, dt, mesh: Mesh, bounds: Bounds, cap=None,
     ws = Workspace() if ws is None else ws
     with ws.frame():
         P = np.matmul(mesh.scatter, dF, out=ws.take(uLnew.shape))
-        P *= dt / mesh.mass.T
+        P *= dt / mesh.node_mass
         l_elem = feasible_l(uLnew, P, bounds, ws).min(axis=0)
         if cap is not None:
             l_elem = np.minimum(l_elem, cap)
@@ -263,7 +263,6 @@ class ConvexLimiter:
         pi, pj = mesh.pair_i, mesh.pair_j
         card = (np.bincount(pi, minlength=Np) + np.bincount(pj, minlength=Np)
                 + np.bincount(mesh.ops.face_vol, minlength=Np))
-        self._massT = np.ascontiguousarray(mesh.mass.T)
         # the cardinality |I(i)| + |B(i)| per node, (Np, 1)
         self._card = card[:, None].astype(float)
 
@@ -282,7 +281,8 @@ class ConvexLimiter:
         lims = _shaped(bounds, (Np, K))
         with ws.frame():
             # a_i = dt |I(i)| / m_i; u^L and the bounds over a_i
-            a = np.divide(dt * self._card, self._massT, out=ws.take((Np, K)))
+            a = np.divide(dt * self._card, mesh.node_mass,
+                          out=ws.take((Np, K)))
             scaled = np.divide(uLnew, a, out=ws.take(uLnew.shape))
             lims_s = [np.divide(b, a, out=ws.take((Np, K))) for b in lims]
             # the substates that fail the screen, per end: their flat
@@ -323,7 +323,7 @@ class ConvexLimiter:
             l *= dt
             ldF = np.multiply(l, dF, out=ws.take(dF.shape))
             du = np.matmul(mesh.scatter, ldF, out=ws.take(uLnew.shape))
-            du /= self._massT
+            du /= mesh.node_mass
             unew = uLnew + du
         return unew, LimiterReport(l_min, cap)
 

@@ -168,6 +168,12 @@ class Mesh:
         return self.mass.sum()
 
     @cached_property
+    def node_mass(self) -> np.ndarray:
+        """The node masses J w in the solver's component-first layout,
+        C-contiguous (Np, K): ``mass`` transposed."""
+        return np.ascontiguousarray(self.mass.T)
+
+    @cached_property
     def slot_exterior(self) -> np.ndarray:
         """The partner slot of every slot, a boundary slot's own, in the
         solver's slot-major order: slot s of element k at s * K + k, so

@@ -83,7 +83,6 @@ class LDGGradient:
                         for m in range(dim)]
         self._lift = (0.5 * mesh.slot_wsJ * mesh.slot_normal).reshape(
             dim, mesh.n_face_nodes, -1)
-        self._massT = np.ascontiguousarray(mesh.mass.T)
 
     def __call__(self, u, uP, ws=None):
         """(v, thetas, sigmas), kept arrays of the workspace ``ws`` (a fresh
@@ -103,7 +102,7 @@ class LDGGradient:
                 np.matmul(ET, np.multiply(lift, vP, out=t), out=th)
                 for k, g in metric:
                     th += np.multiply(g, Sv[k], out=gSv)
-                th /= self._massT
+                th /= self.mesh.node_mass
         return v, tuple(thetas), viscous_sigma(v, thetas, self.gas, out=sigmas)
 
 

@@ -14,7 +14,10 @@ boundary matrices ``B_k = diag(w^f * nhat_k)``:
 
 Lines and quadrilaterals collocate on Gauss-Lobatto nodes; triangles use
 tabulated positive-weight rules whose boundary nodes are per-face
-Gauss-Legendre points (see ``_tri_tables``).
+Gauss-Legendre points (see ``_tri_tables``). :func:`tri_ops` turns any rule
+of that form into operators and :func:`check_ops` lists the identity
+residuals of any element's operators; the offline table generator
+(``scripts/generate_tri_tables.py``) accepts a rule through these two.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from ._tri_tables import TRI_TABLES
 __all__ = [
     "RefOps",
     "build_ops",
+    "tri_ops",
+    "check_ops",
     "lgl_rule",
     "legendre",
     "jacobi_p",
@@ -404,22 +409,27 @@ _TRI_FACES = [(0, 1, (0.0, -1.0)),
               (2, 0, (-1.0, 0.0))]
 
 
-@lru_cache(maxsize=None)
-def build_tri_ops(N: int) -> RefOps:
-    """Triangle element from the tabulated rule; Q_k by the skew-part solve.
+def tri_ops(N: int, table: dict) -> RefOps:
+    """Triangle element of degree N from a rule in the ``TRI_TABLES`` form.
 
-    The skew part S_k is the minimum-norm solution of S_k V = M V_k -
-    (1/2) E^T B_k E V over skew-symmetric matrices, which exists because the
-    volume rule integrates degree 2N-1 and the face rule degree 2N exactly.
+    ``table`` holds ``volume_nodes``, ``volume_weights`` and the face rule
+    ``face_t``, ``face_w`` on [-1, 1]; other keys are ignored. Q_k comes
+    from the skew-part solve of Hicken, Del Rey Fernandez and Zingg (SIAM
+    J. Sci. Comput. 2016): S_k is the minimum-norm solution of S_k V =
+    M V_k - (1/2) E^T B_k E V over skew-symmetric matrices, which exists
+    when the volume rule integrates degree 2N-1 and the face rule degree
+    2N exactly. QL_k is the potential flow on the node graph.
+
+    Raises ``RuntimeError`` when a face node is missing from the volume
+    nodes or the node graph is disconnected. Whether the operators meet
+    the SBP identities is :func:`check_ops`'s to judge; the offline table
+    generator accepts a rule on exactly these two tests.
     """
-    if N not in TRI_TABLES:
-        raise ValueError(f"no triangle operator table for N={N}")
-    tab = TRI_TABLES[N]
-    nodes = np.array(tab["volume_nodes"])
-    w = np.array(tab["volume_weights"])
+    nodes = np.array(table["volume_nodes"])
+    w = np.array(table["volume_weights"])
     npts = len(w)
-    tq = np.array(tab["face_t"])
-    wq = np.array(tab["face_w"])
+    tq = np.array(table["face_t"])
+    wq = np.array(table["face_w"])
     nfp = N + 1
 
     E = np.zeros((3 * nfp, npts))
@@ -483,6 +493,15 @@ def build_tri_ops(N: int) -> RefOps:
     )
 
 
+@lru_cache(maxsize=None)
+def build_tri_ops(N: int) -> RefOps:
+    """Triangle element of degree N from the shipped rule ``TRI_TABLES[N]``
+    (:func:`tri_ops`)."""
+    if N not in TRI_TABLES:
+        raise ValueError(f"no triangle operator table for N={N}")
+    return tri_ops(N, TRI_TABLES[N])
+
+
 def build_ops(elem: str, N: int) -> RefOps:
     """Reference operators for ``elem`` in {line, quad, tri} at degree N."""
     if elem == "line":
@@ -492,3 +511,63 @@ def build_ops(elem: str, N: int) -> RefOps:
     if elem == "tri":
         return build_tri_ops(N)
     raise ValueError(f"unknown element type {elem!r}")
+
+
+# ---------------------------------------------------------------------------
+# identity check
+# ---------------------------------------------------------------------------
+
+def check_ops(ops: RefOps) -> list:
+    """The reference-operator residuals, as (name, value, tolerance).
+
+    Per direction k: the SBP identity Q_k + Q_k^T = E^T B_k E for Q and
+    QL, conservation Q_k 1 = 0 for both, and exact differentiation of the
+    monomials of degree N by D_k = M^{-1} Q_k (relative to the monomial's
+    largest nodal value). Last, whether every row of E is one-hot. The
+    operators pass when every value is at most its tolerance.
+    """
+    ones = np.ones(ops.n_nodes)
+    checks = []
+    for k in range(ops.dim):
+        EBE = ops.E.T @ (ops.Bdiag[k][:, None] * ops.E)
+        checks += [
+            (f"SBP identity Q[{k}]",
+             np.abs(ops.Q[k] + ops.Q[k].T - EBE).max(), 1e-12),
+            (f"SBP identity QL[{k}]",
+             np.abs(ops.QL[k] + ops.QL[k].T - EBE).max(), 1e-12),
+            (f"conservation Q[{k}]@1", np.abs(ops.Q[k] @ ones).max(), 1e-13),
+            (f"conservation QL[{k}]@1", np.abs(ops.QL[k] @ ones).max(),
+             1e-13),
+        ]
+        checks.append((f"derivative exactness D[{k}], degree {ops.degree}",
+                       _exactness(ops, k), 1e-10))
+    ok01 = set(np.unique(ops.E)) <= {0.0, 1.0} \
+        and bool(np.all(ops.E.sum(axis=1) == 1.0))
+    checks.append(("extraction rows one-hot", 0.0 if ok01 else 1.0, 0.5))
+    return checks
+
+
+def _exactness(ops: RefOps, k: int) -> float:
+    N, r = ops.degree, ops.nodes
+    if ops.dim == 1:
+        monos = [(a,) for a in range(N + 1)]
+    elif ops.elem == "tri":
+        monos = [(a, b) for a in range(N + 1) for b in range(N + 1 - a)]
+    else:
+        monos = [(a, b) for a in range(N + 1) for b in range(N + 1)]
+    worst = 0.0
+    for m in monos:
+        u = np.ones(ops.n_nodes)
+        du = np.zeros(ops.n_nodes)
+        for d, a in enumerate(m):
+            u = u * r[:, d] ** a
+        a = m[k]
+        if a:
+            du = a * r[:, k] ** (a - 1)
+            for d, b in enumerate(m):
+                if d != k:
+                    du = du * r[:, d] ** b
+        scale = max(np.abs(u).max(), 1.0)
+        err = np.abs((ops.Q[k] @ u) / ops.weights - du).max() / scale
+        worst = max(worst, err)
+    return worst

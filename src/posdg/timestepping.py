@@ -90,7 +90,7 @@ class Stepper:
         self.high = HighOrderRHS(mesh, gas) if mode != "low-only" else None
         self.convex = ConvexLimiter(mesh) if mode == "convex" else None
         self.ws = Workspace()
-        self._minv = 1.0 / mesh.mass.T
+        self._minv = 1.0 / mesh.node_mass
 
     def prepare(self, u, t):
         """Residual and rates of a stage state; dt-independent.
@@ -122,7 +122,7 @@ class Stepper:
 
     def _node_bounds(self, prep):
         """m_i / (2 lambda_i) per node, (Np, K)."""
-        return self.mesh.mass.T / (2.0 * prep["lam"])
+        return self.mesh.node_mass / (2.0 * prep["lam"])
 
     def dt_bound(self, prep):
         """Largest admissibility-preserving Euler step for the prepared
@@ -142,7 +142,7 @@ class Stepper:
             # every l = 1, P formed as zhang_shu_limit forms it: where
             # nothing limits, modes none and elementwise agree bit for bit
             P = np.matmul(mesh.scatter, prep["dF"])
-            P *= dt / mesh.mass.T
+            P *= dt / mesh.node_mass
             uL += P
             return uL, None
 

@@ -101,4 +101,4 @@ class Scheme:
     def max_dt(self, u, t=0.0, sigmas=None):
         """The positivity bound min_i m_i / (2 lambda_i)."""
         lam = self.rates(u, t, sigmas)[2]
-        return float((self.mesh.mass.T / (2.0 * lam)).min())
+        return float((self.mesh.node_mass / (2.0 * lam)).min())
