@@ -29,6 +29,16 @@ whether the two final states are bitwise equal. What stays with one march
 march's median as a whole, so the spread of the march medians, not the
 quartiles of the pooled steps, is the resolution of the pooled median.
 
+Both trees run in one process and share its heap, so abstep cannot see
+what a change costs in page faults: memory one tree frees, the other
+reuses, and glibc's thresholds are set by whatever either tree allocated
+last. A measured case: replacing the ``Workspace`` by fresh arrays read
+1.07 / 1.03 / 1.00 here (vortex-tri / dmr / daru), but +36% / +18% / +37%
+on ``step_ms_p50`` in ``perfbench/run.py``, whose runs are one tree per
+process, with 1716 / 965 / 1017 minor faults per step. Judge any change
+that moves allocations with ``perfbench/run.py`` and ``scripts/faults.py``,
+not with this script.
+
 BLAS threads are capped at one (``POSDG_WORKERS=1``) unless the caller's
 environment sets them, and the garbage collector is off while steps run.
 """

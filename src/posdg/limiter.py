@@ -319,11 +319,12 @@ class ConvexLimiter:
             if cap is not None:
                 np.minimum(l, cap, out=l)
             l_min = l.min(axis=0)
-            # l_ij dt dF_ij, then its scatter over the node masses
-            l *= dt
+            # the scatter of l_ij dF_ij, scaled by dt / m as
+            # zhang_shu_limit scales P: where every l = 1 the update is
+            # mode none's bit for bit
             ldF = np.multiply(l, dF, out=ws.take(dF.shape))
             du = np.matmul(mesh.scatter, ldF, out=ws.take(uLnew.shape))
-            du /= mesh.node_mass
+            du *= dt / mesh.node_mass
             unew = uLnew + du
         return unew, LimiterReport(l_min, cap)
 

@@ -67,6 +67,7 @@ __all__ = [
     "ec_prims",
     "ec_fluxes_prims",
     "ec_fluxes",
+    "sound_speed",
     "davis_wavespeed",
     "zhang_beta",
     "viscous_sigma",
@@ -211,30 +212,38 @@ def log_mean(a, b, ws=None):
 
     One formula everywhere,
 
-        L = |a - b| / log1p(|a - b| / min(a, b)),   L = a where a = b,
+        L = d / log1p(d / min(a, b)),   d = max(|a - b|, min(a, b) 2^-60),
 
     in which a and b enter only through |a - b| and min(a, b), so
     log_mean(a, b) equals log_mean(b, a) bit for bit. The quotient handed
     to log1p is formed from the exact difference (Sterbenz) wherever a and
     b lie within a factor of two, so no series and no switch between forms
     is needed near a = b: against a long-double reference over ratios from
-    1 + 2^-52 to 1e10 the largest relative error is about 3e-16. The
-    result is taken from the caller's frame of the workspace ``ws`` (a
-    fresh one by default), the temporaries from a frame of their own.
+    1 + 2^-52 to 1e10 the largest relative error is about 3e-16.
+
+    The floor on d needs no mask. Where a != b, |a - b| is at least an ulp
+    of min(a, b), more than min(a, b) 2^-60, so the floor changes nothing.
+    Where a = b, d = min(a, b) 2^-60 exactly, log1p(2^-60) = 2^-60, and
+    L = min(a, b) exactly. Both hold for inputs of at least 2^-962 (about
+    2e-290), where min(a, b) 2^-60 is a normal number; below that, the
+    floor rounds, and a = b gives min(a, b) to within an ulp, or NaN once
+    the floor underflows to zero (inputs below about 2^-1014). The result
+    is taken from the caller's frame of the workspace ``ws`` (a fresh one
+    by default), the temporaries from a frame of their own.
     """
     ws = Workspace() if ws is None else ws
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     shape = np.broadcast_shapes(a.shape, b.shape)
-    # min(a, b) is the result where a = b; the quotient overwrites the rest
     out = np.minimum(a, b, out=ws.take(shape))
     with ws.frame():
         d = np.subtract(a, b, out=ws.take(shape))
         np.abs(d, out=d)
-        x = np.divide(d, out, out=ws.take(shape))
+        x = np.multiply(out, 2.0 ** -60, out=ws.take(shape))
+        np.maximum(d, x, out=d)
+        np.divide(d, out, out=x)
         np.log1p(x, out=x)
-        np.divide(d, x, out=out,
-                  where=np.greater(x, 0.0, out=ws.take(shape, bool)))
+        np.divide(d, x, out=out)
     return out
 
 
@@ -354,23 +363,31 @@ def ec_fluxes(uL, uR, n, gas: GasParams):
     return ec_fluxes_prims(ec_prims(uL, gas), ec_prims(uR, gas), n, gas)
 
 
-def davis_wavespeed(u, n, gas: GasParams, ws=None):
+def sound_speed(u, gas: GasParams, out=None, tmp=None):
+    """c = sqrt(gamma p / rho), with p = (gamma - 1) rho e; into ``out``
+    when given, as ``_dot``."""
+    c = internal_energy_cf(u, out, tmp)
+    np.multiply(gas.gamma - 1.0, c, out=c)
+    np.multiply(gas.gamma, c, out=c)
+    np.divide(c, u[0], out=c)
+    return np.sqrt(c, out=c)
+
+
+def davis_wavespeed(u, n, gas: GasParams, ws=None, c=None):
     """The one-sided speed |u . n| + c for a unit normal ``n``.
 
-    The result is taken from the caller's frame of the workspace ``ws`` (a
-    fresh one by default), the temporaries from a frame of their own.
+    ``c`` is the sound speed of ``u`` (:func:`sound_speed`), formed here
+    when not given. The result is taken from the caller's frame of the
+    workspace ``ws`` (a fresh one by default), the temporaries from a frame
+    of their own.
     """
     ws = Workspace() if ws is None else ws
     n = np.asarray(n)
     rho, mom, _ = _split(u)
     out = ws.take(np.broadcast_shapes(n.shape[1:], rho.shape))
     with ws.frame():
-        # c = sqrt(gamma p / rho), with p = (gamma - 1) rho e
-        c = internal_energy_cf(u, ws.take(rho.shape), ws.take(rho.shape))
-        np.multiply(gas.gamma - 1.0, c, out=c)
-        np.multiply(gas.gamma, c, out=c)
-        np.divide(c, rho, out=c)
-        np.sqrt(c, out=c)
+        if c is None:
+            c = sound_speed(u, gas, ws.take(rho.shape), ws.take(rho.shape))
         _dot(mom, n, out, ws.take(out.shape))
         np.divide(out, rho, out=out)
         np.abs(out, out=out)

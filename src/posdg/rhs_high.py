@@ -137,8 +137,8 @@ class HighOrderRHS:
                 # minus sum_k n_k (s_ki + s_kj) / 2
                 vis, t = ws.take(FH.shape), ws.take(FH.shape)
                 for s, n in zip(sigmas, self._n):
-                    np.take(s, pi, axis=1, out=vis, mode="clip")
-                    vis += np.take(s, pj, axis=1, out=t, mode="clip")
+                    s.take(pi, axis=1, out=vis, mode="clip")
+                    vis += s.take(pj, axis=1, out=t, mode="clip")
                     vis *= 0.5
                     vis *= n
                     FH -= vis

@@ -48,7 +48,9 @@ are exact negations, so the exterior end of an interior slot is its
 partner's own end, and only the boundary ghost states get ends of their
 own. Pairs and slots then take the max of two gathered w. On quad N=3,
 the 48 ends of the 24 low-order pairs are 32 distinct ends, and these
-cover all 16 face slots too.
+cover all 16 face slots too. The sound speed c of the Davis term depends
+on the state only, so it is formed once per node and once per boundary
+ghost state and gathered with the ends; only |u.n| is formed per end.
 
 For an inviscid gas w is the Davis term alone, and beta is not evaluated.
 With sigma = 0, |n| = 1, p = (gamma - 1) rho e and c^2 = gamma p / rho,
@@ -76,6 +78,7 @@ from .physics import (
     davis_wavespeed,
     euler_flux,
     normal_flux,
+    sound_speed,
     zhang_beta,
 )
 from .workspace import Workspace
@@ -177,10 +180,10 @@ class LowOrderRHS:
         (n, Nfp * K): kept arrays of ``ws`` under ``key``."""
         mesh = self.mesh
         f = ws.keep((key, "M"), (len(a), mesh.n_face_nodes, a.shape[-1]))
-        f = np.take(a, mesh.ops.face_vol, axis=1, out=f, mode="clip")
+        f = a.take(mesh.ops.face_vol, axis=1, out=f, mode="clip")
         f = f.reshape(len(a), -1)
-        return f, np.take(f, mesh.slot_exterior, axis=1, mode="clip",
-                          out=ws.keep((key, "P"), f.shape))
+        return f, f.take(mesh.slot_exterior, axis=1, mode="clip",
+                         out=ws.keep((key, "P"), f.shape))
 
     def face_states(self, u, t, ws=None):
         """Traces, exterior states and normals at all face slots.
@@ -241,15 +244,23 @@ class LowOrderRHS:
         def gather(vol, face):
             out = ws.take(shape)
             for c in range(len(vol)):
-                np.take(vol[c].reshape(-1), self._end_src, out=out[c, :top],
-                        mode="clip")
-                np.take(face[c], ghosts, out=out[c, top:], mode="clip")
+                vol[c].reshape(-1).take(self._end_src, out=out[c, :top],
+                                        mode="clip")
+                face[c].take(ghosts, out=out[c, top:], mode="clip")
             return out
 
         w = ws.keep("w", shape[1:])
         with ws.frame():
             ue = gather(u, uP)
-            w[:] = davis_wavespeed(ue, self._end_dir, self.gas, ws)
+            # c once per node and ghost state, gathered with the ends
+            ce = ws.take(shape[1:])
+            with ws.frame():
+                cn = sound_speed(u, self.gas, ws.take(u.shape[1:]),
+                                 ws.take(u.shape[1:]))
+                cn.reshape(-1).take(self._end_src, out=ce[:top], mode="clip")
+                sound_speed(ue[:, top:], self.gas, ce[top:],
+                            ws.take(ce[top:].shape))
+            w[:] = davis_wavespeed(ue, self._end_dir, self.gas, ws, ce)
             if sigmas is not None:
                 se = tuple(gather(s, sp) for s, sp in zip(sigmas, sigP))
                 np.maximum(zhang_beta(ue, se, self._end_dir, self.gas, ws=ws),
@@ -272,7 +283,7 @@ class LowOrderRHS:
         lam_p = ws.keep("lamL", self._nn.shape)
         wT = w[:self._n_ends].reshape(self._ne, -1)
         with ws.frame():
-            np.take(wT, self._ei, axis=0, out=lam_p, mode="clip")
+            wT.take(self._ei, axis=0, out=lam_p, mode="clip")
             np.maximum(lam_p, ws.gather(wT, self._ej), out=lam_p)
         lam_p *= self._nn
         lam = self.mesh.ops.E.T @ lam_s.reshape(self.mesh.n_face_nodes, -1)
@@ -303,8 +314,8 @@ class LowOrderRHS:
             P.fill(0.0)
             fij, fj = ws.take(P.shape), ws.take(P.shape)
             for d, fd in enumerate(f):
-                np.take(fd, self._pi, axis=1, out=fij, mode="clip")
-                fij += np.take(fd, self._pj, axis=1, out=fj, mode="clip")
+                fd.take(self._pi, axis=1, out=fij, mode="clip")
+                fij += fd.take(self._pj, axis=1, out=fj, mode="clip")
                 fij *= self._n[d]
                 P += fij
             np.negative(P, out=P)

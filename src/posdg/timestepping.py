@@ -26,7 +26,13 @@ from .limiter import (
     zhang_shu_limit,
 )
 from .mesh import Mesh
-from .physics import GasParams, entropy, internal_energy, is_admissible
+from .physics import (
+    GasParams,
+    entropy,
+    internal_energy,
+    internal_energy_cf,
+    is_admissible,
+)
 from .rhs_high import HighOrderRHS, LDGGradient
 from .rhs_low import LowOrderRHS
 from .workspace import Workspace
@@ -183,6 +189,19 @@ class StepDiagnostics:
 
 
 def _check_state(u, step, stage, t):
+    """Raise FloatingPointError unless the stage state ``u`` (nvar, Np, K)
+    is finite and admissible at every node.
+
+    One pass accepts it: rho and rho e have positive minima and finite
+    maxima. That is the set of finite, admissible states, because an inf
+    or NaN in rho, m or E reaches rho or rho e = E - |m|^2 / (2 rho). The
+    messages, which name the first offending node, are built only on
+    failure.
+    """
+    rhoe = internal_energy_cf(u)
+    if (u[0].min() > 0.0 and rhoe.min() > 0.0
+            and np.isfinite(u[0].max()) and np.isfinite(rhoe.max())):
+        return
     # the messages index the state as it leaves advance, (K, Np, nvar)
     u = u.T
     if not np.isfinite(u).all():

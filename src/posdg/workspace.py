@@ -68,7 +68,7 @@ class Workspace:
         """``a[..., idx, :]``, rows of the last two axes, into an array of
         the current frame."""
         out = self.take(a.shape[:-2] + idx.shape + a.shape[-1:], a.dtype)
-        return np.take(a, idx, axis=-2, out=out, mode="clip")
+        return a.take(idx, axis=-2, out=out, mode="clip")
 
     def frame(self) -> _Frame:
         """Give back everything taken inside the block on exit."""

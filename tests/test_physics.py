@@ -164,6 +164,18 @@ def test_log_mean_is_accurate_to_an_ulp_and_symmetric():
     assert np.array_equal(lm[a == b], a[a == b])
 
 
+def test_log_mean_of_equal_arguments_is_exact_over_the_stated_range():
+    # the floor min(a, b) 2^-60 on |a - b| is exact from 2^-962 up, so
+    # log1p(2^-60) = 2^-60 and the quotient returns a itself
+    rng = np.random.default_rng(2022)
+    a = np.concatenate([
+        2.0 ** rng.uniform(-962.0, np.log2(1e300), 20000),
+        [2.0 ** -962, np.nextafter(2.0 ** -962, 1.0), 1.0, 1e300]])
+    b = a.copy()
+    assert np.array_equal(log_mean(a, b), a)
+    assert np.array_equal(log_mean(b, a), a)
+
+
 # ---------------------------------------------------------------------------
 # entropy-conservative fluxes
 # ---------------------------------------------------------------------------

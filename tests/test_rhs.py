@@ -12,6 +12,7 @@ from oracles import (
 from schemes import Scheme, components
 
 from posdg.bc import BCSet, dirichlet, noslip, outflow, wall
+from posdg.cases import get_case
 from posdg.limiter import antidiffusive_fluxes
 from posdg.mesh import interval_mesh, rect_mesh
 from posdg.physics import (
@@ -24,6 +25,7 @@ from posdg.physics import (
     is_admissible,
     primitive_to_conserved,
 )
+from posdg.rhs_low import LowOrderRHS
 from posdg.timestepping import Stepper
 
 GAS = GasParams(gamma=1.4)
@@ -387,6 +389,26 @@ def test_wavespeeds_match_pairwise_form(elem, N, viscous):
     st = Stepper(mesh, gas, sch.low.bcs, mode="none")
     assert (st.dt_bound(st.prepare(components(u), 0.0))
             == float((mesh.mass / (2.0 * lam_nodes)).min()))
+
+
+def test_inviscid_wavespeeds_equal_davis_of_gathered_ends():
+    # the sound speed is formed per node and per ghost state and then
+    # gathered; the result equals the per-end form bit for bit, here with
+    # wall-Riemann and moving Dirichlet ghosts (the tri and quad walled
+    # meshes are covered by test_wavespeeds_match_pairwise_form)
+    case = get_case("dmr")
+    mesh = case.build_mesh(2, 3)
+    gas, bcs = case.gas, case.bcs
+    u = components(case.ic(mesh.xy))
+    t = 0.02            # the top boundary's shock trace has moved
+    low = LowOrderRHS(mesh, gas, bcs)
+    uf, uP, nrm = low.face_states(u, t)
+    assert low._bdry_slots.size
+    w = low.wavespeeds(u, (uf, uP, None, None, nrm))
+    # the end states gathered in full: every node end, then every ghost
+    ue = np.concatenate([u.reshape(len(u), -1)[:, low._end_src],
+                         uP[:, low._bdry_slots]], axis=1)
+    assert np.array_equal(w, davis_wavespeed(ue, low._end_dir, gas))
 
 
 # ---------------------------------------------------------------------------

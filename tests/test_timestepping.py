@@ -20,6 +20,7 @@ from posdg.timestepping import (
     StageBoundError,
     Stepper,
     _check_dt,
+    _check_state,
     advance,
     ssp_rk3_step,
 )
@@ -266,6 +267,61 @@ def test_stage_dt_check_names_step_stage_node_and_margin():
                   f"dt={3.0 * bound:.6e}", "dt/bound=3"):
         assert field in msg, (field, msg)
     assert err.value.bound == bound
+
+
+def _state_2d():
+    """An admissible (nvar, Np, K) state on a small quad mesh."""
+    mesh = rect_mesh("quad", (0.0, 1.0, 0.0, 1.0), 3, 2, 2,
+                     periodic=(True, True))
+    rng = np.random.default_rng(5)
+    shape = mesh.xy.shape[:-1]
+    prim = np.stack([rng.uniform(0.5, 2.0, shape),
+                     rng.uniform(-1.0, 1.0, shape),
+                     rng.uniform(-1.0, 1.0, shape),
+                     rng.uniform(0.5, 2.0, shape)], axis=-1)
+    return components(primitive_to_conserved(prim, GAS))
+
+
+NAN, INF = np.nan, np.inf
+
+
+@pytest.mark.parametrize("var,value,kind", [
+    (0, NAN, "non-finite"), (2, NAN, "non-finite"), (3, NAN, "non-finite"),
+    (0, INF, "non-finite"), (0, -INF, "non-finite"),
+    (1, INF, "non-finite"), (2, -INF, "non-finite"),
+    (3, INF, "non-finite"), (3, -INF, "non-finite"),
+    (0, -0.5, "rho"), (0, 0.0, "rho"), (3, 0.0, "rhoe"), (3, -1.0, "rhoe")])
+def test_check_state_names_the_first_bad_node(var, value, kind):
+    # the state is (nvar, Np, K); the message indexes it as advance returns
+    # it, (K, Np, nvar), and names the first bad node in that order
+    u = _state_2d()
+    _check_state(u, 4, 2, 0.5)
+    for k, i in ((5, 0), (2, 3)):
+        u[var, i, k] = value
+        if kind == "rhoe":
+            # rho e = value exactly: E = value + |m|^2 / (2 rho)
+            u[var, i, k] = value + 0.5 * (u[1, i, k] ** 2 + u[2, i, k] ** 2
+                                          ) / u[0, i, k]
+    where = "step 4 stage 2 t=0.5 (element 2, node 3"
+    with np.errstate(divide="ignore"):       # rho = 0 at a moving node
+        if kind == "non-finite":
+            expected = f"non-finite state at {where})"
+        else:
+            node = u[:, 3, 2]
+            expected = (f"inadmissible state at {where}: rho={node[0]:.3e}, "
+                        f"rhoe={internal_energy(node):.3e})")
+        with pytest.raises(FloatingPointError) as err:
+            _check_state(u, 4, 2, 0.5)
+    assert str(err.value) == expected
+
+
+def test_check_state_reports_a_non_finite_state_before_an_inadmissible_one():
+    u = _state_2d()
+    u[0, 1, 0] = -1.0
+    u[3, 2, 4] = NAN
+    with pytest.raises(FloatingPointError, match="^non-finite state at step "
+                       r"1 stage 3 t=0 \(element 4, node 2\)$"):
+        _check_state(u, 1, 3, 0.0)
 
 
 def _mach20_setup():
