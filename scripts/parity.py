@@ -41,8 +41,12 @@ are printed.
 When a numeric CSV output (``diagnostics.csv``, ``limiter.csv``,
 ``final.csv``) differs, the largest relative difference of each of its
 columns is printed below the file list, max |x - x^REF| / max |x^REF| over
-the column's rows, so a change that only reorders floating-point sums can
-show that its outputs move at the ulp level.
+the column's rows, with the largest absolute difference max |x - x^REF|
+beside it, so a change that only reorders floating-point sums can show
+that its outputs move at the ulp level. A column whose values are
+themselves roundoff (a total that stays near zero, such as the
+transverse momentum of a symmetric flow) has a relative difference of
+order 1 under such a change; its absolute difference shows the scale.
 
 For each march configuration whose deviation is not 0, REF runs once more
 from the initial state nudged up by one ulp (``np.nextafter(u0, inf)``), and
@@ -275,17 +279,19 @@ def read_csv(path: Path):
 
 
 def column_differences(new: Path, old: Path) -> str:
-    """The largest relative difference per column of two CSV files, as
-    "name value" pairs, or why they cannot be compared."""
+    """The largest relative and absolute difference per column of two CSV
+    files, as "name relative (abs absolute)" entries, or why they cannot be
+    compared."""
     (cols, a), (cols_ref, b) = read_csv(new), read_csv(old)
     if cols != cols_ref or a.shape != b.shape:
         return (f"columns or row counts differ ({len(cols)} x {len(a)} "
                 f"against {len(cols_ref)} x {len(b)})")
     if not len(a):
         return "no rows"
-    scale = np.maximum(np.abs(b).max(axis=0), 1e-300)
-    rel = np.abs(a - b).max(axis=0) / scale
-    return ", ".join(f"{c} {r:.3g}" for c, r in zip(cols, rel))
+    diff = np.abs(a - b).max(axis=0)
+    rel = diff / np.maximum(np.abs(b).max(axis=0), 1e-300)
+    return ", ".join(f"{c} {r:.3g} (abs {d:.3g})"
+                     for c, r, d in zip(cols, rel, diff))
 
 
 def deviation(u, ref) -> float:

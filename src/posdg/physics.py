@@ -23,20 +23,23 @@ Sums over the components of momentum, velocity or a direction are written
 out term by term (``_dot``), never reduced over the short variable axis:
 these kernels run at every node and pair of every stage, and a reduction
 over an axis of length 1 or 2 costs several times the arithmetic it does.
-The flux kernels are directional: :func:`normal_flux` and
-:func:`ec_fluxes_prims` evaluate the one flux sum_k n_k f_k along the
-direction of a slot or pair. The two-point flux reads its states through
-the node table of :func:`ec_prims`, one (dim + 3, ...) array with the rows
+The flux kernels are directional: :func:`normal_flux` evaluates the
+inviscid flux sum_k n_k f_k along the direction of a pair or slot end (the
+low-order scheme's one flux table per stage), :func:`ec_fluxes_prims` the
+two-point flux along the direction of a pair, and
+:func:`davis_wavespeed` and :func:`zhang_beta` the wavespeeds along an
+end's direction. The two-point flux reads its states through the node
+table of :func:`ec_prims`, one (dim + 3, ...) array with the rows
 
     [rho, beta, v_1 .. v_dim, |v|^2],   beta = rho / (2 p),
 
 so a pair end is one gather of it, and the two arguments of the
 logarithmic means, rho and beta, are its first two rows: one
 :func:`log_mean` over that (2, ...) block forms both. The workspace
-kernels (``log_mean``, ``ec_fluxes_prims``, ``davis_wavespeed``,
-``zhang_beta``) take an optional :class:`~posdg.workspace.Workspace` and
-then write every intermediate into its buffers; without one they return
-fresh arrays.
+kernels (``log_mean``, ``normal_flux``, ``ec_fluxes_prims``,
+``davis_wavespeed``, ``zhang_beta``) take an optional
+:class:`~posdg.workspace.Workspace` and then write every intermediate into
+its buffers; without one they return fresh arrays.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ __all__ = [
     "entropy_to_conserved",
     "log_mean",
     "normal_flux",
-    "euler_flux",
     "ec_prims",
     "ec_fluxes_prims",
     "ec_fluxes",
@@ -126,8 +128,10 @@ def internal_energy_cf(u, out=None, tmp=None):
     return np.subtract(E, kin, out=out)
 
 
-def pressure_cf(u, gas: GasParams):
-    return (gas.gamma - 1.0) * internal_energy_cf(u)
+def pressure_cf(u, gas: GasParams, out=None, tmp=None):
+    """p = (gamma - 1) rho e; into ``out`` when given, as ``_dot``."""
+    return np.multiply(gas.gamma - 1.0, internal_energy_cf(u, out, tmp),
+                       out=out)
 
 
 def is_admissible_cf(u, eps: float = 0.0):
@@ -247,37 +251,34 @@ def log_mean(a, b, ws=None):
     return out
 
 
-def normal_flux(u, n, gas: GasParams):
+def normal_flux(u, n, gas: GasParams, p=None, out=None, ws=None):
     """The inviscid flux along ``n``, sum_k n_k f_k(u), one (nvar, ...)
-    array; ``n`` is (dim, ...) and need not be a unit vector."""
-    rho, mom, E = _split(u)
-    p = pressure_cf(u, gas)
-    mn = _dot(mom, n)
-    un = mn / rho
-    f = np.empty((len(u),) + un.shape)
-    f[0] = mn
-    for j in range(len(mom)):
-        f[1 + j] = mom[j] * un + p * n[j]
-    f[-1] = (E + p) * un
-    return f
+    array; ``n`` is (dim, ...) and need not be a unit vector.
 
-
-def euler_flux(u, gas: GasParams, out=None):
-    """Physical inviscid fluxes f_k, one (nvar, ...) array per direction
-    (written into the arrays ``out`` when given), for the kernels that need
-    every direction at a node; equal bit for bit to :func:`normal_flux`
-    along each unit vector, at half its cost."""
+    ``p`` is the pressure of ``u`` (:func:`pressure_cf`), formed here when
+    not given. The flux is written into ``out`` when given, else into a
+    fresh array; the temporaries come from a frame of the workspace ``ws``
+    (a fresh one by default). n enters only through the sum m . n and the
+    products p n_j, so the flux is odd in n bit for bit:
+    normal_flux(u, -n) = -normal_flux(u, n).
+    """
+    ws = Workspace() if ws is None else ws
+    n = np.asarray(n)
     rho, mom, E = _split(u)
-    p = pressure_cf(u, gas)
-    out = [np.empty_like(u) for _ in mom] if out is None else out
-    for k, f in enumerate(out):
-        uk = mom[k] / rho
-        f[0] = mom[k]
+    shape = np.broadcast_shapes(rho.shape, n.shape[1:])
+    f = np.empty((len(u),) + shape) if out is None else out
+    with ws.frame():
+        t = ws.take(shape)
+        if p is None:
+            p = pressure_cf(u, gas, ws.take(rho.shape), ws.take(rho.shape))
+        mn = _dot(mom, n, f[0, ...], t)
+        un = np.divide(mn, rho, out=ws.take(shape))
         for j in range(len(mom)):
-            np.multiply(mom[j], uk, out=f[1 + j, ...])
-        f[1 + k] += p
-        np.multiply(E + p, uk, out=f[-1, ...])
-    return tuple(out)
+            fj = np.multiply(mom[j], un, out=f[1 + j, ...])
+            fj += np.multiply(p, n[j], out=t)
+        fE = np.add(E, p, out=f[-1, ...])
+        fE *= un
+    return f
 
 
 def ec_prims(u, gas: GasParams):
@@ -363,23 +364,25 @@ def ec_fluxes(uL, uR, n, gas: GasParams):
     return ec_fluxes_prims(ec_prims(uL, gas), ec_prims(uR, gas), n, gas)
 
 
-def sound_speed(u, gas: GasParams, out=None, tmp=None):
+def sound_speed(u, gas: GasParams, out=None, tmp=None, p=None):
     """c = sqrt(gamma p / rho), with p = (gamma - 1) rho e; into ``out``
-    when given, as ``_dot``."""
-    c = internal_energy_cf(u, out, tmp)
-    np.multiply(gas.gamma - 1.0, c, out=c)
-    np.multiply(gas.gamma, c, out=c)
+    when given, as ``_dot``. ``p`` is the pressure of ``u``
+    (:func:`pressure_cf`), formed here when not given."""
+    if p is None:
+        p = pressure_cf(u, gas, out, tmp)
+    c = np.multiply(gas.gamma, p, out=out)
     np.divide(c, u[0], out=c)
     return np.sqrt(c, out=c)
 
 
-def davis_wavespeed(u, n, gas: GasParams, ws=None, c=None):
+def davis_wavespeed(u, n, gas: GasParams, ws=None, c=None, mn=None):
     """The one-sided speed |u . n| + c for a unit normal ``n``.
 
-    ``c`` is the sound speed of ``u`` (:func:`sound_speed`), formed here
-    when not given. The result is taken from the caller's frame of the
-    workspace ``ws`` (a fresh one by default), the temporaries from a frame
-    of their own.
+    ``c`` is the sound speed of ``u`` (:func:`sound_speed`) and ``mn`` its
+    normal momentum m . n, the mass row of :func:`normal_flux` along n;
+    each is formed here when not given. The result is taken from the
+    caller's frame of the workspace ``ws`` (a fresh one by default), the
+    temporaries from a frame of their own.
     """
     ws = Workspace() if ws is None else ws
     n = np.asarray(n)
@@ -388,8 +391,9 @@ def davis_wavespeed(u, n, gas: GasParams, ws=None, c=None):
     with ws.frame():
         if c is None:
             c = sound_speed(u, gas, ws.take(rho.shape), ws.take(rho.shape))
-        _dot(mom, n, out, ws.take(out.shape))
-        np.divide(out, rho, out=out)
+        if mn is None:
+            mn = _dot(mom, n, out, ws.take(out.shape))
+        np.divide(mn, rho, out=out)
         np.abs(out, out=out)
         out += c
     return out

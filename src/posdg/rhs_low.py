@@ -19,38 +19,55 @@ node states (nvar, Np, K), face states (nvar, Nfp * K) in the mesh's
 slot-major order, whose lift E^T is one matrix product too. The face
 states are gathered, and the boundary conditions evaluated, once per stage
 by :meth:`LowOrderRHS.face_states`; the LDG gradient, both interface
-fluxes and the wavespeeds all read that one set. The residual returned is
+fluxes and the end tables all read that one set. The residual returned is
 R = M du/dt, and the forward Euler update u + dt R / m is a convex
 combination of the current state and bar states whenever
 dt <= min_i m_i / (2 lambda_i), which is the basis of the positivity
 guarantee. The weights lambda_ij and lambda_s and their nodal sums
 lambda_i come from the wavespeeds alone (:meth:`LowOrderRHS.rates`),
-before any flux is formed. The pair fluxes and wavespeeds are written into
-the kept arrays of a :class:`~posdg.workspace.Workspace`, and the gathers
-and scatters are taken from it.
+before any flux is formed. The wavespeeds, normal fluxes and pair fluxes
+are written into the kept arrays of a :class:`~posdg.workspace.Workspace`,
+and the gathers and scatters are taken from it.
 
-Wavespeeds per end. The rate of a pair or face slot with unit direction n
-splits into one term per end,
+Wavespeeds and normal fluxes per end. The rate of a pair or face slot with
+unit direction n splits into one term per end,
 
     max(beta_i, beta_j, lambda_Davis) = max(w_i, w_j),
     w(u, sigma, n) = max(beta(u, sigma, n), |u.n| + c),
 
 and w is even in n bit for bit: n enters beta and the Davis term only
 through products n_k x, whose sums change sign exactly when n does, and
-these reach w only through |.| or a square. An end is therefore a node
-with a direction up to sign. :meth:`LowOrderRHS.wavespeeds` evaluates w
-once per stage on the distinct ends of the elements: both ends of every
-low-order pair, and the volume node of every face slot with the slot's
-normal. An end is distinct if it is distinct in some geometry class, and
-the table holds every end of every element, (end, element) in that
-order, so the pair weights are row takes. The normals of partner slots
-are exact negations, so the exterior end of an interior slot is its
-partner's own end, and only the boundary ghost states get ends of their
-own. Pairs and slots then take the max of two gathered w. On quad N=3,
-the 48 ends of the 24 low-order pairs are 32 distinct ends, and these
-cover all 16 face slots too. The sound speed c of the Davis term depends
-on the state only, so it is formed once per node and once per boundary
-ghost state and gathered with the ends; only |u.n| is formed per end.
+these reach w only through |.| or a square. The normal flux F(u, n) =
+sum_k n_k f_k(u) is odd in n bit for bit by the same argument: n enters it
+only through m . n and p n_k, and F(u, -n) = -F(u, n). An end is therefore
+a node with a direction up to sign, the one whose first nonzero component
+is positive. :meth:`LowOrderRHS.wavespeeds` evaluates w and F once per
+stage on the distinct ends of the elements: both ends of every low-order
+pair, and the volume node of every face slot with the slot's normal. An
+end is distinct if it is distinct in some geometry class, and the tables
+hold every end of every element, (end, element) in that order, so the
+pair weights and fluxes are row takes. The normals of partner slots are
+exact negations, so the exterior end of an interior slot is its partner's
+own end, and only the boundary ghost states get ends of their own. Pairs
+and slots then take the max of two gathered w. On quad N=3, the 48 ends of
+the 24 low-order pairs are 32 distinct ends, and these cover all 16 face
+slots too. The pressure p and the sound speed c depend on the state only,
+so they are formed once per node and once per boundary ghost state and
+gathered with the ends; only m . n and what follows from it are formed
+per end, and the Davis term reads m . n from the mass row of F.
+
+The two ends of a pair share its direction e, and n_ij = s |n_ij| e with
+one sign s = +-1 per pair and geometry class, so the central part of the
+pair flux is -s |n_ij| (F_i + F_j), with F - sigma . e at each end for a
+viscous gas. A face slot reads F at its two ends times their signs: s_M =
++-1 makes the trace's F the flux along the slot's normal n, and the
+exterior end, the partner's, whose normal is -n, takes the partner's sign
+negated (+1 at a ghost, whose direction is n). As the signs are exact,
+the interface flux equals the one of normal fluxes formed per slot bit for
+bit; the pair fluxes do where e is an axis (lines and quads), and to
+roundoff elsewhere. The Euler flux is thus evaluated once per end and
+stage, where the pair form takes both directions at every node and the
+slot form both sides of every slot.
 
 For an inviscid gas w is the Davis term alone, and beta is not evaluated.
 With sigma = 0, |n| = 1, p = (gamma - 1) rho e and c^2 = gamma p / rho,
@@ -76,8 +93,8 @@ from .mesh import Mesh
 from .physics import (
     GasParams,
     davis_wavespeed,
-    euler_flux,
     normal_flux,
+    pressure_cf,
     sound_speed,
     zhang_beta,
 )
@@ -86,18 +103,20 @@ from .workspace import Workspace
 __all__ = ["LowOrderRHS", "interface_flux_low"]
 
 
-def interface_flux_low(uM, uP, sigM, sigP, normals, wsJ, lam_slot,
-                       gas: GasParams):
+def interface_flux_low(FM, FP, uM, uP, sigM, sigP, normals, wsJ, lam_slot):
     """Low-order interface contribution per face slot.
 
-    Returns the residual contribution to the owning volume node, from the
-    normal fluxes of both traces. ``lam_slot`` is the slot's wavespeed
-    weight lambda_s (:meth:`LowOrderRHS.rates`). The limited modes give
-    the high-order update this interface flux too, so it cancels from
+    Returns the residual contribution to the owning volume node. ``FM`` and
+    ``FP`` are the inviscid normal fluxes f(u) . n of the trace and of the
+    exterior state along the slot's normal n, (nvar, Nfp * K), as
+    :meth:`LowOrderRHS.__call__` reads them from the end table; the result
+    is written into ``FM``. ``lam_slot`` is the slot's wavespeed weight
+    lambda_s (:meth:`LowOrderRHS.rates`). The limited modes give the
+    high-order update this interface flux too, so it cancels from
     r^H - r^L.
     """
-    F = normal_flux(uM, normals, gas)
-    F += normal_flux(uP, normals, gas)
+    F = FM
+    F += FP
     if sigM is not None:
         for d, (sm, sp) in enumerate(zip(sigM, sigP)):
             F -= normals[d] * (sm + sp)
@@ -109,15 +128,18 @@ def interface_flux_low(uM, uP, sigM, sigP, normals, wsJ, lam_slot,
 def _distinct_ends(nodes, dirs):
     """The distinct (node, +-direction) ends among ``nodes`` and ``dirs``.
 
-    Returns (node, direction) per distinct end and the end of each input.
+    Returns (node, direction) per distinct end, the end of each input and
+    the sign s of each input: its direction is s times its end's.
     Directions equal up to sign, bit for bit, make one end; its direction
     is the one whose first nonzero component is positive.
     """
     first = dirs[np.arange(len(dirs)), np.argmax(dirs != 0.0, axis=1)]
-    canon = np.where(first[:, None] < 0.0, -dirs, dirs) + 0.0   # no -0.0
+    sign = np.where(first < 0.0, -1.0, 1.0)
+    canon = sign[:, None] * dirs + 0.0   # no -0.0
     table, end = np.unique(np.column_stack([nodes, canon]), axis=0,
                            return_inverse=True)
-    return table[:, 0].astype(np.int64), table[:, 1:], end.reshape(-1)
+    return (table[:, 0].astype(np.int64), table[:, 1:], end.reshape(-1),
+            sign)
 
 
 class LowOrderRHS:
@@ -138,28 +160,38 @@ class LowOrderRHS:
         low = mesh.pair_low
         self._pi, self._pj = mesh.pair_i[low], mesh.pair_j[low]
         npl = len(self._pi)
-        self._n = np.ascontiguousarray(mesh.pair_n[:, low])   # (dim, npl, K)
         self._S = mesh.scatter[:, low]                         # (Np, npl)
         self._absS = np.abs(self._S)     # for the nodal wavespeed sums
 
         # the distinct ends of each class; a mesh end is one end of every
         # class, so its direction is taken per element from its class
         nodes = np.concatenate([self._pi, self._pj, mesh.ops.face_vol])
-        dirs, ends, nn = [], [], []
+        dirs, ends, nn, signs = [], [], [], []
         for gc in mesh.classes:
             nij = gc.pair_n[low]
             nn.append(np.linalg.norm(nij, axis=1))
             unit = nij / nn[-1][:, None]
-            _, d, e = _distinct_ends(nodes,
-                                     np.concatenate([unit, unit, gc.normals]))
+            _, d, e, sg = _distinct_ends(
+                nodes, np.concatenate([unit, unit, gc.normals]))
             dirs.append(d)
             ends.append(e)
+            signs.append(sg)
         _, first, end = np.unique(np.stack(ends), axis=1, return_index=True,
                                   return_inverse=True)
         end = end.reshape(-1)
         self._ne = ne = len(first)
         self._nn = np.stack(nn, axis=-1)[:, mesh.class_id]
         self._ei, self._ej = end[:npl], end[npl:2 * npl]
+        # the signs per input and element; both ends of a pair share its
+        # direction, so a pair has one sign s, and n_ij = s |n_ij| times
+        # the direction of its ends
+        sign = np.stack(signs, axis=-1)[:, mesh.class_id]
+        self._pair_w = -(sign[:npl] * self._nn)
+        # s F[end] is the flux along the slot's normal n; an interior
+        # slot's exterior end is its partner's, whose normal is -n
+        self._slot_sign = sign[2 * npl:].reshape(-1)
+        self._ext_sign = np.where(bdry, 1.0,
+                                  -self._slot_sign[mesh.slot_exterior])
         # the flat end table: (end, element) blocks, then the boundary
         # ghost states; its sources are flat (node, element) indices
         self._n_ends = top = ne * K
@@ -226,20 +258,26 @@ class LowOrderRHS:
     # -- wavespeeds ----------------------------------------------------------
 
     def wavespeeds(self, u, faces, sigmas=None, ws=None):
-        """The per-end wavespeeds w of one stage, flat (see module doc).
+        """The per-end wavespeeds and normal fluxes of one stage, flat (see
+        module doc): (w, F, Fpair).
 
         One entry per distinct end and element, (end, element) in that
         order, then one per boundary ghost state: w = |u.n| + c for an
-        inviscid gas (``sigmas`` None), else max(beta, |u.n| + c).
-        ``faces`` as for :meth:`__call__`; the end states are gathered into
-        a frame of ``ws`` (a fresh workspace by default), and w is its kept
-        array, valid until the next call with the same workspace.
-        :meth:`rates` reads it.
+        inviscid gas (``sigmas`` None), else max(beta, |u.n| + c), and F
+        (nvar, n_ends) the inviscid normal flux f(u) . n along the end's
+        direction n. Fpair, (nvar, ne, K), are the node ends' fluxes that
+        the pair fluxes read: F's own for an inviscid gas, else
+        F - sigma . n. ``faces`` as for :meth:`__call__`; the end states are
+        gathered into a frame of ``ws`` (a fresh workspace by default), and
+        w, F and Fpair are its kept arrays, valid until the next call with
+        the same workspace. :meth:`rates` reads w, :meth:`pair_fluxes`
+        Fpair and :meth:`__call__` F.
         """
         ws = Workspace() if ws is None else ws
+        gas = self.gas
         _, uP, _, sigP, _ = faces
-        top, ghosts = self._n_ends, self._bdry_slots
-        shape = (len(u), self._end_dir.shape[1])
+        top, ghosts, dirs = self._n_ends, self._bdry_slots, self._end_dir
+        shape = (len(u), dirs.shape[1])
 
         def gather(vol, face):
             out = ws.take(shape)
@@ -250,22 +288,33 @@ class LowOrderRHS:
             return out
 
         w = ws.keep("w", shape[1:])
+        F = ws.keep("Fn", shape)
         with ws.frame():
             ue = gather(u, uP)
-            # c once per node and ghost state, gathered with the ends
-            ce = ws.take(shape[1:])
+            # p and c once per node and ghost state, gathered with the ends
+            pe, ce = ws.take(shape[1:]), ws.take(shape[1:])
             with ws.frame():
-                cn = sound_speed(u, self.gas, ws.take(u.shape[1:]),
+                pn = pressure_cf(u, gas, ws.take(u.shape[1:]),
                                  ws.take(u.shape[1:]))
+                cn = sound_speed(u, gas, ws.take(u.shape[1:]), p=pn)
+                pn.reshape(-1).take(self._end_src, out=pe[:top], mode="clip")
                 cn.reshape(-1).take(self._end_src, out=ce[:top], mode="clip")
-                sound_speed(ue[:, top:], self.gas, ce[top:],
-                            ws.take(ce[top:].shape))
-            w[:] = davis_wavespeed(ue, self._end_dir, self.gas, ws, ce)
+                pressure_cf(ue[:, top:], gas, pe[top:], ce[top:])
+                sound_speed(ue[:, top:], gas, ce[top:], p=pe[top:])
+            normal_flux(ue, dirs, gas, p=pe, out=F, ws=ws)
+            w[:] = davis_wavespeed(ue, dirs, gas, ws, c=ce, mn=F[0])
+            Fpair = F[:, :top]
             if sigmas is not None:
                 se = tuple(gather(s, sp) for s, sp in zip(sigmas, sigP))
-                np.maximum(zhang_beta(ue, se, self._end_dir, self.gas, ws=ws),
-                           w, out=w)
-        return w
+                np.maximum(zhang_beta(ue, se, dirs, gas, ws=ws), w, out=w)
+                # F - sigma . n on the node ends
+                Fpair = np.multiply(dirs[0, :top], se[0][:, :top],
+                                    out=ws.keep("Fsigma", Fpair.shape))
+                for d in range(1, len(se)):
+                    Fpair += np.multiply(dirs[d, :top], se[d][:, :top],
+                                         out=ws.take(Fpair.shape))
+                np.subtract(F[:, :top], Fpair, out=Fpair)
+        return w, F, Fpair.reshape(len(u), self._ne, -1)
 
     def rates(self, w, ws=None):
         """The low-order rates of one stage, from its wavespeeds ``w``
@@ -292,55 +341,65 @@ class LowOrderRHS:
 
     # -- pairwise contributions ---------------------------------------------
 
-    def pair_fluxes(self, u, lam_p, sigmas=None, ws=None):
+    def pair_fluxes(self, u, lam_p, Fpair, ws=None):
         """Low-order pair fluxes P of the mesh, (nvar, npairs_low, K).
 
-        ``u`` are the node states and ``sigmas`` the viscous fluxes per
-        direction (None for an inviscid gas), (nvar, Np, K); ``lam_p`` the
-        pair weights of :meth:`rates`. P_ij goes +P to node i and -P to
-        node j. The pairs are the graph's ``pair_low`` subset. The gathers
-        come from a frame of the workspace ``ws`` (a fresh one by default),
-        and P is its kept array.
+        ``u`` are the node states (nvar, Np, K), ``lam_p`` the pair weights
+        of :meth:`rates` and ``Fpair`` the node ends' normal fluxes of
+        :meth:`wavespeeds`, viscous fluxes included. Both ends of a pair
+        share its direction, n_ij = s |n_ij| times it, so
+
+            P_ij = -s |n_ij| (Fpair[e_i] + Fpair[e_j])
+                   + lambda_ij (u_j - u_i),
+
+        which goes +P to node i and -P to node j. The pairs are the graph's
+        ``pair_low`` subset. The gathers come from a frame of the workspace
+        ``ws`` (a fresh one by default), and P is its kept array.
         """
         ws = Workspace() if ws is None else ws
         nvar, _, K = u.shape
         P = ws.keep("FL", (nvar, len(self._pi), K))
         with ws.frame():
-            f = euler_flux(u, self.gas,
-                           out=[ws.take(u.shape) for _ in self._n])
-            for fd, sd in zip(f, sigmas or ()):
-                fd -= sd
-            # -sum_d n_d (f_d,i + f_d,j) + lambda (u_j - u_i)
-            P.fill(0.0)
-            fij, fj = ws.take(P.shape), ws.take(P.shape)
-            for d, fd in enumerate(f):
-                fd.take(self._pi, axis=1, out=fij, mode="clip")
-                fij += fd.take(self._pj, axis=1, out=fj, mode="clip")
-                fij *= self._n[d]
-                P += fij
-            np.negative(P, out=P)
+            # row takes per component: Fpair may be a view of the flux
+            # table, contiguous per component only, which a take along its
+            # end axis would first copy
+            Fj = ws.take(P.shape)
+            for c in range(nvar):
+                Fpair[c].take(self._ei, axis=0, out=P[c], mode="clip")
+                Fpair[c].take(self._ej, axis=0, out=Fj[c], mode="clip")
+            P += Fj
+            P *= self._pair_w
             diff = np.subtract(ws.gather(u, self._pj),
-                               ws.gather(u, self._pi), out=fij)
+                               ws.gather(u, self._pi), out=ws.take(P.shape))
             diff *= lam_p
             P += diff
         return P
 
     # -- residual ----------------------------------------------------------
 
-    def __call__(self, u, faces, lam_s, P, ws=None):
+    def __call__(self, u, faces, lam_s, P, F, ws=None):
         """R = M du/dt, (nvar, Np, K).
 
         ``faces`` is (uf, uP, sigf, sigP, nrm), from :meth:`face_states` and
-        :meth:`face_sigmas`; ``lam_s`` the slot weights of :meth:`rates`
-        and ``P`` :meth:`pair_fluxes` of ``u``. R is a kept array of the
-        workspace ``ws`` (a fresh one by default), which also holds the
-        lift of the interface flux.
+        :meth:`face_sigmas`; ``lam_s`` the slot weights of :meth:`rates`,
+        ``P`` :meth:`pair_fluxes` of ``u`` and ``F`` the normal flux table
+        of :meth:`wavespeeds`. A slot's trace and exterior state are its two
+        ends, whose fluxes, times the slot's signs, are the fluxes along its
+        normal that :func:`interface_flux_low` reads. R is a kept array of
+        the workspace ``ws`` (a fresh one by default), which also holds the
+        interface flux and its lift.
         """
         ws = Workspace() if ws is None else ws
         mesh = self.mesh
-        Rs = interface_flux_low(*faces, mesh.slot_wsJ, lam_s, self.gas)
         R = np.matmul(self._S, P, out=ws.keep("R", u.shape))
         with ws.frame():
+            shape = (len(F), len(self._slot_end))
+            FM, FX = ws.take(shape), ws.take(shape)
+            for f, end, sign in ((FM, self._slot_end, self._slot_sign),
+                                 (FX, self._ext_end, self._ext_sign)):
+                F.take(end, axis=1, out=f, mode="clip")
+                f *= sign
+            Rs = interface_flux_low(FM, FX, *faces, mesh.slot_wsJ, lam_s)
             R += np.matmul(mesh.ops.E.T,
                            Rs.reshape(len(Rs), mesh.n_face_nodes, -1),
                            out=ws.take(R.shape))

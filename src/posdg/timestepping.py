@@ -103,12 +103,15 @@ class Stepper:
 
         The face states ``faces`` = (uf, uP, sigf, sigP, nrm) are gathered
         and the boundary conditions evaluated once per stage: the LDG
-        gradient, the wavespeeds and the interface flux read them. ``prep``
-        holds the low-order residual ``R``, the nodal rates ``lam``
-        (:meth:`LowOrderRHS.rates`) and, in every mode but "low-only", the
-        pair differences ``dF`` = F^H - F^L (one (nvar, npairs, K) array
-        over the mesh's pair graph, its F^L shared with R). ``u`` and R
-        are (nvar, Np, K).
+        gradient, the end tables and the interface flux read them. One pass
+        over the ends (:meth:`LowOrderRHS.wavespeeds`) forms the wavespeeds
+        and the normal fluxes, the only Euler flux evaluation of the
+        low-order scheme: the pair fluxes and the interface flux read it,
+        passed on explicitly. ``prep`` holds the low-order residual ``R``,
+        the nodal rates ``lam`` (:meth:`LowOrderRHS.rates`) and, in every
+        mode but "low-only", the pair differences ``dF`` = F^H - F^L (one
+        (nvar, npairs, K) array over the mesh's pair graph, its F^L shared
+        with R). ``u`` and R are (nvar, Np, K).
 
         A ``prep`` is valid until the next ``prepare`` on the same Stepper:
         its arrays but ``lam`` live in the Stepper's workspace, and every
@@ -118,10 +121,10 @@ class Stepper:
         uf, uP, nrm = self.low.face_states(u, t, ws)
         sig = None if self.grad is None else self.grad(u, uP, ws)[2]
         faces = (uf, uP, *self.low.face_sigmas(sig, ws), nrm)
-        w = self.low.wavespeeds(u, faces, sig, ws)
+        w, F, Fpair = self.low.wavespeeds(u, faces, sig, ws)
         lam_p, lam_s, lam = self.low.rates(w, ws)
-        FL = self.low.pair_fluxes(u, lam_p, sig, ws)
-        R = self.low(u, faces, lam_s, FL, ws)
+        FL = self.low.pair_fluxes(u, lam_p, Fpair, ws)
+        R = self.low(u, faces, lam_s, FL, F, ws)
         dF = None if self.high is None else antidiffusive_fluxes(
             self.mesh, self.high.pair_fluxes(u, sig, ws), FL)
         return {"R": R, "lam": lam, "dF": dF}
@@ -227,11 +230,18 @@ class StageBoundError(FloatingPointError):
 
 
 def _check_dt(stepper, prep, dt, step, stage, t):
-    bounds = stepper._node_bounds(prep).T    # (K, Np), as the message reads
+    """Raise StageBoundError unless dt is within the positivity bound
+    m_i / (2 lambda_i) of every node of the prepared stage.
+
+    One min accepts it; the message, which names the node of the smallest
+    bound, is built only on failure, as :func:`_check_state` builds its.
+    """
+    bounds = stepper._node_bounds(prep)
+    if dt <= bounds.min():
+        return
+    bounds = bounds.T                        # (K, Np), as the message reads
     k, i = np.unravel_index(np.argmin(bounds), bounds.shape)
     bound = float(bounds[k, i])
-    if dt <= bound:
-        return
     raise StageBoundError(
         f"dt exceeds the admissibility bound at step {step} stage {stage} "
         f"t={t:.6g} (element {k}, node {i}: bound m/(2 lambda)={bound:.6e}, "

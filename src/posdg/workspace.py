@@ -20,7 +20,7 @@ phase and the limiter phase thus share the same bytes. A take that does
 not fit is served by a fresh array; when the outermost frame closes, the
 block is replaced by one of exactly the largest extent seen. After the
 first stage it therefore neither grows nor moves. Outputs that must
-outlive their frame (the pair fluxes, the wavespeeds) are
+outlive their frame (the pair fluxes, the per-end tables) are
 :meth:`Workspace.keep` arrays: one per key, allocated once.
 
 A kernel called without a workspace makes a fresh one, so it behaves as a

@@ -8,10 +8,27 @@ from posdg.limiter import Bounds, solve_l
 from posdg.physics import (
     conserved_to_primitive,
     davis_wavespeed,
-    euler_flux,
     internal_energy_cf,
+    pressure_cf,
     zhang_beta,
 )
+
+
+def euler_flux(u, gas, out=None):
+    """Physical inviscid fluxes f_k, one (nvar, ...) array per direction
+    (written into the arrays ``out`` when given), component first; equal
+    bit for bit to ``normal_flux`` along each unit vector."""
+    rho, mom, E = u[0], u[1:-1], u[-1]
+    p = pressure_cf(u, gas)
+    out = [np.empty_like(u) for _ in mom] if out is None else out
+    for k, f in enumerate(out):
+        uk = mom[k] / rho
+        f[0] = mom[k]
+        for j in range(len(mom)):
+            np.multiply(mom[j], uk, out=f[1 + j, ...])
+        f[1 + k] += p
+        np.multiply(E + p, uk, out=f[-1, ...])
+    return tuple(out)
 
 
 def bisect_l(uL, P, rho_min, rhoe_min, iters=60):
@@ -376,6 +393,18 @@ def ec_flux_k_ref(primsL, primsR, k, gas):
     mom[k] += p_a
     fE = np.sum(np.concatenate([(h_term * f0)[None], vel_a * mom]), axis=0)
     return np.concatenate([f0[None], mom, fE[None]])
+
+
+def normal_flux_ref(u, n, gas):
+    """The inviscid flux along ``n``, (nvar, ...): the mass flux m . n, the
+    momentum flux m (m . n) / rho + p n and the energy flux (E + p) (m . n)
+    / rho, with m . n an ``np.sum`` reduction."""
+    rho, mom, E = u[0], u[1:-1], u[-1]
+    n = _along(n, u)
+    p = (gas.gamma - 1.0) * internal_energy_ref(u)
+    mn = np.sum(mom * n, axis=0)
+    un = mn / rho
+    return np.concatenate([mn[None], mom * un + p * n, ((E + p) * un)[None]])
 
 
 def davis_wavespeed_ref(u, n, gas):

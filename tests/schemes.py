@@ -1,19 +1,21 @@
 """The residual operators of one state, called as ``Stepper.prepare`` calls
 them: one face pass (``LowOrderRHS.face_states`` and ``.face_sigmas``) feeds
-the LDG gradient, both residuals and the wavespeeds, and one wavespeed
-evaluation (``LowOrderRHS.wavespeeds``) feeds the rates
-(``LowOrderRHS.rates``), which feed the low-order pair fluxes, the
-low-order residual and the dt bound. The high-order residual is the
-low-order one plus the scatter of the pair differences F^H - F^L: the
-update of mode ``none``, and the end of every limiter's blend.
+the LDG gradient, both residuals and the end tables, and one pass over the
+ends (``LowOrderRHS.wavespeeds``) forms the wavespeeds and the normal
+fluxes. The wavespeeds feed the rates (``LowOrderRHS.rates``), which feed
+the low-order pair fluxes, the low-order residual and the dt bound; the
+normal fluxes feed the low-order pair fluxes and the interface flux. The
+high-order residual is the low-order one plus the scatter of the pair
+differences F^H - F^L: the update of mode ``none``, and the end of every
+limiter's blend.
 
 The solver holds node values component first, (nvar, Np, K), and face
 values as (nvar, Nfp * K); the tests build their states with the variable
 index last, (K, Np, nvar), as ``advance`` takes them. ``Scheme`` is that
 edge: its methods take variable-last node states and viscous fluxes, pass
 them to the solver through ``components``, and give node results (residuals,
-nodal rates, gradients) back variable-last. Face tuples, the wavespeed
-table, the slot weights and the pair arrays are returned in the solver's
+nodal rates, gradients) back variable-last. Face tuples, the end
+tables, the slot weights and the pair arrays are returned in the solver's
 layout."""
 
 import numpy as np
@@ -59,10 +61,16 @@ class Scheme:
         v, thetas, sigmas = self.ldg(uc, self.low.face_states(uc, t)[1])
         return v.T, variables_last(thetas), variables_last(sigmas)
 
-    def wavespeeds(self, u, t=0.0, sigmas=None):
-        """The per-end wavespeeds w that the low-order kernels read."""
+    def end_tables(self, u, t=0.0, sigmas=None):
+        """(w, F, Fpair) of ``LowOrderRHS.wavespeeds``: the per-end
+        wavespeeds, normal fluxes and pair-flux table that the low-order
+        kernels read."""
         return self.low.wavespeeds(components(u), self.faces(u, t, sigmas),
                                    components(sigmas))
+
+    def wavespeeds(self, u, t=0.0, sigmas=None):
+        """The per-end wavespeeds w."""
+        return self.end_tables(u, t, sigmas)[0]
 
     def rates(self, u, t=0.0, sigmas=None):
         """(lam_p, lam_s, lam) of ``LowOrderRHS.rates``."""
@@ -70,9 +78,9 @@ class Scheme:
 
     def low_pairs(self, u, t=0.0, sigmas=None):
         """(P, lambda): the low-order pair fluxes and weights."""
-        lam_p = self.rates(u, t, sigmas)[0]
-        return (self.low.pair_fluxes(components(u), lam_p,
-                                     components(sigmas)), lam_p)
+        w, _, Fpair = self.end_tables(u, t, sigmas)
+        lam_p = self.low.rates(w)[0]
+        return self.low.pair_fluxes(components(u), lam_p, Fpair), lam_p
 
     def high_pairs(self, u, sigmas=None):
         """F^H: the high-order pair fluxes."""
@@ -82,9 +90,10 @@ class Scheme:
         """(F^L, R^L, lam), as ``Stepper.prepare`` forms them."""
         uc, sc = components(u), components(sigmas)
         faces = self.faces(u, t, sigmas)
-        lam_p, lam_s, lam = self.low.rates(self.low.wavespeeds(uc, faces, sc))
-        FL = self.low.pair_fluxes(uc, lam_p, sc)
-        return FL, self.low(uc, faces, lam_s, FL), lam
+        w, F, Fpair = self.low.wavespeeds(uc, faces, sc)
+        lam_p, lam_s, lam = self.low.rates(w)
+        FL = self.low.pair_fluxes(uc, lam_p, Fpair)
+        return FL, self.low(uc, faces, lam_s, FL, F), lam
 
     def low_residual(self, u, t=0.0, sigmas=None):
         """(R, lam): the low-order residual and its nodal rates."""

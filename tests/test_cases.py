@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import euler_flux
 from posdg.cases import (
     CASES,
     CaseSpec,
@@ -29,7 +30,6 @@ from posdg.cases import (
 from posdg.physics import (
     conserved_to_primitive,
     entropy_vars,
-    euler_flux,
     is_admissible,
     pressure,
     viscous_sigma,

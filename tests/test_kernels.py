@@ -19,6 +19,7 @@ from oracles import (
     ec_flux_k_ref,
     ec_fluxes_prims_ref,
     ec_prims_ref,
+    euler_flux,
     internal_energy_ref,
     log_mean_ref,
     mirror_state_ref,
@@ -32,7 +33,6 @@ from posdg.physics import (
     davis_wavespeed,
     ec_fluxes_prims,
     ec_prims,
-    euler_flux,
     internal_energy,
     internal_energy_cf,
     log_mean,

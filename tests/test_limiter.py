@@ -21,7 +21,12 @@ from posdg.limiter import (
     zhang_shu_limit,
 )
 from posdg.mesh import interval_mesh, rect_mesh
-from posdg.physics import GasParams, internal_energy, primitive_to_conserved
+from posdg.physics import (
+    GasParams,
+    internal_energy,
+    normal_flux,
+    primitive_to_conserved,
+)
 from posdg.rhs_low import interface_flux_low
 from posdg.sbp import build_ops
 
@@ -334,11 +339,15 @@ def _smooth_2d(elem="quad", N=2, K=4, viscous=False):
 
 
 def _matched_residual(sch, u, sig=None):
-    """r^H with the low-order interface flux, assembled from its parts."""
+    """r^H with the low-order interface flux, assembled from its parts:
+    the normal fluxes evaluated on the face states, not read from the end
+    table."""
     mesh = sch.mesh
-    Rs = interface_flux_low(*sch.faces(u, 0.0, sig), mesh.slot_wsJ,
-                            sch.rates(u, 0.0, sig)[1],
-                            sch.low.gas)
+    faces = sch.faces(u, 0.0, sig)
+    uf, uP, nrm = faces[0], faces[1], faces[-1]
+    Rs = interface_flux_low(normal_flux(uf, nrm, sch.low.gas),
+                            normal_flux(uP, nrm, sch.low.gas), *faces,
+                            mesh.slot_wsJ, sch.rates(u, 0.0, sig)[1])
     R = mesh.ops.E.T @ Rs.reshape(len(Rs), mesh.n_face_nodes, -1)
     R += mesh.scatter @ sch.high_pairs(u, sig)
     return R.T

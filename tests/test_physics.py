@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import euler_flux
 from posdg.physics import (
     GasParams,
     conserved_to_primitive,
@@ -14,7 +15,6 @@ from posdg.physics import (
     entropy,
     entropy_to_conserved,
     entropy_vars,
-    euler_flux,
     internal_energy,
     is_admissible,
     log_mean,

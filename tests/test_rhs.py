@@ -7,7 +7,9 @@ from oracles import (
     bar_state_residual,
     ec_fluxes_prims_ref,
     ec_prims_ref,
+    euler_flux,
     lam_hat_ref,
+    normal_flux_ref,
 )
 from schemes import Scheme, components
 
@@ -20,12 +22,13 @@ from posdg.physics import (
     davis_wavespeed,
     entropy_to_conserved,
     entropy_vars,
-    euler_flux,
     internal_energy,
     is_admissible,
+    normal_flux,
     primitive_to_conserved,
 )
-from posdg.rhs_low import LowOrderRHS
+from posdg import rhs_low
+from posdg.rhs_low import LowOrderRHS, interface_flux_low
 from posdg.timestepping import Stepper
 
 GAS = GasParams(gamma=1.4)
@@ -404,11 +407,14 @@ def test_inviscid_wavespeeds_equal_davis_of_gathered_ends():
     low = LowOrderRHS(mesh, gas, bcs)
     uf, uP, nrm = low.face_states(u, t)
     assert low._bdry_slots.size
-    w = low.wavespeeds(u, (uf, uP, None, None, nrm))
+    w, F, Fpair = low.wavespeeds(u, (uf, uP, None, None, nrm))
     # the end states gathered in full: every node end, then every ghost
     ue = np.concatenate([u.reshape(len(u), -1)[:, low._end_src],
                          uP[:, low._bdry_slots]], axis=1)
     assert np.array_equal(w, davis_wavespeed(ue, low._end_dir, gas))
+    # and so does the normal flux table, whose pressure is gathered too
+    assert np.array_equal(F, normal_flux(ue, low._end_dir, gas))
+    assert np.array_equal(Fpair.reshape(len(u), -1), F[:, :low._n_ends])
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +423,11 @@ def test_inviscid_wavespeeds_equal_davis_of_gathered_ends():
 
 def _class_pair_arrays_ref(gc, elems, u, sig, gas):
     """F^H, F^L and lambda_ij of one geometry class from the oracles, with
-    the class's own weights. The arithmetic runs on the class's (nvar,
-    npairs, K_c) arrays; the results are returned in the per-class layout
-    (K_c, npairs, nvar)."""
+    the class's own weights. F^L is formed per end: the normal flux of each
+    end along the pair's direction e, viscous fluxes included, with n_ij =
+    s |n_ij| e. The arithmetic runs on the class's (nvar, npairs, K_c)
+    arrays; the results are returned in the per-class layout (K_c, npairs,
+    nvar)."""
     pi, pj, low = gc.pair_i, gc.pair_j, gc.pair_low
     uc = components(u)[:, :, elems]
     sc = None if sig is None else tuple(s[:, :, elems]
@@ -437,13 +445,23 @@ def _class_pair_arrays_ref(gc, elems, u, sig, gas):
     si = sj = None
     if sc is not None:
         si, sj = (tuple(s[:, idx] for s in sc) for idx in (li, lj))
-    lam = lam_hat_ref(uc[:, li], uc[:, lj], si, sj, nij / nn, gas) * nn
-    f = euler_flux(uc, gas)
-    if sc is not None:
-        f = tuple(fd - sd for fd, sd in zip(f, sc))
-    central = sum((f[d][:, li] + f[d][:, lj]) * nij[d]
-                  for d in range(len(f)))
-    FL = -central + (uc[:, lj] - uc[:, li]) * lam
+    unit = nij / nn
+    lam = lam_hat_ref(uc[:, li], uc[:, lj], si, sj, unit, gas) * nn
+    # both ends of a pair take its direction up to sign, the one whose
+    # first nonzero component is positive: unit = s e
+    s = np.sign(unit[-1])
+    for d in reversed(range(len(unit) - 1)):
+        s = np.where(unit[d] != 0.0, np.sign(unit[d]), s)
+    e = s * unit
+
+    def end_flux(idx, sig_end):
+        f = normal_flux_ref(uc[:, idx], e, gas)
+        if sig_end is not None:
+            f = f - sum(e[d] * sig_end[d] for d in range(len(e)))
+        return f
+
+    FL = (-(s * nn) * (end_flux(li, si) + end_flux(lj, sj))
+          + (uc[:, lj] - uc[:, li]) * lam)
     return FH.T, FL.T, lam.T
 
 
@@ -476,6 +494,83 @@ def test_pair_arrays_equal_per_class_oracles(elem, viscous):
         assert np.array_equal(FL[:, :, elems].T, FL_ref)
         assert np.array_equal(lam[:, elems].T, lam_ref)
         assert np.array_equal(dF[:, :, elems].T, dF_ref)
+
+
+def _euler_form_low(sch, u, sig):
+    """(F^L, R^L), component first, in the form the low-order scheme took
+    before its end table, with the scheme's own rates: the fluxes f_k -
+    sigma_k of every direction at every node, the pair fluxes -sum_k n_k
+    (f_k,i + f_k,j) + lambda_ij (u_j - u_i), and the interface flux of the
+    normal fluxes of both traces, evaluated on the face states."""
+    mesh, gas = sch.mesh, sch.low.gas
+    uc, sc = components(u), components(sig)
+    lam_p, lam_s, _ = sch.rates(u, 0.0, sig)
+    f = euler_flux(uc, gas)
+    if sc is not None:
+        f = tuple(fd - sd for fd, sd in zip(f, sc))
+    low = mesh.pair_low
+    pi, pj, n = mesh.pair_i[low], mesh.pair_j[low], mesh.pair_n[:, low]
+    FL = (-sum(n[d] * (f[d][:, pi] + f[d][:, pj]) for d in range(len(f)))
+          + lam_p * (uc[:, pj] - uc[:, pi]))
+    faces = sch.faces(u, 0.0, sig)
+    uf, uP, nrm = faces[0], faces[1], faces[-1]
+    Rs = interface_flux_low(normal_flux(uf, nrm, gas),
+                            normal_flux(uP, nrm, gas), *faces,
+                            mesh.slot_wsJ, lam_s)
+    R = mesh.scatter[:, low] @ FL + mesh.ops.E.T @ Rs.reshape(
+        len(Rs), mesh.n_face_nodes, -1)
+    return FL, R
+
+
+@pytest.mark.parametrize("elem,N", [("line", 3), ("quad", 2), ("quad", 3),
+                                    ("tri", 2), ("tri", 3)])
+@pytest.mark.parametrize("viscous", [False, True])
+def test_end_table_fluxes_match_the_euler_flux_form(elem, N, viscous):
+    # the pair fluxes and the low-order residual read the per-end normal
+    # flux table; on line and quad meshes every end direction is an axis,
+    # so they equal the per-direction form bit for bit, and on tri meshes
+    # to roundoff; walls, no-slip and Dirichlet ghosts included
+    gas = GasParams(gamma=1.4, mu=5.0) if viscous else GAS
+    sch, u = _walled_scheme(elem, N, gas)
+    sig = sch.gradient(u, 0.0)[2] if viscous else None
+    # component first, (nvar, ...)
+    results = zip((sch.low_pairs(u, 0.0, sig)[0],
+                   sch.low_residual(u, 0.0, sig)[0].T),
+                  _euler_form_low(sch, u, sig))
+    for a, ref in results:
+        if elem != "tri":
+            assert np.array_equal(a, ref)
+            continue
+        scale = np.abs(ref).reshape(len(ref), -1).max(axis=1)
+        err = np.abs(a - ref).reshape(len(ref), -1).max(axis=1)
+        assert np.all(err <= 1e-14 * scale), err / scale
+
+
+@pytest.mark.parametrize("elem", ["quad", "tri"])
+@pytest.mark.parametrize("viscous", [False, True])
+def test_partner_slot_interface_fluxes_are_negations(elem, viscous,
+                                                     monkeypatch):
+    # a slot and its partner read the same two ends of the flux table with
+    # opposite signs, and their normals, weights and rates are equal up to
+    # sign, so the interface flux of one is minus the other's, bit for bit
+    gas = GAS_V if viscous else GAS
+    mesh = periodic_mesh(elem, 3, K=3)
+    rng = np.random.default_rng(3)
+    u = smooth_state(mesh, gas) * rng.uniform(0.9, 1.1, mesh.xy.shape[:-1]
+                                              + (1,))
+    sch = Scheme(mesh, gas, BCSet({}))
+    sig = sch.gradient(u, 0.0)[2] if viscous else None
+    seen = []
+
+    def keep(*args):
+        seen.append(interface_flux_low(*args).copy())
+        return seen[-1]
+
+    monkeypatch.setattr(rhs_low, "interface_flux_low", keep)
+    sch.low_residual(u, 0.0, sig)
+    (Rs,) = seen
+    assert np.all(Rs != 0.0)
+    assert np.array_equal(Rs[:, mesh.slot_exterior], -Rs)
 
 
 def test_quad_pair_ends_cover_the_face_slots():
