@@ -15,15 +15,16 @@ and a segment whose two ends lie in it lies in it entirely
 
 Both limiters take one input, the antidiffusive pair fluxes
 dF_ij = F^H_ij - F^L_ij on the mesh's pair graph, one (nvar, npairs, K)
-array (:func:`antidiffusive_fluxes`); u^L and the updates are (nvar, Np,
-K), the bounds (Np, K). The two schemes share their interface flux, so
-r^H - r^L is the scatter of dF, and every column of the mesh's ``scatter``
-sums to zero: whatever the blend, the update conserves by construction.
-Two assembly modes are
-provided: elementwise blending with a single l per element (Zhang-Shu
-style) and pairwise convex (FCT style) limiting, which localizes l to node
-pairs.  A modal shock indicator can cap the blending parameter to force
-low-order behavior near discontinuities independent of positivity.
+array (:class:`posdg.rhs_high.HighOrderRHS`); u^L and the updates are
+(nvar, Np, K), the bounds (Np, K). The two schemes share their interface
+flux, so r^H - r^L is the scatter of dF, and every blend adds to u^L the
+:func:`increment` of dF or of its limited l dF. Every column of the mesh's
+``scatter`` sums to zero: whatever the blend, the update conserves by
+construction. Two assembly modes are provided: elementwise blending with a
+single l per element (Zhang-Shu style) and pairwise convex (FCT style)
+limiting, which localizes l to node pairs.  A modal shock indicator can
+cap the blending parameter to force low-order behavior near
+discontinuities independent of positivity.
 
 The pair-end gathers, the endpoints of the screen, the limited fluxes and
 their scatter are formed in a :class:`~posdg.workspace.Workspace` (the
@@ -44,9 +45,9 @@ from .workspace import Workspace
 __all__ = [
     "Bounds",
     "LimiterReport",
-    "antidiffusive_fluxes",
     "feasible_l",
     "generalized_bounds",
+    "increment",
     "minimal_bounds",
     "solve_l",
     "zhang_shu_limit",
@@ -182,12 +183,20 @@ class LimiterReport:
     shock_xi: np.ndarray | None      # per-element shock blend, if active
 
 
+def increment(mesh: Mesh, X, dt, out=None):
+    """(dt/m) scatter(X) of pair values X (nvar, npairs, K), into ``out``
+    (a new array by default): one matrix product over the mesh."""
+    P = np.matmul(mesh.scatter, X, out=out)
+    P *= dt / mesh.node_mass
+    return P
+
+
 def zhang_shu_limit(uLnew, dF, dt, mesh: Mesh, bounds: Bounds, cap=None,
                     ws=None):
     """Elementwise blend u = u^L + l^e P with P = (dt/m) sum_j dF_ij.
 
-    P is (dt/m)(r^H - r^L), formed as the scatter of the pair differences
-    dF (:func:`antidiffusive_fluxes`), one matrix product over the mesh.
+    P is (dt/m)(r^H - r^L), the :func:`increment` of the pair differences
+    dF (:class:`posdg.rhs_high.HighOrderRHS`).
     l^e is the minimum over the element's nodes of the per-node feasible
     fraction, optionally capped by a per-element array (shock indicator).
     The bounded set is convex, so a node whose full high-order update
@@ -197,28 +206,13 @@ def zhang_shu_limit(uLnew, dF, dt, mesh: Mesh, bounds: Bounds, cap=None,
     """
     ws = Workspace() if ws is None else ws
     with ws.frame():
-        P = np.matmul(mesh.scatter, dF, out=ws.take(uLnew.shape))
-        P *= dt / mesh.node_mass
+        P = increment(mesh, dF, dt, ws.take(uLnew.shape))
         l_elem = feasible_l(uLnew, P, bounds, ws).min(axis=0)
         if cap is not None:
             l_elem = np.minimum(l_elem, cap)
         unew = np.multiply(l_elem, P)
         unew += uLnew
         return unew, LimiterReport(l_elem, cap)
-
-
-def antidiffusive_fluxes(mesh: Mesh, high_pairs, FL):
-    """F^H_ij - F^L_ij on the pair graph, formed in ``high_pairs``.
-
-    ``high_pairs`` and ``FL`` are the results of ``HighOrderRHS.pair_fluxes``
-    and ``LowOrderRHS.pair_fluxes``; F^L is zero on the pairs outside the
-    low-order subset. The F^H array is overwritten (and returned) rather
-    than copied: with a workspace it is its kept array
-    (:meth:`posdg.rhs_high.HighOrderRHS.pair_fluxes`), so dF occupies the
-    same memory at every stage.
-    """
-    high_pairs[:, mesh.pair_low] -= FL
-    return high_pairs
 
 
 class ConvexLimiter:
@@ -232,7 +226,7 @@ class ConvexLimiter:
 
     both antisymmetric; the interface flux is the low-order one in both.
     The limiter evaluates no flux: it receives their differences on the
-    mesh's pair graph (:func:`antidiffusive_fluxes`).
+    mesh's pair graph (:class:`posdg.rhs_high.HighOrderRHS`).
     Each node's update is a convex combination of substates
     u^L_i + a_i l_ij (F^H_ij - F^L_ij), a_i = dt |I(i)| / m_i with |I(i)|
     the node's pair-plus-interface cardinality, so the symmetrized pairwise
@@ -319,12 +313,8 @@ class ConvexLimiter:
             if cap is not None:
                 np.minimum(l, cap, out=l)
             l_min = l.min(axis=0)
-            # the scatter of l_ij dF_ij, scaled by dt / m as
-            # zhang_shu_limit scales P: where every l = 1 the update is
-            # mode none's bit for bit
             ldF = np.multiply(l, dF, out=ws.take(dF.shape))
-            du = np.matmul(mesh.scatter, ldF, out=ws.take(uLnew.shape))
-            du *= dt / mesh.node_mass
+            du = increment(mesh, ldF, dt, ws.take(uLnew.shape))
             unew = uLnew + du
         return unew, LimiterReport(l_min, cap)
 

@@ -20,12 +20,13 @@ product. The surface terms are the low-order interface flux: central
 normal fluxes plus a Lax-Friedrichs-type jump at a rate of at least the
 local wavespeed, which is entropy stable. So the high-order update differs
 from the low-order one only by the scattered pair differences
-F^H_ij - F^L_ij, and no high-order residual is formed: the limiters blend
-those differences, and mode ``none`` adds them in full (see
-:mod:`posdg.limiter` and :class:`posdg.timestepping.Stepper`).
-The pair-end gathers and the flux temporaries are taken from a
-:class:`~posdg.workspace.Workspace`, and F^H is written into its kept
-array, so a Stepper's stages allocate no pair-sized memory.
+F^H_ij - F^L_ij, which :class:`HighOrderRHS` returns: no high-order
+residual is formed. The limiters blend those differences, and mode
+``none`` adds them in full (see :mod:`posdg.limiter` and
+:class:`posdg.timestepping.Stepper`). The pair-end gathers and the flux
+temporaries are taken from a :class:`~posdg.workspace.Workspace`, and F^H
+is written into its kept array, so a Stepper's stages allocate no
+pair-sized memory.
 
 Viscous terms follow the LDG construction: nodal gradients of the entropy
 variables with central interface averages, the symmetric viscous fluxes
@@ -143,3 +144,11 @@ class HighOrderRHS:
                     vis *= n
                     FH -= vis
         return FH
+
+    def __call__(self, u, sigmas, FL, ws=None):
+        """dF = F^H - F^L, formed in the array of :meth:`pair_fluxes`; ``FL``
+        are the low-order pair fluxes on the graph's ``pair_low`` subset
+        (:class:`posdg.rhs_low.LowOrderRHS`)."""
+        dF = self.pair_fluxes(u, sigmas, ws)
+        dF[:, self.mesh.pair_low] -= FL
+        return dF

@@ -18,16 +18,17 @@ normal flux sum_k n_k f_k of each slot. Every array is component first:
 node states (nvar, Np, K), face states (nvar, Nfp * K) in the mesh's
 slot-major order, whose lift E^T is one matrix product too. The face
 states are gathered, and the boundary conditions evaluated, once per stage
-by :meth:`LowOrderRHS.face_states`; the LDG gradient, both interface
-fluxes and the end tables all read that one set. The residual returned is
-R = M du/dt, and the forward Euler update u + dt R / m is a convex
-combination of the current state and bar states whenever
-dt <= min_i m_i / (2 lambda_i), which is the basis of the positivity
-guarantee. The weights lambda_ij and lambda_s and their nodal sums
-lambda_i come from the wavespeeds alone (:meth:`LowOrderRHS.rates`),
-before any flux is formed. The wavespeeds, normal fluxes and pair fluxes
-are written into the kept arrays of a :class:`~posdg.workspace.Workspace`,
-and the gathers and scatters are taken from it.
+by :meth:`LowOrderRHS.face_states`; the LDG gradient and the low-order
+stage, one call of :class:`LowOrderRHS`, read that one set. The stage's end
+tables, rates and fluxes stay inside it. Its residual is R = M du/dt, and
+the forward Euler update u + dt R / m is a convex combination of the
+current state and bar states whenever dt <= min_i m_i / (2 lambda_i),
+which is the basis of the positivity guarantee. The weights lambda_ij and
+lambda_s and their nodal sums lambda_i come from the wavespeeds alone
+(:meth:`LowOrderRHS.rates`), before any flux is formed. The wavespeeds,
+normal fluxes and pair fluxes are written into the kept arrays of a
+:class:`~posdg.workspace.Workspace`, and the gathers and scatters are taken
+from it.
 
 Wavespeeds and normal fluxes per end. The rate of a pair or face slot with
 unit direction n splits into one term per end,
@@ -218,23 +219,23 @@ class LowOrderRHS:
                          out=ws.keep((key, "P"), f.shape))
 
     def face_states(self, u, t, ws=None):
-        """Traces, exterior states and normals at all face slots.
+        """Traces and exterior states at all face slots: (uf, uP), along
+        the mesh's ``slot_normal``.
 
-        Returns (uf, uP, nrm), component first and slot-major: (nvar,
-        Nfp * K) and (dim, Nfp * K); uf and uP are kept arrays of the
-        workspace ``ws`` (a fresh one by default). This is the only place
-        the boundary conditions are evaluated: one call per stage serves
-        the LDG gradient, both interface fluxes and the wavespeeds.
+        Both are component first and slot-major, (nvar, Nfp * K), kept
+        arrays of the workspace ``ws`` (a fresh one by default). This is the
+        only place the boundary conditions are evaluated: one call per stage
+        serves the LDG gradient and the low-order stage (:meth:`__call__`).
         """
         ws = Workspace() if ws is None else ws
         uf, uP = self._traces(u, "u", ws)
-        nrm = self.mesh.slot_normal
         b = self._bdry_slots
         if b.size:
+            nrm = self.mesh.slot_normal
             uP[:, b] = self.bcs.exterior_state(
                 uf[:, b], self._bdry_xy, nrm[:, b], self._bdry_tags, t,
                 self.gas)
-        return uf, uP, nrm
+        return uf, uP
 
     def face_sigmas(self, sigmas, ws=None):
         """Traces and exterior values of the viscous fluxes: (sigf, sigP),
@@ -257,7 +258,7 @@ class LowOrderRHS:
 
     # -- wavespeeds ----------------------------------------------------------
 
-    def wavespeeds(self, u, faces, sigmas=None, ws=None):
+    def wavespeeds(self, u, uP, sigmas=None, sigP=None, ws=None):
         """The per-end wavespeeds and normal fluxes of one stage, flat (see
         module doc): (w, F, Fpair).
 
@@ -267,15 +268,15 @@ class LowOrderRHS:
         (nvar, n_ends) the inviscid normal flux f(u) . n along the end's
         direction n. Fpair, (nvar, ne, K), are the node ends' fluxes that
         the pair fluxes read: F's own for an inviscid gas, else
-        F - sigma . n. ``faces`` as for :meth:`__call__`; the end states are
-        gathered into a frame of ``ws`` (a fresh workspace by default), and
-        w, F and Fpair are its kept arrays, valid until the next call with
-        the same workspace. :meth:`rates` reads w, :meth:`pair_fluxes`
-        Fpair and :meth:`__call__` F.
+        F - sigma . n. The ghost ends read ``uP`` (:meth:`face_states`) and
+        ``sigP`` (:meth:`face_sigmas`); the end states are gathered into a
+        frame of ``ws`` (a fresh workspace by default), and w, F and Fpair
+        are its kept arrays, valid until the next call with the same
+        workspace. :meth:`rates` reads w, :meth:`pair_fluxes` Fpair and
+        :meth:`__call__` F.
         """
         ws = Workspace() if ws is None else ws
         gas = self.gas
-        _, uP, _, sigP, _ = faces
         top, ghosts, dirs = self._n_ends, self._bdry_slots, self._end_dir
         shape = (len(u), dirs.shape[1])
 
@@ -375,22 +376,26 @@ class LowOrderRHS:
             P += diff
         return P
 
-    # -- residual ----------------------------------------------------------
+    # -- the stage ---------------------------------------------------------
 
-    def __call__(self, u, faces, lam_s, P, F, ws=None):
-        """R = M du/dt, (nvar, Np, K).
+    def __call__(self, u, uf, uP, sigmas=None, ws=None):
+        """The low-order stage: (R, lam, P) of :meth:`rates` and
+        :meth:`pair_fluxes`, with R = M du/dt, (nvar, Np, K).
 
-        ``faces`` is (uf, uP, sigf, sigP, nrm), from :meth:`face_states` and
-        :meth:`face_sigmas`; ``lam_s`` the slot weights of :meth:`rates`,
-        ``P`` :meth:`pair_fluxes` of ``u`` and ``F`` the normal flux table
-        of :meth:`wavespeeds`. A slot's trace and exterior state are its two
-        ends, whose fluxes, times the slot's signs, are the fluxes along its
+        ``uf`` and ``uP`` are :meth:`face_states` of ``u``, and ``sigmas``
+        the viscous fluxes per direction (None for an inviscid gas). A
+        slot's trace and exterior state are its two ends, whose fluxes of
+        :meth:`wavespeeds`, times the slot's signs, are the fluxes along its
         normal that :func:`interface_flux_low` reads. R is a kept array of
         the workspace ``ws`` (a fresh one by default), which also holds the
-        interface flux and its lift.
+        end tables, the interface flux and its lift.
         """
         ws = Workspace() if ws is None else ws
         mesh = self.mesh
+        sigf, sigP = self.face_sigmas(sigmas, ws)
+        w, F, Fpair = self.wavespeeds(u, uP, sigmas, sigP, ws)
+        lam_p, lam_s, lam = self.rates(w, ws)
+        P = self.pair_fluxes(u, lam_p, Fpair, ws)
         R = np.matmul(self._S, P, out=ws.keep("R", u.shape))
         with ws.frame():
             shape = (len(F), len(self._slot_end))
@@ -399,8 +404,9 @@ class LowOrderRHS:
                                  (FX, self._ext_end, self._ext_sign)):
                 F.take(end, axis=1, out=f, mode="clip")
                 f *= sign
-            Rs = interface_flux_low(FM, FX, *faces, mesh.slot_wsJ, lam_s)
+            Rs = interface_flux_low(FM, FX, uf, uP, sigf, sigP,
+                                    mesh.slot_normal, mesh.slot_wsJ, lam_s)
             R += np.matmul(mesh.ops.E.T,
                            Rs.reshape(len(Rs), mesh.n_face_nodes, -1),
                            out=ws.take(R.shape))
-        return R
+        return R, lam, P

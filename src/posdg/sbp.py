@@ -344,12 +344,13 @@ def build_line_ops(N: int) -> RefOps:
 
 @lru_cache(maxsize=None)
 def build_quad_ops(N: int) -> RefOps:
-    """Tensor-product Lobatto element on [-1,1]^2, node (i,j) at flat j*(N+1)+i."""
-    x, w = lgl_rule(N + 1)
+    """Tensor product of two :func:`build_line_ops` elements on [-1,1]^2,
+    node (i,j) at flat j*(N+1)+i."""
+    line = build_line_ops(N)
+    x, w = line.nodes[:, 0], line.weights
     n = N + 1
     M1 = np.diag(w)
-    Q1 = M1 @ lagrange_diff_matrix(x)
-    QL1 = loworder_q1d(n)
+    (Q1,), (QL1,) = line.Q, line.QL
     Qr = np.kron(M1, Q1)
     Qs = np.kron(Q1, M1)
     QLr = np.kron(M1, QL1)
@@ -381,7 +382,7 @@ def build_quad_ops(N: int) -> RefOps:
             Bs[row] = w[m] * nhat[1]
     face_vol, fw, fn = _face_arrays_from_E(E, [Br, Bs])
 
-    V1, _ = line_vandermonde(N, x)
+    V1 = line.vander
     ii = np.tile(np.arange(n), n)
     jj = np.repeat(np.arange(n), n)
     V = np.zeros((n * n, n * n))

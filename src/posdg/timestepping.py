@@ -19,8 +19,8 @@ from .bc import BCSet
 from .limiter import (
     ConvexLimiter,
     LimiterReport,
-    antidiffusive_fluxes,
     generalized_bounds,
+    increment,
     minimal_bounds,
     shock_indicator,
     zhang_shu_limit,
@@ -101,32 +101,24 @@ class Stepper:
     def prepare(self, u, t):
         """Residual and rates of a stage state; dt-independent.
 
-        The face states ``faces`` = (uf, uP, sigf, sigP, nrm) are gathered
-        and the boundary conditions evaluated once per stage: the LDG
-        gradient, the end tables and the interface flux read them. One pass
-        over the ends (:meth:`LowOrderRHS.wavespeeds`) forms the wavespeeds
-        and the normal fluxes, the only Euler flux evaluation of the
-        low-order scheme: the pair fluxes and the interface flux read it,
-        passed on explicitly. ``prep`` holds the low-order residual ``R``,
-        the nodal rates ``lam`` (:meth:`LowOrderRHS.rates`) and, in every
-        mode but "low-only", the pair differences ``dF`` = F^H - F^L (one
-        (nvar, npairs, K) array over the mesh's pair graph, its F^L shared
-        with R). ``u`` and R are (nvar, Np, K).
+        One call per piece of the scheme: the face states, the only
+        evaluation of the boundary conditions (``LowOrderRHS.face_states``);
+        the viscous fluxes of the LDG gradient; the low-order stage, which
+        returns the residual ``R``, the nodal rates ``lam`` and F^L
+        (:class:`LowOrderRHS`); and, in every mode but "low-only", the pair
+        differences ``dF`` = F^H - F^L (:class:`HighOrderRHS`, one (nvar,
+        npairs, K) array over the mesh's pair graph). ``prep`` holds R, lam
+        and dF; ``u`` and R are (nvar, Np, K).
 
         A ``prep`` is valid until the next ``prepare`` on the same Stepper:
         its arrays but ``lam`` live in the Stepper's workspace, and every
         call overwrites them.
         """
         ws = self.ws
-        uf, uP, nrm = self.low.face_states(u, t, ws)
+        uf, uP = self.low.face_states(u, t, ws)
         sig = None if self.grad is None else self.grad(u, uP, ws)[2]
-        faces = (uf, uP, *self.low.face_sigmas(sig, ws), nrm)
-        w, F, Fpair = self.low.wavespeeds(u, faces, sig, ws)
-        lam_p, lam_s, lam = self.low.rates(w, ws)
-        FL = self.low.pair_fluxes(u, lam_p, Fpair, ws)
-        R = self.low(u, faces, lam_s, FL, F, ws)
-        dF = None if self.high is None else antidiffusive_fluxes(
-            self.mesh, self.high.pair_fluxes(u, sig, ws), FL)
+        R, lam, FL = self.low(u, uf, uP, sig, ws)
+        dF = None if self.high is None else self.high(u, sig, FL, ws)
         return {"R": R, "lam": lam, "dF": dF}
 
     def _node_bounds(self, prep):
@@ -148,11 +140,7 @@ class Stepper:
         if self.mode == "low-only":
             return uL, None
         if self.mode == "none":
-            # every l = 1, P formed as zhang_shu_limit forms it: where
-            # nothing limits, modes none and elementwise agree bit for bit
-            P = np.matmul(mesh.scatter, prep["dF"])
-            P *= dt / mesh.node_mass
-            uL += P
+            uL += increment(mesh, prep["dF"], dt)
             return uL, None
 
         bounds = (generalized_bounds(uL, self.zeta) if self.zeta > 0
@@ -298,13 +286,15 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
     than dt, the step restarts from the pre-step state with cfl times that
     bound, up to MAX_RETRIES times. A restart prepares the pre-step state
     again, because the later stages have overwritten the first stage's
-    ``prep`` (see :meth:`Stepper.prepare`).
+    ``prep`` (see :meth:`Stepper.prepare`). u0 is checked as the state of
+    step 0, stage 0, so a bad one fails with its node named, not as dt=nan.
     """
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
     mesh, gas = stepper.mesh, stepper.gas
     u = np.array(np.asarray(u0, dtype=float).T, order="C")
     t = float(t0)
+    _check_state(u, 0, 0, t)
     diags = []
     step = 0
 

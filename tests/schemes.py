@@ -1,13 +1,15 @@
 """The residual operators of one state, called as ``Stepper.prepare`` calls
-them: one face pass (``LowOrderRHS.face_states`` and ``.face_sigmas``) feeds
-the LDG gradient, both residuals and the end tables, and one pass over the
-ends (``LowOrderRHS.wavespeeds``) forms the wavespeeds and the normal
-fluxes. The wavespeeds feed the rates (``LowOrderRHS.rates``), which feed
-the low-order pair fluxes, the low-order residual and the dt bound; the
-normal fluxes feed the low-order pair fluxes and the interface flux. The
-high-order residual is the low-order one plus the scatter of the pair
-differences F^H - F^L: the update of mode ``none``, and the end of every
-limiter's blend.
+them: one face pass (``LowOrderRHS.face_states``) feeds the LDG gradient
+and the low-order stage, one call of ``LowOrderRHS`` runs that stage and
+returns the residual, the nodal rates and the low-order pair fluxes F^L,
+and one call of ``HighOrderRHS`` returns the pair differences
+dF = F^H - F^L. The high-order residual is the low-order one plus the
+scatter of dF: the update of mode ``none``, and the end of every limiter's
+blend. For the tests of the stage's pieces, ``Scheme`` also calls them one
+by one, in the order ``LowOrderRHS.__call__`` calls them: the viscous face
+fluxes (``.face_sigmas``), the pass over the ends that forms the
+wavespeeds and the normal fluxes (``.wavespeeds``), the rates they feed
+(``.rates``) and the low-order pair fluxes (``.pair_fluxes``).
 
 The solver holds node values component first, (nvar, Np, K), and face
 values as (nvar, Nfp * K); the tests build their states with the variable
@@ -20,7 +22,6 @@ layout."""
 
 import numpy as np
 
-from posdg.limiter import antidiffusive_fluxes
 from posdg.rhs_high import HighOrderRHS, LDGGradient
 from posdg.rhs_low import LowOrderRHS
 
@@ -51,9 +52,12 @@ class Scheme:
         self.ldg = LDGGradient(mesh, gas)
 
     def faces(self, u, t=0.0, sigmas=None):
-        """(uf, uP, sigf, sigP, nrm), as ``Stepper.prepare`` keeps them."""
-        uf, uP, nrm = self.low.face_states(components(u), t)
-        return (uf, uP, *self.low.face_sigmas(components(sigmas)), nrm)
+        """(uf, uP, sigf, sigP, nrm): the face states, the viscous face
+        fluxes and the slots' normals, as ``interface_flux_low`` takes
+        them."""
+        uf, uP = self.low.face_states(components(u), t)
+        return (uf, uP, *self.low.face_sigmas(components(sigmas)),
+                self.mesh.slot_normal)
 
     def gradient(self, u, t=0.0):
         """(v, thetas, sigmas) of the LDG gradient, variable-last."""
@@ -65,8 +69,9 @@ class Scheme:
         """(w, F, Fpair) of ``LowOrderRHS.wavespeeds``: the per-end
         wavespeeds, normal fluxes and pair-flux table that the low-order
         kernels read."""
-        return self.low.wavespeeds(components(u), self.faces(u, t, sigmas),
-                                   components(sigmas))
+        _, uP, _, sigP, _ = self.faces(u, t, sigmas)
+        return self.low.wavespeeds(components(u), uP, components(sigmas),
+                                   sigP)
 
     def wavespeeds(self, u, t=0.0, sigmas=None):
         """The per-end wavespeeds w."""
@@ -87,25 +92,26 @@ class Scheme:
         return self.high.pair_fluxes(components(u), components(sigmas))
 
     def _low(self, u, t, sigmas):
-        """(F^L, R^L, lam), as ``Stepper.prepare`` forms them."""
-        uc, sc = components(u), components(sigmas)
-        faces = self.faces(u, t, sigmas)
-        w, F, Fpair = self.low.wavespeeds(uc, faces, sc)
-        lam_p, lam_s, lam = self.low.rates(w)
-        FL = self.low.pair_fluxes(uc, lam_p, Fpair)
-        return FL, self.low(uc, faces, lam_s, FL, F), lam
+        """(R^L, lam, F^L) of ``LowOrderRHS.__call__``."""
+        uc = components(u)
+        uf, uP = self.low.face_states(uc, t)
+        return self.low(uc, uf, uP, components(sigmas))
 
     def low_residual(self, u, t=0.0, sigmas=None):
         """(R, lam): the low-order residual and its nodal rates."""
-        _, R, lam = self._low(u, t, sigmas)
+        R, lam, _ = self._low(u, t, sigmas)
         return R.T, lam.T
+
+    def pair_differences(self, u, t=0.0, sigmas=None):
+        """dF = F^H - F^L of ``HighOrderRHS.__call__``."""
+        FL = self._low(u, t, sigmas)[2]
+        return self.high(components(u), components(sigmas), FL)
 
     def high_residual(self, u, t=0.0, sigmas=None):
         """R^L + scatter(F^H - F^L)."""
-        FL, R, _ = self._low(u, t, sigmas)
-        FH = self.high.pair_fluxes(components(u), components(sigmas))
-        return (R + self.mesh.scatter @ antidiffusive_fluxes(self.mesh, FH,
-                                                             FL)).T
+        R, _, FL = self._low(u, t, sigmas)
+        dF = self.high(components(u), components(sigmas), FL)
+        return (R + self.mesh.scatter @ dF).T
 
     def max_dt(self, u, t=0.0, sigmas=None):
         """The positivity bound min_i m_i / (2 lambda_i)."""

@@ -12,7 +12,6 @@ from posdg.bc import BCSet
 from posdg.limiter import (
     Bounds,
     ConvexLimiter,
-    antidiffusive_fluxes,
     feasible_l,
     generalized_bounds,
     minimal_bounds,
@@ -241,11 +240,6 @@ def _leblanc_like_setup(K=16, N=2):
     return mesh, u
 
 
-def _pair_differences(sch, u, sig=None):
-    return antidiffusive_fluxes(sch.mesh, sch.high_pairs(u, sig),
-                                sch.low_pairs(u, 0.0, sig)[0])
-
-
 def _scatter(mesh, dF):
     """r^H - r^L, (K, Np, nvar): the pair differences scattered."""
     return (mesh.scatter @ dF).T
@@ -268,7 +262,7 @@ def test_zhang_shu_endpoints():
     mesh, u = _leblanc_like_setup()
     sch = Scheme(mesh, GAS, BCSet({}))
     RL, lam = sch.low_residual(u, 0.0)
-    dF = _pair_differences(sch, u)
+    dF = sch.pair_differences(u)
     dt = 0.5 * float((mesh.mass / (2 * lam)).min())
     uLnew = u + dt * RL / mesh.mass[..., None]
 
@@ -293,7 +287,7 @@ def test_zhang_shu_bounds_hold_under_stress():
         w = u.copy()
         for _ in range(5):
             RL, lam = sch.low_residual(w, 0.0)
-            dF = _pair_differences(sch, w)
+            dF = sch.pair_differences(w)
             dt = float((mesh.mass / (2 * lam)).min())
             uLnew = w + dt * RL / mesh.mass[..., None]
             bounds = _bounds(uLnew, zeta)
@@ -308,7 +302,7 @@ def test_zhang_shu_conserves():
     mesh, u = _leblanc_like_setup(K=32, N=3)
     sch = Scheme(mesh, GAS, BCSet({}))
     RL, lam = sch.low_residual(u, 0.0)
-    dF = _pair_differences(sch, u)
+    dF = sch.pair_differences(u)
     dt = float((mesh.mass / (2 * lam)).min())
     uLnew = u + dt * RL / mesh.mass[..., None]
     out, _ = _zhang_shu(uLnew, dF, dt, mesh,
@@ -366,7 +360,7 @@ def test_convex_limit_reduces_to_high_order_when_feasible(elem, viscous):
     uH = uLnew + dt * (RH - RL) / mesh.mass[..., None]
 
     cl = ConvexLimiter(mesh)
-    out, rep = _convex(cl, uLnew, _pair_differences(sch, u, sig), dt,
+    out, rep = _convex(cl, uLnew, sch.pair_differences(u, 0.0, sig), dt,
                   _bounds(uLnew))
     assert np.all(rep.l_elem == 1.0)
     err = np.abs(out - uH).max()
@@ -394,7 +388,7 @@ def test_convex_limit_conserves_and_bounds(elem):
         dt = float((mesh.mass / (2 * lam)).min())
         uLnew = w + dt * RL / mesh.mass[..., None]
         bounds = _bounds(uLnew, 0.1)
-        w, rep = _convex(cl, uLnew, _pair_differences(sch, w), dt, bounds)
+        w, rep = _convex(cl, uLnew, sch.pair_differences(w), dt, bounds)
         guard = 1e-14 * (np.abs(w).max() + 1.0)
         assert np.all(w[..., 0] >= bounds.rho_min - guard)
         assert np.all(internal_energy(w) >= bounds.rhoe_min - guard)
@@ -411,7 +405,7 @@ def test_convex_limit_zero_when_capped():
     dt = float((mesh.mass / (2 * lam)).min())
     uLnew = u + dt * RL / mesh.mass[..., None]
     cl = ConvexLimiter(mesh)
-    out, _ = _convex(cl, uLnew, _pair_differences(sch, u), dt,
+    out, _ = _convex(cl, uLnew, sch.pair_differences(u), dt,
                 _bounds(uLnew), cap=np.zeros(mesh.n_elements))
     assert np.array_equal(out, uLnew)
 
@@ -450,7 +444,7 @@ def test_limiters_match_unscreened_oracles(monkeypatch, mode, elem, kind):
         dt = cfl * float((mesh.mass / (2 * lam)).min())
         uLnew = w + dt * RL / mesh.mass[..., None]
         bounds = _bounds(uLnew, 0.1)
-        dF = _pair_differences(sch, w)
+        dF = sch.pair_differences(w)
         if mode == "convex":
             out, rep = _convex(cl, uLnew, dF, dt, bounds, cap=cap)
             ref, l_ref = convex_limit_ref(mesh, uLnew, dF, dt, bounds, cap=cap)
@@ -500,7 +494,7 @@ def test_convex_limit_matches_oracle_with_substates_at_the_bounds(
     RL, lam = sch.low_residual(w, 0.0)
     dt = float((mesh.mass / (2 * lam)).min())
     uLnew = w + dt * RL / mesh.mass[..., None]
-    dF = _pair_differences(sch, w)
+    dF = sch.pair_differences(w)
     own = np.stack([uLnew[..., 0], internal_energy(uLnew)])
     ends = _substates(mesh, uLnew, dF, dt)
     lo = np.full(own.shape, np.inf)

@@ -15,7 +15,6 @@ from schemes import Scheme, components
 
 from posdg.bc import BCSet, dirichlet, noslip, outflow, wall
 from posdg.cases import get_case
-from posdg.limiter import antidiffusive_fluxes
 from posdg.mesh import interval_mesh, rect_mesh
 from posdg.physics import (
     GasParams,
@@ -262,7 +261,7 @@ def test_matched_interface_equals_low_order_on_piecewise_constants(elem, N):
                   mesh.ops.n_nodes, axis=1)
     sch = Scheme(mesh, GAS, bcs)
     RL = sch.low_residual(u, 0.0)[0]
-    dF = antidiffusive_fluxes(mesh, sch.high_pairs(u), sch.low_pairs(u)[0])
+    dF = sch.pair_differences(u)
     r = mesh.scatter @ dF
     assert np.abs(r).max() < 1e-12 * max(1.0, np.abs(RL).max())
 
@@ -405,9 +404,9 @@ def test_inviscid_wavespeeds_equal_davis_of_gathered_ends():
     u = components(case.ic(mesh.xy))
     t = 0.02            # the top boundary's shock trace has moved
     low = LowOrderRHS(mesh, gas, bcs)
-    uf, uP, nrm = low.face_states(u, t)
+    uP = low.face_states(u, t)[1]
     assert low._bdry_slots.size
-    w, F, Fpair = low.wavespeeds(u, (uf, uP, None, None, nrm))
+    w, F, Fpair = low.wavespeeds(u, uP)
     # the end states gathered in full: every node end, then every ghost
     ue = np.concatenate([u.reshape(len(u), -1)[:, low._end_src],
                          uP[:, low._bdry_slots]], axis=1)
@@ -481,7 +480,7 @@ def test_pair_arrays_equal_per_class_oracles(elem, viscous):
     assert FH.shape == (nvar, len(mesh.pair_i), mesh.n_elements)
     assert FL.shape == (nvar, len(mesh.pair_low), mesh.n_elements)
     assert lam.shape == FL.shape[1:]
-    dF = antidiffusive_fluxes(mesh, FH.copy(), FL)
+    dF = sch.high(components(u), components(sig), FL)
     prep = Stepper(mesh, gas, BCSet({}), mode="convex").prepare(
         components(u), 0.0)
     assert np.array_equal(prep["dF"], dF)

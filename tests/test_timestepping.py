@@ -1,5 +1,7 @@
 """SSP-RK3 stepping: order, convexity, admissibility, full-run behavior."""
 
+import logging
+
 import numpy as np
 import pytest
 from schemes import Scheme, components
@@ -322,6 +324,26 @@ def test_check_state_reports_a_non_finite_state_before_an_inadmissible_one():
     with pytest.raises(FloatingPointError, match="^non-finite state at step "
                        r"1 stage 3 t=0 \(element 4, node 2\)$"):
         _check_state(u, 1, 3, 0.0)
+
+
+@pytest.mark.parametrize("value,kind", [(-1.0, "inadmissible"),
+                                        (NAN, "non-finite")])
+def test_advance_rejects_a_bad_initial_state_before_any_step(caplog, value,
+                                                             kind):
+    # a bad u0 fails as the state of step 0, stage 0, with its node named;
+    # left to the first prepare, its rates make dt NaN, and every restart
+    # of the step fails the stage bound again
+    cfg = cli.make_config(dict(case="vortex", elem="tri", N=3, K=2,
+                               mode="convex", t_final=0.05))
+    _, _, st, u0, cfl, t_final = cli.setup(cfg)
+    u0 = u0.copy()
+    u0[1, 4, 0] = value                   # rho of element 1, node 4
+    with caplog.at_level(logging.INFO, logger="posdg"):
+        with pytest.raises(FloatingPointError, match=(
+                f"^{kind} state at step 0 stage 0 t=0 "
+                r"\(element 1, node 4[:)]")):
+            advance(st, u0, 0.0, t_final, cfl)
+    assert "restarting" not in caplog.text
 
 
 def _mach20_setup():

@@ -47,10 +47,9 @@ print(json.dumps(sorted(k + "." + a for k in before
 """
 
 # rebound by perfbench/tracer.py, but no longer defined where it rebinds
-# them: HighOrderRHS has no __call__ of its own, and rhs_high no longer
-# looks up ec_fluxes, davis_wavespeed or interface_flux_low
+# them: rhs_high no longer looks up ec_fluxes, davis_wavespeed or
+# interface_flux_low
 STALE = {
-    "posdg.rhs_high.HighOrderRHS.__call__",
     "posdg.rhs_high.ec_fluxes",
     "posdg.rhs_high.davis_wavespeed",
     "posdg.rhs_high.interface_flux_low",
