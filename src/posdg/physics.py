@@ -6,10 +6,10 @@ contiguous block of the solver's node (nvar, Np, K), face (nvar, n_slots)
 and pair (nvar, npairs, K) arrays. Directions ``n`` and velocities are
 (dim, ...); every kernel broadcasts over the trailing axes. The states
 that enter and leave the solver keep the variable index last, (..., nvar):
-the names the edges call (:func:`internal_energy`, :func:`pressure`,
-:func:`entropy`, :func:`is_admissible` and the conversions) are one-line
-``moveaxis`` adapters over the component-first kernels of the same name
-with a ``_cf`` suffix.
+:func:`internal_energy`, :func:`pressure`, :func:`entropy`,
+:func:`is_admissible` and the conversions are ``moveaxis`` adapters over
+the component-first ``_cf`` kernels, for the edges alone: the ``cli``
+writers, ``cases``, the tests and perfbench. ``timestepping`` calls none.
 
 The entropy pair used throughout is eta(u) = -rho s with s = log(p / rho^gamma),
 whose gradient gives the entropy variables

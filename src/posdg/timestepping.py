@@ -3,9 +3,11 @@
 Each Runge-Kutta stage is one forward-Euler update of the blended scheme;
 the three-stage convex combination (Shu-Osher form) therefore inherits the
 admissibility guarantee of the stages whenever dt satisfies the positivity
-bound dt <= cfl * min_i m_i / (2 lambda_i) with cfl <= 1. The stages hold
-the state component first, (nvar, Np, K); :func:`advance` takes, returns
-and hands its callback states with the variable index last.
+bound dt <= cfl * min_i m_i / (2 lambda_i) with cfl <= 1. The march holds
+the state component first, (nvar, Np, K), from :func:`advance`'s copy of
+u0 to the (K, Np, nvar) views it returns and hands its callback; the stage
+checks and the per-step diagnostics read it as it stands, and no
+variable-last adapter of :mod:`posdg.physics` is called here.
 """
 
 from __future__ import annotations
@@ -26,13 +28,7 @@ from .limiter import (
     zhang_shu_limit,
 )
 from .mesh import Mesh
-from .physics import (
-    GasParams,
-    entropy,
-    internal_energy,
-    internal_energy_cf,
-    is_admissible,
-)
+from .physics import GasParams, entropy_cf, internal_energy_cf
 from .rhs_high import HighOrderRHS, LDGGradient
 from .rhs_low import LowOrderRHS
 from .workspace import Workspace
@@ -107,8 +103,8 @@ class Stepper:
         returns the residual ``R``, the nodal rates ``lam`` and F^L
         (:class:`LowOrderRHS`); and, in every mode but "low-only", the pair
         differences ``dF`` = F^H - F^L (:class:`HighOrderRHS`, one (nvar,
-        npairs, K) array over the mesh's pair graph). ``prep`` holds R, lam
-        and dF; ``u`` and R are (nvar, Np, K).
+        npairs, K) array over the mesh's pair graph). ``prep`` holds R, lam,
+        dF and the float ``bound`` = min m/(2 lam); u and R are (nvar, Np, K).
 
         A ``prep`` is valid until the next ``prepare`` on the same Stepper:
         its arrays but ``lam`` live in the Stepper's workspace, and every
@@ -119,16 +115,17 @@ class Stepper:
         sig = None if self.grad is None else self.grad(u, uP, ws)[2]
         R, lam, FL = self.low(u, uf, uP, sig, ws)
         dF = None if self.high is None else self.high(u, sig, FL, ws)
-        return {"R": R, "lam": lam, "dF": dF}
+        bound = float(self._node_bounds(lam).min())
+        return {"R": R, "lam": lam, "dF": dF, "bound": bound}
 
-    def _node_bounds(self, prep):
+    def _node_bounds(self, lam):
         """m_i / (2 lambda_i) per node, (Np, K)."""
-        return self.mesh.node_mass / (2.0 * prep["lam"])
+        return self.mesh.node_mass / (2.0 * lam)
 
     def dt_bound(self, prep):
         """Largest admissibility-preserving Euler step for the prepared
-        state: the bound of its low-order update."""
-        return float(self._node_bounds(prep).min())
+        state: the bound of its low-order update, formed by prepare."""
+        return prep["bound"]
 
     def apply(self, u, t, dt, prep):
         """One limited forward-Euler update. Returns (u_new, report)."""
@@ -156,7 +153,10 @@ class Stepper:
 
 @dataclass
 class StepDiagnostics:
-    """Per-step scalar diagnostics collected by advance()."""
+    """Per-step scalar diagnostics collected by advance(). ``totals`` and
+    ``entropy`` are sum_i m_i u_i and sum_i m_i eta(u_i), one matvec each over
+    the (nvar, Np, K) state, a few ulp from the former sums over a (K, Np,
+    nvar) copy; the minima are bitwise those the last stage check accepted."""
 
     step: int
     t: float
@@ -186,27 +186,27 @@ def _check_state(u, step, stage, t):
     One pass accepts it: rho and rho e have positive minima and finite
     maxima. That is the set of finite, admissible states, because an inf
     or NaN in rho, m or E reaches rho or rho e = E - |m|^2 / (2 rho). The
-    messages, which name the first offending node, are built only on
-    failure.
+    messages are built only on failure, from the same rho e; they name the
+    first bad node in element-major order, as advance returns the state.
     """
+    rho = u[0]
     rhoe = internal_energy_cf(u)
-    if (u[0].min() > 0.0 and rhoe.min() > 0.0
-            and np.isfinite(u[0].max()) and np.isfinite(rhoe.max())):
+    if (rho.min() > 0.0 and rhoe.min() > 0.0
+            and np.isfinite(rho.max()) and np.isfinite(rhoe.max())):
         return
-    # the messages index the state as it leaves advance, (K, Np, nvar)
-    u = u.T
-    if not np.isfinite(u).all():
-        k, i, _ = np.unravel_index(np.argmin(np.isfinite(u)), u.shape)
+    ok = np.isfinite(u).all(axis=0).T
+    if not ok.all():
+        k, i = np.unravel_index(np.argmin(ok), ok.shape)
         raise FloatingPointError(
             f"non-finite state at step {step} stage {stage} t={t:.6g} "
             f"(element {k}, node {i})")
-    ok = is_admissible(u)
-    if not np.all(ok):
+    ok = ((rho > 0.0) & (rhoe > 0.0)).T
+    if not ok.all():
         k, i = np.unravel_index(np.argmin(ok), ok.shape)
         raise FloatingPointError(
             f"inadmissible state at step {step} stage {stage} t={t:.6g} "
-            f"(element {k}, node {i}: rho={u[k, i, 0]:.3e}, "
-            f"rhoe={internal_energy(u[k, i]):.3e})")
+            f"(element {k}, node {i}: rho={rho[i, k]:.3e}, "
+            f"rhoe={rhoe[i, k]:.3e})")
 
 
 class StageBoundError(FloatingPointError):
@@ -221,13 +221,12 @@ def _check_dt(stepper, prep, dt, step, stage, t):
     """Raise StageBoundError unless dt is within the positivity bound
     m_i / (2 lambda_i) of every node of the prepared stage.
 
-    One min accepts it; the message, which names the node of the smallest
-    bound, is built only on failure, as :func:`_check_state` builds its.
+    The bound :meth:`Stepper.prepare` formed accepts it; the per-node
+    bounds that name the smallest in the message are formed on failure.
     """
-    bounds = stepper._node_bounds(prep)
-    if dt <= bounds.min():
+    if dt <= prep["bound"]:
         return
-    bounds = bounds.T                        # (K, Np), as the message reads
+    bounds = stepper._node_bounds(prep["lam"]).T   # (K, Np), message order
     k, i = np.unravel_index(np.argmin(bounds), bounds.shape)
     bound = float(bounds[k, i])
     raise StageBoundError(
@@ -279,7 +278,8 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
     callback(step, t, u, diagnostics_row, limiter_report).
 
     ``u0``, the returned u and the callback's u are (K, Np, nvar), the
-    latter two views of the (nvar, Np, K) state of the step.
+    latter two views of the (nvar, Np, K) state of the step. The row is
+    formed from that state without a copy (see :class:`StepDiagnostics`).
 
     dt is sized once per step from the pre-step state: the positivity
     bound times the user CFL. When a later stage state has a smaller bound
@@ -332,15 +332,15 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
 
 
 def _diagnose(mesh, gas, u, t, dt, step, rep: LimiterReport | None):
-    # the integrals are summed over the state as it leaves advance
-    u = np.ascontiguousarray(u.T)
-    totals = (mesh.mass[..., None] * u).sum(axis=(0, 1))
-    eta = float((mesh.mass * entropy(u, gas)).sum())
+    # u is (nvar, Np, K); each integral is one matvec, no state-sized copy
+    m = mesh.node_mass.reshape(-1)
+    totals = u.reshape(len(u), -1) @ m
+    eta = float(entropy_cf(u, gas).reshape(-1) @ m)
     frac = 0.0
     if rep is not None:
         frac = float(np.mean(rep.l_elem < 1.0))
     return StepDiagnostics(
         step=step, t=t, dt=dt,
-        min_rho=float(u[..., 0].min()),
-        min_rhoe=float(internal_energy(u).min()),
+        min_rho=float(u[0].min()),
+        min_rhoe=float(internal_energy_cf(u).min()),
         totals=totals, entropy=eta, limited_fraction=frac)

@@ -382,7 +382,9 @@ def test_wavespeeds_match_pairwise_form(elem, N, viscous):
                       for idx in (pi, pj))
         lam_hat = lam_hat_ref(ui, uj, si, sj, unit, gas)
         assert np.array_equal(lam_p, lam_hat * nn)
-        lam_nodes[elems] += lam_hat * nn @ np.abs(gc.scatter[:, low]).T
+        # the nodal sum in the solver's orientation, |S| @ lam_p, so that
+        # its summation order does not depend on the quadrature rule
+        lam_nodes[elems] += (np.abs(gc.scatter[:, low]) @ (lam_hat * nn).T).T
         beta_binds |= np.any(lam_hat > np.maximum(
             davis_wavespeed(ui, unit, gas), davis_wavespeed(uj, unit, gas)))
     assert beta_binds == viscous

@@ -244,6 +244,40 @@ def test_diagnostics_rows():
     assert row["min_rho"] > 0
 
 
+@pytest.mark.parametrize("raw", [
+    dict(case="vortex", elem="tri", N=3, K=2, mode="convex", t_final=0.05),
+    dict(case="daru", elem="quad", N=3, K=1, mode="elementwise",
+         t_final=0.04)], ids=["vortex-tri-convex", "daru-elementwise"])
+def test_diagnostics_rows_match_a_variable_last_oracle(raw):
+    # every row equals the sums and minima of the variable-last state the
+    # callback sees, formed as (K, Np, nvar) sums; dt is the cfl share of
+    # the pre-step state's bound, formed by a second Stepper
+    _, mesh, st, u0, cfl, t_final = cli.setup(cli.make_config(raw))
+    gas = st.gas
+    ref = Stepper(mesh, gas, st.low.bcs, mode=st.mode, zeta=st.zeta)
+    seen = [(0, 0.0, np.array(u0, dtype=float), None)]
+
+    def keep(step, t, u, row, rep):
+        seen.append((step, t, u.copy(), rep))
+
+    _, diags = advance(st, u0, 0.0, t_final, cfl, callback=keep)
+    assert len(diags) == len(seen) - 1 > 3
+    for row, (step0, t0, u_prev, _), (step, t, u, rep) in zip(
+            diags, seen, seen[1:]):
+        lam = ref.prepare(components(u_prev), t0)["lam"]
+        bound = float((mesh.mass / (2.0 * lam.T)).min())
+        assert (row.step, row.t) == (step, t) == (step0 + 1, t0 + row.dt)
+        assert row.dt == min(cfl * bound, t_final - t0)
+        assert row.min_rho == u[..., 0].min()
+        assert row.min_rhoe == internal_energy(u).min()
+        assert row.limited_fraction == float(np.mean(rep.l_elem < 1.0))
+        totals = (mesh.mass[..., None] * u).sum(axis=(0, 1))
+        scale = (mesh.mass[..., None] * np.abs(u)).sum(axis=(0, 1))
+        assert np.all(np.abs(row.totals - totals) <= 1e-13 * scale)
+        eta = float((mesh.mass * entropy(u, gas)).sum())
+        assert abs(row.entropy - eta) <= 1e-13 * abs(eta)
+
+
 def test_viscous_run_smoke():
     gas = GasParams(gamma=1.4, mu=0.01, Re=1.0, Pr=0.75)
     mesh, u0 = _wave_setup(K=8, N=2)
