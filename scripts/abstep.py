@@ -12,10 +12,13 @@ next to the working tree's ``posdg``. For each workload of
 ``perfbench/child.py`` it builds both trees' steppers with their own
 ``cli.setup`` and marches both states side by side, alternating single
 steps between the trees, R times over the workload's 101 steps, with fresh
-steppers built in alternating order for each march. A step is what
-``advance`` does per step: prepare the first stage, size dt from its bound
-and call ``ssp_rk3_step``. Which tree goes first alternates from one step
-to the next.
+steppers built in alternating order for each march. A step is one call of
+the tree's own ``advance`` from the current state, which its callback stops
+after the first step: so each tree steps as its ``advance`` does (dt
+sizing, restarts, stage checks), and a timed step includes the diagnostics
+row, as a step timed by ``perfbench/run.py`` does, plus ``advance``'s copy
+and check of the state it starts from. Which tree goes first alternates
+from one step to the next.
 
 The host runs the same code at different speeds in blocks of a fraction
 of a second to minutes. Two steps timed back to back run in the same
@@ -89,38 +92,36 @@ def import_ref(ref: str, tmp: Path):
     return importlib.import_module(REF_NAME)
 
 
+class _Stop(Exception):
+    """Raised by the callback of ``advance`` after its first step."""
+
+
 class March:
     """One tree's stepper and state on one workload."""
 
     def __init__(self, pkg, raw: dict):
         cli = importlib.import_module(pkg.__name__ + ".cli")
         self.ts = importlib.import_module(pkg.__name__ + ".timestepping")
-        _, _, self.stepper, u0, self.cfl, self.t_final = cli.setup(
+        _, _, self.stepper, self.u, self.cfl, self.t_final = cli.setup(
             cli.make_config(raw))
-        self.u = np.array(np.asarray(u0, dtype=float).T, order="C")
         self.t, self.step = 0.0, 0
 
     def done(self) -> bool:
         return self.t >= self.t_final - 1e-14 * max(1.0, abs(self.t_final))
 
+    def _stop(self, step, t, u, row, report):
+        self.t, self.u = t, u
+        raise _Stop
+
     def __call__(self) -> float:
-        """March one step as ``advance`` does; its time in seconds."""
-        stepper, ts = self.stepper, self.ts
+        """March one step with ``advance``; its time in seconds."""
         start = time.perf_counter()
-        prep1 = stepper.prepare(self.u, self.t)
-        dt = min(self.cfl * stepper.dt_bound(prep1), self.t_final - self.t)
-        for attempt in range(ts.MAX_RETRIES + 1):
-            try:
-                self.u, _ = ts.ssp_rk3_step(self.u, self.t, dt, stepper,
-                                            prep1, self.step)
-                break
-            except ts.StageBoundError as exc:
-                if attempt == ts.MAX_RETRIES:
-                    raise
-                dt = self.cfl * exc.bound
-                prep1 = stepper.prepare(self.u, self.t)
+        try:
+            self.ts.advance(self.stepper, self.u, self.t, self.t_final,
+                            self.cfl, callback=self._stop, collect=False)
+        except _Stop:
+            pass
         elapsed = time.perf_counter() - start
-        self.t += dt
         self.step += 1
         return elapsed
 

@@ -326,7 +326,7 @@ _DMR_S0 = (1.0 + np.sqrt(3.0) / 6.0) / np.sqrt(3.0)
 _DMR_SPEED = 10.0 / np.cos(np.pi / 6.0)
 
 
-def dmr(wall_riemann: bool = True) -> CaseSpec:
+def dmr() -> CaseSpec:
     """Oblique Mach-10 shock over a wall starting at x = 1/6.
 
     The shock line is y = sqrt(3) x - sqrt(3)/6, hitting the wall exactly
@@ -360,8 +360,7 @@ def dmr(wall_riemann: bool = True) -> CaseSpec:
     return CaseSpec(
         name="dmr", dim=2, domain=((0.0, 3.5), (0.0, 1.0)), gas=gas,
         ic=ic,
-        bcs=BCSet({1: wall("riemann" if wall_riemann else "mirror"),
-                   2: dirichlet(exterior)}),
+        bcs=BCSet({1: wall("riemann"), 2: dirichlet(exterior)}),
         t_final=0.2, cfl=0.5, classify=classify,
         periodic=(False, False), aspect=(3.5, 1),
     )
@@ -371,7 +370,7 @@ def dmr(wall_riemann: bool = True) -> CaseSpec:
 # Viscous 2D shock tube (Daru-Tenaud): shock / boundary-layer interaction.
 
 
-def daru_tenaud(Re: float = 1000.0, wall_riemann: bool = True) -> CaseSpec:
+def daru_tenaud(Re: float = 1000.0) -> CaseSpec:
     """Pressurized right half-chamber venting into the left half.
 
     Slip wall on top, adiabatic no-slip walls on the other three sides;
@@ -393,8 +392,7 @@ def daru_tenaud(Re: float = 1000.0, wall_riemann: bool = True) -> CaseSpec:
     return CaseSpec(
         name="daru", dim=2, domain=((0.0, 1.0), (0.0, 0.5)), gas=gas,
         ic=ic,
-        bcs=BCSet({1: wall("riemann" if wall_riemann else "mirror"),
-                   2: noslip()}),
+        bcs=BCSet({1: wall("riemann"), 2: noslip()}),
         t_final=1.0, cfl=0.5, classify=classify,
         periodic=(False, False), aspect=(2, 1),
     )

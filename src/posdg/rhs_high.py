@@ -63,7 +63,7 @@ class LDGGradient:
     so the volume term is one product (Q^r_k - Q^r_k^T)/2 v per reference
     direction over the whole mesh, scaled by the per-element factors
     G_mk. The exterior v is entropy_vars(uP) of the stage's exterior face
-    states, so the boundary conditions are evaluated once per stage, in
+    states, so the boundary states are evaluated once per stage, in
     :meth:`posdg.rhs_low.LowOrderRHS.face_states`. Returns (v, thetas,
     sigmas) at all volume nodes: v (nvar, Np, K), thetas and sigmas one
     (nvar, Np, K) array per direction, the rows of one (dim, nvar, Np, K)

@@ -14,21 +14,21 @@ the pair fluxes and weights are (nvar, npairs_low, K) and (npairs_low, K)
 arrays over the whole mesh, with n_ij taken per element from its geometry
 class; each of their scatters is one matrix product. Interfaces use the
 same construction with the boundary weights in place of n_ij, and the
-normal flux sum_k n_k f_k of each slot. Every array is component first:
-node states (nvar, Np, K), face states (nvar, Nfp * K) in the mesh's
-slot-major order, whose lift E^T is one matrix product too. The face
-states are gathered, and the boundary conditions evaluated, once per stage
-by :meth:`LowOrderRHS.face_states`; the LDG gradient and the low-order
-stage, one call of :class:`LowOrderRHS`, read that one set. The stage's end
-tables, rates and fluxes stay inside it. Its residual is R = M du/dt, and
-the forward Euler update u + dt R / m is a convex combination of the
-current state and bar states whenever dt <= min_i m_i / (2 lambda_i),
-which is the basis of the positivity guarantee. The weights lambda_ij and
-lambda_s and their nodal sums lambda_i come from the wavespeeds alone
-(:meth:`LowOrderRHS.rates`), before any flux is formed. The wavespeeds,
-normal fluxes and pair fluxes are written into the kept arrays of a
-:class:`~posdg.workspace.Workspace`, and the gathers and scatters are taken
-from it.
+normal flux sum_k n_k (f_k - sigma_k) of each slot. Every array is
+component first: node states (nvar, Np, K), face states (nvar, Nfp * K) in
+the mesh's slot-major order, whose lift E^T is one matrix product too. The
+face states are gathered, and the boundary states evaluated, once per
+stage by :meth:`LowOrderRHS.face_states`; the LDG gradient and the
+low-order stage, one call of :class:`LowOrderRHS`, read that one set. The
+stage's end tables, rates and fluxes stay inside it. Its residual is
+R = M du/dt, and the forward Euler update u + dt R / m is a convex
+combination of the current state and bar states whenever
+dt <= min_i m_i / (2 lambda_i), which is the basis of the positivity
+guarantee. The weights lambda_ij and lambda_s and their nodal sums
+lambda_i come from the wavespeeds alone (:meth:`LowOrderRHS.rates`),
+before any flux is formed. The wavespeeds, normal fluxes and pair fluxes
+are written into the kept arrays of a :class:`~posdg.workspace.Workspace`,
+and the gathers and scatters are taken from it.
 
 Wavespeeds and normal fluxes per end. The rate of a pair or face slot with
 unit direction n splits into one term per end,
@@ -38,9 +38,10 @@ unit direction n splits into one term per end,
 
 and w is even in n bit for bit: n enters beta and the Davis term only
 through products n_k x, whose sums change sign exactly when n does, and
-these reach w only through |.| or a square. The normal flux F(u, n) =
-sum_k n_k f_k(u) is odd in n bit for bit by the same argument: n enters it
-only through m . n and p n_k, and F(u, -n) = -F(u, n). An end is therefore
+these reach w only through |.| or a square. The normal flux F(u, sigma, n)
+= sum_k n_k (f_k(u) - sigma_k) is odd in n bit for bit by the same
+argument: n enters it only through m . n, p n_k and the sum of the
+n_k sigma_k, and F(u, sigma, -n) = -F(u, sigma, n). An end is therefore
 a node with a direction up to sign, the one whose first nonzero component
 is positive. :meth:`LowOrderRHS.wavespeeds` evaluates w and F once per
 stage on the distinct ends of the elements: both ends of every low-order
@@ -55,20 +56,23 @@ the 24 low-order pairs are 32 distinct ends, and these cover all 16 face
 slots too. The pressure p and the sound speed c depend on the state only,
 so they are formed once per node and once per boundary ghost state and
 gathered with the ends; only m . n and what follows from it are formed
-per end, and the Davis term reads m . n from the mass row of F.
+per end, and the Davis term reads m . n from the mass row of f(u) . n,
+before sigma . n is subtracted. A ghost end's sigma is the boundary
+condition's exterior viscous flux (:meth:`~posdg.bc.BCSet.exterior_sigma`)
+of sigma at its slot's volume node.
 
 The two ends of a pair share its direction e, and n_ij = s |n_ij| e with
 one sign s = +-1 per pair and geometry class, so the central part of the
-pair flux is -s |n_ij| (F_i + F_j), with F - sigma . e at each end for a
-viscous gas. A face slot reads F at its two ends times their signs: s_M =
-+-1 makes the trace's F the flux along the slot's normal n, and the
-exterior end, the partner's, whose normal is -n, takes the partner's sign
-negated (+1 at a ghost, whose direction is n). As the signs are exact,
-the interface flux equals the one of normal fluxes formed per slot bit for
-bit; the pair fluxes do where e is an axis (lines and quads), and to
-roundoff elsewhere. The Euler flux is thus evaluated once per end and
-stage, where the pair form takes both directions at every node and the
-slot form both sides of every slot.
+pair flux is -s |n_ij| (F_i + F_j). A face slot reads F at its two ends
+times their signs: s_M = +-1 makes the trace's F the flux along the slot's
+normal n, and the exterior end, the partner's, whose normal is -n, takes
+the partner's sign negated (+1 at a ghost, whose direction is n). As the
+signs are exact, the interface flux equals the one of normal fluxes formed
+per slot bit for bit, with sigma . n summed over the directions before it
+is subtracted; the pair fluxes do where e is an axis (lines and quads),
+and to roundoff elsewhere. The flux f - sigma is thus evaluated once per
+end and stage, where the pair form takes both directions at every node
+and the slot form both sides of every slot.
 
 For an inviscid gas w is the Davis term alone, and beta is not evaluated.
 With sigma = 0, |n| = 1, p = (gamma - 1) rho e and c^2 = gamma p / rho,
@@ -104,23 +108,20 @@ from .workspace import Workspace
 __all__ = ["LowOrderRHS", "interface_flux_low"]
 
 
-def interface_flux_low(FM, FP, uM, uP, sigM, sigP, normals, wsJ, lam_slot):
+def interface_flux_low(FM, FP, uM, uP, wsJ, lam_slot):
     """Low-order interface contribution per face slot.
 
     Returns the residual contribution to the owning volume node. ``FM`` and
-    ``FP`` are the inviscid normal fluxes f(u) . n of the trace and of the
-    exterior state along the slot's normal n, (nvar, Nfp * K), as
-    :meth:`LowOrderRHS.__call__` reads them from the end table; the result
-    is written into ``FM``. ``lam_slot`` is the slot's wavespeed weight
-    lambda_s (:meth:`LowOrderRHS.rates`). The limited modes give the
-    high-order update this interface flux too, so it cancels from
-    r^H - r^L.
+    ``FP`` are the normal fluxes (f - sigma) . n of the trace and of the
+    exterior state along the slot's normal n, (nvar, Nfp * K), viscous
+    fluxes included, as :meth:`LowOrderRHS.__call__` reads them from the end
+    table; the result is written into ``FM``. ``lam_slot`` is the slot's
+    wavespeed weight lambda_s (:meth:`LowOrderRHS.rates`). The limited
+    modes give the high-order update this interface flux too, so it cancels
+    from r^H - r^L.
     """
     F = FM
     F += FP
-    if sigM is not None:
-        for d, (sm, sp) in enumerate(zip(sigM, sigP)):
-            F -= normals[d] * (sm + sp)
     F *= -0.5 * wsJ
     F += lam_slot * (uP - uM)
     return F
@@ -157,6 +158,9 @@ class LowOrderRHS:
         self._bdry_tags = tags[bdry]
         self._bdry_xy = mesh.fxy.transpose(1, 0, 2).reshape(
             -1, mesh.dim)[bdry]
+        # their volume nodes, flat (node, element) indices
+        self._bdry_src = (K * mesh.ops.face_vol[self._bdry_slots // K]
+                          + self._bdry_slots % K)
 
         low = mesh.pair_low
         self._pi, self._pj = mesh.pair_i[low], mesh.pair_j[low]
@@ -207,91 +211,65 @@ class LowOrderRHS:
 
     # -- shared face-data preparation -------------------------------------
 
-    def _traces(self, a, key, ws):
-        """Traces of the node values ``a`` (n, Np, K) and their partner
-        values (a boundary slot's own, for the BCs to overwrite), slot-major
-        (n, Nfp * K): kept arrays of ``ws`` under ``key``."""
-        mesh = self.mesh
-        f = ws.keep((key, "M"), (len(a), mesh.n_face_nodes, a.shape[-1]))
-        f = a.take(mesh.ops.face_vol, axis=1, out=f, mode="clip")
-        f = f.reshape(len(a), -1)
-        return f, f.take(mesh.slot_exterior, axis=1, mode="clip",
-                         out=ws.keep((key, "P"), f.shape))
-
     def face_states(self, u, t, ws=None):
         """Traces and exterior states at all face slots: (uf, uP), along
         the mesh's ``slot_normal``.
 
         Both are component first and slot-major, (nvar, Nfp * K), kept
-        arrays of the workspace ``ws`` (a fresh one by default). This is the
-        only place the boundary conditions are evaluated: one call per stage
-        serves the LDG gradient and the low-order stage (:meth:`__call__`).
+        arrays of the workspace ``ws`` (a fresh one by default). An interior
+        slot's exterior state is its partner's trace. This is the only place
+        the boundary states are evaluated: one call per stage serves the LDG
+        gradient and the low-order stage (:meth:`__call__`).
         """
         ws = Workspace() if ws is None else ws
-        uf, uP = self._traces(u, "u", ws)
+        mesh = self.mesh
+        uf = ws.keep("uf", (len(u), mesh.n_face_nodes, u.shape[-1]))
+        uf = u.take(mesh.ops.face_vol, axis=1, out=uf,
+                    mode="clip").reshape(len(u), -1)
+        uP = uf.take(mesh.slot_exterior, axis=1, mode="clip",
+                     out=ws.keep("uP", uf.shape))
         b = self._bdry_slots
         if b.size:
-            nrm = self.mesh.slot_normal
             uP[:, b] = self.bcs.exterior_state(
-                uf[:, b], self._bdry_xy, nrm[:, b], self._bdry_tags, t,
-                self.gas)
+                uf[:, b], self._bdry_xy, mesh.slot_normal[:, b],
+                self._bdry_tags, t, self.gas)
         return uf, uP
-
-    def face_sigmas(self, sigmas, ws=None):
-        """Traces and exterior values of the viscous fluxes: (sigf, sigP),
-        laid out and kept as the face states.
-
-        Both are None for an inviscid gas (``sigmas`` None).
-        """
-        if sigmas is None:
-            return None, None
-        ws = Workspace() if ws is None else ws
-        sigf, sigP = zip(*(self._traces(s, ("sigma", d), ws)
-                           for d, s in enumerate(sigmas)))
-        b = self._bdry_slots
-        if b.size:
-            sb = self.bcs.exterior_sigma(tuple(s[:, b] for s in sigf),
-                                         self._bdry_tags)
-            for d in range(len(sigP)):
-                sigP[d][:, b] = sb[d]
-        return sigf, sigP
 
     # -- wavespeeds ----------------------------------------------------------
 
-    def wavespeeds(self, u, uP, sigmas=None, sigP=None, ws=None):
+    def wavespeeds(self, u, uP, sigmas=None, ws=None):
         """The per-end wavespeeds and normal fluxes of one stage, flat (see
-        module doc): (w, F, Fpair).
+        module doc): (w, F).
 
         One entry per distinct end and element, (end, element) in that
         order, then one per boundary ghost state: w = |u.n| + c for an
         inviscid gas (``sigmas`` None), else max(beta, |u.n| + c), and F
-        (nvar, n_ends) the inviscid normal flux f(u) . n along the end's
-        direction n. Fpair, (nvar, ne, K), are the node ends' fluxes that
-        the pair fluxes read: F's own for an inviscid gas, else
-        F - sigma . n. The ghost ends read ``uP`` (:meth:`face_states`) and
-        ``sigP`` (:meth:`face_sigmas`); the end states are gathered into a
-        frame of ``ws`` (a fresh workspace by default), and w, F and Fpair
-        are its kept arrays, valid until the next call with the same
-        workspace. :meth:`rates` reads w, :meth:`pair_fluxes` Fpair and
-        :meth:`__call__` F.
+        (nvar, n_ends) the normal flux (f(u) - sigma) . n along the end's
+        direction n. The ghost ends read ``uP`` (:meth:`face_states`) and
+        the exterior viscous fluxes of the boundary conditions, formed here
+        from ``sigmas`` at the boundary slots' volume nodes. The end states
+        are gathered into a frame of ``ws`` (a fresh workspace by default),
+        and w and F are its kept arrays, valid until the next call with the
+        same workspace. :meth:`rates` reads w, and :meth:`__call__` reads F
+        at the pairs' and the slots' ends.
         """
         ws = Workspace() if ws is None else ws
         gas = self.gas
         top, ghosts, dirs = self._n_ends, self._bdry_slots, self._end_dir
         shape = (len(u), dirs.shape[1])
 
-        def gather(vol, face):
+        def gather(vol, face, idx):
             out = ws.take(shape)
             for c in range(len(vol)):
                 vol[c].reshape(-1).take(self._end_src, out=out[c, :top],
                                         mode="clip")
-                face[c].take(ghosts, out=out[c, top:], mode="clip")
+                face[c].take(idx, out=out[c, top:], mode="clip")
             return out
 
         w = ws.keep("w", shape[1:])
         F = ws.keep("Fn", shape)
         with ws.frame():
-            ue = gather(u, uP)
+            ue = gather(u, uP, ghosts)
             # p and c once per node and ghost state, gathered with the ends
             pe, ce = ws.take(shape[1:]), ws.take(shape[1:])
             with ws.frame():
@@ -304,18 +282,19 @@ class LowOrderRHS:
                 sound_speed(ue[:, top:], gas, ce[top:], p=pe[top:])
             normal_flux(ue, dirs, gas, p=pe, out=F, ws=ws)
             w[:] = davis_wavespeed(ue, dirs, gas, ws, c=ce, mn=F[0])
-            Fpair = F[:, :top]
             if sigmas is not None:
-                se = tuple(gather(s, sp) for s, sp in zip(sigmas, sigP))
+                sb = self.bcs.exterior_sigma(
+                    tuple(s.reshape(len(s), -1)[:, self._bdry_src]
+                          for s in sigmas), self._bdry_tags)
+                rows = np.arange(len(ghosts))
+                se = tuple(gather(s, x, rows) for s, x in zip(sigmas, sb))
                 np.maximum(zhang_beta(ue, se, dirs, gas, ws=ws), w, out=w)
-                # F - sigma . n on the node ends
-                Fpair = np.multiply(dirs[0, :top], se[0][:, :top],
-                                    out=ws.keep("Fsigma", Fpair.shape))
+                # F - sigma . n at every end
+                sn = np.multiply(dirs[0], se[0], out=ws.take(shape))
                 for d in range(1, len(se)):
-                    Fpair += np.multiply(dirs[d, :top], se[d][:, :top],
-                                         out=ws.take(Fpair.shape))
-                np.subtract(F[:, :top], Fpair, out=Fpair)
-        return w, F, Fpair.reshape(len(u), self._ne, -1)
+                    sn += np.multiply(dirs[d], se[d], out=ws.take(shape))
+                F -= sn
+        return w, F
 
     def rates(self, w, ws=None):
         """The low-order rates of one stage, from its wavespeeds ``w``
@@ -383,19 +362,20 @@ class LowOrderRHS:
         :meth:`pair_fluxes`, with R = M du/dt, (nvar, Np, K).
 
         ``uf`` and ``uP`` are :meth:`face_states` of ``u``, and ``sigmas``
-        the viscous fluxes per direction (None for an inviscid gas). A
-        slot's trace and exterior state are its two ends, whose fluxes of
-        :meth:`wavespeeds`, times the slot's signs, are the fluxes along its
-        normal that :func:`interface_flux_low` reads. R is a kept array of
-        the workspace ``ws`` (a fresh one by default), which also holds the
-        end tables, the interface flux and its lift.
+        the viscous fluxes per direction (None for an inviscid gas). The
+        pairs read the node ends of the flux table of :meth:`wavespeeds`,
+        a view of it. A slot's trace and exterior state are its two ends,
+        whose fluxes, times the slot's signs, are the fluxes (f - sigma) . n
+        along its normal that :func:`interface_flux_low` reads. R is a kept
+        array of the workspace ``ws`` (a fresh one by default), which also
+        holds the end tables, the interface flux and its lift.
         """
         ws = Workspace() if ws is None else ws
         mesh = self.mesh
-        sigf, sigP = self.face_sigmas(sigmas, ws)
-        w, F, Fpair = self.wavespeeds(u, uP, sigmas, sigP, ws)
+        w, F = self.wavespeeds(u, uP, sigmas, ws)
         lam_p, lam_s, lam = self.rates(w, ws)
-        P = self.pair_fluxes(u, lam_p, Fpair, ws)
+        P = self.pair_fluxes(
+            u, lam_p, F[:, :self._n_ends].reshape(len(u), self._ne, -1), ws)
         R = np.matmul(self._S, P, out=ws.keep("R", u.shape))
         with ws.frame():
             shape = (len(F), len(self._slot_end))
@@ -404,8 +384,7 @@ class LowOrderRHS:
                                  (FX, self._ext_end, self._ext_sign)):
                 F.take(end, axis=1, out=f, mode="clip")
                 f *= sign
-            Rs = interface_flux_low(FM, FX, uf, uP, sigf, sigP,
-                                    mesh.slot_normal, mesh.slot_wsJ, lam_s)
+            Rs = interface_flux_low(FM, FX, uf, uP, mesh.slot_wsJ, lam_s)
             R += np.matmul(mesh.ops.E.T,
                            Rs.reshape(len(Rs), mesh.n_face_nodes, -1),
                            out=ws.take(R.shape))

@@ -98,8 +98,9 @@ class Stepper:
         """Residual and rates of a stage state; dt-independent.
 
         One call per piece of the scheme: the face states, the only
-        evaluation of the boundary conditions (``LowOrderRHS.face_states``);
+        evaluation of the boundary states (``LowOrderRHS.face_states``);
         the viscous fluxes of the LDG gradient; the low-order stage, which
+        forms the boundaries' exterior viscous fluxes in its end table and
         returns the residual ``R``, the nodal rates ``lam`` and F^L
         (:class:`LowOrderRHS`); and, in every mode but "low-only", the pair
         differences ``dF`` = F^H - F^L (:class:`HighOrderRHS`, one (nvar,
@@ -242,31 +243,28 @@ SHU_OSHER = ((0.0, None, None),
              (0.5, 2.0 / 3.0, lambda u: u / 3.0))
 
 
-def ssp_rk3_step(u, t, dt, stepper: Stepper, prep1=None, step=0,
-                 check=True):
+def ssp_rk3_step(u, t, dt, stepper: Stepper, prep1=None, step=0):
     """One SSPRK(3,3) step in Shu-Osher form; returns (u_new, last report).
 
     ``u`` is (nvar, Np, K), as :meth:`Stepper.prepare` takes it. prep1
     may carry the already-prepared first-stage residuals (so advance can
-    size dt from them without recomputation). With ``check``, each stage
-    state must be finite and admissible (else FloatingPointError), and dt
-    must not exceed the stage's positivity bound m/(2 lambda) (else
-    StageBoundError). The messages name the step, the stage, the step's
-    start time t and the node.
+    size dt from them without recomputation). Each stage state must be
+    finite and admissible (else FloatingPointError), and dt must not exceed
+    the stage's positivity bound m/(2 lambda) (else StageBoundError). The
+    messages name the step, the stage, the step's start time t and the
+    node.
     """
     v = u
     for stage, (c, a, b) in enumerate(SHU_OSHER, start=1):
         ts = t + c * dt
         prep = (prep1 if stage == 1 and prep1 is not None
                 else stepper.prepare(v, ts))
-        if check:
-            _check_dt(stepper, prep, dt, step, stage, t)
+        _check_dt(stepper, prep, dt, step, stage, t)
         v, rep = stepper.apply(v, ts, dt, prep)
         if a is not None:
             v *= a
             v += b(u)
-        if check:
-            _check_state(v, step, stage, t)
+        _check_state(v, step, stage, t)
     return v, rep
 
 

@@ -6,10 +6,13 @@ and one call of ``HighOrderRHS`` returns the pair differences
 dF = F^H - F^L. The high-order residual is the low-order one plus the
 scatter of dF: the update of mode ``none``, and the end of every limiter's
 blend. For the tests of the stage's pieces, ``Scheme`` also calls them one
-by one, in the order ``LowOrderRHS.__call__`` calls them: the viscous face
-fluxes (``.face_sigmas``), the pass over the ends that forms the
-wavespeeds and the normal fluxes (``.wavespeeds``), the rates they feed
-(``.rates``) and the low-order pair fluxes (``.pair_fluxes``).
+by one, in the order ``LowOrderRHS.__call__`` calls them: the pass over
+the ends that forms the wavespeeds and the normal fluxes (f - sigma) . e,
+boundary ghosts included (``.wavespeeds``), the rates they feed
+(``.rates``) and the low-order pair fluxes (``.pair_fluxes``). The slots'
+viscous traces and exterior values, which the solver no longer forms, and
+the normal fluxes of both sides of every slot are built here as oracles
+(``Scheme.faces``, ``Scheme.face_fluxes``).
 
 The solver holds node values component first, (nvar, Np, K), and face
 values as (nvar, Nfp * K); the tests build their states with the variable
@@ -22,6 +25,7 @@ layout."""
 
 import numpy as np
 
+from posdg.physics import normal_flux
 from posdg.rhs_high import HighOrderRHS, LDGGradient
 from posdg.rhs_low import LowOrderRHS
 
@@ -53,11 +57,38 @@ class Scheme:
 
     def faces(self, u, t=0.0, sigmas=None):
         """(uf, uP, sigf, sigP, nrm): the face states, the viscous face
-        fluxes and the slots' normals, as ``interface_flux_low`` takes
-        them."""
+        fluxes and the slots' normals. The solver forms no viscous face
+        values, so they are built here, slot-major as the face states: the
+        traces at the slots' volume nodes, the partner's trace at an
+        interior slot and the boundary condition's exterior value at a
+        boundary slot."""
+        mesh = self.mesh
         uf, uP = self.low.face_states(components(u), t)
-        return (uf, uP, *self.low.face_sigmas(components(sigmas)),
-                self.mesh.slot_normal)
+        if sigmas is None:
+            return uf, uP, None, None, mesh.slot_normal
+        sigf = tuple(s[:, mesh.ops.face_vol].reshape(len(s), -1)
+                     for s in components(sigmas))
+        sigP = tuple(s[:, mesh.slot_exterior] for s in sigf)
+        tags = mesh.ftag.T.reshape(-1)
+        b = tags > 0
+        for sp, x in zip(sigP, self.low.bcs.exterior_sigma(
+                tuple(s[:, b] for s in sigf), tags[b])):
+            sp[:, b] = x
+        return uf, uP, sigf, sigP, mesh.slot_normal
+
+    def face_fluxes(self, u, t=0.0, sigmas=None):
+        """(FM, FP): the normal fluxes (f - sigma) . n of the traces and of
+        the exterior states along the slots' normals, formed on ``faces``,
+        as ``interface_flux_low`` takes them. sigma . n is summed over the
+        directions before it is subtracted, as in the solver's end table."""
+        uf, uP, sigf, sigP, nrm = self.faces(u, t, sigmas)
+        out = []
+        for us, ss in ((uf, sigf), (uP, sigP)):
+            f = normal_flux(us, nrm, self.low.gas)
+            if ss is not None:
+                f -= sum(nrm[d] * ss[d] for d in range(len(nrm)))
+            out.append(f)
+        return tuple(out)
 
     def gradient(self, u, t=0.0):
         """(v, thetas, sigmas) of the LDG gradient, variable-last."""
@@ -66,12 +97,14 @@ class Scheme:
         return v.T, variables_last(thetas), variables_last(sigmas)
 
     def end_tables(self, u, t=0.0, sigmas=None):
-        """(w, F, Fpair) of ``LowOrderRHS.wavespeeds``: the per-end
-        wavespeeds, normal fluxes and pair-flux table that the low-order
-        kernels read."""
-        _, uP, _, sigP, _ = self.faces(u, t, sigmas)
-        return self.low.wavespeeds(components(u), uP, components(sigmas),
-                                   sigP)
+        """(w, F, Fpair): the per-end wavespeeds and normal fluxes of
+        ``LowOrderRHS.wavespeeds``, and the view of F's node ends, (nvar,
+        ends, K), that the pair fluxes read."""
+        uc = components(u)
+        w, F = self.low.wavespeeds(uc, self.low.face_states(uc, t)[1],
+                                   components(sigmas))
+        return w, F, F[:, :self.low._n_ends].reshape(len(F), self.low._ne,
+                                                      -1)
 
     def wavespeeds(self, u, t=0.0, sigmas=None):
         """The per-end wavespeeds w."""

@@ -431,7 +431,6 @@ def test_dmr_wall_tags_cover_only_the_ramp_equivalent_segment():
     assert np.all(tags[~on_wall] == 2)
     assert case.bcs.table[1].kind == "wall"
     assert case.bcs.table[1].mode == "riemann"
-    assert dmr(wall_riemann=False).bcs.table[1].mode == "mirror"
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from posdg.mesh import interval_mesh, rect_mesh
 from posdg.physics import (
     GasParams,
     internal_energy,
-    normal_flux,
     primitive_to_conserved,
 )
 from posdg.rhs_low import interface_flux_low
@@ -337,10 +336,8 @@ def _matched_residual(sch, u, sig=None):
     the normal fluxes evaluated on the face states, not read from the end
     table."""
     mesh = sch.mesh
-    faces = sch.faces(u, 0.0, sig)
-    uf, uP, nrm = faces[0], faces[1], faces[-1]
-    Rs = interface_flux_low(normal_flux(uf, nrm, sch.low.gas),
-                            normal_flux(uP, nrm, sch.low.gas), *faces,
+    uf, uP = sch.faces(u, 0.0, sig)[:2]
+    Rs = interface_flux_low(*sch.face_fluxes(u, 0.0, sig), uf, uP,
                             mesh.slot_wsJ, sch.rates(u, 0.0, sig)[1])
     R = mesh.ops.E.T @ Rs.reshape(len(Rs), mesh.n_face_nodes, -1)
     R += mesh.scatter @ sch.high_pairs(u, sig)

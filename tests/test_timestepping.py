@@ -31,34 +31,44 @@ GAS = GasParams(gamma=1.4)
 
 
 class OdeStepper:
-    """u' = a u as a fake stage operator, to isolate the RK combinatorics."""
+    """u' = a u as a fake stage operator, to isolate the RK combinatorics.
+
+    Its states are one node of a 1D gas at rest, (rho, m, E) = x (1, 0, 1)
+    with x > 0, (3, 1, 1) component first, which every stage keeps
+    admissible; its stages have no positivity bound, so the stage checks of
+    ``ssp_rk3_step`` always run and pass. x is the state's ``[0, 0, 0]``.
+    """
 
     def __init__(self, a=1.0):
         self.a = a
         self.gas = GAS
 
+    @staticmethod
+    def state(x):
+        return x * np.array([1.0, 0.0, 1.0]).reshape(3, 1, 1)
+
     def prepare(self, u, t):
-        return {"du": self.a * u}
+        return {"du": self.a * u, "bound": np.inf}
 
     def apply(self, u, t, dt, prep):
         return u + dt * prep["du"], None
 
 
 def test_rk3_zero_step_is_identity():
-    u = np.array([[1.7]])
-    out, _ = ssp_rk3_step(u, 0.0, 0.0, OdeStepper(), check=False)
+    u = OdeStepper.state(1.7)
+    out, _ = ssp_rk3_step(u, 0.0, 0.0, OdeStepper())
     assert np.allclose(out, u, rtol=1e-15)
 
 
 def test_rk3_third_order_on_linear_ode():
     errs = []
     for dt in (0.1, 0.05, 0.025):
-        u = np.array([[1.0]])
+        u = OdeStepper.state(1.0)
         t = 0.0
         while t < 1.0 - 1e-12:
-            u, _ = ssp_rk3_step(u, t, dt, OdeStepper(), check=False)
+            u, _ = ssp_rk3_step(u, t, dt, OdeStepper())
             t += dt
-        errs.append(abs(float(u[0, 0]) - np.e))
+        errs.append(abs(float(u[0, 0, 0]) - np.e))
     r1 = np.log2(errs[0] / errs[1])
     r2 = np.log2(errs[1] / errs[2])
     assert 2.7 < r1 < 3.3 and 2.7 < r2 < 3.3, (errs, r1, r2)
@@ -68,11 +78,10 @@ def test_rk3_single_step_local_error():
     # local truncation error of one step must be O(dt^4)
     errs = []
     for dt in (0.2, 0.1):
-        u, _ = ssp_rk3_step(np.array([[1.0]]), 0.0, dt, OdeStepper(),
-                            check=False)
+        u, _ = ssp_rk3_step(OdeStepper.state(1.0), 0.0, dt, OdeStepper())
         taylor = 1 + dt + dt ** 2 / 2 + dt ** 3 / 6
-        assert abs(float(u[0, 0]) - taylor) < 1e-14
-        errs.append(abs(float(u[0, 0]) - np.exp(dt)))
+        assert abs(float(u[0, 0, 0]) - taylor) < 1e-14
+        errs.append(abs(float(u[0, 0, 0]) - np.exp(dt)))
     assert 3.7 < np.log2(errs[0] / errs[1]) < 4.3
 
 
