@@ -158,7 +158,7 @@ def viscous_shock(M0: float = 3.0, mu: float = 0.01, u_inf: float = 0.2,
     u_left, m0 = 1.0, 1.0
     u_right = (g - 1.0 + 2.0 / M0 ** 2) / (g + 1.0)
     u_mid = np.sqrt(u_left * u_right)
-    kappa = g * gas.mu_eff / gas.Pr
+    kappa = g * gas.mu / gas.Pr
     coef = 2.0 * kappa / ((g + 1.0) * m0)
     c_l = u_left / (u_left - u_right)
     c_r = u_right / (u_left - u_right)
@@ -376,7 +376,7 @@ def daru_tenaud(Re: float = 1000.0) -> CaseSpec:
     Slip wall on top, adiabatic no-slip walls on the other three sides;
     the reflected shock interacts with the boundary layer it created.
     """
-    gas = GasParams(gamma=1.4, mu=1.0, Re=Re, Pr=0.73)
+    gas = GasParams(gamma=1.4, mu=1.0 / Re, Pr=0.73)
     u_l = primitive_to_conserved(np.array([120.0, 0.0, 0.0, 120.0 / gas.gamma]),
                                  gas)
     u_r = primitive_to_conserved(np.array([1.2, 0.0, 0.0, 1.2 / gas.gamma]),

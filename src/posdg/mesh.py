@@ -1,32 +1,41 @@
-"""Uniform affine meshes with face-node connectivity.
+"""Uniform affine meshes with face-slot connectivity.
 
 Meshes store node coordinates per element, a per-element geometry class
 (uniform meshes have one class, split-quad triangle meshes two), and flat
-face-node arrays used by the residual evaluations.
+face-slot arrays used by the residual evaluations.
 
 The mesh has one node-pair graph: the pairs i < j on which the skew part
 of the high-order operators Q_k or of the low-order operators QL_k is
 nonzero. Each geometry class builds it from its own operators, and the
 mesh checks at construction that every class gives the same pairs and the
 same low-order subset; only the pair weights differ between classes, so
-the mesh stacks them per element, shape (dim, npairs, K). The high-order
-volume flux, the low-order graph viscosity and the convex limiter all work
-on these pairs, on arrays laid out (variable, pair, element) over the
-whole mesh, and a pair flux F_ij reaches the nodes through the +-1 scatter
-operator (+F_ij to node i, -F_ij to node j) in one matrix product.
+the mesh stacks the high-order ones per element, shape (dim, npairs, K).
+The high-order volume flux, the low-order graph viscosity and the convex
+limiter all work on these pairs, on arrays laid out (variable, pair,
+element) over the whole mesh, and a pair flux F_ij reaches the nodes
+through the +-1 scatter operator (+F_ij to node i, -F_ij to node j) in one
+matrix product.
 
-The face-node arrays, indexed (element, slot), are:
+The face arrays are flat over the Nfp * K face slots in the solver's
+slot-major order, slot s of element k at s * K + k, so that E^T lifts an
+(..., Nfp * K) face array reshaped to (..., Nfp, K) as it stands. Each is
+formed once, at construction:
 
-* ``fpartner``: for every face node, the flat index (element * Nfp + slot)
-  of the coinciding face node of the neighbor, or -1 on the boundary;
-* ``ftag``: integer boundary tag (0 for interior nodes) assigned by a
-  user-supplied classifier;
-* ``fnormal`` / ``fwsJ``: physical unit outward normal and surface
-  quadrature weight (reference face weight times surface Jacobian).
+* ``slot_xy``: (Nfp * K, dim) node coordinates, coordinates last as in
+  ``xy``;
+* ``slot_normal`` / ``slot_wsJ``: (dim, Nfp * K) physical unit outward
+  normals and (Nfp * K,) surface quadrature weights (reference face
+  weight times surface Jacobian), each element's taken from its geometry
+  class;
+* ``slot_exterior``: the partner slot of every slot, a boundary slot's
+  own index;
+* ``slot_tag``: integer boundary tag, 0 at interior slots, assigned to the
+  boundary slots by a user-supplied classifier.
 
-Connectivity is built by matching integer keys made from the physical
-face-node coordinates, with face centroids wrapped for periodic directions,
-so all element types share one code path.
+``_connect`` forms the last two from the first two and the face
+centroids, by matching integer keys made from the physical face-node
+coordinates, with face centroids wrapped for periodic directions, so all
+element types share one code path.
 """
 
 from __future__ import annotations
@@ -107,29 +116,41 @@ class Mesh:
     xy: np.ndarray            # (K, Np, dim)
     class_id: np.ndarray      # (K,)
     classes: list
-    fpartner: np.ndarray      # (K, Nfp) flat partner index or -1
-    ftag: np.ndarray          # (K, Nfp)
     extent: tuple             # bounding box, ((ax, bx), ...) per dimension
+    periodic: tuple           # per dimension
+    classify: object          # (n, dim) boundary points -> tags, or None
 
     # arrays derived in __post_init__
-    mass: np.ndarray = field(init=False)      # (K, Np)
-    fxy: np.ndarray = field(init=False)       # (K, Nfp, dim)
-    fnormal: np.ndarray = field(init=False)   # (K, Nfp, dim)
-    fwsJ: np.ndarray = field(init=False)      # (K, Nfp)
+    mass: np.ndarray = field(init=False)           # (K, Np)
+    # the face slots, slot-major
+    slot_xy: np.ndarray = field(init=False)        # (Nfp * K, dim)
+    slot_normal: np.ndarray = field(init=False)    # (dim, Nfp * K)
+    slot_wsJ: np.ndarray = field(init=False)       # (Nfp * K,)
+    slot_exterior: np.ndarray = field(init=False)  # (Nfp * K,)
+    slot_tag: np.ndarray = field(init=False)       # (Nfp * K,)
     # the node-pair graph, shared by every class
     pair_i: np.ndarray = field(init=False)
     pair_j: np.ndarray = field(init=False)
     pair_low: np.ndarray = field(init=False)
     scatter: np.ndarray = field(init=False)   # (Np, npairs)
     pair_s: np.ndarray = field(init=False)    # (dim, npairs, K)
-    pair_n: np.ndarray = field(init=False)    # (dim, npairs, K)
 
     def __post_init__(self):
-        classes, cid = self.classes, self.class_id
-        self.mass = np.stack([classes[c].mass for c in cid])
-        self.fxy = self.xy[:, self.ops.face_vol, :]
-        self.fnormal = np.stack([classes[c].normals for c in cid])
-        self.fwsJ = np.stack([classes[c].wsJ for c in cid])
+        classes, cid, ops = self.classes, self.class_id, self.ops
+        dim = ops.dim
+        self.mass = np.stack([gc.mass for gc in classes])[cid]
+        xyf = self.xy[:, ops.face_vol].transpose(1, 0, 2)     # (Nfp, K, dim)
+        self.slot_xy = xyf.reshape(-1, dim)
+        self.slot_normal = np.stack([gc.normals.T for gc in classes],
+                                    axis=-1)[..., cid].reshape(dim, -1)
+        self.slot_wsJ = np.stack([gc.wsJ for gc in classes],
+                                 axis=-1)[:, cid].reshape(-1)
+        cent = np.empty_like(xyf)
+        for rows in ops.face_index:
+            cent[rows] = xyf[rows].mean(axis=0)
+        self.slot_exterior, self.slot_tag = _connect(
+            self.slot_xy, cent.reshape(-1, dim), self.slot_normal.T,
+            self.extent, self.periodic, self.classify)
 
         first = classes[0]
         for c, gc in enumerate(classes[1:], start=1):
@@ -142,8 +163,6 @@ class Mesh:
         # per element, its class's weights: (dim, npairs, K)
         self.pair_s = np.ascontiguousarray(
             np.stack([gc.pair_s for gc in classes], axis=-1)[..., cid])
-        self.pair_n = np.ascontiguousarray(
-            np.stack([gc.pair_n.T for gc in classes], axis=-1)[..., cid])
 
     @property
     def n_elements(self) -> int:
@@ -174,26 +193,6 @@ class Mesh:
         return np.ascontiguousarray(self.mass.T)
 
     @cached_property
-    def slot_exterior(self) -> np.ndarray:
-        """The partner slot of every slot, a boundary slot's own, in the
-        solver's slot-major order: slot s of element k at s * K + k, so
-        that E^T lifts an (..., Nfp, K) face array as it stands."""
-        K, Nfp = self.fpartner.shape
-        own = np.arange(K * Nfp).reshape(K, Nfp)
-        k, s = np.divmod(np.where(self.fpartner >= 0, self.fpartner, own), Nfp)
-        return (s * K + k).T.reshape(-1)
-
-    @cached_property
-    def slot_normal(self) -> np.ndarray:
-        """Unit outward normals, slot-major (dim, Nfp * K)."""
-        return np.ascontiguousarray(self.fnormal.T).reshape(self.dim, -1)
-
-    @cached_property
-    def slot_wsJ(self) -> np.ndarray:
-        """Surface quadrature weights, slot-major (Nfp * K,)."""
-        return np.ascontiguousarray(self.fwsJ.T).reshape(-1)
-
-    @cached_property
     def slot_dissipation(self) -> np.ndarray:
         """Interface dissipation weights wsJ |n|_1 / 2, slot-major (Nfp *
         K,): times a slot's wavespeed, its rate lambda_s in the interface
@@ -216,8 +215,8 @@ def _cluster(values: np.ndarray, tol: float) -> np.ndarray:
     return _group_ids(order, np.diff(values[order]) > tol)
 
 
-def _connect(face_xy, face_cent, face_normal, extent, periodic, classify):
-    """Match face nodes of conforming neighbor faces.
+def _connect(xy, cent, normal, extent, periodic, classify):
+    """Match the face slots of conforming neighbor faces.
 
     A slot pairs with the slot at the same offset from the same face
     centroid whose face has the opposite normal. The centroid
@@ -226,14 +225,16 @@ def _connect(face_xy, face_cent, face_normal, extent, periodic, classify):
     Periodic directions wrap the centroid only: wrapping the nodes would
     give the two ends of a face one period long the same key. Each key
     coordinate is replaced by an integer cluster id (``_cluster``), so the
-    keys match exactly. All are (K, Nfp, dim); returns (fpartner, ftag)
-    with flat indices into K * Nfp.
+    keys match exactly. The node coordinates, face centroids and unit
+    normals are all (n, dim), flat over the n slots in any order; the
+    unmatched slots' coordinates are passed to ``classify``, which returns
+    their positive tags (all 1 without one). Returns (exterior, tag), both
+    (n,): the partner of every slot, a boundary slot's own index, and the
+    tags, 0 at matched slots.
     """
-    K, Nfp, dim = face_xy.shape
-    n = K * Nfp
-    cent = face_cent.reshape(-1, dim).copy()
-    offset = face_xy.reshape(-1, dim) - cent
-    nrm = face_normal.reshape(-1, dim)
+    n, dim = xy.shape
+    offset = xy - cent
+    cent = cent.copy()
     span = np.array([hi - lo for lo, hi in extent])
     lo = np.array([e[0] for e in extent])
     for d in range(dim):
@@ -252,7 +253,7 @@ def _connect(face_xy, face_cent, face_normal, extent, periodic, classify):
             plus.append(ids)
             minus.append(ids)
         # unit normals: the relative tolerance applies unscaled
-        ids = _cluster(np.concatenate([nrm[:, d], -nrm[:, d]]), 1e-7)
+        ids = _cluster(np.concatenate([normal[:, d], -normal[:, d]]), 1e-7)
         plus.append(ids[:n])
         minus.append(ids[n:])
     keys = np.concatenate([np.stack(plus, axis=1), np.stack(minus, axis=1)])
@@ -262,35 +263,22 @@ def _connect(face_xy, face_cent, face_normal, extent, periodic, classify):
     # slot i pairs with the slot whose key under the flipped normal is its own
     owner = np.full(key_id.max() + 1, -1, dtype=np.int64)
     owner[key_id[n:]] = np.arange(n)
-    fpartner = owner[key_id[:n]]
-    matched = fpartner >= 0
-    if np.any(matched):
-        back = fpartner[fpartner[matched]]
-        if not np.all(back == np.nonzero(matched)[0]):
-            raise RuntimeError("face matching is not symmetric; mesh broken")
+    partner = owner[key_id[:n]]
+    bdry = partner < 0
+    exterior = np.where(bdry, np.arange(n), partner)
+    if not np.array_equal(exterior[exterior], np.arange(n)):
+        raise RuntimeError("face matching is not symmetric; mesh broken")
 
-    ftag = np.zeros(K * Nfp, dtype=np.int64)
-    bdry = fpartner < 0
+    tag = np.zeros(n, dtype=np.int64)
     if np.any(bdry):
-        coords = face_xy.reshape(-1, dim)[bdry]
         if classify is None:
-            ftag[bdry] = 1
+            tag[bdry] = 1
         else:
-            tags = np.asarray(classify(coords), dtype=np.int64)
+            tags = np.asarray(classify(xy[bdry]), dtype=np.int64)
             if np.any(tags <= 0):
                 raise ValueError("boundary classifier must return positive tags")
-            ftag[bdry] = tags
-    return fpartner.reshape(K, Nfp), ftag.reshape(K, Nfp)
-
-
-def _build_connectivity(ops, xy, classes, class_id, extent, periodic, classify):
-    face_xy = xy[:, ops.face_vol, :]
-    cent = np.empty_like(face_xy)
-    for f in range(ops.n_faces):
-        rows = ops.face_index[f]
-        cent[:, rows, :] = face_xy[:, rows, :].mean(axis=1, keepdims=True)
-    fnormal = np.stack([classes[c].normals for c in class_id])
-    return _connect(face_xy, cent, fnormal, extent, periodic, classify)
+            tag[bdry] = tags
+    return exterior, tag
 
 
 def interval_mesh(a: float, b: float, K: int, N: int,
@@ -301,11 +289,9 @@ def interval_mesh(a: float, b: float, K: int, N: int,
     xy = left[:, None] + (ops.nodes[:, 0][None, :] + 1) * (h / 2)
     xy = xy[:, :, None]
     geo = _make_geo_class(ops, np.array([[h / 2]]))
-    class_id = np.zeros(K, dtype=np.int64)
-    fpartner, ftag = _build_connectivity(ops, xy, [geo], class_id,
-                                         ((a, b),), (periodic,), classify)
-    return Mesh(elem="line", N=N, ops=ops, xy=xy, class_id=class_id,
-                classes=[geo], fpartner=fpartner, ftag=ftag, extent=((a, b),))
+    return Mesh(elem="line", N=N, ops=ops, xy=xy,
+                class_id=np.zeros(K, dtype=np.int64), classes=[geo],
+                extent=((a, b),), periodic=(periodic,), classify=classify)
 
 
 def rect_mesh(elem: str, box, Kx: int, Ky: int, N: int,
@@ -350,8 +336,6 @@ def rect_mesh(elem: str, box, Kx: int, Ky: int, N: int,
     else:
         raise ValueError(f"unknown 2d element type {elem!r}")
 
-    fpartner, ftag = _build_connectivity(ops, xy, classes, class_id,
-                                         ((ax, bx), (ay, by)), periodic, classify)
     return Mesh(elem=elem, N=N, ops=ops, xy=xy, class_id=class_id,
-                classes=classes, fpartner=fpartner, ftag=ftag,
-                extent=((ax, bx), (ay, by)))
+                classes=classes, extent=((ax, bx), (ay, by)),
+                periodic=periodic, classify=classify)

@@ -83,23 +83,17 @@ __all__ = [
 class GasParams:
     """Ideal-gas and transport parameters.
 
-    ``mu`` is the dynamic viscosity in the nondimensional momentum equation;
-    the effective viscosity is ``mu / Re`` so configurations can state either
-    a plain viscosity (Re = 1) or a Reynolds number (mu = 1).
+    ``mu`` is the dynamic viscosity in the nondimensional momentum
+    equation; a case given by a Reynolds number Re sets mu = 1 / Re.
     """
 
     gamma: float = 1.4
     mu: float = 0.0
-    Re: float = 1.0
     Pr: float = 0.75
 
     @property
-    def mu_eff(self) -> float:
-        return self.mu / self.Re
-
-    @property
     def viscous(self) -> bool:
-        return self.mu_eff != 0.0
+        return self.mu != 0.0
 
 
 def _split(u):
@@ -485,7 +479,7 @@ def viscous_sigma(v, thetas, gas: GasParams, out=None):
     or as one (dim, nvar, ...) array; the fluxes are written into ``out``,
     one (dim, nvar, ...) array, when given, and returned as a tuple of its
     directions. Stokes hypothesis (bulk viscosity zero) and Fourier heat
-    conduction with kappa = gamma mu_eff / Pr in terms of specific
+    conduction with kappa = gamma mu / Pr in terms of specific
     internal energy: sigma_k = (0, tau_k, u . tau_k + kappa de/dx_k), with
     the stress tau_kj = mu (du_j/dx_k + du_k/dx_j) off the diagonal and
     mu (4/3 du_k/dx_k - 2/3 sum_{m != k} du_m/dx_m) on it.
@@ -499,7 +493,7 @@ def viscous_sigma(v, thetas, gas: GasParams, out=None):
     v = np.asarray(v, dtype=float)
     th = np.asarray(thetas, dtype=float)
     dim = len(v) - 2
-    mu = gas.mu_eff
+    mu = gas.mu
     kap = gas.gamma * mu / gas.Pr
     shape = v.shape[1:]
     out = np.empty((dim,) + v.shape) if out is None else out

@@ -149,15 +149,13 @@ class LowOrderRHS:
         self.mesh = mesh
         self.gas = gas
         self.bcs = bcs
-        bcs.validate(mesh.ftag)
+        bcs.validate(mesh.slot_tag)
         K = mesh.n_elements
         # the boundary slots, slot-major, with their tags and coordinates
-        tags = mesh.ftag.T.reshape(-1)
-        bdry = tags > 0
+        bdry = mesh.slot_tag > 0
         self._bdry_slots = np.nonzero(bdry)[0]
-        self._bdry_tags = tags[bdry]
-        self._bdry_xy = mesh.fxy.transpose(1, 0, 2).reshape(
-            -1, mesh.dim)[bdry]
+        self._bdry_tags = mesh.slot_tag[bdry]
+        self._bdry_xy = mesh.slot_xy[bdry]
         # their volume nodes, flat (node, element) indices
         self._bdry_src = (K * mesh.ops.face_vol[self._bdry_slots // K]
                           + self._bdry_slots % K)

@@ -271,10 +271,11 @@ def graph_potentials(adj: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 class RefOps:
     """Operators and quadrature data on one reference element.
 
-    Face data is stored per face node, flattened over faces:
-    ``E`` has one row per face node with a single unit entry, ``Bdiag[k]``
-    holds w^f * nhat_k, ``face_weights`` the plain arc weights w^f, and
-    ``face_normals`` the unit outward reference normal per face node.
+    Face data is stored per face node, flattened over faces: ``E`` has
+    one row per face node with a single unit entry, at the volume node
+    ``face_vol`` names, and ``Bdiag[k]`` holds w^f * nhat_k, the arc weight
+    w^f times the unit outward reference normal, so |B| gives the weights
+    and B / |B| the normals.
     """
 
     elem: str
@@ -286,8 +287,6 @@ class RefOps:
     QL: tuple                  # dim dense (Np, Np) sparse low-order operators
     E: np.ndarray              # (Nfp_tot, Np) 0/1 extraction
     Bdiag: tuple               # dim vectors (Nfp_tot,)
-    face_weights: np.ndarray   # (Nfp_tot,)
-    face_normals: np.ndarray   # (Nfp_tot, dim)
     face_index: np.ndarray     # (n_faces, nfp) rows into the face-node arrays
     face_vol: np.ndarray       # (Nfp_tot,) volume node index per face node
     vander: np.ndarray         # (Np, n_modes) orthonormal modal Vandermonde
@@ -301,14 +300,6 @@ class RefOps:
     @property
     def n_faces(self) -> int:
         return len(self.face_index)
-
-
-def _face_arrays_from_E(E, Bdiag_list):
-    face_vol = np.argmax(E, axis=1)
-    B = np.stack(Bdiag_list)                       # (dim, Nfp)
-    nrm = np.linalg.norm(B, axis=0)
-    face_normals = (B / np.where(nrm > 0, nrm, 1.0)).T
-    return face_vol, nrm, face_normals
 
 
 def _modal_projection(V, w):
@@ -329,14 +320,13 @@ def build_line_ops(N: int) -> RefOps:
     E[1, -1] = 1.0
     Bd = np.array([-1.0, 1.0])
     face_index = np.array([[0], [1]])
-    face_vol, fw, fn = _face_arrays_from_E(E, [Bd])
     V, _ = line_vandermonde(N, x)
     return RefOps(
         elem="line", degree=N, dim=1,
         nodes=x[:, None], weights=w,
         Q=(Q,), QL=(QL,),
         E=E, Bdiag=(Bd,),
-        face_weights=fw, face_normals=fn, face_index=face_index, face_vol=face_vol,
+        face_index=face_index, face_vol=np.argmax(E, axis=1),
         vander=V, modal_proj=_modal_projection(V, w),
         mode_degree=np.arange(N + 1),
     )
@@ -380,7 +370,6 @@ def build_quad_ops(N: int) -> RefOps:
             E[row, iv] = 1.0
             Br[row] = w[m] * nhat[0]
             Bs[row] = w[m] * nhat[1]
-    face_vol, fw, fn = _face_arrays_from_E(E, [Br, Bs])
 
     V1 = line.vander
     ii = np.tile(np.arange(n), n)
@@ -398,7 +387,7 @@ def build_quad_ops(N: int) -> RefOps:
         nodes=np.column_stack([r, s]), weights=w2,
         Q=(Qr, Qs), QL=(QLr, QLs),
         E=E, Bdiag=(Br, Bs),
-        face_weights=fw, face_normals=fn, face_index=face_index, face_vol=face_vol,
+        face_index=face_index, face_vol=np.argmax(E, axis=1),
         vander=V, modal_proj=_modal_projection(V, w2),
         mode_degree=mode_degree,
     )
@@ -481,14 +470,13 @@ def tri_ops(N: int, table: dict) -> RefOps:
         S = np.where(adj, psi[None, :] - psi[:, None], 0.0)
         QLs_out.append(S + 0.5 * EBE)
 
-    face_vol, fw, fn = _face_arrays_from_E(E, [Br, Bs])
     deg = np.concatenate([[i + j for j in range(N + 1 - i)] for i in range(N + 1)])
     return RefOps(
         elem="tri", degree=N, dim=2,
         nodes=nodes, weights=w,
         Q=tuple(Qs_out), QL=tuple(QLs_out),
         E=E, Bdiag=(Br, Bs),
-        face_weights=fw, face_normals=fn, face_index=face_index, face_vol=face_vol,
+        face_index=face_index, face_vol=np.argmax(E, axis=1),
         vander=V, modal_proj=_modal_projection(V, w),
         mode_degree=deg,
     )

@@ -259,18 +259,19 @@ def convex_limit_ref(mesh, uLnew, dF, dt, bounds, cap=None):
 def connect_ref(face_xy, face_cent, face_normal, extent, periodic, classify):
     """Face-node matching with a KD-tree over (node, centroid, +-normal).
 
-    Same arguments and result as ``posdg.mesh._connect``. Nodes and
-    centroids are wrapped onto the lower side of a periodic seam, and each
-    slot's key with +normal is looked up among all keys with -normal.
-    Quad meshes with a periodic direction one element wide fail here:
-    wrapping gives the two ends of a face one period long the same node key.
+    Same arguments and result as ``posdg.mesh._connect``: flat (n, dim)
+    slot arrays in, (exterior, tag) out, a boundary slot its own exterior.
+    Nodes and centroids are wrapped onto the lower side of a periodic seam,
+    and each slot's key with +normal is looked up among all keys with
+    -normal. Quad meshes with a periodic direction one element wide fail
+    here: wrapping gives the two ends of a face one period long the same
+    node key.
     """
     from scipy.spatial import cKDTree
 
-    K, Nfp, dim = face_xy.shape
-    pts = face_xy.reshape(-1, dim).copy()
-    cent = face_cent.reshape(-1, dim).copy()
-    nrm = face_normal.reshape(-1, dim)
+    n, dim = face_xy.shape
+    pts = face_xy.copy()
+    cent = face_cent.copy()
     span = np.array([hi - lo for lo, hi in extent])
     lo = np.array([e[0] for e in extent])
     for d in range(dim):
@@ -281,29 +282,25 @@ def connect_ref(face_xy, face_cent, face_normal, extent, periodic, classify):
                 arr[seam, d] = lo[d]
 
     tol = 1e-7 * span.max()
-    key_minus = np.hstack([pts, cent, -tol * nrm])
-    key_plus = np.hstack([pts, cent, tol * nrm])
+    key_minus = np.hstack([pts, cent, -tol * face_normal])
+    key_plus = np.hstack([pts, cent, tol * face_normal])
     dist, idx = cKDTree(key_minus).query(key_plus, k=1,
                                          distance_upper_bound=0.5 * tol)
-    fpartner = np.where(np.isfinite(dist), idx, -1).astype(np.int64)
-    matched = fpartner >= 0
-    if np.any(matched):
-        back = fpartner[fpartner[matched]]
-        if not np.all(back == np.nonzero(matched)[0]):
-            raise RuntimeError("face matching is not symmetric; mesh broken")
+    bdry = ~np.isfinite(dist)
+    exterior = np.where(bdry, np.arange(n), idx).astype(np.int64)
+    if np.any(exterior[exterior] != np.arange(n)):
+        raise RuntimeError("face matching is not symmetric; mesh broken")
 
-    ftag = np.zeros(K * Nfp, dtype=np.int64)
-    bdry = fpartner < 0
+    tag = np.zeros(n, dtype=np.int64)
     if np.any(bdry):
-        coords = face_xy.reshape(-1, dim)[bdry]
         if classify is None:
-            ftag[bdry] = 1
+            tag[bdry] = 1
         else:
-            tags = np.asarray(classify(coords), dtype=np.int64)
+            tags = np.asarray(classify(face_xy[bdry]), dtype=np.int64)
             if np.any(tags <= 0):
                 raise ValueError("boundary classifier must return positive tags")
-            ftag[bdry] = tags
-    return fpartner.reshape(K, Nfp), ftag.reshape(K, Nfp)
+            tag[bdry] = tags
+    return exterior, tag
 
 
 # ---------------------------------------------------------------------------

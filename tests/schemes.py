@@ -21,11 +21,18 @@ edge: its methods take variable-last node states and viscous fluxes, pass
 them to the solver through ``components``, and give node results (residuals,
 nodal rates, gradients) back variable-last. Face tuples, the end
 tables, the slot weights and the pair arrays are returned in the solver's
-layout."""
+layout.
+
+The meshes and rough states that the residual tests and the guarantee
+tests share are built here too: ``periodic_mesh``, ``walled_scheme``, and
+the positivity fuzz's cases (``fuzz_schemes``) and draws
+(``fuzz_state``)."""
 
 import numpy as np
 
-from posdg.physics import normal_flux
+from posdg.bc import BCSet, dirichlet, noslip, wall
+from posdg.mesh import interval_mesh, rect_mesh
+from posdg.physics import GasParams, normal_flux, primitive_to_conserved
 from posdg.rhs_high import HighOrderRHS, LDGGradient
 from posdg.rhs_low import LowOrderRHS
 
@@ -69,7 +76,7 @@ class Scheme:
         sigf = tuple(s[:, mesh.ops.face_vol].reshape(len(s), -1)
                      for s in components(sigmas))
         sigP = tuple(s[:, mesh.slot_exterior] for s in sigf)
-        tags = mesh.ftag.T.reshape(-1)
+        tags = mesh.slot_tag
         b = tags > 0
         for sp, x in zip(sigP, self.low.bcs.exterior_sigma(
                 tuple(s[:, b] for s in sigf), tags[b])):
@@ -150,3 +157,75 @@ class Scheme:
         """The positivity bound min_i m_i / (2 lambda_i)."""
         lam = self.rates(u, t, sigmas)[2]
         return float((self.mesh.node_mass / (2.0 * lam)).min())
+
+
+# ---------------------------------------------------------------------------
+# meshes and rough states shared by the residual and the guarantee tests
+# ---------------------------------------------------------------------------
+
+def periodic_mesh(elem, N, K=4):
+    """A periodic mesh of [0, 2 pi]^dim."""
+    if elem == "line":
+        return interval_mesh(0.0, 2 * np.pi, 4 * K, N, periodic=True)
+    return rect_mesh(elem, (0.0, 2 * np.pi, 0.0, 2 * np.pi), K, K, N,
+                     periodic=(True, True))
+
+
+def walled_scheme(elem, N, gas, wall_mode="mirror"):
+    """A non-periodic mesh with wall, no-slip and Dirichlet boundaries, and
+    a random admissible state on it."""
+    rng = np.random.default_rng(N)
+    if elem == "line":
+        mesh = interval_mesh(0.0, 2.0, 6, N,
+                             classify=lambda x: np.where(x[:, 0] < 1.0, 1, 3))
+    else:
+        def classify(xy):
+            return np.where(np.abs(xy[:, 0]) < 1e-12, 3,
+                            np.where(xy[:, 1] < -1.0 + 1e-12, 2, 1))
+
+        mesh = rect_mesh(elem, (0.0, 2.0, -1.0, 1.0), 3, 2, N,
+                         classify=classify)
+    u_out = primitive_to_conserved(
+        np.array([1.2] + [0.3, -0.1][:mesh.dim] + [0.9]), gas)
+
+    def g(xb, t):
+        return np.broadcast_to(u_out, (len(xb), len(u_out)))
+
+    bcs = BCSet({1: wall(wall_mode), 2: noslip(), 3: dirichlet(g)})
+    shape = mesh.xy.shape[:-1]
+    prim = np.empty(shape + (mesh.dim + 2,))
+    prim[..., 0] = rng.uniform(0.2, 3.0, shape)
+    prim[..., 1:-1] = rng.uniform(-2.0, 2.0, shape + (mesh.dim,))
+    prim[..., -1] = rng.uniform(0.2, 3.0, shape)
+    return Scheme(mesh, gas, bcs), primitive_to_conserved(prim, gas)
+
+
+def fuzz_state(rng, mesh, gas):
+    """Per node, rho and p log-uniform in [1e-8, 10] and a Mach number
+    uniform in [0, 20] in a random direction; (u, p), variable-last."""
+    shape = mesh.xy.shape[:-1]
+    rho, p = 10.0 ** rng.uniform(-8.0, 1.0, (2,) + shape)
+    speed = rng.uniform(0.0, 20.0, shape) * np.sqrt(gas.gamma * p / rho)
+    if mesh.dim == 1:
+        vel = [speed * rng.choice([-1.0, 1.0], shape)]
+    else:
+        angle = rng.uniform(0.0, 2 * np.pi, shape)
+        vel = [speed * np.cos(angle), speed * np.sin(angle)]
+    return primitive_to_conserved(np.stack([rho, *vel, p], axis=-1), gas), p
+
+
+def fuzz_schemes():
+    """The cases of the positivity fuzz, ((elem, N, viscous, walled),
+    Scheme): line N=3, quad and tri N=2 and 3; inviscid and mu = 0.01;
+    periodic, and walled with wall-Riemann, no-slip and Dirichlet
+    boundaries."""
+    for elem, N in [("line", 3), ("quad", 2), ("quad", 3), ("tri", 2),
+                    ("tri", 3)]:
+        for gas in (GasParams(gamma=1.4),
+                    GasParams(gamma=1.4, mu=0.01, Pr=0.75)):
+            for walled in (False, True):
+                if walled:
+                    sch = walled_scheme(elem, N, gas, "riemann")[0]
+                else:
+                    sch = Scheme(periodic_mesh(elem, N, K=3), gas, BCSet({}))
+                yield (elem, N, gas.viscous, walled), sch

@@ -72,7 +72,7 @@ def test_initial_data_admissible_on_all_meshes(name):
         bound = _bound(case, mesh)
         u0 = bound.ic(mesh.xy)
         assert np.all(is_admissible(u0))
-        bound.bcs.validate(mesh.ftag)
+        bound.bcs.validate(mesh.slot_tag)
 
 
 @pytest.mark.parametrize("name", ["leblanc", "viscous-shock",
@@ -169,7 +169,7 @@ def _becker_constants(M0, mu, gas):
     u_left = 1.0
     u_right = (g - 1.0 + 2.0 / M0 ** 2) / (g + 1.0)
     u_mid = np.sqrt(u_left * u_right)
-    kappa = g * gas.mu_eff / gas.Pr
+    kappa = g * gas.mu / gas.Pr
     coef = 2.0 * kappa / (g + 1.0)
     return u_left, u_right, u_mid, coef
 
@@ -247,11 +247,10 @@ def test_viscous_shock_is_steady_in_comoving_frame(M0, mu):
     de = -(u / g) * du
     vel = u_inf + u
 
-    mu_eff = gas.mu_eff
-    kap = g * mu_eff / gas.Pr
+    kap = g * gas.mu / gas.Pr
     sigma = np.zeros_like(U)
-    sigma[:, 1] = (4.0 / 3.0) * mu_eff * du
-    sigma[:, 2] = (4.0 / 3.0) * mu_eff * vel * du + kap * de
+    sigma[:, 1] = (4.0 / 3.0) * gas.mu * du
+    sigma[:, 2] = (4.0 / 3.0) * gas.mu * vel * du + kap * de
 
     F = euler_flux(U.T, gas)[0].T - u_inf * U - sigma
     spread = np.max(np.abs(F - F[0]), axis=0)
@@ -294,9 +293,9 @@ def test_sine_shock_initial_and_boundary_data():
     assert np.allclose(prim[~left][:, 0], 1.0 + 0.2 * np.sin(5.0 * x))
     assert np.allclose(prim[~left][:, 2], 1.0)
 
-    bdry = mesh.fpartner < 0
-    tags = mesh.ftag[bdry]
-    xb = mesh.fxy[bdry][:, 0]
+    bdry = mesh.slot_exterior == np.arange(len(mesh.slot_exterior))
+    tags = mesh.slot_tag[bdry]
+    xb = mesh.slot_xy[bdry][:, 0]
     assert np.all(tags[xb < 0] == 1) and np.all(tags[xb > 0] == 2)
     assert case.bcs.table[1].kind == "dirichlet"
     assert case.bcs.table[2].kind == "outflow"
@@ -423,9 +422,9 @@ def test_dmr_top_boundary_tracks_the_shock():
 def test_dmr_wall_tags_cover_only_the_ramp_equivalent_segment():
     case = dmr()
     mesh = case.build_mesh(4, 2, "quad")
-    bdry = mesh.fpartner < 0
-    xy = mesh.fxy[bdry]
-    tags = mesh.ftag[bdry]
+    bdry = mesh.slot_exterior == np.arange(len(mesh.slot_exterior))
+    xy = mesh.slot_xy[bdry]
+    tags = mesh.slot_tag[bdry]
     on_wall = (xy[:, 1] < 1e-12) & (xy[:, 0] >= 1.0 / 6.0)
     assert np.all(tags[on_wall] == 1)
     assert np.all(tags[~on_wall] == 2)
@@ -440,16 +439,16 @@ def test_dmr_wall_tags_cover_only_the_ramp_equivalent_segment():
 def test_daru_high_pressure_half_and_walls():
     case = daru_tenaud()
     assert case.gas.Pr == 0.73
-    assert case.gas.mu_eff == 1e-3
+    assert case.gas.mu == 1e-3
     u = case.ic(np.array([[[0.75, 0.25]], [[0.25, 0.25]]]))
     prim = conserved_to_primitive(u, case.gas)
     assert np.allclose(prim[0, 0], [120.0, 0.0, 0.0, 120.0 / 1.4])
     assert np.allclose(prim[1, 0], [1.2, 0.0, 0.0, 1.2 / 1.4])
 
     mesh = case.build_mesh(6, 2, "quad")
-    bdry = mesh.fpartner < 0
-    xy = mesh.fxy[bdry]
-    tags = mesh.ftag[bdry]
+    bdry = mesh.slot_exterior == np.arange(len(mesh.slot_exterior))
+    xy = mesh.slot_xy[bdry]
+    tags = mesh.slot_tag[bdry]
     top = xy[:, 1] > 0.5 - 1e-12
     assert np.all(tags[top] == 1)
     assert np.all(tags[~top] == 2)

@@ -319,7 +319,7 @@ def test_zhang_shu_conserves():
 # ---------------------------------------------------------------------------
 
 def _smooth_2d(elem="quad", N=2, K=4, viscous=False):
-    gas = GasParams(gamma=1.4, mu=0.01, Re=1.0, Pr=0.75) if viscous else GAS
+    gas = GasParams(gamma=1.4, mu=0.01, Pr=0.75) if viscous else GAS
     mesh = rect_mesh(elem, (0.0, 2 * np.pi, 0.0, 2 * np.pi), K, K, N,
                      periodic=(True, True))
     x, y = mesh.xy[..., 0], mesh.xy[..., 1]

@@ -21,6 +21,11 @@ def make2d(elem, N, KxKy, periodic=(False, False), box=(0.0, 2.0, -1.0, 1.0)):
     return rect_mesh(elem, box, KxKy[0], KxKy[1], N, periodic=periodic)
 
 
+def boundary(m):
+    """The boundary slots, slot-major: the fixed points of slot_exterior."""
+    return m.slot_exterior == np.arange(len(m.slot_exterior))
+
+
 # ---------------------------------------------------------------------------
 # intervals
 # ---------------------------------------------------------------------------
@@ -30,33 +35,32 @@ def test_interval_basic():
     assert m.n_elements == 8
     assert abs(m.total_mass - 4.0) < 1e-13
     assert m.xy.min() == -1.0 and m.xy.max() == 3.0
-    # interior interfaces matched, two boundary nodes
-    assert (m.fpartner < 0).sum() == 2
-    assert m.ftag[0, 0] == 1 and m.ftag[-1, 1] == 1
-    assert (m.ftag > 0).sum() == 2
+    # interior interfaces matched, two boundary nodes: slot 0 of element 0
+    # and slot 1 of the last element, the first and last slots
+    assert boundary(m).sum() == 2
+    assert m.slot_tag[0] == 1 and m.slot_tag[-1] == 1
+    assert (m.slot_tag > 0).sum() == 2
 
 
 def test_interval_periodic():
     m = interval_mesh(0.0, 1.0, 5, 2, periodic=True)
-    assert np.all(m.fpartner >= 0)
-    # left end of element 0 pairs with right end of the last element
-    flat = m.fpartner.reshape(-1)
-    assert flat[0] == 5 * 2 - 1
+    assert not boundary(m).any()
+    # left end of element 0 pairs with right end of the last element, slot
+    # 1 of element 4 at 1 * K + 4
+    assert m.slot_exterior[0] == 1 * 5 + 4
 
 
 def test_interval_partner_coords_match():
     m = interval_mesh(0.0, 1.0, 7, 4)
-    fxy = m.fxy.reshape(-1, 1)
-    flat = m.fpartner.reshape(-1)
-    ok = flat >= 0
-    assert np.abs(fxy[ok] - fxy[flat[ok]]).max() < 1e-12
+    ok = ~boundary(m)
+    assert np.abs(m.slot_xy[ok] - m.slot_xy[m.slot_exterior[ok]]).max() < 1e-12
 
 
 def test_interval_classify():
     m = interval_mesh(0.0, 1.0, 4, 2,
                       classify=lambda x: np.where(x[:, 0] < 0.5, 7, 9))
-    assert m.ftag[0, 0] == 7
-    assert m.ftag[-1, 1] == 9
+    assert m.slot_tag[0] == 7
+    assert m.slot_tag[-1] == 9
 
 
 # ---------------------------------------------------------------------------
@@ -72,24 +76,24 @@ def test_total_mass_is_area(elem, N, K):
 @pytest.mark.parametrize("elem,N,K", MESHES_2D)
 def test_partner_coordinates_coincide(elem, N, K):
     m = make2d(elem, N, K)
-    fxy = m.fxy.reshape(-1, 2)
-    flat = m.fpartner.reshape(-1)
-    ok = flat >= 0
+    ext = m.slot_exterior
+    ok = ~boundary(m)
     assert ok.sum() > 0
-    assert np.abs(fxy[ok] - fxy[flat[ok]]).max() < 1e-12
-    # matching is an involution and never self-referential
-    assert np.all(flat[flat[ok]] == np.nonzero(ok)[0])
+    assert np.abs(m.slot_xy[ok] - m.slot_xy[ext[ok]]).max() < 1e-12
+    # matching is an involution whose fixed points are exactly the tagged
+    # boundary slots
+    assert np.array_equal(ext[ext], np.arange(len(ext)))
+    assert np.array_equal(~ok, m.slot_tag > 0)
 
 
 @pytest.mark.parametrize("elem,N,K", MESHES_2D)
 def test_partner_normals_opposite(elem, N, K):
     m = make2d(elem, N, K)
-    nrm = m.fnormal.reshape(-1, 2)
-    wsj = m.fwsJ.reshape(-1)
-    flat = m.fpartner.reshape(-1)
-    ok = flat >= 0
-    assert np.abs(nrm[ok] + nrm[flat[ok]]).max() < 1e-12
-    assert np.abs(wsj[ok] - wsj[flat[ok]]).max() < 1e-12
+    nrm, wsj = m.slot_normal, m.slot_wsJ
+    ok = ~boundary(m)
+    ext = m.slot_exterior[ok]
+    assert np.abs(nrm[:, ok] + nrm[:, ext]).max() < 1e-12
+    assert np.abs(wsj[ok] - wsj[ext]).max() < 1e-12
 
 
 @pytest.mark.parametrize("elem,N,K", MESHES_2D)
@@ -97,29 +101,30 @@ def test_boundary_count(elem, N, K):
     m = make2d(elem, N, K)
     nfp = N + 1
     expect = 2 * (K[0] + K[1]) * nfp
-    assert (m.fpartner.reshape(-1) < 0).sum() == expect
-    assert ((m.ftag > 0) == (m.fpartner < 0)).all()
+    assert boundary(m).sum() == expect
+    assert ((m.slot_tag > 0) == boundary(m)).all()
 
 
 @pytest.mark.parametrize("elem", ["quad", "tri"])
 def test_fully_periodic_has_no_boundary(elem):
     m = make2d(elem, 2, (4, 3), periodic=(True, True))
-    assert np.all(m.fpartner >= 0)
-    assert np.all(m.ftag == 0)
+    assert not boundary(m).any()
+    assert np.all(m.slot_tag == 0)
 
 
 @pytest.mark.parametrize("elem", ["quad", "tri"])
 def test_partial_periodicity(elem):
     m = make2d(elem, 2, (4, 3), periodic=(True, False))
     # only the y boundaries remain
-    assert (m.fpartner.reshape(-1) < 0).sum() == 2 * 4 * 3
+    assert boundary(m).sum() == 2 * 4 * 3
 
 
 @pytest.mark.parametrize("elem,N,K", MESHES_2D)
 def test_element_closure(elem, N, K):
     # sum of wsJ * n over each element's surface vanishes (discrete GCL)
     m = make2d(elem, N, K)
-    total = np.einsum("kf,kfd->kd", m.fwsJ, m.fnormal)
+    total = (m.slot_wsJ * m.slot_normal).reshape(
+        m.dim, m.n_face_nodes, m.n_elements).sum(axis=1)
     assert np.abs(total).max() < 1e-12
 
 
@@ -127,8 +132,7 @@ def test_element_closure(elem, N, K):
 def test_surface_length(elem, N, K):
     m = make2d(elem, N, K)
     # global boundary length = perimeter of the box
-    bdry = (m.fpartner < 0).reshape(-1)
-    assert abs(m.fwsJ.reshape(-1)[bdry].sum() - (2 * (2.0 + 2.0))) < 1e-12
+    assert abs(m.slot_wsJ[boundary(m)].sum() - (2 * (2.0 + 2.0))) < 1e-12
 
 
 @pytest.mark.parametrize("elem,N,K", MESHES_2D)
@@ -210,12 +214,9 @@ def test_mesh_pair_graph_equals_every_class_graph():
                 assert np.array_equal(getattr(m, name), getattr(gc, name)), \
                     (elem, N, name)
         npairs = len(m.pair_i)
-        assert m.pair_s.shape == m.pair_n.shape == (m.dim, npairs,
-                                                    m.n_elements)
+        assert m.pair_s.shape == (m.dim, npairs, m.n_elements)
         for k, c in enumerate(m.class_id):
-            gc = m.classes[c]
-            assert np.array_equal(m.pair_s[:, :, k], gc.pair_s)
-            assert np.array_equal(m.pair_n[:, :, k], gc.pair_n.T)
+            assert np.array_equal(m.pair_s[:, :, k], m.classes[c].pair_s)
 
 
 def test_mesh_rejects_classes_with_different_pair_graphs():
@@ -225,8 +226,8 @@ def test_mesh_rejects_classes_with_different_pair_graphs():
                   dataclasses.replace(gc1, pair_j=gc1.pair_j[::-1])):
         with pytest.raises(ValueError, match="classes 0 and 1"):
             Mesh(elem=m.elem, N=m.N, ops=m.ops, xy=m.xy, class_id=m.class_id,
-                 classes=[gc0, other], fpartner=m.fpartner, ftag=m.ftag,
-                 extent=m.extent)
+                 classes=[gc0, other], extent=m.extent,
+                 periodic=m.periodic, classify=m.classify)
 
 
 def test_classify_2d():
@@ -234,9 +235,9 @@ def test_classify_2d():
         return np.where(np.abs(p[:, 1] - (-1.0)) < 1e-12, 2, 1)
 
     m = rect_mesh("quad", (0.0, 2.0, -1.0, 1.0), 3, 3, 2, classify=classify)
-    tags = m.ftag.reshape(-1)
-    bott = np.abs(m.fxy.reshape(-1, 2)[:, 1] + 1.0) < 1e-12
-    bdry = m.fpartner.reshape(-1) < 0
+    tags = m.slot_tag
+    bott = np.abs(m.slot_xy[:, 1] + 1.0) < 1e-12
+    bdry = boundary(m)
     assert np.all(tags[bott & bdry] == 2)
     assert np.all(tags[~bott & bdry] == 1)
 
@@ -254,29 +255,25 @@ def test_partner_slots_have_negated_normals_and_equal_weights(elem, N,
     else:
         mesh = make2d(elem, N, (3, 2), periodic=(periodic, periodic),
                       box=(0.0, 2.0, -1.0, 0.6))
-    flat = mesh.fpartner.reshape(-1)
-    ok = flat >= 0
+    ok = ~boundary(mesh)
     assert ok.sum() > 0
-    nrm = mesh.fnormal.reshape(len(flat), -1)
-    wsj = mesh.fwsJ.reshape(-1)
-    assert np.array_equal(nrm[flat[ok]], -nrm[ok])
-    assert np.array_equal(wsj[flat[ok]], wsj[ok])
+    ext = mesh.slot_exterior[ok]
+    nrm, wsj = mesh.slot_normal, mesh.slot_wsJ
+    assert np.array_equal(nrm[:, ext], -nrm[:, ok])
+    assert np.array_equal(wsj[ext], wsj[ok])
 
 
 def test_gather_exterior():
+    # the slot arrays are slot-major: slot s of element k at s * K + k
     m = make2d("quad", 2, (3, 2), periodic=(True, True))
-    rng = np.random.default_rng(1)
-    # face values are component first and slot-major, (nvar, Nfp * K);
-    # fpartner indexes the element-major order element * Nfp + slot
     K, Nfp = m.n_elements, m.n_face_nodes
-    uf = rng.normal(size=(4, Nfp * K))
-    ue = uf[:, m.slot_exterior]
-
-    def element_major(a):
-        return a.reshape(4, Nfp, K).transpose(0, 2, 1).reshape(4, -1)
-
-    flat = m.fpartner.reshape(-1)
-    assert np.allclose(element_major(ue), element_major(uf)[:, flat])
+    for s, k in itertools.product(range(Nfp), range(K)):
+        assert np.array_equal(m.slot_xy[s * K + k], m.xy[k, m.ops.face_vol[s]])
+    # each exterior slot sits at the same point, up to a period
+    shift = m.slot_xy[m.slot_exterior] - m.slot_xy
+    for d, period in enumerate((2.0, 2.0)):
+        whole = np.round(shift[:, d] / period)
+        assert np.abs(shift[:, d] - whole * period).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +281,20 @@ def test_gather_exterior():
 # ---------------------------------------------------------------------------
 
 def _face_arrays(m):
-    """(face nodes, face centroids, normals) as the mesh builders pass them."""
-    cent = np.empty_like(m.fxy)
+    """(face nodes, face centroids, normals), flat (Nfp * K, dim) and
+    slot-major, as the mesh passes them to ``_connect``."""
+    fxy = m.slot_xy.reshape(m.n_face_nodes, m.n_elements, m.dim)
+    cent = np.empty_like(fxy)
     for rows in m.ops.face_index:
-        cent[:, rows] = m.fxy[:, rows].mean(axis=1, keepdims=True)
-    return m.fxy, cent, m.fnormal
+        cent[rows] = fxy[rows].mean(axis=0)
+    return m.slot_xy, cent.reshape(-1, m.dim), m.slot_normal.T
 
 
 def _assert_matches_oracle(m, periodic, classify=None):
-    fpartner, ftag = connect_ref(*_face_arrays(m), m.extent, periodic,
-                                 classify)
-    assert np.array_equal(m.fpartner, fpartner)
-    assert np.array_equal(m.ftag, ftag)
+    exterior, tag = connect_ref(*_face_arrays(m), m.extent, periodic,
+                                classify)
+    assert np.array_equal(m.slot_exterior, exterior)
+    assert np.array_equal(m.slot_tag, tag)
 
 
 @pytest.mark.parametrize("elem", ["line", "quad", "tri"])
@@ -334,16 +333,22 @@ def test_connect_tolerates_coordinate_jitter():
     jitter = 1e-12 * 3.0     # 1e-12 of the larger span
     fxy = fxy + jitter * rng.uniform(-1.0, 1.0, fxy.shape)
     cent = cent + jitter * rng.uniform(-1.0, 1.0, cent.shape)
-    fpartner, ftag = _connect(fxy, cent, nrm, m.extent, (True, False), None)
-    assert np.array_equal(fpartner, m.fpartner)
-    assert np.array_equal(ftag, m.ftag)
+    exterior, tag = _connect(fxy, cent, nrm, m.extent, (True, False), None)
+    assert np.array_equal(exterior, m.slot_exterior)
+    assert np.array_equal(tag, m.slot_tag)
 
 
 def test_connect_rejects_asymmetric_match():
-    # a second copy of element 0 offers every face node of element 0 two
-    # partners, so the match cannot be an involution
+    # a second copy of element 0, as element K, offers every face node of
+    # element 0 two partners, so the match cannot be an involution
     m = rect_mesh("quad", (0.0, 2.0, 0.0, 1.0), 3, 2, 2)
-    fxy, cent, nrm = (np.concatenate([a, a[:1]]) for a in _face_arrays(m))
+    Nfp, K = m.n_face_nodes, m.n_elements
+
+    def with_copy(a):
+        a = a.reshape(Nfp, K, m.dim)
+        return np.concatenate([a, a[:, :1]], axis=1).reshape(-1, m.dim)
+
+    fxy, cent, nrm = (with_copy(a) for a in _face_arrays(m))
     for connect in (_connect, connect_ref):
         with pytest.raises(RuntimeError, match="not symmetric"):
             connect(fxy, cent, nrm, m.extent, (False, False), None)
@@ -356,16 +361,16 @@ def test_one_element_wide_periodic_quads_connect(N, Kx, Ky):
     # period long the same key
     box = (0.0, 2.0, -1.0, 0.5)
     m = rect_mesh("quad", box, Kx, Ky, N, periodic=(True, True))
-    flat = m.fpartner.reshape(-1)
-    assert np.all(flat >= 0)
-    assert np.all(flat[flat] == np.arange(len(flat)))
-    fxy = m.fxy.reshape(-1, 2)
-    shift = fxy[flat] - fxy
+    ext = m.slot_exterior
+    assert not boundary(m).any()
+    assert np.all(m.slot_tag == 0)
+    assert np.all(ext[ext] == np.arange(len(ext)))
+    shift = m.slot_xy[ext] - m.slot_xy
     for d, period in enumerate((2.0, 1.5)):
         whole = np.round(shift[:, d] / period)
         assert np.abs(shift[:, d] - whole * period).max() < 1e-12
-    nrm = m.fnormal.reshape(-1, 2)
-    assert np.abs(nrm[flat] + nrm).max() < 1e-12
+    nrm = m.slot_normal
+    assert np.abs(nrm[:, ext] + nrm).max() < 1e-12
 
 
 def test_one_element_wide_periodic_vortex_conserves_convex():

@@ -11,9 +11,16 @@ from oracles import (
     lam_hat_ref,
     normal_flux_ref,
 )
-from schemes import Scheme, components
+from schemes import (
+    Scheme,
+    components,
+    fuzz_schemes,
+    fuzz_state,
+    periodic_mesh,
+    walled_scheme,
+)
 
-from posdg.bc import BCSet, dirichlet, noslip, outflow, wall
+from posdg.bc import BCSet, dirichlet, outflow, wall
 from posdg.cases import get_case
 from posdg.mesh import interval_mesh, rect_mesh
 from posdg.physics import (
@@ -31,14 +38,7 @@ from posdg.rhs_low import LowOrderRHS, interface_flux_low
 from posdg.timestepping import Stepper
 
 GAS = GasParams(gamma=1.4)
-GAS_V = GasParams(gamma=1.4, mu=0.01, Re=1.0, Pr=0.75)
-
-
-def periodic_mesh(elem, N, K=4):
-    if elem == "line":
-        return interval_mesh(0.0, 2 * np.pi, 4 * K, N, periodic=True)
-    return rect_mesh(elem, (0.0, 2 * np.pi, 0.0, 2 * np.pi), K, K, N,
-                     periodic=(True, True))
+GAS_V = GasParams(gamma=1.4, mu=0.01, Pr=0.75)
 
 
 def smooth_state(mesh, gas=GAS):
@@ -310,35 +310,6 @@ def test_bar_state_decomposition_with_boundaries():
 # per-end wavespeeds against the pairwise form
 # ---------------------------------------------------------------------------
 
-def _walled_scheme(elem, N, gas, wall_mode="mirror"):
-    """A non-periodic mesh with wall, no-slip and Dirichlet boundaries, and
-    a random admissible state on it."""
-    rng = np.random.default_rng(N)
-    if elem == "line":
-        mesh = interval_mesh(0.0, 2.0, 6, N,
-                             classify=lambda x: np.where(x[:, 0] < 1.0, 1, 3))
-    else:
-        def classify(xy):
-            return np.where(np.abs(xy[:, 0]) < 1e-12, 3,
-                            np.where(xy[:, 1] < -1.0 + 1e-12, 2, 1))
-
-        mesh = rect_mesh(elem, (0.0, 2.0, -1.0, 1.0), 3, 2, N,
-                         classify=classify)
-    u_out = primitive_to_conserved(
-        np.array([1.2] + [0.3, -0.1][:mesh.dim] + [0.9]), gas)
-
-    def g(xb, t):
-        return np.broadcast_to(u_out, (len(xb), len(u_out)))
-
-    bcs = BCSet({1: wall(wall_mode), 2: noslip(), 3: dirichlet(g)})
-    shape = mesh.xy.shape[:-1]
-    prim = np.empty(shape + (mesh.dim + 2,))
-    prim[..., 0] = rng.uniform(0.2, 3.0, shape)
-    prim[..., 1:-1] = rng.uniform(-2.0, 2.0, shape + (mesh.dim,))
-    prim[..., -1] = rng.uniform(0.2, 3.0, shape)
-    return Scheme(mesh, gas, bcs), primitive_to_conserved(prim, gas)
-
-
 @pytest.mark.parametrize("elem,N", [("line", 3), ("quad", 2), ("quad", 3),
                                     ("tri", 2), ("tri", 3)])
 @pytest.mark.parametrize("viscous", [False, True])
@@ -347,10 +318,10 @@ def test_wavespeeds_match_pairwise_form(elem, N, viscous):
     # Davis) evaluated at both ends of every pair and slot, bit for bit;
     # strong viscosity, so beta exceeds Davis at some ends
     gas = GasParams(gamma=1.4, mu=5.0) if viscous else GAS
-    sch, u = _walled_scheme(elem, N, gas)
+    sch, u = walled_scheme(elem, N, gas)
     mesh = sch.mesh
     tags = {1, 3} if elem == "line" else {1, 2, 3}
-    assert set(mesh.ftag[mesh.ftag > 0].tolist()) == tags
+    assert set(mesh.slot_tag[mesh.slot_tag > 0].tolist()) == tags
     sig = sch.gradient(u, 0.0)[2] if viscous else None
     faces = sch.faces(u, 0.0, sig)
     w = sch.wavespeeds(u, 0.0, sig)
@@ -509,7 +480,10 @@ def _euler_form_low(sch, u, sig):
     if sc is not None:
         f = tuple(fd - sd for fd, sd in zip(f, sc))
     low = mesh.pair_low
-    pi, pj, n = mesh.pair_i[low], mesh.pair_j[low], mesh.pair_n[:, low]
+    pi, pj = mesh.pair_i[low], mesh.pair_j[low]
+    # n_ij per element, (dim, npairs_low, K), from its class
+    n = np.stack([gc.pair_n[low].T for gc in mesh.classes],
+                 axis=-1)[..., mesh.class_id]
     FL = (-sum(n[d] * (f[d][:, pi] + f[d][:, pj]) for d in range(len(f)))
           + lam_p * (uc[:, pj] - uc[:, pi]))
     uf, uP = sch.faces(u, 0.0, sig)[:2]
@@ -529,7 +503,7 @@ def test_end_table_fluxes_match_the_euler_flux_form(elem, N, viscous):
     # so they equal the per-direction form bit for bit, and on tri meshes
     # to roundoff; walls, no-slip and Dirichlet ghosts included
     gas = GasParams(gamma=1.4, mu=5.0) if viscous else GAS
-    sch, u = _walled_scheme(elem, N, gas)
+    sch, u = walled_scheme(elem, N, gas)
     sig = sch.gradient(u, 0.0)[2] if viscous else None
     # component first, (nvar, ...)
     results = zip((sch.low_pairs(u, 0.0, sig)[0],
@@ -581,46 +555,23 @@ def test_quad_pair_ends_cover_the_face_slots():
     assert len(sch.wavespeeds(smooth_state(mesh))) == 32 * mesh.n_elements
 
 
-def _fuzz_state(rng, mesh, gas):
-    """Per node, rho and p log-uniform in [1e-8, 10] and a Mach number
-    uniform in [0, 20] in a random direction; (u, p), variable-last."""
-    shape = mesh.xy.shape[:-1]
-    rho, p = 10.0 ** rng.uniform(-8.0, 1.0, (2,) + shape)
-    speed = rng.uniform(0.0, 20.0, shape) * np.sqrt(gas.gamma * p / rho)
-    if mesh.dim == 1:
-        vel = [speed * rng.choice([-1.0, 1.0], shape)]
-    else:
-        angle = rng.uniform(0.0, 2 * np.pi, shape)
-        vel = [speed * np.cos(angle), speed * np.sin(angle)]
-    return primitive_to_conserved(np.stack([rho, *vel, p], axis=-1), gas), p
-
-
 def test_low_order_positivity_fuzz():
     # the forward Euler step of the low-order scheme at its bound
     # dt = min m / (2 lambda) stays admissible on near-vacuum, Mach-20
     # states: every element and degree, inviscid and viscous, periodic and
     # with wall-Riemann, no-slip and Dirichlet boundaries
     rng = np.random.default_rng(7)
-    for elem, N in [("line", 3), ("quad", 2), ("quad", 3), ("tri", 2),
-                    ("tri", 3)]:
-        for gas in (GAS, GAS_V):
-            for walled in (False, True):
-                case = (elem, N, gas.viscous, walled)
-                if walled:
-                    sch = _walled_scheme(elem, N, gas, "riemann")[0]
-                else:
-                    sch = Scheme(periodic_mesh(elem, N, K=3), gas, BCSet({}))
-                mesh = sch.mesh
-                for _ in range(10):
-                    u, p = _fuzz_state(rng, mesh, gas)
-                    assert np.allclose(internal_energy(u),
-                                       p / (gas.gamma - 1.0), rtol=1e-12,
-                                       atol=0.0), case
-                    sig = sch.gradient(u)[2] if gas.viscous else None
-                    R, lam = sch.low_residual(u, 0.0, sig)
-                    dt = float((mesh.mass / (2 * lam)).min())
-                    unew = u + dt * R / mesh.mass[..., None]
-                    assert np.all(is_admissible(unew)), case
+    for case, sch in fuzz_schemes():
+        mesh, gas = sch.mesh, sch.low.gas
+        for _ in range(10):
+            u, p = fuzz_state(rng, mesh, gas)
+            assert np.allclose(internal_energy(u), p / (gas.gamma - 1.0),
+                               rtol=1e-12, atol=0.0), case
+            sig = sch.gradient(u)[2] if gas.viscous else None
+            R, lam = sch.low_residual(u, 0.0, sig)
+            dt = float((mesh.mass / (2 * lam)).min())
+            unew = u + dt * R / mesh.mass[..., None]
+            assert np.all(is_admissible(unew)), case
 
 
 def test_outflow_copy_is_transparent_for_uniform_flow():

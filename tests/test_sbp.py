@@ -125,10 +125,8 @@ def test_extraction_is_zero_one(elem, N):
     E = ops.E
     assert set(np.unique(E)) <= {0.0, 1.0}
     assert np.all(E.sum(axis=1) == 1.0)
-    # extracted coordinates must equal the face-node coordinates
-    for k in range(ops.dim):
-        nk = ops.face_normals[:, k] * ops.face_weights
-        assert np.abs(nk - ops.Bdiag[k]).max() < 1e-14
+    # each row's unit entry sits at its face node's volume node
+    assert np.array_equal(E, np.eye(ops.n_nodes)[ops.face_vol])
 
 
 @pytest.mark.parametrize("elem,N", ALL_ELEMS)
@@ -178,10 +176,14 @@ def test_face_quadrature(elem, N):
         lengths = [2.0] * 4
     else:
         lengths = [2.0, 2.0 * np.sqrt(2.0), 2.0]
+    # Bdiag holds w^f nhat: |B| gives the arc weights, B / |B| the normals
+    B = np.stack(ops.Bdiag)
+    weights = np.linalg.norm(B, axis=0)
+    normals = (B / weights).T
     for f in range(ops.n_faces):
         rows = ops.face_index[f]
-        assert abs(ops.face_weights[rows].sum() - lengths[f]) < 1e-13
-        n = ops.face_normals[rows]
+        assert abs(weights[rows].sum() - lengths[f]) < 1e-13
+        n = normals[rows]
         assert np.abs(np.linalg.norm(n, axis=1) - 1.0).max() < 1e-13
         assert np.abs(n - n[0]).max() < 1e-13  # straight faces
 

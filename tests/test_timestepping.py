@@ -288,7 +288,7 @@ def test_diagnostics_rows_match_a_variable_last_oracle(raw):
 
 
 def test_viscous_run_smoke():
-    gas = GasParams(gamma=1.4, mu=0.01, Re=1.0, Pr=0.75)
+    gas = GasParams(gamma=1.4, mu=0.01, Pr=0.75)
     mesh, u0 = _wave_setup(K=8, N=2)
     st = Stepper(mesh, gas, BCSet({}), mode="elementwise")
     u, diags = advance(st, u0, 0.0, 0.05, cfl=0.5)
