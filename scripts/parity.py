@@ -18,7 +18,13 @@ modes ``none``, ``low-only``, ``convex`` and ``elementwise`` (the limiters
 bind hardest on that near-vacuum tube), the 1D viscous shock with modes
 ``none`` and ``elementwise``: LDG with Dirichlet boundaries, and the Mach
 20 viscous shock in mode ``elementwise``, whose first limited stage states
-restart 15 of its 17 steps from their own positivity bound. Two tri
+restart 15 of its 17 steps from their own positivity bound. The 1D
+sine-shock (Shu-Osher) tube in mode ``elementwise`` has a Dirichlet inflow
+and an outflow boundary, and a short double Mach reflection in mode
+``convex`` with ``wall_riemann = false`` has mirror walls and the moving
+Dirichlet boundary; with the wall-Riemann walls of the dmr workload and
+the no-slip walls of Daru-Tenaud, every kind of boundary condition is
+marched. Two tri
 configurations cover the wavespeed ends that tri elements do not share
 between pairs and face slots, with viscous wavespeeds and boundary ghost
 states: Daru-Tenaud in mode ``convex`` (no-slip and wall boundaries) and
@@ -84,6 +90,10 @@ VISCOUS_SHOCK_M20 = dict(case="viscous-shock-m20", N=3, K=40, t_final=0.003,
                          mode="elementwise")
 DARU_TRI = dict(case="daru", elem="tri", N=3, K=4, t_final=0.01,
                 mode="convex")
+SINE_SHOCK = dict(case="sine-shock", N=3, K=100, t_final=0.1,
+                  mode="elementwise")
+DMR_MIRROR = dict(case="dmr", elem="quad", N=3, K=4, t_final=0.01,
+                  mode="convex", wall_riemann=False)
 VISCOUS_SHOCK_2D_TRI = dict(case="viscous-shock-2d", elem="tri", N=3, K=4,
                             t_final=0.02, mode="none")
 
@@ -101,6 +111,8 @@ def configs() -> dict:
     for mode in ("none", "elementwise"):
         march[f"viscous-shock-line-{mode}"] = dict(VISCOUS_SHOCK, mode=mode)
     march["mach20-shock-line-elementwise"] = VISCOUS_SHOCK_M20
+    march["sine-shock-line-elementwise"] = SINE_SHOCK
+    march["dmr-quad-convex-mirror"] = DMR_MIRROR
     march["daru-tri-convex"] = DARU_TRI
     march["viscous-shock-2d-tri-none"] = VISCOUS_SHOCK_2D_TRI
     runs = {name: dict(wl.config) for name, wl in WORKLOADS.items()}

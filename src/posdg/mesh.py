@@ -6,10 +6,15 @@ face-slot arrays used by the residual evaluations.
 
 The mesh has one node-pair graph: the pairs i < j on which the skew part
 of the high-order operators Q_k or of the low-order operators QL_k is
-nonzero. Each geometry class builds it from its own operators, and the
-mesh checks at construction that every class gives the same pairs and the
-same low-order subset; only the pair weights differ between classes, so
-the mesh stacks the high-order ones per element, shape (dim, npairs, K).
+nonzero. The low-order pairs, those with a nonzero QL_k part, lead it:
+the first ``n_low`` pairs are the low-order ones and the rest are only
+high-order, each block in upper-triangle (row-major) order. So the
+low-order scheme and the pair differences F^H - F^L select their pairs
+with a leading slice, ``[:n_low]``, and no index array. Each geometry
+class builds the graph from its own operators, and the mesh checks at
+construction that every class gives the same pairs and the same count
+``n_low``; only the pair weights differ between classes, so the mesh
+stacks the high-order ones per element, shape (dim, npairs, K).
 The high-order volume flux, the low-order graph viscosity and the convex
 limiter all work on these pairs, on arrays laid out (variable, pair,
 element) over the whole mesh, and a pair flux F_ij reaches the nodes
@@ -61,12 +66,13 @@ class GeoClass:
     mass: np.ndarray         # (Np,) J * w
     wsJ: np.ndarray          # (Nfp,) physical face weights
     normals: np.ndarray      # (Nfp, dim) physical unit outward normals
-    pair_i: np.ndarray       # union sparsity of the skew parts, i < j
-    pair_j: np.ndarray
+    pair_i: np.ndarray       # union sparsity of the skew parts, i < j:
+    pair_j: np.ndarray       # the low-order pairs first, each block in
+                             # upper-triangle order
     pair_s: np.ndarray       # (dim, npairs) high-order (Q_k - Q_k^T)_ij
     pair_n: np.ndarray       # (npairs, dim) n_ij = (QL_k - QL_k^T)_ij / 2,
-                             # zero on pairs that are only high-order
-    pair_low: np.ndarray     # indices of the low-order pairs
+                             # nonzero on exactly the first n_low pairs
+    n_low: int               # number of low-order pairs, which lead
     scatter: np.ndarray      # (Np, npairs): +1 at row i, -1 at row j
 
 
@@ -93,6 +99,10 @@ def _make_geo_class(ops: RefOps, A: np.ndarray) -> GeoClass:
     low_mask = np.any([np.abs(S) > 1e-14 for S in low], axis=0)
     mask = low_mask | np.any([np.abs(S) > 1e-14 for S in high], axis=0)
     iu, ju = np.nonzero(np.triu(mask, k=1))
+    # the low-order pairs first; the stable sort keeps each block's order
+    is_low = low_mask[iu, ju]
+    order = np.argsort(~is_low, kind="stable")
+    iu, ju = iu[order], ju[order]
     cols = np.arange(len(iu))
     scatter = np.zeros((ops.n_nodes, len(iu)))
     scatter[iu, cols] = 1.0
@@ -103,7 +113,7 @@ def _make_geo_class(ops: RefOps, A: np.ndarray) -> GeoClass:
         pair_i=iu, pair_j=ju,
         pair_s=np.stack([S[iu, ju] for S in high]),
         pair_n=np.stack([S[iu, ju] for S in low], axis=-1),
-        pair_low=np.nonzero(low_mask[iu, ju])[0],
+        n_low=int(np.count_nonzero(is_low)),
         scatter=scatter,
     )
 
@@ -131,7 +141,7 @@ class Mesh:
     # the node-pair graph, shared by every class
     pair_i: np.ndarray = field(init=False)
     pair_j: np.ndarray = field(init=False)
-    pair_low: np.ndarray = field(init=False)
+    n_low: int = field(init=False)            # the low-order pairs lead
     scatter: np.ndarray = field(init=False)   # (Np, npairs)
     pair_s: np.ndarray = field(init=False)    # (dim, npairs, K)
 
@@ -155,11 +165,11 @@ class Mesh:
         first = classes[0]
         for c, gc in enumerate(classes[1:], start=1):
             if not all(np.array_equal(getattr(first, a), getattr(gc, a))
-                       for a in ("pair_i", "pair_j", "pair_low")):
+                       for a in ("pair_i", "pair_j", "n_low")):
                 raise ValueError(f"geometry classes 0 and {c} have different "
                                  f"node-pair graphs")
         self.pair_i, self.pair_j = first.pair_i, first.pair_j
-        self.pair_low, self.scatter = first.pair_low, first.scatter
+        self.n_low, self.scatter = first.n_low, first.scatter
         # per element, its class's weights: (dim, npairs, K)
         self.pair_s = np.ascontiguousarray(
             np.stack([gc.pair_s for gc in classes], axis=-1)[..., cid])

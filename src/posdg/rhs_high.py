@@ -21,8 +21,10 @@ normal fluxes plus a Lax-Friedrichs-type jump at a rate of at least the
 local wavespeed, which is entropy stable. So the high-order update differs
 from the low-order one only by the scattered pair differences
 F^H_ij - F^L_ij, which :class:`HighOrderRHS` returns: no high-order
-residual is formed. The limiters blend those differences, and mode
-``none`` adds them in full (see :mod:`posdg.limiter` and
+residual is formed. The low-order pairs lead the mesh's pair graph, so
+F^L covers its first ``n_low`` pairs and the differences are formed in
+place on that leading slice. The limiters blend those differences, and
+mode ``none`` adds them in full (see :mod:`posdg.limiter` and
 :class:`posdg.timestepping.Stepper`). The pair-end gathers and the flux
 temporaries are taken from a :class:`~posdg.workspace.Workspace`, and F^H
 is written into its kept array, so a Stepper's stages allocate no
@@ -114,6 +116,8 @@ class HighOrderRHS:
         self.mesh = mesh
         self.gas = gas
         self._n = np.negative(mesh.pair_s)    # n_k = -(Q_k - Q_k^T)_ij
+        # the viscous term's weights n_k / 2, formed for a viscous gas only
+        self._half_n = 0.5 * self._n if gas.viscous else None
 
     def pair_fluxes(self, u, sigmas=None, ws=None):
         """High-order pair fluxes F^H_ij, one (nvar, npairs, K) array.
@@ -135,20 +139,19 @@ class HighOrderRHS:
             ec_fluxes_prims(ws.gather(tab, pi), ws.gather(tab, pj), self._n,
                             self.gas, ws=ws, out=FH)
             if sigmas is not None:
-                # minus sum_k n_k (s_ki + s_kj) / 2
+                # minus sum_k (n_k / 2) (s_ki + s_kj)
                 vis, t = ws.take(FH.shape), ws.take(FH.shape)
-                for s, n in zip(sigmas, self._n):
+                for s, half_n in zip(sigmas, self._half_n):
                     s.take(pi, axis=1, out=vis, mode="clip")
                     vis += s.take(pj, axis=1, out=t, mode="clip")
-                    vis *= 0.5
-                    vis *= n
+                    vis *= half_n
                     FH -= vis
         return FH
 
     def __call__(self, u, sigmas, FL, ws=None):
         """dF = F^H - F^L, formed in the array of :meth:`pair_fluxes`; ``FL``
-        are the low-order pair fluxes on the graph's ``pair_low`` subset
-        (:class:`posdg.rhs_low.LowOrderRHS`)."""
+        are the low-order pair fluxes (:class:`posdg.rhs_low.LowOrderRHS`)
+        on the graph's leading ``n_low`` pairs."""
         dF = self.pair_fluxes(u, sigmas, ws)
-        dF[:, self.mesh.pair_low] -= FL
+        dF[:, :self.mesh.n_low] -= FL
         return dF

@@ -9,17 +9,21 @@ pairwise dissipation
 
 with beta the viscous wavespeed bound that keeps the associated bar states
 admissible (:func:`posdg.physics.zhang_beta`). The pairs are the
-low-order subset of the mesh's pair graph (see :mod:`posdg.mesh`), and
-the pair fluxes and weights are (nvar, npairs_low, K) and (npairs_low, K)
-arrays over the whole mesh, with n_ij taken per element from its geometry
-class; each of their scatters is one matrix product. Interfaces use the
-same construction with the boundary weights in place of n_ij, and the
-normal flux sum_k n_k (f_k - sigma_k) of each slot. Every array is
+low-order pairs of the mesh's pair graph, which lead it (see
+:mod:`posdg.mesh`): its first ``n_low`` pairs, taken as a leading slice of
+the pair ends, the scatter and the weights n_ij. The pair fluxes and
+weights are (nvar, npairs_low, K) and (npairs_low, K) arrays over the
+whole mesh, with n_ij taken per element from its geometry class; each of
+their scatters is one matrix product. Interfaces use the same
+construction with the boundary weights in place of n_ij, and the normal
+flux sum_k n_k (f_k - sigma_k) of each slot. Every array is
 component first: node states (nvar, Np, K), face states (nvar, Nfp * K) in
 the mesh's slot-major order, whose lift E^T is one matrix product too. The
 face states are gathered, and the boundary states evaluated, once per
 stage by :meth:`LowOrderRHS.face_states`; the LDG gradient and the
 low-order stage, one call of :class:`LowOrderRHS`, read that one set. The
+boundary slots are grouped by condition once, at construction
+(:meth:`~posdg.bc.BCSet.group`), so a stage selects no slot by tag. The
 stage's end tables, rates and fluxes stay inside it. Its residual is
 R = M du/dt, and the forward Euler update u + dt R / m is a convex
 combination of the current state and bar states whenever
@@ -63,14 +67,18 @@ of sigma at its slot's volume node.
 
 The two ends of a pair share its direction e, and n_ij = s |n_ij| e with
 one sign s = +-1 per pair and geometry class, so the central part of the
-pair flux is -s |n_ij| (F_i + F_j). A face slot reads F at its two ends
-times their signs: s_M = +-1 makes the trace's F the flux along the slot's
-normal n, and the exterior end, the partner's, whose normal is -n, takes
-the partner's sign negated (+1 at a ghost, whose direction is n). As the
-signs are exact, the interface flux equals the one of normal fluxes formed
-per slot bit for bit, with sigma . n summed over the directions before it
-is subtracted; the pair fluxes do where e is an axis (lines and quads),
-and to roundoff elsewhere. The flux f - sigma is thus evaluated once per
+pair flux is -s |n_ij| (F_i + F_j). A face slot reads F at its two ends.
+The trace's end has the direction s_M n, s_M = +-1, with n the slot's
+normal; the exterior end, the partner's, has the direction s_P n, with
+s_P the partner's sign negated, as its normal is -n (s_P = +1 at a
+ghost, whose direction is n). The exterior F times the relative sign
+s_M s_P is the flux along the trace's direction, and the slot's weight
+-wsJ s_M / 2, formed once with the relative signs, turns the sum of the
+two into the central flux along n. As the signs are exact, the interface
+flux equals the one of normal fluxes formed per slot bit for bit, with
+sigma . n summed over the directions before it is subtracted; the pair
+fluxes do where e is an axis (lines and quads), and to roundoff
+elsewhere. The flux f - sigma is thus evaluated once per
 end and stage, where the pair form takes both directions at every node
 and the slot form both sides of every slot.
 
@@ -108,21 +116,25 @@ from .workspace import Workspace
 __all__ = ["LowOrderRHS", "interface_flux_low"]
 
 
-def interface_flux_low(FM, FP, uM, uP, wsJ, lam_slot):
-    """Low-order interface contribution per face slot.
+def interface_flux_low(FM, FP, uM, uP, weight, lam_slot):
+    """Low-order interface contribution per face slot,
+
+        weight (FM + FP) + lambda_s (uP - uM).
 
     Returns the residual contribution to the owning volume node. ``FM`` and
-    ``FP`` are the normal fluxes (f - sigma) . n of the trace and of the
-    exterior state along the slot's normal n, (nvar, Nfp * K), viscous
-    fluxes included, as :meth:`LowOrderRHS.__call__` reads them from the end
-    table; the result is written into ``FM``. ``lam_slot`` is the slot's
-    wavespeed weight lambda_s (:meth:`LowOrderRHS.rates`). The limited
-    modes give the high-order update this interface flux too, so it cancels
-    from r^H - r^L.
+    ``FP`` are the normal fluxes (f - sigma) . e of the trace and of the
+    exterior state along one direction e = +-n per slot, n its normal,
+    (nvar, Nfp * K), viscous fluxes included; the result is written into
+    ``FM``. ``weight`` is -wsJ (e . n) / 2 per slot: -wsJ / 2 for fluxes
+    along n, and :meth:`LowOrderRHS.__call__` passes the fluxes along the
+    trace's end of the end table with the weight that holds its sign.
+    ``lam_slot`` is the slot's wavespeed weight lambda_s
+    (:meth:`LowOrderRHS.rates`). The limited modes give the high-order
+    update this interface flux too, so it cancels from r^H - r^L.
     """
     F = FM
     F += FP
-    F *= -0.5 * wsJ
+    F *= weight
     F += lam_slot * (uP - uM)
     return F
 
@@ -149,21 +161,25 @@ class LowOrderRHS:
         self.mesh = mesh
         self.gas = gas
         self.bcs = bcs
-        bcs.validate(mesh.slot_tag)
         K = mesh.n_elements
-        # the boundary slots, slot-major, with their tags and coordinates
+        # the boundary slots grouped by condition, and the rows of the
+        # adiabatic ones among the boundary slots
+        self._bc_groups, self._adiabatic = bcs.group(
+            mesh.slot_tag, mesh.slot_xy, mesh.slot_normal)
+        # the boundary slots, slot-major, and their volume nodes, flat
+        # (node, element) indices
         bdry = mesh.slot_tag > 0
         self._bdry_slots = np.nonzero(bdry)[0]
-        self._bdry_tags = mesh.slot_tag[bdry]
-        self._bdry_xy = mesh.slot_xy[bdry]
-        # their volume nodes, flat (node, element) indices
         self._bdry_src = (K * mesh.ops.face_vol[self._bdry_slots // K]
                           + self._bdry_slots % K)
 
-        low = mesh.pair_low
-        self._pi, self._pj = mesh.pair_i[low], mesh.pair_j[low]
-        npl = len(self._pi)
-        self._S = mesh.scatter[:, low]                         # (Np, npl)
+        # the low-order pairs, the leading npl of the pair graph
+        npl = mesh.n_low
+        self._pi, self._pj = mesh.pair_i[:npl], mesh.pair_j[:npl]
+        # (Np, npl), column-major: so laid out, the products S @ P and
+        # |S| @ lam_p add each node's pairs in pair order on OpenBLAS,
+        # where a row-major copy rounds some tri nodal sums differently
+        self._S = np.asfortranarray(mesh.scatter[:, :npl])
         self._absS = np.abs(self._S)     # for the nodal wavespeed sums
 
         # the distinct ends of each class; a mesh end is one end of every
@@ -171,7 +187,7 @@ class LowOrderRHS:
         nodes = np.concatenate([self._pi, self._pj, mesh.ops.face_vol])
         dirs, ends, nn, signs = [], [], [], []
         for gc in mesh.classes:
-            nij = gc.pair_n[low]
+            nij = gc.pair_n[:npl]
             nn.append(np.linalg.norm(nij, axis=1))
             unit = nij / nn[-1][:, None]
             _, d, e, sg = _distinct_ends(
@@ -190,11 +206,13 @@ class LowOrderRHS:
         # the direction of its ends
         sign = np.stack(signs, axis=-1)[:, mesh.class_id]
         self._pair_w = -(sign[:npl] * self._nn)
-        # s F[end] is the flux along the slot's normal n; an interior
-        # slot's exterior end is its partner's, whose normal is -n
-        self._slot_sign = sign[2 * npl:].reshape(-1)
-        self._ext_sign = np.where(bdry, 1.0,
-                                  -self._slot_sign[mesh.slot_exterior])
+        # s_M F[end] is the flux along the slot's normal n; an interior
+        # slot's exterior end is its partner's, whose normal is -n, so its
+        # sign s_P is the partner's negated (+1 at a ghost). The exterior
+        # flux takes the relative sign s_M s_P, and the weight s_M.
+        s_M = sign[2 * npl:].reshape(-1)
+        self._ext_sign = s_M * np.where(bdry, 1.0, -s_M[mesh.slot_exterior])
+        self._slot_w = -0.5 * mesh.slot_wsJ * s_M
         # the flat end table: (end, element) blocks, then the boundary
         # ghost states; its sources are flat (node, element) indices
         self._n_ends = top = ne * K
@@ -215,9 +233,13 @@ class LowOrderRHS:
 
         Both are component first and slot-major, (nvar, Nfp * K), kept
         arrays of the workspace ``ws`` (a fresh one by default). An interior
-        slot's exterior state is its partner's trace. This is the only place
-        the boundary states are evaluated: one call per stage serves the LDG
-        gradient and the low-order stage (:meth:`__call__`).
+        slot's exterior state is its partner's trace, and so is, at first,
+        a boundary slot's own trace: outflow keeps it, and
+        :meth:`~posdg.bc.BCSet.exterior_state` writes the states of the
+        other conditions over it, at the slot groups formed at
+        construction. This is the only place the boundary states are
+        evaluated: one call per stage serves the LDG gradient and the
+        low-order stage (:meth:`__call__`).
         """
         ws = Workspace() if ws is None else ws
         mesh = self.mesh
@@ -226,11 +248,8 @@ class LowOrderRHS:
                     mode="clip").reshape(len(u), -1)
         uP = uf.take(mesh.slot_exterior, axis=1, mode="clip",
                      out=ws.keep("uP", uf.shape))
-        b = self._bdry_slots
-        if b.size:
-            uP[:, b] = self.bcs.exterior_state(
-                uf[:, b], self._bdry_xy, mesh.slot_normal[:, b],
-                self._bdry_tags, t, self.gas)
+        if self._bc_groups:
+            self.bcs.exterior_state(uf, uP, self._bc_groups, t, self.gas)
         return uf, uP
 
     # -- wavespeeds ----------------------------------------------------------
@@ -283,7 +302,7 @@ class LowOrderRHS:
             if sigmas is not None:
                 sb = self.bcs.exterior_sigma(
                     tuple(s.reshape(len(s), -1)[:, self._bdry_src]
-                          for s in sigmas), self._bdry_tags)
+                          for s in sigmas), self._adiabatic)
                 rows = np.arange(len(ghosts))
                 se = tuple(gather(s, x, rows) for s, x in zip(sigmas, sb))
                 np.maximum(zhang_beta(ue, se, dirs, gas, ws=ws), w, out=w)
@@ -331,8 +350,8 @@ class LowOrderRHS:
                    + lambda_ij (u_j - u_i),
 
         which goes +P to node i and -P to node j. The pairs are the graph's
-        ``pair_low`` subset. The gathers come from a frame of the workspace
-        ``ws`` (a fresh one by default), and P is its kept array.
+        leading ``n_low`` pairs. The gathers come from a frame of the
+        workspace ``ws`` (a fresh one by default), and P is its kept array.
         """
         ws = Workspace() if ws is None else ws
         nvar, _, K = u.shape
@@ -362,11 +381,13 @@ class LowOrderRHS:
         ``uf`` and ``uP`` are :meth:`face_states` of ``u``, and ``sigmas``
         the viscous fluxes per direction (None for an inviscid gas). The
         pairs read the node ends of the flux table of :meth:`wavespeeds`,
-        a view of it. A slot's trace and exterior state are its two ends,
-        whose fluxes, times the slot's signs, are the fluxes (f - sigma) . n
-        along its normal that :func:`interface_flux_low` reads. R is a kept
-        array of the workspace ``ws`` (a fresh one by default), which also
-        holds the end tables, the interface flux and its lift.
+        a view of it. A slot's trace and exterior state are its two ends:
+        :func:`interface_flux_low` reads the trace end's flux, the exterior
+        end's times the relative sign, both along the trace end's
+        direction, and the slot weight that holds the trace end's sign
+        (module doc). R is a kept array of the workspace ``ws`` (a fresh
+        one by default), which also holds the end tables, the interface
+        flux and its lift.
         """
         ws = Workspace() if ws is None else ws
         mesh = self.mesh
@@ -377,12 +398,12 @@ class LowOrderRHS:
         R = np.matmul(self._S, P, out=ws.keep("R", u.shape))
         with ws.frame():
             shape = (len(F), len(self._slot_end))
-            FM, FX = ws.take(shape), ws.take(shape)
-            for f, end, sign in ((FM, self._slot_end, self._slot_sign),
-                                 (FX, self._ext_end, self._ext_sign)):
-                F.take(end, axis=1, out=f, mode="clip")
-                f *= sign
-            Rs = interface_flux_low(FM, FX, uf, uP, mesh.slot_wsJ, lam_s)
+            FM = F.take(self._slot_end, axis=1, out=ws.take(shape),
+                        mode="clip")
+            FX = F.take(self._ext_end, axis=1, out=ws.take(shape),
+                        mode="clip")
+            FX *= self._ext_sign
+            Rs = interface_flux_low(FM, FX, uf, uP, self._slot_w, lam_s)
             R += np.matmul(mesh.ops.E.T,
                            Rs.reshape(len(Rs), mesh.n_face_nodes, -1),
                            out=ws.take(R.shape))

@@ -12,7 +12,10 @@ boundary ghosts included (``.wavespeeds``), the rates they feed
 (``.rates``) and the low-order pair fluxes (``.pair_fluxes``). The slots'
 viscous traces and exterior values, which the solver no longer forms, and
 the normal fluxes of both sides of every slot are built here as oracles
-(``Scheme.faces``, ``Scheme.face_fluxes``).
+(``Scheme.faces``, ``Scheme.face_fluxes``), and so are the boundary
+conditions' exterior states and viscous fluxes, selected per tag with
+boolean masks at every call (``face_states_ref``, ``exterior_sigma_ref``)
+where the solver reads the slot groups its ``BCSet.group`` formed once.
 
 The solver holds node values component first, (nvar, Np, K), and face
 values as (nvar, Nfp * K); the tests build their states with the variable
@@ -32,7 +35,14 @@ import numpy as np
 
 from posdg.bc import BCSet, dirichlet, noslip, wall
 from posdg.mesh import interval_mesh, rect_mesh
-from posdg.physics import GasParams, normal_flux, primitive_to_conserved
+from posdg.physics import (
+    GasParams,
+    mirror_state,
+    noslip_state,
+    normal_flux,
+    primitive_to_conserved,
+    wall_riemann_state,
+)
 from posdg.rhs_high import HighOrderRHS, LDGGradient
 from posdg.rhs_low import LowOrderRHS
 
@@ -51,6 +61,44 @@ def variables_last(a):
     if a is None or isinstance(a, np.ndarray):
         return None if a is None else a.T
     return tuple(x.T for x in a)
+
+
+def face_states_ref(mesh, bcs, u, t, gas):
+    """(uf, uP) of ``LowOrderRHS.face_states`` from (nvar, Np, K) node
+    states: the traces at the slots' volume nodes, the partner's trace at
+    an interior slot, and at a boundary slot the state of its tag's
+    condition, selected with a boolean mask per tag of the table (the trace
+    itself for outflow)."""
+    uf = u[:, mesh.ops.face_vol].reshape(len(u), -1)
+    uP = uf[:, mesh.slot_exterior]
+    tags, normals = mesh.slot_tag, mesh.slot_normal
+    for tag, bc in bcs.table.items():
+        sel = tags == tag
+        if not np.any(sel) or bc.kind == "outflow":
+            continue
+        if bc.kind == "dirichlet":
+            uP[:, sel] = bc.fun(mesh.slot_xy[sel], t).T
+        elif bc.kind == "wall" and bc.mode == "riemann":
+            uP[:, sel] = wall_riemann_state(uf[:, sel], normals[:, sel], gas)
+        elif bc.kind == "wall":
+            uP[:, sel] = mirror_state(uf[:, sel], normals[:, sel])
+        else:
+            uP[:, sel] = noslip_state(uf[:, sel])
+    return uf, uP
+
+
+def exterior_sigma_ref(bcs, sigM, tags):
+    """The exterior viscous fluxes of the slots with ``tags``: copies of
+    ``sigM`` (one (nvar, n) array per direction), energy negated where a
+    boolean mask per tag finds a wall or no-slip condition."""
+    adiabatic = np.zeros(tags.shape, dtype=bool)
+    for tag, bc in bcs.table.items():
+        if bc.kind in ("wall", "noslip"):
+            adiabatic |= tags == tag
+    out = tuple(s.copy() for s in sigM)
+    for sP in out:
+        sP[-1, adiabatic] = -sP[-1, adiabatic]
+    return out
 
 
 class Scheme:
@@ -78,8 +126,8 @@ class Scheme:
         sigP = tuple(s[:, mesh.slot_exterior] for s in sigf)
         tags = mesh.slot_tag
         b = tags > 0
-        for sp, x in zip(sigP, self.low.bcs.exterior_sigma(
-                tuple(s[:, b] for s in sigf), tags[b])):
+        for sp, x in zip(sigP, exterior_sigma_ref(
+                self.low.bcs, tuple(s[:, b] for s in sigf), tags[b])):
             sp[:, b] = x
         return uf, uP, sigf, sigP, mesh.slot_normal
 

@@ -338,7 +338,7 @@ def _matched_residual(sch, u, sig=None):
     mesh = sch.mesh
     uf, uP = sch.faces(u, 0.0, sig)[:2]
     Rs = interface_flux_low(*sch.face_fluxes(u, 0.0, sig), uf, uP,
-                            mesh.slot_wsJ, sch.rates(u, 0.0, sig)[1])
+                            -0.5 * mesh.slot_wsJ, sch.rates(u, 0.0, sig)[1])
     R = mesh.ops.E.T @ Rs.reshape(len(Rs), mesh.n_face_nodes, -1)
     R += mesh.scatter @ sch.high_pairs(u, sig)
     return R.T

@@ -172,8 +172,9 @@ def test_tri_two_geometry_classes():
 
 
 def test_low_order_pairs_match_skew():
-    # the one pair graph rebuilds both skew parts; its scatter and low-order
-    # subset are consistent with the pair list
+    # the one pair graph rebuilds both skew parts; the low-order pairs lead
+    # it, each block in upper-triangle order, and its scatter is consistent
+    # with the pair list
     for elem in ("line", "quad", "tri"):
         for N in range(1, 5):
             m = (interval_mesh(0.0, 2.0, 2, N) if elem == "line"
@@ -190,9 +191,12 @@ def test_low_order_pairs_match_skew():
                         dense -= dense.T
                         assert np.abs(dense - S).max() < 1e-14, (elem, N)
                 low = np.zeros(len(pi), dtype=bool)
-                low[gc.pair_low] = True
+                low[:gc.n_low] = True
                 assert np.all(np.any(gc.pair_n[low] != 0.0, axis=1))
                 assert np.all(gc.pair_n[~low] == 0.0)
+                for block in (low, ~low):
+                    key = pi[block] * m.ops.n_nodes + pj[block]
+                    assert np.all(np.diff(key) > 0), (elem, N)
                 cols = np.arange(len(pi))
                 assert np.all(gc.scatter[pi, cols] == 1.0)
                 assert np.all(gc.scatter[pj, cols] == -1.0)
@@ -210,7 +214,7 @@ def test_mesh_pair_graph_equals_every_class_graph():
     # one graph for the whole mesh; the weights are each element's class's
     for elem, N, m in _meshes_of_every_class_count():
         for gc in m.classes:
-            for name in ("pair_i", "pair_j", "pair_low", "scatter"):
+            for name in ("pair_i", "pair_j", "n_low", "scatter"):
                 assert np.array_equal(getattr(m, name), getattr(gc, name)), \
                     (elem, N, name)
         npairs = len(m.pair_i)
@@ -222,7 +226,7 @@ def test_mesh_pair_graph_equals_every_class_graph():
 def test_mesh_rejects_classes_with_different_pair_graphs():
     m = make2d("tri", 2, (2, 2))
     gc0, gc1 = m.classes
-    for other in (dataclasses.replace(gc1, pair_low=gc1.pair_low[1:]),
+    for other in (dataclasses.replace(gc1, n_low=gc1.n_low - 1),
                   dataclasses.replace(gc1, pair_j=gc1.pair_j[::-1])):
         with pytest.raises(ValueError, match="classes 0 and 1"):
             Mesh(elem=m.elem, N=m.N, ops=m.ops, xy=m.xy, class_id=m.class_id,

@@ -14,14 +14,17 @@ from oracles import (
 from schemes import (
     Scheme,
     components,
+    exterior_sigma_ref,
+    face_states_ref,
     fuzz_schemes,
     fuzz_state,
     periodic_mesh,
     walled_scheme,
 )
 
-from posdg.bc import BCSet, dirichlet, outflow, wall
-from posdg.cases import get_case
+from posdg import cli
+from posdg.bc import BCSet, dirichlet, noslip, outflow, wall
+from posdg.cases import CASES, get_case
 from posdg.mesh import interval_mesh, rect_mesh
 from posdg.physics import (
     GasParams,
@@ -341,7 +344,7 @@ def test_wavespeeds_match_pairwise_form(elem, N, viscous):
                                              davis_wavespeed(uP, nrm, gas)))
     for elems, gc in zip(mesh.class_elems, mesh.classes):
         lam_p = pairs[1][:, elems].T
-        low = gc.pair_low
+        low = slice(gc.n_low)
         pi, pj = gc.pair_i[low], gc.pair_j[low]
         nn = np.linalg.norm(gc.pair_n[low], axis=1)
         unit = (gc.pair_n[low] / nn[:, None]).T
@@ -353,9 +356,11 @@ def test_wavespeeds_match_pairwise_form(elem, N, viscous):
                       for idx in (pi, pj))
         lam_hat = lam_hat_ref(ui, uj, si, sj, unit, gas)
         assert np.array_equal(lam_p, lam_hat * nn)
-        # the nodal sum in the solver's orientation, |S| @ lam_p, so that
-        # its summation order does not depend on the quadrature rule
-        lam_nodes[elems] += (np.abs(gc.scatter[:, low]) @ (lam_hat * nn).T).T
+        # the nodal sum in the solver's orientation, |S| @ lam_p, with |S|
+        # column-major as the solver stores it, so that both take the same
+        # BLAS path and summation order, whatever the quadrature rule
+        absS = np.asfortranarray(np.abs(gc.scatter[:, low]))
+        lam_nodes[elems] += (absS @ (lam_hat * nn).T).T
         beta_binds |= np.any(lam_hat > np.maximum(
             davis_wavespeed(ui, unit, gas), davis_wavespeed(uj, unit, gas)))
     assert beta_binds == viscous
@@ -388,6 +393,90 @@ def test_inviscid_wavespeeds_equal_davis_of_gathered_ends():
     assert np.array_equal(F, normal_flux(ue, low._end_dir, gas))
 
 
+def _check_boundary_pass(low, bcs, rng, t):
+    """The face states and the boundary slots' exterior viscous fluxes
+    of ``low`` on a rough state equal the per-tag boolean-mask oracles bit
+    for bit."""
+    mesh, gas = low.mesh, low.gas
+    u = components(fuzz_state(rng, mesh, gas)[0])
+    for a, ref in zip(low.face_states(u, t),
+                      face_states_ref(mesh, bcs, u, t, gas)):
+        assert np.array_equal(a, ref)
+    sig = rng.normal(size=(mesh.dim,) + u.shape)
+    sigb = tuple(s.reshape(len(s), -1)[:, low._bdry_src] for s in sig)
+    tags = mesh.slot_tag[mesh.slot_tag > 0]
+    for a, ref in zip(bcs.exterior_sigma(sigb, low._adiabatic),
+                      exterior_sigma_ref(bcs, sigb, tags)):
+        assert np.array_equal(a, ref)
+
+
+CASE_BCS = [(name, flavor) for name in sorted(CASES)
+            for flavor in ((None, "false") if name in ("dmr", "daru")
+                           else (None,))]
+
+
+@pytest.mark.parametrize("name,wall_riemann", CASE_BCS)
+def test_boundary_pass_equals_per_tag_oracle_on_catalog_cases(name,
+                                                              wall_riemann):
+    # the slot groups formed at construction give every catalog case's
+    # boundary states bit for bit: wall-Riemann, and mirror walls through
+    # the wall_riemann key (dmr, daru), no-slip (daru), moving Dirichlet
+    # (dmr), Dirichlet and outflow (sine-shock), Dirichlet (LeBlanc, the
+    # viscous shocks) and none (the periodic vortex and Sedov)
+    raw = dict(case=name, N=2, K=4)
+    if wall_riemann is not None:
+        raw["wall_riemann"] = wall_riemann
+    case, mesh, st, _, _, _ = cli.setup(cli.make_config(raw))
+    bcs = case.bcs
+    present = set(mesh.slot_tag[mesh.slot_tag > 0].tolist())
+    assert [g.bc for g in st.low._bc_groups] == [
+        bc for tag, bc in bcs.table.items()
+        if tag in present and bc.kind != "outflow"]
+    if wall_riemann is not None:
+        assert {bc.mode for bc in bcs.table.values()
+                if bc.kind == "wall"} == {"mirror"}
+    _check_boundary_pass(st.low, bcs, np.random.default_rng(5), t=0.02)
+
+
+@pytest.mark.parametrize("elem", ["line", "quad", "tri"])
+def test_boundary_pass_drops_outflow_and_absent_tags(elem):
+    # outflow slots keep their traces and absent tags form no group; the
+    # states of the others, a moving Dirichlet one included, and the
+    # adiabatic negation of the walls match the oracles
+    if elem == "line":
+        mesh = interval_mesh(0.0, 2.0, 6, 3,
+                             classify=lambda x: np.where(x[:, 0] < 1.0, 3, 4))
+    else:
+        def classify(xy):
+            x, y = xy[:, 0], xy[:, 1]
+            return np.where(x < 1e-12, 3, np.where(
+                x > 2.0 - 1e-12, 4, np.where(y < -1.0 + 1e-12, 2, 1)))
+
+        mesh = rect_mesh(elem, (0.0, 2.0, -1.0, 1.0), 3, 2, 2,
+                         classify=classify)
+    u_in = primitive_to_conserved(
+        np.array([1.2] + [0.3, -0.1][:mesh.dim] + [0.9]), GAS)
+
+    def g(xb, t):
+        return u_in * (1.0 + 0.1 * np.sin(xb[:, :1] - t))
+
+    bcs = BCSet({9: wall("mirror"), 1: wall("riemann"), 2: noslip(),
+                 3: dirichlet(g), 4: outflow(), 10: dirichlet(g)})
+    low = LowOrderRHS(mesh, GAS, bcs)
+    present = sorted(set(mesh.slot_tag[mesh.slot_tag > 0].tolist()))
+    assert present == ([3, 4] if elem == "line" else [1, 2, 3, 4])
+    groups = low._bc_groups
+    assert [g.bc for g in groups] == [bcs.table[tag] for tag in (1, 2, 3)
+                                      if tag in present]
+    for grp, tag in zip(groups, [tag for tag in (1, 2, 3) if tag in present]):
+        assert np.array_equal(grp.slots, np.nonzero(mesh.slot_tag == tag)[0])
+    rng = np.random.default_rng(11)
+    _check_boundary_pass(low, bcs, rng, t=0.3)
+    uf, uP = low.face_states(components(fuzz_state(rng, mesh, GAS)[0]), 0.3)
+    out = mesh.slot_tag == 4
+    assert out.any() and np.array_equal(uP[:, out], uf[:, out])
+
+
 # ---------------------------------------------------------------------------
 # the mesh-wide (variable, pair, element) layout of the pair arrays
 # ---------------------------------------------------------------------------
@@ -399,7 +488,7 @@ def _class_pair_arrays_ref(gc, elems, u, sig, gas):
     s |n_ij| e. The arithmetic runs on the class's (nvar, npairs, K_c)
     arrays; the results are returned in the per-class layout (K_c, npairs,
     nvar)."""
-    pi, pj, low = gc.pair_i, gc.pair_j, gc.pair_low
+    pi, pj, low = gc.pair_i, gc.pair_j, slice(gc.n_low)
     uc = components(u)[:, :, elems]
     sc = None if sig is None else tuple(s[:, :, elems]
                                         for s in components(sig))
@@ -450,7 +539,7 @@ def test_pair_arrays_equal_per_class_oracles(elem, viscous):
     FL, lam = sch.low_pairs(u, 0.0, sig)
     nvar = u.shape[-1]
     assert FH.shape == (nvar, len(mesh.pair_i), mesh.n_elements)
-    assert FL.shape == (nvar, len(mesh.pair_low), mesh.n_elements)
+    assert FL.shape == (nvar, mesh.n_low, mesh.n_elements)
     assert lam.shape == FL.shape[1:]
     dF = sch.high(components(u), components(sig), FL)
     prep = Stepper(mesh, gas, BCSet({}), mode="convex").prepare(
@@ -460,7 +549,7 @@ def test_pair_arrays_equal_per_class_oracles(elem, viscous):
         FH_ref, FL_ref, lam_ref = _class_pair_arrays_ref(gc, elems, u, sig,
                                                          gas)
         dF_ref = FH_ref.copy()
-        dF_ref[:, gc.pair_low] -= FL_ref
+        dF_ref[:, :gc.n_low] -= FL_ref
         assert np.array_equal(FH[:, :, elems].T, FH_ref)
         assert np.array_equal(FL[:, :, elems].T, FL_ref)
         assert np.array_equal(lam[:, elems].T, lam_ref)
@@ -479,7 +568,7 @@ def _euler_form_low(sch, u, sig):
     f = euler_flux(uc, gas)
     if sc is not None:
         f = tuple(fd - sd for fd, sd in zip(f, sc))
-    low = mesh.pair_low
+    low = slice(mesh.n_low)
     pi, pj = mesh.pair_i[low], mesh.pair_j[low]
     # n_ij per element, (dim, npairs_low, K), from its class
     n = np.stack([gc.pair_n[low].T for gc in mesh.classes],
@@ -488,7 +577,7 @@ def _euler_form_low(sch, u, sig):
           + lam_p * (uc[:, pj] - uc[:, pi]))
     uf, uP = sch.faces(u, 0.0, sig)[:2]
     Rs = interface_flux_low(*sch.face_fluxes(u, 0.0, sig), uf, uP,
-                            mesh.slot_wsJ, lam_s)
+                            -0.5 * mesh.slot_wsJ, lam_s)
     R = mesh.scatter[:, low] @ FL + mesh.ops.E.T @ Rs.reshape(
         len(Rs), mesh.n_face_nodes, -1)
     return FL, R
@@ -551,7 +640,7 @@ def test_quad_pair_ends_cover_the_face_slots():
     mesh = periodic_mesh("quad", 3, K=2)
     sch = Scheme(mesh, GAS, BCSet({}))
     gc = mesh.classes[0]
-    assert 2 * len(gc.pair_low) == 48 and mesh.n_face_nodes == 16
+    assert 2 * gc.n_low == 48 and mesh.n_face_nodes == 16
     assert len(sch.wavespeeds(smooth_state(mesh))) == 32 * mesh.n_elements
 
 
