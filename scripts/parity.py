@@ -7,8 +7,9 @@ Usage::
 
 Extracts REF with ``git archive`` into a temporary directory, runs the same
 configurations with the ``posdg`` sources of each tree (each tree in its own
-process, with ``POSDG_WORKERS=1``) and prints, per configuration, the
-maximum relative deviation of the final state,
+process, with ``POSDG_WORKERS=1`` and every BLAS thread count set to 1) and
+prints, per configuration, the maximum relative deviation of the final
+state,
 
     max over variables v of  max |u_v - u_v^REF| / max |u_v^REF|.
 
@@ -36,13 +37,9 @@ a different step count or abort message counts as a mismatch.
 
 It then runs ``posdg run`` (``cli.run``) on the three benchmark workloads in
 each tree, with their own ``snap_every``, so that dmr writes its VTK
-snapshots, and compares every output file. The CSV files
-(``diagnostics.csv``, ``limiter.csv``, ``final.csv``) are compared byte for
-byte. The VTK files (``final.vtk`` and each ``snap_*.vtk``) are compared by
-content: each is decoded, whether its encoding is ASCII or BINARY, and its
-header lines and sections (points, cells, cell types and every point
-array) must be equal bit for bit. The encodings of both trees' VTK files
-are printed.
+snapshots, and compares every output file byte for byte: the CSV files
+(``diagnostics.csv``, ``limiter.csv``, ``final.csv``) and the VTK files
+(``final.vtk`` and each ``snap_*.vtk``).
 
 When a numeric CSV output (``diagnostics.csv``, ``limiter.csv``,
 ``final.csv``) differs, the largest relative difference of each of its
@@ -62,9 +59,8 @@ For the configurations whose case has an exact solution, the relative L1
 error of each tree's final state (``cases.error_norms``) is printed too, so
 a change shows what it does to accuracy as well as to parity.
 
-The exit status is 0 when every deviation is exactly 0, every CSV file is
-identical and every VTK file decodes to identical sections, else 1. Takes
-about two minutes.
+The exit status is 0 when every deviation is exactly 0 and every output
+file is identical, else 1. Takes about two minutes.
 """
 
 from __future__ import annotations
@@ -161,7 +157,11 @@ def collect(config_file: str, out_file: str) -> None:
 
 
 def run_tree(src: Path, config_file: Path, out_file: Path, cwd: Path):
-    env = dict(os.environ, PYTHONPATH=str(src), POSDG_WORKERS="1")
+    # the BLAS thread counts too: the child imports numpy before posdg.cli
+    # could seed them from POSDG_WORKERS
+    env = dict(os.environ, PYTHONPATH=str(src), POSDG_WORKERS="1",
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, str(Path(__file__).resolve()),
                     "--collect", str(config_file), str(out_file)],
                    env=env, cwd=cwd, check=True)
@@ -172,110 +172,12 @@ def run_tree(src: Path, config_file: Path, out_file: Path, cwd: Path):
 
 
 def compare_outputs(new: Path, old: Path) -> tuple:
-    """(number of files, names of files missing on one side or differing,
-    the VTK encodings of each side). VTK files differ when their decoded
-    sections do; the others when their bytes do."""
+    """(number of files, names of files missing on one side or differing
+    in their bytes)."""
     names = sorted({p.name for p in new.iterdir()}
                    | {p.name for p in old.iterdir()})
-    vtk = [n for n in names if n.endswith(".vtk")]
-    _, differ, missing = filecmp.cmpfiles(
-        new, old, [n for n in names if n not in vtk], shallow=False)
-    bad, encodings = differ + missing, (set(), set())
-    for name in vtk:
-        try:
-            decoded = [read_vtk(d / name) for d in (new, old)]
-        except (OSError, ValueError, KeyError, IndexError):
-            bad.append(name)
-            continue
-        for seen, (encoding, _) in zip(encodings, decoded):
-            seen.add(encoding)
-        if not same_sections(decoded[0][1], decoded[1][1]):
-            bad.append(name)
-    return len(names), sorted(bad), encodings
-
-
-# data values following each VTK section keyword's header words
-VTK_ARITY = {b"POINTS": 2, b"CELLS": 2, b"CELL_TYPES": 1, b"POINT_DATA": 1,
-             b"SCALARS": 2, b"LOOKUP_TABLE": 1}
-
-
-def read_vtk(path: Path) -> tuple:
-    """(encoding, [(header line, values)]) of a legacy VTK unstructured
-    grid as ``cli.write_vtk`` writes it, ASCII or BINARY (big-endian). The
-    first two file lines and each section header are entries with no
-    values; points and point arrays decode to float64, cells and cell
-    types to int32. Raises ValueError on a malformed file."""
-    data = path.read_bytes()
-    head = data.split(b"\n", 4)
-    if len(head) < 5 or head[3] != b"DATASET UNSTRUCTURED_GRID":
-        raise ValueError(f"{path.name}: not an unstructured grid")
-    encoding, body = head[2].decode(), head[4]
-    if encoding not in ("ASCII", "BINARY"):
-        raise ValueError(f"{path.name}: unknown encoding {encoding!r}")
-    binary = encoding == "BINARY"
-    tokens = None if binary else body.split()
-    end = len(body) if binary else len(tokens)
-    pos = 0
-
-    def header() -> str:
-        nonlocal pos
-        if binary:
-            stop = body.index(b"\n", pos)
-            words = body[pos:stop].split()
-            pos = stop + 1
-        else:
-            stop = pos + 1 + VTK_ARITY[tokens[pos]]
-            words = tokens[pos:stop]
-            pos = stop
-        return b" ".join(words).decode()
-
-    def values(count: int, kind: str) -> np.ndarray:
-        nonlocal pos
-        if not binary:
-            cast = float if kind == "f8" else int
-            out = np.array([cast(t) for t in tokens[pos:pos + count]], kind)
-            pos += count
-        else:
-            stop = pos + count * np.dtype(kind).itemsize
-            if body[stop:stop + 1] != b"\n":
-                raise ValueError(f"{path.name}: section cut short")
-            out = np.frombuffer(body, ">" + kind, count, pos).astype(kind)
-            pos = stop + 1
-        if len(out) != count:
-            raise ValueError(f"{path.name}: section cut short")
-        return out
-
-    sections = [(head[0].decode(), None), (head[1].decode(), None)]
-    n_pts = 0
-    while pos < end:
-        line = header()
-        key, *words = line.split()
-        if key == "POINTS":
-            n_pts = int(words[0])
-            vals = values(3 * n_pts, "f8")
-        elif key == "CELLS":
-            vals = values(int(words[1]), "i4")
-        elif key == "CELL_TYPES":
-            vals = values(int(words[0]), "i4")
-        elif key == "SCALARS":
-            sections.append((line, None))
-            line, vals = header(), values(n_pts, "f8")
-        elif key == "POINT_DATA":
-            vals = None
-        else:
-            raise ValueError(f"{path.name}: unknown section {key!r}")
-        sections.append((line, vals))
-    return encoding, sections
-
-
-def same_sections(a: list, b: list) -> bool:
-    """Whether two decoded VTK files have the same header lines and
-    bitwise equal values."""
-    return len(a) == len(b) and all(
-        la == lb and (va is None) == (vb is None)
-        and (va is None or (va.shape == vb.shape
-                            and va.tobytes() == vb.tobytes()))
-        for (la, va), (lb, vb) in zip(a, b))
+    _, differ, missing = filecmp.cmpfiles(new, old, names, shallow=False)
+    return len(names), sorted(differ + missing)
 
 
 CSV_OUTPUTS = ("diagnostics.csv", "limiter.csv", "final.csv")
@@ -338,11 +240,11 @@ def main(argv=None) -> int:
         outputs = {}
         for name in configs()["run"]:
             dirs = (tmp / "new.npz.runs" / name, tmp / "ref.npz.runs" / name)
-            n_files, bad, encodings = compare_outputs(*dirs)
+            n_files, bad = compare_outputs(*dirs)
             columns = {f: column_differences(dirs[0] / f, dirs[1] / f)
                        for f in CSV_OUTPUTS
                        if f in bad and all((d / f).exists() for d in dirs)}
-            outputs[name] = (n_files, bad, columns, encodings)
+            outputs[name] = (n_files, bad, columns)
         devs = {name: deviation(new[name], old[name]) for name in new}
         moved = {name: cfg for name, cfg in configs()["march"].items()
                  if devs[name] != 0.0}
@@ -377,12 +279,10 @@ def main(argv=None) -> int:
         print(f"{name:30s} {new_meta[name]['steps']:6d}  {dev:9.3g}  "
               f"{yard}  {errs}{note}")
     print(f"\n{'posdg run':30s} {'files':>6s}  output files against {ref}")
-    for name, (n_files, bad, columns, encodings) in outputs.items():
+    for name, (n_files, bad, columns) in outputs.items():
         ok &= not bad
         verdict = f"DIFFER: {', '.join(bad)}" if bad else "all identical"
         print(f"{name:30s} {n_files:6d}  {verdict}")
-        print(f"    VTK encoding: {'/'.join(sorted(encodings[0])) or '-'}"
-              f", {ref} {'/'.join(sorted(encodings[1])) or '-'}")
         for fname, text in columns.items():
             print(f"    {fname}: {text}")
     return 0 if ok else 1

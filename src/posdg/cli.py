@@ -20,7 +20,10 @@ with 17 significant digits, which round-trips IEEE doubles exactly and
 makes byte-level determinism checks meaningful.
 
 The ``POSDG_WORKERS`` environment variable caps the thread count of the
-underlying linear-algebra libraries.
+underlying linear-algebra libraries, provided this module is imported
+before numpy: it seeds ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
+``MKL_NUM_THREADS`` from it, which BLAS reads once, when it loads. A
+process that imports numpy first must set those variables itself.
 """
 
 from __future__ import annotations

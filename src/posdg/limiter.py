@@ -27,9 +27,9 @@ cap the blending parameter to force low-order behavior near
 discontinuities independent of positivity.
 
 The pair-end gathers, the endpoints of the screen, the limited fluxes and
-their scatter are formed in a :class:`~posdg.workspace.Workspace` (the
-Stepper's, or a fresh one), so the limiters allocate no pair-sized array
-beyond the substates they solve for.
+their scatter are formed in the Stepper's
+:class:`~posdg.workspace.Workspace`, so the limiters allocate no
+pair-sized array beyond the substates they solve for.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import numpy as np
 
 from .mesh import Mesh
 from .physics import GasParams, _dot, internal_energy_cf, pressure_cf
-from .workspace import Workspace
 
 __all__ = [
     "Bounds",
@@ -71,9 +70,13 @@ def generalized_bounds(uL: np.ndarray, zeta: float) -> Bounds:
     return Bounds(zeta * uL[0], zeta * internal_energy_cf(uL))
 
 
-def minimal_bounds(uL: np.ndarray, eps0: float = 1e-14) -> Bounds:
-    """Bare positivity: both bounds equal the small constant eps0."""
-    full = np.full(uL.shape[1:], eps0)
+# the bounds of bare positivity
+EPS0 = 1e-14
+
+
+def minimal_bounds(uL: np.ndarray) -> Bounds:
+    """Bare positivity: both bounds equal the small constant EPS0."""
+    full = np.full(uL.shape[1:], EPS0)
     return Bounds(full, full)
 
 
@@ -93,7 +96,7 @@ def solve_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds) -> np.ndarray:
     """
     rhoL, mL, EL = uL[0], uL[1:-1], uL[-1]
     rhoP, mP, EP = P[0], P[1:-1], P[-1]
-    rho_min, rhoe_min = _shaped(bounds, rhoL.shape)
+    rho_min, rhoe_min = bounds.rho_min, bounds.rhoe_min
 
     # density constraint is linear in l
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -115,13 +118,6 @@ def solve_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds) -> np.ndarray:
     return np.minimum(l_rho, np.clip(l_e, 0.0, 1.0))
 
 
-def _shaped(bounds: Bounds, shape):
-    """(rho_min, rhoe_min) broadcast to ``shape``; as given where they
-    already have it."""
-    return tuple(b if np.shape(b) == shape else np.broadcast_to(b, shape)
-                 for b in (bounds.rho_min, bounds.rhoe_min))
-
-
 def _outside(end, rho_min, rhoe_min, ws):
     """Flat indices of the states ``end`` (nvar, ...) outside the bounds.
 
@@ -141,7 +137,7 @@ def _outside(end, rho_min, rhoe_min, ws):
 
 
 def feasible_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds,
-               ws=None) -> np.ndarray:
+               ws) -> np.ndarray:
     """:func:`solve_l`, with l = 1 wherever the endpoint uL + P is in bounds.
 
     The bounded set is convex and uL lies in it, so an endpoint that passes
@@ -157,12 +153,12 @@ def feasible_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds,
     either way, so with rho_min > 0, as every bound has, the test without
     division is the quotient test. In floating point the two can part only
     where rhoe - rhoe_min is within the rounding of E and |m|^2 / (2 rho).
-    The screen forms the endpoint in a buffer of the workspace ``ws`` (a
-    fresh one by default); l is taken from the caller's frame.
+    The bounds have the shape of the states, P.shape[1:]. The screen forms
+    the endpoint in a buffer of the workspace ``ws``; l is taken from the
+    caller's frame.
     """
-    ws = Workspace() if ws is None else ws
     nvar, shape = len(P), P.shape[1:]
-    rho_min, rhoe_min = _shaped(bounds, shape)
+    rho_min, rhoe_min = bounds.rho_min, bounds.rhoe_min
     l = ws.take(shape)
     with ws.frame():
         end = np.add(uL, P, out=ws.take(P.shape))
@@ -191,8 +187,8 @@ def increment(mesh: Mesh, X, dt, out=None):
     return P
 
 
-def zhang_shu_limit(uLnew, dF, dt, mesh: Mesh, bounds: Bounds, cap=None,
-                    ws=None):
+def zhang_shu_limit(uLnew, dF, dt, mesh: Mesh, bounds: Bounds, cap=None, *,
+                    ws):
     """Elementwise blend u = u^L + l^e P with P = (dt/m) sum_j dF_ij.
 
     P is (dt/m)(r^H - r^L), the :func:`increment` of the pair differences
@@ -202,9 +198,8 @@ def zhang_shu_limit(uLnew, dF, dt, mesh: Mesh, bounds: Bounds, cap=None,
     The bounded set is convex, so a node whose full high-order update
     u^L + P already meets the bounds has fraction 1 without a solve
     (:func:`feasible_l`). The scatter and the screen run in the workspace
-    ``ws`` (a fresh one by default). Returns (limited field, report).
+    ``ws``. Returns (limited field, report).
     """
-    ws = Workspace() if ws is None else ws
     with ws.frame():
         P = increment(mesh, dF, dt, ws.take(uLnew.shape))
         l_elem = feasible_l(uLnew, P, bounds, ws).min(axis=0)
@@ -260,19 +255,19 @@ class ConvexLimiter:
         # the cardinality |I(i)| + |B(i)| per node, (Np, 1)
         self._card = card[:, None].astype(float)
 
-    def __call__(self, uLnew, dF, dt, bounds: Bounds, cap=None, ws=None):
+    def __call__(self, uLnew, dF, dt, bounds: Bounds, cap=None, *, ws):
         """Limited update from u^L and the pair differences dF.
 
-        The scaled states, the limited fluxes l_ij dF_ij and their scatter
-        are formed in the workspace ``ws`` (a fresh one by default).
+        The bounds are per node, (Np, K). The scaled states, the limited
+        fluxes l_ij dF_ij and their scatter are formed in the workspace
+        ``ws``.
         """
         if not dt > 0.0:
             raise ValueError(f"the convex limiter needs dt > 0, got {dt}")
-        ws = Workspace() if ws is None else ws
         nvar, Np, K = uLnew.shape
         shape = dF.shape[1:]
         mesh = self.mesh
-        lims = _shaped(bounds, (Np, K))
+        lims = (bounds.rho_min, bounds.rhoe_min)
         with ws.frame():
             # a_i = dt |I(i)| / m_i; u^L and the bounds over a_i
             a = np.divide(dt * self._card, mesh.node_mass,

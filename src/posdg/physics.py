@@ -37,9 +37,9 @@ so a pair end is one gather of it, and the two arguments of the
 logarithmic means, rho and beta, are its first two rows: one
 :func:`log_mean` over that (2, ...) block forms both. The workspace
 kernels (``log_mean``, ``normal_flux``, ``ec_fluxes_prims``,
-``davis_wavespeed``, ``zhang_beta``) take an optional
-:class:`~posdg.workspace.Workspace` and then write every intermediate into
-its buffers; without one they return fresh arrays.
+``ec_fluxes``, ``davis_wavespeed``, ``zhang_beta``) take their caller's
+:class:`~posdg.workspace.Workspace`, the one a ``Stepper`` owns, and
+write every intermediate into its buffers.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .workspace import Workspace
 
 __all__ = [
     "GasParams",
@@ -128,8 +126,8 @@ def pressure_cf(u, gas: GasParams, out=None, tmp=None):
                        out=out)
 
 
-def is_admissible_cf(u, eps: float = 0.0):
-    return (u[0] > eps) & (internal_energy_cf(u) > eps)
+def is_admissible_cf(u):
+    return (u[0] > 0.0) & (internal_energy_cf(u) > 0.0)
 
 
 def entropy_cf(u, gas: GasParams):
@@ -205,7 +203,7 @@ primitive_to_conserved = _variable_last(primitive_to_conserved_cf, state=True)
 conserved_to_primitive = _variable_last(conserved_to_primitive_cf, state=True)
 
 
-def log_mean(a, b, ws=None):
+def log_mean(a, b, ws):
     """Logarithmic mean (a - b) / log(a / b) of positive a and b.
 
     One formula everywhere,
@@ -226,10 +224,9 @@ def log_mean(a, b, ws=None):
     2e-290), where min(a, b) 2^-60 is a normal number; below that, the
     floor rounds, and a = b gives min(a, b) to within an ulp, or NaN once
     the floor underflows to zero (inputs below about 2^-1014). The result
-    is taken from the caller's frame of the workspace ``ws`` (a fresh one
-    by default), the temporaries from a frame of their own.
+    is taken from the caller's frame of the workspace ``ws``, the
+    temporaries from a frame of their own.
     """
-    ws = Workspace() if ws is None else ws
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     shape = np.broadcast_shapes(a.shape, b.shape)
@@ -245,18 +242,17 @@ def log_mean(a, b, ws=None):
     return out
 
 
-def normal_flux(u, n, gas: GasParams, p=None, out=None, ws=None):
+def normal_flux(u, n, gas: GasParams, p=None, out=None, *, ws):
     """The inviscid flux along ``n``, sum_k n_k f_k(u), one (nvar, ...)
     array; ``n`` is (dim, ...) and need not be a unit vector.
 
     ``p`` is the pressure of ``u`` (:func:`pressure_cf`), formed here when
     not given. The flux is written into ``out`` when given, else into a
-    fresh array; the temporaries come from a frame of the workspace ``ws``
-    (a fresh one by default). n enters only through the sum m . n and the
-    products p n_j, so the flux is odd in n bit for bit:
-    normal_flux(u, -n) = -normal_flux(u, n).
+    fresh array; the temporaries come from a frame of the workspace
+    ``ws``. n enters only through the sum m . n and the products p n_j, so
+    the flux is odd in n bit for bit: normal_flux(u, -n) =
+    -normal_flux(u, n).
     """
-    ws = Workspace() if ws is None else ws
     n = np.asarray(n)
     rho, mom, E = _split(u)
     shape = np.broadcast_shapes(rho.shape, n.shape[1:])
@@ -295,7 +291,7 @@ def ec_prims(u, gas: GasParams):
     return tab
 
 
-def ec_fluxes_prims(primsL, primsR, n, gas: GasParams, ws=None, out=None):
+def ec_fluxes_prims(primsL, primsR, n, gas: GasParams, ws, out=None):
     """The two-point flux along ``n``, sum_k n_k f_kS, from two
     :func:`ec_prims` tables.
 
@@ -312,10 +308,9 @@ def ec_fluxes_prims(primsL, primsR, n, gas: GasParams, ws=None, out=None):
     tables, and the arithmetic means come from one sum L + R of the
     tables. ``n`` is (dim, ...) and broadcasts against the states. The
     flux is written into ``out`` (nvar, ...), by default taken from the
-    caller's frame of the workspace ``ws`` (a fresh one by default); the
-    temporaries come from a frame of their own.
+    caller's frame of the workspace ``ws``; the temporaries come from a
+    frame of their own.
     """
-    ws = Workspace() if ws is None else ws
     g = gas.gamma
     dim = len(primsL) - 3
     shape = np.broadcast_shapes(primsL.shape[1:], primsR.shape[1:],
@@ -353,9 +348,10 @@ def ec_fluxes_prims(primsL, primsR, n, gas: GasParams, ws=None, out=None):
     return out
 
 
-def ec_fluxes(uL, uR, n, gas: GasParams):
-    """:func:`ec_fluxes_prims` of two sets of states, along ``n``."""
-    return ec_fluxes_prims(ec_prims(uL, gas), ec_prims(uR, gas), n, gas)
+def ec_fluxes(uL, uR, n, gas: GasParams, ws):
+    """:func:`ec_fluxes_prims` of two sets of states, along ``n``, in the
+    workspace ``ws``."""
+    return ec_fluxes_prims(ec_prims(uL, gas), ec_prims(uR, gas), n, gas, ws)
 
 
 def sound_speed(u, gas: GasParams, out=None, tmp=None, p=None):
@@ -369,16 +365,15 @@ def sound_speed(u, gas: GasParams, out=None, tmp=None, p=None):
     return np.sqrt(c, out=c)
 
 
-def davis_wavespeed(u, n, gas: GasParams, ws=None, c=None, mn=None):
+def davis_wavespeed(u, n, gas: GasParams, ws, c=None, mn=None):
     """The one-sided speed |u . n| + c for a unit normal ``n``.
 
     ``c`` is the sound speed of ``u`` (:func:`sound_speed`) and ``mn`` its
     normal momentum m . n, the mass row of :func:`normal_flux` along n;
     each is formed here when not given. The result is taken from the
-    caller's frame of the workspace ``ws`` (a fresh one by default), the
-    temporaries from a frame of their own.
+    caller's frame of the workspace ``ws``, the temporaries from a frame of
+    their own.
     """
-    ws = Workspace() if ws is None else ws
     n = np.asarray(n)
     rho, mom, _ = _split(u)
     out = ws.take(np.broadcast_shapes(n.shape[1:], rho.shape))
@@ -393,7 +388,7 @@ def davis_wavespeed(u, n, gas: GasParams, ws=None, c=None, mn=None):
     return out
 
 
-def zhang_beta(u, sigma, n, gas: GasParams, eps0: float = 1e-14, ws=None):
+def zhang_beta(u, sigma, n, gas: GasParams, eps0: float = 1e-14, *, ws):
     """Maximum wavespeed bound for first-order viscous bar states.
 
     ``sigma`` is the tuple of viscous fluxes per direction (may be None for
@@ -408,10 +403,8 @@ def zhang_beta(u, sigma, n, gas: GasParams, eps0: float = 1e-14, ws=None):
     the Davis speed |u.n| + c whenever c exceeds about 3.5 eps0, so the
     low-order scheme does not evaluate it for inviscid gases (see
     :mod:`posdg.rhs_low`). The result is taken from the caller's frame of
-    the workspace ``ws`` (a fresh one by default), the temporaries from a
-    frame of their own.
+    the workspace ``ws``, the temporaries from a frame of their own.
     """
-    ws = Workspace() if ws is None else ws
     u = np.asarray(u, dtype=float)
     n = np.asarray(n, dtype=float)
     dim = len(u) - 2
@@ -546,7 +539,11 @@ def mirror_state(u, n):
     return out
 
 
-def wall_riemann_state(u, n, gas: GasParams, pfloor: float = 1e-14):
+# the floor of wall_riemann_state's pressure and rarefaction base
+PFLOOR = 1e-14
+
+
+def wall_riemann_state(u, n, gas: GasParams):
     """Exterior state enforcing u.n = 0 through the exact wall pressure.
 
     The star pressure of the half-Riemann problem against a wall: a shock
@@ -558,7 +555,7 @@ def wall_riemann_state(u, n, gas: GasParams, pfloor: float = 1e-14):
     n = np.asarray(n, dtype=float)
     g = gas.gamma
     rho = u[0]
-    p = np.maximum(pressure_cf(u, gas), pfloor)
+    p = np.maximum(pressure_cf(u, gas), PFLOOR)
     un = _dot(u[1:-1], n) / rho
     c = np.sqrt(g * p / rho)
 
@@ -566,7 +563,7 @@ def wall_riemann_state(u, n, gas: GasParams, pfloor: float = 1e-14):
     B = (g - 1.0) / (g + 1.0) * p
     disc = (2.0 * A * p + un ** 2) ** 2 - 4.0 * A * (A * p ** 2 - un ** 2 * B)
     p_shock = ((2.0 * A * p + un ** 2) + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * A)
-    base = np.maximum(1.0 + (g - 1.0) * un / (2.0 * c), pfloor)
+    base = np.maximum(1.0 + (g - 1.0) * un / (2.0 * c), PFLOOR)
     p_rare = p * base ** (2.0 * g / (g - 1.0))
     pstar = np.where(un > 0.0, p_shock, p_rare)
 
@@ -576,7 +573,7 @@ def wall_riemann_state(u, n, gas: GasParams, pfloor: float = 1e-14):
     # energy survives the E = rhoe + kin roundoff at near-vacuum states
     mom = out[1:-1]
     kin = 0.5 * _dot(mom, mom) / rho
-    rhoe_new = np.maximum(pstar / (g - 1.0), pfloor + 1e-13 * kin)
+    rhoe_new = np.maximum(pstar / (g - 1.0), PFLOOR + 1e-13 * kin)
     out[-1] = rhoe_new + kin
     return out
 

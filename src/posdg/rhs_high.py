@@ -51,7 +51,6 @@ from .physics import (
     entropy_vars_cf,
     viscous_sigma,
 )
-from .workspace import Workspace
 
 __all__ = ["HighOrderRHS", "LDGGradient"]
 
@@ -87,11 +86,10 @@ class LDGGradient:
         self._lift = (0.5 * mesh.slot_wsJ * mesh.slot_normal).reshape(
             dim, mesh.n_face_nodes, -1)
 
-    def __call__(self, u, uP, ws=None):
-        """(v, thetas, sigmas), kept arrays of the workspace ``ws`` (a fresh
-        one by default), valid until its next call; the volume and lift
-        products are formed in a frame of it."""
-        ws = Workspace() if ws is None else ws
+    def __call__(self, u, uP, ws):
+        """(v, thetas, sigmas), kept arrays of the workspace ``ws``, valid
+        until its next call; the volume and lift products are formed in a
+        frame of it."""
         ET = self.mesh.ops.E.T
         v = entropy_vars_cf(u, self.gas, out=ws.keep("v", u.shape))
         thetas, sigmas = (ws.keep(key, (len(self._lift),) + u.shape)
@@ -119,7 +117,7 @@ class HighOrderRHS:
         # the viscous term's weights n_k / 2, formed for a viscous gas only
         self._half_n = 0.5 * self._n if gas.viscous else None
 
-    def pair_fluxes(self, u, sigmas=None, ws=None):
+    def pair_fluxes(self, u, sigmas=None, *, ws):
         """High-order pair fluxes F^H_ij, one (nvar, npairs, K) array.
 
         ``u`` are the node states and ``sigmas`` the viscous fluxes per
@@ -128,10 +126,9 @@ class HighOrderRHS:
         pair of the graph, along the pair's direction n, suffices; on
         tensor-product elements those are the small fraction of pairs
         sharing a coordinate line. The gathers and the flux temporaries
-        come from a frame of the workspace ``ws`` (a fresh one by default);
-        F^H is its kept array, overwritten at every call.
+        come from a frame of the workspace ``ws``; F^H is its kept array,
+        overwritten at every call.
         """
-        ws = Workspace() if ws is None else ws
         pi, pj = self.mesh.pair_i, self.mesh.pair_j
         FH = ws.keep("FH", (len(u), len(pi), u.shape[-1]))
         with ws.frame():
@@ -148,10 +145,10 @@ class HighOrderRHS:
                     FH -= vis
         return FH
 
-    def __call__(self, u, sigmas, FL, ws=None):
+    def __call__(self, u, sigmas, FL, ws):
         """dF = F^H - F^L, formed in the array of :meth:`pair_fluxes`; ``FL``
         are the low-order pair fluxes (:class:`posdg.rhs_low.LowOrderRHS`)
         on the graph's leading ``n_low`` pairs."""
-        dF = self.pair_fluxes(u, sigmas, ws)
+        dF = self.pair_fluxes(u, sigmas, ws=ws)
         dF[:, :self.mesh.n_low] -= FL
         return dF

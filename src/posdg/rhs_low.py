@@ -111,7 +111,6 @@ from .physics import (
     sound_speed,
     zhang_beta,
 )
-from .workspace import Workspace
 
 __all__ = ["LowOrderRHS", "interface_flux_low"]
 
@@ -227,12 +226,12 @@ class LowOrderRHS:
 
     # -- shared face-data preparation -------------------------------------
 
-    def face_states(self, u, t, ws=None):
+    def face_states(self, u, t, ws):
         """Traces and exterior states at all face slots: (uf, uP), along
         the mesh's ``slot_normal``.
 
         Both are component first and slot-major, (nvar, Nfp * K), kept
-        arrays of the workspace ``ws`` (a fresh one by default). An interior
+        arrays of the workspace ``ws``. An interior
         slot's exterior state is its partner's trace, and so is, at first,
         a boundary slot's own trace: outflow keeps it, and
         :meth:`~posdg.bc.BCSet.exterior_state` writes the states of the
@@ -241,7 +240,6 @@ class LowOrderRHS:
         evaluated: one call per stage serves the LDG gradient and the
         low-order stage (:meth:`__call__`).
         """
-        ws = Workspace() if ws is None else ws
         mesh = self.mesh
         uf = ws.keep("uf", (len(u), mesh.n_face_nodes, u.shape[-1]))
         uf = u.take(mesh.ops.face_vol, axis=1, out=uf,
@@ -254,7 +252,7 @@ class LowOrderRHS:
 
     # -- wavespeeds ----------------------------------------------------------
 
-    def wavespeeds(self, u, uP, sigmas=None, ws=None):
+    def wavespeeds(self, u, uP, sigmas=None, *, ws):
         """The per-end wavespeeds and normal fluxes of one stage, flat (see
         module doc): (w, F).
 
@@ -265,12 +263,11 @@ class LowOrderRHS:
         direction n. The ghost ends read ``uP`` (:meth:`face_states`) and
         the exterior viscous fluxes of the boundary conditions, formed here
         from ``sigmas`` at the boundary slots' volume nodes. The end states
-        are gathered into a frame of ``ws`` (a fresh workspace by default),
-        and w and F are its kept arrays, valid until the next call with the
-        same workspace. :meth:`rates` reads w, and :meth:`__call__` reads F
-        at the pairs' and the slots' ends.
+        are gathered into a frame of the workspace ``ws``, and w and F are
+        its kept arrays, valid until the next call with the same workspace.
+        :meth:`rates` reads w, and :meth:`__call__` reads F at the pairs'
+        and the slots' ends.
         """
-        ws = Workspace() if ws is None else ws
         gas = self.gas
         top, ghosts, dirs = self._n_ends, self._bdry_slots, self._end_dir
         shape = (len(u), dirs.shape[1])
@@ -313,17 +310,16 @@ class LowOrderRHS:
                 F -= sn
         return w, F
 
-    def rates(self, w, ws=None):
+    def rates(self, w, ws):
         """The low-order rates of one stage, from its wavespeeds ``w``
         (:meth:`wavespeeds`) alone: (lam_p, lam_s, lam).
 
         lam_p are the pair weights lambda_ij = max(w_i, w_j) |n_ij|,
-        (npairs_low, K), a kept array of the workspace ``ws`` (a fresh one
-        by default); lam_s the face slot weights lambda_s = wsJ |n|_1
-        max(w_M, w_P) / 2, (Nfp * K,); lam the nodal sums lambda_i of both,
-        (Np, K), in the positivity bound dt <= m_i / (2 lambda_i).
+        (npairs_low, K), a kept array of the workspace ``ws``; lam_s the
+        face slot weights lambda_s = wsJ |n|_1 max(w_M, w_P) / 2,
+        (Nfp * K,); lam the nodal sums lambda_i of both, (Np, K), in the
+        positivity bound dt <= m_i / (2 lambda_i).
         """
-        ws = Workspace() if ws is None else ws
         lam_s = self.mesh.slot_dissipation * np.maximum(w[self._slot_end],
                                                         w[self._ext_end])
         lam_p = ws.keep("lamL", self._nn.shape)
@@ -338,7 +334,7 @@ class LowOrderRHS:
 
     # -- pairwise contributions ---------------------------------------------
 
-    def pair_fluxes(self, u, lam_p, Fpair, ws=None):
+    def pair_fluxes(self, u, lam_p, Fpair, ws):
         """Low-order pair fluxes P of the mesh, (nvar, npairs_low, K).
 
         ``u`` are the node states (nvar, Np, K), ``lam_p`` the pair weights
@@ -351,9 +347,8 @@ class LowOrderRHS:
 
         which goes +P to node i and -P to node j. The pairs are the graph's
         leading ``n_low`` pairs. The gathers come from a frame of the
-        workspace ``ws`` (a fresh one by default), and P is its kept array.
+        workspace ``ws``, and P is its kept array.
         """
-        ws = Workspace() if ws is None else ws
         nvar, _, K = u.shape
         P = ws.keep("FL", (nvar, len(self._pi), K))
         with ws.frame():
@@ -374,7 +369,7 @@ class LowOrderRHS:
 
     # -- the stage ---------------------------------------------------------
 
-    def __call__(self, u, uf, uP, sigmas=None, ws=None):
+    def __call__(self, u, uf, uP, sigmas=None, *, ws):
         """The low-order stage: (R, lam, P) of :meth:`rates` and
         :meth:`pair_fluxes`, with R = M du/dt, (nvar, Np, K).
 
@@ -385,13 +380,11 @@ class LowOrderRHS:
         :func:`interface_flux_low` reads the trace end's flux, the exterior
         end's times the relative sign, both along the trace end's
         direction, and the slot weight that holds the trace end's sign
-        (module doc). R is a kept array of the workspace ``ws`` (a fresh
-        one by default), which also holds the end tables, the interface
-        flux and its lift.
+        (module doc). R is a kept array of the workspace ``ws``, which
+        also holds the end tables, the interface flux and its lift.
         """
-        ws = Workspace() if ws is None else ws
         mesh = self.mesh
-        w, F = self.wavespeeds(u, uP, sigmas, ws)
+        w, F = self.wavespeeds(u, uP, sigmas, ws=ws)
         lam_p, lam_s, lam = self.rates(w, ws)
         P = self.pair_fluxes(
             u, lam_p, F[:, :self._n_ends].reshape(len(u), self._ne, -1), ws)

@@ -67,10 +67,10 @@ class Stepper:
     construction. zeta > 0 selects the relaxed bounds; zeta = 0 the minimal
     ones. shock_capture caps l, so it needs a limited mode.
 
-    The Stepper owns one :class:`~posdg.workspace.Workspace`: the low- and
-    high-order pair fluxes, and with them dF, are its kept arrays, and the
-    pair-flux and limiter kernels take their temporaries from it, so the
-    stages of a run reuse the same memory.
+    The Stepper owns the one :class:`~posdg.workspace.Workspace` of a run:
+    the low- and high-order pair fluxes, and with them dF, are its kept
+    arrays, and every stage kernel takes it from here for its temporaries,
+    so the stages of a run reuse the same memory.
     """
 
     def __init__(self, mesh: Mesh, gas: GasParams, bcs: BCSet,
@@ -114,7 +114,7 @@ class Stepper:
         ws = self.ws
         uf, uP = self.low.face_states(u, t, ws)
         sig = None if self.grad is None else self.grad(u, uP, ws)[2]
-        R, lam, FL = self.low(u, uf, uP, sig, ws)
+        R, lam, FL = self.low(u, uf, uP, sig, ws=ws)
         dF = None if self.high is None else self.high(u, sig, FL, ws)
         bound = float(self._node_bounds(lam).min())
         return {"R": R, "lam": lam, "dF": dF, "bound": bound}
@@ -123,12 +123,7 @@ class Stepper:
         """m_i / (2 lambda_i) per node, (Np, K)."""
         return self.mesh.node_mass / (2.0 * lam)
 
-    def dt_bound(self, prep):
-        """Largest admissibility-preserving Euler step for the prepared
-        state: the bound of its low-order update, formed by prepare."""
-        return prep["bound"]
-
-    def apply(self, u, t, dt, prep):
+    def apply(self, u, dt, prep):
         """One limited forward-Euler update. Returns (u_new, report)."""
         mesh = self.mesh
         # u + dt R / m, in one new array
@@ -260,7 +255,7 @@ def ssp_rk3_step(u, t, dt, stepper: Stepper, prep1=None, step=0):
         prep = (prep1 if stage == 1 and prep1 is not None
                 else stepper.prepare(v, ts))
         _check_dt(stepper, prep, dt, step, stage, t)
-        v, rep = stepper.apply(v, ts, dt, prep)
+        v, rep = stepper.apply(v, dt, prep)
         if a is not None:
             v *= a
             v += b(u)
@@ -300,7 +295,7 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
         if step >= MAX_STEPS:
             raise RuntimeError(f"exceeded {MAX_STEPS} steps at t={t:.6g}")
         prep1 = stepper.prepare(u, t)
-        dt = min(cfl * stepper.dt_bound(prep1), t_final - t)
+        dt = min(cfl * prep1["bound"], t_final - t)
         for attempt in range(MAX_RETRIES + 1):
             try:
                 u, rep = ssp_rk3_step(u, t, dt, stepper, prep1, step)

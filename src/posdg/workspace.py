@@ -23,8 +23,10 @@ first stage it therefore neither grows nor moves. Outputs that must
 outlive their frame (the pair fluxes, the per-end tables) are
 :meth:`Workspace.keep` arrays: one per key, allocated once.
 
-A kernel called without a workspace makes a fresh one, so it behaves as a
-plain function that returns new arrays.
+The Stepper owns the one workspace of a run, and every stage kernel takes
+it from its caller: the memory of a stage has a single owner and a single
+path, so a dropped argument fails at the call instead of showing up as
+page faults.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from posdg.physics import (
     pressure_cf,
     zhang_beta,
 )
+from posdg.workspace import Workspace
 
 
 def euler_flux(u, gas, out=None):
@@ -98,9 +99,10 @@ def lam_hat_ref(uM, uP, sigM, sigP, n, gas):
     """Graph-viscosity rate max(beta_M, beta_P, Davis) for a unit ``n``,
     evaluated pairwise at both ends, as the low-order scheme once did.
     Component first, as the kernels it calls."""
-    lam = np.maximum(zhang_beta(uM, sigM, n, gas), zhang_beta(uP, sigP, n, gas))
-    lam = np.maximum(lam, davis_wavespeed(uM, n, gas))
-    return np.maximum(lam, davis_wavespeed(uP, n, gas))
+    lam = np.maximum(zhang_beta(uM, sigM, n, gas, ws=Workspace()),
+                     zhang_beta(uP, sigP, n, gas, ws=Workspace()))
+    lam = np.maximum(lam, davis_wavespeed(uM, n, gas, Workspace()))
+    return np.maximum(lam, davis_wavespeed(uP, n, gas, Workspace()))
 
 
 def bar_state_residual(scheme, u, t, sigmas=None):

@@ -45,6 +45,7 @@ from posdg.physics import (
 )
 from posdg.rhs_high import HighOrderRHS, LDGGradient
 from posdg.rhs_low import LowOrderRHS
+from posdg.workspace import Workspace
 
 
 def components(a):
@@ -118,7 +119,7 @@ class Scheme:
         interior slot and the boundary condition's exterior value at a
         boundary slot."""
         mesh = self.mesh
-        uf, uP = self.low.face_states(components(u), t)
+        uf, uP = self.low.face_states(components(u), t, Workspace())
         if sigmas is None:
             return uf, uP, None, None, mesh.slot_normal
         sigf = tuple(s[:, mesh.ops.face_vol].reshape(len(s), -1)
@@ -139,7 +140,7 @@ class Scheme:
         uf, uP, sigf, sigP, nrm = self.faces(u, t, sigmas)
         out = []
         for us, ss in ((uf, sigf), (uP, sigP)):
-            f = normal_flux(us, nrm, self.low.gas)
+            f = normal_flux(us, nrm, self.low.gas, ws=Workspace())
             if ss is not None:
                 f -= sum(nrm[d] * ss[d] for d in range(len(nrm)))
             out.append(f)
@@ -148,7 +149,8 @@ class Scheme:
     def gradient(self, u, t=0.0):
         """(v, thetas, sigmas) of the LDG gradient, variable-last."""
         uc = components(u)
-        v, thetas, sigmas = self.ldg(uc, self.low.face_states(uc, t)[1])
+        v, thetas, sigmas = self.ldg(
+            uc, self.low.face_states(uc, t, Workspace())[1], Workspace())
         return v.T, variables_last(thetas), variables_last(sigmas)
 
     def end_tables(self, u, t=0.0, sigmas=None):
@@ -156,8 +158,9 @@ class Scheme:
         ``LowOrderRHS.wavespeeds``, and the view of F's node ends, (nvar,
         ends, K), that the pair fluxes read."""
         uc = components(u)
-        w, F = self.low.wavespeeds(uc, self.low.face_states(uc, t)[1],
-                                   components(sigmas))
+        w, F = self.low.wavespeeds(
+            uc, self.low.face_states(uc, t, Workspace())[1],
+            components(sigmas), ws=Workspace())
         return w, F, F[:, :self.low._n_ends].reshape(len(F), self.low._ne,
                                                       -1)
 
@@ -167,23 +170,25 @@ class Scheme:
 
     def rates(self, u, t=0.0, sigmas=None):
         """(lam_p, lam_s, lam) of ``LowOrderRHS.rates``."""
-        return self.low.rates(self.wavespeeds(u, t, sigmas))
+        return self.low.rates(self.wavespeeds(u, t, sigmas), Workspace())
 
     def low_pairs(self, u, t=0.0, sigmas=None):
         """(P, lambda): the low-order pair fluxes and weights."""
         w, _, Fpair = self.end_tables(u, t, sigmas)
-        lam_p = self.low.rates(w)[0]
-        return self.low.pair_fluxes(components(u), lam_p, Fpair), lam_p
+        lam_p = self.low.rates(w, Workspace())[0]
+        return (self.low.pair_fluxes(components(u), lam_p, Fpair,
+                                     Workspace()), lam_p)
 
     def high_pairs(self, u, sigmas=None):
         """F^H: the high-order pair fluxes."""
-        return self.high.pair_fluxes(components(u), components(sigmas))
+        return self.high.pair_fluxes(components(u), components(sigmas),
+                                     ws=Workspace())
 
     def _low(self, u, t, sigmas):
         """(R^L, lam, F^L) of ``LowOrderRHS.__call__``."""
         uc = components(u)
-        uf, uP = self.low.face_states(uc, t)
-        return self.low(uc, uf, uP, components(sigmas))
+        uf, uP = self.low.face_states(uc, t, Workspace())
+        return self.low(uc, uf, uP, components(sigmas), ws=Workspace())
 
     def low_residual(self, u, t=0.0, sigmas=None):
         """(R, lam): the low-order residual and its nodal rates."""
@@ -193,12 +198,12 @@ class Scheme:
     def pair_differences(self, u, t=0.0, sigmas=None):
         """dF = F^H - F^L of ``HighOrderRHS.__call__``."""
         FL = self._low(u, t, sigmas)[2]
-        return self.high(components(u), components(sigmas), FL)
+        return self.high(components(u), components(sigmas), FL, Workspace())
 
     def high_residual(self, u, t=0.0, sigmas=None):
         """R^L + scatter(F^H - F^L)."""
         R, _, FL = self._low(u, t, sigmas)
-        dF = self.high(components(u), components(sigmas), FL)
+        dF = self.high(components(u), components(sigmas), FL, Workspace())
         return (R + self.mesh.scatter @ dF).T
 
     def max_dt(self, u, t=0.0, sigmas=None):

@@ -27,6 +27,7 @@ from posdg.physics import (
 )
 from posdg.rhs_low import interface_flux_low
 from posdg.sbp import build_ops
+from posdg.workspace import Workspace
 
 GAS = GasParams(gamma=1.4)
 
@@ -49,12 +50,13 @@ def _bounds(uLnew, zeta=None):
 
 def _zhang_shu(uLnew, dF, dt, mesh, bounds, cap=None):
     out, rep = zhang_shu_limit(components(uLnew), dF, dt, mesh,
-                               _transposed(bounds), cap=cap)
+                               _transposed(bounds), cap=cap, ws=Workspace())
     return out.T, rep
 
 
 def _convex(cl, uLnew, dF, dt, bounds, cap=None):
-    out, rep = cl(components(uLnew), dF, dt, _transposed(bounds), cap=cap)
+    out, rep = cl(components(uLnew), dF, dt, _transposed(bounds), cap=cap,
+                  ws=Workspace())
     return out.T, rep
 
 
@@ -190,7 +192,8 @@ def test_feasible_l_skips_solve_when_every_endpoint_is_inside(monkeypatch):
     P = rng.uniform(-0.5, 1.0, (500, 1)) * uL
     calls = _count_solves(monkeypatch)
     l = feasible_l(uL.T, P.T,
-                   Bounds(0.4 * uL[:, 0], 0.4 * internal_energy(uL)))
+                   Bounds(0.4 * uL[:, 0], 0.4 * internal_energy(uL)),
+                   Workspace())
     assert calls == []
     assert l.dtype == np.float64 and np.all(l == 1.0)
 
@@ -204,7 +207,7 @@ def test_feasible_l_equals_solve_l_where_endpoint_is_outside(monkeypatch, dim):
     inside = (end[:, 0] >= rho_min) & (internal_energy(end) >= rhoe_min)
     assert 0 < inside.sum() < len(inside)
     calls = _count_solves(monkeypatch)
-    l = feasible_l(uL.T, P.T, bounds)
+    l = feasible_l(uL.T, P.T, bounds, Workspace())
     assert calls == [((~inside).sum(),)]
     assert np.array_equal(l[~inside], solve_l(uL.T, P.T, bounds)[~inside])
     assert np.all(l[inside] == 1.0)
@@ -219,7 +222,9 @@ def test_solve_l_and_feasible_l_accept_fast_flow_endpoint():
     P = np.array([1.0, 0.0, 0.5 + 5e9])
     bounds = Bounds(np.array(0.5), np.array(0.5 / 1.02))
     assert solve_l(uL, P, bounds) == 1.0
-    l = feasible_l(uL[:, None], P[:, None], bounds)
+    l = feasible_l(uL[:, None], P[:, None],
+                   Bounds(bounds.rho_min[None], bounds.rhoe_min[None]),
+                   Workspace())
     assert l.tolist() == [1.0]
     end = uL + P
     assert end[0] >= bounds.rho_min

@@ -39,6 +39,7 @@ from posdg.physics import (
 from posdg import rhs_low
 from posdg.rhs_low import LowOrderRHS, interface_flux_low
 from posdg.timestepping import Stepper
+from posdg.workspace import Workspace
 
 GAS = GasParams(gamma=1.4)
 GAS_V = GasParams(gamma=1.4, mu=0.01, Pr=0.75)
@@ -337,11 +338,12 @@ def test_wavespeeds_match_pairwise_form(elem, N, viscous):
     for d in range(1, mesh.dim):
         n1 = n1 + np.abs(nrm[d])
     lam_s = 0.5 * mesh.slot_wsJ * n1 * lam_hat
-    rates = sch.low.rates(w)
+    rates = sch.low.rates(w, Workspace())
     assert np.array_equal(rates[1], lam_s)
     lam_nodes = (mesh.ops.E.T @ lam_s.reshape(mesh.n_face_nodes, -1)).T
-    beta_binds = np.any(lam_hat > np.maximum(davis_wavespeed(uf, nrm, gas),
-                                             davis_wavespeed(uP, nrm, gas)))
+    beta_binds = np.any(lam_hat > np.maximum(
+        davis_wavespeed(uf, nrm, gas, Workspace()),
+        davis_wavespeed(uP, nrm, gas, Workspace())))
     for elems, gc in zip(mesh.class_elems, mesh.classes):
         lam_p = pairs[1][:, elems].T
         low = slice(gc.n_low)
@@ -362,12 +364,13 @@ def test_wavespeeds_match_pairwise_form(elem, N, viscous):
         absS = np.asfortranarray(np.abs(gc.scatter[:, low]))
         lam_nodes[elems] += (absS @ (lam_hat * nn).T).T
         beta_binds |= np.any(lam_hat > np.maximum(
-            davis_wavespeed(ui, unit, gas), davis_wavespeed(uj, unit, gas)))
+            davis_wavespeed(ui, unit, gas, Workspace()),
+            davis_wavespeed(uj, unit, gas, Workspace())))
     assert beta_binds == viscous
     assert np.array_equal(rates[2].T, lam_nodes)
     # the Stepper's dt bound, here mode none's, is the one of these rates
     st = Stepper(mesh, gas, sch.low.bcs, mode="none")
-    assert (st.dt_bound(st.prepare(components(u), 0.0))
+    assert (st.prepare(components(u), 0.0)["bound"]
             == float((mesh.mass / (2.0 * lam_nodes)).min()))
 
 
@@ -382,15 +385,17 @@ def test_inviscid_wavespeeds_equal_davis_of_gathered_ends():
     u = components(case.ic(mesh.xy))
     t = 0.02            # the top boundary's shock trace has moved
     low = LowOrderRHS(mesh, gas, bcs)
-    uP = low.face_states(u, t)[1]
+    uP = low.face_states(u, t, Workspace())[1]
     assert low._bdry_slots.size
-    w, F = low.wavespeeds(u, uP)
+    w, F = low.wavespeeds(u, uP, ws=Workspace())
     # the end states gathered in full: every node end, then every ghost
     ue = np.concatenate([u.reshape(len(u), -1)[:, low._end_src],
                          uP[:, low._bdry_slots]], axis=1)
-    assert np.array_equal(w, davis_wavespeed(ue, low._end_dir, gas))
+    assert np.array_equal(w, davis_wavespeed(ue, low._end_dir, gas,
+                                             Workspace()))
     # and so does the normal flux table, whose pressure is gathered too
-    assert np.array_equal(F, normal_flux(ue, low._end_dir, gas))
+    assert np.array_equal(F, normal_flux(ue, low._end_dir, gas,
+                                         ws=Workspace()))
 
 
 def _check_boundary_pass(low, bcs, rng, t):
@@ -399,7 +404,7 @@ def _check_boundary_pass(low, bcs, rng, t):
     for bit."""
     mesh, gas = low.mesh, low.gas
     u = components(fuzz_state(rng, mesh, gas)[0])
-    for a, ref in zip(low.face_states(u, t),
+    for a, ref in zip(low.face_states(u, t, Workspace()),
                       face_states_ref(mesh, bcs, u, t, gas)):
         assert np.array_equal(a, ref)
     sig = rng.normal(size=(mesh.dim,) + u.shape)
@@ -472,7 +477,8 @@ def test_boundary_pass_drops_outflow_and_absent_tags(elem):
         assert np.array_equal(grp.slots, np.nonzero(mesh.slot_tag == tag)[0])
     rng = np.random.default_rng(11)
     _check_boundary_pass(low, bcs, rng, t=0.3)
-    uf, uP = low.face_states(components(fuzz_state(rng, mesh, GAS)[0]), 0.3)
+    uf, uP = low.face_states(components(fuzz_state(rng, mesh, GAS)[0]), 0.3,
+                             Workspace())
     out = mesh.slot_tag == 4
     assert out.any() and np.array_equal(uP[:, out], uf[:, out])
 
@@ -541,7 +547,7 @@ def test_pair_arrays_equal_per_class_oracles(elem, viscous):
     assert FH.shape == (nvar, len(mesh.pair_i), mesh.n_elements)
     assert FL.shape == (nvar, mesh.n_low, mesh.n_elements)
     assert lam.shape == FL.shape[1:]
-    dF = sch.high(components(u), components(sig), FL)
+    dF = sch.high(components(u), components(sig), FL, Workspace())
     prep = Stepper(mesh, gas, BCSet({}), mode="convex").prepare(
         components(u), 0.0)
     assert np.array_equal(prep["dF"], dF)
