@@ -26,7 +26,9 @@ Conditions:
 
 Viscous exterior fluxes are copies of the interior ones, with the energy
 component negated on walls and no-slip boundaries so no heat flux nor
-spurious work enters the domain (adiabatic).
+spurious work enters the domain (adiabatic). The mass row of a viscous flux
+is zero, so the low-order stage hands :meth:`BCSet.exterior_sigma` the
+momentum and energy rows only.
 """
 
 from __future__ import annotations
@@ -141,8 +143,10 @@ class BCSet:
 
     def exterior_sigma(self, sigM, adiabatic):
         """Exterior viscous fluxes of the boundary slots, component first
-        like ``sigM``: copies, energy negated on the ``adiabatic`` rows of
-        :meth:`group`, the (no-slip) walls."""
+        like ``sigM``: copies, energy (the last row) negated on the
+        ``adiabatic`` slots of :meth:`group`, the (no-slip) walls. The
+        other rows are copied as given, so ``sigM`` may hold the momentum
+        and energy rows alone, as the mass row of sigma is zero."""
         out = []
         for s in sigM:
             sP = s.copy()

@@ -28,14 +28,21 @@ inviscid flux sum_k n_k f_k along the direction of a pair or slot end (the
 low-order scheme's one flux table per stage), :func:`ec_fluxes_prims` the
 two-point flux along the direction of a pair, and
 :func:`davis_wavespeed` and :func:`zhang_beta` the wavespeeds along an
-end's direction. The two-point flux reads its states through the node
+end's direction. :func:`zhang_beta` reads the viscous fluxes through the
+end's normal viscous flux sigma . n alone, the one the low-order end table
+subtracts from f . n: its momentum rows are tau . n, and with them it
+forms q . n. The two-point flux reads its states through the node
 table of :func:`ec_prims`, one (dim + 3, ...) array with the rows
 
-    [rho, beta, v_1 .. v_dim, |v|^2],   beta = rho / (2 p),
+    [rho, 2 beta, v_1 / 2 .. v_dim / 2, |v|^2 / 4],   beta = rho / (2 p),
 
 so a pair end is one gather of it, and the two arguments of the
-logarithmic means, rho and beta, are its first two rows: one
-:func:`log_mean` over that (2, ...) block forms both. The workspace
+logarithmic means, rho and 2 beta = rho / p, are its first two rows: one
+:func:`log_mean` over that (2, ...) block forms both. The factors are
+powers of two, which scale a double exactly, so the sum of two table
+entries holds the arithmetic mean of v, four times that of beta and half
+that of |v|^2 bit for bit, and the two-point flux reads them from one sum
+L + R without rescaling it. The workspace
 kernels (``log_mean``, ``normal_flux``, ``ec_fluxes_prims``,
 ``ec_fluxes``, ``davis_wavespeed``, ``zhang_beta``) take their caller's
 :class:`~posdg.workspace.Workspace`, the one a ``Stepper`` owns, and
@@ -274,8 +281,9 @@ def normal_flux(u, n, gas: GasParams, p=None, out=None, *, ws):
 def ec_prims(u, gas: GasParams):
     """The node table of the two-point flux, one (dim + 3, ...) array.
 
-    Its rows are [rho, beta, v, |v|^2] with beta = rho / (2p) and the
-    velocity v taking dim rows (see the module doc). Exposed separately so
+    Its rows are [rho, rho / p, v / 2, |v|^2 / 4], with the velocity v
+    taking dim rows (see the module doc): rho / p = 2 beta, beta = rho /
+    (2p), and each factor a power of two. Exposed separately so
     pairwise flux evaluations over many pairs drawn from few distinct
     states (the flux-differencing volume term) can form it once per state
     and gather it with one take per pair end.
@@ -285,8 +293,9 @@ def ec_prims(u, gas: GasParams):
     dim = len(mom)
     tab = np.empty((dim + 3,) + rho.shape)
     tab[0] = rho
-    tab[1] = rho / (2.0 * pressure_cf(u, gas))
+    tab[1] = rho / pressure_cf(u, gas)
     vel = np.divide(mom, rho, out=tab[2:-1])
+    vel *= 0.5
     _dot(vel, vel, tab[-1, ...])
     return tab
 
@@ -304,12 +313,15 @@ def ec_fluxes_prims(primsL, primsR, n, gas: GasParams, ws, out=None):
         F_E = h F_rho + v_a . F_m,
 
     and with n a unit vector e_k it equals f_kS bit for bit. Both
-    logarithmic means are one :func:`log_mean` over rows [rho, beta] of the
-    tables, and the arithmetic means come from one sum L + R of the
-    tables. ``n`` is (dim, ...) and broadcasts against the states. The
-    flux is written into ``out`` (nvar, ...), by default taken from the
-    caller's frame of the workspace ``ws``; the temporaries come from a
-    frame of their own.
+    logarithmic means are one :func:`log_mean` over rows [rho, 2 beta] of
+    the tables, and the arithmetic means come from one sum L + R of the
+    tables: its rows are 2 rho_avg, 4 beta_avg, v_a and |v|^2_avg / 2, so
+    p_a = rho_avg / (2 beta_avg) is the quotient of its first two, and
+    log_mean(2 beta_L, 2 beta_R) = 2 beta_ln exactly gives h = 1 /
+    ((gamma - 1) 2 beta_ln) - |v|^2_avg / 2. ``n`` is (dim, ...) and
+    broadcasts against the states. The flux is written into ``out`` (nvar,
+    ...), by default taken from the caller's frame of the workspace
+    ``ws``; the temporaries come from a frame of their own.
     """
     g = gas.gamma
     dim = len(primsL) - 3
@@ -321,21 +333,21 @@ def ec_fluxes_prims(primsL, primsR, n, gas: GasParams, ws, out=None):
         take = ws.take
         ln = log_mean(primsL[:2], primsR[:2], ws)
         rho_ln, h = ln[0, ...], ln[1, ...]
-        # the end sums L + R; in place, v_a, p_a and |v|^2_avg / 2
-        s = np.add(primsL, primsR,
-                   out=take(np.broadcast_shapes(primsL.shape, primsR.shape)))
-        vel_a = np.multiply(0.5, s[2:-1], out=s[2:-1])
-        # p_a = rho_avg / (2 beta_avg)
-        p_a = np.multiply(0.5, s[0, ...], out=s[0, ...])
-        np.divide(p_a, s[1, ...], out=p_a)
-        # h = 1 / (2 (gamma - 1) beta_ln) - |v|^2_avg / 2
+        # the end sums L + R, row by row into dim + 2 rows: p_a = rho_avg /
+        # (2 beta_avg) in row 0, the |v|^2 sum in row 1, taken from h as
+        # soon as it is formed, and v_a in the rows after
+        s = take((dim + 2,) + np.broadcast_shapes(primsL.shape[1:],
+                                                  primsR.shape[1:]))
+        p_a = np.add(primsL[0], primsR[0], out=s[0, ...])
+        np.divide(p_a, np.add(primsL[1], primsR[1], out=s[1, ...]), out=p_a)
+        # h = 1 / ((gamma - 1) 2 beta_ln) - |v|^2_avg / 2
         np.multiply(g - 1.0, h, out=h)
-        np.divide(0.5, h, out=h)
-        vsq = np.multiply(0.25, s[-1, ...], out=s[-1, ...])
-        np.subtract(h, vsq, out=h)
+        np.divide(1.0, h, out=h)
+        np.subtract(h, np.add(primsL[-1], primsR[-1], out=s[1, ...]), out=h)
+        vel_a = np.add(primsL[2:-1], primsR[2:-1], out=s[2:])
 
-        # out[c, ...] stays an array view when the states are scalars; the
-        # row of the beta sums, used up, holds the products
+        # out[c, ...] stays an array view when the states are scalars; row
+        # 1 of the sums, used up, holds the products
         t = s[1, ...] if s.shape[1:] == shape else take(shape)
         f0 = _dot(vel_a, n, out[0, ...], t)
         f0 *= rho_ln
@@ -388,22 +400,30 @@ def davis_wavespeed(u, n, gas: GasParams, ws, c=None, mn=None):
     return out
 
 
-def zhang_beta(u, sigma, n, gas: GasParams, eps0: float = 1e-14, *, ws):
+def zhang_beta(u, sn, n, gas: GasParams, eps0: float = 1e-14, *, ws):
     """Maximum wavespeed bound for first-order viscous bar states.
 
-    ``sigma`` is the tuple of viscous fluxes per direction (may be None for
-    inviscid states), ``n`` a direction vector (not necessarily unit). The
-    bound guarantees positivity of intermediate states of the viscous
-    Riemann problem.
+    ``sn`` is the normal viscous flux sigma . n = sum_k n_k sigma_k of the
+    states along ``n`` (None for inviscid states), (nvar, ...) like ``u``;
+    ``n`` is a direction vector (not necessarily unit). The bound
+    guarantees positivity of intermediate states of the viscous Riemann
+    problem, and reads the viscous fluxes only through sigma . n (Zhang,
+    J. Comput. Phys. 2017): the stress along n, tau . n, is its momentum
+    rows, and the heat flux along n is
+
+        q . n = u . (tau . n) - (sigma . n)_E.
+
+    Its mass row, zero for every viscous flux, is not read.
 
     It is even in ``n`` bit for bit: n enters only through products n_k x,
-    whose sums change sign exactly with n, and these reach the result only
-    through |.| or a square. For an inviscid state (``sigma`` None) and a
-    unit ``n`` it is eps0 + |u.n| + sqrt((gamma - 1) / (2 gamma)) c, below
-    the Davis speed |u.n| + c whenever c exceeds about 3.5 eps0, so the
-    low-order scheme does not evaluate it for inviscid gases (see
-    :mod:`posdg.rhs_low`). The result is taken from the caller's frame of
-    the workspace ``ws``, the temporaries from a frame of their own.
+    whose sums change sign exactly with n (sigma . n among them), and
+    these reach the result only through |.| or a square. For an inviscid
+    state (``sn`` None) and a unit ``n`` it is eps0 + |u.n| +
+    sqrt((gamma - 1) / (2 gamma)) c, below the Davis speed |u.n| + c
+    whenever c exceeds about 3.5 eps0, so the low-order scheme does not
+    evaluate it for inviscid gases (see :mod:`posdg.rhs_low`). The result
+    is taken from the caller's frame of the workspace ``ws``, the
+    temporaries from a frame of their own.
     """
     u = np.asarray(u, dtype=float)
     n = np.asarray(n, dtype=float)
@@ -425,26 +445,19 @@ def zhang_beta(u, sigma, n, gas: GasParams, eps0: float = 1e-14, *, ws):
         # 2 rho^2 e = 2 rho (rho e), with e the specific internal energy
         den = np.multiply(2.0, rho, out=take(ushape))
         den *= rhoe
-        if sigma is None:
-            sigma = (np.zeros_like(u),) * dim
+        if sn is None:
+            sn = np.zeros((dim + 2,) + shape)
 
-        # tau_k (row k of the stress) is the momentum part of sigma_k, and
-        # the heat flux q_k = u . tau_k - sigma_k[energy]
-        tau = [s[1:-1] for s in sigma]
-        qn, q = take(shape), take(shape)
-        for k in range(dim):
-            qk = _dot(vel, tau[k], take(ushape), t)
-            np.subtract(qk, sigma[k][-1], out=qk)
-            np.multiply(qk, n[k], out=qn if k == 0 else q)
-            if k:
-                qn += q
-        # |tau.n - p n|^2, with (tau.n)_j = sum_k tau_kj n_k
-        visc2 = b
+        # tau . n is the momentum part of sigma . n, and the heat flux
+        # q . n = u . (tau . n) - (sigma . n)_E
+        tau_n = sn[1:-1]
+        qn = _dot(vel, tau_n, take(shape), a)
+        qn -= sn[-1]
+        # |tau.n - p n|^2
+        visc2, q = b, a
         for j in range(dim):
-            vj = np.multiply(tau[0][j], n[0], out=a)
-            for k in range(1, dim):
-                vj += np.multiply(tau[k][j], n[k], out=q)
-            vj -= np.multiply(p, n[j], out=q)
+            vj = np.multiply(p, n[j], out=q)
+            np.subtract(tau_n[j], vj, out=vj)
             if j == 0:
                 np.multiply(vj, vj, out=visc2)
             else:
@@ -477,11 +490,17 @@ def viscous_sigma(v, thetas, gas: GasParams, out=None):
     the stress tau_kj = mu (du_j/dx_k + du_k/dx_j) off the diagonal and
     mu (4/3 du_k/dx_k - 2/3 sum_{m != k} du_m/dx_m) on it.
 
-    The velocity gradients du_j/dx_k, the stress and the heat flux are
-    each formed for every (k, j) at once, broadcast over the two direction
-    axes. Its temporaries are node-sized (tens of KB on the benchmark
-    meshes), which the heap serves without page faults, and fresh arrays
-    measure faster here than workspace buffers.
+    The mass row of every sigma_k is zero; it is written here, and the
+    solver's consumers of sigma (the end table of
+    :class:`posdg.rhs_low.LowOrderRHS` and the viscous pair term of
+    :class:`posdg.rhs_high.HighOrderRHS`) never read it. The velocity
+    gradients du_j/dx_k and the work terms u_j tau_kj of the energy rows
+    are each formed for every (k, j) at once, broadcast over the two
+    direction axes; the stress is formed entry by entry, its off-diagonal
+    entry once (tau_10 = tau_01 bit for bit). Its temporaries are
+    node-sized (tens of KB on the benchmark meshes), which the heap serves
+    without page faults, and fresh arrays measure faster here than
+    workspace buffers.
     """
     v = np.asarray(v, dtype=float)
     th = np.asarray(thetas, dtype=float)
@@ -500,8 +519,12 @@ def viscous_sigma(v, thetas, gas: GasParams, out=None):
     t = vlast * th[:, 1:-1]
     grad -= t
     grad /= vl2
-    np.add(grad, grad.swapaxes(0, 1), out=tau)
-    tau *= mu
+    # the stress is symmetric: its off-diagonal entry is formed once, and
+    # tau_10 = tau_01 bit for bit
+    if dim == 2:
+        off = np.add(grad[0, 1], grad[1, 0], out=tau[0, 1, ...])
+        off *= mu
+        tau[1, 0] = off
     # the diagonal du_k/dx_k, a strided view of the flat (k, j) axes; the
     # sum over m != k is the one other direction in two dimensions
     diag = grad.reshape((dim * dim,) + shape)[::dim + 1]

@@ -34,9 +34,14 @@ Viscous terms follow the LDG construction: nodal gradients of the entropy
 variables with central interface averages, the symmetric viscous fluxes
 sigma = K(v) grad v evaluated matrix-free, and a central flux for the
 divergence. :class:`LDGGradient` produces (v, theta, sigma); the resulting
-sigma feeds both pair fluxes and the interface flux. Neither class sees
-the boundary conditions: both read the stage's face states, evaluated once
-per stage by :meth:`posdg.rhs_low.LowOrderRHS.face_states`.
+sigma feeds both pair fluxes and the interface flux, which read its
+momentum and energy rows only, as its mass row is zero. The exterior
+entropy variables of the gradient's interface average are taken from v at
+the exterior volume node wherever the exterior state is a volume node's
+state (interior and outflow slots); only the boundary conditions' ghost
+states are converted. Neither class sees the boundary conditions: both
+read the stage's face states, evaluated once per stage by
+:meth:`posdg.rhs_low.LowOrderRHS.face_states`.
 """
 
 from __future__ import annotations
@@ -65,17 +70,29 @@ class LDGGradient:
     direction over the whole mesh, scaled by the per-element factors
     G_mk. The exterior v is entropy_vars(uP) of the stage's exterior face
     states, so the boundary states are evaluated once per stage, in
-    :meth:`posdg.rhs_low.LowOrderRHS.face_states`. Returns (v, thetas,
-    sigmas) at all volume nodes: v (nvar, Np, K), thetas and sigmas one
-    (nvar, Np, K) array per direction, the rows of one (dim, nvar, Np, K)
-    array each, so that :func:`~posdg.physics.viscous_sigma` broadcasts
-    over the direction axis.
+    :meth:`posdg.rhs_low.LowOrderRHS.face_states`. Only the ``bc_slots``,
+    the slots whose exterior state a boundary condition sets
+    (:attr:`posdg.rhs_low.LowOrderRHS.bc_slots`), need entropy_vars of it:
+    every other slot's exterior state is a volume node's state, its
+    partner's trace at an interior slot and its own at an outflow slot, so
+    its exterior v is one take of v at that node, bit for bit the same
+    values. Returns (v, thetas, sigmas) at all volume nodes: v (nvar, Np,
+    K), thetas and sigmas one (nvar, Np, K) array per direction, the rows
+    of one (dim, nvar, Np, K) array each, so that
+    :func:`~posdg.physics.viscous_sigma` broadcasts over the direction
+    axis.
     """
 
-    def __init__(self, mesh: Mesh, gas: GasParams):
+    def __init__(self, mesh: Mesh, gas: GasParams, bc_slots):
         self.mesh = mesh
         self.gas = gas
+        self._bc_slots = bc_slots
         dim = mesh.dim
+        K = mesh.n_elements
+        # the exterior volume node of each slot, a flat (node, element)
+        # index: the partner's, or the slot's own at a boundary slot
+        ext = mesh.slot_exterior
+        self._ext_src = K * mesh.ops.face_vol[ext // K] + ext % K
         self._skews = [0.5 * (Q - Q.T) for Q in mesh.ops.Q]
         G = np.stack([gc.G for gc in mesh.classes])[mesh.class_id]
         # per physical direction, the reference directions with a nonzero
@@ -95,8 +112,12 @@ class LDGGradient:
         thetas, sigmas = (ws.keep(key, (len(self._lift),) + u.shape)
                           for key in ("theta", "sigma"))
         with ws.frame():
-            vP = entropy_vars_cf(uP, self.gas, out=ws.take(uP.shape)).reshape(
-                len(u), *self._lift.shape[1:])
+            vP = v.reshape(len(v), -1).take(self._ext_src, axis=1,
+                                            out=ws.take(uP.shape), mode="clip")
+            if len(self._bc_slots):
+                vP[:, self._bc_slots] = entropy_vars_cf(
+                    uP[:, self._bc_slots], self.gas)
+            vP = vP.reshape(len(u), *self._lift.shape[1:])
             Sv = [np.matmul(S, v, out=ws.take(u.shape)) for S in self._skews]
             t, gSv = ws.take(vP.shape), ws.take(u.shape)
             for th, lift, metric in zip(thetas, self._lift, self._metric):
@@ -136,13 +157,15 @@ class HighOrderRHS:
             ec_fluxes_prims(ws.gather(tab, pi), ws.gather(tab, pj), self._n,
                             self.gas, ws=ws, out=FH)
             if sigmas is not None:
-                # minus sum_k (n_k / 2) (s_ki + s_kj)
-                vis, t = ws.take(FH.shape), ws.take(FH.shape)
+                # minus sum_k (n_k / 2) (s_ki + s_kj), on the momentum and
+                # energy rows: the mass row of sigma is zero
+                shape = (len(FH) - 1,) + FH.shape[1:]
+                vis, t = ws.take(shape), ws.take(shape)
                 for s, half_n in zip(sigmas, self._half_n):
-                    s.take(pi, axis=1, out=vis, mode="clip")
-                    vis += s.take(pj, axis=1, out=t, mode="clip")
+                    s[1:].take(pi, axis=1, out=vis, mode="clip")
+                    vis += s[1:].take(pj, axis=1, out=t, mode="clip")
                     vis *= half_n
-                    FH -= vis
+                    FH[1:] -= vis
         return FH
 
     def __call__(self, u, sigmas, FL, ws):

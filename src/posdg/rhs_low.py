@@ -38,11 +38,13 @@ Wavespeeds and normal fluxes per end. The rate of a pair or face slot with
 unit direction n splits into one term per end,
 
     max(beta_i, beta_j, lambda_Davis) = max(w_i, w_j),
-    w(u, sigma, n) = max(beta(u, sigma, n), |u.n| + c),
+    w(u, sigma, n) = max(beta(u, sigma . n, n), |u.n| + c),
 
-and w is even in n bit for bit: n enters beta and the Davis term only
-through products n_k x, whose sums change sign exactly when n does, and
-these reach w only through |.| or a square. The normal flux F(u, sigma, n)
+with beta reading the viscous fluxes through the end's sigma . n alone
+(:func:`~posdg.physics.zhang_beta`), and w is even in n bit for bit: n
+enters beta and the Davis term only through products n_k x, whose sums
+change sign exactly when n does, and these reach w only through |.| or a
+square. The normal flux F(u, sigma, n)
 = sum_k n_k (f_k(u) - sigma_k) is odd in n bit for bit by the same
 argument: n enters it only through m . n, p n_k and the sum of the
 n_k sigma_k, and F(u, sigma, -n) = -F(u, sigma, n). An end is therefore
@@ -61,9 +63,15 @@ slots too. The pressure p and the sound speed c depend on the state only,
 so they are formed once per node and once per boundary ghost state and
 gathered with the ends; only m . n and what follows from it are formed
 per end, and the Davis term reads m . n from the mass row of f(u) . n,
-before sigma . n is subtracted. A ghost end's sigma is the boundary
-condition's exterior viscous flux (:meth:`~posdg.bc.BCSet.exterior_sigma`)
-of sigma at its slot's volume node.
+before sigma . n is subtracted. sigma . n = sum_k n_k sigma_k is formed
+once per end and read twice: beta reads its momentum rows as tau . n and
+forms q . n from them and its energy row, and F - sigma . n subtracts it.
+The mass row of sigma is zero (:func:`~posdg.physics.viscous_sigma`), so
+only the momentum and energy rows of sigma are gathered to the ends,
+summed into sigma . n and subtracted from F; the mass row of F is m . n.
+A ghost end's sigma is the boundary condition's exterior viscous flux
+(:meth:`~posdg.bc.BCSet.exterior_sigma`) of sigma at its slot's volume
+node.
 
 The two ends of a pair share its direction e, and n_ij = s |n_ij| e with
 one sign s = +-1 per pair and geometry class, so the central part of the
@@ -165,6 +173,10 @@ class LowOrderRHS:
         # adiabatic ones among the boundary slots
         self._bc_groups, self._adiabatic = bcs.group(
             mesh.slot_tag, mesh.slot_xy, mesh.slot_normal)
+        # the slots whose exterior state a condition sets, ascending: the
+        # ones whose exterior state is not a volume node's state
+        self.bc_slots = np.sort(np.concatenate(
+            [g.slots for g in self._bc_groups] + [np.zeros(0, np.int64)]))
         # the boundary slots, slot-major, and their volume nodes, flat
         # (node, element) indices
         bdry = mesh.slot_tag > 0
@@ -258,22 +270,25 @@ class LowOrderRHS:
 
         One entry per distinct end and element, (end, element) in that
         order, then one per boundary ghost state: w = |u.n| + c for an
-        inviscid gas (``sigmas`` None), else max(beta, |u.n| + c), and F
-        (nvar, n_ends) the normal flux (f(u) - sigma) . n along the end's
-        direction n. The ghost ends read ``uP`` (:meth:`face_states`) and
-        the exterior viscous fluxes of the boundary conditions, formed here
-        from ``sigmas`` at the boundary slots' volume nodes. The end states
-        are gathered into a frame of the workspace ``ws``, and w and F are
-        its kept arrays, valid until the next call with the same workspace.
-        :meth:`rates` reads w, and :meth:`__call__` reads F at the pairs'
-        and the slots' ends.
+        inviscid gas (``sigmas`` None), else max(beta(u, sigma . n, n),
+        |u.n| + c), and F (nvar, n_ends) the normal flux (f(u) - sigma) . n
+        along the end's direction n, with one sigma . n per end, from the
+        momentum and energy rows of sigma, read by both. The ghost ends
+        read ``uP`` (:meth:`face_states`) and the exterior viscous fluxes
+        of the boundary conditions, formed here from ``sigmas`` at the
+        boundary slots' volume nodes. The end states are gathered into a
+        frame of the workspace ``ws``, and w and F are its kept arrays,
+        valid until the next call with the same workspace. :meth:`rates`
+        reads w, and :meth:`__call__` reads F at the pairs' and the slots'
+        ends.
         """
         gas = self.gas
         top, ghosts, dirs = self._n_ends, self._bdry_slots, self._end_dir
         shape = (len(u), dirs.shape[1])
 
-        def gather(vol, face, idx):
-            out = ws.take(shape)
+        def gather(vol, face, idx, out=None):
+            if out is None:
+                out = ws.take((len(vol), shape[1]))
             for c in range(len(vol)):
                 vol[c].reshape(-1).take(self._end_src, out=out[c, :top],
                                         mode="clip")
@@ -297,17 +312,21 @@ class LowOrderRHS:
             normal_flux(ue, dirs, gas, p=pe, out=F, ws=ws)
             w[:] = davis_wavespeed(ue, dirs, gas, ws, c=ce, mn=F[0])
             if sigmas is not None:
+                # sigma . n at every end, from the momentum and energy rows
+                # of sigma; its mass row is zero, and stays unset in sn
                 sb = self.bcs.exterior_sigma(
-                    tuple(s.reshape(len(s), -1)[:, self._bdry_src]
+                    tuple(s.reshape(len(s), -1)[1:, self._bdry_src]
                           for s in sigmas), self._adiabatic)
                 rows = np.arange(len(ghosts))
-                se = tuple(gather(s, x, rows) for s, x in zip(sigmas, sb))
-                np.maximum(zhang_beta(ue, se, dirs, gas, ws=ws), w, out=w)
+                sn = ws.take(shape)
+                for d, (s, x) in enumerate(zip(sigmas, sb)):
+                    se = gather(s[1:], x, rows, None if d else sn[1:])
+                    se *= dirs[d]
+                    if d:
+                        sn[1:] += se
+                np.maximum(zhang_beta(ue, sn, dirs, gas, ws=ws), w, out=w)
                 # F - sigma . n at every end
-                sn = np.multiply(dirs[0], se[0], out=ws.take(shape))
-                for d in range(1, len(se)):
-                    sn += np.multiply(dirs[d], se[d], out=ws.take(shape))
-                F -= sn
+                F[1:] -= sn[1:]
         return w, F
 
     def rates(self, w, ws):

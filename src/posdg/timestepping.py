@@ -43,6 +43,10 @@ LIMITED_MODES = ("elementwise", "convex")
 
 # restarts of one step from a stage's positivity bound before advance gives up
 MAX_RETRIES = 8
+# a restart sizes dt at min(cfl, 1 - RESTART_MARGIN) times the failing
+# stage's bound: at cfl = 1 a dt of the bound itself moves the restarted
+# stage's state, and its bound lands just below dt again
+RESTART_MARGIN = 0.01
 # advance logs a progress line every LOG_EVERY steps and gives up after
 # MAX_STEPS
 LOG_EVERY = 200
@@ -88,7 +92,8 @@ class Stepper:
         self.zeta = zeta
         self.shock_capture = shock_capture
         self.low = LowOrderRHS(mesh, gas, bcs)
-        self.grad = LDGGradient(mesh, gas) if gas.viscous else None
+        self.grad = (LDGGradient(mesh, gas, self.low.bc_slots)
+                     if gas.viscous else None)
         self.high = HighOrderRHS(mesh, gas) if mode != "low-only" else None
         self.convex = ConvexLimiter(mesh) if mode == "convex" else None
         self.ws = Workspace()
@@ -276,10 +281,12 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
 
     dt is sized once per step from the pre-step state: the positivity
     bound times the user CFL. When a later stage state has a smaller bound
-    than dt, the step restarts from the pre-step state with cfl times that
-    bound, up to MAX_RETRIES times. A restart prepares the pre-step state
-    again, because the later stages have overwritten the first stage's
-    ``prep`` (see :meth:`Stepper.prepare`). u0 is checked as the state of
+    than dt, the step restarts from the pre-step state with min(cfl, 1 -
+    RESTART_MARGIN) times that bound, up to MAX_RETRIES times: strictly
+    below the bound, as the restarted stage's own bound moves with dt. A
+    restart prepares the pre-step state again, because the later stages
+    have overwritten the first stage's ``prep`` (see
+    :meth:`Stepper.prepare`). u0 is checked as the state of
     step 0, stage 0, so a bad one fails with its node named, not as dt=nan.
     """
     if not 0.0 < cfl <= 1.0:
@@ -303,9 +310,8 @@ def advance(stepper: Stepper, u0, t0, t_final, cfl,
             except StageBoundError as exc:
                 if attempt == MAX_RETRIES:
                     raise
-                log.info("%s; restarting the step with dt=%.3g", exc,
-                         cfl * exc.bound)
-                dt = cfl * exc.bound
+                dt = min(cfl, 1.0 - RESTART_MARGIN) * exc.bound
+                log.info("%s; restarting the step with dt=%.3g", exc, dt)
                 prep1 = stepper.prepare(u, t)
         t = t + dt
         step += 1

@@ -95,12 +95,79 @@ def bisect_l(uL, P, rho_min, rhoe_min, iters=60):
     return min(l_rho, l_e, 1.0)
 
 
+def sigma_n_ref(sigma, n):
+    """The normal viscous flux sum_k n_k sigma_k of the per-direction
+    fluxes ``sigma`` (one (nvar, ...) array each), summed over the
+    directions in index order, as the end table sums it; None maps
+    through. ``n`` is (dim, ...) and broadcasts against the components."""
+    if sigma is None:
+        return None
+    sn = n[0] * sigma[0]
+    for k in range(1, len(sigma)):
+        sn = sn + n[k] * sigma[k]
+    return sn
+
+
+def bisect_l_rows(uL, P, rho_min, rhoe_min, iters=60):
+    """:func:`bisect_l` of every row of ``uL`` and ``P`` (n, nvar), with
+    per-row bounds (n,), at once: the same golden-section search and
+    bisections, each row taking its own branch through ``np.where``, so
+    every row runs the scalar oracle's arithmetic."""
+    uL = np.asarray(uL, dtype=float)
+    P = np.asarray(P, dtype=float)
+    n = len(uL)
+
+    def rho(l):
+        return uL[:, 0] + l * P[:, 0]
+
+    def phi(l):
+        # |m|^2 as one dot product per row, as bisect_l's m @ m forms it
+        # (BLAS may fuse its multiply-add, which a sum of squares does not)
+        w = uL + l[:, None] * P
+        mm = np.matmul(w[:, None, 1:-1], w[:, 1:-1, None])[:, 0, 0]
+        return w[:, 0] * w[:, -1] - 0.5 * mm - rhoe_min * w[:, 0]
+
+    def bisect(ok, hi):
+        lo = np.zeros(n)
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            good = ok(mid)
+            lo, hi = np.where(good, mid, lo), np.where(good, hi, mid)
+        return lo
+
+    ones = np.ones(n)
+    l_rho = np.where(rho(ones) >= rho_min, 1.0,
+                     bisect(lambda l: rho(l) >= rho_min, ones))
+
+    # golden-section minimum of phi over [0,1], per row
+    inv = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.zeros(n), ones
+    x1, x2 = b - inv * (b - a), a + inv * (b - a)
+    f1, f2 = phi(x1), phi(x2)
+    for _ in range(2 * iters):
+        left = f1 < f2
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        x = np.where(left, b - inv * (b - a), a + inv * (b - a))
+        f = phi(x)
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        f1, f2 = np.where(left, f, f2), np.where(left, f1, f)
+    lm = 0.5 * (a + b)
+
+    f_end, f_min = phi(ones), phi(lm)
+    hi = np.where(f_end < 0.0, 1.0, lm)
+    l_e = np.where((f_end >= 0.0) & (f_min >= 0.0), 1.0,
+                   bisect(lambda l: phi(l) >= 0.0, hi))
+    return np.minimum(np.minimum(l_rho, l_e), 1.0)
+
+
 def lam_hat_ref(uM, uP, sigM, sigP, n, gas):
     """Graph-viscosity rate max(beta_M, beta_P, Davis) for a unit ``n``,
-    evaluated pairwise at both ends, as the low-order scheme once did.
-    Component first, as the kernels it calls."""
-    lam = np.maximum(zhang_beta(uM, sigM, n, gas, ws=Workspace()),
-                     zhang_beta(uP, sigP, n, gas, ws=Workspace()))
+    evaluated pairwise at both ends, as the low-order scheme once did, with
+    each end's beta read from its sigma . n. Component first, as the
+    kernels it calls."""
+    lam = np.maximum(
+        zhang_beta(uM, sigma_n_ref(sigM, n), n, gas, ws=Workspace()),
+        zhang_beta(uP, sigma_n_ref(sigP, n), n, gas, ws=Workspace()))
     lam = np.maximum(lam, davis_wavespeed(uM, n, gas, Workspace()))
     return np.maximum(lam, davis_wavespeed(uP, n, gas, Workspace()))
 
@@ -329,18 +396,21 @@ def internal_energy_ref(u):
 
 
 def ec_prims_ref(u, gas):
-    """The node table [rho, beta, v, |v|^2], stacked from its rows."""
+    """The node table [rho, rho / p, v / 2, |v|^2 / 4], stacked from its
+    rows."""
     u = np.asarray(u, dtype=float)
     rho, mom = u[0], u[1:-1]
-    vel = mom / rho
-    beta = rho / (2.0 * ((gas.gamma - 1.0) * internal_energy_ref(u)))
-    vsq = np.sum(vel * vel, axis=0)
-    return np.concatenate([rho[None], beta[None], vel, vsq[None]])
+    half = 0.5 * (mom / rho)
+    rho_p = rho / ((gas.gamma - 1.0) * internal_energy_ref(u))
+    vsq4 = np.sum(half * half, axis=0)
+    return np.concatenate([rho[None], rho_p[None], half, vsq4[None]])
 
 
 def _table_rows(tab):
-    """(rho, vel, beta, vsq) of an ``ec_prims`` table."""
-    return tab[0], tab[2:-1], tab[1], tab[-1]
+    """(rho, vel, beta, vsq) of an ``ec_prims`` table: its rows rescaled
+    by the powers of two that ``ec_prims`` applied, so exactly beta =
+    rho / (2p), the velocity and |v|^2."""
+    return tab[0], 2.0 * tab[2:-1], 0.5 * tab[1], 4.0 * tab[-1]
 
 
 def log_mean_ref(a, b):
@@ -414,7 +484,10 @@ def davis_wavespeed_ref(u, n, gas):
     return np.abs(un) + c
 
 
-def zhang_beta_ref(u, sigma, n, gas, eps0=1e-14):
+def zhang_beta_ref(u, sn, n, gas, eps0=1e-14):
+    """Zhang's viscous wavespeed bound from the normal viscous flux ``sn``
+    = sigma . n (None for inviscid states): tau . n its momentum rows and
+    q . n = u . (tau . n) - (sigma . n)_E, with ``np.sum`` reductions."""
     u = np.asarray(u, dtype=float)
     n = _along(n, u)
     dim = len(u) - 2
@@ -425,21 +498,68 @@ def zhang_beta_ref(u, sigma, n, gas, eps0=1e-14):
     un = np.sum(vel * n, axis=0)
 
     shape = np.broadcast_shapes(rho.shape, n.shape[1:])
-    if sigma is None:
+    if sn is None:
         tau_n = np.zeros((dim,) + shape)
-        q = np.zeros((dim,) + shape)
+        qn = np.zeros(shape)
     else:
-        tau = np.stack([sigma[k][1:-1] for k in range(dim)])
-        tau_n = np.einsum("kj...,k...->j...", tau,
-                          np.broadcast_to(n, (dim,) + shape))
-        q = np.stack(
-            [np.sum(vel * sigma[k][1:-1], axis=0) - sigma[k][-1]
-             for k in range(dim)])
+        tau_n = sn[1:-1]
+        qn = np.sum(vel * tau_n, axis=0) - sn[-1]
+    visc = tau_n - p * n
+    root = np.sqrt(rho ** 2 * qn ** 2
+                   + 2.0 * rho * rhoe * np.sum(visc * visc, axis=0))
+    return eps0 + np.abs(un) + (root + rho * np.abs(qn)) / (2.0 * rho * rhoe)
+
+
+def zhang_beta_directions_ref(u, sigma, n, gas, eps0=1e-14):
+    """Zhang's bound from the per-direction viscous fluxes ``sigma``, as
+    the solver once formed it: tau . n summed from the stress rows tau_k
+    and q . n from the heat fluxes q_k = u . tau_k - sigma_k[energy] of
+    each direction."""
+    u = np.asarray(u, dtype=float)
+    n = _along(n, u)
+    dim = len(u) - 2
+    rho, mom = u[0], u[1:-1]
+    vel = mom / rho
+    rhoe = internal_energy_ref(u)
+    p = (gas.gamma - 1.0) * rhoe
+    un = np.sum(vel * n, axis=0)
+
+    shape = np.broadcast_shapes(rho.shape, n.shape[1:])
+    tau = np.stack([sigma[k][1:-1] for k in range(dim)])
+    tau_n = np.einsum("kj...,k...->j...", tau,
+                      np.broadcast_to(n, (dim,) + shape))
+    q = np.stack(
+        [np.sum(vel * sigma[k][1:-1], axis=0) - sigma[k][-1]
+         for k in range(dim)])
     qn = np.sum(q * n, axis=0)
     visc = tau_n - p * n
     root = np.sqrt(rho ** 2 * qn ** 2
                    + 2.0 * rho * rhoe * np.sum(visc * visc, axis=0))
     return eps0 + np.abs(un) + (root + rho * np.abs(qn)) / (2.0 * rho * rhoe)
+
+
+def viscous_sigma_ref(v, thetas, gas):
+    """The viscous fluxes sigma_k of ``viscous_sigma``, one (nvar, ...)
+    array per direction, with the full stress matrix mu (grad + grad^T)
+    formed at once and its diagonal replaced, and the work u . tau_k an
+    ``np.sum`` reduction."""
+    th = np.asarray(thetas, dtype=float)
+    dim = len(v) - 2
+    mu = gas.mu
+    kap = gas.gamma * mu / gas.Pr
+    vlast = v[-1]
+    vel = -v[1:-1] / vlast
+    # grad[k, j] = du_j / dx_k
+    grad = (v[1:-1] * th[:, -1:] - vlast * th[:, 1:-1]) / vlast ** 2
+    tau = mu * (grad + grad.swapaxes(0, 1))
+    for k in range(dim):
+        d = (4.0 / 3.0) * grad[k, k]
+        if dim == 2:
+            d = d - (2.0 / 3.0) * grad[1 - k, 1 - k]
+        tau[k, k] = mu * d
+    energy = np.sum(vel * tau, axis=1) + th[:, -1] / vlast ** 2 * kap
+    return tuple(np.concatenate([np.zeros_like(vlast)[None], tau[k],
+                                 energy[k][None]]) for k in range(dim))
 
 
 def mirror_state_ref(u, n):

@@ -267,6 +267,34 @@ def test_run_determinism_bit_identical(tmp_path):
         assert a == b, f"{name} differs between identical runs"
 
 
+def test_run_results_do_not_depend_on_an_unset_blas_thread_count(tmp_path):
+    # a tri vortex sums its nodal rates and scatters through BLAS products,
+    # which round differently on more than one thread; posdg.cli seeds one
+    # thread, so a run with no BLAS variable set writes the final state of
+    # a run with OPENBLAS_NUM_THREADS = 1, byte for byte
+    script = (
+        "import sys\n"
+        "from posdg.cli import main\n"
+        "sys.exit(main(['run', sys.argv[1], '--outdir', sys.argv[2]]))\n")
+    cfg = tmp_path / "vortex.cfg"
+    cfg.write_text("case = vortex\nelem = tri\nN = 3\nK = 2\n"
+                   "mode = convex\nt_final = 0.06\n")
+    src = str(Path(posdg.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("POSDG_WORKERS", "OMP_NUM_THREADS",
+                        "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    finals = []
+    for sub, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(cfg), str(tmp_path / sub)],
+            env=dict(env, **extra), capture_output=True, text=True,
+            timeout=120)
+        assert out.returncode == 0, out.stderr
+        finals.append((tmp_path / sub / "final.csv").read_bytes())
+    assert finals[0] == finals[1]
+
+
 def test_run_imports_no_scipy(tmp_path):
     # scipy is a test-only dependency: `posdg run`, VTK snapshots included,
     # must not import it on line, quad or tri meshes

@@ -9,13 +9,32 @@ bound, restarted from a stage's own bound as ``advance`` restarts it, keeps
 every node admissible. The states are the rough draws of the low-order
 positivity fuzz (``schemes.fuzz_state``) on each of its cases
 (``schemes.fuzz_schemes``).
+
+Both residuals are entropy stable on such draws: the entropy rate sum_i
+v_i . R_i of the low-order residual is at most 0, its graph viscosity at
+the rate max(beta, Davis) dissipating entropy, and the high-order one's is
+at most 0 up to rounding, on periodic and reflecting-wall meshes, inviscid
+and viscous.
 """
 
 import numpy as np
 import pytest
-from schemes import components, fuzz_schemes, fuzz_state
+from schemes import (
+    Scheme,
+    components,
+    fuzz_schemes,
+    fuzz_state,
+    periodic_mesh,
+)
 
-from posdg.physics import internal_energy, internal_energy_cf
+from posdg.bc import BCSet, wall
+from posdg.mesh import interval_mesh, rect_mesh
+from posdg.physics import (
+    GasParams,
+    entropy_vars,
+    internal_energy,
+    internal_energy_cf,
+)
 from posdg.timestepping import (
     LIMITED_MODES,
     MAX_RETRIES,
@@ -116,3 +135,44 @@ def test_step_at_cfl_times_its_bound_is_admissible(mode):
                 pytest.fail(f"{case}: refused after {MAX_RETRIES} restarts")
             assert unew[0].min() > 0.0, case
             assert internal_energy_cf(unew).min() > 0.0, case
+
+
+# the high-order entropy rate's tolerance relative to sum_i |v_i . R_i|:
+# its volume term conserves entropy, so the rate is the interface flux's
+# dissipation less rounding (at worst -3.2e-7 relative on these draws)
+ENTROPY_RTOL = 1e-8
+
+
+def _entropy_schemes():
+    """Line, quad and tri meshes at N = 2 and 3, periodic and with mirror
+    walls all round, inviscid and with mu = 0.01."""
+    for elem in ("line", "quad", "tri"):
+        for N in (2, 3):
+            if elem == "line":
+                walled = interval_mesh(0.0, 2.0, 6, N,
+                                       classify=lambda x: np.ones(len(x),
+                                                                  int))
+            else:
+                walled = rect_mesh(elem, (0.0, 2.0, -1.0, 1.0), 3, 2, N,
+                                   classify=lambda xy: np.ones(len(xy),
+                                                               int))
+            for gas in (GasParams(gamma=1.4),
+                        GasParams(gamma=1.4, mu=0.01, Pr=0.75)):
+                yield (elem, N, gas.viscous, False), Scheme(
+                    periodic_mesh(elem, N, K=2), gas, BCSet({}))
+                yield (elem, N, gas.viscous, True), Scheme(
+                    walled, gas, BCSet({1: wall("mirror")}))
+
+
+def test_residuals_dissipate_entropy_on_rough_states():
+    rng = np.random.default_rng(11)
+    for case, sch in _entropy_schemes():
+        gas = sch.low.gas
+        for _ in range(DRAWS):
+            u, _ = fuzz_state(rng, sch.mesh, gas)
+            sig = sch.gradient(u)[2] if gas.viscous else None
+            v = entropy_vars(u, gas)
+            low = v * sch.low_residual(u, 0.0, sig)[0]
+            high = v * sch.high_residual(u, 0.0, sig)
+            assert np.sum(low) < 0.0, case
+            assert np.sum(high) <= ENTROPY_RTOL * np.sum(np.abs(high)), case

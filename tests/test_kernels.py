@@ -23,8 +23,11 @@ from oracles import (
     internal_energy_ref,
     log_mean_ref,
     mirror_state_ref,
+    sigma_n_ref,
     solve_l_ref,
+    viscous_sigma_ref,
     wall_riemann_state_ref,
+    zhang_beta_directions_ref,
     zhang_beta_ref,
 )
 from posdg.limiter import Bounds, _outside, solve_l
@@ -33,12 +36,14 @@ from posdg.physics import (
     davis_wavespeed,
     ec_fluxes_prims,
     ec_prims,
+    entropy_vars_cf,
     internal_energy,
     internal_energy_cf,
     log_mean,
     mirror_state,
     normal_flux,
     primitive_to_conserved_cf,
+    viscous_sigma,
     wall_riemann_state,
     zhang_beta,
 )
@@ -98,16 +103,33 @@ def test_state_kernels_match_oracles(case):
     for s in (u, u2):
         assert _equal(davis_wavespeed(s, n, GAS, Workspace()),
                       davis_wavespeed_ref(s, n, GAS))
-    assert _equal(zhang_beta(u, sigma, n, GAS, ws=Workspace()),
-                  zhang_beta_ref(u, sigma, n, GAS))
-    assert _equal(zhang_beta(u, sigma, n, GAS, eps0=0.0, ws=Workspace()),
-                  zhang_beta_ref(u, sigma, n, GAS, eps0=0.0))
+    sn = sigma_n_ref(sigma, n)
+    assert _equal(zhang_beta(u, sn, n, GAS, ws=Workspace()),
+                  zhang_beta_ref(u, sn, n, GAS))
+    assert _equal(zhang_beta(u, sn, n, GAS, eps0=0.0, ws=Workspace()),
+                  zhang_beta_ref(u, sn, n, GAS, eps0=0.0))
     assert _equal(mirror_state(u, n), mirror_state_ref(u, n))
     prims = [ec_prims_ref(x, GAS) for x in (u, u2)]
     assert _equal(ec_fluxes_prims(*prims, n, GAS, Workspace()),
                   ec_fluxes_prims_ref(*prims, n, GAS))
     assert _equal(wall_riemann_state(u, n, GAS),
                   wall_riemann_state_ref(u, n, GAS))
+
+
+@given(cases)
+@settings(max_examples=60, deadline=None)
+def test_viscous_sigma_matches_oracle(case):
+    # the stress's off-diagonal entry, formed once, is the full matrix's
+    # entry on both sides of the diagonal, bit for bit
+    rng, u, _, _ = _setup(case)
+    gas = GasParams(gamma=1.4, mu=10.0 ** rng.uniform(-4, 0), Pr=0.75)
+    v = entropy_vars_cf(u, gas)
+    th = rng.normal(size=(case["dim"],) + u.shape)
+    sig = viscous_sigma(v, th, gas)
+    for a, ref in zip(sig, viscous_sigma_ref(v, th, gas)):
+        assert _equal(a, ref)
+    if case["dim"] == 2:
+        assert _equal(sig[0][2], sig[1][1])
 
 
 def _segments(rng, uL, regime):

@@ -19,6 +19,7 @@ from posdg.physics import (
 from posdg.rhs_high import HighOrderRHS
 from posdg.timestepping import (
     MODES,
+    RESTART_MARGIN,
     StageBoundError,
     Stepper,
     _check_dt,
@@ -413,6 +414,35 @@ def test_advance_restarts_step_from_stage_bound():
     assert diags[0].dt < 0.5 * first
     assert diags[-1].t == 3e-4
     assert np.all(is_admissible(u))
+
+
+def test_restart_at_cfl_one_goes_below_the_stage_bound(caplog):
+    # at cfl = 1 a restart at the failing stage's bound itself lands just
+    # above the restarted stage's own bound again: LeBlanc in elementwise
+    # mode once gave up at step 17, stage 2, with dt/bound = 1. Restarted
+    # at (1 - RESTART_MARGIN) times the bound, it marches on; the stage
+    # checks still refuse every dt above a stage's bound.
+    cfg = cli.make_config(dict(case="leblanc", N=3, K=100,
+                               mode="elementwise", cfl=1.0))
+    _, _, st, u0, cfl, t_final = cli.setup(cfg)
+    assert cfl == 1.0 and RESTART_MARGIN > 0.0
+
+    class Done(Exception):
+        pass
+
+    rows = []
+
+    def stop(step, t, u, row, rep):
+        rows.append(row)
+        if step == 20:
+            raise Done
+
+    with caplog.at_level(logging.INFO, logger="posdg"), \
+            pytest.raises(Done):
+        advance(st, u0, 0.0, t_final, cfl, callback=stop, collect=False)
+    assert len(rows) == 20
+    assert "restarting" in caplog.text
+    assert all(r.min_rho > 0.0 and r.min_rhoe > 0.0 for r in rows)
 
 
 def test_restarted_step_equals_a_fresh_step():
