@@ -19,17 +19,11 @@ line so downstream tooling can detect layout drift. Floats are written
 with 17 significant digits, which round-trips IEEE doubles exactly and
 makes byte-level determinism checks meaningful.
 
-The linear-algebra libraries run on one thread unless told otherwise,
-provided this module is imported before numpy: it seeds
-``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS``,
-which BLAS reads once, when it loads, with the ``POSDG_WORKERS``
-environment variable if it is set, else with 1. A variable the
-environment already sets is kept. The thread count of a BLAS product can
-change how it sums, so a run's results depend on it at the level of
-roundoff; the one-thread default makes ``posdg run`` give the same
-results as the runs of the benchmark and of ``scripts/parity.py``, which
-pin one thread. A process that imports numpy first must set those
-variables itself.
+The ``POSDG_WORKERS`` environment variable caps the thread count of the
+underlying linear-algebra libraries, provided this module is imported
+before numpy: it seeds ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
+``MKL_NUM_THREADS`` from it, which BLAS reads once, when it loads. A
+process that imports numpy first must set those variables itself.
 """
 
 from __future__ import annotations
@@ -37,11 +31,12 @@ from __future__ import annotations
 import os
 
 # BLAS libraries read their thread count from the environment at load
-# time; seed it before anything imports numpy, with one thread unless
-# POSDG_WORKERS gives a count, so the cap also holds in processes without
-# threadpoolctl.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, os.environ.get("POSDG_WORKERS") or "1")
+# time; seed it before anything imports numpy so a cap given via
+# POSDG_WORKERS also holds in processes without threadpoolctl.
+if os.environ.get("POSDG_WORKERS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["POSDG_WORKERS"])
 
 import argparse
 import dataclasses

@@ -37,10 +37,9 @@ divergence. :class:`LDGGradient` produces (v, theta, sigma); the resulting
 sigma feeds both pair fluxes and the interface flux, which read its
 momentum and energy rows only, as its mass row is zero. The exterior
 entropy variables of the gradient's interface average are taken from v at
-the exterior volume node wherever the exterior state is a volume node's
-state (interior and outflow slots); only the boundary conditions' ghost
-states are converted. Neither class sees the boundary conditions: both
-read the stage's face states, evaluated once per stage by
+the partner's volume node at interior slots; only the boundary slots'
+exterior states are converted. Neither class sees the boundary
+conditions: both read the stage's face states, evaluated once per stage by
 :meth:`posdg.rhs_low.LowOrderRHS.face_states`.
 """
 
@@ -70,29 +69,27 @@ class LDGGradient:
     direction over the whole mesh, scaled by the per-element factors
     G_mk. The exterior v is entropy_vars(uP) of the stage's exterior face
     states, so the boundary states are evaluated once per stage, in
-    :meth:`posdg.rhs_low.LowOrderRHS.face_states`. Only the ``bc_slots``,
-    the slots whose exterior state a boundary condition sets
-    (:attr:`posdg.rhs_low.LowOrderRHS.bc_slots`), need entropy_vars of it:
-    every other slot's exterior state is a volume node's state, its
-    partner's trace at an interior slot and its own at an outflow slot, so
-    its exterior v is one take of v at that node, bit for bit the same
-    values. Returns (v, thetas, sigmas) at all volume nodes: v (nvar, Np,
-    K), thetas and sigmas one (nvar, Np, K) array per direction, the rows
-    of one (dim, nvar, Np, K) array each, so that
-    :func:`~posdg.physics.viscous_sigma` broadcasts over the direction
-    axis.
+    :meth:`posdg.rhs_low.LowOrderRHS.face_states`. Only the boundary
+    slots need entropy_vars of it: an interior slot's exterior state is
+    its partner's trace, so its exterior v is one take of v at the
+    partner's volume node, bit for bit the same values. Returns (v,
+    thetas, sigmas) at all volume nodes: v (nvar, Np, K), thetas and
+    sigmas one (nvar, Np, K) array per direction, the rows of one (dim,
+    nvar, Np, K) array each, so that :func:`~posdg.physics.viscous_sigma`
+    broadcasts over the direction axis.
     """
 
-    def __init__(self, mesh: Mesh, gas: GasParams, bc_slots):
+    def __init__(self, mesh: Mesh, gas: GasParams):
         self.mesh = mesh
         self.gas = gas
-        self._bc_slots = bc_slots
         dim = mesh.dim
         K = mesh.n_elements
         # the exterior volume node of each slot, a flat (node, element)
-        # index: the partner's, or the slot's own at a boundary slot
+        # index: the partner's, or the slot's own at a boundary slot, whose
+        # exterior v is converted from uP instead
         ext = mesh.slot_exterior
         self._ext_src = K * mesh.ops.face_vol[ext // K] + ext % K
+        self._bdry_slots = np.nonzero(mesh.slot_tag > 0)[0]
         self._skews = [0.5 * (Q - Q.T) for Q in mesh.ops.Q]
         G = np.stack([gc.G for gc in mesh.classes])[mesh.class_id]
         # per physical direction, the reference directions with a nonzero
@@ -106,7 +103,13 @@ class LDGGradient:
     def __call__(self, u, uP, ws):
         """(v, thetas, sigmas), kept arrays of the workspace ``ws``, valid
         until its next call; the volume and lift products are formed in a
-        frame of it."""
+        frame of it.
+
+        ``uP`` must be the exterior face states of ``u``, as
+        :meth:`posdg.rhs_low.LowOrderRHS.face_states` forms them: only its
+        boundary slots are read, and every interior slot takes v at its
+        partner's volume node.
+        """
         ET = self.mesh.ops.E.T
         v = entropy_vars_cf(u, self.gas, out=ws.keep("v", u.shape))
         thetas, sigmas = (ws.keep(key, (len(self._lift),) + u.shape)
@@ -114,9 +117,9 @@ class LDGGradient:
         with ws.frame():
             vP = v.reshape(len(v), -1).take(self._ext_src, axis=1,
                                             out=ws.take(uP.shape), mode="clip")
-            if len(self._bc_slots):
-                vP[:, self._bc_slots] = entropy_vars_cf(
-                    uP[:, self._bc_slots], self.gas)
+            if len(self._bdry_slots):
+                vP[:, self._bdry_slots] = entropy_vars_cf(
+                    uP[:, self._bdry_slots], self.gas)
             vP = vP.reshape(len(u), *self._lift.shape[1:])
             Sv = [np.matmul(S, v, out=ws.take(u.shape)) for S in self._skews]
             t, gSv = ws.take(vP.shape), ws.take(u.shape)

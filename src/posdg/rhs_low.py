@@ -173,10 +173,6 @@ class LowOrderRHS:
         # adiabatic ones among the boundary slots
         self._bc_groups, self._adiabatic = bcs.group(
             mesh.slot_tag, mesh.slot_xy, mesh.slot_normal)
-        # the slots whose exterior state a condition sets, ascending: the
-        # ones whose exterior state is not a volume node's state
-        self.bc_slots = np.sort(np.concatenate(
-            [g.slots for g in self._bc_groups] + [np.zeros(0, np.int64)]))
         # the boundary slots, slot-major, and their volume nodes, flat
         # (node, element) indices
         bdry = mesh.slot_tag > 0

@@ -92,8 +92,7 @@ class Stepper:
         self.zeta = zeta
         self.shock_capture = shock_capture
         self.low = LowOrderRHS(mesh, gas, bcs)
-        self.grad = (LDGGradient(mesh, gas, self.low.bc_slots)
-                     if gas.viscous else None)
+        self.grad = LDGGradient(mesh, gas) if gas.viscous else None
         self.high = HighOrderRHS(mesh, gas) if mode != "low-only" else None
         self.convex = ConvexLimiter(mesh) if mode == "convex" else None
         self.ws = Workspace()

@@ -109,7 +109,7 @@ class Scheme:
         self.mesh = mesh
         self.low = LowOrderRHS(mesh, gas, bcs)
         self.high = HighOrderRHS(mesh, gas)
-        self.ldg = LDGGradient(mesh, gas, self.low.bc_slots)
+        self.ldg = LDGGradient(mesh, gas)
 
     def faces(self, u, t=0.0, sigmas=None):
         """(uf, uP, sigf, sigP, nrm): the face states, the viscous face

@@ -267,11 +267,12 @@ def test_run_determinism_bit_identical(tmp_path):
         assert a == b, f"{name} differs between identical runs"
 
 
-def test_run_results_do_not_depend_on_an_unset_blas_thread_count(tmp_path):
+def test_posdg_workers_pins_the_blas_thread_count(tmp_path):
     # a tri vortex sums its nodal rates and scatters through BLAS products,
-    # which round differently on more than one thread; posdg.cli seeds one
-    # thread, so a run with no BLAS variable set writes the final state of
-    # a run with OPENBLAS_NUM_THREADS = 1, byte for byte
+    # which round differently on more than one thread; POSDG_WORKERS = 1
+    # seeds the BLAS variables when posdg.cli is imported, so the run
+    # writes the final state of a run with OPENBLAS_NUM_THREADS = 1, byte
+    # for byte, on a host with more than one core too
     script = (
         "import sys\n"
         "from posdg.cli import main\n"
@@ -285,7 +286,8 @@ def test_run_results_do_not_depend_on_an_unset_blas_thread_count(tmp_path):
                         "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     env["PYTHONPATH"] = src
     finals = []
-    for sub, extra in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+    for sub, extra in (("workers", {"POSDG_WORKERS": "1"}),
+                       ("blas", {"OPENBLAS_NUM_THREADS": "1"})):
         out = subprocess.run(
             [sys.executable, "-c", script, str(cfg), str(tmp_path / sub)],
             env=dict(env, **extra), capture_output=True, text=True,

@@ -27,7 +27,6 @@ from oracles import (
     solve_l_ref,
     viscous_sigma_ref,
     wall_riemann_state_ref,
-    zhang_beta_directions_ref,
     zhang_beta_ref,
 )
 from posdg.limiter import Bounds, _outside, solve_l

@@ -159,6 +159,48 @@ def test_ldg_dissipation_quadratic_form():
     assert diss > 0
 
 
+@pytest.mark.parametrize("elem", ["quad", "tri"])
+def test_ldg_exterior_entropy_vars_are_those_of_the_face_states(elem):
+    # the LDG takes an interior slot's exterior v from its partner's volume
+    # node and converts uP at the boundary slots only; an oracle that
+    # converts the whole of uP must give the same gradients on a mesh with
+    # interior, wall, no-slip, Dirichlet and outflow slots
+    def classify(xy):
+        x, y = xy[:, 0], xy[:, 1]
+        return np.where(x < 1e-12, 3, np.where(x > 2.0 - 1e-12, 4,
+                                               np.where(y < -1.0 + 1e-12, 2, 1)))
+
+    mesh = rect_mesh(elem, (0.0, 2.0, -1.0, 1.0), 3, 2, 2, classify=classify)
+    assert set(np.unique(mesh.slot_tag)) == {0, 1, 2, 3, 4}
+    u_in = primitive_to_conserved(np.array([1.2, 0.3, -0.1, 0.9]), GAS_V)
+    bcs = BCSet({1: wall("riemann"), 2: noslip(), 4: outflow(),
+                 3: dirichlet(lambda xb, t: np.broadcast_to(
+                     u_in, (len(xb), len(u_in))))})
+    rng = np.random.default_rng(7)
+    shape = mesh.xy.shape[:-1]
+    prim = np.stack([rng.uniform(0.2, 3.0, shape),
+                     *rng.uniform(-2.0, 2.0, (2,) + shape),
+                     rng.uniform(0.2, 3.0, shape)], axis=-1)
+    sch = Scheme(mesh, GAS_V, bcs)
+    uc = components(primitive_to_conserved(prim, GAS_V))
+    uP = sch.low.face_states(uc, 0.0, Workspace())[1]
+    v, thetas, _ = sch.ldg(uc, uP, Workspace())
+
+    # Theta_m = M^-1 [sum_k G_mk (Q_k - Q_k^T)/2 v + E^T (wsJ n_m / 2) vP]
+    # per element, with vP = entropy_vars(uP) at every slot
+    K, ops = mesh.n_elements, mesh.ops
+    vP = components(entropy_vars(uP.T, GAS_V)).reshape(len(uc), -1, K)
+    skews = np.stack([0.5 * (Q - Q.T) for Q in ops.Q])
+    G = np.stack([gc.G for gc in mesh.classes])[mesh.class_id]
+    lift = (0.5 * mesh.slot_wsJ * mesh.slot_normal).reshape(mesh.dim, -1, K)
+    for m in range(mesh.dim):
+        ref = (np.einsum("ek,kij,vje->vie", G[:, m], skews, v)
+               + np.einsum("fi,fe,vfe->vie", ops.E, lift[m], vP))
+        ref /= mesh.node_mass
+        scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(thetas[m] - ref) <= 1e-12 * scale)
+
+
 # ---------------------------------------------------------------------------
 # consistency orders
 # ---------------------------------------------------------------------------
