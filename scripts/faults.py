@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Minor page faults per step of the three benchmark workloads.
+"""Minor page faults per step and peak RSS of the three benchmark workloads.
 
 Usage::
 
@@ -13,6 +13,9 @@ faults per step over steps 6-101: the first steps fault in the solver's
 working set once, the later ones show what every step costs. A solver whose
 stages reuse their buffers makes about 0 per step; one whose large
 temporaries go back to the OS between stages makes hundreds to thousands.
+Beside it goes the process's peak RSS (``ru_maxrss``) after the march: the
+solver's own high-water mark, with no output written, to set against the
+``peak_rss_mb`` of ``perfbench``, whose runs write their files too.
 
 Fault counts depend on the process environment (its size moves the heap
 layout), so compare counts taken in the same environment.
@@ -40,7 +43,8 @@ def workloads() -> dict:
 
 
 def measure(raw: dict) -> dict:
-    """March one config; {"steps", "faults_per_step"} over FIRST..LAST."""
+    """March one config; {"steps", "faults_per_step"} over FIRST..LAST and
+    the peak RSS in MB ("peak_rss_mb") after the march."""
     import resource
 
     from posdg import cli
@@ -55,7 +59,9 @@ def measure(raw: dict) -> dict:
     advance(stepper, u0, 0.0, t_final, cfl, callback=count, collect=False)
     last = min(LAST, max(faults))
     per_step = (faults[last] - faults[FIRST - 1]) / (last - FIRST + 1)
-    return {"steps": max(faults), "faults_per_step": per_step}
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return {"steps": max(faults), "faults_per_step": per_step,
+            "peak_rss_mb": peak}
 
 
 def main(argv=None) -> int:
@@ -72,15 +78,16 @@ def main(argv=None) -> int:
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(REPO / "src"),
                                  os.environ.get("PYTHONPATH")])))
-    print(f"{'workload':24s} {'steps':>5s}  minor faults per step "
-          f"(steps {FIRST}-{LAST})")
+    print(f"{'workload':24s} {'steps':>5s}  {'peak RSS MB':>11s}  "
+          f"minor faults per step (steps {FIRST}-{LAST})")
     for name in args.workload or known:
         proc = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--child",
              json.dumps(known[name])],
             env=env, cwd=REPO, check=True, capture_output=True, text=True)
         res = json.loads(proc.stdout.splitlines()[-1])
-        print(f"{name:24s} {res['steps']:5d}  {res['faults_per_step']:.1f}")
+        print(f"{name:24s} {res['steps']:5d}  {res['peak_rss_mb']:11.2f}  "
+              f"{res['faults_per_step']:.1f}")
     return 0
 
 

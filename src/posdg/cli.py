@@ -19,6 +19,13 @@ line so downstream tooling can detect layout drift. Floats are written
 with 17 significant digits, which round-trips IEEE doubles exactly and
 makes byte-level determinism checks meaningful.
 
+The writers stream their files. The field and limiter CSVs are formed
+and written in blocks of whole elements, about ``BLOCK_ROWS`` rows each,
+so a writer holds one block of a file, not all of it, and the march, not
+its output, sets a run's peak memory. The bytes written are those of
+formatting the whole file at once. The VTK writer writes its header,
+geometry and array sections in order, without joining them first.
+
 The ``POSDG_WORKERS`` environment variable caps the thread count of the
 underlying linear-algebra libraries, provided this module is imported
 before numpy: it seeds ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
@@ -78,6 +85,9 @@ ELEMS_2D = ("quad", "tri")
 # largest shipped operator degree per element family; tri is the largest
 # tabulated rule
 MAX_N = {"line": 5, "quad": 5, "tri": max(TRI_TABLES)}
+# rows of one CSV block: the field and limiter writers format and write
+# whole elements, up to this many rows at a time (at least one element)
+BLOCK_ROWS = 256
 
 
 def _fmt(x) -> str:
@@ -313,13 +323,28 @@ def _csv_rows(columns) -> str:
     return "".join([",".join(row) + "\n" for row in zip(*text)])
 
 
-def _limiter_rows(step, u, rep) -> str:
-    """limiter.csv lines of one step: l_e, xi and the minima per element."""
-    K = len(rep.l_elem)
-    xi = rep.shock_xi if rep.shock_xi is not None else np.ones(K)
-    return _csv_rows([[f"{step}"] * K, [f"{k}" for k in range(K)],
-                      rep.l_elem, xi, u[..., 0].min(axis=1),
-                      internal_energy(u).min(axis=1)])
+def _write_blocks(f, n_elements, rows_per_element, rows):
+    """Write ``rows(ks)``, the CSV lines of the elements in slice ``ks``,
+    for consecutive slices of whole elements with at most BLOCK_ROWS rows
+    (one element where an element has more)."""
+    step = max(1, BLOCK_ROWS // rows_per_element)
+    for k0 in range(0, n_elements, step):
+        f.write(rows(slice(k0, min(k0 + step, n_elements))))
+
+
+def _write_limiter_rows(f, step, u, rep):
+    """limiter.csv lines of one step: l_e, xi and the minima per element,
+    written a block of elements at a time."""
+    def rows(ks):
+        n = ks.stop - ks.start
+        uk = u[ks]
+        xi = np.ones(n) if rep.shock_xi is None else rep.shock_xi[ks]
+        return _csv_rows([[f"{step}"] * n,
+                          [f"{k}" for k in range(ks.start, ks.stop)],
+                          rep.l_elem[ks], xi, uk[..., 0].min(axis=1),
+                          internal_energy(uk).min(axis=1)])
+
+    _write_blocks(f, len(rep.l_elem), 1, rows)
 
 
 def run(cfg: RunConfig) -> int:
@@ -337,7 +362,7 @@ def run(cfg: RunConfig) -> int:
         lim.write("step,element,l_e,xi,min_rho,min_rhoe\n")
 
         def write_limiter_rows(step, u, rep):
-            lim.write(_limiter_rows(step, u, rep))
+            _write_limiter_rows(lim, step, u, rep)
             last["recorded"] = step
 
         def callback(step, t, u, row, rep):
@@ -378,19 +403,27 @@ def run(cfg: RunConfig) -> int:
 
 
 def _write_fields_csv(path, mesh: Mesh, gas, u):
-    prim = conserved_to_primitive(u, gas)
+    """final.csv: per node the element, the coordinates, the conserved and
+    the primitive variables, formed and written a block of elements at a
+    time (:func:`_write_blocks`)."""
     if mesh.dim == 1:
         cols = ["element", "x", "rho", "mom_x", "energy", "u", "p"]
     else:
         cols = ["element", "x", "y", "rho", "mom_x", "mom_y", "energy",
                 "u", "v", "p"]
+    Np = u.shape[1]
+
+    def rows(ks):
+        uk = u[ks]
+        prim = conserved_to_primitive(uk, gas)
+        element = [f"{k}" for k in range(ks.start, ks.stop) for _ in range(Np)]
+        data = np.concatenate([mesh.xy[ks], uk, prim[..., 1:]], axis=-1)
+        return _csv_rows([element, *data.reshape(-1, len(cols) - 1).T])
+
     with open(path, "w", newline="") as f:
         f.write(f"# {SCHEMA} fields\n")
         f.write(",".join(cols) + "\n")
-        K, Np = u.shape[:2]
-        element = [f"{k}" for k in range(K) for _ in range(Np)]
-        data = np.concatenate([mesh.xy, u, prim[..., 1:]], axis=-1)
-        f.write(_csv_rows([element, *data.reshape(K * Np, -1).T]))
+        _write_blocks(f, u.shape[0], Np, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +537,8 @@ def _vtk_geometry(mesh: Mesh) -> bytes:
 def write_vtk(path, mesh: Mesh, gas, u, l_elem=None):
     """Binary (big-endian) legacy VTK unstructured grid of the nodal
     subgrid: ASCII header lines, each followed by its raw ``double`` or
-    ``int`` array and a newline, so every value round-trips exactly.
+    ``int`` array and a newline, so every value round-trips exactly. The
+    sections are written in order, not joined into one buffer first.
 
     Point data: rho, u, v, p, the Schlieren transform of rho, and the
     per-element limiter parameter l_e broadcast to the element's nodes
@@ -529,7 +563,7 @@ def write_vtk(path, mesh: Mesh, gas, u, l_elem=None):
         parts += [f"SCALARS {name} double\nLOOKUP_TABLE default\n".encode(),
                   arr.astype(">f8").tobytes(), b"\n"]
     with open(path, "wb") as f:
-        f.write(b"".join(parts))
+        f.writelines(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 import numpy as np
 
 from posdg.cases import schlieren
-from posdg.cli import _VTK_TYPE, _subgrid_cells
+from posdg.cli import SCHEMA, _VTK_TYPE, _subgrid_cells
 from posdg.limiter import Bounds, solve_l
 from posdg.physics import (
     conserved_to_primitive,
     davis_wavespeed,
+    internal_energy,
     internal_energy_cf,
     pressure_cf,
     zhang_beta,
@@ -682,3 +683,72 @@ def write_vtk_ascii_ref(path, mesh, gas, u, l_elem=None):
             f.write(f"SCALARS {name} double\n")
             f.write("LOOKUP_TABLE default\n")
             f.write("".join([f"{v:.17g}\n" for v in arr.tolist()]))
+
+
+def _csv_rows_ref(columns):
+    """CSV lines from equal-length columns of ready strings or numbers,
+    every number with 17 significant digits."""
+    text = [c if isinstance(c, list) else
+            [f"{v:.17g}" for v in np.asarray(c, dtype=float).tolist()]
+            for c in columns]
+    return "".join([",".join(row) + "\n" for row in zip(*text)])
+
+
+def fields_csv_ref(mesh, gas, u):
+    """The text of ``final.csv``, formatted from whole-state arrays at
+    once: the bytes that ``cli._write_fields_csv`` writes block by
+    block."""
+    prim = conserved_to_primitive(u, gas)
+    if mesh.dim == 1:
+        cols = ["element", "x", "rho", "mom_x", "energy", "u", "p"]
+    else:
+        cols = ["element", "x", "y", "rho", "mom_x", "mom_y", "energy",
+                "u", "v", "p"]
+    K, Np = u.shape[:2]
+    element = [f"{k}" for k in range(K) for _ in range(Np)]
+    data = np.concatenate([mesh.xy, u, prim[..., 1:]], axis=-1)
+    return (f"# {SCHEMA} fields\n" + ",".join(cols) + "\n"
+            + _csv_rows_ref([element, *data.reshape(K * Np, -1).T]))
+
+
+def limiter_rows_ref(step, u, rep):
+    """The ``limiter.csv`` lines of one step, formatted from whole-state
+    arrays at once: l_e, xi and the minima per element."""
+    K = len(rep.l_elem)
+    xi = rep.shock_xi if rep.shock_xi is not None else np.ones(K)
+    return _csv_rows_ref([[f"{step}"] * K, [f"{k}" for k in range(K)],
+                          rep.l_elem, xi, u[..., 0].min(axis=1),
+                          internal_energy(u).min(axis=1)])
+
+
+def vtk_bytes_ref(mesh, gas, u, l_elem=None):
+    """The bytes of ``cli.write_vtk``'s binary legacy VTK file, formed in
+    one buffer: header, geometry, then one section per point array."""
+    K, Np = mesh.xy.shape[:2]
+    pts = np.zeros((K * Np, 3))
+    pts[:, :mesh.dim] = mesh.xy.reshape(K * Np, mesh.dim)
+    sub = _subgrid_cells(mesh)[None] + (np.arange(K) * Np)[:, None, None]
+    n_cells, m = K * sub.shape[1], sub.shape[2]
+    cells = np.insert(sub.reshape(n_cells, m), 0, m, axis=1)
+    prim = conserved_to_primitive(u, gas)
+    l_e = np.ones(K) if l_elem is None else np.asarray(l_elem, dtype=float)
+    data = [
+        ("rho", u[..., 0]),
+        ("u", prim[..., 1]),
+        ("v", prim[..., 2] if mesh.dim == 2 else np.zeros(K * Np)),
+        ("p", prim[..., -1]),
+        ("schlieren", schlieren(u[..., 0], mesh)),
+        ("l_e", np.repeat(l_e, Np)),
+    ]
+    parts = [b"# vtk DataFile Version 3.0\nposdg fields\nBINARY\n"
+             b"DATASET UNSTRUCTURED_GRID\n",
+             f"POINTS {K * Np} double\n".encode(), pts.astype(">f8").tobytes(),
+             f"\nCELLS {n_cells} {cells.size}\n".encode(),
+             cells.astype(">i4").tobytes(),
+             f"\nCELL_TYPES {n_cells}\n".encode(),
+             np.full(n_cells, _VTK_TYPE[mesh.elem]).astype(">i4").tobytes(),
+             f"\nPOINT_DATA {K * Np}\n".encode()]
+    for name, arr in data:
+        parts += [f"SCALARS {name} double\nLOOKUP_TABLE default\n".encode(),
+                  arr.astype(">f8").tobytes(), b"\n"]
+    return b"".join(parts)

@@ -3,12 +3,16 @@
 Covers config parsing with all-at-once validation, the run and
 convergence artifacts (schema line, required diagnostics columns,
 rate layout), structural validity of the legacy VTK output, the
-operator report, and byte-level determinism of repeated runs.
+operator report, and byte-level determinism of repeated runs. The
+block-streamed writers are checked byte for byte against whole-file
+oracles, and the field writer's memory against the mesh size.
 """
 
+import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +21,13 @@ import pytest
 import posdg
 from posdg.cases import get_case
 from posdg.cli import (
+    BLOCK_ROWS,
     SCHEMA,
     ConfigError,
     RunConfig,
     _csv_line,
-    _limiter_rows,
     _write_fields_csv,
+    _write_limiter_rows,
     convergence,
     load_config,
     main,
@@ -36,8 +41,14 @@ from posdg.cli import (
 from posdg.limiter import LimiterReport
 from posdg.mesh import rect_mesh
 from posdg.physics import conserved_to_primitive, internal_energy
+from posdg.timestepping import advance
 
-from oracles import write_vtk_ascii_ref
+from oracles import (
+    fields_csv_ref,
+    limiter_rows_ref,
+    vtk_bytes_ref,
+    write_vtk_ascii_ref,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +253,120 @@ def test_csv_writers_match_per_value_formatting(tmp_path):
         expected = "".join(
             _csv_line(["12", f"{k}", l_elem[k], xi_k[k], rho_k[k],
                        rhoe_k[k]]) + "\n" for k in range(mesh.n_elements))
-        assert _limiter_rows(12, u, LimiterReport(l_elem, xi)) == expected
+        out = io.StringIO()
+        _write_limiter_rows(out, 12, u, LimiterReport(l_elem, xi))
+        assert out.getvalue() == expected
+
+
+def _lines(text):
+    """The lines of a file's bytes or text, each with its ending: a list,
+    so that a failed comparison names the first differing line without
+    diffing the whole file."""
+    data = text.encode() if isinstance(text, str) else text
+    return data.splitlines(keepends=True)
+
+
+def _writer_mesh(elem):
+    """(case, mesh, u) on a mesh of more than BLOCK_ROWS elements, whose
+    element count is a multiple of neither writer's block, and a state
+    whose values need all 17 digits."""
+    if elem == "line":
+        case = get_case("leblanc")
+        mesh = case.build_mesh(300, 2)
+    else:
+        case = get_case("vortex")
+        (ax, bx), (ay, by) = case.domain
+        kx, ky = (20, 15) if elem == "quad" else (12, 11)
+        mesh = rect_mesh(elem, (ax, bx, ay, by), kx, ky, 2,
+                         periodic=case.periodic)
+    K, Np = mesh.xy.shape[:2]
+    assert K > BLOCK_ROWS and K % BLOCK_ROWS
+    assert K % (BLOCK_ROWS // Np)
+    rng = np.random.default_rng(5)
+    u = case.ic(mesh.xy) * (1.0 + 1e-3 * rng.random((K, Np)))[..., None]
+    return case, mesh, u
+
+
+@pytest.mark.parametrize("elem", ["line", "quad", "tri"])
+def test_writers_match_whole_file_oracles(tmp_path, elem):
+    # the block-streamed files are byte for byte those formatted from
+    # whole-state arrays at once
+    case, mesh, u = _writer_mesh(elem)
+    rng = np.random.default_rng(6)
+    K = mesh.n_elements
+    _write_fields_csv(tmp_path / "final.csv", mesh, case.gas, u)
+    assert (_lines((tmp_path / "final.csv").read_bytes())
+            == _lines(fields_csv_ref(mesh, case.gas, u)))
+    for rep in (LimiterReport(rng.random(K), None),
+                LimiterReport(rng.random(K), rng.random(K))):
+        out = io.StringIO()
+        _write_limiter_rows(out, 7, u, rep)
+        assert (_lines(out.getvalue())
+                == _lines(limiter_rows_ref(7, u, rep)))
+    for l_elem in (None, rng.random(K)):
+        write_vtk(tmp_path / "f.vtk", mesh, case.gas, u, l_elem=l_elem)
+        assert ((tmp_path / "f.vtk").read_bytes()
+                == vtk_bytes_ref(mesh, case.gas, u, l_elem=l_elem))
+
+
+@pytest.mark.parametrize("mode", ["none", "elementwise"])
+def test_run_outputs_match_whole_file_oracles(tmp_path, mode):
+    # every file of a run with snapshots, limited (a report per step) or
+    # not (report None), against the oracles fed by a second march
+    cfg = make_config({"case": "vortex", "N": "2", "K": "2",
+                       "t_final": "0.3", "snap_every": "3", "mode": mode,
+                       "outdir": str(tmp_path)})
+    assert run(cfg) == 0
+    case, mesh, stepper, u0, cfl, t_final = setup(cfg)
+    snaps, lim, last = {}, [], {}
+
+    def keep(step, t, u, row, rep):
+        l_elem = None if rep is None else rep.l_elem.copy()
+        rows = "" if rep is None else limiter_rows_ref(step, u, rep)
+        last.update(step=step, rows=rows, l_elem=l_elem)
+        if step % cfg.snap_every == 0:
+            lim.append(rows)
+            snaps[step] = vtk_bytes_ref(mesh, case.gas, u, l_elem=l_elem)
+
+    u, _ = advance(stepper, u0, 0.0, t_final, cfl, callback=keep,
+                   collect=False)
+    assert snaps and (mode == "none") == (lim[0] == "")
+    if last["step"] % cfg.snap_every:
+        lim.append(last["rows"])
+    assert sorted(tmp_path.glob("snap_*.vtk")) == [
+        tmp_path / f"snap_{step:06d}.vtk" for step in sorted(snaps)]
+    for step, blob in snaps.items():
+        assert (tmp_path / f"snap_{step:06d}.vtk").read_bytes() == blob
+    assert ((tmp_path / "final.vtk").read_bytes()
+            == vtk_bytes_ref(mesh, case.gas, u, l_elem=last["l_elem"]))
+    assert (_lines((tmp_path / "final.csv").read_bytes())
+            == _lines(fields_csv_ref(mesh, case.gas, u)))
+    head = (f"# {SCHEMA} limiter case=vortex mode={mode}\n"
+            "step,element,l_e,xi,min_rho,min_rhoe\n")
+    assert (_lines((tmp_path / "limiter.csv").read_bytes())
+            == _lines(head + "".join(lim)))
+
+
+def _fields_csv_peak(path, K):
+    """tracemalloc peak of writing final.csv of a line mesh of K
+    elements."""
+    case = get_case("leblanc")
+    mesh = case.build_mesh(K, 3)
+    u = case.ic(mesh.xy)
+    tracemalloc.start()
+    try:
+        _write_fields_csv(path, mesh, case.gas, u)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fields_csv_writer_memory_does_not_grow_with_the_mesh(tmp_path):
+    # 512 against 8192 nodes: a writer that formats the whole file at
+    # once peaks about 16 times higher on the larger mesh
+    small = _fields_csv_peak(tmp_path / "small.csv", 128)
+    large = _fields_csv_peak(tmp_path / "large.csv", 2048)
+    assert large <= 2 * small, (small, large)
 
 
 def test_run_reports_validation_failures_via_main(tmp_path, capsys):
