@@ -15,7 +15,11 @@ stages reuse their buffers makes about 0 per step; one whose large
 temporaries go back to the OS between stages makes hundreds to thousands.
 Beside it goes the process's peak RSS (``ru_maxrss``) after the march: the
 solver's own high-water mark, with no output written, to set against the
-``peak_rss_mb`` of ``perfbench``, whose runs write their files too.
+``peak_rss_mb`` of ``perfbench``, whose runs write their files too. The
+"aligned" column counts the Stepper's workspace buffers (its block and
+every kept array) that start on a 64-byte boundary after the march, out of
+all of them: an allocation that escapes ``workspace.aligned_empty`` shows
+there as a count short of the total.
 
 Fault counts depend on the process environment (its size moves the heap
 layout), so compare counts taken in the same environment.
@@ -43,12 +47,14 @@ def workloads() -> dict:
 
 
 def measure(raw: dict) -> dict:
-    """March one config; {"steps", "faults_per_step"} over FIRST..LAST and
-    the peak RSS in MB ("peak_rss_mb") after the march."""
+    """March one config; {"steps", "faults_per_step"} over FIRST..LAST, the
+    peak RSS in MB ("peak_rss_mb") after the march, and the aligned and total
+    counts of the workspace's buffers ("aligned", "buffers")."""
     import resource
 
     from posdg import cli
     from posdg.timestepping import advance
+    from posdg.workspace import ALIGN
 
     _, _, stepper, u0, cfl, t_final = cli.setup(cli.make_config(raw))
     faults = {}
@@ -60,8 +66,10 @@ def measure(raw: dict) -> dict:
     last = min(LAST, max(faults))
     per_step = (faults[last] - faults[FIRST - 1]) / (last - FIRST + 1)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    buffers = [stepper.ws._block, *stepper.ws._kept.values()]
+    aligned = sum(a.ctypes.data % ALIGN == 0 for a in buffers)
     return {"steps": max(faults), "faults_per_step": per_step,
-            "peak_rss_mb": peak}
+            "peak_rss_mb": peak, "aligned": aligned, "buffers": len(buffers)}
 
 
 def main(argv=None) -> int:
@@ -79,15 +87,16 @@ def main(argv=None) -> int:
                    filter(None, [str(REPO / "src"),
                                  os.environ.get("PYTHONPATH")])))
     print(f"{'workload':24s} {'steps':>5s}  {'peak RSS MB':>11s}  "
-          f"minor faults per step (steps {FIRST}-{LAST})")
+          f"{'aligned':>8s}  minor faults per step (steps {FIRST}-{LAST})")
     for name in args.workload or known:
         proc = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--child",
              json.dumps(known[name])],
             env=env, cwd=REPO, check=True, capture_output=True, text=True)
         res = json.loads(proc.stdout.splitlines()[-1])
+        aligned = f"{res['aligned']}/{res['buffers']}"
         print(f"{name:24s} {res['steps']:5d}  {res['peak_rss_mb']:11.2f}  "
-              f"{res['faults_per_step']:.1f}")
+              f"{aligned:>8s}  {res['faults_per_step']:.1f}")
     return 0
 
 

@@ -13,6 +13,17 @@ and its pair arrays as (variable, pair, element), so every per-component
 operation runs on a contiguous block. The pair kernels gather the pair
 ends as row takes (:meth:`Workspace.gather`).
 
+Every buffer starts on a 64-byte boundary of the address space (``ALIGN``,
+one cache line): the block, every kept array and every take that does not
+fit the block come from :func:`aligned_empty`, and takes sit at multiples
+of ``ALIGN`` in the block. Every stage is a handful of elementwise passes
+over pair- and end-sized arrays, and a 64-byte vector store into an output
+off a cache line writes two lines: on an AVX-512 host, one 21,000-double
+add takes 6.0 us into an aligned output and 12.2-12.8 us into one 8, 16,
+32 or 48 bytes off. ``np.empty`` starts at any multiple of 16 bytes,
+wherever the heap puts it, so without this a stage's speed would follow the
+heap layout. The results do not depend on the addresses.
+
 Temporaries are taken in *frames*: ``with ws.frame():`` remembers the top
 of the block and gives everything taken inside back on exit, so frames nest
 like a stack and every outermost frame starts at offset 0. The pair-flux
@@ -35,16 +46,25 @@ import math
 
 import numpy as np
 
-__all__ = ["Workspace"]
+__all__ = ["Workspace", "aligned_empty"]
 
-ALIGN = 64   # bytes; every buffer starts at a multiple of this in the block
+ALIGN = 64   # bytes (a cache line); every buffer address is a multiple of it
+
+
+def aligned_empty(shape, dtype=float) -> np.ndarray:
+    """An uninitialised C-contiguous array whose address is a multiple of
+    ``ALIGN``: a ``uint8`` buffer ``ALIGN`` bytes longer than the array,
+    viewed from its first aligned byte."""
+    dtype = np.dtype(dtype)
+    raw = np.empty(math.prod(shape) * dtype.itemsize + ALIGN, np.uint8)
+    return np.ndarray(shape, dtype, raw, -raw.ctypes.data % ALIGN)
 
 
 class Workspace:
     """Named, fixed-shape buffers of one owner, reused across stages."""
 
     def __init__(self):
-        self._block = np.empty(0, dtype=np.uint8)
+        self._block = aligned_empty((0,), np.uint8)
         self._top = 0        # first free byte of the block
         self._high = 0       # largest extent taken so far
         self._kept = {}
@@ -63,7 +83,7 @@ class Workspace:
         if top > self._high:
             self._high = top
         if end > self._block.size:
-            return np.empty(shape, dtype)
+            return aligned_empty(shape, dtype)
         return np.ndarray(shape, dtype, self._block, start)
 
     def gather(self, a, idx) -> np.ndarray:
@@ -80,7 +100,7 @@ class Workspace:
         """The persistent array of ``key``; the same one at every call."""
         out = self._kept.get(key)
         if out is None or out.shape != tuple(shape) or out.dtype != dtype:
-            out = self._kept[key] = np.empty(shape, dtype)
+            out = self._kept[key] = aligned_empty(shape, dtype)
         return out
 
 
@@ -101,4 +121,4 @@ class _Frame:
         ws = self.ws
         ws._top = self.top
         if self.top == 0 and ws._high > ws._block.size:
-            ws._block = np.empty(ws._high, dtype=np.uint8)
+            ws._block = aligned_empty((ws._high,), np.uint8)
