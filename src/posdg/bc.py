@@ -115,18 +115,19 @@ class BCSet:
             adiabatic[slots] = bc.kind != "dirichlet"
         return tuple(groups), np.nonzero(adiabatic[tags > 0])[0]
 
-    def exterior_state(self, uM, uP, groups, t, gas: GasParams):
+    def exterior_state(self, uM, uP, groups, t, gas: GasParams, pM):
         """Write the exterior conserved states of the boundary slots into
         ``uP``.
 
         ``uM`` and ``uP`` are the traces and the exterior states, component
-        first, (nvar, n), flat over the face slots; ``groups`` are the
-        slot groups of :meth:`group`, formed once per mesh. Each group's
+        first, (nvar, n), flat over the face slots, and ``pM`` (n,) the
+        traces' pressure; ``groups`` are the slot groups of :meth:`group`,
+        formed once per mesh. Each group's
         states are evaluated at its slots and written there: Dirichlet
         data from the group's (n, dim) coordinates (the functions return
         states with the variable index last), walls and no-slip walls from
-        the traces. The other slots of ``uP``, the outflow ones included,
-        are left as they are.
+        the traces, the wall-Riemann states with their pressure. The other
+        slots of ``uP``, the outflow ones included, are left as they are.
         """
         for g in groups:
             bc = g.bc
@@ -135,7 +136,8 @@ class BCSet:
                 continue
             trace = uM.take(g.slots, axis=1)
             if bc.kind == "wall" and bc.mode == "riemann":
-                uP[:, g.slots] = wall_riemann_state(trace, g.normals, gas)
+                uP[:, g.slots] = wall_riemann_state(
+                    trace, g.normals, gas, pM.take(g.slots))
             elif bc.kind == "wall":
                 uP[:, g.slots] = mirror_state(trace, g.normals)
             else:

@@ -98,21 +98,20 @@ def solve_l(uL: np.ndarray, P: np.ndarray, bounds: Bounds) -> np.ndarray:
     rhoP, mP, EP = P[0], P[1:-1], P[-1]
     rho_min, rhoe_min = bounds.rho_min, bounds.rhoe_min
 
-    # density constraint is linear in l
     with np.errstate(divide="ignore", invalid="ignore"):
+        # density constraint is linear in l
         l_rho = np.where(rhoL + rhoP >= rho_min, 1.0,
                          (rho_min - rhoL) / np.where(rhoP == 0.0, 1.0, rhoP))
-    l_rho = np.clip(l_rho, 0.0, 1.0)
+        l_rho = np.clip(l_rho, 0.0, 1.0)
 
-    # rho * (rhoe - rhoe_min) >= 0 is quadratic:  a l^2 + b l + c >= 0
-    a = EP * rhoP - 0.5 * _dot(mP, mP)
-    b = EL * rhoP + EP * rhoL - _dot(mL, mP) - rhoe_min * rhoP
-    c = EL * rhoL - 0.5 * _dot(mL, mL) - rhoe_min * rhoL
-    c = np.maximum(c, 0.0)
+        # rho * (rhoe - rhoe_min) >= 0 is quadratic:  a l^2 + b l + c >= 0
+        a = EP * rhoP - 0.5 * _dot(mP, mP)
+        b = EL * rhoP + EP * rhoL - _dot(mL, mP) - rhoe_min * rhoP
+        c = EL * rhoL - 0.5 * _dot(mL, mL) - rhoe_min * rhoL
+        c = np.maximum(c, 0.0)
 
-    disc = np.maximum(b * b - 4.0 * a * c, 0.0)
-    q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
-    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.maximum(b * b - 4.0 * a * c, 0.0)
+        q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
         l_e = np.where(q > 0.0, c / q, np.where(a < 0.0, q / a, np.inf))
 
     return np.minimum(l_rho, np.clip(l_e, 0.0, 1.0))
@@ -242,8 +241,10 @@ class ConvexLimiter:
     divided by a_i. u^L and both bounds are scaled once per node; a
     substate is then one add, + dF at end i and - dF at end j, screened by
     the test of :func:`feasible_l`. Only the substates that fail are
-    gathered again, with P = +-a_i dF_ij as in the unscaled form, and both
-    ends' go to one :func:`solve_l` call. The scaling needs dt > 0.
+    gathered again, with P = +-a_i dF_ij as in the unscaled form: both
+    ends' through one index of (end, pair, element) over the two ends, so
+    that u^L, a, the bounds and dF are one take each, and both go to one
+    :func:`solve_l` call. The scaling needs dt > 0.
     """
 
     def __init__(self, mesh: Mesh):
@@ -254,6 +255,8 @@ class ConvexLimiter:
                 + np.bincount(mesh.ops.face_vol, minlength=Np))
         # the cardinality |I(i)| + |B(i)| per node, (Np, 1)
         self._card = card[:, None].astype(float)
+        # the node of every (end, pair): end i of the pairs, then end j
+        self._end_node = np.concatenate([pi, pj])
 
     def __call__(self, uLnew, dF, dt, bounds: Bounds, cap=None, *, ws):
         """Limited update from u^L and the pair differences dF.
@@ -274,34 +277,38 @@ class ConvexLimiter:
                           out=ws.take((Np, K)))
             scaled = np.divide(uLnew, a, out=ws.take(uLnew.shape))
             lims_s = [np.divide(b, a, out=ws.take((Np, K))) for b in lims]
-            # the substates that fail the screen, per end: their flat
-            # (pair, element) index, node, element and P
-            idx, nodes, elems, Ps = [], [], [], []
+            # the flat (pair, element) indices of the substates that fail
+            # the screen, per end
+            idx = []
             for e, add in ((mesh.pair_i, np.add), (mesh.pair_j, np.subtract)):
                 with ws.frame():
                     # u^L_i / a_i +- dF_ij
                     end = ws.gather(scaled, e)
                     add(end, dF, out=end)
-                    out = _outside(end, *(ws.gather(b, e) for b in lims_s),
-                                   ws)
-                p, k = np.divmod(out, K)
-                i = e[p]
-                # P = a_i dF_ij at end i, -a_j dF_ij at end j
-                P = np.multiply(a[i, k], dF.reshape(nvar, -1)[:, out])
-                if add is np.subtract:
-                    np.negative(P, out=P)
-                idx.append(out)
-                nodes.append(i)
-                elems.append(k)
-                Ps.append(P)
+                    idx.append(_outside(
+                        end, *(ws.gather(b, e) for b in lims_s), ws))
             # l_ij = min(l at i, l at j), 1 where both ends pass
             l = ws.take(shape)
             l.fill(1.0)
             n0 = idx[0].size
             if n0 + idx[1].size:
-                i, k = np.concatenate(nodes), np.concatenate(elems)
-                lsub = solve_l(uLnew[:, i, k], np.concatenate(Ps, axis=1),
-                               Bounds(*(b[i, k] for b in lims)))
+                # one flat (end, pair, element) index over both ends, and
+                # from it the flat (node, element) index of each substate
+                sub = np.concatenate((idx[0], idx[1] + l.size))
+                pe, k = np.divmod(sub, K)
+                node = self._end_node[pe]
+                node *= K
+                node += k
+                sub[n0:] -= l.size
+                # P = a_i dF_ij at end i, -a_j dF_ij at end j
+                P = dF.reshape(nvar, -1).take(sub, axis=1)
+                P *= a.reshape(-1).take(node)
+                # not np.negative(..., out=...): on numpy 2.4.6 it writes a
+                # one-column view of an (n, 8) array as if it were contiguous
+                P[:, n0:] *= -1.0
+                lsub = solve_l(uLnew.reshape(nvar, -1).take(node, axis=1), P,
+                               Bounds(*(b.reshape(-1).take(node)
+                                        for b in lims)))
                 flat = l.reshape(-1)
                 flat[idx[0]] = lsub[:n0]
                 flat[idx[1]] = np.minimum(flat[idx[1]], lsub[n0:])

@@ -13,8 +13,9 @@ low-order scheme and the pair differences F^H - F^L select their pairs
 with a leading slice, ``[:n_low]``, and no index array. Each geometry
 class builds the graph from its own operators, and the mesh checks at
 construction that every class gives the same pairs and the same count
-``n_low``; only the pair weights differ between classes, so the mesh
-stacks the high-order ones per element, shape (dim, npairs, K).
+``n_low``; only the pair weights differ between classes, and the
+high-order scheme stacks its weights per element, shape (dim, npairs, K),
+from the classes (:class:`posdg.rhs_high.HighOrderRHS`).
 The high-order volume flux, the low-order graph viscosity and the convex
 limiter all work on these pairs, on arrays laid out (variable, pair,
 element) over the whole mesh, and a pair flux F_ij reaches the nodes
@@ -143,7 +144,6 @@ class Mesh:
     pair_j: np.ndarray = field(init=False)
     n_low: int = field(init=False)            # the low-order pairs lead
     scatter: np.ndarray = field(init=False)   # (Np, npairs)
-    pair_s: np.ndarray = field(init=False)    # (dim, npairs, K)
 
     def __post_init__(self):
         classes, cid, ops = self.classes, self.class_id, self.ops
@@ -170,9 +170,6 @@ class Mesh:
                                  f"node-pair graphs")
         self.pair_i, self.pair_j = first.pair_i, first.pair_j
         self.n_low, self.scatter = first.n_low, first.scatter
-        # per element, its class's weights: (dim, npairs, K)
-        self.pair_s = np.ascontiguousarray(
-            np.stack([gc.pair_s for gc in classes], axis=-1)[..., cid])
 
     @property
     def n_elements(self) -> int:

@@ -42,7 +42,17 @@ logarithmic means, rho and 2 beta = rho / p, are its first two rows: one
 powers of two, which scale a double exactly, so the sum of two table
 entries holds the arithmetic mean of v, four times that of beta and half
 that of |v|^2 bit for bit, and the two-point flux reads them from one sum
-L + R without rescaling it. The workspace
+L + R without rescaling it.
+
+The solver forms the internal energy rho e and the pressure p of its
+stage states once per stage, at the nodes (the node table of
+:meth:`posdg.timestepping.Stepper.prepare`). The kernels that need them
+take them as arguments, as :func:`normal_flux` and :func:`sound_speed`
+take p: :func:`zhang_beta` (rho e and p), :func:`ec_prims` (p),
+:func:`entropy_vars_cf` (rho e and p) and :func:`wall_riemann_state`
+(p). Each forms them from its states when they are not given, by the
+same operations, so either path gives the same values bit for bit. The
+workspace
 kernels (``log_mean``, ``normal_flux``, ``ec_fluxes_prims``,
 ``ec_fluxes``, ``davis_wavespeed``, ``zhang_beta``) take their caller's
 :class:`~posdg.workspace.Workspace`, the one a ``Stepper`` owns, and
@@ -143,10 +153,15 @@ def entropy_cf(u, gas: GasParams):
     return -rho * (np.log(pressure_cf(u, gas)) - gas.gamma * np.log(rho))
 
 
-def entropy_vars_cf(u, gas: GasParams, out=None):
+def entropy_vars_cf(u, gas: GasParams, out=None, rhoe=None, p=None):
+    """The entropy variables v of ``u`` (see the module doc), into ``out``
+    when given. ``rhoe`` and ``p`` are the internal energy and the pressure
+    of ``u``, each formed here when not given."""
     rho, mom, E = _split(u)
-    rhoe = internal_energy_cf(u)
-    p = (gas.gamma - 1.0) * rhoe
+    if rhoe is None:
+        rhoe = internal_energy_cf(u)
+    if p is None:
+        p = (gas.gamma - 1.0) * rhoe
     s = np.log(p) - gas.gamma * np.log(rho)
     v = np.empty_like(u) if out is None else out
     v[0] = (gas.gamma + 1.0 - s) - E / rhoe
@@ -278,7 +293,7 @@ def normal_flux(u, n, gas: GasParams, p=None, out=None, *, ws):
     return f
 
 
-def ec_prims(u, gas: GasParams):
+def ec_prims(u, gas: GasParams, p=None, out=None):
     """The node table of the two-point flux, one (dim + 3, ...) array.
 
     Its rows are [rho, rho / p, v / 2, |v|^2 / 4], with the velocity v
@@ -286,14 +301,16 @@ def ec_prims(u, gas: GasParams):
     (2p), and each factor a power of two. Exposed separately so
     pairwise flux evaluations over many pairs drawn from few distinct
     states (the flux-differencing volume term) can form it once per state
-    and gather it with one take per pair end.
+    and gather it with one take per pair end. ``p`` is the pressure of
+    ``u`` (:func:`pressure_cf`), formed here when not given; the table is
+    written into ``out`` when given, else into a fresh array.
     """
     u = np.asarray(u, dtype=float)
     rho, mom, _ = _split(u)
     dim = len(mom)
-    tab = np.empty((dim + 3,) + rho.shape)
+    tab = np.empty((dim + 3,) + rho.shape) if out is None else out
     tab[0] = rho
-    tab[1] = rho / pressure_cf(u, gas)
+    np.divide(rho, pressure_cf(u, gas) if p is None else p, out=tab[1, ...])
     vel = np.divide(mom, rho, out=tab[2:-1])
     vel *= 0.5
     _dot(vel, vel, tab[-1, ...])
@@ -400,7 +417,8 @@ def davis_wavespeed(u, n, gas: GasParams, ws, c=None, mn=None):
     return out
 
 
-def zhang_beta(u, sn, n, gas: GasParams, eps0: float = 1e-14, *, ws):
+def zhang_beta(u, sn, n, gas: GasParams, eps0: float = 1e-14, *,
+               rhoe=None, p=None, ws):
     """Maximum wavespeed bound for first-order viscous bar states.
 
     ``sn`` is the normal viscous flux sigma . n = sum_k n_k sigma_k of the
@@ -417,7 +435,9 @@ def zhang_beta(u, sn, n, gas: GasParams, eps0: float = 1e-14, *, ws):
 
     It is even in ``n`` bit for bit: n enters only through products n_k x,
     whose sums change sign exactly with n (sigma . n among them), and
-    these reach the result only through |.| or a square. For an inviscid
+    these reach the result only through |.| or a square. ``rhoe`` and
+    ``p`` are the internal energy and the pressure of ``u``, each formed
+    here when not given. For an inviscid
     state (``sn`` None) and a unit ``n`` it is eps0 + |u.n| +
     sqrt((gamma - 1) / (2 gamma)) c, below the Davis speed |u.n| + c
     whenever c exceeds about 3.5 eps0, so the low-order scheme does not
@@ -437,8 +457,10 @@ def zhang_beta(u, sn, n, gas: GasParams, eps0: float = 1e-14, *, ws):
         a, b = take(shape), take(shape)
         t = take(ushape)
         vel = np.divide(mom, rho, out=take(mom.shape))
-        rhoe = internal_energy_cf(u, take(ushape), t)
-        p = np.multiply(gas.gamma - 1.0, rhoe, out=take(ushape))
+        if rhoe is None:
+            rhoe = internal_energy_cf(u, take(ushape), t)
+        if p is None:
+            p = np.multiply(gas.gamma - 1.0, rhoe, out=take(ushape))
         # eps0 + |u.n|
         np.abs(_dot(vel, n, out, a), out=out)
         np.add(eps0, out, out=out)
@@ -568,19 +590,21 @@ def mirror_state(u, n):
 PFLOOR = 1e-14
 
 
-def wall_riemann_state(u, n, gas: GasParams):
+def wall_riemann_state(u, n, gas: GasParams, p=None):
     """Exterior state enforcing u.n = 0 through the exact wall pressure.
 
     The star pressure of the half-Riemann problem against a wall: a shock
     relation when the flow runs into the wall (u.n > 0), an isentropic
     rarefaction otherwise. The exterior state mirrors the velocity and
     carries the star pressure so the numerical flux sees p* at the wall.
+    ``p`` is the pressure of ``u`` (:func:`pressure_cf`), formed here when
+    not given.
     """
     u = np.asarray(u, dtype=float)
     n = np.asarray(n, dtype=float)
     g = gas.gamma
     rho = u[0]
-    p = np.maximum(pressure_cf(u, gas), PFLOOR)
+    p = np.maximum(pressure_cf(u, gas) if p is None else p, PFLOOR)
     un = _dot(u[1:-1], n) / rho
     c = np.sqrt(g * p / rho)
 

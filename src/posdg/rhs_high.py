@@ -100,18 +100,21 @@ class LDGGradient:
         self._lift = (0.5 * mesh.slot_wsJ * mesh.slot_normal).reshape(
             dim, mesh.n_face_nodes, -1)
 
-    def __call__(self, u, uP, ws):
+    def __call__(self, u, rhoe, p, uP, ws):
         """(v, thetas, sigmas), kept arrays of the workspace ``ws``, valid
         until its next call; the volume and lift products are formed in a
         frame of it.
 
-        ``uP`` must be the exterior face states of ``u``, as
+        ``rhoe`` and ``p`` are the internal energy and the pressure of
+        ``u`` (Np, K), which v reads. ``uP`` must be the exterior face
+        states of ``u``, as
         :meth:`posdg.rhs_low.LowOrderRHS.face_states` forms them: only its
         boundary slots are read, and every interior slot takes v at its
         partner's volume node.
         """
         ET = self.mesh.ops.E.T
-        v = entropy_vars_cf(u, self.gas, out=ws.keep("v", u.shape))
+        v = entropy_vars_cf(u, self.gas, out=ws.keep("v", u.shape), rhoe=rhoe,
+                            p=p)
         thetas, sigmas = (ws.keep(key, (len(self._lift),) + u.shape)
                           for key in ("theta", "sigma"))
         with ws.frame():
@@ -137,15 +140,22 @@ class HighOrderRHS:
     def __init__(self, mesh: Mesh, gas: GasParams):
         self.mesh = mesh
         self.gas = gas
-        self._n = np.negative(mesh.pair_s)    # n_k = -(Q_k - Q_k^T)_ij
+        # the pair weights n_k = -(Q_k - Q_k^T)_ij of each element's class,
+        # (dim, npairs, K): the mesh's one per-element copy of them
+        n = np.stack([gc.pair_s for gc in mesh.classes], axis=-1).take(
+            mesh.class_id, axis=-1)
+        self._n = np.negative(n, out=n)
         # the viscous term's weights n_k / 2, formed for a viscous gas only
         self._half_n = 0.5 * self._n if gas.viscous else None
 
-    def pair_fluxes(self, u, sigmas=None, *, ws):
+    def pair_fluxes(self, u, p, sigmas=None, *, ws):
         """High-order pair fluxes F^H_ij, one (nvar, npairs, K) array.
 
         ``u`` are the node states and ``sigmas`` the viscous fluxes per
-        direction (None for an inviscid gas), (nvar, Np, K). The two-point
+        direction (None for an inviscid gas), (nvar, Np, K), and ``p`` the
+        pressure of ``u`` (Np, K), which the node table of
+        :func:`~posdg.physics.ec_prims`, a kept array of the workspace
+        ``ws``, reads. The two-point
         fluxes are symmetric and the operators skew, so one evaluation per
         pair of the graph, along the pair's direction n, suffices; on
         tensor-product elements those are the small fraction of pairs
@@ -155,8 +165,9 @@ class HighOrderRHS:
         """
         pi, pj = self.mesh.pair_i, self.mesh.pair_j
         FH = ws.keep("FH", (len(u), len(pi), u.shape[-1]))
+        tab = ec_prims(u, self.gas, p,
+                       ws.keep("prims", (len(u) + 1,) + u.shape[1:]))
         with ws.frame():
-            tab = ec_prims(u, self.gas)
             ec_fluxes_prims(ws.gather(tab, pi), ws.gather(tab, pj), self._n,
                             self.gas, ws=ws, out=FH)
             if sigmas is not None:
@@ -171,10 +182,10 @@ class HighOrderRHS:
                     FH[1:] -= vis
         return FH
 
-    def __call__(self, u, sigmas, FL, ws):
+    def __call__(self, u, p, sigmas, FL, ws):
         """dF = F^H - F^L, formed in the array of :meth:`pair_fluxes`; ``FL``
         are the low-order pair fluxes (:class:`posdg.rhs_low.LowOrderRHS`)
         on the graph's leading ``n_low`` pairs."""
-        dF = self.pair_fluxes(u, sigmas, ws=ws)
+        dF = self.pair_fluxes(u, p, sigmas, ws=ws)
         dF[:, :self.mesh.n_low] -= FL
         return dF

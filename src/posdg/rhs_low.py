@@ -41,7 +41,8 @@ unit direction n splits into one term per end,
     w(u, sigma, n) = max(beta(u, sigma . n, n), |u.n| + c),
 
 with beta reading the viscous fluxes through the end's sigma . n alone
-(:func:`~posdg.physics.zhang_beta`), and w is even in n bit for bit: n
+(:func:`~posdg.physics.zhang_beta`, which reads the ends' rho e and p),
+and w is even in n bit for bit: n
 enters beta and the Davis term only through products n_k x, whose sums
 change sign exactly when n does, and these reach w only through |.| or a
 square. The normal flux F(u, sigma, n)
@@ -53,18 +54,25 @@ is positive. :meth:`LowOrderRHS.wavespeeds` evaluates w and F once per
 stage on the distinct ends of the elements: both ends of every low-order
 pair, and the volume node of every face slot with the slot's normal. An
 end is distinct if it is distinct in some geometry class, and the tables
-hold every end of every element, (end, element) in that order, so the
-pair weights and fluxes are row takes. The normals of partner slots are
+hold every end of every element, (end, element) in that order. So every
+gather of the stage is a row take: the node arrays (Np, K) to the ends
+(ne, K) at the ends' nodes, the end tables to the pairs at their ends,
+and the trace ends' w and F to the (Nfp, K) face slots, with no flat
+(node, element) index. The normals of partner slots are
 exact negations, so the exterior end of an interior slot is its partner's
 own end, and only the boundary ghost states get ends of their own. Pairs
 and slots then take the max of two gathered w. On quad N=3, the 48 ends of
 the 24 low-order pairs are 32 distinct ends, and these cover all 16 face
-slots too. The pressure p and the sound speed c depend on the state only,
-so they are formed once per node and once per boundary ghost state and
-gathered with the ends; only m . n and what follows from it are formed
-per end, and the Davis term reads m . n from the mass row of f(u) . n,
-before sigma . n is subtracted. sigma . n = sum_k n_k sigma_k is formed
-once per end and read twice: beta reads its momentum rows as tau . n and
+slots too. The internal energy rho e, the pressure p and the sound speed c
+depend on the state only. rho e and p of the stage's nodes are formed
+once per stage, in the node table of
+:meth:`~posdg.timestepping.Stepper.prepare`, which the wall-Riemann
+states, the LDG gradient and the two-point flux table read too; c is
+formed from them once per node, and the three are gathered with the ends.
+A boundary ghost state gets its own rho e, p and c, once. Only m . n and
+what follows from it are formed per end, and the Davis term reads m . n
+from the mass row of f(u) . n, before sigma . n is subtracted.
+sigma . n = sum_k n_k sigma_k is formed once per end and read twice: beta reads its momentum rows as tau . n and
 forms q . n from them and its energy row, and F - sigma . n subtracts it.
 The mass row of sigma is zero (:func:`~posdg.physics.viscous_sigma`), so
 only the momentum and energy rows of sigma are gathered to the ends,
@@ -114,8 +122,8 @@ from .mesh import Mesh
 from .physics import (
     GasParams,
     davis_wavespeed,
+    internal_energy_cf,
     normal_flux,
-    pressure_cf,
     sound_speed,
     zhang_beta,
 )
@@ -123,7 +131,7 @@ from .physics import (
 __all__ = ["LowOrderRHS", "interface_flux_low"]
 
 
-def interface_flux_low(FM, FP, uM, uP, weight, lam_slot):
+def interface_flux_low(FM, FP, uM, uP, weight, lam_slot, ws):
     """Low-order interface contribution per face slot,
 
         weight (FM + FP) + lambda_s (uP - uM).
@@ -137,12 +145,16 @@ def interface_flux_low(FM, FP, uM, uP, weight, lam_slot):
     trace's end of the end table with the weight that holds its sign.
     ``lam_slot`` is the slot's wavespeed weight lambda_s
     (:meth:`LowOrderRHS.rates`). The limited modes give the high-order
-    update this interface flux too, so it cancels from r^H - r^L.
+    update this interface flux too, so it cancels from r^H - r^L. The jump
+    uP - uM and its product with lambda_s are formed in the caller's frame
+    of the workspace ``ws``.
     """
     F = FM
     F += FP
     F *= weight
-    F += lam_slot * (uP - uM)
+    jump = np.subtract(uP, uM, out=ws.take(F.shape))
+    jump *= lam_slot
+    F += jump
     return F
 
 
@@ -221,20 +233,24 @@ class LowOrderRHS:
         self._ext_sign = s_M * np.where(bdry, 1.0, -s_M[mesh.slot_exterior])
         self._slot_w = -0.5 * mesh.slot_wsJ * s_M
         # the flat end table: (end, element) blocks, then the boundary
-        # ghost states; its sources are flat (node, element) indices
+        # ghost states. Its (end, element) part, reshaped to (ne, K), is a
+        # row take of the (node, element) arrays at the ends' nodes, and
+        # the trace ends of the (Nfp, K) face slots are a row take of it
         self._n_ends = top = ne * K
-        self._end_src = (K * nodes[first][:, None] + np.arange(K)).reshape(-1)
+        self._end_rows = nodes[first]
+        self._slot_rows = end[2 * npl:]
         end_dir = np.stack([d[e[first]] for d, e in zip(dirs, ends)])
         self._end_dir = np.concatenate([end_dir[mesh.class_id].T.reshape(
             mesh.dim, top), mesh.slot_normal[:, bdry]], axis=1)
-        self._slot_end = (K * end[2 * npl:, None] + np.arange(K)).reshape(-1)
+        # the exterior end of every slot, flat: its partner's trace end,
+        # or its ghost
+        slot_end = (K * self._slot_rows[:, None] + np.arange(K)).reshape(-1)
         ghost = top + np.cumsum(bdry) - 1
-        self._ext_end = np.where(bdry, ghost,
-                                 self._slot_end[mesh.slot_exterior])
+        self._ext_end = np.where(bdry, ghost, slot_end[mesh.slot_exterior])
 
     # -- shared face-data preparation -------------------------------------
 
-    def face_states(self, u, t, ws):
+    def face_states(self, u, p, t, ws):
         """Traces and exterior states at all face slots: (uf, uP), along
         the mesh's ``slot_normal``.
 
@@ -244,23 +260,39 @@ class LowOrderRHS:
         a boundary slot's own trace: outflow keeps it, and
         :meth:`~posdg.bc.BCSet.exterior_state` writes the states of the
         other conditions over it, at the slot groups formed at
-        construction. This is the only place the boundary states are
-        evaluated: one call per stage serves the LDG gradient and the
-        low-order stage (:meth:`__call__`).
+        construction, the wall-Riemann states from the traces' pressure,
+        a row take of the node pressure ``p`` (Np, K). This is the only
+        place the boundary states are evaluated: one call per stage serves
+        the LDG gradient and the low-order stage (:meth:`__call__`).
         """
         mesh = self.mesh
+        face_vol = mesh.ops.face_vol
         uf = ws.keep("uf", (len(u), mesh.n_face_nodes, u.shape[-1]))
-        uf = u.take(mesh.ops.face_vol, axis=1, out=uf,
+        uf = u.take(face_vol, axis=1, out=uf,
                     mode="clip").reshape(len(u), -1)
         uP = uf.take(mesh.slot_exterior, axis=1, mode="clip",
                      out=ws.keep("uP", uf.shape))
         if self._bc_groups:
-            self.bcs.exterior_state(uf, uP, self._bc_groups, t, self.gas)
+            with ws.frame():
+                pf = p.take(face_vol, axis=0, mode="clip",
+                            out=ws.take((len(face_vol), p.shape[-1])))
+                self.bcs.exterior_state(uf, uP, self._bc_groups, t, self.gas,
+                                        pf.reshape(-1))
         return uf, uP
 
     # -- wavespeeds ----------------------------------------------------------
 
-    def wavespeeds(self, u, uP, sigmas=None, *, ws):
+    def _end_take(self, vol, out):
+        """Row takes of the node arrays ``vol`` (m, Np, K) at the ends'
+        nodes, into the (end, element) part of the end tables ``out`` (m,
+        n_ends + ghosts), one take per row."""
+        rows, top = self._end_rows, self._n_ends
+        for c in range(len(vol)):
+            vol[c].take(rows, axis=0, out=out[c, :top].reshape(len(rows), -1),
+                        mode="clip")
+        return out
+
+    def wavespeeds(self, u, rhoe, p, uP, sigmas=None, *, ws):
         """The per-end wavespeeds and normal fluxes of one stage, flat (see
         module doc): (w, F).
 
@@ -269,10 +301,15 @@ class LowOrderRHS:
         inviscid gas (``sigmas`` None), else max(beta(u, sigma . n, n),
         |u.n| + c), and F (nvar, n_ends) the normal flux (f(u) - sigma) . n
         along the end's direction n, with one sigma . n per end, from the
-        momentum and energy rows of sigma, read by both. The ghost ends
+        momentum and energy rows of sigma, read by both. ``rhoe`` and ``p``
+        are the internal energy and the pressure of ``u`` (Np, K), formed
+        once per stage (:meth:`~posdg.timestepping.Stepper.prepare`): the
+        node ends gather them, and the sound speed formed from them, with
+        their states. The ghost ends
         read ``uP`` (:meth:`face_states`) and the exterior viscous fluxes
         of the boundary conditions, formed here from ``sigmas`` at the
-        boundary slots' volume nodes. The end states are gathered into a
+        boundary slots' volume nodes; their rho e, p and c are formed here,
+        once. The end states are gathered into a
         frame of the workspace ``ws``, and w and F are its kept arrays,
         valid until the next call with the same workspace. :meth:`rates`
         reads w, and :meth:`__call__` reads F at the pairs' and the slots'
@@ -282,29 +319,30 @@ class LowOrderRHS:
         top, ghosts, dirs = self._n_ends, self._bdry_slots, self._end_dir
         shape = (len(u), dirs.shape[1])
 
-        def gather(vol, face, idx, out=None):
-            if out is None:
-                out = ws.take((len(vol), shape[1]))
+        def gather(vol, face, idx, out):
+            self._end_take(vol, out)
             for c in range(len(vol)):
-                vol[c].reshape(-1).take(self._end_src, out=out[c, :top],
-                                        mode="clip")
                 face[c].take(idx, out=out[c, top:], mode="clip")
             return out
 
         w = ws.keep("w", shape[1:])
         F = ws.keep("Fn", shape)
         with ws.frame():
-            ue = gather(u, uP, ghosts)
-            # p and c once per node and ghost state, gathered with the ends
-            pe, ce = ws.take(shape[1:]), ws.take(shape[1:])
+            ue = gather(u, uP, ghosts, ws.take(shape))
+            # rho e, p and c per end: the nodes' gathered with the ends
+            # (rho e for beta alone), the ghost states' formed here
+            ends = ws.take((3, shape[1]))
+            re, pe, ce = ends
             with ws.frame():
-                pn = pressure_cf(u, gas, ws.take(u.shape[1:]),
-                                 ws.take(u.shape[1:]))
-                cn = sound_speed(u, gas, ws.take(u.shape[1:]), p=pn)
-                pn.reshape(-1).take(self._end_src, out=pe[:top], mode="clip")
-                cn.reshape(-1).take(self._end_src, out=ce[:top], mode="clip")
-                pressure_cf(ue[:, top:], gas, pe[top:], ce[top:])
-                sound_speed(ue[:, top:], gas, ce[top:], p=pe[top:])
+                cn = sound_speed(u, gas, ws.take(u.shape[1:]), p=p)
+                if sigmas is None:
+                    self._end_take((p, cn), ends[1:])
+                else:
+                    self._end_take((rhoe, p, cn), ends)
+            ug = ue[:, top:]
+            internal_energy_cf(ug, re[top:], ce[top:])
+            np.multiply(gas.gamma - 1.0, re[top:], out=pe[top:])
+            sound_speed(ug, gas, ce[top:], p=pe[top:])
             normal_flux(ue, dirs, gas, p=pe, out=F, ws=ws)
             w[:] = davis_wavespeed(ue, dirs, gas, ws, c=ce, mn=F[0])
             if sigmas is not None:
@@ -316,35 +354,46 @@ class LowOrderRHS:
                 rows = np.arange(len(ghosts))
                 sn = ws.take(shape)
                 for d, (s, x) in enumerate(zip(sigmas, sb)):
-                    se = gather(s[1:], x, rows, None if d else sn[1:])
+                    se = gather(s[1:], x, rows,
+                                sn[1:] if d == 0 else ws.take(sn[1:].shape))
                     se *= dirs[d]
                     if d:
                         sn[1:] += se
-                np.maximum(zhang_beta(ue, sn, dirs, gas, ws=ws), w, out=w)
+                np.maximum(zhang_beta(ue, sn, dirs, gas, rhoe=re, p=pe, ws=ws),
+                           w, out=w)
                 # F - sigma . n at every end
                 F[1:] -= sn[1:]
         return w, F
 
     def rates(self, w, ws):
         """The low-order rates of one stage, from its wavespeeds ``w``
-        (:meth:`wavespeeds`) alone: (lam_p, lam_s, lam).
+        (:meth:`wavespeeds`) alone: (lam_p, lam_s, lam), kept arrays of the
+        workspace ``ws``.
 
         lam_p are the pair weights lambda_ij = max(w_i, w_j) |n_ij|,
-        (npairs_low, K), a kept array of the workspace ``ws``; lam_s the
-        face slot weights lambda_s = wsJ |n|_1 max(w_M, w_P) / 2,
-        (Nfp * K,); lam the nodal sums lambda_i of both, (Np, K), in the
+        (npairs_low, K); lam_s the face slot weights lambda_s = wsJ |n|_1
+        max(w_M, w_P) / 2, (Nfp * K,), the trace ends' w a row take of the
+        end table; lam the nodal sums lambda_i of both, (Np, K), in the
         positivity bound dt <= m_i / (2 lambda_i).
         """
-        lam_s = self.mesh.slot_dissipation * np.maximum(w[self._slot_end],
-                                                        w[self._ext_end])
-        lam_p = ws.keep("lamL", self._nn.shape)
+        mesh = self.mesh
         wT = w[:self._n_ends].reshape(self._ne, -1)
+        lam_s = ws.keep("lam_s", (len(mesh.slot_wsJ),))
+        lam_p = ws.keep("lamL", self._nn.shape)
+        lam = ws.keep("lam", mesh.node_mass.shape)
         with ws.frame():
+            wM = wT.take(self._slot_rows, axis=0, mode="clip",
+                         out=lam_s.reshape(len(self._slot_rows), -1))
+            np.maximum(wM.reshape(-1), w.take(self._ext_end, mode="clip",
+                                              out=ws.take(lam_s.shape)),
+                       out=lam_s)
+            lam_s *= mesh.slot_dissipation
             wT.take(self._ei, axis=0, out=lam_p, mode="clip")
             np.maximum(lam_p, ws.gather(wT, self._ej), out=lam_p)
-        lam_p *= self._nn
-        lam = self.mesh.ops.E.T @ lam_s.reshape(self.mesh.n_face_nodes, -1)
-        lam += self._absS @ lam_p
+            lam_p *= self._nn
+            np.matmul(mesh.ops.E.T, lam_s.reshape(mesh.n_face_nodes, -1),
+                      out=lam)
+            lam += np.matmul(self._absS, lam_p, out=ws.take(lam.shape))
         return lam_p, lam_s, lam
 
     # -- pairwise contributions ---------------------------------------------
@@ -384,34 +433,38 @@ class LowOrderRHS:
 
     # -- the stage ---------------------------------------------------------
 
-    def __call__(self, u, uf, uP, sigmas=None, *, ws):
+    def __call__(self, u, rhoe, p, uf, uP, sigmas=None, *, ws):
         """The low-order stage: (R, lam, P) of :meth:`rates` and
         :meth:`pair_fluxes`, with R = M du/dt, (nvar, Np, K).
 
-        ``uf`` and ``uP`` are :meth:`face_states` of ``u``, and ``sigmas``
-        the viscous fluxes per direction (None for an inviscid gas). The
-        pairs read the node ends of the flux table of :meth:`wavespeeds`,
-        a view of it. A slot's trace and exterior state are its two ends:
-        :func:`interface_flux_low` reads the trace end's flux, the exterior
-        end's times the relative sign, both along the trace end's
-        direction, and the slot weight that holds the trace end's sign
-        (module doc). R is a kept array of the workspace ``ws``, which
-        also holds the end tables, the interface flux and its lift.
+        ``rhoe`` and ``p`` are the internal energy and the pressure of
+        ``u`` (Np, K), ``uf`` and ``uP`` :meth:`face_states` of ``u``, and
+        ``sigmas`` the viscous fluxes per direction (None for an inviscid
+        gas). The pairs read the node ends of the flux table of
+        :meth:`wavespeeds`, a view of it. A slot's trace and exterior state
+        are its two ends: :func:`interface_flux_low` reads the trace end's
+        flux, a row take of the view, the exterior end's times the relative
+        sign, both along the trace end's direction, and the slot weight
+        that holds the trace end's sign (module doc). R is a kept array of
+        the workspace ``ws``, which also holds the end tables, the rates,
+        the interface flux and its lift.
         """
         mesh = self.mesh
-        w, F = self.wavespeeds(u, uP, sigmas, ws=ws)
+        w, F = self.wavespeeds(u, rhoe, p, uP, sigmas, ws=ws)
         lam_p, lam_s, lam = self.rates(w, ws)
-        P = self.pair_fluxes(
-            u, lam_p, F[:, :self._n_ends].reshape(len(u), self._ne, -1), ws)
+        Fe = F[:, :self._n_ends].reshape(len(u), self._ne, -1)
+        P = self.pair_fluxes(u, lam_p, Fe, ws)
         R = np.matmul(self._S, P, out=ws.keep("R", u.shape))
         with ws.frame():
-            shape = (len(F), len(self._slot_end))
-            FM = F.take(self._slot_end, axis=1, out=ws.take(shape),
-                        mode="clip")
+            shape = (len(F), len(lam_s))
+            FM = ws.take(shape)
+            for c in range(len(F)):
+                Fe[c].take(self._slot_rows, axis=0, mode="clip",
+                           out=FM[c].reshape(len(self._slot_rows), -1))
             FX = F.take(self._ext_end, axis=1, out=ws.take(shape),
                         mode="clip")
             FX *= self._ext_sign
-            Rs = interface_flux_low(FM, FX, uf, uP, self._slot_w, lam_s)
+            Rs = interface_flux_low(FM, FX, uf, uP, self._slot_w, lam_s, ws)
             R += np.matmul(mesh.ops.E.T,
                            Rs.reshape(len(Rs), mesh.n_face_nodes, -1),
                            out=ws.take(R.shape))

@@ -101,8 +101,13 @@ class Stepper:
     def prepare(self, u, t):
         """Residual and rates of a stage state; dt-independent.
 
-        One call per piece of the scheme: the face states, the only
-        evaluation of the boundary states (``LowOrderRHS.face_states``);
+        First the stage's node table: the internal energy rho e and the
+        pressure p of ``u``, formed once, into two kept (Np, K) arrays of
+        the workspace, which every piece below reads instead of deriving
+        them from ``u`` again. Then one call per piece of the scheme: the
+        face states, the only evaluation of the boundary states, whose
+        wall-Riemann states read p at the traces
+        (``LowOrderRHS.face_states``);
         the viscous fluxes of the LDG gradient; the low-order stage, which
         forms the boundaries' exterior viscous fluxes in its end table and
         returns the residual ``R``, the nodal rates ``lam`` and F^L
@@ -112,14 +117,19 @@ class Stepper:
         dF and the float ``bound`` = min m/(2 lam); u and R are (nvar, Np, K).
 
         A ``prep`` is valid until the next ``prepare`` on the same Stepper:
-        its arrays but ``lam`` live in the Stepper's workspace, and every
-        call overwrites them.
+        its arrays live in the Stepper's workspace, and every call
+        overwrites them.
         """
         ws = self.ws
-        uf, uP = self.low.face_states(u, t, ws)
-        sig = None if self.grad is None else self.grad(u, uP, ws)[2]
-        R, lam, FL = self.low(u, uf, uP, sig, ws=ws)
-        dF = None if self.high is None else self.high(u, sig, FL, ws)
+        rhoe = ws.keep("rhoe", u.shape[1:])
+        with ws.frame():
+            internal_energy_cf(u, rhoe, ws.take(rhoe.shape))
+        p = np.multiply(self.gas.gamma - 1.0, rhoe,
+                        out=ws.keep("p", rhoe.shape))
+        uf, uP = self.low.face_states(u, p, t, ws)
+        sig = None if self.grad is None else self.grad(u, rhoe, p, uP, ws)[2]
+        R, lam, FL = self.low(u, rhoe, p, uf, uP, sig, ws=ws)
+        dF = None if self.high is None else self.high(u, p, sig, FL, ws)
         bound = float(self._node_bounds(lam).min())
         return {"R": R, "lam": lam, "dF": dF, "bound": bound}
 

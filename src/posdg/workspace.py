@@ -31,8 +31,9 @@ phase and the limiter phase thus share the same bytes. A take that does
 not fit is served by a fresh array; when the outermost frame closes, the
 block is replaced by one of exactly the largest extent seen. After the
 first stage it therefore neither grows nor moves. Outputs that must
-outlive their frame (the pair fluxes, the per-end tables) are
-:meth:`Workspace.keep` arrays: one per key, allocated once.
+outlive their frame (the stage's node table, the pair fluxes, the per-end
+tables, the rates) are :meth:`Workspace.keep` arrays: one per key,
+allocated once.
 
 The Stepper owns the one workspace of a run, and every stage kernel takes
 it from its caller: the memory of a stage has a single owner and a single

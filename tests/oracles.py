@@ -10,7 +10,9 @@ from posdg.physics import (
     davis_wavespeed,
     internal_energy,
     internal_energy_cf,
+    normal_flux,
     pressure_cf,
+    sound_speed,
     zhang_beta,
 )
 from posdg.workspace import Workspace
@@ -171,6 +173,69 @@ def lam_hat_ref(uM, uP, sigM, sigP, n, gas):
         zhang_beta(uP, sigma_n_ref(sigP, n), n, gas, ws=Workspace()))
     lam = np.maximum(lam, davis_wavespeed(uM, n, gas, Workspace()))
     return np.maximum(lam, davis_wavespeed(uP, n, gas, Workspace()))
+
+
+def end_src_ref(low):
+    """The flat (node, element) index of every (end, element) entry of the
+    end tables of ``low`` (a ``LowOrderRHS``), in their order."""
+    K = low.mesh.n_elements
+    return (K * low._end_rows[:, None] + np.arange(K)).reshape(-1)
+
+
+def low_stage_flat_ref(low, u, uf, uP, sigmas=None):
+    """(w, F, lam_p, lam_s, lam, R, P) of the low-order stage of ``low``
+    (a ``LowOrderRHS``) on (nvar, Np, K) node states, as it was formed with
+    flat (node, element) and (end, element) indices: every node value is
+    gathered to the end tables and every end value to the face slots one
+    element at a time, and every kernel derives rho e and p from the
+    states it is given. ``uf`` and ``uP`` are the face states of ``u``."""
+    mesh, gas = low.mesh, low.gas
+    nvar, K = len(u), mesh.n_elements
+    top, dirs, ghosts = low._n_ends, low._end_dir, low._bdry_slots
+    src = end_src_ref(low)
+    slot_end = (K * low._slot_rows[:, None] + np.arange(K)).reshape(-1)
+    ws = Workspace()
+
+    def gather(vol, face):
+        return np.concatenate([vol.reshape(len(vol), -1)[:, src], face],
+                              axis=1)
+
+    ue = gather(u, uP[:, ghosts])
+    pn = pressure_cf(u, gas)
+    pe = gather(pn[None], pressure_cf(ue[:, top:], gas)[None])[0]
+    cn = sound_speed(u, gas, p=pn)
+    ce = gather(cn[None], sound_speed(ue[:, top:], gas)[None])[0]
+    F = normal_flux(ue, dirs, gas, p=pe, ws=ws)
+    w = davis_wavespeed(ue, dirs, gas, ws, c=ce, mn=F[0]).copy()
+    if sigmas is not None:
+        sb = low.bcs.exterior_sigma(
+            tuple(s.reshape(len(s), -1)[1:, low._bdry_src] for s in sigmas),
+            low._adiabatic)
+        sn = np.zeros(ue.shape)
+        for d, (s, x) in enumerate(zip(sigmas, sb)):
+            se = gather(s[1:], x) * dirs[d]
+            if d:
+                sn[1:] += se
+            else:
+                sn[1:] = se
+        w = np.maximum(zhang_beta(ue, sn, dirs, gas, ws=ws), w)
+        F[1:] -= sn[1:]
+    # the rates
+    lam_s = mesh.slot_dissipation * np.maximum(w[slot_end], w[low._ext_end])
+    ei = (K * low._ei[..., None] + np.arange(K))
+    ej = (K * low._ej[..., None] + np.arange(K))
+    lam_p = np.maximum(w[ei], w[ej]) * low._nn
+    lam = mesh.ops.E.T @ lam_s.reshape(mesh.n_face_nodes, -1)
+    lam += low._absS @ lam_p
+    # the pair fluxes and the residual
+    pi, pj = low._pi, low._pj
+    P = (F[:, ei] + F[:, ej]) * low._pair_w
+    P += lam_p * (u[:, pj] - u[:, pi])
+    R = low._S @ P
+    FX = F[:, low._ext_end] * low._ext_sign
+    Rs = (F[:, slot_end] + FX) * low._slot_w + lam_s * (uP - uf)
+    R += mesh.ops.E.T @ Rs.reshape(nvar, mesh.n_face_nodes, -1)
+    return w, F, lam_p, lam_s, lam, R, P
 
 
 def bar_state_residual(scheme, u, t, sigmas=None):

@@ -37,6 +37,7 @@ from posdg.bc import BCSet, dirichlet, noslip, wall
 from posdg.mesh import interval_mesh, rect_mesh
 from posdg.physics import (
     GasParams,
+    internal_energy_cf,
     mirror_state,
     noslip_state,
     normal_flux,
@@ -62,6 +63,13 @@ def variables_last(a):
     if a is None or isinstance(a, np.ndarray):
         return None if a is None else a.T
     return tuple(x.T for x in a)
+
+
+def node_thermo(u, gas):
+    """(rho e, p) of (nvar, Np, K) node states, as ``Stepper.prepare``
+    forms them for the stage kernels."""
+    rhoe = internal_energy_cf(u)
+    return rhoe, np.multiply(gas.gamma - 1.0, rhoe)
 
 
 def face_states_ref(mesh, bcs, u, t, gas):
@@ -111,6 +119,12 @@ class Scheme:
         self.high = HighOrderRHS(mesh, gas)
         self.ldg = LDGGradient(mesh, gas)
 
+    def face_states(self, uc, t=0.0):
+        """(uf, uP) of ``LowOrderRHS.face_states`` of (nvar, Np, K) node
+        states."""
+        return self.low.face_states(uc, node_thermo(uc, self.low.gas)[1], t,
+                                    Workspace())
+
     def faces(self, u, t=0.0, sigmas=None):
         """(uf, uP, sigf, sigP, nrm): the face states, the viscous face
         fluxes and the slots' normals. The solver forms no viscous face
@@ -119,7 +133,7 @@ class Scheme:
         interior slot and the boundary condition's exterior value at a
         boundary slot."""
         mesh = self.mesh
-        uf, uP = self.low.face_states(components(u), t, Workspace())
+        uf, uP = self.face_states(components(u), t)
         if sigmas is None:
             return uf, uP, None, None, mesh.slot_normal
         sigf = tuple(s[:, mesh.ops.face_vol].reshape(len(s), -1)
@@ -150,7 +164,8 @@ class Scheme:
         """(v, thetas, sigmas) of the LDG gradient, variable-last."""
         uc = components(u)
         v, thetas, sigmas = self.ldg(
-            uc, self.low.face_states(uc, t, Workspace())[1], Workspace())
+            uc, *node_thermo(uc, self.low.gas), self.face_states(uc, t)[1],
+            Workspace())
         return v.T, variables_last(thetas), variables_last(sigmas)
 
     def end_tables(self, u, t=0.0, sigmas=None):
@@ -159,7 +174,7 @@ class Scheme:
         ends, K), that the pair fluxes read."""
         uc = components(u)
         w, F = self.low.wavespeeds(
-            uc, self.low.face_states(uc, t, Workspace())[1],
+            uc, *node_thermo(uc, self.low.gas), self.face_states(uc, t)[1],
             components(sigmas), ws=Workspace())
         return w, F, F[:, :self.low._n_ends].reshape(len(F), self.low._ne,
                                                       -1)
@@ -181,14 +196,22 @@ class Scheme:
 
     def high_pairs(self, u, sigmas=None):
         """F^H: the high-order pair fluxes."""
-        return self.high.pair_fluxes(components(u), components(sigmas),
-                                     ws=Workspace())
+        uc = components(u)
+        return self.high.pair_fluxes(uc, node_thermo(uc, self.low.gas)[1],
+                                     components(sigmas), ws=Workspace())
 
     def _low(self, u, t, sigmas):
         """(R^L, lam, F^L) of ``LowOrderRHS.__call__``."""
         uc = components(u)
-        uf, uP = self.low.face_states(uc, t, Workspace())
-        return self.low(uc, uf, uP, components(sigmas), ws=Workspace())
+        return self.low(uc, *node_thermo(uc, self.low.gas),
+                        *self.face_states(uc, t), components(sigmas),
+                        ws=Workspace())
+
+    def differences(self, u, sigmas, FL):
+        """dF of ``HighOrderRHS.__call__`` from F^L."""
+        uc = components(u)
+        return self.high(uc, node_thermo(uc, self.low.gas)[1],
+                         components(sigmas), FL, Workspace())
 
     def low_residual(self, u, t=0.0, sigmas=None):
         """(R, lam): the low-order residual and its nodal rates."""
@@ -198,12 +221,12 @@ class Scheme:
     def pair_differences(self, u, t=0.0, sigmas=None):
         """dF = F^H - F^L of ``HighOrderRHS.__call__``."""
         FL = self._low(u, t, sigmas)[2]
-        return self.high(components(u), components(sigmas), FL, Workspace())
+        return self.differences(u, sigmas, FL)
 
     def high_residual(self, u, t=0.0, sigmas=None):
         """R^L + scatter(F^H - F^L)."""
         R, _, FL = self._low(u, t, sigmas)
-        dF = self.high(components(u), components(sigmas), FL, Workspace())
+        dF = self.differences(u, sigmas, FL)
         return (R + self.mesh.scatter @ dF).T
 
     def max_dt(self, u, t=0.0, sigmas=None):

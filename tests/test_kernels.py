@@ -117,6 +117,27 @@ def test_state_kernels_match_oracles(case):
 
 @given(cases)
 @settings(max_examples=60, deadline=None)
+def test_kernels_given_rhoe_and_p_equal_their_deriving_paths(case):
+    # the stage kernels hand these kernels the rho e and p of the stage's
+    # node table, formed once per stage; each must equal the path that
+    # forms them from the states itself, bit for bit
+    _, u, n, sigma = _setup(case)
+    rhoe = internal_energy_cf(u)
+    p = np.multiply(GAS.gamma - 1.0, rhoe)
+    sn = sigma_n_ref(sigma, n)
+    assert _equal(zhang_beta(u, sn, n, GAS, rhoe=rhoe, p=p, ws=Workspace()),
+                  zhang_beta(u, sn, n, GAS, ws=Workspace()))
+    out = np.empty((len(u) + 1,) + u.shape[1:])
+    assert ec_prims(u, GAS, p, out) is out
+    assert _equal(out, ec_prims(u, GAS))
+    assert _equal(entropy_vars_cf(u, GAS, rhoe=rhoe, p=p),
+                  entropy_vars_cf(u, GAS))
+    assert _equal(wall_riemann_state(u, n, GAS, p),
+                  wall_riemann_state(u, n, GAS))
+
+
+@given(cases)
+@settings(max_examples=60, deadline=None)
 def test_viscous_sigma_matches_oracle(case):
     # the stress's off-diagonal entry, formed once, is the full matrix's
     # entry on both sides of the diagonal, bit for bit

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from oracles import bisect_l_rows, convex_limit_ref, zhang_shu_limit_ref
-from schemes import Scheme, components
+from schemes import Scheme, components, periodic_mesh
 
 from posdg import limiter
 from posdg.bc import BCSet
@@ -342,7 +342,8 @@ def _matched_residual(sch, u, sig=None):
     mesh = sch.mesh
     uf, uP = sch.faces(u, 0.0, sig)[:2]
     Rs = interface_flux_low(*sch.face_fluxes(u, 0.0, sig), uf, uP,
-                            -0.5 * mesh.slot_wsJ, sch.rates(u, 0.0, sig)[1])
+                            -0.5 * mesh.slot_wsJ, sch.rates(u, 0.0, sig)[1],
+                            Workspace())
     R = mesh.ops.E.T @ Rs.reshape(len(Rs), mesh.n_face_nodes, -1)
     R += mesh.scatter @ sch.high_pairs(u, sig)
     return R.T
@@ -587,3 +588,36 @@ def test_shock_indicator_logistic_midpoint():
     # alpha at E = T is 1/2 but the sub-mode ratio can only raise E;
     # accept the clip window
     assert 0.5 <= xi <= 0.75
+
+
+@pytest.mark.parametrize("fails", [(1, 1), (7, 1), (0, 1), (2, 0)])
+def test_convex_limiter_gathers_the_failing_substates_of_both_ends(
+        monkeypatch, fails):
+    # a uniform state whose pair differences drive the internal energy of
+    # a few substates negative: n_i of them at end i of their pair, n_j at
+    # end j. The failing substates of both ends are gathered through one
+    # index and solved in one call, the end-j block negated, also when it
+    # is one column of a block eight wide, a view numpy 2.4.6's in-place
+    # np.negative writes wrong
+    mesh = periodic_mesh("quad", 2, K=2)
+    n_i, n_j = fails
+    prim = np.broadcast_to([1.0, 0.2, -0.1, 1.0],
+                           mesh.xy.shape[:-1] + (4,))
+    uLnew = primitive_to_conserved(prim, GAS)
+    dt = 1e-3
+    dF = np.zeros((4, len(mesh.pair_i), mesh.n_elements))
+    # the energy of a_i dF_ij, a_i = dt |I(i)| / m_i, exceeds the state's
+    # here, so the end the step is subtracted from leaves the bounds
+    step = 1e4 * np.array([0.001, 0.005, -0.003, 1.0])
+    for p in range(n_i):
+        dF[:, p, p % 4] = -step
+    for p in range(n_j):
+        dF[:, 10 + p, p % 4] = step
+    bounds = _bounds(uLnew, 0.1)
+    calls = _count_solves(monkeypatch)
+    out, rep = _convex(ConvexLimiter(mesh), uLnew, dF, dt, bounds)
+    ref, l_ref = convex_limit_ref(mesh, uLnew, dF, dt, bounds)
+    assert calls == [(n_i + n_j,)]
+    assert np.array_equal(rep.l_elem, l_ref) and np.any(l_ref < 1.0)
+    scale = np.abs(ref).max(axis=(0, 1))
+    assert np.all(np.abs(out - ref).max(axis=(0, 1)) <= 1e-14 * scale)

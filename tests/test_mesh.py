@@ -9,6 +9,8 @@ import pytest
 from oracles import connect_ref
 from posdg.cases import CASES, get_case
 from posdg.mesh import Mesh, _connect, interval_mesh, rect_mesh
+from posdg.physics import GasParams
+from posdg.rhs_high import HighOrderRHS
 from posdg.timestepping import Stepper, advance
 
 MESHES_2D = [
@@ -217,10 +219,14 @@ def test_mesh_pair_graph_equals_every_class_graph():
             for name in ("pair_i", "pair_j", "n_low", "scatter"):
                 assert np.array_equal(getattr(m, name), getattr(gc, name)), \
                     (elem, N, name)
-        npairs = len(m.pair_i)
-        assert m.pair_s.shape == (m.dim, npairs, m.n_elements)
+        # the one per-element copy of the high-order weights, n_k = -(Q_k
+        # - Q_k^T)_ij, is the high-order scheme's
+        assert not hasattr(m, "pair_s")
+        n = HighOrderRHS(m, GasParams())._n
+        assert n.shape == (m.dim, len(m.pair_i), m.n_elements)
+        assert n.flags.c_contiguous
         for k, c in enumerate(m.class_id):
-            assert np.array_equal(m.pair_s[:, :, k], m.classes[c].pair_s)
+            assert np.array_equal(n[:, :, k], -m.classes[c].pair_s)
 
 
 def test_mesh_rejects_classes_with_different_pair_graphs():

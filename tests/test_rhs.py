@@ -7,6 +7,8 @@ from oracles import (
     bar_state_residual,
     ec_fluxes_prims_ref,
     ec_prims_ref,
+    end_src_ref,
+    low_stage_flat_ref,
     euler_flux,
     lam_hat_ref,
     normal_flux_ref,
@@ -18,6 +20,7 @@ from schemes import (
     face_states_ref,
     fuzz_schemes,
     fuzz_state,
+    node_thermo,
     periodic_mesh,
     walled_scheme,
 )
@@ -183,8 +186,8 @@ def test_ldg_exterior_entropy_vars_are_those_of_the_face_states(elem):
                      rng.uniform(0.2, 3.0, shape)], axis=-1)
     sch = Scheme(mesh, GAS_V, bcs)
     uc = components(primitive_to_conserved(prim, GAS_V))
-    uP = sch.low.face_states(uc, 0.0, Workspace())[1]
-    v, thetas, _ = sch.ldg(uc, uP, Workspace())
+    uP = sch.face_states(uc)[1]
+    v, thetas, _ = sch.ldg(uc, *node_thermo(uc, GAS_V), uP, Workspace())
 
     # Theta_m = M^-1 [sum_k G_mk (Q_k - Q_k^T)/2 v + E^T (wsJ n_m / 2) vP]
     # per element, with vP = entropy_vars(uP) at every slot
@@ -427,11 +430,12 @@ def test_inviscid_wavespeeds_equal_davis_of_gathered_ends():
     u = components(case.ic(mesh.xy))
     t = 0.02            # the top boundary's shock trace has moved
     low = LowOrderRHS(mesh, gas, bcs)
-    uP = low.face_states(u, t, Workspace())[1]
+    rhoe, p = node_thermo(u, gas)
+    uP = low.face_states(u, p, t, Workspace())[1]
     assert low._bdry_slots.size
-    w, F = low.wavespeeds(u, uP, ws=Workspace())
+    w, F = low.wavespeeds(u, rhoe, p, uP, ws=Workspace())
     # the end states gathered in full: every node end, then every ghost
-    ue = np.concatenate([u.reshape(len(u), -1)[:, low._end_src],
+    ue = np.concatenate([u.reshape(len(u), -1)[:, end_src_ref(low)],
                          uP[:, low._bdry_slots]], axis=1)
     assert np.array_equal(w, davis_wavespeed(ue, low._end_dir, gas,
                                              Workspace()))
@@ -440,13 +444,42 @@ def test_inviscid_wavespeeds_equal_davis_of_gathered_ends():
                                          ws=Workspace()))
 
 
+@pytest.mark.parametrize("elem", ["quad", "tri"])
+@pytest.mark.parametrize("viscous", [False, True])
+def test_row_gathered_low_stage_equals_the_flat_index_oracle(elem, viscous):
+    # the end tables gather the node values, and the slots the trace ends'
+    # values, as row takes, and the kernels read the stage's rho e and p:
+    # the wavespeeds, the rates and the stage equal the form that gathers
+    # one element at a time through flat indices and derives rho e and p
+    # in every kernel, bit for bit; with wall-Riemann, no-slip and
+    # Dirichlet ghosts, and with sigma
+    gas = GasParams(gamma=1.4, mu=0.5) if viscous else GAS
+    sch, u = walled_scheme(elem, 3, gas, "riemann")
+    low = sch.low
+    assert low._bdry_slots.size
+    uc = components(u)
+    sig = components(sch.gradient(u, 0.0)[2]) if viscous else None
+    rhoe, p = node_thermo(uc, gas)
+    uf, uP = sch.face_states(uc)
+    ref = low_stage_flat_ref(low, uc, uf, uP, sig)
+    ws = Workspace()
+    w, F = (a.copy() for a in low.wavespeeds(uc, rhoe, p, uP, sig, ws=ws))
+    rates = tuple(a.copy() for a in low.rates(w, ws))
+    R, lam, P = low(uc, rhoe, p, uf, uP, sig, ws=Workspace())
+    for name, a, b in zip(("w", "F", "lam_p", "lam_s", "lam", "R", "P"),
+                          (w, F, *rates, R, P), ref):
+        assert np.array_equal(a, b), name
+    assert np.array_equal(lam, ref[4])
+
+
 def _check_boundary_pass(low, bcs, rng, t):
     """The face states and the boundary slots' exterior viscous fluxes
     of ``low`` on a rough state equal the per-tag boolean-mask oracles bit
     for bit."""
     mesh, gas = low.mesh, low.gas
     u = components(fuzz_state(rng, mesh, gas)[0])
-    for a, ref in zip(low.face_states(u, t, Workspace()),
+    for a, ref in zip(low.face_states(u, node_thermo(u, gas)[1], t,
+                                      Workspace()),
                       face_states_ref(mesh, bcs, u, t, gas)):
         assert np.array_equal(a, ref)
     sig = rng.normal(size=(mesh.dim,) + u.shape)
@@ -519,8 +552,8 @@ def test_boundary_pass_drops_outflow_and_absent_tags(elem):
         assert np.array_equal(grp.slots, np.nonzero(mesh.slot_tag == tag)[0])
     rng = np.random.default_rng(11)
     _check_boundary_pass(low, bcs, rng, t=0.3)
-    uf, uP = low.face_states(components(fuzz_state(rng, mesh, GAS)[0]), 0.3,
-                             Workspace())
+    u = components(fuzz_state(rng, mesh, GAS)[0])
+    uf, uP = low.face_states(u, node_thermo(u, GAS)[1], 0.3, Workspace())
     out = mesh.slot_tag == 4
     assert out.any() and np.array_equal(uP[:, out], uf[:, out])
 
@@ -589,7 +622,7 @@ def test_pair_arrays_equal_per_class_oracles(elem, viscous):
     assert FH.shape == (nvar, len(mesh.pair_i), mesh.n_elements)
     assert FL.shape == (nvar, mesh.n_low, mesh.n_elements)
     assert lam.shape == FL.shape[1:]
-    dF = sch.high(components(u), components(sig), FL, Workspace())
+    dF = sch.differences(u, sig, FL)
     prep = Stepper(mesh, gas, BCSet({}), mode="convex").prepare(
         components(u), 0.0)
     assert np.array_equal(prep["dF"], dF)
@@ -625,7 +658,7 @@ def _euler_form_low(sch, u, sig):
           + lam_p * (uc[:, pj] - uc[:, pi]))
     uf, uP = sch.faces(u, 0.0, sig)[:2]
     Rs = interface_flux_low(*sch.face_fluxes(u, 0.0, sig), uf, uP,
-                            -0.5 * mesh.slot_wsJ, lam_s)
+                            -0.5 * mesh.slot_wsJ, lam_s, Workspace())
     R = mesh.scatter[:, low] @ FL + mesh.ops.E.T @ Rs.reshape(
         len(Rs), mesh.n_face_nodes, -1)
     return FL, R

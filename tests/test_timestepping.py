@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from schemes import Scheme, components
 
-from posdg import cli, rhs_low
+from posdg import cli, physics, rhs_low, timestepping
 from posdg.bc import BCSet, dirichlet
 from posdg.mesh import interval_mesh, rect_mesh
 from posdg.physics import (
@@ -560,3 +560,31 @@ def test_zhang_beta_only_for_viscous_gases(monkeypatch, case, mode):
         assert calls == []
     else:
         assert len(calls) == 3 * len(diags)
+
+
+@pytest.mark.parametrize("raw", [
+    dict(case="vortex", elem="tri", N=3, K=2, mode="convex"),
+    dict(case="dmr", elem="quad", N=3, K=2, mode="convex"),
+    dict(case="daru", elem="quad", N=3, K=1, mode="elementwise"),
+    dict(case="viscous-shock", N=3, K=10, mode="low-only"),
+])
+def test_prepare_forms_rhoe_of_the_stage_nodes_once(monkeypatch, raw):
+    # the stage's node table: rho e and p are formed once per stage, and
+    # the wavespeeds, the wall-Riemann states, the two-point flux table and
+    # the entropy variables read them; only the boundary ghost states get
+    # their own, once in the end tables and, for a viscous gas, once in
+    # the LDG's exterior entropy variables
+    shapes = []
+    method = physics.internal_energy_cf
+
+    def counted(v, *args, **kwargs):
+        shapes.append(np.shape(v)[1:])
+        return method(v, *args, **kwargs)
+
+    for module in (physics, rhs_low, timestepping):
+        monkeypatch.setattr(module, "internal_energy_cf", counted)
+    _, _, st, u0, _, _ = cli.setup(cli.make_config(raw))
+    u = components(u0)
+    st.prepare(u, 0.0)
+    ghosts = st.low._bdry_slots.shape
+    assert shapes == [u.shape[1:]] + [ghosts] * (1 + st.gas.viscous)
